@@ -19,7 +19,7 @@
 //! | `deprecated-sim-entrypoint` | retired `simulate_mix*`/`run_campaign*`/`execute*` free functions instead of the `MixSim`/`Campaign` builders |
 //! | `uncompiled-hot-loop`  | per-item trace iteration outside the `reference_*` substrate |
 //! | `blocking-in-handler`  | unbounded socket reads in server code, or reachable from a handler |
-//! | `alloc-in-steady-loop` | heap allocation inside the steady-state simulation loops |
+//! | `alloc-in-steady-loop` | heap allocation inside the simulator's steady-state loops or the solver's step kernel |
 //! | `taint-nondet-to-result` | nondeterminism laundered through helpers into results/journals/wire frames |
 //! | `panic-reaches-handler` | panic sites reachable from a daemon request handler |
 //!

@@ -507,27 +507,36 @@ impl Rule for BlockingInHandler {
 }
 
 /// `alloc-in-steady-loop` — heap allocation (`Vec::new()`, `vec![...]`,
-/// `Box::new(...)`) inside the simulator's steady-state loops: the
-/// compiled burst loop and the scheduler interleave loops. Since the
-/// `SimArena` landed, warm mixes are allocation-free end to end (proven
-/// by the counting-allocator test); an allocation introduced into these
-/// bodies silently regresses that guarantee long before the bench
-/// notices. `reference_*` functions (the differential substrate) and
-/// test code are exempt.
+/// `Box::new(...)`) inside the steady-state loops: the simulator's
+/// compiled burst loop and scheduler interleave loops, and the model
+/// solver's per-step window kernel. Since the `SimArena` and
+/// `SolverScratch` landed, warm mixes are allocation-free in both
+/// (proven by the counting-allocator test and the per-step scratch
+/// reuse); an allocation introduced into these bodies silently regresses
+/// that guarantee long before the bench notices. `reference_*` functions
+/// (the differential substrates) and test code are exempt.
 pub struct AllocInSteadyLoop;
 
 /// Function bodies that constitute the allocation-free steady state:
 /// the compiled burst loop and its LLC commit, the per-engine drive
-/// dispatcher, and the scheduler interleave loops.
-const STEADY_LOOP_FNS: &[&str] =
-    &["compiled_run_until_llc", "commit_llc", "run_until_llc", "event_interleave_into"];
+/// dispatcher, the scheduler interleave loops, and the solver's lockstep
+/// window walks (run once per program-step).
+const STEADY_LOOP_FNS: &[&str] = &[
+    "compiled_run_until_llc",
+    "commit_llc",
+    "run_until_llc",
+    "event_interleave_into",
+    "lockstep_window_cycles",
+    "lockstep_advance",
+    "lockstep_windows",
+];
 
 impl Rule for AllocInSteadyLoop {
     fn name(&self) -> &'static str {
         "alloc-in-steady-loop"
     }
     fn description(&self) -> &'static str {
-        "`Vec::new`/`vec![]`/`Box::new` inside the compiled burst or scheduler event loop"
+        "`Vec::new`/`vec![]`/`Box::new` inside the compiled burst, scheduler event loop or solver step kernel"
     }
     fn scope(&self) -> Scope {
         Scope::NonTest
@@ -555,8 +564,8 @@ impl Rule for AllocInSteadyLoop {
                 out.push(Finding {
                     tok: i,
                     message: format!(
-                        "{what} allocates inside a steady-state simulation loop; warm-arena \
-                         mixes must stay allocation-free — reuse a `SimArena` pool (sized \
+                        "{what} allocates inside a steady-state loop; warm mixes must stay \
+                         allocation-free — reuse a `SimArena` or `SolverScratch` pool (sized \
                          outside the loop) instead"
                     ),
                 });

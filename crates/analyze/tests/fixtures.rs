@@ -458,6 +458,30 @@ fn event_interleave_into(engines: &mut [Engine], pending: &mut Vec<Event>) {
 }
 
 #[test]
+fn alloc_in_steady_loop_covers_the_solver_step_kernel() {
+    fires_and_fixes(
+        "alloc-in-steady-loop",
+        r#"
+fn lockstep_windows(profiles: &[&Profile], lanes: &mut [Lane]) {
+    let mut windows = Vec::new();
+    for lane in lanes { windows.push(lane.walk(profiles)); }
+}
+"#,
+        r#"
+fn lockstep_windows(profiles: &[&Profile], lanes: &mut [Lane], windows: &mut [Sdc]) {
+    for (lane, window) in lanes.iter_mut().zip(windows) { lane.walk_into(profiles, window); }
+}
+"#,
+    );
+    // The other two walks are covered too.
+    for kernel in ["lockstep_window_cycles", "lockstep_advance"] {
+        let src = format!("fn {kernel}(lanes: &mut [Lane]) {{ let v = vec![0.0; lanes.len()]; }}");
+        let fired = rules_fired(&analyze_one(LIB, &src));
+        assert!(fired.iter().any(|(r, _)| r == "alloc-in-steady-loop"), "{kernel}: {fired:?}");
+    }
+}
+
+#[test]
 fn alloc_in_steady_loop_covers_every_pattern_and_exempts_reference_fns() {
     // All three allocation forms fire inside a steady-loop body...
     let hot = r#"

@@ -50,6 +50,7 @@ pub mod classify;
 mod contention;
 mod cpi_stack;
 mod error;
+mod lockstep;
 pub mod metrics;
 pub mod mix;
 mod model;

@@ -1,6 +1,7 @@
 //! The iterative Multi-Program Performance Model (paper §2.2, Figure 2).
 
 use crate::contention::ContentionModel;
+use crate::lockstep::{self, Lane};
 use crate::metrics;
 use crate::profile::SingleCoreProfile;
 use crate::ModelError;
@@ -115,13 +116,14 @@ impl MppmConfig {
 
 /// Reusable per-worker scratch for [`Mppm::predict_observed_with`].
 ///
-/// Holds the solver's per-program working vectors — slowdown estimates,
-/// trace positions, window SDCs, queueing terms — so a worker that
-/// evaluates many mixes back to back (a campaign shard, the `mppmd`
-/// request loop) resets them in place instead of reallocating each call.
-/// Mixes of different core counts or LLC associativities can share one
-/// scratch: every field is sized to the current mix on entry, and the
-/// bit-exactness oracle pins reuse to fresh-allocation results.
+/// Holds the solver's per-program working state — slowdown estimates,
+/// trace positions, the per-interval CPI table, window SDCs, queueing
+/// terms — so a worker that evaluates many mixes back to back (a
+/// campaign shard, the `mppmd` request loop) resets it in place instead
+/// of reallocating each call. Mixes of different core counts or LLC
+/// associativities can share one scratch: every field is sized to the
+/// current mix on entry, and the bit-exactness oracle pins reuse to
+/// fresh-allocation results.
 ///
 /// Not everything is pooled: the contention model's
 /// [`ContentionModel::extra_misses`] returns a fresh `Vec` per step, the
@@ -131,10 +133,8 @@ impl MppmConfig {
 #[derive(Debug, Default)]
 pub struct SolverScratch {
     slowdown: Vec<f64>,
-    position: Vec<f64>,
-    executed: Vec<f64>,
-    targets: Vec<f64>,
-    advance: Vec<f64>,
+    lanes: Vec<Lane>,
+    cpi: Vec<f64>,
     windows: Vec<mppm_cache::Sdc>,
     queue_cycles: Vec<f64>,
     traffic: Vec<f64>,
@@ -219,15 +219,15 @@ impl<M: ContentionModel> Mppm<M> {
     }
 
     /// [`Mppm::predict_observed`] over caller-owned [`SolverScratch`]:
-    /// the per-step working vectors (slowdowns, positions, window SDCs,
-    /// queueing terms) are reset in place instead of reallocated, so a
+    /// the per-step working state (slowdowns, positions, window SDCs,
+    /// queueing terms) is reset in place instead of reallocated, so a
     /// worker evaluating many mixes (a campaign shard, the `mppmd`
     /// request loop) pays the solver's transient allocations once per
-    /// worker rather than once per step. Bit-identical to
-    /// `predict_observed` — which delegates here with a fresh scratch —
-    /// including the window-SDC reuse in the miss-penalty estimate
-    /// ([`SingleCoreProfile::miss_penalty_with`] receives exactly the
-    /// SDC `miss_penalty_in` would recompute).
+    /// worker rather than once per step. Each step walks the mix's
+    /// programs in lockstep, with one walk per window for its SDC, memory
+    /// stall and fallback penalty. Bit-identical to
+    /// [`Mppm::reference_predict_observed`]: every program performs the
+    /// same f64 operations in the same order.
     ///
     /// # Errors
     ///
@@ -262,18 +262,10 @@ impl<M: ContentionModel> Mppm<M> {
             .unwrap_or_else(|| 10 * profiles.iter().map(|p| p.interval_insns()).min().expect("non-empty"));
         let step = step as f64;
 
-        let SolverScratch { slowdown, position, executed, targets, advance, windows, queue_cycles, traffic } =
-            scratch;
+        let SolverScratch { slowdown, lanes, cpi, windows, queue_cycles, traffic } = scratch;
         slowdown.clear();
         slowdown.resize(n, 1.0);
-        position.clear();
-        position.resize(n, 0.0);
-        executed.clear();
-        executed.resize(n, 0.0);
-        targets.clear();
-        targets.extend(
-            profiles.iter().map(|p| self.config.target_passes * p.trace_insns() as f64),
-        );
+        lockstep::init(profiles, self.config.target_passes, lanes, cpi);
         windows.truncate(n);
         windows.resize_with(n, || mppm_cache::Sdc::new(assoc));
         let mut history: Vec<Vec<f64>> = vec![slowdown.clone()];
@@ -281,36 +273,19 @@ impl<M: ContentionModel> Mppm<M> {
         let mut converged = false;
 
         while steps < self.config.max_steps {
-            if executed.iter().zip(&*targets).all(|(e, t)| e >= t) {
+            if lanes.iter().all(|l| l.executed >= l.target) {
                 converged = true;
                 break;
             }
             steps += 1;
 
-            // Cycles for the slowest program to execute the next L insns.
-            let c = profiles
-                .iter()
-                .zip(&*position)
-                .zip(&*slowdown)
-                .map(|((p, &pos), &r)| p.cycles_in(pos, step) * r)
-                .fold(0.0_f64, f64::max);
+            // Cycles for the slowest program to execute the next L insns,
+            // the progress each program makes in those C cycles, and the
+            // window SDCs and miss penalties over that progress.
+            let c = lockstep::lockstep_window_cycles(lanes, cpi, slowdown, step);
             debug_assert!(c > 0.0, "interval cycles must be positive");
-
-            // Progress each program makes in those C cycles.
-            advance.clear();
-            advance.extend(
-                profiles
-                    .iter()
-                    .zip(&*position)
-                    .zip(&*slowdown)
-                    .map(|((p, &pos), &r)| p.insns_for_cycles(pos, c / r)),
-            );
-
-            // Window SDCs feed the cache contention model; the pooled
-            // SDCs are reset and refilled in place.
-            for p in 0..n {
-                profiles[p].sdc_in_into(position[p], advance[p], &mut windows[p]);
-            }
+            lockstep::lockstep_advance(lanes, cpi, slowdown, c);
+            lockstep::lockstep_windows(profiles, lanes, windows, self.config.min_misses);
             let extra = self.contention.extra_misses(windows, assoc);
 
             // Optional shared-bandwidth queueing (§8 extension): charge the
@@ -340,20 +315,11 @@ impl<M: ContentionModel> Mppm<M> {
                 }
             }
 
-            for p in 0..n {
-                // The window SDC is exactly `sdc_in(position, advance)`,
-                // so reusing it here skips one full window fold per
-                // program-step with bit-identical results.
-                let penalty = profiles[p].miss_penalty_with(
-                    &windows[p],
-                    position[p],
-                    advance[p],
-                    self.config.min_misses,
-                );
+            for (p, lane) in lanes.iter_mut().enumerate() {
                 // Queueing delay overlaps with other misses the same way
                 // the base latency does; penalty/mem_latency ≈ 1/MLP.
-                let overlap = penalty / f64::from(machine.mem_latency).max(1.0);
-                let miss_cycles = extra[p] * penalty + queue_cycles[p] * overlap;
+                let overlap = lane.penalty / f64::from(machine.mem_latency).max(1.0);
+                let miss_cycles = extra[p] * lane.penalty + queue_cycles[p] * overlap;
                 // The program's isolated cycles in this window are C/R by
                 // construction of `advance`.
                 let denom = match self.config.update {
@@ -362,8 +328,8 @@ impl<M: ContentionModel> Mppm<M> {
                 };
                 let current = 1.0 + miss_cycles / denom;
                 slowdown[p] = self.config.ema * slowdown[p] + (1.0 - self.config.ema) * current;
-                position[p] = (position[p] + advance[p]) % profiles[p].trace_insns() as f64;
-                executed[p] += advance[p];
+                lane.position = (lane.position + lane.advance) % lane.total;
+                lane.executed += lane.advance;
             }
             history.push(slowdown.clone());
             if span.is_enabled() {
@@ -409,14 +375,13 @@ impl<M: ContentionModel> Mppm<M> {
 
     /// The allocate-per-step solver retained as the differential
     /// baseline for [`Mppm::predict_observed_with`]: every fixed-point
-    /// iteration collects fresh window SDCs and working vectors, and the
-    /// miss-penalty estimate refolds its window via
-    /// [`SingleCoreProfile::miss_penalty_in`] instead of reusing the
-    /// contention model's SDC. This is the cost profile the scratch-reuse
-    /// fast path replaced; the speed harness (`speed::arena_comparison`)
-    /// measures against it and asserts bit-identical predictions, and
-    /// `scratch_reuse_is_bit_exact_across_differing_mixes` pins the
-    /// equality in unit tests.
+    /// iteration collects fresh window SDCs and working vectors, walks
+    /// one program after another through the [`SingleCoreProfile`]
+    /// window methods, and refolds each window for the miss-penalty
+    /// estimate ([`SingleCoreProfile::miss_penalty_in`]). The speed
+    /// harness (`speed::arena_comparison`) measures against it and
+    /// asserts bit-identical predictions; the unit and property tests
+    /// pin the equality bit for bit.
     ///
     /// # Errors
     ///

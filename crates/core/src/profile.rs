@@ -271,20 +271,11 @@ impl SingleCoreProfile {
     /// per-interval SDCs").
     pub fn sdc_in(&self, start: f64, len: f64) -> Sdc {
         let mut acc = Sdc::new(self.machine.llc.assoc);
-        self.sdc_in_into(start, len, &mut acc);
-        acc
-    }
-
-    /// [`Self::sdc_in`] into a caller-owned (scratch-pooled) SDC: `out`
-    /// is reset to the machine's LLC associativity and accumulated in
-    /// place, avoiding the per-window allocation. Bit-identical to
-    /// `sdc_in` — the fold order and arithmetic are the same.
-    pub fn sdc_in_into(&self, start: f64, len: f64, out: &mut Sdc) {
-        out.reset(self.machine.llc.assoc);
         self.fold_window(start, len, |idx, insns| {
             let iv = &self.intervals[idx];
-            out.add_scaled(&iv.sdc, insns / iv.insns as f64);
+            acc.add_scaled(&iv.sdc, insns / iv.insns as f64);
         });
+        acc
     }
 
     /// Memory stall cycles over the window.
@@ -301,15 +292,7 @@ impl SingleCoreProfile {
     /// `CPI_mem × N / misses`. When the window saw fewer than `min_misses`
     /// misses the insn-weighted fallback penalty is used instead.
     pub fn miss_penalty_in(&self, start: f64, len: f64, min_misses: f64) -> f64 {
-        self.miss_penalty_with(&self.sdc_in(start, len), start, len, min_misses)
-    }
-
-    /// [`Self::miss_penalty_in`] given the window's SDC the caller has
-    /// already computed (it must be `sdc_in(start, len)`, bit-exactly —
-    /// the solver reuses its contention-model windows here, removing one
-    /// full window fold plus an SDC allocation per program-step).
-    pub fn miss_penalty_with(&self, sdc: &Sdc, start: f64, len: f64, min_misses: f64) -> f64 {
-        let misses = sdc.misses();
+        let misses = self.sdc_in(start, len).misses();
         if misses >= min_misses {
             return self.mem_stall_in(start, len) / misses;
         }
