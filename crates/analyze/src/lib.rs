@@ -16,7 +16,6 @@
 //! | `wallclock-in-sim`     | host-clock reads in simulated time |
 //! | `unwrap-in-lib`        | undocumented panics in library code |
 //! | `lossy-counter-cast`   | silent truncation of 64-bit counters |
-//! | `deprecated-sim-entrypoint` | retired `simulate_mix*`/`run_campaign*`/`execute*` free functions instead of the `MixSim`/`Campaign` builders |
 //! | `uncompiled-hot-loop`  | per-item trace iteration outside the `reference_*` substrate |
 //! | `blocking-in-handler`  | unbounded socket reads in server code, or reachable from a handler |
 //! | `alloc-in-steady-loop` | heap allocation inside the simulator's steady-state loops or the solver's step kernel |

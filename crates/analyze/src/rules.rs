@@ -56,7 +56,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(WallclockInSim),
         Box::new(UnwrapInLib),
         Box::new(LossyCounterCast),
-        Box::new(DeprecatedSimEntrypoint),
         Box::new(UncompiledHotLoop),
         Box::new(BlockingInHandler),
         Box::new(AllocInSteadyLoop),
@@ -320,90 +319,6 @@ impl Rule for LossyCounterCast {
                         });
                     }
                 }
-            }
-        }
-        out
-    }
-}
-
-/// `deprecated-sim-entrypoint` — in-repo use of a retired free-function
-/// entry point: the `simulate_mix*` family (superseded by the `MixSim`
-/// builder) and the campaign family `run_campaign` /
-/// `run_campaign_with` / `execute` / `execute_observed` (superseded by
-/// the `Campaign` builder). The free functions survive only as
-/// deprecated wrappers for downstream code. Each family's defining
-/// crate is exempt (`crates/cmpsim/src/` and `crates/campaign/src/`
-/// respectively — they *define* the wrappers), and test code may
-/// exercise them deliberately (the builder-equivalence differentials
-/// do).
-pub struct DeprecatedSimEntrypoint;
-
-const DEPRECATED_SIM_ENTRYPOINTS: &[&str] = &[
-    "simulate_mix",
-    "simulate_mix_with",
-    "simulate_mix_partitioned",
-    "simulate_mix_heterogeneous",
-    "simulate_mix_opts",
-];
-
-/// The retired campaign free functions. `execute` is deliberately NOT
-/// here: as a bare word it is too common to match on its own, so it
-/// gets a stricter call-shaped check (`execute(` not preceded by `.` or
-/// `fn`) in `check` below.
-const DEPRECATED_CAMPAIGN_ENTRYPOINTS: &[&str] =
-    &["run_campaign", "run_campaign_with", "execute_observed"];
-
-impl Rule for DeprecatedSimEntrypoint {
-    fn name(&self) -> &'static str {
-        "deprecated-sim-entrypoint"
-    }
-    fn description(&self) -> &'static str {
-        "retired free-function entry point in non-test code; use the `MixSim`/`Campaign` builders"
-    }
-    fn scope(&self) -> Scope {
-        Scope::NonTest
-    }
-    fn check(&self, file: &SourceFile) -> Vec<Finding> {
-        let sim_exempt = file.path.starts_with("crates/cmpsim/src/");
-        let campaign_exempt = file.path.starts_with("crates/campaign/src/");
-        let toks = &file.lexed.toks;
-        let mut out = Vec::new();
-        for (i, t) in toks.iter().enumerate() {
-            let Some(name) = t.ident() else { continue };
-            if !sim_exempt && DEPRECATED_SIM_ENTRYPOINTS.contains(&name) {
-                out.push(Finding {
-                    tok: i,
-                    message: format!(
-                        "`{name}` is a deprecated wrapper; build the run with \
-                         `mppm_sim::MixSim` instead"
-                    ),
-                });
-            }
-            if campaign_exempt {
-                continue;
-            }
-            if DEPRECATED_CAMPAIGN_ENTRYPOINTS.contains(&name) {
-                out.push(Finding {
-                    tok: i,
-                    message: format!(
-                        "`{name}` is a deprecated wrapper; build the run with \
-                         `mppm_campaign::Campaign` instead"
-                    ),
-                });
-            } else if name == "execute"
-                && punct_at(toks, i + 1, '(')
-                && !punct_at(toks, i.wrapping_sub(1), '.')
-                && (i == 0 || ident_at(toks, i - 1) != Some("fn"))
-            {
-                // Free-function call shape only: `execute(` or
-                // `executor::execute(`, never `.execute(` method calls
-                // or the `fn execute(` definition.
-                out.push(Finding {
-                    tok: i,
-                    message: "`execute` is a deprecated wrapper; build the run with \
-                              `mppm_campaign::Campaign` instead"
-                        .into(),
-                });
             }
         }
         out

@@ -69,4 +69,31 @@ fn docs_catalog_covers_every_rule() {
     for term in ["call graph", "taint lattice", "sink manifest"] {
         assert!(design.contains(term), "DESIGN.md must describe the {term}");
     }
+    // Reverse direction: every catalogued rule must still exist, so rows
+    // for a deleted rule cannot linger in the docs.
+    let known = mppm_analyze::known_rule_names();
+    for (doc, catalog) in [
+        ("README.md", catalogued_rules(&readme, "## Static analysis", "- `")),
+        ("DESIGN.md", catalogued_rules(&design, "## 10. ", "| `")),
+    ] {
+        assert!(!catalog.is_empty(), "{doc}: lint catalog not found");
+        for rule in &catalog {
+            assert!(known.contains(&rule.as_str()), "{doc} catalogs unknown rule `{rule}`");
+        }
+    }
+}
+
+/// The backticked rule names that open the catalog rows (lines starting
+/// with `row_prefix`) in the section headed `heading`, up to the next
+/// `## ` heading.
+fn catalogued_rules(doc: &str, heading: &str, row_prefix: &str) -> Vec<String> {
+    let Some(start) = doc.find(heading) else { return Vec::new() };
+    let body = &doc[start + heading.len()..];
+    let section = body.find("\n## ").map_or(body, |end| &body[..end]);
+    section
+        .lines()
+        .filter_map(|line| line.strip_prefix(row_prefix))
+        .filter_map(|rest| rest.split('`').next())
+        .map(str::to_string)
+        .collect()
 }

@@ -280,89 +280,6 @@ fn fast_path(pos: usize) -> u32 {
 }
 
 #[test]
-fn deprecated_sim_entrypoint() {
-    fires_and_fixes(
-        "deprecated-sim-entrypoint",
-        r#"
-fn run(specs: &[Spec], m: &Machine, g: Geometry) -> MixResult {
-    mppm_sim::simulate_mix(specs, m, g)
-}
-"#,
-        r#"
-fn run(specs: &[Spec], m: &Machine, g: Geometry) -> MixResult {
-    mppm_sim::MixSim::new(specs, m, g).run()
-}
-"#,
-    );
-}
-
-#[test]
-fn deprecated_sim_entrypoint_exempts_the_defining_crate_and_tests() {
-    // The wrappers live in cmpsim's own sources, and tests may exercise
-    // them deliberately — neither is flagged.
-    let src = "fn f() { let _ = simulate_mix_partitioned(s, m, g, q); }\n";
-    assert!(analyze_one("crates/cmpsim/src/multi.rs", src).is_clean());
-    assert!(analyze_one("tests/differential.rs", src).is_clean());
-    // Everywhere else each deprecated entry point fires.
-    let all = r#"
-fn f() {
-    simulate_mix(a, b, c);
-    simulate_mix_with(a, b, c, d);
-    simulate_mix_partitioned(a, b, c, d);
-    simulate_mix_heterogeneous(a, b, c, d);
-    simulate_mix_opts(a, b, c, d);
-}
-"#;
-    let fired = rules_fired(&analyze_one(LIB, all));
-    assert_eq!(fired.len(), 5, "{fired:?}");
-    assert!(fired.iter().all(|(r, _)| r == "deprecated-sim-entrypoint"));
-}
-
-#[test]
-fn deprecated_campaign_entrypoints_fire_outside_their_crate() {
-    fires_and_fixes(
-        "deprecated-sim-entrypoint",
-        r#"
-fn sweep(ctx: &Context, spec: &CampaignSpec, options: &AggregateOptions) -> Out {
-    mppm_campaign::run_campaign(ctx, spec, options)
-}
-"#,
-        r#"
-fn sweep(ctx: &Context, spec: &CampaignSpec, options: &AggregateOptions) -> Out {
-    mppm_campaign::Campaign::new(spec).options(options).run(ctx)
-}
-"#,
-    );
-    // The whole retired family fires: the named wrappers anywhere, and
-    // `execute` in free-function call shape.
-    let all = r#"
-fn f(ctx: &Context, plan: &CampaignPlan, journal: &Journal, span: &Span) {
-    run_campaign(a, b, c);
-    run_campaign_with(a, b, c, d);
-    executor::execute(ctx, plan, journal);
-    execute_observed(ctx, plan, journal, span);
-}
-"#;
-    let fired = rules_fired(&analyze_one(LIB, all));
-    assert_eq!(fired.len(), 4, "{fired:?}");
-    assert!(fired.iter().all(|(r, _)| r == "deprecated-sim-entrypoint"));
-    // Method calls and definitions named `execute` are NOT the retired
-    // free function — the campaign crate itself and tests are exempt.
-    let benign = r#"
-fn g(plan: &CompiledTrace) -> u64 {
-    plan.execute(1000)
-}
-fn execute(x: u64) -> u64 {
-    x
-}
-"#;
-    assert!(analyze_one(LIB, benign).is_clean(), "{:?}", rules_fired(&analyze_one(LIB, benign)));
-    let src = "fn f() { let _ = run_campaign(ctx, spec, options); }\n";
-    assert!(analyze_one("crates/campaign/src/lib.rs", src).is_clean());
-    assert!(analyze_one("tests/differential.rs", src).is_clean());
-}
-
-#[test]
 fn uncompiled_hot_loop() {
     fires_and_fixes(
         "uncompiled-hot-loop",
@@ -791,10 +708,6 @@ fn parser_path_keeps_good_forms_clean_for_every_token_rule() {
         (
             "lossy-counter-cast",
             "impl<T> Wide<T> {\n    fn up(&self, x: u32) -> (u64, f64) { (x as u64, x as f64) }\n}\n",
-        ),
-        (
-            "deprecated-sim-entrypoint",
-            "fn run_all(specs: &[Spec], m: &Machine, g: Geometry) -> Vec<MixResult> {\n    specs.windows(2).map(|w| MixSim::new(w, m, g).run()).collect()\n}\n",
         ),
         (
             "uncompiled-hot-loop",

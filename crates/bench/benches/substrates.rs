@@ -6,11 +6,8 @@
 use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mppm_bench::bench_geometry;
-use mppm_cache::reference::NaiveCache;
 use mppm_cache::{CacheConfig, Replacement, Sdc, SetAssocCache};
-use mppm_sim::{
-    run_single_core, LlcMode, MachineConfig, MixSim, Scheduler,
-};
+use mppm_sim::{run_single_core, LlcMode, MachineConfig, MixSim};
 use mppm_trace::{suite, TraceStream};
 
 fn bench_trace_generation(c: &mut Criterion) {
@@ -34,22 +31,9 @@ fn bench_cache_access(c: &mut Criterion) {
     let cfg = CacheConfig::new(512 * 1024, 8, 64, 16);
     let mut group = c.benchmark_group("cache_access");
     group.throughput(Throughput::Elements(10_000));
-    // The flat kernel next to the naive per-set-`Vec` oracle it replaced,
-    // in the same build, so the kernel speedup is directly readable from
-    // one bench run.
     for (name, span) in [("hits", 4_000u64), ("misses", 1_000_000u64)] {
         group.bench_function(name, |b| {
             let mut cache = SetAssocCache::new(cfg, Replacement::Lru);
-            let mut block = 0u64;
-            b.iter(|| {
-                for _ in 0..10_000 {
-                    block = (block.wrapping_mul(6364136223846793005).wrapping_add(1)) % span;
-                    std::hint::black_box(cache.access(block));
-                }
-            });
-        });
-        group.bench_function(format!("{name}_naive"), |b| {
-            let mut cache = NaiveCache::new(cfg, Replacement::Lru);
             let mut block = 0u64;
             b.iter(|| {
                 for _ in 0..10_000 {
@@ -100,22 +84,13 @@ fn bench_sim_interleave(c: &mut Criterion) {
     let pool = ["lbm", "mcf", "soplex", "gamess"];
     let mut group = c.benchmark_group("sim_interleave");
     group.throughput(Throughput::Elements(bench_geometry().trace_insns()));
-    // The event-driven scheduler next to the smallest-clock-first loop it
-    // replaced, in the same build, so the interleaver speedup is directly
-    // readable from one bench run (the win grows with core count).
     for cores in [2usize, 4, 8, 16] {
         let specs: Vec<_> = (0..cores)
             .map(|i| suite::benchmark(pool[i % pool.len()]).expect("in suite"))
             .collect();
-        for (name, scheduler) in
-            [("event", Scheduler::EventDriven), ("reference", Scheduler::Reference)]
-        {
-            group.bench_function(format!("{cores}core_{name}"), |b| {
-                b.iter(|| {
-                    MixSim::new(&specs, &machine, bench_geometry()).scheduler(scheduler).run()
-                });
-            });
-        }
+        group.bench_function(format!("{cores}core"), |b| {
+            b.iter(|| MixSim::new(&specs, &machine, bench_geometry()).run());
+        });
     }
     group.finish();
 }

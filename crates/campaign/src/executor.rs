@@ -164,65 +164,6 @@ pub fn execute_pending(
     })
 }
 
-/// Loads the plan's complete shard set from the journal, in plan order.
-///
-/// # Errors
-///
-/// [`CampaignError::MissingShard`] for an absent/unreadable shard, or a
-/// journal format error.
-pub(crate) fn load_records(
-    plan: &CampaignPlan,
-    journal: &Journal,
-) -> Result<Vec<ShardRecord>, CampaignError> {
-    plan.shards
-        .iter()
-        .map(|s| {
-            journal.load(s.id, s.mixes())?.ok_or(CampaignError::MissingShard(s.id))
-        })
-        .collect()
-}
-
-/// Runs every pending shard of `plan`, then loads the complete shard set
-/// from the journal in plan order.
-///
-/// # Errors
-///
-/// I/O errors persisting shards, or [`CampaignError::MissingShard`] if a
-/// shard cannot be read back after execution.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Campaign::new(spec).journal(root).run(ctx)`; for raw shard access use \
-            `execute_pending` + `Journal::load`"
-)]
-pub fn execute(
-    ctx: &Context,
-    plan: &CampaignPlan,
-    journal: &Journal,
-) -> Result<(Vec<ShardRecord>, ExecutionStats), CampaignError> {
-    let stats = execute_pending(ctx, plan, journal, &Span::disabled())?;
-    Ok((load_records(plan, journal)?, stats))
-}
-
-/// [`execute`] under an observability span.
-///
-/// # Errors
-///
-/// Exactly as [`execute`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Campaign::new(spec).observer(span).run(ctx)`; for raw shard access use \
-            `execute_pending` + `Journal::load`"
-)]
-pub fn execute_observed(
-    ctx: &Context,
-    plan: &CampaignPlan,
-    journal: &Journal,
-    span: &Span,
-) -> Result<(Vec<ShardRecord>, ExecutionStats), CampaignError> {
-    let stats = execute_pending(ctx, plan, journal, span)?;
-    Ok((load_records(plan, journal)?, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,8 +178,23 @@ mod tests {
         (root, ctx)
     }
 
+    /// Runs the pending shards, then reads the plan's whole shard set
+    /// back from the journal in plan order.
+    fn execute_and_load(
+        ctx: &Context,
+        plan: &CampaignPlan,
+        journal: &Journal,
+    ) -> (Vec<ShardRecord>, ExecutionStats) {
+        let stats = execute_pending(ctx, plan, journal, &Span::disabled()).unwrap();
+        let records = plan
+            .shards
+            .iter()
+            .map(|s| journal.load(s.id, s.mixes()).unwrap().expect("executed shard is journaled"))
+            .collect();
+        (records, stats)
+    }
+
     #[test]
-    #[allow(deprecated)]
     fn executes_all_shards_then_resumes_for_free() {
         let (root, ctx) = tmp_store("resume");
         let spec = CampaignSpec {
@@ -255,7 +211,7 @@ mod tests {
         .unwrap();
         let journal = Journal::open(ctx.store().root(), &plan).unwrap();
 
-        let (records, stats) = execute(&ctx, &plan, &journal).unwrap();
+        let (records, stats) = execute_and_load(&ctx, &plan, &journal);
         assert_eq!(records.len(), 3, "24 mixes in shards of 10");
         assert_eq!(stats.computed_shards, 3);
         assert_eq!(stats.resumed_shards, 0);
@@ -269,7 +225,7 @@ mod tests {
         }
 
         // Second run touches nothing and returns identical records.
-        let (again, stats2) = execute(&ctx, &plan, &journal).unwrap();
+        let (again, stats2) = execute_and_load(&ctx, &plan, &journal);
         assert_eq!(again, records);
         assert_eq!(stats2.computed_shards, 0);
         assert_eq!(stats2.resumed_shards, 3);

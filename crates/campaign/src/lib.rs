@@ -52,8 +52,7 @@ pub use aggregate::{
     DesignAggregate, SlowdownHistogram, StabilityPoint, SummaryStats,
 };
 pub use distributed::{execute_distributed, FAIL_AFTER_ENV, WORKER_ENV};
-#[allow(deprecated)]
-pub use executor::{execute, execute_observed, execute_pending, ExecutionStats};
+pub use executor::{execute_pending, ExecutionStats};
 pub use journal::{Journal, MixOutcome, ShardRecord, JOURNAL_VERSION};
 pub use mppm_wire::ProtocolMismatch;
 pub use plan::{CampaignPlan, CampaignSpec, MixPopulation, MixSource, Shard, ShardId};
@@ -266,38 +265,6 @@ impl<'a> Campaign<'a> {
             stats,
         })
     }
-}
-
-/// Runs a campaign end to end: plan → execute (with resume) → aggregate.
-///
-/// # Errors
-///
-/// Spec validation, mix-space arithmetic, or journal I/O failures.
-#[deprecated(since = "0.2.0", note = "use `Campaign::new(spec).options(options).run(ctx)`")]
-pub fn run_campaign(
-    ctx: &Context,
-    spec: &CampaignSpec,
-    options: &AggregateOptions,
-) -> Result<CampaignResult, CampaignError> {
-    Campaign::new(spec).options(options).run(ctx)
-}
-
-/// [`run_campaign`] under an observability span.
-///
-/// # Errors
-///
-/// Exactly as [`run_campaign`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Campaign::new(spec).options(options).observer(span).run(ctx)`"
-)]
-pub fn run_campaign_with(
-    ctx: &Context,
-    spec: &CampaignSpec,
-    options: &AggregateOptions,
-    span: &Span,
-) -> Result<CampaignResult, CampaignError> {
-    Campaign::new(spec).options(options).observer(span).run(ctx)
 }
 
 /// Short label for an LLC design point, e.g. `"#3 1MB/16w"`.
@@ -587,31 +554,6 @@ mod tests {
         // and quick-scale smoke runs replace scratch output of any size.
         write_csvs(&big, &out, &full).unwrap();
         write_csvs(&small, &out, &RunProvenance::current(Scale::Quick)).unwrap();
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    /// The deprecated free functions are one-line wrappers over the
-    /// builder; pin that they stay bit-exact with it.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_builder() {
-        let root = std::env::temp_dir()
-            .join(format!("mppm-campaign-wrapper-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let ctx = Context::with_store(Scale::Quick, Store::open(&root).unwrap());
-        let spec = CampaignSpec {
-            cores: 2,
-            designs: vec![0, 3],
-            source: MixSource::Stratified { count: 12, seed: 7 },
-            shard_size: 5,
-        };
-        let options = AggregateOptions { stability_trials: 20, ..Default::default() };
-        let via_builder = Campaign::new(&spec).options(&options).run(&ctx).unwrap();
-        let via_wrapper = run_campaign(&ctx, &spec, &options).unwrap();
-        assert_eq!(csv_bundle(&via_wrapper), csv_bundle(&via_builder));
-        let span = Span::disabled();
-        let via_with = run_campaign_with(&ctx, &spec, &options, &span).unwrap();
-        assert_eq!(csv_bundle(&via_with), csv_bundle(&via_builder));
         let _ = std::fs::remove_dir_all(&root);
     }
 }

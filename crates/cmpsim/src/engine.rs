@@ -937,7 +937,9 @@ mod tests {
             CoreEngine::new(spec(0.3, 6000), &m, g, 1),
         ];
         let mut shared = Uncore::new(&m);
-        crate::multi::event_interleave(&mut engines, &mut shared, 0, 100_000);
+        let mut state = crate::multi::InterleaveState::new(engines.len(), 0, 100_000);
+        let mut heap = std::collections::BinaryHeap::new();
+        crate::multi::event_interleave_into(&mut engines, &mut shared, &mut state, &mut heap);
         let mem_cpi = engines[0].mem_stall() / engines[0].insns() as f64;
         assert!(mem_cpi > 0.2, "sharing should cause conflict misses, mem cpi {mem_cpi}");
     }

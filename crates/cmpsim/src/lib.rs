@@ -27,8 +27,9 @@
 //!   instead of O(cores) per *item*. Programs that finish re-iterate
 //!   their trace so contention stays live (the FAME methodology), and
 //!   each program's multi-core CPI is measured over its first full trace.
-//!   The historical `simulate_mix*` free functions survive as deprecated
-//!   wrappers over the builder.
+//! * [`reference`] keeps the retired scheduler and per-item execution
+//!   substrate as oracles for the differential tests; they are not
+//!   reachable from the builder.
 //!
 //! # Example
 //!
@@ -55,24 +56,14 @@ mod engine;
 mod machine;
 mod memory;
 mod multi;
+pub mod reference;
 mod single;
 
 pub use arena::SimArena;
 pub use engine::{BurstStop, CoreEngine, LlcMode, Uncore};
 pub use memory::MemoryChannel;
 pub use machine::{llc_configs, CoreConfig, MachineConfig, LLC_CONFIG_COUNT};
-pub use multi::{
-    event_interleave, reference_interleave, Execution, InterleaveOutcome, MixOptions, MixResult,
-    MixSim, SchedKey, Scheduler, TraceCache,
-};
-// The deprecated free-function entry points stay re-exported so existing
-// downstream code keeps compiling (with a deprecation warning at *their*
-// call sites, not at this re-export).
-#[allow(deprecated)]
-pub use multi::{
-    simulate_mix, simulate_mix_heterogeneous, simulate_mix_opts, simulate_mix_partitioned,
-    simulate_mix_with,
-};
+pub use multi::{MixResult, MixSim, SchedKey, TraceCache};
 pub use single::{
     profile_single_core, profile_single_core_with, run_single_core, SingleRunStats,
 };

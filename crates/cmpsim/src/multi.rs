@@ -1,23 +1,19 @@
 //! Detailed multi-core simulation of a multi-program workload.
 //!
-//! Two interleaving schedulers drive a mix, proven observationally
-//! bit-identical by a differential oracle (`tests/differential.rs`):
+//! [`MixSim`] drives a mix with the event-driven scheduler: each core
+//! executes compute items and private L1/L2 hits in a local *burst*
+//! ([`CoreEngine::run_until_llc`]) that touches no shared state; only
+//! shared-LLC/memory-channel events enter a binary heap keyed on
+//! `(arrival timestamp, core index)` and commit in that order. Cost per
+//! shared event is O(log cores), and the vast majority of trace items
+//! never pay any global-ordering cost at all.
 //!
-//! * [`event_interleave`] — the production scheduler. Each core executes
-//!   compute items and private L1/L2 hits in a local *burst*
-//!   ([`CoreEngine::run_until_llc`]) that touches no shared state; only
-//!   shared-LLC/memory-channel events enter a binary heap keyed on
-//!   `(arrival timestamp, core index)` and commit in that order. Cost per
-//!   shared event is O(log cores), and the vast majority of trace items
-//!   never pay any global-ordering cost at all.
-//! * [`reference_interleave`] — the original smallest-clock-first loop
-//!   that re-scans every core's clock for every trace item (O(cores) per
-//!   item). Kept as the oracle the event scheduler is differential-tested
-//!   against.
-//!
-//! Both commit shared events in identical order because smallest-clock-
-//! first stepping *is* a merge of the per-core step sequences by
-//! `(pre-step clock, core index)` — see DESIGN.md §9 for the argument.
+//! The original smallest-clock-first loop it replaced lives on in
+//! [`crate::reference`] as the oracle a differential test
+//! (`tests/differential.rs`) holds it to, bit for bit. Both commit shared
+//! events in identical order because smallest-clock-first stepping *is* a
+//! merge of the per-core step sequences by `(pre-step clock, core index)`
+//! — see DESIGN.md §9 for the argument.
 
 use mppm_obs::{Span, Value};
 use mppm_trace::{BenchmarkSpec, CompiledTrace, TraceGeometry};
@@ -28,7 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering as MemOrdering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::arena::{PtrMap, SimArena};
-use crate::{BurstStop, CoreEngine, LlcMode, MachineConfig, Uncore};
+use crate::reference::{Execution, Scheduler};
+use crate::{BurstStop, CoreEngine, MachineConfig, Uncore};
 
 /// Measured outcome of one multi-program workload on the detailed
 /// simulator.
@@ -85,11 +82,12 @@ impl MixResult {
 }
 
 /// Builder for one multi-program mix simulation — the single entry
-/// point that consolidated the old `simulate_mix*` free-function family
-/// (each survives as a thin deprecated wrapper over this type).
+/// point for detailed simulation.
 ///
-/// Defaults match `simulate_mix`: one warmup pass, unified LLC,
-/// homogeneous cores, the event-driven scheduler, no observer.
+/// Defaults: one warmup pass, unified LLC, homogeneous cores, no
+/// observer. Every run uses the event-driven scheduler over compiled
+/// traces; the retired paths are reachable only as oracles, through
+/// [`crate::reference::run`].
 ///
 /// ```
 /// use mppm_sim::{MachineConfig, MixSim};
@@ -109,8 +107,8 @@ pub struct MixSim<'a> {
     warmup_passes: u32,
     ways: Option<&'a [u32]>,
     core_factors: Option<&'a [f64]>,
-    scheduler: Scheduler,
-    execution: Execution,
+    pub(crate) scheduler: Scheduler,
+    pub(crate) execution: Execution,
     observer: Option<&'a Span>,
     trace_cache: Option<&'a TraceCache>,
     arena: Option<&'a mut SimArena>,
@@ -160,20 +158,6 @@ impl<'a> MixSim<'a> {
         self
     }
 
-    /// Selects the interleaving scheduler (default
-    /// [`Scheduler::EventDriven`]).
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Selects how trace items are produced (default
-    /// [`Execution::Compiled`]).
-    pub fn execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
-        self
-    }
-
     /// Attaches an observability span: the run emits one `mix-config`
     /// event, one `core` event per program, `llc`/`scheduler` counter
     /// summaries, and publishes registry counters — all at the end of
@@ -188,7 +172,7 @@ impl<'a> MixSim<'a> {
     /// of compiling fresh on every run. Long-lived processes (the
     /// `mppmd` daemon, the experiment store) hand the same cache to
     /// every run so each `(benchmark, geometry)` pair compiles once per
-    /// process. Has no effect under [`Execution::ReferenceStream`].
+    /// process.
     pub fn trace_cache(mut self, cache: &'a TraceCache) -> Self {
         self.trace_cache = Some(cache);
         self
@@ -372,167 +356,6 @@ impl TraceCache {
     }
 }
 
-/// Simulates `specs` co-running on one core each, sharing the machine's
-/// LLC, with one warmup trace pass per program.
-///
-/// # Panics
-///
-/// Panics if `specs` is empty.
-#[deprecated(since = "0.2.0", note = "use `MixSim::new(specs, machine, geometry).run()`")]
-pub fn simulate_mix(
-    specs: &[&BenchmarkSpec],
-    machine: &MachineConfig,
-    geometry: TraceGeometry,
-) -> MixResult {
-    MixSim::new(specs, machine, geometry).run()
-}
-
-/// Simulates `specs` co-running on one core each, sharing the machine's
-/// LLC, with `warmup_passes` warmup trace passes (see [`MixSim::run`]
-/// for the interleaving and measurement methodology).
-///
-/// # Panics
-///
-/// Panics if `specs` is empty.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `MixSim::new(specs, machine, geometry).warmup_passes(n).run()`"
-)]
-pub fn simulate_mix_with(
-    specs: &[&BenchmarkSpec],
-    machine: &MachineConfig,
-    geometry: TraceGeometry,
-    warmup_passes: u32,
-) -> MixResult {
-    MixSim::new(specs, machine, geometry).warmup_passes(warmup_passes).run()
-}
-
-/// Simulates `specs` on a machine whose LLC is *way-partitioned*: core
-/// `i` owns `ways[i]` ways of every set (paper §2.3's partitioning
-/// discussion). One warmup pass.
-///
-/// # Panics
-///
-/// Panics if `specs` is empty, `ways.len() != specs.len()`, or the ways
-/// do not sum to the LLC associativity.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `MixSim::new(specs, machine, geometry).partitioned(ways).run()`"
-)]
-pub fn simulate_mix_partitioned(
-    specs: &[&BenchmarkSpec],
-    machine: &MachineConfig,
-    geometry: TraceGeometry,
-    ways: &[u32],
-) -> MixResult {
-    MixSim::new(specs, machine, geometry).partitioned(ways).run()
-}
-
-/// Simulates `specs` on a *heterogeneous* multi-core (§8 extension):
-/// core `i`'s compute throughput is scaled by `1/core_factors[i]` (1.0 =
-/// the baseline big core, 2.0 = a half-throughput little core). The LLC
-/// stays unified and shared; one warmup pass.
-///
-/// # Panics
-///
-/// Panics if `specs` is empty or `core_factors.len() != specs.len()`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `MixSim::new(specs, machine, geometry).core_factors(f).run()`"
-)]
-pub fn simulate_mix_heterogeneous(
-    specs: &[&BenchmarkSpec],
-    machine: &MachineConfig,
-    geometry: TraceGeometry,
-    core_factors: &[f64],
-) -> MixResult {
-    MixSim::new(specs, machine, geometry).core_factors(core_factors).run()
-}
-
-/// How trace items are produced during a mix simulation.
-///
-/// Both modes are bit-identical — proven by the compiled-vs-reference
-/// property of the differential oracle
-/// (`crates/cmpsim/tests/differential.rs`) and the pinned golden
-/// snapshot — so the choice is purely a speed/memory trade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Execution {
-    /// Compile each distinct spec's phases into flat
-    /// [`CompiledTrace`] blocks once, then replay them on every pass
-    /// (warmup, measurement, FAME re-iteration) and on every core
-    /// running the same spec. The production default: amortizes address
-    /// generation, classification, and gap sampling across passes.
-    #[default]
-    Compiled,
-    /// Generate every item live from the per-core
-    /// [`mppm_trace::TraceStream`] — the original per-item path, kept
-    /// as the reference the compiled substrate is tested against and
-    /// for before/after benchmarking.
-    ReferenceStream,
-}
-
-/// Which interleaving scheduler drives a mix simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Event-driven: private bursts plus a binary heap over shared-LLC
-    /// events, O(log cores) per shared event. The production scheduler.
-    #[default]
-    EventDriven,
-    /// The original smallest-clock-first per-item loop, O(cores) per
-    /// trace item. Kept as the differential-testing oracle and for
-    /// before/after benchmarking.
-    Reference,
-}
-
-/// Full-control options for the deprecated [`simulate_mix_opts`] entry
-/// point. New code should use the [`MixSim`] builder, which covers the
-/// same axes.
-#[derive(Debug, Clone, Copy)]
-pub struct MixOptions<'a> {
-    /// Full warmup trace passes per program before measurement
-    /// (default 1).
-    pub warmup_passes: u32,
-    /// `Some(ways)` way-partitions the LLC as in
-    /// [`MixSim::partitioned`]; `None` keeps it unified.
-    pub ways: Option<&'a [u32]>,
-    /// `Some(factors)` scales per-core compute throughput as in
-    /// [`MixSim::core_factors`]; `None` runs homogeneous cores.
-    pub core_factors: Option<&'a [f64]>,
-    /// Interleaving scheduler (default [`Scheduler::EventDriven`]).
-    pub scheduler: Scheduler,
-}
-
-impl Default for MixOptions<'_> {
-    fn default() -> Self {
-        Self { warmup_passes: 1, ways: None, core_factors: None, scheduler: Scheduler::default() }
-    }
-}
-
-/// Simulates `specs` co-running under explicit [`MixOptions`] — the
-/// option-struct predecessor of the [`MixSim`] builder.
-///
-/// # Panics
-///
-/// Panics if `specs` is empty or an option slice has the wrong length.
-#[deprecated(since = "0.2.0", note = "use the `MixSim` builder")]
-pub fn simulate_mix_opts(
-    specs: &[&BenchmarkSpec],
-    machine: &MachineConfig,
-    geometry: TraceGeometry,
-    opts: &MixOptions,
-) -> MixResult {
-    let mut sim = MixSim::new(specs, machine, geometry)
-        .warmup_passes(opts.warmup_passes)
-        .scheduler(opts.scheduler);
-    if let Some(ways) = opts.ways {
-        sim = sim.partitioned(ways);
-    }
-    if let Some(factors) = opts.core_factors {
-        sim = sim.core_factors(factors);
-    }
-    sim.run()
-}
-
 /// Total-order scheduling key: earliest local time first, core index as
 /// the deterministic tie-break. Shared by the event heap and the
 /// reference interleaver so both resolve timestamp ties identically.
@@ -560,26 +383,6 @@ impl PartialOrd for SchedKey {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
-}
-
-/// Per-core outcome of interleaving a mix until every program finished
-/// its measurement trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InterleaveOutcome {
-    /// Local clock at which each core's measurement window opened.
-    pub measure_start: Vec<f64>,
-    /// Local clock at which each core finished its measurement trace.
-    pub completion: Vec<f64>,
-    /// Shared-LLC accesses committed per core over the whole run.
-    pub llc_accesses: Vec<u64>,
-    /// Shared-LLC misses per core over the whole run.
-    pub llc_misses: Vec<u64>,
-    /// Events pushed onto the scheduler heap ([`event_interleave`]
-    /// only; zero under the reference interleaver, which has no heap).
-    pub heap_pushes: u64,
-    /// Events popped off the scheduler heap (zero under the reference
-    /// interleaver).
-    pub heap_pops: u64,
 }
 
 /// Shared bookkeeping for both interleavers: measurement-window records
@@ -614,7 +417,8 @@ impl InterleaveState {
         }
     }
 
-    fn new(cores: usize, warmup_insns: u64, trace_insns: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(cores: usize, warmup_insns: u64, trace_insns: u64) -> Self {
         let mut state = Self::empty();
         state.reset(cores, warmup_insns, trace_insns);
         state
@@ -642,7 +446,7 @@ impl InterleaveState {
 
     /// Records window boundaries the just-executed step of core `idx` may
     /// have crossed. Returns `true` when every core has completed.
-    fn record_thresholds(&mut self, engines: &[CoreEngine], idx: usize) -> bool {
+    pub(crate) fn record_thresholds(&mut self, engines: &[CoreEngine], idx: usize) -> bool {
         let e = &engines[idx];
         if self.measure_start[idx].is_none() && e.insns() >= self.warmup_insns {
             self.measure_start[idx] = Some(e.cycles());
@@ -668,78 +472,13 @@ impl InterleaveState {
         threshold.min(engines[idx].insns().saturating_add(chunk))
     }
 
-    fn tally_llc(&mut self, idx: usize, miss: bool) {
+    pub(crate) fn tally_llc(&mut self, idx: usize, miss: bool) {
         self.llc_accesses[idx] += 1;
         if miss {
             self.llc_misses[idx] += 1;
         }
     }
 
-    fn finish(self) -> InterleaveOutcome {
-        InterleaveOutcome {
-            measure_start: self
-                .measure_start
-                .into_iter()
-                .map(|s| s.expect("warmup completed before the run ended"))
-                .collect(),
-            completion: self
-                .completion
-                .into_iter()
-                .map(|c| c.expect("all programs completed"))
-                .collect(),
-            llc_accesses: self.llc_accesses,
-            llc_misses: self.llc_misses,
-            heap_pushes: self.heap_pushes,
-            heap_pops: self.heap_pops,
-        }
-    }
-}
-
-/// The original smallest-clock-first interleaver: for every trace item,
-/// scan all core clocks and step the earliest core. O(cores) per item.
-///
-/// Runs every program through `warmup_insns` warmup instructions plus a
-/// `trace_insns`-long measurement window, keeping all cores running (the
-/// FAME re-iteration methodology) until the last program completes.
-///
-/// # Panics
-///
-/// Panics if `engines` is empty.
-pub fn reference_interleave(
-    engines: &mut [CoreEngine],
-    uncore: &mut Uncore,
-    warmup_insns: u64,
-    trace_insns: u64,
-) -> InterleaveOutcome {
-    let mut state = InterleaveState::new(engines.len(), warmup_insns, trace_insns);
-    reference_interleave_into(engines, uncore, &mut state);
-    state.finish()
-}
-
-/// [`reference_interleave`] over caller-owned (arena-pooled) state; the
-/// outcome is left in `state` instead of being collected.
-fn reference_interleave_into(
-    engines: &mut [CoreEngine],
-    uncore: &mut Uncore,
-    state: &mut InterleaveState,
-) {
-    assert!(!engines.is_empty(), "a mix needs at least one program");
-    loop {
-        // Advance the core that is earliest in simulated time.
-        let idx = engines
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, e)| SchedKey { time: e.cycles(), core: *i })
-            .map(|(i, _)| i)
-            .expect("at least one engine");
-        let outcome = engines[idx].step(uncore, LlcMode::Real);
-        if let Some(obs) = outcome.llc {
-            state.tally_llc(idx, obs.depth.is_none());
-        }
-        if state.record_thresholds(engines, idx) {
-            return;
-        }
-    }
 }
 
 /// A scheduled stop in a core's execution: its next shared-LLC access or
@@ -779,32 +518,22 @@ impl PartialOrd for Event {
 /// O(log cores) per shared event; private items pay no global-ordering
 /// cost.
 ///
-/// Produces bit-identical results to [`reference_interleave`] (proven by
-/// the differential oracle in `tests/differential.rs`): shared events
-/// commit in the same `(pre-step clock, core index)` order that
+/// Produces bit-identical results to the reference interleaver
+/// ([`crate::reference::Scheduler::Reference`], proven by the
+/// differential oracle in `tests/differential.rs`): shared events commit
+/// in the same `(pre-step clock, core index)` order that
 /// smallest-clock-first stepping induces, and the run ends at the same
 /// completion event, so every core executes the same shared-access
 /// prefix. See DESIGN.md §9 for the equivalence argument.
 ///
+/// The state and heap are caller-owned (arena-pooled); the outcome is
+/// left in `state`. The heap never holds more than one event per core,
+/// so a warm heap never grows.
+///
 /// # Panics
 ///
 /// Panics if `engines` is empty.
-pub fn event_interleave(
-    engines: &mut [CoreEngine],
-    uncore: &mut Uncore,
-    warmup_insns: u64,
-    trace_insns: u64,
-) -> InterleaveOutcome {
-    let mut state = InterleaveState::new(engines.len(), warmup_insns, trace_insns);
-    let mut heap = BinaryHeap::with_capacity(engines.len());
-    event_interleave_into(engines, uncore, &mut state, &mut heap);
-    state.finish()
-}
-
-/// [`event_interleave`] over caller-owned (arena-pooled) state and heap;
-/// the outcome is left in `state` instead of being collected. The heap
-/// never holds more than one event per core, so a warm heap never grows.
-fn event_interleave_into(
+pub(crate) fn event_interleave_into(
     engines: &mut [CoreEngine],
     uncore: &mut Uncore,
     state: &mut InterleaveState,
@@ -995,7 +724,7 @@ fn run_mix_into(
     state.reset(engines.len(), warmup_insns, trace_insns);
     match scheduler {
         Scheduler::EventDriven => event_interleave_into(engines, uncore, state, heap),
-        Scheduler::Reference => reference_interleave_into(engines, uncore, state),
+        Scheduler::Reference => crate::reference::interleave_into(engines, uncore, state),
     }
 
     assign_names(&mut out.names, specs);
@@ -1133,7 +862,7 @@ fn publish_mix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile_single_core;
+    use crate::{profile_single_core, reference};
     use mppm_trace::suite;
 
     fn geometry() -> TraceGeometry {
@@ -1369,10 +1098,11 @@ mod tests {
         let lbm = suite::benchmark("lbm").unwrap();
         let specs = [lbm, lbm, lbm, lbm];
         let event = MixSim::new(&specs, &m, g).partitioned(&[2, 2, 2, 2]).run();
-        let reference = MixSim::new(&specs, &m, g)
-            .partitioned(&[2, 2, 2, 2])
-            .scheduler(Scheduler::Reference)
-            .run();
+        let reference = reference::run(
+            MixSim::new(&specs, &m, g).partitioned(&[2, 2, 2, 2]),
+            Scheduler::Reference,
+            Execution::Compiled,
+        );
         assert_eq!(event, reference, "tie-breaking must match the reference interleaver");
         for core in 1..specs.len() {
             assert_eq!(
@@ -1480,11 +1210,11 @@ mod tests {
             ["gamess", "lbm", "mcf"].iter().map(|n| suite::benchmark(n).unwrap()).collect();
         for scheduler in [Scheduler::EventDriven, Scheduler::Reference] {
             let run = |execution| {
-                MixSim::new(&specs, &m, g)
-                    .core_factors(&[1.0, 2.0, 1.25])
-                    .scheduler(scheduler)
-                    .execution(execution)
-                    .run()
+                reference::run(
+                    MixSim::new(&specs, &m, g).core_factors(&[1.0, 2.0, 1.25]),
+                    scheduler,
+                    execution,
+                )
             };
             assert_eq!(
                 run(Execution::Compiled),
@@ -1493,51 +1223,13 @@ mod tests {
             );
         }
         let part = |execution| {
-            MixSim::new(&specs[..2], &m, g)
-                .partitioned(&[6, 2])
-                .execution(execution)
-                .run()
+            reference::run(
+                MixSim::new(&specs[..2], &m, g).partitioned(&[6, 2]),
+                Scheduler::EventDriven,
+                execution,
+            )
         };
         assert_eq!(part(Execution::Compiled), part(Execution::ReferenceStream));
-    }
-
-    #[test]
-    fn deprecated_wrappers_stay_bit_exact_against_the_builder() {
-        // The five legacy entry points are contractually thin: each must
-        // produce the identical MixResult as its MixSim spelling.
-        let m = MachineConfig::baseline();
-        let g = TraceGeometry::tiny();
-        let gamess = suite::benchmark("gamess").unwrap();
-        let lbm = suite::benchmark("lbm").unwrap();
-        let specs = [gamess, lbm];
-        #[allow(deprecated)]
-        {
-            assert_eq!(simulate_mix(&specs, &m, g), MixSim::new(&specs, &m, g).run());
-            assert_eq!(
-                simulate_mix_with(&specs, &m, g, 0),
-                MixSim::new(&specs, &m, g).warmup_passes(0).run()
-            );
-            assert_eq!(
-                simulate_mix_partitioned(&specs, &m, g, &[6, 2]),
-                MixSim::new(&specs, &m, g).partitioned(&[6, 2]).run()
-            );
-            assert_eq!(
-                simulate_mix_heterogeneous(&specs, &m, g, &[1.0, 1.5]),
-                MixSim::new(&specs, &m, g).core_factors(&[1.0, 1.5]).run()
-            );
-            let opts = MixOptions {
-                warmup_passes: 2,
-                scheduler: Scheduler::Reference,
-                ..MixOptions::default()
-            };
-            assert_eq!(
-                simulate_mix_opts(&specs, &m, g, &opts),
-                MixSim::new(&specs, &m, g)
-                    .warmup_passes(2)
-                    .scheduler(Scheduler::Reference)
-                    .run()
-            );
-        }
     }
 
     #[test]
@@ -1681,8 +1373,9 @@ mod tests {
             MixSimConfig { specs: vec![gamess, lbm], ..Default::default() },
         ];
         for (i, cfg) in configs.iter().enumerate() {
-            let fresh = cfg.build(&m, g).run();
-            let pooled = cfg.build(&m, g).arena(&mut arena).run();
+            let fresh = reference::run(cfg.build(&m, g), cfg.scheduler, Execution::Compiled);
+            let pooled =
+                reference::run(cfg.build(&m, g).arena(&mut arena), cfg.scheduler, Execution::Compiled);
             assert_eq!(fresh, pooled, "config {i} diverged through the arena");
         }
     }
@@ -1698,7 +1391,7 @@ mod tests {
 
     impl MixSimConfig {
         fn build<'a>(&'a self, m: &'a MachineConfig, g: TraceGeometry) -> MixSim<'a> {
-            let mut sim = MixSim::new(&self.specs, m, g).scheduler(self.scheduler);
+            let mut sim = MixSim::new(&self.specs, m, g);
             if let Some(w) = &self.ways {
                 sim = sim.partitioned(w);
             }

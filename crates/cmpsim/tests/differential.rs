@@ -20,7 +20,8 @@
 //! MPPM_ORACLE_CASES=100 cargo test -p mppm-sim --test differential
 //! ```
 
-use mppm_sim::{llc_configs, Execution, MachineConfig, MixOptions, MixResult, MixSim, Scheduler};
+use mppm_sim::reference::{self, Execution, Scheduler};
+use mppm_sim::{llc_configs, MachineConfig, MixResult, MixSim};
 use mppm_trace::{BenchmarkSpec, Phase, Region, TraceGeometry};
 use proptest::prelude::*;
 
@@ -86,26 +87,38 @@ fn build_geometry(interval_insns: u64, intervals: u32) -> TraceGeometry {
     TraceGeometry::new(interval_insns, intervals)
 }
 
+/// The builder axes a case varies besides the scheduler.
+#[derive(Clone, Copy)]
+struct Axes<'a> {
+    warmup_passes: u32,
+    ways: Option<&'a [u32]>,
+    core_factors: Option<&'a [f64]>,
+}
+
+impl Default for Axes<'_> {
+    fn default() -> Self {
+        Self { warmup_passes: 1, ways: None, core_factors: None }
+    }
+}
+
 /// Runs the mix under both schedulers and asserts the results are
 /// bit-identical, field by field.
 fn assert_schedulers_agree(
     specs: &[BenchmarkSpec],
     machine: &MachineConfig,
     geometry: TraceGeometry,
-    opts: &MixOptions,
+    axes: &Axes,
 ) -> (MixResult, MixResult) {
     let refs: Vec<&BenchmarkSpec> = specs.iter().collect();
     let build = |scheduler: Scheduler| {
-        let mut sim = MixSim::new(&refs, machine, geometry)
-            .warmup_passes(opts.warmup_passes)
-            .scheduler(scheduler);
-        if let Some(ways) = opts.ways {
+        let mut sim = MixSim::new(&refs, machine, geometry).warmup_passes(axes.warmup_passes);
+        if let Some(ways) = axes.ways {
             sim = sim.partitioned(ways);
         }
-        if let Some(factors) = opts.core_factors {
+        if let Some(factors) = axes.core_factors {
             sim = sim.core_factors(factors);
         }
-        sim.run()
+        reference::run(sim, scheduler, Execution::Compiled)
     };
     let event = build(Scheduler::EventDriven);
     let reference = build(Scheduler::Reference);
@@ -141,7 +154,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
 
     /// Unified LRU LLC (all six Table 2 configurations), one warmup pass —
-    /// the `simulate_mix` production path.
+    /// the default `MixSim` path.
     #[test]
     fn unified_lru_mixes_match_reference(
         raw in mix_strategy(1..5),
@@ -152,10 +165,10 @@ proptest! {
         let specs = build_specs(&raw);
         let machine = MachineConfig::baseline().with_llc(llc_configs()[llc_sel]);
         let geometry = build_geometry(interval_insns, intervals);
-        assert_schedulers_agree(&specs, &machine, geometry, &MixOptions::default());
+        assert_schedulers_agree(&specs, &machine, geometry, &Axes::default());
     }
 
-    /// Heterogeneous core factors (`simulate_mix_heterogeneous` path):
+    /// Heterogeneous core factors (`MixSim::core_factors`):
     /// per-core compute scaling shifts every arrival timestamp.
     #[test]
     fn heterogeneous_cores_match_reference(
@@ -166,14 +179,14 @@ proptest! {
     ) {
         let specs = build_specs(&raw);
         let geometry = build_geometry(interval_insns, intervals);
-        let opts = MixOptions {
+        let axes = Axes {
             core_factors: Some(&factors[..specs.len()]),
-            ..MixOptions::default()
+            ..Axes::default()
         };
-        assert_schedulers_agree(&specs, &MachineConfig::baseline(), geometry, &opts);
+        assert_schedulers_agree(&specs, &MachineConfig::baseline(), geometry, &axes);
     }
 
-    /// Way-partitioned LLC (`simulate_mix_partitioned` path): each core
+    /// Way-partitioned LLC (`MixSim::partitioned`): each core
     /// owns a slice, so per-core traffic must stay isolated identically.
     #[test]
     fn partitioned_llc_matches_reference(
@@ -188,8 +201,8 @@ proptest! {
         let ways = layouts[layout_sel];
         let specs = build_specs(&raw[..ways.len()]);
         let geometry = build_geometry(interval_insns, intervals);
-        let opts = MixOptions { ways: Some(ways), ..MixOptions::default() };
-        assert_schedulers_agree(&specs, &MachineConfig::baseline(), geometry, &opts);
+        let axes = Axes { ways: Some(ways), ..Axes::default() };
+        assert_schedulers_agree(&specs, &MachineConfig::baseline(), geometry, &axes);
     }
 
     /// `warmup_passes == 0`: the measurement window opens at cycle 0, so
@@ -202,8 +215,8 @@ proptest! {
     ) {
         let specs = build_specs(&raw);
         let geometry = build_geometry(interval_insns, intervals);
-        let opts = MixOptions { warmup_passes: 0, ..MixOptions::default() };
-        assert_schedulers_agree(&specs, &MachineConfig::baseline(), geometry, &opts);
+        let axes = Axes { warmup_passes: 0, ..Axes::default() };
+        assert_schedulers_agree(&specs, &MachineConfig::baseline(), geometry, &axes);
     }
 
     /// Finite memory bandwidth: `MemoryChannel::request(now)` is stateful
@@ -219,7 +232,7 @@ proptest! {
         let specs = build_specs(&raw);
         let machine = MachineConfig::baseline().with_mem_bandwidth(bandwidth);
         let geometry = build_geometry(interval_insns, intervals);
-        assert_schedulers_agree(&specs, &machine, geometry, &MixOptions::default());
+        assert_schedulers_agree(&specs, &machine, geometry, &Axes::default());
     }
 
     /// Timestamp-tie storm: identical specs on every core make *every*
@@ -241,14 +254,14 @@ proptest! {
         assert_eq!(specs[0].phases(), specs[1].phases());
         assert_eq!(specs[0].seed(), specs[1].seed());
         let geometry = build_geometry(interval_insns, intervals);
-        assert_schedulers_agree(&specs, &MachineConfig::baseline(), geometry, &MixOptions::default());
+        assert_schedulers_agree(&specs, &MachineConfig::baseline(), geometry, &Axes::default());
 
         // On equal slices the tie storm must also keep cores bit-equal.
         if 8 % cores == 0 {
             let ways = vec![8 / cores as u32; cores];
-            let opts = MixOptions { ways: Some(&ways), ..MixOptions::default() };
+            let axes = Axes { ways: Some(&ways), ..Axes::default() };
             let (event, _) =
-                assert_schedulers_agree(&specs, &MachineConfig::baseline(), geometry, &opts);
+                assert_schedulers_agree(&specs, &MachineConfig::baseline(), geometry, &axes);
             for core in 1..cores {
                 assert_eq!(
                     event.cpi_mc[0].to_bits(),
@@ -258,62 +271,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// API consolidation oracle: every retired `simulate_mix*` wrapper
-    /// must stay a zero-diff alias of the [`MixSim`] builder it now
-    /// delegates to, across random mixes and geometries.
-    #[test]
-    #[allow(deprecated)] // the wrappers are the subject under test
-    fn deprecated_wrappers_match_the_builder(
-        raw in mix_strategy(2..5),
-        factors in collection::vec(0.5f64..2.5, 4),
-        warmup in 0u32..3,
-        interval_insns in 1_000u64..5_000,
-        intervals in 2u32..6,
-    ) {
-        use mppm_sim::{
-            simulate_mix, simulate_mix_heterogeneous, simulate_mix_opts,
-            simulate_mix_partitioned, simulate_mix_with,
-        };
-        let specs = build_specs(&raw);
-        let refs: Vec<&BenchmarkSpec> = specs.iter().collect();
-        let machine = MachineConfig::baseline();
-        let g = build_geometry(interval_insns, intervals);
-
-        let builder = MixSim::new(&refs, &machine, g).run();
-        prop_assert_eq!(&simulate_mix(&refs, &machine, g), &builder);
-        prop_assert_eq!(&simulate_mix_with(&refs, &machine, g, 1), &builder);
-
-        let factors = &factors[..refs.len()];
-        prop_assert_eq!(
-            &simulate_mix_heterogeneous(&refs, &machine, g, factors),
-            &MixSim::new(&refs, &machine, g).core_factors(factors).run()
-        );
-
-        // Equal slices of the baseline 8-way LLC when the mix divides it.
-        if 8 % refs.len() == 0 {
-            let ways = vec![8 / refs.len() as u32; refs.len()];
-            prop_assert_eq!(
-                &simulate_mix_partitioned(&refs, &machine, g, &ways),
-                &MixSim::new(&refs, &machine, g).partitioned(&ways).run()
-            );
-        }
-
-        let opts = MixOptions {
-            warmup_passes: warmup,
-            core_factors: Some(factors),
-            scheduler: Scheduler::Reference,
-            ..MixOptions::default()
-        };
-        prop_assert_eq!(
-            &simulate_mix_opts(&refs, &machine, g, &opts),
-            &MixSim::new(&refs, &machine, g)
-                .warmup_passes(warmup)
-                .core_factors(factors)
-                .scheduler(Scheduler::Reference)
-                .run()
-        );
     }
 
     /// The compiled-execution oracle (property 8): replaying compiled
@@ -342,12 +299,10 @@ proptest! {
         let geometry = build_geometry(interval_insns, intervals);
         for scheduler in [Scheduler::EventDriven, Scheduler::Reference] {
             let build = |execution: Execution| {
-                MixSim::new(&refs, &machine, geometry)
+                let sim = MixSim::new(&refs, &machine, geometry)
                     .warmup_passes(warmup)
-                    .core_factors(&factors[..refs.len()])
-                    .scheduler(scheduler)
-                    .execution(execution)
-                    .run()
+                    .core_factors(&factors[..refs.len()]);
+                reference::run(sim, scheduler, execution)
             };
             let compiled = build(Execution::Compiled);
             let reference = build(Execution::ReferenceStream);
@@ -430,11 +385,11 @@ proptest! {
         let specs = build_specs(&raw);
         let machine = MachineConfig::baseline().with_mem_bandwidth(bandwidth);
         let geometry = build_geometry(interval_insns, intervals);
-        let opts = MixOptions {
+        let axes = Axes {
             warmup_passes: warmup,
             core_factors: Some(&factors[..specs.len()]),
-            ..MixOptions::default()
+            ..Axes::default()
         };
-        assert_schedulers_agree(&specs, &machine, geometry, &opts);
+        assert_schedulers_agree(&specs, &machine, geometry, &axes);
     }
 }

@@ -225,9 +225,9 @@ impl<M: ContentionModel> Mppm<M> {
     /// request loop) pays the solver's transient allocations once per
     /// worker rather than once per step. Each step walks the mix's
     /// programs in lockstep, with one walk per window for its SDC, memory
-    /// stall and fallback penalty. Bit-identical to
-    /// [`Mppm::reference_predict_observed`]: every program performs the
-    /// same f64 operations in the same order.
+    /// stall and fallback penalty. Bit-identical to the retained
+    /// allocate-per-step reference solver (a test-only oracle): every
+    /// program performs the same f64 operations in the same order.
     ///
     /// # Errors
     ///
@@ -378,15 +378,15 @@ impl<M: ContentionModel> Mppm<M> {
     /// iteration collects fresh window SDCs and working vectors, walks
     /// one program after another through the [`SingleCoreProfile`]
     /// window methods, and refolds each window for the miss-penalty
-    /// estimate ([`SingleCoreProfile::miss_penalty_in`]). The speed
-    /// harness (`speed::arena_comparison`) measures against it and
-    /// asserts bit-identical predictions; the unit and property tests
-    /// pin the equality bit for bit.
+    /// estimate ([`SingleCoreProfile::miss_penalty_in`]). Test-only: the
+    /// unit tests and the lockstep property oracle (`proptests.rs`) pin
+    /// the production solver to it bit for bit.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError`] exactly as [`Mppm::predict`] does.
-    pub fn reference_predict_observed(
+    #[cfg(test)]
+    pub(crate) fn reference_predict_observed(
         &self,
         profiles: &[&SingleCoreProfile],
         span: &Span,

@@ -1,11 +1,8 @@
 //! Regenerates §4.3: MPPM speed versus detailed simulation.
 //!
 //! Usage: `cargo run --release -p mppm-experiments --bin speed [--quick]
-//! [--arena-only] [--analyze-only] [--distcampaign-only]`
+//! [--analyze-only] [--distcampaign-only]`
 //!
-//! `--arena-only` skips the detailed-simulator benches and runs just the
-//! model-solver allocation comparison (regenerating `BENCH_arena.json`
-//! takes seconds; the simulator sections take minutes at full scale).
 //! `--analyze-only` runs just the mppm-analyze cold-vs-warm scan
 //! comparison (regenerating `BENCH_analyze.json`), gated on the warm
 //! scan being at least 2x faster than cold and under a wall-clock bound.
@@ -36,7 +33,6 @@ fn run_distcampaign(quick: bool) {
 
 fn main() {
     let ctx = Context::new(Scale::from_args());
-    let arena_only = std::env::args().any(|a| a == "--arena-only");
     let analyze_only = std::env::args().any(|a| a == "--analyze-only");
     let distcampaign_only = std::env::args().any(|a| a == "--distcampaign-only");
     if distcampaign_only {
@@ -79,71 +75,25 @@ fn main() {
     if analyze_only {
         return;
     }
-    let bench_mixes = match ctx.scale() {
-        Scale::Full => 3,
+    let mixes = match ctx.scale() {
+        Scale::Full => 10,
         Scale::Quick => 2,
     };
-    if !arena_only {
-        let mixes = match ctx.scale() {
-            Scale::Full => 10,
-            Scale::Quick => 2,
-        };
-        let points = speed::run(&ctx, &[2, 4, 8, 16], mixes);
-        let table = speed::report(&points);
-        println!("\n§4.3 — speed: analytic model vs detailed simulation");
-        println!("{}", table.render());
-        println!(
-            "(the paper reports up to five orders of magnitude against CMP$im;\n our ground-truth simulator is itself ~10^4x faster than CMP$im, so\n the measured gap compresses accordingly — see EXPERIMENTS.md)"
-        );
-
-        // Scheduler before/after: the same mixes through the retired
-        // smallest-clock-first loop and the event-driven scheduler, measured
-        // fresh in this build (the store cache is bypassed).
-        let interleave = speed::interleave_comparison(&ctx, &[2, 4, 8, 16], bench_mixes);
-        let itable = speed::report_interleave(&interleave);
-        println!("\n§4.3 — detailed-simulator scheduler: reference vs event-driven");
-        println!("{}", itable.render());
-        match speed::write_interleave_json(&interleave) {
-            Ok(path) => println!("(machine-readable copy: {})", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_interleave.json: {e}"),
-        }
-
-        // Execution-substrate before/after: the same mixes through the
-        // per-item reference stream and the phase-compiled block executor
-        // (compile cost included), measured fresh in this build.
-        let compile = speed::compile_comparison(&ctx, &[2, 4, 8, 16], bench_mixes);
-        let ctable = speed::report_compile(&compile);
-        println!("\n§4.3 — detailed-simulator execution: reference stream vs compiled blocks");
-        println!("{}", ctable.render());
-        match speed::write_compile_json(&compile) {
-            Ok(path) => println!("(machine-readable copy: {})", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_compile.json: {e}"),
-        }
-    }
-
-    // Solver allocation before/after: campaign-shard batches of 8-core
-    // mixes through the allocate-per-step reference solver and the warm
-    // per-worker SolverScratch path, at 1-16 worker threads. Predictions
-    // from both sides are asserted identical inside arena_comparison.
-    let arena_mixes = match ctx.scale() {
-        Scale::Full => 400,
-        Scale::Quick => 8,
-    };
-    let arena = speed::arena_comparison(&ctx, &[1, 2, 4, 8, 16], arena_mixes);
-    let atable = speed::report_arena(&arena);
-    println!("\nModel solver: allocate-per-step reference vs warm per-worker scratch");
-    println!("{}", atable.render());
-    match speed::write_arena_json(&arena) {
-        Ok(path) => println!("(machine-readable copy: {})", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_arena.json: {e}"),
-    }
-    if arena_only {
-        return;
-    }
+    let points = speed::run(&ctx, &[2, 4, 8, 16], mixes);
+    let table = speed::report(&points);
+    println!("\n§4.3 — speed: analytic model vs detailed simulation");
+    println!("{}", table.render());
+    println!(
+        "(the paper reports up to five orders of magnitude against CMP$im;\n our ground-truth simulator is itself ~10^4x faster than CMP$im, so\n the measured gap compresses accordingly — see EXPERIMENTS.md)"
+    );
 
     // Observability overhead: the zero-cost claim, measured. The same
     // mixes run bare, with a disabled observer span, and with an enabled
     // no-op sink; results are asserted identical inside obs_overhead.
+    let bench_mixes = match ctx.scale() {
+        Scale::Full => 3,
+        Scale::Quick => 2,
+    };
     let obs = speed::obs_overhead(&ctx, &[2, 4, 8, 16], bench_mixes);
     let otable = speed::report_obs(&obs);
     println!("\nObservability overhead: disabled span must cost < 2%");

@@ -10,16 +10,14 @@
 //! linear in the number of programs — is what this experiment checks.
 
 use mppm::mix::Mix;
-use mppm::{SingleCoreProfile, SolverScratch};
 use mppm_obs::{NoopSink, Observer};
-use mppm_sim::{Execution, MixSim, Scheduler};
+use mppm_sim::MixSim;
 use mppm_trace::suite;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use crate::fig4::mixes_for;
-use crate::runner::{parallel_map, parallel_map_with};
 use crate::store::atomic_write_json;
 use crate::table::{f3, Table};
 use crate::Context;
@@ -72,342 +70,6 @@ pub fn run(ctx: &Context, core_counts: &[usize], mixes_per_point: usize) -> Vec<
             }
         })
         .collect()
-}
-
-/// Before/after timing of the two interleaving schedulers at one core
-/// count, measured fresh (never from the store cache) in the same build.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct InterleavePoint {
-    /// Programs per mix.
-    pub cores: usize,
-    /// Average s/mix under the original smallest-clock-first loop.
-    pub reference_seconds: f64,
-    /// Average s/mix under the event-driven scheduler.
-    pub event_seconds: f64,
-}
-
-impl InterleavePoint {
-    /// Reference time over event-driven time.
-    pub fn speedup(&self) -> f64 {
-        self.reference_seconds / self.event_seconds
-    }
-}
-
-/// Times the same mixes through both interleaving schedulers.
-///
-/// Unlike [`run`], nothing here touches the store: cached `sim_seconds`
-/// from earlier runs (or earlier scheduler generations) would make the
-/// before/after comparison meaningless. Both sides simulate fresh, in the
-/// same process, and each mix's results are asserted identical — the
-/// benchmark doubles as one more differential check.
-pub fn interleave_comparison(
-    ctx: &Context,
-    core_counts: &[usize],
-    mixes_per_point: usize,
-) -> Vec<InterleavePoint> {
-    let machine = ctx.baseline();
-    let geometry = ctx.geometry();
-    let specs = suite::spec_suite();
-    core_counts
-        .iter()
-        .map(|&cores| {
-            let mixes: Vec<Mix> = mixes_for(cores, mixes_per_point);
-            let mut seconds = [0.0f64; 2];
-            for mix in &mixes {
-                let members: Vec<_> =
-                    mix.members().iter().map(|&i| &specs[i]).collect();
-                let mut results = Vec::with_capacity(2);
-                for (slot, scheduler) in
-                    [Scheduler::Reference, Scheduler::EventDriven].into_iter().enumerate()
-                {
-                    let started = Instant::now();
-                    results.push(
-                        MixSim::new(&members, &machine, geometry).scheduler(scheduler).run(),
-                    );
-                    seconds[slot] += started.elapsed().as_secs_f64();
-                }
-                assert_eq!(results[0], results[1], "schedulers diverged on {mix:?}");
-            }
-            InterleavePoint {
-                cores,
-                reference_seconds: seconds[0] / mixes.len() as f64,
-                event_seconds: seconds[1] / mixes.len() as f64,
-            }
-        })
-        .collect()
-}
-
-/// Renders the scheduler before/after table and writes the CSV.
-pub fn report_interleave(points: &[InterleavePoint]) -> Table {
-    let mut t = Table::new(&["cores", "reference s/mix", "event s/mix", "speedup"]);
-    for p in points {
-        t.row(vec![
-            p.cores.to_string(),
-            f3(p.reference_seconds),
-            f3(p.event_seconds),
-            format!("{:.2}x", p.speedup()),
-        ]);
-    }
-    let _ = t.save_csv("speed_interleave");
-    t
-}
-
-/// Writes the machine-readable scheduler comparison to
-/// `BENCH_interleave.json` at the workspace root (redirected to
-/// `target/test-results/` under `cargo test`).
-pub fn write_interleave_json(points: &[InterleavePoint]) -> std::io::Result<PathBuf> {
-    #[derive(Serialize)]
-    struct BenchFile {
-        description: String,
-        unit: String,
-        points: Vec<InterleavePoint>,
-    }
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let dir = if cfg!(test) { root.join("target/test-results") } else { root };
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_interleave.json");
-    atomic_write_json(
-        &path,
-        &BenchFile {
-            description: "Detailed-simulator s/mix: reference smallest-clock-first \
-                          interleaver vs event-driven scheduler, same build"
-                .to_string(),
-            unit: "seconds per mix".to_string(),
-            points: points.to_vec(),
-        },
-    )?;
-    Ok(path)
-}
-
-/// Before/after timing of the two execution substrates at one core
-/// count, measured fresh (never from the store cache) in the same build.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct CompilePoint {
-    /// Programs per mix.
-    pub cores: usize,
-    /// Average s/mix under per-item reference-stream execution.
-    pub reference_seconds: f64,
-    /// Average s/mix under compiled-block execution (including the
-    /// per-run compilation cost — this is end-to-end `MixSim::run`).
-    pub compiled_seconds: f64,
-}
-
-impl CompilePoint {
-    /// Reference time over compiled time.
-    pub fn speedup(&self) -> f64 {
-        self.reference_seconds / self.compiled_seconds
-    }
-}
-
-/// Times the same mixes through both execution substrates: the per-item
-/// reference stream and the phase-compiled block executor.
-///
-/// Like [`interleave_comparison`] this never touches the store — both
-/// substrates simulate fresh in the same process, compilation cost
-/// included on the compiled side, and each mix's results are asserted
-/// identical so the benchmark doubles as one more differential check.
-pub fn compile_comparison(
-    ctx: &Context,
-    core_counts: &[usize],
-    mixes_per_point: usize,
-) -> Vec<CompilePoint> {
-    let machine = ctx.baseline();
-    let geometry = ctx.geometry();
-    let specs = suite::spec_suite();
-    core_counts
-        .iter()
-        .map(|&cores| {
-            let mixes: Vec<Mix> = mixes_for(cores, mixes_per_point);
-            let mut seconds = [0.0f64; 2];
-            for mix in &mixes {
-                let members: Vec<_> =
-                    mix.members().iter().map(|&i| &specs[i]).collect();
-                let mut results = Vec::with_capacity(2);
-                for (slot, execution) in
-                    [Execution::ReferenceStream, Execution::Compiled].into_iter().enumerate()
-                {
-                    let started = Instant::now();
-                    results.push(
-                        MixSim::new(&members, &machine, geometry).execution(execution).run(),
-                    );
-                    seconds[slot] += started.elapsed().as_secs_f64();
-                }
-                assert_eq!(results[0], results[1], "substrates diverged on {mix:?}");
-            }
-            CompilePoint {
-                cores,
-                reference_seconds: seconds[0] / mixes.len() as f64,
-                compiled_seconds: seconds[1] / mixes.len() as f64,
-            }
-        })
-        .collect()
-}
-
-/// Renders the execution-substrate before/after table and writes the CSV.
-pub fn report_compile(points: &[CompilePoint]) -> Table {
-    let mut t = Table::new(&["cores", "reference s/mix", "compiled s/mix", "speedup"]);
-    for p in points {
-        t.row(vec![
-            p.cores.to_string(),
-            f3(p.reference_seconds),
-            f3(p.compiled_seconds),
-            format!("{:.2}x", p.speedup()),
-        ]);
-    }
-    let _ = t.save_csv("speed_compile");
-    t
-}
-
-/// Writes the machine-readable substrate comparison to
-/// `BENCH_compile.json` at the workspace root (redirected to
-/// `target/test-results/` under `cargo test`).
-pub fn write_compile_json(points: &[CompilePoint]) -> std::io::Result<PathBuf> {
-    #[derive(Serialize)]
-    struct BenchFile {
-        description: String,
-        unit: String,
-        points: Vec<CompilePoint>,
-    }
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let dir = if cfg!(test) { root.join("target/test-results") } else { root };
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_compile.json");
-    atomic_write_json(
-        &path,
-        &BenchFile {
-            description: "Detailed-simulator s/mix: per-item reference-stream execution \
-                          vs phase-compiled block execution (compile cost included), \
-                          same build"
-                .to_string(),
-            unit: "seconds per mix".to_string(),
-            points: points.to_vec(),
-        },
-    )?;
-    Ok(path)
-}
-
-/// Before/after timing of the model solver's allocation strategies at one
-/// worker-thread count, over a campaign-shard-shaped batch of mixes.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct ArenaPoint {
-    /// Worker threads evaluating the batch.
-    pub workers: usize,
-    /// Average s/mix under the allocate-per-step reference solver.
-    pub fresh_seconds: f64,
-    /// Average s/mix with one warm [`SolverScratch`] per worker.
-    pub arena_seconds: f64,
-}
-
-impl ArenaPoint {
-    /// Fresh-allocation time over warm-scratch time.
-    pub fn speedup(&self) -> f64 {
-        self.fresh_seconds / self.arena_seconds
-    }
-}
-
-/// Times one campaign-shard-shaped batch of 8-core mixes through the
-/// allocate-per-step reference solver
-/// ([`mppm::Mppm::reference_predict_observed`]) and through the warm
-/// per-worker scratch path the campaign executor and `mppmd` use
-/// ([`Context::predict_observed_with`] under
-/// [`parallel_map_with`]), at each worker-thread count.
-///
-/// The thread count is pinned via `MPPM_THREADS` for both sides of each
-/// point, and every mix's predictions are asserted identical, so the
-/// benchmark doubles as the solver differential check under contention.
-/// Like the other comparisons nothing here touches the store cache.
-pub fn arena_comparison(
-    ctx: &Context,
-    worker_counts: &[usize],
-    mixes_per_point: usize,
-) -> Vec<ArenaPoint> {
-    let machine = ctx.baseline();
-    let profiles = ctx.profiles(&machine);
-    let model = ctx.model();
-    let span = mppm_obs::Span::disabled();
-    let mixes: Vec<Mix> = mixes_for(8, mixes_per_point);
-    let saved = std::env::var("MPPM_THREADS").ok();
-    let points = worker_counts
-        .iter()
-        .map(|&workers| {
-            std::env::set_var("MPPM_THREADS", workers.to_string());
-            // Three alternating rounds per side, best-of kept: with more
-            // worker threads than host cores a single batch's wall time
-            // is dominated by scheduling jitter, and the minimum is the
-            // least-contended estimate for both sides alike.
-            let mut best = [f64::INFINITY; 2];
-            for _ in 0..3 {
-                let started = Instant::now();
-                let fresh = parallel_map("arena-fresh", &mixes, |mix| {
-                    let refs: Vec<&SingleCoreProfile> = mix.resolve(&profiles);
-                    model
-                        .reference_predict_observed(&refs, &span)
-                        .expect("suite profiles are valid and compatible")
-                });
-                best[0] = best[0].min(started.elapsed().as_secs_f64());
-                let started = Instant::now();
-                let warm =
-                    parallel_map_with("arena-warm", &mixes, SolverScratch::new, |scratch, mix| {
-                        ctx.predict_observed_with(mix, &profiles, &span, scratch)
-                    });
-                best[1] = best[1].min(started.elapsed().as_secs_f64());
-                assert_eq!(fresh, warm, "solver paths diverged at {workers} workers");
-            }
-            ArenaPoint {
-                workers,
-                fresh_seconds: best[0] / mixes.len() as f64,
-                arena_seconds: best[1] / mixes.len() as f64,
-            }
-        })
-        .collect();
-    match saved {
-        Some(v) => std::env::set_var("MPPM_THREADS", v),
-        None => std::env::remove_var("MPPM_THREADS"),
-    }
-    points
-}
-
-/// Renders the solver allocation before/after table and writes the CSV.
-pub fn report_arena(points: &[ArenaPoint]) -> Table {
-    let mut t = Table::new(&["workers", "fresh s/mix", "arena s/mix", "speedup"]);
-    for p in points {
-        t.row(vec![
-            p.workers.to_string(),
-            format!("{:.6}", p.fresh_seconds),
-            format!("{:.6}", p.arena_seconds),
-            format!("{:.2}x", p.speedup()),
-        ]);
-    }
-    let _ = t.save_csv("speed_arena");
-    t
-}
-
-/// Writes the machine-readable solver allocation comparison to
-/// `BENCH_arena.json` at the workspace root (redirected to
-/// `target/test-results/` under `cargo test`).
-pub fn write_arena_json(points: &[ArenaPoint]) -> std::io::Result<PathBuf> {
-    #[derive(Serialize)]
-    struct BenchFile {
-        description: String,
-        unit: String,
-        points: Vec<ArenaPoint>,
-    }
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let dir = if cfg!(test) { root.join("target/test-results") } else { root };
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_arena.json");
-    atomic_write_json(
-        &path,
-        &BenchFile {
-            description: "Model-solver s/mix over 8-core campaign-shard batches: \
-                          allocate-per-step reference solver vs warm per-worker \
-                          SolverScratch, per worker-thread count, same build"
-                .to_string(),
-            unit: "seconds per mix".to_string(),
-            points: points.to_vec(),
-        },
-    )?;
-    Ok(path)
 }
 
 /// Cold-vs-warm timing of the `mppm-analyze` workspace scan.
@@ -702,8 +364,8 @@ impl ObsPoint {
 /// simulator: identical mixes, three instrumentation levels, results
 /// asserted bit-identical so the comparison cannot silently diverge.
 ///
-/// Like [`interleave_comparison`] this never touches the store — all
-/// three variants simulate fresh in the same process.
+/// Unlike [`run`], this never touches the store — all three variants
+/// simulate fresh in the same process.
 pub fn obs_overhead(ctx: &Context, core_counts: &[usize], mixes_per_point: usize) -> Vec<ObsPoint> {
     let machine = ctx.baseline();
     let geometry = ctx.geometry();
@@ -852,41 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn compile_comparison_measures_and_serializes() {
-        let ctx = Context::new(Scale::Quick);
-        let points = compile_comparison(&ctx, &[2], 1);
-        assert_eq!(points.len(), 1);
-        let p = &points[0];
-        assert!(p.reference_seconds > 0.0);
-        assert!(p.compiled_seconds > 0.0);
-        let table = report_compile(&points);
-        assert_eq!(table.len(), 1);
-        let path = write_compile_json(&points).expect("json written");
-        let raw = std::fs::read_to_string(path).expect("json readable");
-        assert!(raw.contains("\"cores\":2"), "unexpected JSON shape: {raw}");
-        assert!(raw.contains("reference_seconds"));
-        assert!(raw.contains("compiled_seconds"));
-    }
-
-    #[test]
-    fn arena_comparison_measures_and_serializes() {
-        let ctx = Context::new(Scale::Quick);
-        let points = arena_comparison(&ctx, &[1, 2], 4);
-        assert_eq!(points.len(), 2);
-        for p in &points {
-            assert!(p.fresh_seconds > 0.0);
-            assert!(p.arena_seconds > 0.0);
-        }
-        let table = report_arena(&points);
-        assert_eq!(table.len(), 2);
-        let path = write_arena_json(&points).expect("json written");
-        let raw = std::fs::read_to_string(path).expect("json readable");
-        assert!(raw.contains("\"workers\":1"), "unexpected JSON shape: {raw}");
-        assert!(raw.contains("fresh_seconds"));
-        assert!(raw.contains("arena_seconds"));
-    }
-
-    #[test]
     fn analyze_comparison_measures_and_serializes() {
         let point = analyze_comparison(2);
         assert!(point.files > 30, "scan is broken: only {} files", point.files);
@@ -928,22 +555,5 @@ mod tests {
         let raw = std::fs::read_to_string(path).expect("json readable");
         assert!(raw.contains("\"workers\":1"), "unexpected JSON shape: {raw}");
         assert!(raw.contains("evaluations"));
-    }
-
-    #[test]
-    fn interleave_comparison_measures_and_serializes() {
-        let ctx = Context::new(Scale::Quick);
-        let points = interleave_comparison(&ctx, &[2], 1);
-        assert_eq!(points.len(), 1);
-        let p = &points[0];
-        assert!(p.reference_seconds > 0.0);
-        assert!(p.event_seconds > 0.0);
-        let table = report_interleave(&points);
-        assert_eq!(table.len(), 1);
-        let path = write_interleave_json(&points).expect("json written");
-        let raw = std::fs::read_to_string(path).expect("json readable");
-        assert!(raw.contains("\"cores\":2"), "unexpected JSON shape: {raw}");
-        assert!(raw.contains("reference_seconds"));
-        assert!(raw.contains("event_seconds"));
     }
 }

@@ -5,12 +5,12 @@
 //! a time and event frames for the pending request are collected onto
 //! its [`Response`].
 
+use mppm_wire::{Frame, FrameReader};
 use serde::Value;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
-use crate::framing::{Frame, FrameReader};
 use crate::protocol::{Request, PROTOCOL_VERSION};
 use crate::ServerError;
 

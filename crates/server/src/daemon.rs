@@ -4,13 +4,13 @@
 use mppm_campaign::{AggregateOptions, Campaign, CampaignSpec, MixSource};
 use mppm_experiments::{Context, Scale, Store};
 use mppm_obs::{Observer, Sink};
+use mppm_wire::{Frame, FrameReader};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use crate::framing::{Frame, FrameReader};
 use crate::handlers::{self, campaign_value};
 use crate::protocol::{codes, err_frame, ok_frame, Request};
 use crate::state::{CampaignJob, ConnWriter, ServerState, SocketSink};

@@ -12,9 +12,9 @@
 //!   memory,
 //! * in-flight dedup for predict/simulate and wave-batching for
 //!   campaigns (concurrent identical submissions run once),
-//! * newline-delimited JSON over a Unix domain socket
-//!   ([`protocol`]/[`framing`]), with optional per-request event
-//!   streaming.
+//! * newline-delimited JSON over a Unix domain socket ([`protocol`],
+//!   framed by [`mppm_wire::FrameReader`]), with optional per-request
+//!   event streaming.
 //!
 //! Determinism contract: the `result` member of a response is
 //! byte-identical for identical resolved requests — across cache
@@ -24,7 +24,6 @@
 
 pub mod client;
 pub mod daemon;
-pub mod framing;
 mod handlers;
 pub mod protocol;
 mod state;

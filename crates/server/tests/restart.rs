@@ -3,7 +3,7 @@
 //! journal resumes the interrupted work instead of recomputing it —
 //! with the final payload byte-identical to an uninterrupted run.
 
-use mppm_server::framing::{Frame, FrameReader};
+use mppm_wire::{Frame, FrameReader};
 use serde::Value;
 use std::io::Write;
 use std::os::unix::net::UnixStream;

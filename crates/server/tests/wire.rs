@@ -3,9 +3,9 @@
 //! malformed or unknown requests — a bad frame never silently drops the
 //! connection.
 
-use mppm_server::framing::{Frame, FrameReader};
 use mppm_server::protocol::MAX_LINE;
 use mppm_server::{serve, ServerConfig};
+use mppm_wire::{Frame, FrameReader};
 use serde::Value;
 use std::io::Write;
 use std::os::unix::net::UnixStream;

@@ -14,7 +14,7 @@
 //! sets `MPPM_THREADS`.
 
 use mppm_experiments::{parallel_map, worker_threads};
-use mppm_sim::{Execution, MachineConfig, MixResult, MixSim};
+use mppm_sim::{MachineConfig, MixResult, MixSim};
 use mppm_trace::{suite, TraceGeometry};
 
 fn run_batch(threads: usize) -> Vec<String> {
@@ -33,7 +33,7 @@ fn run_batch(threads: usize) -> Vec<String> {
     let results: Vec<MixResult> = parallel_map("batch-invariance", &mixes, |names| {
         let specs: Vec<_> =
             names.iter().map(|n| suite::benchmark(n).expect("suite benchmark")).collect();
-        MixSim::new(&specs, &machine, g).execution(Execution::Compiled).run()
+        MixSim::new(&specs, &machine, g).run()
     });
     std::env::remove_var("MPPM_THREADS");
     results

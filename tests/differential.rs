@@ -13,7 +13,8 @@
 //! MPPM_REGEN_GOLDEN=1 cargo test -p mppm-integration --test differential
 //! ```
 
-use mppm_sim::{Execution, MachineConfig, MixResult, MixSim};
+use mppm_sim::reference::{self, Execution, Scheduler};
+use mppm_sim::{MachineConfig, MixResult, MixSim};
 use mppm_trace::{suite, TraceGeometry};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -44,13 +45,16 @@ fn compute_snapshot_with(execution: Execution) -> GoldenSnapshot {
         .iter()
         .map(|n| suite::benchmark(n).expect("suite benchmark"))
         .collect();
-    let unified = MixSim::new(&mix, &machine, g).execution(execution).run();
+    let unified = reference::run(MixSim::new(&mix, &machine, g), Scheduler::EventDriven, execution);
     let pair: Vec<_> = ["gamess", "lbm"]
         .iter()
         .map(|n| suite::benchmark(n).expect("suite benchmark"))
         .collect();
-    let partitioned =
-        MixSim::new(&pair, &machine, g).partitioned(&[6, 2]).execution(execution).run();
+    let partitioned = reference::run(
+        MixSim::new(&pair, &machine, g).partitioned(&[6, 2]),
+        Scheduler::EventDriven,
+        execution,
+    );
     GoldenSnapshot { unified, partitioned }
 }
 

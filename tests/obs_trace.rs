@@ -10,7 +10,7 @@
 //! This test owns its process (its own `[[test]]` target) because it
 //! sets `MPPM_THREADS`.
 
-use mppm_campaign::{run_campaign_with, AggregateOptions, CampaignSpec, MixSource};
+use mppm_campaign::{AggregateOptions, Campaign, CampaignSpec, MixSource};
 use mppm_experiments::{Context, Scale, Store};
 use mppm_obs::{JsonlSink, Observer, Sink};
 use std::path::PathBuf;
@@ -34,7 +34,7 @@ fn run_traced(threads: &str, tag: &str) -> Vec<serde_json::Value> {
     let observer = Observer::with_sinks(sinks);
     {
         let span = observer.root("campaign");
-        run_campaign_with(&ctx, &spec, &options, &span).unwrap();
+        Campaign::new(&spec).options(&options).observer(&span).run(&ctx).unwrap();
     }
     observer.finish().unwrap();
 
