@@ -18,7 +18,7 @@
 //! | `lossy-counter-cast`   | silent truncation of 64-bit counters |
 //! | `uncompiled-hot-loop`  | per-item trace iteration outside the `reference_*` substrate |
 //! | `blocking-in-handler`  | unbounded socket reads in server code, or reachable from a handler |
-//! | `alloc-in-steady-loop` | heap allocation inside the simulator's steady-state loops or the solver's step kernel |
+//! | `alloc-in-steady-loop` | heap allocation inside the simulator's steady-state loops, the profiler's chunk fill or the solver's step kernel |
 //! | `taint-nondet-to-result` | nondeterminism laundered through helpers into results/journals/wire frames |
 //! | `panic-reaches-handler` | panic sites reachable from a daemon request handler |
 //!

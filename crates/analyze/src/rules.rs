@@ -433,13 +433,20 @@ impl Rule for BlockingInHandler {
 pub struct AllocInSteadyLoop;
 
 /// Function bodies that constitute the allocation-free steady state:
-/// the compiled burst loop and its LLC commit, the per-engine drive
-/// dispatcher, the scheduler interleave loops, and the solver's lockstep
-/// window walks (run once per program-step).
+/// the compiled and fed burst loops, their shared column walk and LLC
+/// commit, the per-engine drive dispatcher, the profiler's chunk fill
+/// (generator loop, column fill, chunk refill — run on the generator
+/// thread, which must not allocate), the scheduler interleave loops, and
+/// the solver's lockstep window walks (run once per program-step).
 const STEADY_LOOP_FNS: &[&str] = &[
     "compiled_run_until_llc",
+    "fed_run_until_llc",
+    "walk_columns",
     "commit_llc",
     "run_until_llc",
+    "generate_items",
+    "fill_from",
+    "refill",
     "event_interleave_into",
     "lockstep_window_cycles",
     "lockstep_advance",
@@ -451,7 +458,7 @@ impl Rule for AllocInSteadyLoop {
         "alloc-in-steady-loop"
     }
     fn description(&self) -> &'static str {
-        "`Vec::new`/`vec![]`/`Box::new` inside the compiled burst, scheduler event loop or solver step kernel"
+        "`Vec::new`/`vec![]`/`Box::new` inside the burst kernel, the profiler's chunk fill, the scheduler event loop or the solver step kernel"
     }
     fn scope(&self) -> Scope {
         Scope::NonTest

@@ -399,6 +399,36 @@ fn lockstep_windows(profiles: &[&Profile], lanes: &mut [Lane], windows: &mut [Sd
 }
 
 #[test]
+fn alloc_in_steady_loop_covers_the_profiler_chunk_fill() {
+    // The fill runs on the profiler's generator thread; an allocation
+    // there would give that thread a malloc arena of its own.
+    fires_and_fixes(
+        "alloc-in-steady-loop",
+        r#"
+fn fill_from(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
+    let mut counts = Vec::new();
+    stream.generate_items(end, |item| { counts.push(item.insns()); counts.len() < max_ops });
+}
+"#,
+        r#"
+fn fill_from(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
+    stream.generate_items(end, |item| {
+        self.counts.push(item.insns());
+        self.counts.len() < max_ops
+    });
+}
+"#,
+    );
+    // The chunk refill, the generator loop and both burst walks are
+    // covered too.
+    for kernel in ["refill", "generate_items", "walk_columns", "fed_run_until_llc"] {
+        let src = format!("fn {kernel}(ops: &mut Ops) {{ let v = Vec::new(); }}");
+        let fired = rules_fired(&analyze_one(LIB, &src));
+        assert!(fired.iter().any(|(r, _)| r == "alloc-in-steady-loop"), "{kernel}: {fired:?}");
+    }
+}
+
+#[test]
 fn alloc_in_steady_loop_covers_every_pattern_and_exempts_reference_fns() {
     // All three allocation forms fire inside a steady-loop body...
     let hot = r#"

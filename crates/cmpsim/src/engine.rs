@@ -4,7 +4,8 @@
 
 use mppm_cache::{Replacement, SetAssocCache};
 use mppm_trace::{
-    BenchmarkSpec, CompiledTrace, TraceGeometry, TraceItem, TraceStream, FLAG_ACCESS, FLAG_STORE,
+    BenchmarkSpec, CompiledTrace, OpColumns, TraceGeometry, TraceItem, TraceStream, FLAG_ACCESS,
+    FLAG_STORE,
 };
 use std::sync::Arc;
 
@@ -223,13 +224,17 @@ impl BurstStop {
 /// implementation every faster substrate is differential-tested against
 /// (the PR 1/PR 3 playbook). The compiled path replays pre-generated
 /// [`CompiledTrace`] blocks and must be bit-identical; the oracle in
-/// `crates/cmpsim/tests/differential.rs` proves it.
+/// `crates/cmpsim/tests/differential.rs` proves it. The fed path replays
+/// chunks a generator thread streams in (the pipelined single-core
+/// profiler) through the same column walk as the compiled path.
 #[derive(Debug, Clone)]
 enum TraceSource {
     /// Per-item generation from the live [`TraceStream`].
     Reference(TraceStream),
     /// Batched replay of a pre-compiled trace.
     Compiled(CompiledCursor),
+    /// Batched replay of chunks fed in one at a time.
+    Fed(FedCursor),
 }
 
 /// Replay position within a shared [`CompiledTrace`].
@@ -283,6 +288,17 @@ impl CompiledCursor {
         self.wraps += 1;
     }
 
+    /// Steps to the next block once the current one's last op has run;
+    /// at the end of a pass the cursor stays on the last block, leaving
+    /// the sentinel for the lazy rewind.
+    fn settle(&mut self) {
+        let blocks = self.trace.blocks();
+        if self.op == blocks[self.block].ops().len() && self.block + 1 < blocks.len() {
+            self.block += 1;
+            self.op = 0;
+        }
+    }
+
     /// Materializes the next item, advancing the cursor — the
     /// item-at-a-time view of the compiled trace used by
     /// [`CoreEngine::step`]; the burst path walks the columns directly.
@@ -290,17 +306,55 @@ impl CompiledCursor {
         if self.insn == self.trace.geometry().trace_insns() {
             self.rewind();
         }
-        let blocks = self.trace.blocks();
-        let blk = &blocks[self.block];
-        let item = blk.item(self.op);
-        self.insn += u64::from(blk.insn_counts()[self.op]);
+        let ops = self.trace.blocks()[self.block].ops();
+        let item = ops.item(self.op);
+        self.insn += u64::from(ops.insn_counts()[self.op]);
         self.op += 1;
-        if self.op == blk.len() && self.block + 1 < blocks.len() {
-            self.block += 1;
-            self.op = 0;
-        }
+        self.settle();
         item
     }
+}
+
+/// A run of same-phase trace items in [`OpColumns`] layout, ending at a
+/// known stream position — the unit the pipelined profiler's generator
+/// thread hands to [`CoreEngine::feed`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TraceChunk {
+    /// Phase index every op of the chunk was generated under.
+    pub(crate) phase: usize,
+    /// Stream position (monotonic across wraps) just past the last op.
+    pub(crate) end: u64,
+    /// The items.
+    pub(crate) ops: OpColumns,
+}
+
+impl TraceChunk {
+    /// An empty chunk buffer with room for `ops` items.
+    pub(crate) fn with_capacity(ops: usize) -> Self {
+        Self { phase: 0, end: 0, ops: OpColumns::with_capacity(ops) }
+    }
+
+    /// Refills the buffer with the next items of `stream`: at most
+    /// `max_ops`, all of one phase, none past position `end`.
+    pub(crate) fn refill(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
+        self.ops.clear();
+        self.phase = stream.current_phase();
+        self.ops.fill_from(stream, end, max_ops);
+        self.end = stream.position();
+    }
+}
+
+/// Replay position within the chunk a fed engine holds. Fed engines
+/// only run bursts: [`CoreEngine::step`] and
+/// [`CoreEngine::trace_passes`] are not defined for them.
+#[derive(Debug, Clone)]
+struct FedCursor {
+    spec: Arc<BenchmarkSpec>,
+    chunk: TraceChunk,
+    /// Next op within the chunk.
+    op: usize,
+    /// Total instructions replayed (monotonic across wraps).
+    insn: u64,
 }
 
 /// One core executing one program.
@@ -394,6 +448,42 @@ impl CoreEngine {
             core_idx,
             core_factor,
         )
+    }
+
+    /// Creates an engine on core 0 that replays chunks of `spec`'s trace
+    /// fed in by the caller, starting with `first` (which must begin at
+    /// position 0). Bit-identical to the reference-stream constructor
+    /// when fed the stream's items in order.
+    pub(crate) fn fed(
+        spec: Arc<BenchmarkSpec>,
+        machine: &MachineConfig,
+        first: TraceChunk,
+    ) -> Self {
+        let cursor = FedCursor { spec, chunk: first, op: 0, insn: 0 };
+        Self::from_source(TraceSource::Fed(cursor), machine, 0, 1.0)
+    }
+
+    /// Swaps in the chunk that continues the trace where the held one
+    /// ends, returning the spent buffer for reuse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is not fed, or the held chunk has ops left.
+    pub(crate) fn feed(&mut self, chunk: TraceChunk) -> TraceChunk {
+        let TraceSource::Fed(f) = &mut self.source else { panic!("only fed engines take chunks") };
+        assert_eq!(f.op, f.chunk.ops.len(), "the held chunk is not spent");
+        f.op = 0;
+        std::mem::replace(&mut f.chunk, chunk)
+    }
+
+    /// Stream position just past the held chunk (fed engines only).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is not fed.
+    pub(crate) fn chunk_end(&self) -> u64 {
+        let TraceSource::Fed(f) = &self.source else { panic!("only fed engines hold chunks") };
+        f.chunk.end
     }
 
     fn from_source(
@@ -500,6 +590,7 @@ impl CoreEngine {
         match &self.source {
             TraceSource::Reference(stream) => stream.position(),
             TraceSource::Compiled(cursor) => cursor.position(),
+            TraceSource::Fed(cursor) => cursor.insn,
         }
     }
 
@@ -509,6 +600,7 @@ impl CoreEngine {
         match &self.source {
             TraceSource::Reference(stream) => stream.wraps(),
             TraceSource::Compiled(cursor) => cursor.wraps,
+            TraceSource::Fed(_) => unreachable!("fed engines count no trace passes"),
         }
     }
 
@@ -534,6 +626,7 @@ impl CoreEngine {
         match &self.source {
             TraceSource::Reference(stream) => stream.spec(),
             TraceSource::Compiled(cursor) => cursor.trace.spec(),
+            TraceSource::Fed(cursor) => &cursor.spec,
         }
     }
 
@@ -542,6 +635,7 @@ impl CoreEngine {
         match &self.source {
             TraceSource::Reference(stream) => stream.current_phase(),
             TraceSource::Compiled(cursor) => cursor.current_phase(),
+            TraceSource::Fed(cursor) => cursor.chunk.phase,
         }
     }
 
@@ -550,6 +644,7 @@ impl CoreEngine {
         match &mut self.source {
             TraceSource::Reference(stream) => Self::reference_item(stream),
             TraceSource::Compiled(cursor) => cursor.replay_item(),
+            TraceSource::Fed(_) => unreachable!("fed engines run bursts only"),
         }
     }
 
@@ -651,6 +746,7 @@ impl CoreEngine {
         match self.source {
             TraceSource::Reference(_) => self.reference_run_until_llc(limit),
             TraceSource::Compiled(_) => self.compiled_run_until_llc(limit),
+            TraceSource::Fed(_) => self.fed_run_until_llc(limit),
         }
     }
 
@@ -698,97 +794,110 @@ impl CoreEngine {
     }
 
     /// The batched burst loop over a compiled trace: executes whole
-    /// blocks against the flat structure-of-arrays columns. Address
-    /// generation and classification were paid once at compile time;
-    /// phase parameters and the L2 stall are loaded once per *block*; the
-    /// inner loop walks three contiguous arrays and the private caches.
+    /// blocks through [`Self::walk_columns`], with one lazy-rewind check
+    /// per block.
+    fn compiled_run_until_llc(&mut self, limit: u64) -> BurstStop {
+        let TraceSource::Compiled(c) = &self.source else { unreachable!() };
+        let trace = Arc::clone(&c.trace);
+        let trace_len = trace.geometry().trace_insns();
+        loop {
+            let TraceSource::Compiled(c) = &mut self.source else { unreachable!() };
+            if c.insn == trace_len {
+                c.rewind();
+            }
+            let blk = &trace.blocks()[c.block];
+            let wraps_off = c.wraps * trace_len;
+            let (mut op, mut pos) = (c.op, wraps_off + c.insn);
+            let stop = self.walk_columns(blk.phase(), blk.ops(), &mut op, &mut pos, limit);
+            let TraceSource::Compiled(c) = &mut self.source else { unreachable!() };
+            c.op = op;
+            c.insn = pos - wraps_off;
+            c.settle();
+            if let Some(stop) = stop {
+                return stop;
+            }
+        }
+    }
+
+    /// The burst loop over a fed chunk: one [`Self::walk_columns`] call.
+    /// The caller keeps `limit` within the held chunk, so the walk always
+    /// stops.
+    fn fed_run_until_llc(&mut self, limit: u64) -> BurstStop {
+        let TraceSource::Fed(f) = &mut self.source else { unreachable!() };
+        // Moved out for the walk (no copy of the columns) so the engine
+        // stays mutably borrowable.
+        let chunk = std::mem::take(&mut f.chunk);
+        let (mut op, mut pos) = (f.op, f.insn);
+        let stop = self.walk_columns(chunk.phase, &chunk.ops, &mut op, &mut pos, limit);
+        let TraceSource::Fed(f) = &mut self.source else { unreachable!() };
+        f.chunk = chunk;
+        f.op = op;
+        f.insn = pos;
+        stop.expect("a fed burst's limit lies within the held chunk")
+    }
+
+    /// The one column-walking loop behind every batched burst: executes
+    /// ops `*op..` of `ops` (all of phase `phase`) against the private
+    /// caches until a shared-LLC access is generated or the stream
+    /// position `*pos` reaches `limit`, returning `None` if the columns
+    /// run out first. Address generation and classification were paid
+    /// when the columns were filled; phase parameters and the L2 stall
+    /// are loaded once per call.
     ///
     /// Charges the exact same f64 operations in the exact same order as
     /// [`Self::reference_run_until_llc`] — compute batches stay clipped
     /// at interval boundaries as the generator emitted them, because
     /// f64 accumulation is not associative and merging adjacent batches
     /// would change low-order bits.
-    fn compiled_run_until_llc(&mut self, limit: u64) -> BurstStop {
-        let trace = match &self.source {
-            TraceSource::Compiled(cursor) => Arc::clone(&cursor.trace),
-            TraceSource::Reference(_) => unreachable!("dispatched on the compiled source"),
-        };
-        let trace_len = trace.geometry().trace_insns();
-        let n_blocks = trace.blocks().len();
-        loop {
-            // Per-block header: lazy rewind at the pass sentinel, then
-            // one phase refresh for the whole block.
-            let block_idx = {
-                let TraceSource::Compiled(c) = &mut self.source else { unreachable!() };
-                if c.insn == trace_len {
-                    c.rewind();
-                }
-                c.block
-            };
-            let blk = &trace.blocks()[block_idx];
-            if blk.phase() != self.cached_phase {
-                self.refresh_phase(blk.phase());
-            }
-            let base_cpi = self.cached_base_cpi;
-            let mlp = self.cached_mlp;
-            let l2_stall = self.machine.stall_cycles(self.machine.l2.latency, mlp);
-            let counts = blk.insn_counts();
-            let ids = blk.block_ids();
-            let flags = blk.flags();
-            let n_ops = counts.len();
-
-            // `c` borrows only the `source` field, so the cycle/stack/
-            // cache fields stay independently mutable in the hot loop.
-            let TraceSource::Compiled(c) = &mut self.source else { unreachable!() };
-            let wraps_off = c.wraps * trace_len;
-            while c.op < n_ops {
-                let i = c.op;
-                let stamp = self.cycles;
-                if flags[i] & FLAG_ACCESS == 0 {
-                    let cost = f64::from(counts[i]) * base_cpi;
-                    self.cycles += cost;
-                    self.stack.base += cost;
-                    c.op = i + 1;
-                    c.insn += u64::from(counts[i]);
-                } else {
-                    self.cycles += base_cpi;
-                    self.stack.base += base_cpi;
-                    c.op = i + 1;
-                    c.insn += 1;
-                    let block = self.tag | ids[i];
-                    if !self.l1d.access(block).hit {
-                        if self.l2.access(block).hit {
-                            self.cycles += l2_stall;
-                            self.stack.l2_hit += l2_stall;
-                        } else {
-                            self.pending = Some(PendingLlc {
-                                block,
-                                store: flags[i] & FLAG_STORE != 0,
-                                mlp,
-                            });
-                            if c.op == n_ops && block_idx + 1 < n_blocks {
-                                c.block = block_idx + 1;
-                                c.op = 0;
-                            }
-                            return BurstStop::Llc { stamp };
-                        }
+    #[inline(always)]
+    fn walk_columns(
+        &mut self,
+        phase: usize,
+        ops: &OpColumns,
+        op: &mut usize,
+        pos: &mut u64,
+        limit: u64,
+    ) -> Option<BurstStop> {
+        if phase != self.cached_phase {
+            self.refresh_phase(phase);
+        }
+        let base_cpi = self.cached_base_cpi;
+        let mlp = self.cached_mlp;
+        let l2_stall = self.machine.stall_cycles(self.machine.l2.latency, mlp);
+        let (counts, ids, flags) = (ops.insn_counts(), ops.block_ids(), ops.flags());
+        while *op < counts.len() {
+            let i = *op;
+            *op = i + 1;
+            let stamp = self.cycles;
+            if flags[i] & FLAG_ACCESS == 0 {
+                let cost = f64::from(counts[i]) * base_cpi;
+                self.cycles += cost;
+                self.stack.base += cost;
+                *pos += u64::from(counts[i]);
+            } else {
+                self.cycles += base_cpi;
+                self.stack.base += base_cpi;
+                *pos += 1;
+                let block = self.tag | ids[i];
+                if !self.l1d.access(block).hit {
+                    if self.l2.access(block).hit {
+                        self.cycles += l2_stall;
+                        self.stack.l2_hit += l2_stall;
+                    } else {
+                        self.pending = Some(PendingLlc {
+                            block,
+                            store: flags[i] & FLAG_STORE != 0,
+                            mlp,
+                        });
+                        return Some(BurstStop::Llc { stamp });
                     }
                 }
-                if wraps_off + c.insn >= limit {
-                    if c.op == n_ops && block_idx + 1 < n_blocks {
-                        c.block = block_idx + 1;
-                        c.op = 0;
-                    }
-                    return BurstStop::Limit { stamp };
-                }
             }
-            // Block exhausted without stopping: step to the next block,
-            // or leave the sentinel for the lazy rewind above.
-            if block_idx + 1 < n_blocks {
-                c.block = block_idx + 1;
-                c.op = 0;
+            if *pos >= limit {
+                return Some(BurstStop::Limit { stamp });
             }
         }
+        None
     }
 
     /// Commits the shared-LLC access a burst left pending: probes the

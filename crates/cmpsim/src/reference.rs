@@ -1,4 +1,5 @@
-//! The retired scheduler and execution substrate, kept as oracles.
+//! The retired scheduler, execution substrate and single-core profiler,
+//! kept as oracles.
 //!
 //! [`MixSim`] runs one path: the event-driven scheduler over compiled
 //! trace blocks. The two paths it replaced are reached only from here,
@@ -17,6 +18,10 @@
 //! and the golden snapshot (`tests/differential.rs`) assert every
 //! combination bit-identical to the production path.
 //!
+//! [`profile_single_core_with`] is the per-item profiler the pipelined
+//! [`crate::profile_single_core_with`] replaced; the same differential
+//! oracle asserts the two produce bit-identical profiles.
+//!
 //! ```
 //! use mppm_sim::reference::{self, Execution, Scheduler};
 //! use mppm_sim::{MachineConfig, MixSim};
@@ -30,8 +35,13 @@
 //! assert_eq!(oracle, sim().run());
 //! ```
 
+use mppm::SingleCoreProfile;
+use mppm_cache::Sdc;
+use mppm_trace::{BenchmarkSpec, TraceGeometry};
+
 use crate::multi::{InterleaveState, SchedKey};
-use crate::{CoreEngine, LlcMode, MixResult, MixSim, Uncore};
+use crate::single::collect_profile;
+use crate::{CoreEngine, LlcMode, MachineConfig, MixResult, MixSim, Uncore};
 
 /// Which interleaving scheduler drives a mix simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,4 +119,28 @@ pub(crate) fn interleave_into(
             return;
         }
     }
+}
+
+/// The original single-core profiler: steps the live
+/// [`mppm_trace::TraceStream`] one item at a time on the calling thread.
+/// Kept as the oracle the pipelined [`crate::profile_single_core_with`]
+/// is proven bit-identical against.
+pub fn profile_single_core_with(
+    spec: &BenchmarkSpec,
+    machine: &MachineConfig,
+    geometry: TraceGeometry,
+    warmup_passes: u32,
+) -> SingleCoreProfile {
+    let mut engine = CoreEngine::new(spec.clone(), machine, geometry, 0);
+    let mut uncore = Uncore::new(machine);
+    let run_to = |engine: &mut CoreEngine, end: u64, mut sdc: Option<&mut Sdc>| {
+        while engine.insns() < end {
+            if let Some(obs) = engine.step(&mut uncore, LlcMode::Real).llc {
+                if let Some(sdc) = sdc.as_deref_mut() {
+                    sdc.record(obs.depth);
+                }
+            }
+        }
+    };
+    collect_profile(spec, machine, geometry, warmup_passes, &mut engine, run_to)
 }

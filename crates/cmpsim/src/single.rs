@@ -1,11 +1,15 @@
 //! Single-core runs: the profiler that produces MPPM's inputs, and plain
 //! isolated runs for validation.
 
+use std::sync::{mpsc, Arc};
+use std::thread;
+
 use mppm::{IntervalProfile, SingleCoreProfile};
 use mppm_cache::Sdc;
-use mppm_trace::{BenchmarkSpec, TraceGeometry};
+use mppm_trace::{BenchmarkSpec, TraceGeometry, TraceStream};
 
-use crate::{CoreEngine, LlcMode, MachineConfig, Uncore};
+use crate::engine::TraceChunk;
+use crate::{BurstStop, CoreEngine, LlcMode, MachineConfig, Uncore};
 
 /// Statistics of a plain isolated run (no profiling).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,34 +77,114 @@ pub fn profile_single_core(
     profile_single_core_with(spec, machine, geometry, 1)
 }
 
+/// Ops per pipeline chunk: 53 KB of columns, small enough that the
+/// buffers in flight stay cache-resident, large enough that channel
+/// hand-offs are rare next to the work per chunk.
+const CHUNK_OPS: usize = 4096;
+
+/// Chunk buffers in flight: one replaying, one filling, one queued.
+const CHUNK_BUFFERS: usize = 3;
+
 /// [`profile_single_core`] with an explicit number of warmup trace passes.
+///
+/// A two-stage pipeline: a scoped generator thread drains the trace into
+/// fixed-size [`OpColumns`](mppm_trace::OpColumns) chunks while the
+/// calling thread replays them through the burst kernel
+/// ([`CoreEngine::run_until_llc`]/[`CoreEngine::commit_llc`]). The item
+/// sequence and the kernel's f64 operations are the same as stepping the
+/// live stream one item at a time, so the profile is bit-identical to
+/// [`crate::reference::profile_single_core_with`].
 pub fn profile_single_core_with(
     spec: &BenchmarkSpec,
     machine: &MachineConfig,
     geometry: TraceGeometry,
     warmup_passes: u32,
 ) -> SingleCoreProfile {
-    let mut engine = CoreEngine::new(spec.clone(), machine, geometry, 0);
-    let mut uncore = Uncore::new(machine);
-    let assoc = machine.llc.assoc;
-    let mut intervals = Vec::with_capacity(geometry.intervals as usize);
+    profile_pipelined(spec, machine, geometry, warmup_passes, CHUNK_OPS)
+}
 
+/// The pipelined profiler with an explicit chunk size (tests force tiny
+/// chunks onto interval and pass boundaries).
+pub(crate) fn profile_pipelined(
+    spec: &BenchmarkSpec,
+    machine: &MachineConfig,
+    geometry: TraceGeometry,
+    warmup_passes: u32,
+    chunk_ops: usize,
+) -> SingleCoreProfile {
+    let spec = Arc::new(spec.clone());
+    let total = geometry.trace_insns() * u64::from(warmup_passes + 1);
+    // The calling thread allocates — and frees — everything the pipeline
+    // uses: the stream, the channels and the chunk buffers. Frees on the
+    // generator thread would land in the calling thread's heap at
+    // timing-dependent moments, and bulk allocations there would fill a
+    // malloc arena of its own; either makes the process's peak RSS vary
+    // run to run. Only std's thread and channel bookkeeping allocates
+    // over there (a couple of small blocks; `tests/alloc_steady.rs`).
+    let mut stream = TraceStream::new(Arc::clone(&spec), geometry);
+    thread::scope(|scope| {
+        let (full_tx, full_rx) = mpsc::sync_channel::<TraceChunk>(CHUNK_BUFFERS);
+        let (spent_tx, spent_rx) = mpsc::sync_channel::<TraceChunk>(CHUNK_BUFFERS);
+        for _ in 0..CHUNK_BUFFERS {
+            spent_tx.send(TraceChunk::with_capacity(chunk_ops)).expect("the receiver is alive");
+        }
+        let generator = scope.spawn(move || {
+            while stream.position() < total {
+                // Either hang-up means the consumer is gone (unwinding).
+                let Ok(mut chunk) = spent_rx.recv() else { break };
+                chunk.refill(&mut stream, total, chunk_ops);
+                if full_tx.send(chunk).is_err() {
+                    break;
+                }
+            }
+            (stream, spent_rx, full_tx)
+        });
+        let next = || full_rx.recv().expect("the generator yields chunks up to the run's end");
+        let mut engine = CoreEngine::fed(Arc::clone(&spec), machine, next());
+        let mut uncore = Uncore::new(machine);
+        let run_to = |engine: &mut CoreEngine, end: u64, mut sdc: Option<&mut Sdc>| {
+            while engine.insns() < end {
+                if engine.insns() == engine.chunk_end() {
+                    // The generator may already be done and gone.
+                    let _ = spent_tx.send(engine.feed(next()));
+                }
+                if let BurstStop::Llc { .. } = engine.run_until_llc(end.min(engine.chunk_end())) {
+                    let obs = engine.commit_llc(&mut uncore);
+                    if let Some(sdc) = sdc.as_deref_mut() {
+                        sdc.record(obs.depth);
+                    }
+                }
+            }
+        };
+        let profile = collect_profile(&spec, machine, geometry, warmup_passes, &mut engine, run_to);
+        drop(generator.join().expect("the generator thread does not panic"));
+        profile
+    })
+}
+
+/// The profiler's measurement skeleton, shared by the pipeline and the
+/// per-item oracle: `run_to(engine, end, sdc)` must advance `engine` to
+/// stream position `end`, recording every LLC depth into `sdc` when one
+/// is given. Runs the warmup passes, then snapshots cycles and the CPI
+/// stack around each interval.
+pub(crate) fn collect_profile(
+    spec: &BenchmarkSpec,
+    machine: &MachineConfig,
+    geometry: TraceGeometry,
+    warmup_passes: u32,
+    engine: &mut CoreEngine,
+    mut run_to: impl FnMut(&mut CoreEngine, u64, Option<&mut Sdc>),
+) -> SingleCoreProfile {
     let warmup_insns = geometry.trace_insns() * u64::from(warmup_passes);
-    while engine.insns() < warmup_insns {
-        engine.step(&mut uncore, LlcMode::Real);
-    }
-
+    run_to(engine, warmup_insns, None);
+    let mut intervals = Vec::with_capacity(geometry.intervals as usize);
     for interval_idx in 0..geometry.intervals {
         let interval_end =
             warmup_insns + u64::from(interval_idx + 1) * geometry.interval_insns;
         let cycles_before = engine.cycles();
         let stack_before = engine.cpi_stack();
-        let mut sdc = Sdc::new(assoc);
-        while engine.insns() < interval_end {
-            if let Some(obs) = engine.step(&mut uncore, LlcMode::Real).llc {
-                sdc.record(obs.depth);
-            }
-        }
+        let mut sdc = Sdc::new(machine.llc.assoc);
+        run_to(engine, interval_end, Some(&mut sdc));
         let phase = spec.phase_at(interval_idx, geometry);
         let stack = engine.cpi_stack().delta(&stack_before);
         intervals.push(IntervalProfile {
@@ -129,6 +213,43 @@ mod tests {
 
     fn geometry() -> TraceGeometry {
         TraceGeometry::new(20_000, 10)
+    }
+
+    /// Bit-level view of a profile: every interval field plus the SDC
+    /// counts, so `-0.0`/`0.0` or NaN payload differences cannot hide.
+    fn bits(p: &SingleCoreProfile) -> Vec<u64> {
+        p.intervals
+            .iter()
+            .flat_map(|iv| {
+                let s = iv.stack;
+                [iv.cycles, iv.mem_stall_cycles, iv.fallback_penalty, s.base, s.l2_hit]
+                    .into_iter()
+                    .chain([s.llc_hit, s.memory, s.queue])
+                    .chain(iv.sdc.counters().iter().copied())
+                    .map(f64::to_bits)
+                    .chain([iv.insns])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tiny_chunks_match_the_per_item_oracle() {
+        // Chunks of 1, 3 and 7 ops put chunk boundaries on (and right
+        // next to) every interval and pass boundary, and a phased spec
+        // cuts chunks at phase changes too.
+        let m = MachineConfig::baseline();
+        let g = TraceGeometry::new(2_000, 6);
+        for name in ["gcc", "lbm", "gamess"] {
+            let spec = suite::benchmark(name).unwrap();
+            for warmup in 0..3 {
+                let oracle = crate::reference::profile_single_core_with(spec, &m, g, warmup);
+                for chunk_ops in [1, 3, 7, CHUNK_OPS] {
+                    let piped = profile_pipelined(spec, &m, g, warmup, chunk_ops);
+                    assert_eq!(bits(&piped), bits(&oracle), "{name} w{warmup} c{chunk_ops}");
+                    assert_eq!(piped, oracle, "{name} w{warmup} c{chunk_ops}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,21 +8,44 @@
 //! state leaks: a run that allocates nothing and matches a fresh run
 //! byte-for-byte cannot have been influenced by stale arena state.
 //!
+//! It also proves the pipelined profiler's generator thread does not
+//! allocate as it generates: allocations made off the test thread are
+//! tallied separately and must stay a small constant on a long trace.
+//!
 //! Kept to a single `#[test]` so no concurrent test's allocations can
 //! pollute the measured windows.
 
-use mppm_sim::{MachineConfig, MixResult, MixSim, SimArena};
+use mppm_sim::{profile_single_core, MachineConfig, MixResult, MixSim, SimArena};
 use mppm_trace::{suite, TraceGeometry};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAllocator;
 
+thread_local! {
+    /// Set on the test thread; every other thread's allocations are
+    /// tallied in `OFF_THREAD_ALLOCS`. Const-initialized with no
+    /// destructor, so reading it never allocates.
+    static ON_TEST_THREAD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Allocations made on threads other than the test thread.
+static OFF_THREAD_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+fn note_off_thread() {
+    if !ON_TEST_THREAD.with(Cell::get) {
+        OFF_THREAD_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: delegates every operation to `System` unchanged; the added
-// tally is a pair of relaxed atomic adds, which never allocate and so
-// cannot re-enter the allocator.
+// tallies are relaxed atomic adds and a const thread-local read, which
+// never allocate and so cannot re-enter the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         mppm_obs::alloc::note_alloc(layout.size() as u64);
+        note_off_thread();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,11 +55,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         mppm_obs::alloc::note_alloc(layout.size() as u64);
+        note_off_thread();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         mppm_obs::alloc::note_alloc(new_size as u64);
+        note_off_thread();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -117,4 +142,18 @@ fn warm_arena_mixes_allocate_nothing() {
     assert_eq!(get("sim.alloc.count"), Some(0), "warm mixes publish a zero alloc count");
     assert_eq!(get("sim.alloc.bytes"), Some(0));
     assert_eq!(get("sim.mixes"), Some(2));
+
+    // The profiler's generator thread: the calling thread allocates the
+    // chunk buffers and the stream, so only std's thread and channel
+    // bookkeeping allocates over there — a handful of small blocks, how
+    // many depending on whether the thread ever blocked. A generator
+    // that allocated per chunk would allocate hundreds of times on the
+    // longer trace (~250 chunks).
+    ON_TEST_THREAD.with(|t| t.set(true));
+    for g in [TraceGeometry::tiny(), TraceGeometry::new(100_000, 10)] {
+        let before = OFF_THREAD_ALLOCS.load(Ordering::Relaxed);
+        profile_single_core(lbm, &m, g);
+        let allocs = OFF_THREAD_ALLOCS.load(Ordering::Relaxed) - before;
+        assert!(allocs < 8, "the generator thread allocated {allocs} times over {g:?}");
+    }
 }

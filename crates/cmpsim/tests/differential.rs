@@ -1,7 +1,8 @@
 //! Differential oracle: the event-driven interleaver against the
-//! smallest-clock-first reference scheduler it replaced, and the
+//! smallest-clock-first reference scheduler it replaced, the
 //! compiled-trace execution substrate against the live per-item
-//! generator it replaced.
+//! generator it replaced, and the pipelined single-core profiler against
+//! the per-item profiler it replaced.
 //!
 //! Both schedulers — and both execution substrates — must be
 //! **bit-identical** observationally: per-core CPI, completion cycles,
@@ -20,9 +21,10 @@
 //! MPPM_ORACLE_CASES=100 cargo test -p mppm-sim --test differential
 //! ```
 
+use mppm::SingleCoreProfile;
 use mppm_sim::reference::{self, Execution, Scheduler};
-use mppm_sim::{llc_configs, MachineConfig, MixResult, MixSim};
-use mppm_trace::{BenchmarkSpec, Phase, Region, TraceGeometry};
+use mppm_sim::{llc_configs, profile_single_core_with, MachineConfig, MixResult, MixSim};
+use mppm_trace::{suite, BenchmarkSpec, Phase, Region, TraceGeometry};
 use proptest::prelude::*;
 
 fn oracle_cases() -> u32 {
@@ -150,8 +152,77 @@ fn assert_schedulers_agree(
     (event, reference)
 }
 
+/// Asserts the pipelined profiler and the per-item oracle agree bit for
+/// bit: every f64 interval field and SDC count through `to_bits`, then
+/// the whole profile.
+fn assert_profilers_agree(
+    spec: &BenchmarkSpec,
+    machine: &MachineConfig,
+    geometry: TraceGeometry,
+    warmup_passes: u32,
+) {
+    let piped = profile_single_core_with(spec, machine, geometry, warmup_passes);
+    let oracle = reference::profile_single_core_with(spec, machine, geometry, warmup_passes);
+    let bits = |p: &SingleCoreProfile| -> Vec<Vec<u64>> {
+        p.intervals
+            .iter()
+            .map(|iv| {
+                let s = iv.stack;
+                [iv.cycles, iv.mem_stall_cycles, iv.fallback_penalty]
+                    .into_iter()
+                    .chain([s.base, s.l2_hit, s.llc_hit, s.memory, s.queue])
+                    .chain(iv.sdc.counters().iter().copied())
+                    .map(f64::to_bits)
+                    .chain([iv.insns])
+                    .collect()
+            })
+            .collect()
+    };
+    let (piped_bits, oracle_bits) = (bits(&piped), bits(&oracle));
+    assert_eq!(piped_bits.len(), oracle_bits.len(), "{}: interval count", spec.name());
+    for (i, (a, b)) in piped_bits.iter().zip(&oracle_bits).enumerate() {
+        assert_eq!(a, b, "{}: interval {i} diverged (warmup {warmup_passes})", spec.name());
+    }
+    assert_eq!(piped, oracle, "{}: full profile must be bit-identical", spec.name());
+}
+
+/// The whole suite at the tiny geometry, on every LLC configuration:
+/// the pipelined profiler reproduces the per-item profiler exactly.
+#[test]
+fn suite_profiles_match_the_per_item_profiler() {
+    let geometry = TraceGeometry::tiny();
+    for llc in llc_configs() {
+        let machine = MachineConfig::baseline().with_llc(llc);
+        for spec in suite::spec_suite() {
+            assert_profilers_agree(spec, &machine, geometry, 1);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
+
+    /// The profiler oracle: random phase-varying specs, warmup passes
+    /// 0–2, all six LLC configurations, and geometries whose intervals
+    /// are both shorter (a few hundred instructions) and longer (tens of
+    /// thousands) than a pipeline chunk, so chunk boundaries fall inside
+    /// intervals and intervals inside chunks.
+    #[test]
+    fn pipelined_profiler_matches_per_item_profiler(
+        raw in spec_strategy(),
+        warmup in 0u32..3,
+        llc_sel in 0usize..6,
+        long in 0u8..2,
+        short_insns in 200u64..2_000,
+        long_insns in 20_000u64..60_000,
+        intervals in 2u32..7,
+    ) {
+        let specs = build_specs(&[raw]);
+        let machine = MachineConfig::baseline().with_llc(llc_configs()[llc_sel]);
+        let interval_insns = if long == 1 { long_insns } else { short_insns };
+        let geometry = build_geometry(interval_insns, intervals);
+        assert_profilers_agree(&specs[0], &machine, geometry, warmup);
+    }
 
     /// Unified LRU LLC (all six Table 2 configurations), one warmup pass —
     /// the default `MixSim` path.

@@ -13,6 +13,7 @@ use mppm_trace::suite;
 use crate::fig4::mixes_for;
 use crate::store::MixRecord;
 use crate::table::{f3, pct, Table};
+use crate::Scale;
 use crate::{parallel_map, Context};
 
 /// Average absolute relative errors of one model variant.
@@ -202,28 +203,32 @@ pub fn run_bandwidth_study(ctx: &Context, accesses_per_cycle: f64) -> Vec<(Strin
 }
 
 /// Renders the bandwidth study.
-pub fn report_bandwidth(rows: &[(String, f64, f64, f64)]) -> Table {
+pub fn report_bandwidth(scale: Scale, rows: &[(String, f64, f64, f64)]) -> Table {
     let mut t = Table::new(&["program", "measured slowdown", "model w/ bandwidth", "model w/o"]);
     for (name, m, w, wo) in rows {
         t.row(vec![name.clone(), f3(*m), f3(*w), f3(*wo)]);
     }
-    let _ = t.save_csv("ablation_bandwidth");
+    let _ = t.save_csv(scale, "ablation_bandwidth");
     t
 }
 
 /// Renders both ablation tables and writes the CSVs.
-pub fn report(variants: &[VariantErrors], derivation: &[(String, f64, f64)]) -> (Table, Table) {
+pub fn report(
+    scale: Scale,
+    variants: &[VariantErrors],
+    derivation: &[(String, f64, f64)],
+) -> (Table, Table) {
     let mut t = Table::new(&["variant", "STP err", "ANTT err", "slowdown err"]);
     for v in variants {
         t.row(vec![v.label.clone(), pct(v.stp), pct(v.antt), pct(v.slowdown)]);
     }
-    let _ = t.save_csv("ablation_model_variants");
+    let _ = t.save_csv(scale, "ablation_model_variants");
 
     let mut d = Table::new(&["benchmark", "measured 8-way mpki", "derived-from-16-way mpki"]);
     for (name, measured, derived) in derivation {
         d.row(vec![name.clone(), f3(*measured), f3(*derived)]);
     }
-    let _ = d.save_csv("ablation_derived_assoc");
+    let _ = d.save_csv(scale, "ablation_derived_assoc");
     (t, d)
 }
 
@@ -256,7 +261,7 @@ mod tests {
             assert!(m.is_finite() && w.is_finite() && wo.is_finite(), "{name}");
             assert!(*m >= 1.0 - 1e-6 && *w >= 1.0 - 1e-6 && *wo >= 1.0 - 1e-6);
         }
-        assert_eq!(report_bandwidth(&rows).len(), 4);
+        assert_eq!(report_bandwidth(Scale::Quick, &rows).len(), 4);
     }
 
     #[test]
@@ -268,7 +273,7 @@ mod tests {
             assert!(measured.is_finite() && derived.is_finite(), "{name}");
             assert!(*measured >= 0.0 && *derived >= 0.0);
         }
-        let (t, d) = report(&run_model_ablations(&ctx, 2), &rows);
+        let (t, d) = report(Scale::Quick, &run_model_ablations(&ctx, 2), &rows);
         assert!(t.len() >= 12);
         assert_eq!(d.len(), 29);
     }

@@ -4,6 +4,7 @@
 //!
 //! Usage: `cargo run --release -p mppm-experiments --bin ablation [--quick]`
 
+use mppm_experiments::table::results_dir_for;
 use mppm_experiments::{ablation, Context, Scale};
 
 fn main() {
@@ -14,7 +15,7 @@ fn main() {
     };
     let variants = ablation::run_model_ablations(&ctx, mix_count);
     let derivation = ablation::run_derivation_study(&ctx);
-    let (t, d) = ablation::report(&variants, &derivation);
+    let (t, d) = ablation::report(ctx.scale(), &variants, &derivation);
     println!("\nModel-variant ablation ({mix_count} four-program mixes vs detailed sim)");
     println!("{}", t.render());
     println!("\nDerived 8-way profiles (from 16-way runs, paper §2) vs measured");
@@ -22,6 +23,9 @@ fn main() {
 
     let bw = ablation::run_bandwidth_study(&ctx, 0.04);
     println!("\nBandwidth-sharing extension (§8): streaming mix on a 0.04 acc/cycle channel");
-    println!("{}", ablation::report_bandwidth(&bw).render());
-    println!("CSVs written to results/ablation_*.csv");
+    println!("{}", ablation::report_bandwidth(ctx.scale(), &bw).render());
+    println!(
+        "CSVs written to {}/ablation_*.csv",
+        results_dir_for(ctx.scale()).display()
+    );
 }

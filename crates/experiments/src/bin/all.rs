@@ -3,6 +3,7 @@
 //!
 //! Usage: `cargo run --release -p mppm-experiments --bin all [--quick]`
 
+use mppm_experiments::table::results_dir_for;
 use mppm_experiments::{fig3, fig4, fig5, fig6, fig7, fig8, fig9, speed, Context, Scale};
 
 fn main() {
@@ -10,21 +11,21 @@ fn main() {
 
     println!("== Figure 3: variability ==");
     let f3 = fig3::run(&ctx);
-    println!("{}", fig3::report(&f3).render());
+    println!("{}", fig3::report(ctx.scale(), &f3).render());
 
     println!("== Figure 4: accuracy ==");
     let f4 = fig4::run(&ctx);
-    println!("{}", fig4::report(&f4).render());
+    println!("{}", fig4::report(ctx.scale(), &f4).render());
 
     println!("== Figure 5: per-program slowdowns ==");
-    println!("{}", fig5::report(&f4).render());
+    println!("{}", fig5::report(ctx.scale(), &f4).render());
 
     println!("== Figure 6: worst-mix CPI ==");
-    println!("{}", fig6::report(&fig6::run(&ctx)).render());
+    println!("{}", fig6::report(ctx.scale(), &fig6::run(&ctx)).render());
 
     println!("== Figure 7: design-space ranking ==");
     let f7 = fig7::run(&ctx, fig7::Fig7Options::default());
-    println!("{}", fig7::report(&f7).render());
+    println!("{}", fig7::report(ctx.scale(), &f7).render());
     println!(
         "MPPM rho: STP {:.3} ANTT {:.3}; practice avg rho_STP: random {:.3}, category {:.3}",
         f7.mppm_rho_stp,
@@ -34,14 +35,14 @@ fn main() {
     );
 
     println!("\n== Figure 8: pairwise decisions ==");
-    println!("{}", fig8::report(&fig8::run(&f7)).render());
+    println!("{}", fig8::report(ctx.scale(), &fig8::run(&f7)).render());
 
     println!("== Figure 9: stress workloads ==");
     let four_core = &f4[1];
-    println!("{}", fig9::report(&fig9::run(four_core)).render());
+    println!("{}", fig9::report(ctx.scale(), &fig9::run(four_core)).render());
 
     println!("== Speed ==");
-    println!("{}", speed::report(&speed::run(&ctx, &[2, 4, 8, 16], 5)).render());
+    println!("{}", speed::report(ctx.scale(), &speed::run(&ctx, &[2, 4, 8, 16], 5)).render());
 
-    println!("All CSVs are under results/.");
+    println!("All CSVs are under {}.", results_dir_for(ctx.scale()).display());
 }

@@ -8,7 +8,7 @@ use mppm_experiments::{fig3, Context, Scale};
 fn main() {
     let ctx = Context::new(Scale::from_args());
     let out = fig3::run(&ctx);
-    let table = fig3::report(&out);
+    let table = fig3::report(ctx.scale(), &out);
     println!("\nFigure 3 — variability vs number of workload mixes");
     println!("{}", table.render());
     for (k, label) in [(10, "10 mixes"), (20, "20 mixes"), (150, "150 mixes")] {

@@ -3,13 +3,17 @@
 //!
 //! Usage: `cargo run --release -p mppm-experiments --bin fig6 [--quick]`
 
+use mppm_experiments::table::results_dir_for;
 use mppm_experiments::{fig6, Context, Scale};
 
 fn main() {
     let ctx = Context::new(Scale::from_args());
     let out = fig6::run(&ctx);
-    let table = fig6::report(&out);
+    let table = fig6::report(ctx.scale(), &out);
     println!("\nFigure 6 — individual-program CPI in the worst-STP mix");
     println!("{}", table.render());
-    println!("CSV written to results/fig6_worst_mix_cpi.csv");
+    println!(
+        "CSV written to {}/fig6_worst_mix_cpi.csv",
+        results_dir_for(ctx.scale()).display()
+    );
 }

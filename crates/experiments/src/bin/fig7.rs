@@ -5,6 +5,7 @@
 //! Usage: `cargo run --release -p mppm-experiments --bin fig7
 //! [--quick] [--practice-detailed]`
 
+use mppm_experiments::table::results_dir_for;
 use mppm_experiments::{fig7, Context, Scale};
 
 fn main() {
@@ -13,7 +14,7 @@ fn main() {
         practice_detailed: std::env::args().any(|a| a == "--practice-detailed"),
     };
     let out = fig7::run(&ctx, options);
-    let table = fig7::report(&out);
+    let table = fig7::report(ctx.scale(), &out);
     println!("\nFigure 7 — ranking six LLC configurations");
     println!("{}", table.render());
     println!(
@@ -32,5 +33,8 @@ fn main() {
         .map(|s| s.rho_stp)
         .fold(f64::INFINITY, f64::min);
     println!("worst practice set rho_STP: {worst:.3} (paper: as low as ~0.5 and below)");
-    println!("CSVs written to results/fig7*.csv");
+    println!(
+        "CSVs written to {}/fig7*.csv",
+        results_dir_for(ctx.scale()).display()
+    );
 }

@@ -4,6 +4,7 @@
 //! Usage: `cargo run --release -p mppm-experiments --bin fig8
 //! [--quick] [--practice-detailed]`
 
+use mppm_experiments::table::results_dir_for;
 use mppm_experiments::{fig7, fig8, Context, Scale};
 
 fn main() {
@@ -13,8 +14,11 @@ fn main() {
     };
     let fig7_out = fig7::run(&ctx, options);
     let outcomes = fig8::run(&fig7_out);
-    let table = fig8::report(&outcomes);
+    let table = fig8::report(ctx.scale(), &outcomes);
     println!("\nFigure 8 — pairwise comparisons against config #1");
     println!("{}", table.render());
-    println!("CSV written to results/fig8_pairwise.csv");
+    println!(
+        "CSV written to {}/fig8_pairwise.csv",
+        results_dir_for(ctx.scale()).display()
+    );
 }

@@ -15,6 +15,7 @@
 use mppm_experiments::loadgen::{
     self, await_socket, request_shutdown, run_load, LoadgenOptions,
 };
+use mppm_experiments::Scale;
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
@@ -22,15 +23,21 @@ use std::time::Duration;
 struct Args {
     opts: LoadgenOptions,
     socket: Option<PathBuf>,
+    /// Quick runs write their CSV and JSON under `target/quick-results/`.
+    scale: Scale,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut opts = LoadgenOptions::default();
     let mut socket = None;
+    let mut scale = Scale::Full;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--quick" => opts.requests_per_client = 4,
+            "--quick" => {
+                opts.requests_per_client = 4;
+                scale = Scale::Quick;
+            }
             "--clients" => {
                 let v = argv.next().ok_or("--clients needs a value")?;
                 opts.clients = v.parse().map_err(|_| format!("bad --clients {v}"))?;
@@ -49,7 +56,7 @@ fn parse_args() -> Result<Args, String> {
     if opts.clients < 1 || opts.requests_per_client < 1 {
         return Err("--clients and --requests must be at least 1".into());
     }
-    Ok(Args { opts, socket })
+    Ok(Args { opts, socket, scale })
 }
 
 fn main() {
@@ -102,13 +109,13 @@ fn main() {
         }
     };
 
-    let table = loadgen::report_server(&phases);
+    let table = loadgen::report_server(args.scale, &phases);
     println!(
         "\nmppmd under load: {} clients x {} predict requests per phase",
         args.opts.clients, args.opts.requests_per_client
     );
     println!("{}", table.render());
-    match loadgen::write_server_json(&phases) {
+    match loadgen::write_server_json(args.scale, &phases) {
         Ok(path) => println!("(machine-readable copy: {})", path.display()),
         Err(e) => eprintln!("warning: could not write BENCH_server.json: {e}"),
     }

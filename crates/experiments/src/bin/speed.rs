@@ -12,7 +12,8 @@
 
 use mppm_experiments::{speed, Context, Scale};
 
-fn run_distcampaign(quick: bool) {
+fn run_distcampaign(scale: Scale) {
+    let quick = matches!(scale, Scale::Quick);
     let (workers, sample, shard_size): (&[usize], usize, usize) =
         if quick { (&[1, 2, 4], 48, 8) } else { (&[1, 2, 4, 8], 4096, 64) };
     let points = match speed::distcampaign_comparison(quick, workers, sample, shard_size) {
@@ -22,10 +23,10 @@ fn run_distcampaign(quick: bool) {
             std::process::exit(1);
         }
     };
-    let table = speed::report_distcampaign(&points);
+    let table = speed::report_distcampaign(scale, &points);
     println!("\nDistributed campaign: worker-process scaling (bundles byte-compared)");
     println!("{}", table.render());
-    match speed::write_distcampaign_json(&points) {
+    match speed::write_distcampaign_json(scale, &points) {
         Ok(path) => println!("(machine-readable copy: {})", path.display()),
         Err(e) => eprintln!("warning: could not write BENCH_distcampaign.json: {e}"),
     }
@@ -36,7 +37,7 @@ fn main() {
     let analyze_only = std::env::args().any(|a| a == "--analyze-only");
     let distcampaign_only = std::env::args().any(|a| a == "--distcampaign-only");
     if distcampaign_only {
-        run_distcampaign(matches!(ctx.scale(), Scale::Quick));
+        run_distcampaign(ctx.scale());
         return;
     }
 
@@ -44,10 +45,10 @@ fn main() {
     // first (and alone under --analyze-only) because it needs no traces
     // or profiles.
     let analyze = speed::analyze_comparison(3);
-    let antable = speed::report_analyze(&analyze);
+    let antable = speed::report_analyze(ctx.scale(), &analyze);
     println!("\nmppm-analyze workspace scan: cold vs warm fact cache");
     println!("{}", antable.render());
-    match speed::write_analyze_json(&analyze) {
+    match speed::write_analyze_json(ctx.scale(), &analyze) {
         Ok(path) => println!("(machine-readable copy: {})", path.display()),
         Err(e) => eprintln!("warning: could not write BENCH_analyze.json: {e}"),
     }
@@ -80,7 +81,7 @@ fn main() {
         Scale::Quick => 2,
     };
     let points = speed::run(&ctx, &[2, 4, 8, 16], mixes);
-    let table = speed::report(&points);
+    let table = speed::report(ctx.scale(), &points);
     println!("\n§4.3 — speed: analytic model vs detailed simulation");
     println!("{}", table.render());
     println!(
@@ -95,17 +96,17 @@ fn main() {
         Scale::Quick => 2,
     };
     let obs = speed::obs_overhead(&ctx, &[2, 4, 8, 16], bench_mixes);
-    let otable = speed::report_obs(&obs);
+    let otable = speed::report_obs(ctx.scale(), &obs);
     println!("\nObservability overhead: disabled span must cost < 2%");
     println!("{}", otable.render());
-    match speed::write_obs_json(&obs) {
+    match speed::write_obs_json(ctx.scale(), &obs) {
         Ok(path) => println!("(machine-readable copy: {})", path.display()),
         Err(e) => eprintln!("warning: could not write BENCH_obs.json: {e}"),
     }
 
     // Distributed-campaign scaling: the same campaign through 1..N
     // worker processes, CSV bundles byte-compared inside the bench.
-    run_distcampaign(matches!(ctx.scale(), Scale::Quick));
+    run_distcampaign(ctx.scale());
 
     // Gate: a disabled observer must be free. Quick-scale runs are short
     // enough that run-to-run jitter swamps a 2% bound (±8% observed), so

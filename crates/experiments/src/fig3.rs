@@ -13,6 +13,7 @@ use mppm::stats::{ci95, ConfidenceInterval};
 
 use crate::fig4::mixes_for;
 use crate::table::{f3, pct, Table};
+use crate::Scale;
 use crate::Context;
 
 /// One point of the variability curve.
@@ -63,7 +64,7 @@ pub fn run(ctx: &Context) -> Fig3Output {
 }
 
 /// Renders the curve and writes the CSV.
-pub fn report(out: &Fig3Output) -> Table {
+pub fn report(scale: Scale, out: &Fig3Output) -> Table {
     let mut t = Table::new(&[
         "mixes",
         "STP mean",
@@ -84,7 +85,7 @@ pub fn report(out: &Fig3Output) -> Table {
             pct(p.antt.relative()),
         ]);
     }
-    let _ = t.save_csv("fig3_variability");
+    let _ = t.save_csv(scale, "fig3_variability");
     t
 }
 
@@ -115,7 +116,7 @@ mod tests {
         let last = out.points.last().unwrap();
         assert!(last.stp.relative() < widest_small);
         assert!(last.stp.half_width.is_finite() && last.antt.half_width.is_finite());
-        let table = report(&out);
+        let table = report(Scale::Quick, &out);
         assert_eq!(table.len(), out.points.len());
     }
 

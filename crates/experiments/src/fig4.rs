@@ -14,6 +14,7 @@ use rand::SeedableRng;
 
 use crate::store::MixRecord;
 use crate::table::{f3, pct, Table};
+use crate::Scale;
 use crate::{parallel_map, Context};
 
 /// Results for one core count.
@@ -106,7 +107,7 @@ pub fn run(ctx: &Context) -> Vec<CoreCountResult> {
 }
 
 /// Renders the summary table and writes the scatter CSVs.
-pub fn report(results: &[CoreCountResult]) -> Table {
+pub fn report(scale: Scale, results: &[CoreCountResult]) -> Table {
     let mut summary = Table::new(&[
         "cores",
         "LLC config",
@@ -147,7 +148,7 @@ pub fn report(results: &[CoreCountResult]) -> Table {
                 f3(pred.antt()),
             ]);
         }
-        let _ = scatter.save_csv(&format!("fig4_scatter_{}core", r.cores));
+        let _ = scatter.save_csv(scale, &format!("fig4_scatter_{}core", r.cores));
     }
     summary
 }
@@ -185,7 +186,7 @@ mod tests {
         // Errors are finite fractions.
         assert!(r.stp_error().is_finite());
         assert!(r.antt_error().is_finite());
-        let table = report(&[r]);
+        let table = report(Scale::Quick, &[r]);
         assert_eq!(table.len(), 1);
     }
 }

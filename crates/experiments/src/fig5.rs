@@ -9,6 +9,7 @@ use mppm_trace::suite;
 
 use crate::fig4::CoreCountResult;
 use crate::table::{f3, pct, Table};
+use crate::Scale;
 
 /// One scatter point: a program inside a mix.
 #[derive(Debug, Clone)]
@@ -52,7 +53,7 @@ pub fn average_error(points: &[SlowdownPoint]) -> f64 {
 }
 
 /// Renders the per-core-count summary and writes the scatter CSV.
-pub fn report(results: &[CoreCountResult]) -> Table {
+pub fn report(scale: Scale, results: &[CoreCountResult]) -> Table {
     let pts = points(results);
     let mut scatter = Table::new(&["benchmark", "cores", "measured", "predicted"]);
     for p in &pts {
@@ -63,7 +64,7 @@ pub fn report(results: &[CoreCountResult]) -> Table {
             f3(p.predicted),
         ]);
     }
-    let _ = scatter.save_csv("fig5_slowdown_scatter");
+    let _ = scatter.save_csv(scale, "fig5_slowdown_scatter");
 
     let mut t = Table::new(&["cores", "points", "avg slowdown err", "paper"]);
     for r in results {

@@ -12,6 +12,7 @@ use mppm::mix::Mix;
 use mppm_trace::suite;
 
 use crate::table::{f3, Table};
+use crate::Scale;
 use crate::Context;
 
 /// Per-program CPI triple of one mix.
@@ -71,12 +72,12 @@ pub fn run(ctx: &Context) -> Fig6Output {
 }
 
 /// Renders the CPI bars as a table and writes the CSV.
-pub fn report(out: &Fig6Output) -> Table {
+pub fn report(scale: Scale, out: &Fig6Output) -> Table {
     let mut t = Table::new(&["program", "isolated CPI", "measured MC CPI", "predicted MC CPI"]);
     for p in &out.programs {
         t.row(vec![p.name.clone(), f3(p.isolated), f3(p.measured), f3(p.predicted)]);
     }
-    let _ = t.save_csv("fig6_worst_mix_cpi");
+    let _ = t.save_csv(scale, "fig6_worst_mix_cpi");
     t
 }
 
@@ -107,7 +108,7 @@ mod tests {
             slowdown(gamess),
             slowdown(hmmer)
         );
-        let table = report(&out);
+        let table = report(Scale::Quick, &out);
         assert_eq!(table.len(), 4);
     }
 }

@@ -27,6 +27,7 @@ use rand::SeedableRng;
 
 use crate::fig4::mixes_for;
 use crate::table::{f3, Table};
+use crate::Scale;
 use crate::{parallel_map, Context};
 
 /// Number of LLC configurations ranked.
@@ -221,7 +222,7 @@ pub fn run(ctx: &Context, options: Fig7Options) -> Fig7Output {
 }
 
 /// Renders the rank-correlation bars and writes the CSVs.
-pub fn report(out: &Fig7Output) -> Table {
+pub fn report(scale: Scale, out: &Fig7Output) -> Table {
     for (name, sets) in [("fig7a_random", &out.random_sets), ("fig7b_category", &out.category_sets)]
     {
         let mut t = Table::new(&["set", "rho_stp", "rho_antt"]);
@@ -234,7 +235,7 @@ pub fn report(out: &Fig7Output) -> Table {
             f3(sets.iter().map(|s| s.rho_antt).sum::<f64>() / sets.len() as f64),
         ]);
         t.row(vec!["MPPM".into(), f3(out.mppm_rho_stp), f3(out.mppm_rho_antt)]);
-        let _ = t.save_csv(name);
+        let _ = t.save_csv(scale, name);
     }
 
     let mut t = Table::new(&["config", "ref STP", "ref ANTT", "MPPM STP", "MPPM ANTT"]);
@@ -247,7 +248,7 @@ pub fn report(out: &Fig7Output) -> Table {
             f3(out.mppm_antt[c]),
         ]);
     }
-    let _ = t.save_csv("fig7_config_averages");
+    let _ = t.save_csv(scale, "fig7_config_averages");
     t
 }
 

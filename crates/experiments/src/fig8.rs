@@ -10,6 +10,7 @@
 
 use crate::fig7::{Fig7Output, CONFIGS};
 use crate::table::{pct, Table};
+use crate::Scale;
 
 /// Outcome fractions for one pairwise comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,7 +81,7 @@ pub fn run(fig7: &Fig7Output) -> Vec<PairwiseOutcome> {
 }
 
 /// Renders the outcome fractions and writes the CSV.
-pub fn report(outcomes: &[PairwiseOutcome]) -> Table {
+pub fn report(scale: Scale, outcomes: &[PairwiseOutcome]) -> Table {
     let mut t = Table::new(&[
         "comparison",
         "agree, both right",
@@ -97,7 +98,7 @@ pub fn report(outcomes: &[PairwiseOutcome]) -> Table {
             pct(o.disagree_practice_right),
         ]);
     }
-    let _ = t.save_csv("fig8_pairwise");
+    let _ = t.save_csv(scale, "fig8_pairwise");
     t
 }
 
@@ -168,6 +169,6 @@ mod tests {
         assert_eq!(outcomes.len(), 7, "configs #2..#6 plus two close pairs");
         assert_eq!(outcomes[5].base_idx, 2, "close pair #3 vs #4");
         assert_eq!(outcomes[6].base_idx, 4, "close pair #5 vs #6");
-        assert_eq!(report(&outcomes).len(), 7);
+        assert_eq!(report(Scale::Quick, &outcomes).len(), 7);
     }
 }

@@ -9,6 +9,7 @@ use std::collections::BTreeSet;
 
 use crate::fig4::CoreCountResult;
 use crate::table::{f3, Table};
+use crate::Scale;
 
 /// Output of the stress-workload study.
 #[derive(Debug)]
@@ -55,12 +56,12 @@ pub fn run(results: &CoreCountResult) -> Fig9Output {
 }
 
 /// Renders the sorted curve and writes the CSV.
-pub fn report(out: &Fig9Output) -> Table {
+pub fn report(scale: Scale, out: &Fig9Output) -> Table {
     let mut curve = Table::new(&["rank", "mix", "stp_measured", "stp_predicted"]);
     for (rank, (label, m, p)) in out.sorted.iter().enumerate() {
         curve.row(vec![rank.to_string(), label.clone(), f3(*m), f3(*p)]);
     }
-    let _ = curve.save_csv("fig9_sorted_stp");
+    let _ = curve.save_csv(scale, "fig9_sorted_stp");
 
     let mut t = Table::new(&["worst-k", "overlap", "paper"]);
     t.row(vec![
@@ -87,7 +88,7 @@ mod tests {
         }
         assert!(out.worst_k <= 25);
         assert!(out.worst_overlap <= out.worst_k);
-        let table = report(&out);
+        let table = report(Scale::Quick, &out);
         assert_eq!(table.len(), 1);
     }
 }

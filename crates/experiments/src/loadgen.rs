@@ -29,8 +29,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::store::atomic_write_json;
-use crate::table::{f3, Table};
+use crate::table::{f3, write_bench_json, Table};
+use crate::Scale;
 
 /// Load-run shape: how many clients, how much work each.
 #[derive(Debug, Clone, Copy)]
@@ -345,7 +345,7 @@ pub fn request_shutdown(socket: &Path) -> std::io::Result<()> {
 }
 
 /// Renders the phase table and writes `results/speed_server.csv`.
-pub fn report_server(phases: &[PhaseStats]) -> Table {
+pub fn report_server(scale: Scale, phases: &[PhaseStats]) -> Table {
     let mut t = Table::new(&[
         "phase",
         "clients",
@@ -370,39 +370,31 @@ pub fn report_server(phases: &[PhaseStats]) -> Table {
             p.cached_responses.to_string(),
         ]);
     }
-    let _ = t.save_csv("speed_server");
+    let _ = t.save_csv(scale, "speed_server");
     t
 }
 
-/// Writes the machine-readable load report to `BENCH_server.json` at the
-/// workspace root (redirected to `target/test-results/` under
-/// `cargo test`).
+/// Writes the machine-readable load report to `BENCH_server.json`
+/// ([`write_bench_json`] picks the directory from `scale`).
 ///
 /// # Errors
 ///
 /// Any I/O error from creating the directory or writing the file.
-pub fn write_server_json(phases: &[PhaseStats]) -> std::io::Result<PathBuf> {
+pub fn write_server_json(scale: Scale, phases: &[PhaseStats]) -> std::io::Result<PathBuf> {
     #[derive(Serialize)]
     struct BenchFile {
         description: String,
         unit: String,
         phases: Vec<PhaseStats>,
     }
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let dir = if cfg!(test) { root.join("target/test-results") } else { root };
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_server.json");
-    atomic_write_json(
-        &path,
-        &BenchFile {
-            description: "mppmd under concurrent predict load: closed-loop latency \
-                          percentiles and open-loop throughput, cold caches vs warm"
-                .to_string(),
-            unit: "milliseconds (latency), requests/second (throughput)".to_string(),
-            phases: phases.to_vec(),
-        },
-    )?;
-    Ok(path)
+    let record = BenchFile {
+        description: "mppmd under concurrent predict load: closed-loop latency \
+                      percentiles and open-loop throughput, cold caches vs warm"
+            .to_string(),
+        unit: "milliseconds (latency), requests/second (throughput)".to_string(),
+        phases: phases.to_vec(),
+    };
+    write_bench_json(scale, "server", &record)
 }
 
 #[cfg(test)]
@@ -450,9 +442,9 @@ mod tests {
         assert_eq!(stats.requests, 4);
         assert_eq!(stats.throughput_rps, 2.0);
         assert_eq!(stats.p50_ms, 3.0);
-        let table = report_server(&[stats.clone()]);
+        let table = report_server(Scale::Quick, &[stats.clone()]);
         assert_eq!(table.len(), 1);
-        let path = write_server_json(&[stats]).expect("json written");
+        let path = write_server_json(Scale::Quick, &[stats]).expect("json written");
         let raw = std::fs::read_to_string(path).expect("json readable");
         assert!(raw.contains("\"phase\":\"warm-closed\""), "unexpected JSON shape: {raw}");
         assert!(raw.contains("throughput_rps"));

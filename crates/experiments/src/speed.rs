@@ -18,9 +18,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use crate::fig4::mixes_for;
-use crate::store::atomic_write_json;
-use crate::table::{f3, Table};
-use crate::Context;
+use crate::table::{f3, write_bench_json, Table};
+use crate::{Context, Scale};
 
 /// Timing results for one core count.
 #[derive(Debug, Clone, Copy)]
@@ -133,7 +132,7 @@ pub fn analyze_comparison(rounds: usize) -> AnalyzePoint {
 }
 
 /// Renders the analyzer cold/warm table and writes the CSV.
-pub fn report_analyze(point: &AnalyzePoint) -> Table {
+pub fn report_analyze(scale: Scale, point: &AnalyzePoint) -> Table {
     let mut t = Table::new(&["files", "cold s/scan", "warm s/scan", "speedup"]);
     t.row(vec![
         point.files.to_string(),
@@ -141,36 +140,29 @@ pub fn report_analyze(point: &AnalyzePoint) -> Table {
         f3(point.warm_seconds),
         format!("{:.2}x", point.speedup()),
     ]);
-    let _ = t.save_csv("speed_analyze");
+    let _ = t.save_csv(scale, "speed_analyze");
     t
 }
 
 /// Writes the machine-readable analyzer comparison to
-/// `BENCH_analyze.json` at the workspace root (redirected to
-/// `target/test-results/` under `cargo test`).
-pub fn write_analyze_json(point: &AnalyzePoint) -> std::io::Result<PathBuf> {
+/// `BENCH_analyze.json` ([`write_bench_json`] picks the directory
+/// from `scale`).
+pub fn write_analyze_json(scale: Scale, point: &AnalyzePoint) -> std::io::Result<PathBuf> {
     #[derive(Serialize)]
     struct BenchFile {
         description: String,
         unit: String,
         points: Vec<AnalyzePoint>,
     }
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let dir = if cfg!(test) { root.join("target/test-results") } else { root };
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_analyze.json");
-    atomic_write_json(
-        &path,
-        &BenchFile {
-            description: "mppm-analyze full-workspace scan: cold (no fact cache) vs \
-                          warm (per-file fact-cache replay), reports asserted \
-                          byte-identical, same build"
-                .to_string(),
-            unit: "seconds per scan".to_string(),
-            points: vec![*point],
-        },
-    )?;
-    Ok(path)
+    let record = BenchFile {
+        description: "mppm-analyze full-workspace scan: cold (no fact cache) vs \
+                      warm (per-file fact-cache replay), reports asserted \
+                      byte-identical, same build"
+            .to_string(),
+        unit: "seconds per scan".to_string(),
+        points: vec![*point],
+    };
+    write_bench_json(scale, "analyze", &record)
 }
 
 /// One worker-count point of the distributed-campaign scaling sweep.
@@ -290,7 +282,7 @@ pub fn distcampaign_comparison(
 }
 
 /// Renders the distributed-campaign scaling table and writes the CSV.
-pub fn report_distcampaign(points: &[DistCampaignPoint]) -> Table {
+pub fn report_distcampaign(scale: Scale, points: &[DistCampaignPoint]) -> Table {
     let mut t = Table::new(&["workers", "wall s", "evaluations", "evals/s"]);
     for p in points {
         t.row(vec![
@@ -300,36 +292,32 @@ pub fn report_distcampaign(points: &[DistCampaignPoint]) -> Table {
             format!("{:.0}", p.throughput()),
         ]);
     }
-    let _ = t.save_csv("speed_distcampaign");
+    let _ = t.save_csv(scale, "speed_distcampaign");
     t
 }
 
 /// Writes the machine-readable distributed-campaign scaling sweep to
-/// `BENCH_distcampaign.json` at the workspace root (redirected to
-/// `target/test-results/` under `cargo test`).
-pub fn write_distcampaign_json(points: &[DistCampaignPoint]) -> std::io::Result<PathBuf> {
+/// `BENCH_distcampaign.json` ([`write_bench_json`] picks the directory
+/// from `scale`).
+pub fn write_distcampaign_json(
+    scale: Scale,
+    points: &[DistCampaignPoint],
+) -> std::io::Result<PathBuf> {
     #[derive(Serialize)]
     struct BenchFile {
         description: String,
         unit: String,
         points: Vec<DistCampaignPoint>,
     }
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let dir = if cfg!(test) { root.join("target/test-results") } else { root };
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_distcampaign.json");
-    atomic_write_json(
-        &path,
-        &BenchFile {
-            description: "End-to-end campaign wall time per worker-process count, \
-                          fresh journal each, CSV bundles byte-compared against the \
-                          in-process run, same build"
-                .to_string(),
-            unit: "seconds per campaign".to_string(),
-            points: points.to_vec(),
-        },
-    )?;
-    Ok(path)
+    let record = BenchFile {
+        description: "End-to-end campaign wall time per worker-process count, \
+                      fresh journal each, CSV bundles byte-compared against the \
+                      in-process run, same build"
+            .to_string(),
+        unit: "seconds per campaign".to_string(),
+        points: points.to_vec(),
+    };
+    write_bench_json(scale, "distcampaign", &record)
 }
 
 /// Observability-overhead timing at one core count: the same mixes with
@@ -410,7 +398,7 @@ pub fn obs_overhead(ctx: &Context, core_counts: &[usize], mixes_per_point: usize
 }
 
 /// Renders the observability-overhead table and writes the CSV.
-pub fn report_obs(points: &[ObsPoint]) -> Table {
+pub fn report_obs(scale: Scale, points: &[ObsPoint]) -> Table {
     let mut t = Table::new(&[
         "cores",
         "baseline s/mix",
@@ -427,39 +415,32 @@ pub fn report_obs(points: &[ObsPoint]) -> Table {
             format!("{:+.2}%", p.disabled_overhead() * 100.0),
         ]);
     }
-    let _ = t.save_csv("speed_obs");
+    let _ = t.save_csv(scale, "speed_obs");
     t
 }
 
 /// Writes the machine-readable observability-overhead comparison to
-/// `BENCH_obs.json` at the workspace root (redirected to
-/// `target/test-results/` under `cargo test`).
-pub fn write_obs_json(points: &[ObsPoint]) -> std::io::Result<PathBuf> {
+/// `BENCH_obs.json` ([`write_bench_json`] picks the directory
+/// from `scale`).
+pub fn write_obs_json(scale: Scale, points: &[ObsPoint]) -> std::io::Result<PathBuf> {
     #[derive(Serialize)]
     struct BenchFile {
         description: String,
         unit: String,
         points: Vec<ObsPoint>,
     }
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let dir = if cfg!(test) { root.join("target/test-results") } else { root };
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_obs.json");
-    atomic_write_json(
-        &path,
-        &BenchFile {
-            description: "Detailed-simulator s/mix with no observer, a disabled \
-                          observer span, and an enabled no-op-sink observer, same build"
-                .to_string(),
-            unit: "seconds per mix".to_string(),
-            points: points.to_vec(),
-        },
-    )?;
-    Ok(path)
+    let record = BenchFile {
+        description: "Detailed-simulator s/mix with no observer, a disabled \
+                      observer span, and an enabled no-op-sink observer, same build"
+            .to_string(),
+        unit: "seconds per mix".to_string(),
+        points: points.to_vec(),
+    };
+    write_bench_json(scale, "obs", &record)
 }
 
 /// Renders the timing table and writes the CSV.
-pub fn report(points: &[SpeedPoint]) -> Table {
+pub fn report(scale: Scale, points: &[SpeedPoint]) -> Table {
     let mut t = Table::new(&["cores", "sim s/mix", "model s/mix", "speedup"]);
     for p in points {
         t.row(vec![
@@ -469,14 +450,13 @@ pub fn report(points: &[SpeedPoint]) -> Table {
             format!("{:.0}x", p.speedup()),
         ]);
     }
-    let _ = t.save_csv("speed");
+    let _ = t.save_csv(scale, "speed");
     t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scale;
 
     #[test]
     fn model_is_much_faster_than_simulation() {
@@ -491,7 +471,7 @@ mod tests {
             "even at smoke-test scale the model should be >10x faster, got {:.1}x",
             p.speedup()
         );
-        let table = report(&points);
+        let table = report(Scale::Quick, &points);
         assert_eq!(table.len(), 1);
     }
 
@@ -504,9 +484,9 @@ mod tests {
         assert!(p.baseline_seconds > 0.0);
         assert!(p.disabled_seconds > 0.0);
         assert!(p.noop_sink_seconds > 0.0);
-        let table = report_obs(&points);
+        let table = report_obs(Scale::Quick, &points);
         assert_eq!(table.len(), 1);
-        let path = write_obs_json(&points).expect("json written");
+        let path = write_obs_json(Scale::Quick, &points).expect("json written");
         let raw = std::fs::read_to_string(path).expect("json readable");
         assert!(raw.contains("\"cores\":2"), "unexpected JSON shape: {raw}");
         assert!(raw.contains("disabled_seconds"));
@@ -527,9 +507,9 @@ mod tests {
             point.cold_seconds,
             point.warm_seconds
         );
-        let table = report_analyze(&point);
+        let table = report_analyze(Scale::Quick, &point);
         assert_eq!(table.len(), 1);
-        let path = write_analyze_json(&point).expect("json written");
+        let path = write_analyze_json(Scale::Quick, &point).expect("json written");
         let raw = std::fs::read_to_string(path).expect("json readable");
         assert!(raw.contains("cold_seconds"), "unexpected JSON shape: {raw}");
         assert!(raw.contains("warm_seconds"));
@@ -549,9 +529,9 @@ mod tests {
             assert!(p.seconds > 0.0);
             assert_eq!(p.evaluations, 48);
         }
-        let table = report_distcampaign(&points);
+        let table = report_distcampaign(Scale::Quick, &points);
         assert_eq!(table.len(), 2);
-        let path = write_distcampaign_json(&points).expect("json written");
+        let path = write_distcampaign_json(Scale::Quick, &points).expect("json written");
         let raw = std::fs::read_to_string(path).expect("json readable");
         assert!(raw.contains("\"workers\":1"), "unexpected JSON shape: {raw}");
         assert!(raw.contains("evaluations"));

@@ -3,6 +3,10 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use serde::Serialize;
+
+use crate::Scale;
+
 /// A simple column-aligned text table that can also be saved as CSV.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -87,10 +91,10 @@ impl Table {
         out
     }
 
-    /// Writes the CSV form under the workspace `results/` directory and
-    /// returns the path.
-    pub fn save_csv(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = results_dir();
+    /// Writes the CSV form under the directory a run at `scale` owns
+    /// ([`results_dir_for`]) and returns the path.
+    pub fn save_csv(&self, scale: Scale, name: &str) -> std::io::Result<PathBuf> {
+        let dir = results_dir_for(scale);
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{name}.csv"));
         crate::store::atomic_write_bytes(&path, self.to_csv().as_bytes())?;
@@ -115,13 +119,36 @@ pub fn results_dir() -> PathBuf {
 /// the committed `results/` directory; quick-scale smoke runs (CI, dev
 /// loops) land in `target/quick-results/` so they can never overwrite
 /// committed paper-scale data.
-pub fn results_dir_for(scale: crate::Scale) -> PathBuf {
+pub fn results_dir_for(scale: Scale) -> PathBuf {
     match scale {
-        crate::Scale::Full => results_dir(),
-        crate::Scale::Quick => {
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/quick-results")
-        }
+        Scale::Full => results_dir(),
+        Scale::Quick => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/quick-results"),
     }
+}
+
+/// Writes a machine-readable benchmark record `BENCH_<name>.json`: at
+/// the workspace root for full-scale runs (`target/test-results/` under
+/// `cargo test`), next to the quick-scale CSVs for quick runs. Returns
+/// the path.
+///
+/// # Errors
+///
+/// Any I/O error from creating the directory or writing the file.
+pub fn write_bench_json<T: Serialize>(
+    scale: Scale,
+    name: &str,
+    record: &T,
+) -> std::io::Result<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = match scale {
+        Scale::Full if cfg!(test) => root.join("target/test-results"),
+        Scale::Full => root,
+        Scale::Quick => results_dir_for(scale),
+    };
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("BENCH_{name}.json"));
+    crate::store::atomic_write_json(&path, record)?;
+    Ok(path)
 }
 
 /// Formats a float with 3 decimal places (table cell helper).
@@ -163,6 +190,23 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn rejects_ragged_rows() {
         Table::new(&["a"]).row(vec!["1".into(), "2".into()]);
+    }
+
+    #[test]
+    fn quick_scale_writes_never_land_under_results() {
+        let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let committed = committed.canonicalize().unwrap_or(committed);
+        let mut t = Table::new(&["a"]);
+        t.row(vec!["1".into()]);
+        let csv = t.save_csv(Scale::Quick, "quick_scale_probe").expect("csv written");
+        let json =
+            write_bench_json(Scale::Quick, "quick_scale_probe", &1u32).expect("json written");
+        for path in [csv, json] {
+            let path = path.canonicalize().expect("written file exists");
+            assert!(!path.starts_with(&committed), "{} is under results/", path.display());
+            assert!(path.starts_with(results_dir_for(Scale::Quick).canonicalize().unwrap()));
+            std::fs::remove_file(&path).expect("probe removed");
+        }
     }
 
     #[test]

@@ -35,11 +35,14 @@ impl ConnWriter {
         Self { inner: Arc::new(Mutex::new(stream)) }
     }
 
-    /// Sends one frame, appending the newline.
+    /// Sends one frame, appending the newline. Frame and newline go out
+    /// in a single `write_all` — one syscall per frame, not two.
     pub fn send_line(&self, line: &str) {
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line.as_bytes());
+        frame.push(b'\n');
         let mut stream = relock(self.inner.lock());
-        let _ = stream.write_all(line.as_bytes());
-        let _ = stream.write_all(b"\n");
+        let _ = stream.write_all(&frame);
     }
 }
 

@@ -16,7 +16,7 @@
 //! interval-boundary clipping of compute batches, which must be preserved
 //! because f64 cycle accumulation is not associative. Items are grouped
 //! into one [`CompiledBlock`] per maximal run of same-phase intervals and
-//! stored as parallel structure-of-arrays columns (instruction counts,
+//! stored as parallel structure-of-arrays [`OpColumns`] (instruction counts,
 //! block addresses, access/store flags), so the executor's inner loop
 //! walks three contiguous arrays with no RNG, no `BTreeMap`, and one
 //! phase-parameter load per *block* instead of per item.
@@ -40,48 +40,37 @@ pub const FLAG_ACCESS: u8 = 1 << 0;
 /// Flag bit set on memory ops that are stores.
 pub const FLAG_STORE: u8 = 1 << 1;
 
-/// One maximal run of same-phase intervals, compiled to flat
-/// structure-of-arrays columns.
+/// Trace items as parallel structure-of-arrays columns — the layout of
+/// every [`CompiledBlock`], and of the chunks the pipelined single-core
+/// profiler streams from its generator thread.
 ///
-/// Column `i` describes the `i`-th trace item of the block: compute
-/// batches have `insn_counts[i]` instructions and a zero flag byte;
-/// accesses have a count of 1, the (untagged) block address in
-/// `block_ids[i]`, and [`FLAG_ACCESS`] (plus [`FLAG_STORE`] for stores)
-/// in `flags[i]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledBlock {
-    phase: usize,
-    start_insn: u64,
-    end_insn: u64,
+/// Column `i` describes the `i`-th item: compute batches have
+/// `insn_counts[i]` instructions and a zero flag byte; accesses have a
+/// count of 1, the (untagged) block address in `block_ids[i]`, and
+/// [`FLAG_ACCESS`] (plus [`FLAG_STORE`] for stores) in `flags[i]`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct OpColumns {
     insn_counts: Vec<u32>,
     block_ids: Vec<u64>,
     flags: Vec<u8>,
-    entry: StreamCheckpoint,
 }
 
-impl CompiledBlock {
-    /// Index of the phase every interval of this block runs.
-    pub fn phase(&self) -> usize {
-        self.phase
+impl OpColumns {
+    /// Empty columns with room for `ops` items.
+    pub fn with_capacity(ops: usize) -> Self {
+        Self {
+            insn_counts: Vec::with_capacity(ops),
+            block_ids: Vec::with_capacity(ops),
+            flags: Vec::with_capacity(ops),
+        }
     }
 
-    /// First instruction of the block within one trace pass.
-    pub fn start_insn(&self) -> u64 {
-        self.start_insn
-    }
-
-    /// First instruction past the block within one trace pass.
-    pub fn end_insn(&self) -> u64 {
-        self.end_insn
-    }
-
-    /// Number of ops (trace items) in the block.
+    /// Number of ops (trace items).
     pub fn len(&self) -> usize {
         self.insn_counts.len()
     }
 
-    /// Whether the block holds no ops (never true for compiled blocks:
-    /// every interval generates at least one item).
+    /// Whether the columns hold no ops.
     pub fn is_empty(&self) -> bool {
         self.insn_counts.is_empty()
     }
@@ -117,6 +106,73 @@ impl CompiledBlock {
             })
         }
     }
+
+    /// Removes every op, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.insn_counts.clear();
+        self.block_ids.clear();
+        self.flags.clear();
+    }
+
+    /// Appends the items `stream` generates, stopping once its position
+    /// reaches `end`, the phase index changes, or the columns hold
+    /// `max_ops` ops — whichever comes first. Appends at least one item
+    /// when the stream is short of `end` and the columns short of
+    /// `max_ops`. Never reallocates while `max_ops` is within capacity.
+    pub fn fill_from(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
+        if self.len() >= max_ops {
+            return;
+        }
+        stream.generate_items(end, |item| {
+            match item {
+                TraceItem::Compute { insns } => {
+                    self.insn_counts.push(insns);
+                    self.block_ids.push(0);
+                    self.flags.push(0);
+                }
+                TraceItem::Access(a) => {
+                    self.insn_counts.push(1);
+                    self.block_ids.push(a.block);
+                    self.flags.push(FLAG_ACCESS | if a.store { FLAG_STORE } else { 0 });
+                }
+            }
+            self.insn_counts.len() < max_ops
+        });
+    }
+}
+
+/// One maximal run of same-phase intervals, compiled to flat
+/// [`OpColumns`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompiledBlock {
+    phase: usize,
+    start_insn: u64,
+    end_insn: u64,
+    ops: OpColumns,
+    entry: StreamCheckpoint,
+}
+
+impl CompiledBlock {
+    /// Index of the phase every interval of this block runs.
+    pub fn phase(&self) -> usize {
+        self.phase
+    }
+
+    /// First instruction of the block within one trace pass.
+    pub fn start_insn(&self) -> u64 {
+        self.start_insn
+    }
+
+    /// First instruction past the block within one trace pass.
+    pub fn end_insn(&self) -> u64 {
+        self.end_insn
+    }
+
+    /// The block's ops (never empty: every interval generates at least
+    /// one item).
+    pub fn ops(&self) -> &OpColumns {
+        &self.ops
+    }
 }
 
 /// A benchmark's full trace pass, compiled into per-phase-run
@@ -137,8 +193,8 @@ impl CompiledBlock {
 /// let compiled = CompiledTrace::compile(spec.clone(), g);
 /// let mut stream = TraceStream::new(spec, g);
 /// for block in compiled.blocks() {
-///     for op in 0..block.len() {
-///         assert_eq!(block.item(op), stream.next_item());
+///     for op in 0..block.ops().len() {
+///         assert_eq!(block.ops().item(op), stream.next_item());
 ///     }
 /// }
 /// assert_eq!(stream.position(), g.trace_insns());
@@ -195,7 +251,7 @@ impl CompiledTrace {
 
     /// Total ops across all blocks.
     pub fn ops(&self) -> u64 {
-        self.blocks.iter().map(|b| b.len() as u64).sum()
+        self.blocks.iter().map(|b| b.ops().len() as u64).sum()
     }
 
     /// Regenerates block `k` from its own entry checkpoint, independent
@@ -221,7 +277,7 @@ impl CompiledTrace {
 }
 
 /// Drains `stream` from `start` (its current position) to `end`,
-/// collecting the items into a block's SoA columns.
+/// collecting the items into a block's columns.
 fn drain_block(
     stream: &mut TraceStream,
     phase: usize,
@@ -230,27 +286,12 @@ fn drain_block(
     entry: StreamCheckpoint,
 ) -> CompiledBlock {
     debug_assert_eq!(stream.position(), start);
-    let mut insn_counts = Vec::new();
-    let mut block_ids = Vec::new();
-    let mut flags = Vec::new();
-    while stream.position() < end {
-        match stream.next_item() {
-            TraceItem::Compute { insns } => {
-                insn_counts.push(insns);
-                block_ids.push(0);
-                flags.push(0);
-            }
-            TraceItem::Access(a) => {
-                insn_counts.push(1);
-                block_ids.push(a.block);
-                flags.push(FLAG_ACCESS | if a.store { FLAG_STORE } else { 0 });
-            }
-        }
-    }
-    // Items never cross interval boundaries, so the drain lands exactly
-    // on the block boundary.
+    let mut ops = OpColumns::default();
+    ops.fill_from(stream, end, usize::MAX);
+    // Items never cross interval boundaries and the phase is constant
+    // inside a block, so the fill lands exactly on the block boundary.
     assert_eq!(stream.position(), end, "an item crossed the block boundary");
-    CompiledBlock { phase, start_insn: start, end_insn: end, insn_counts, block_ids, flags, entry }
+    CompiledBlock { phase, start_insn: start, end_insn: end, ops, entry }
 }
 
 #[cfg(test)]
@@ -299,7 +340,7 @@ mod tests {
                 );
                 insn += g.interval_insns;
             }
-            let total: u64 = blk.insn_counts().iter().map(|&n| u64::from(n)).sum();
+            let total: u64 = blk.ops().insn_counts().iter().map(|&n| u64::from(n)).sum();
             assert_eq!(total, blk.end_insn() - blk.start_insn());
             expected_start = blk.end_insn();
         }
@@ -314,8 +355,8 @@ mod tests {
             let compiled = CompiledTrace::compile(spec.clone(), g);
             let mut stream = TraceStream::new(spec, g);
             for (b, blk) in compiled.blocks().iter().enumerate() {
-                for op in 0..blk.len() {
-                    assert_eq!(blk.item(op), stream.next_item(), "{name}: block {b} op {op}");
+                for op in 0..blk.ops().len() {
+                    assert_eq!(blk.ops().item(op), stream.next_item(), "{name}: block {b} op {op}");
                 }
             }
             assert_eq!(stream.position(), g.trace_insns());

@@ -1,9 +1,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::{BenchmarkSpec, MemAccess, Region, RegionKind, TraceGeometry, TraceItem};
+use crate::{BenchmarkSpec, MemAccess, RegionKind, TraceGeometry, TraceItem};
 
 /// Deterministic, cyclic instruction stream generated from a
 /// [`BenchmarkSpec`].
@@ -41,8 +40,10 @@ pub struct TraceStream {
     insn: u64,
     /// Completed trace passes.
     wraps: u64,
-    /// Per-region-id stream walk positions.
-    stream_pos: BTreeMap<u32, u64>,
+    /// Stream walk position of every stream region id the spec uses,
+    /// sorted by id. All slots exist from construction, so generating
+    /// never allocates.
+    stream_pos: Vec<(u32, u64)>,
     /// Remaining compute instructions before the next memory access,
     /// together with the phase index it was sampled under; `None` means
     /// the gap has not been sampled yet. Geometric memorylessness makes
@@ -51,6 +52,8 @@ pub struct TraceStream {
     pending_gap: Option<(usize, u64)>,
     /// Per-phase cumulative (unnormalized) region weights, precomputed.
     cum_weights: Vec<Vec<f64>>,
+    /// Per-phase `ln(1 − mem_ratio)`, the geometric gap's denominator.
+    ln_keep: Vec<f64>,
     /// Phase index at the current position. Items never cross interval
     /// boundaries, so this only changes when `insn` reaches
     /// `interval_end_insn` — which keeps the per-item hot path free of the
@@ -80,6 +83,20 @@ pub(crate) struct StreamCheckpoint {
     pub(crate) stream_pos: Vec<(u32, u64)>,
 }
 
+/// One zeroed walk position per distinct stream region id, sorted by id.
+fn stream_slots_for(spec: &BenchmarkSpec) -> Vec<(u32, u64)> {
+    let mut ids: Vec<u32> = spec
+        .phases()
+        .iter()
+        .flat_map(|p| p.regions.iter())
+        .filter(|r| r.kind == RegionKind::Stream)
+        .map(|r| r.id)
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.into_iter().map(|id| (id, 0)).collect()
+}
+
 fn cum_weights_for(spec: &BenchmarkSpec) -> Vec<Vec<f64>> {
     spec.phases()
         .iter()
@@ -100,20 +117,37 @@ impl TraceStream {
     /// Creates a stream at the beginning of the trace.
     pub fn new(spec: impl Into<Arc<BenchmarkSpec>>, geometry: TraceGeometry) -> Self {
         let spec = spec.into();
+        let checkpoint = StreamCheckpoint {
+            rng: SmallRng::seed_from_u64(spec.seed()),
+            stream_pos: stream_slots_for(&spec),
+        };
+        Self::at(spec, geometry, 0, checkpoint)
+    }
+
+    /// A stream at interval boundary `insn` of the first pass with the
+    /// generator state of `checkpoint` and no pending gap.
+    fn at(
+        spec: Arc<BenchmarkSpec>,
+        geometry: TraceGeometry,
+        insn: u64,
+        checkpoint: StreamCheckpoint,
+    ) -> Self {
+        let interval = geometry.interval_of(insn);
         let cum_weights = cum_weights_for(&spec);
-        let rng = SmallRng::seed_from_u64(spec.seed());
-        let cur_phase = spec.phase_for_interval(0, geometry.intervals);
+        let ln_keep = spec.phases().iter().map(|p| (1.0 - p.mem_ratio).ln()).collect();
+        let cur_phase = spec.phase_for_interval(interval, geometry.intervals);
         Self {
             spec,
             geometry,
-            rng,
-            insn: 0,
+            rng: checkpoint.rng,
+            insn,
             wraps: 0,
-            stream_pos: BTreeMap::new(),
+            stream_pos: checkpoint.stream_pos,
             pending_gap: None,
             cum_weights,
+            ln_keep,
             cur_phase,
-            interval_end_insn: geometry.interval_insns,
+            interval_end_insn: geometry.interval_start(interval) + geometry.interval_insns,
         }
     }
 
@@ -125,7 +159,7 @@ impl TraceStream {
     pub(crate) fn checkpoint(&self) -> StreamCheckpoint {
         StreamCheckpoint {
             rng: self.rng.clone(),
-            stream_pos: self.stream_pos.iter().map(|(&id, &pos)| (id, pos)).collect(),
+            stream_pos: self.stream_pos.clone(),
         }
     }
 
@@ -144,21 +178,7 @@ impl TraceStream {
     ) -> Self {
         assert!(insn < geometry.trace_insns(), "checkpoint must be inside one pass");
         assert_eq!(insn % geometry.interval_insns, 0, "checkpoint off an interval boundary");
-        let cum_weights = cum_weights_for(&spec);
-        let interval = geometry.interval_of(insn);
-        let cur_phase = spec.phase_for_interval(interval, geometry.intervals);
-        Self {
-            spec,
-            geometry,
-            rng: checkpoint.rng,
-            insn,
-            wraps: 0,
-            stream_pos: checkpoint.stream_pos.into_iter().collect(),
-            pending_gap: None,
-            cum_weights,
-            cur_phase,
-            interval_end_insn: geometry.interval_start(interval) + geometry.interval_insns,
-        }
+        Self::at(spec, geometry, insn, checkpoint)
     }
 
     /// The spec this stream generates.
@@ -211,94 +231,127 @@ impl TraceStream {
     /// Produces the next item of the stream, advancing the position by
     /// [`TraceItem::insns`] instructions.
     pub fn next_item(&mut self) -> TraceItem {
-        let trace_len = self.geometry.trace_insns();
-        if self.insn == trace_len {
-            self.rewind();
-        }
-        let phase_idx = self.cur_phase;
-        let phase = &self.spec.phases()[phase_idx];
-        let remaining = self.interval_end_insn - self.insn;
-        debug_assert!(remaining > 0);
+        let mut next = None;
+        self.generate_items(u64::MAX, |item| {
+            next = Some(item);
+            false
+        });
+        next.expect("generate emits at least one item")
+    }
 
-        // Geometric gap to the next memory access. Geometric memorylessness
-        // means a gap clipped at an interval boundary carries its remainder
-        // over without distorting the per-instruction access rate — but
-        // only while the access rate is unchanged, so a remainder sampled
-        // under a different phase is resampled at the new phase's rate.
-        let gap = match self.pending_gap {
-            Some((sampled_phase, g)) if sampled_phase == phase_idx => g,
-            _ => {
-                let g = self.sample_gap(phase.mem_ratio);
-                self.pending_gap = Some((phase_idx, g));
-                g
+    /// Generates items into `emit` until the position reaches `end`, the
+    /// phase index changes, or `emit` returns `false` — the one
+    /// generation loop behind [`Self::next_item`] and
+    /// [`crate::OpColumns::fill_from`]. Emits at least one item when the
+    /// position is short of `end`.
+    ///
+    /// The phase's parameters are looked up once per interval-bounded run
+    /// of items, which is what makes batch generation cheaper than
+    /// item-at-a-time generation; the items and RNG draws are the same.
+    #[inline(always)]
+    pub(crate) fn generate_items(&mut self, end: u64, mut emit: impl FnMut(TraceItem) -> bool) {
+        let trace_len = self.geometry.trace_insns();
+        let phase_idx = self.cur_phase;
+        loop {
+            if self.insn == trace_len {
+                self.rewind();
             }
-        };
-        if gap == 0 {
-            self.pending_gap = None;
-            let access = self.sample_access(phase_idx);
-            self.insn += 1;
+            let Self { spec, rng, insn, stream_pos, pending_gap, cum_weights, ln_keep, .. } = self;
+            let interval_end = self.interval_end_insn;
+            let stop = interval_end.min(end.saturating_sub(self.wraps * trace_len));
+            let phase = &spec.phases()[phase_idx];
+            let (cum, ln_keep) = (&cum_weights[phase_idx][..], ln_keep[phase_idx]);
+            let mut more = true;
+            while more && *insn < stop {
+                // Geometric gap to the next memory access. Geometric
+                // memorylessness means a gap clipped at an interval
+                // boundary carries its remainder over without distorting
+                // the per-instruction access rate — but only while the
+                // access rate is unchanged, so a remainder sampled under a
+                // different phase is resampled at the new phase's rate.
+                let gap = match *pending_gap {
+                    Some((sampled_phase, g)) if sampled_phase == phase_idx => g,
+                    _ => sample_gap(rng, phase.mem_ratio, ln_keep),
+                };
+                let item = if gap == 0 {
+                    *pending_gap = None;
+                    *insn += 1;
+                    TraceItem::Access(sample_access(rng, stream_pos, cum, phase))
+                } else {
+                    let room = interval_end - *insn;
+                    let batch = u32::try_from(gap.min(room).min(u64::from(u32::MAX)))
+                        .expect("clamped to u32::MAX above");
+                    *pending_gap = Some((phase_idx, gap - u64::from(batch)));
+                    *insn += u64::from(batch);
+                    TraceItem::Compute { insns: batch }
+                };
+                more = emit(item);
+            }
             self.refresh_phase_cache();
-            return TraceItem::Access(access);
+            if !more || self.position() >= end || self.cur_phase != phase_idx {
+                return;
+            }
         }
-        let batch = u32::try_from(gap.min(remaining).min(u64::from(u32::MAX)))
-            .expect("clamped to u32::MAX above");
-        self.pending_gap = Some((phase_idx, gap - u64::from(batch)));
-        self.insn += u64::from(batch);
-        self.refresh_phase_cache();
-        TraceItem::Compute { insns: batch }
     }
 
     /// Resets to the start of the trace, bumping the wrap count.
     fn rewind(&mut self) {
         self.rng = SmallRng::seed_from_u64(self.spec.seed());
-        self.stream_pos.clear();
+        for (_, pos) in &mut self.stream_pos {
+            *pos = 0;
+        }
         self.pending_gap = None;
         self.insn = 0;
         self.wraps += 1;
         self.cur_phase = self.spec.phase_for_interval(0, self.geometry.intervals);
         self.interval_end_insn = self.geometry.interval_insns;
     }
+}
 
-    /// Number of non-memory instructions before the next access
-    /// (geometric with per-instruction access probability `m`).
-    fn sample_gap(&mut self, m: f64) -> u64 {
-        let u: f64 = self.rng.gen();
-        if u < m {
-            return 0;
+/// Number of non-memory instructions before the next access (geometric
+/// with per-instruction access probability `m`; `ln_keep` is `ln(1 − m)`).
+#[inline(always)]
+fn sample_gap(rng: &mut SmallRng, m: f64, ln_keep: f64) -> u64 {
+    let u: f64 = rng.gen();
+    if u < m {
+        return 0;
+    }
+    // Inverse-CDF geometric sampling on the remaining mass.
+    let k = ((1.0 - u).ln() / ln_keep).floor();
+    if k.is_finite() && k >= 1.0 {
+        k as u64
+    } else {
+        1
+    }
+}
+
+/// One access of `phase`: a weighted region pick (`cum` holds the
+/// cumulative region weights), a block within it, and a store draw.
+#[inline(always)]
+fn sample_access(
+    rng: &mut SmallRng,
+    stream_pos: &mut [(u32, u64)],
+    cum: &[f64],
+    phase: &crate::Phase,
+) -> MemAccess {
+    let total = *cum.last().expect("phases have at least one region");
+    let pick: f64 = rng.gen::<f64>() * total;
+    let region_idx = cum.partition_point(|&w| w <= pick).min(phase.regions.len() - 1);
+    let region = phase.regions[region_idx];
+    let offset = match region.kind {
+        RegionKind::Uniform => rng.gen_range(0..region.blocks),
+        RegionKind::Stream => {
+            let (_, pos) = stream_pos
+                .iter_mut()
+                .find(|(id, _)| *id == region.id)
+                .expect("every stream region id has a walk slot");
+            let cur = *pos;
+            *pos = (cur + 1) % region.blocks;
+            cur
         }
-        // Inverse-CDF geometric sampling on the remaining mass.
-        let k = ((1.0 - u).ln() / (1.0 - m).ln()).floor();
-        if k.is_finite() && k >= 1.0 {
-            k as u64
-        } else {
-            1
-        }
-    }
-
-    fn sample_access(&mut self, phase_idx: usize) -> MemAccess {
-        let cum = &self.cum_weights[phase_idx];
-        let total = *cum.last().expect("phases have at least one region");
-        let pick: f64 = self.rng.gen::<f64>() * total;
-        let phase = &self.spec.phases()[phase_idx];
-        let region_idx = cum.partition_point(|&w| w <= pick).min(phase.regions.len() - 1);
-        let (region, store_ratio) = (phase.regions[region_idx], phase.store_ratio);
-        let block = self.sample_block(region);
-        let store = self.rng.gen::<f64>() < store_ratio;
-        MemAccess { block, store }
-    }
-
-    fn sample_block(&mut self, region: Region) -> u64 {
-        let offset = match region.kind {
-            RegionKind::Uniform => self.rng.gen_range(0..region.blocks),
-            RegionKind::Stream => {
-                let pos = self.stream_pos.entry(region.id).or_insert(0);
-                let cur = *pos;
-                *pos = (cur + 1) % region.blocks;
-                cur
-            }
-        };
-        region.base_block() + offset
-    }
+    };
+    let store = rng.gen::<f64>() < phase.store_ratio;
+    MemAccess { block: region.base_block() + offset, store }
 }
 
 #[cfg(test)]
