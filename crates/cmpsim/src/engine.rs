@@ -616,11 +616,6 @@ impl CoreEngine {
         self.stack
     }
 
-    /// Memory-level parallelism of the phase at the current position.
-    pub fn current_mlp(&self) -> f64 {
-        self.spec().phases()[self.source_current_phase()].mlp
-    }
-
     /// The benchmark this engine runs.
     pub fn spec(&self) -> &BenchmarkSpec {
         match &self.source {

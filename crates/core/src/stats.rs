@@ -4,14 +4,12 @@
 //! accumulators for campaign-scale mix populations that are aggregated
 //! shard by shard without ever holding the full sample in memory.
 //!
-//! Two of the accumulators are *mergeable monoids* — built for the
+//! Both accumulators are *mergeable monoids* — built for the
 //! distributed campaign aggregator, whose per-worker partials must
 //! tree-reduce to byte-identical results for any worker count and any
 //! merge shape: [`StreamingMoments`] (exact fixed-point sums, so its
 //! merge is exactly associative) and [`QuantileSketch`] (log-bucket
-//! counts, integer-additive merge). [`P2Quantile`] remains for
-//! single-stream use; its merge is deterministic and commutative but —
-//! provably — cannot be exact (see DESIGN.md §16).
+//! counts, integer-additive merge).
 
 /// Total order over `f64` for sorts, merges and maxima.
 ///
@@ -399,265 +397,6 @@ impl StreamingMoments {
     /// Largest non-NaN observation; `None` before the first.
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-}
-
-/// Streaming quantile estimator: the P² algorithm (Jain & Chlamtac,
-/// CACM 1985).
-///
-/// Tracks one quantile with five markers in O(1) memory. Exact while it
-/// has at most five observations; afterwards the markers are adjusted
-/// with piecewise-parabolic interpolation. Deterministic for a fixed
-/// observation order, which is what lets a resumed campaign reproduce a
-/// one-shot run bit for bit.
-///
-/// # Example
-///
-/// ```
-/// use mppm::stats::P2Quantile;
-///
-/// let mut median = P2Quantile::new(0.5);
-/// for i in 0..1001 {
-///     median.push(i as f64);
-/// }
-/// let est = median.estimate().unwrap();
-/// assert!((est - 500.0).abs() < 10.0, "got {est}");
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct P2Quantile {
-    p: f64,
-    /// Marker heights (estimates of the 0, p/2, p, (1+p)/2, 1 quantiles).
-    q: [f64; 5],
-    /// Marker positions (1-based observation indices).
-    pos: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired-position increments per observation.
-    inc: [f64; 5],
-    /// Observations seen; the first five are buffered in `q` unsorted-ish.
-    count: usize,
-}
-
-impl P2Quantile {
-    /// An estimator for the `p`-quantile, `0 < p < 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `(0, 1)`.
-    pub fn new(p: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "quantile must be in (0, 1), got {p}");
-        Self {
-            p,
-            q: [0.0; 5],
-            pos: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            inc: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// The quantile being estimated.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Feeds one observation.
-    pub fn push(&mut self, x: f64) {
-        if self.count < 5 {
-            self.q[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.q.sort_by(|a, b| a.total_cmp(b));
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Find the cell k with q[k] <= x < q[k+1], clamping extremes.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = self.q[4].max(x);
-            3
-        } else {
-            // q[0] <= x < q[4]: the last marker at or below x.
-            (1..4).rev().find(|&i| self.q[i] <= x).unwrap_or(0)
-        };
-
-        for pos in &mut self.pos[k + 1..] {
-            *pos += 1.0;
-        }
-        for (d, i) in self.desired.iter_mut().zip(self.inc) {
-            *d += i;
-        }
-
-        // Adjust the three interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.pos[i];
-            let step_up = self.pos[i + 1] - self.pos[i] > 1.0;
-            let step_down = self.pos[i - 1] - self.pos[i] < -1.0;
-            if (d >= 1.0 && step_up) || (d <= -1.0 && step_down) {
-                let s = d.signum();
-                let candidate = self.parabolic(i, s);
-                self.q[i] = if self.q[i - 1] < candidate && candidate < self.q[i + 1] {
-                    candidate
-                } else {
-                    self.linear(i, s)
-                };
-                self.pos[i] += s;
-            }
-        }
-    }
-
-    /// Piecewise-parabolic (P²) marker update.
-    fn parabolic(&self, i: usize, s: f64) -> f64 {
-        let (qm, q0, qp) = (self.q[i - 1], self.q[i], self.q[i + 1]);
-        let (nm, n0, np) = (self.pos[i - 1], self.pos[i], self.pos[i + 1]);
-        q0 + s / (np - nm)
-            * ((n0 - nm + s) * (qp - q0) / (np - n0) + (np - n0 - s) * (q0 - qm) / (n0 - nm))
-    }
-
-    /// Linear fallback when the parabolic prediction leaves the bracket.
-    fn linear(&self, i: usize, s: f64) -> f64 {
-        let j = (i as f64 + s) as usize;
-        self.q[i] + s * (self.q[j] - self.q[i]) / (self.pos[j] - self.pos[i])
-    }
-
-    /// Current estimate; `None` before the first observation. Exact (by
-    /// sorted interpolation) up to five observations.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.count < 5 {
-            let mut head = self.q[..self.count].to_vec();
-            head.sort_by(|a, b| a.total_cmp(b));
-            // Nearest-rank interpolation over the buffered head.
-            let idx = self.p * (head.len() - 1) as f64;
-            let lo = idx.floor() as usize;
-            let hi = idx.ceil() as usize;
-            let frac = idx - lo as f64;
-            return Some(head[lo] + frac * (head[hi] - head[lo]));
-        }
-        Some(self.q[2])
-    }
-
-    /// Absorbs another estimator of the *same* quantile.
-    ///
-    /// P² marker state is lossy, so no merge of two P² states can be
-    /// exact or truly associative — the markers do not determine the
-    /// concatenated stream's quantile (see DESIGN.md §16 for the
-    /// two-stream counterexample). What this merge guarantees instead:
-    ///
-    /// * **deterministic** — a pure function of the two states;
-    /// * **commutative** — `a.merge(b)` and `b.merge(a)` produce
-    ///   identical states (the weighted marker union is symmetric);
-    /// * **count-preserving** — the merged count is the sum;
-    /// * **exact while small** — if the combined count is ≤ 5 the merge
-    ///   stays in the exact buffered regime.
-    ///
-    /// Accumulators needing byte-identical tree-reduction (the campaign
-    /// aggregator) use [`QuantileSketch`] instead, whose merge *is*
-    /// associative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two estimators target different quantiles.
-    pub fn merge(&mut self, other: &Self) {
-        assert_eq!(
-            self.p.to_bits(),
-            other.p.to_bits(),
-            "merging estimators of different quantiles"
-        );
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        if self.count < 5 && other.count < 5 {
-            // Both sides still hold raw observations: replay them in
-            // sorted order (symmetric, hence commutative; exact while
-            // the combined count stays ≤ 5).
-            let mut vals: Vec<f64> = self.q[..self.count]
-                .iter()
-                .chain(&other.q[..other.count])
-                .copied()
-                .collect();
-            vals.sort_by(|a, b| a.total_cmp(b));
-            let mut fresh = P2Quantile::new(self.p);
-            for v in vals {
-                fresh.push(v);
-            }
-            *self = fresh;
-            return;
-        }
-        // Weighted marker union: each side contributes its markers (or
-        // raw head) weighted by the observation count each marker
-        // stands for; the merged markers are quantiles of that union.
-        // Symmetric in the two sides, so commutative by construction.
-        let mut wv: Vec<(f64, f64)> = Vec::with_capacity(10);
-        for side in [&*self, other] {
-            if side.count < 5 {
-                wv.extend(side.q[..side.count].iter().map(|&v| (v, 1.0)));
-            } else {
-                let mut prev = 0.0;
-                for i in 0..5 {
-                    wv.push((side.q[i], side.pos[i] - prev));
-                    prev = side.pos[i];
-                }
-            }
-        }
-        wv.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let n = total as f64;
-        let p = self.p;
-        let fractions = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0];
-        let mut q = [0.0f64; 5];
-        for (slot, f) in q.iter_mut().zip(fractions) {
-            // Nearest-rank over cumulative weights.
-            let target = f * (n - 1.0) + 1.0;
-            let mut cum = 0.0;
-            let mut val = wv[wv.len() - 1].0;
-            for &(v, w) in &wv {
-                cum += w;
-                if cum >= target {
-                    val = v;
-                    break;
-                }
-            }
-            *slot = val;
-        }
-        for i in 1..5 {
-            q[i] = q[i].max(q[i - 1]);
-        }
-        // Integral marker positions: ideal rank clamped into the band
-        // that keeps positions strictly increasing inside [1, n].
-        let mut pos = [0.0f64; 5];
-        pos[0] = 1.0;
-        pos[4] = n;
-        for i in 1..4 {
-            let ideal = (1.0 + fractions[i] * (n - 1.0)).round();
-            pos[i] = ideal.clamp(i as f64 + 1.0, n - (4 - i) as f64);
-            pos[i] = pos[i].max(pos[i - 1] + 1.0);
-        }
-        let init = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0];
-        let grown = n - 5.0;
-        let mut desired = [0.0f64; 5];
-        for i in 0..5 {
-            desired[i] = init[i] + self.inc[i] * grown;
-        }
-        self.q = q;
-        self.pos = pos;
-        self.desired = desired;
-        self.count = total;
     }
 }
 
@@ -1263,75 +1002,7 @@ mod tests {
         assert_eq!((acc.min(), acc.max()), (Some(2.5), Some(2.5)));
     }
 
-    #[test]
-    fn p2_exact_below_five_samples() {
-        let mut q = P2Quantile::new(0.5);
-        assert_eq!(q.estimate(), None);
-        q.push(3.0);
-        assert_eq!(q.estimate(), Some(3.0));
-        q.push(1.0);
-        assert_eq!(q.estimate(), Some(2.0), "median of {{1, 3}}");
-        q.push(2.0);
-        assert_eq!(q.estimate(), Some(2.0));
-    }
-
-    #[test]
-    fn p2_tracks_known_quantiles() {
-        // Deterministic pseudo-random stream, uniform on [0, 1).
-        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut next = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (x >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for (p, tol) in [(0.1, 0.02), (0.5, 0.02), (0.9, 0.02)] {
-            let mut est = P2Quantile::new(p);
-            for _ in 0..20_000 {
-                est.push(next());
-            }
-            let got = est.estimate().unwrap();
-            assert!((got - p).abs() < tol, "p={p}: got {got}");
-            assert_eq!(est.count(), 20_000);
-            assert_eq!(est.p(), p);
-        }
-    }
-
-    #[test]
-    fn p2_is_deterministic_and_ordered() {
-        let xs: Vec<f64> = (0..2000).map(|i| ((i * 7919) % 1999) as f64).collect();
-        let run = |p: f64| {
-            let mut q = P2Quantile::new(p);
-            for &x in &xs {
-                q.push(x);
-            }
-            q.estimate().unwrap()
-        };
-        assert_eq!(run(0.5).to_bits(), run(0.5).to_bits(), "bit-identical replays");
-        let (p10, p50, p90) = (run(0.1), run(0.5), run(0.9));
-        assert!(p10 < p50 && p50 < p90, "{p10} {p50} {p90}");
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in (0, 1)")]
-    fn p2_rejects_degenerate_quantile() {
-        P2Quantile::new(1.0);
-    }
-
     proptest! {
-        #[test]
-        fn p2_estimate_stays_within_range(
-            xs in proptest::collection::vec(-100.0f64..100.0, 1..200),
-            p in 0.05f64..0.95,
-        ) {
-            let mut q = P2Quantile::new(p);
-            for &x in &xs {
-                q.push(x);
-            }
-            let est = q.estimate().unwrap();
-            let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(est >= lo - 1e-9 && est <= hi + 1e-9, "{} not in [{}, {}]", est, lo, hi);
-        }
-
         #[test]
         fn kendall_and_spearman_agree_on_direction(
             a in proptest::collection::vec(-100.0f64..100.0, 4..16),
@@ -1504,72 +1175,6 @@ mod tests {
         // The NaN tail is reachable but ordered last.
         assert!(s.quantile(1.0).unwrap().is_nan());
         assert!(QuantileSketch::new().quantile(0.5).is_none());
-    }
-
-    #[test]
-    fn p2_merge_is_commutative_and_count_preserving() {
-        let mk = |lo: usize, hi: usize, mul: usize| {
-            let mut q = P2Quantile::new(0.5);
-            for i in lo..hi {
-                q.push(((i * mul) % 1009) as f64);
-            }
-            q
-        };
-        for (a_range, b_range) in [
-            ((0usize, 3usize), (0usize, 2usize)), // both exact
-            ((0, 3), (0, 100)),                   // exact into marker
-            ((0, 250), (0, 400)),                 // marker into marker
-        ] {
-            let a = mk(a_range.0, a_range.1, 7);
-            let b = mk(b_range.0, b_range.1, 13);
-            let mut ab = a.clone();
-            ab.merge(&b);
-            let mut ba = b.clone();
-            ba.merge(&a);
-            assert_eq!(ab, ba, "merge must be commutative");
-            assert_eq!(ab.count(), a.count() + b.count());
-            if ab.count() >= 5 {
-                // Marker invariants survive the merge.
-                let qm = ab.clone();
-                for w in qm.q.windows(2) {
-                    assert!(w[0] <= w[1], "heights must be sorted");
-                }
-            }
-            // The merged estimator keeps working as a stream target.
-            let mut cont = ab.clone();
-            for i in 0..50 {
-                cont.push(i as f64);
-            }
-            assert!(cont.estimate().unwrap().is_finite());
-        }
-    }
-
-    #[test]
-    fn p2_merge_small_regime_is_exact() {
-        let mut a = P2Quantile::new(0.5);
-        a.push(1.0);
-        a.push(5.0);
-        let mut b = P2Quantile::new(0.5);
-        b.push(3.0);
-        a.merge(&b);
-        assert_eq!(a.estimate(), Some(3.0), "median of {{1, 3, 5}}");
-    }
-
-    #[test]
-    fn p2_merge_tracks_combined_distribution() {
-        // Two halves of a uniform stream; the merged median should be
-        // near the overall median even though the merge is lossy.
-        let mut lo = P2Quantile::new(0.5);
-        let mut hi = P2Quantile::new(0.5);
-        for i in 0..4000 {
-            lo.push((i % 500) as f64); // uniform 0..500
-            hi.push(500.0 + (i % 500) as f64); // uniform 500..1000
-        }
-        let mut merged = lo.clone();
-        merged.merge(&hi);
-        let est = merged.estimate().unwrap();
-        assert_eq!(merged.count(), 8000);
-        assert!((400.0..=600.0).contains(&est), "median ~500, got {est}");
     }
 
     proptest! {

@@ -3,7 +3,7 @@
 //!
 //! Usage: `cargo run --release -p mppm-experiments --bin all [--quick]`
 
-use mppm_experiments::table::results_dir_for;
+use mppm_experiments::table::{publish, results_dir_for};
 use mppm_experiments::{fig3, fig4, fig5, fig6, fig7, fig8, fig9, speed, Context, Scale};
 
 fn main() {
@@ -42,7 +42,10 @@ fn main() {
     println!("{}", fig9::report(ctx.scale(), &fig9::run(four_core)).render());
 
     println!("== Speed ==");
-    println!("{}", speed::report(ctx.scale(), &speed::run(&ctx, &[2, 4, 8, 16], 5)).render());
+    let records = speed::run(&ctx, &[2, 4, 8, 16], 5);
+    if let Err(e) = publish(ctx.scale(), "speed", "§4.3 — model vs simulation", &records) {
+        eprintln!("warning: could not write the speed records: {e}");
+    }
 
     println!("All CSVs are under {}.", results_dir_for(ctx.scale()).display());
 }

@@ -12,9 +12,8 @@
 //! they are, so cold-phase numbers then measure that daemon's current
 //! state rather than a true cold start.
 
-use mppm_experiments::loadgen::{
-    self, await_socket, request_shutdown, run_load, LoadgenOptions,
-};
+use mppm_experiments::loadgen::{await_socket, request_shutdown, run_load, LoadgenOptions};
+use mppm_experiments::table::{find_record, publish};
 use mppm_experiments::Scale;
 use std::path::PathBuf;
 use std::process::Command;
@@ -101,33 +100,31 @@ fn main() {
         std::process::exit(1);
     }
 
-    let phases = match run_load(&socket, &args.opts) {
-        Ok(p) => p,
+    let records = match run_load(&socket, &args.opts) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("loadgen: {e}");
             std::process::exit(1);
         }
     };
-
-    let table = loadgen::report_server(args.scale, &phases);
-    println!(
-        "\nmppmd under load: {} clients x {} predict requests per phase",
+    let description = format!(
+        "mppmd under load: {} clients x {} predict requests per phase, closed-loop cold \
+         and warm, open-loop warm",
         args.opts.clients, args.opts.requests_per_client
     );
-    println!("{}", table.render());
-    match loadgen::write_server_json(args.scale, &phases) {
-        Ok(path) => println!("(machine-readable copy: {})", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_server.json: {e}"),
+    if let Err(e) = publish(args.scale, "server", &description, &records) {
+        eprintln!("warning: could not write the server records: {e}");
     }
 
     // Sanity gates: a fresh daemon serves the cold phase uncached and
     // every warm repeat from the response cache.
     if child.is_some() {
-        let (cold, warm) = (&phases[0], &phases[1]);
-        if cold.cached_responses != 0 || warm.cached_responses != warm.requests {
+        let cold = find_record(&records, "cold-closed", "cached");
+        let warm = find_record(&records, "warm-closed", "cached");
+        if cold.median != 0.0 || warm.median != warm.n as f64 {
             eprintln!(
                 "error: cache accounting off — cold served {} cached, warm {}/{}",
-                cold.cached_responses, warm.cached_responses, warm.requests
+                cold.median, warm.median, warm.n
             );
             std::process::exit(1);
         }

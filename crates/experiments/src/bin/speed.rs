@@ -10,26 +10,39 @@
 //! sweep (regenerating `BENCH_distcampaign.json`), gated on the CSV
 //! bundle being byte-identical at every worker count.
 
+use mppm_experiments::table::{find_record, publish, BenchRecord};
 use mppm_experiments::{speed, Context, Scale};
 
+/// Publishes one suite, warning (not failing) when a file can't be written.
+fn publish_or_warn(scale: Scale, suite: &str, description: &str, records: &[BenchRecord]) {
+    if let Err(e) = publish(scale, suite, description, records) {
+        eprintln!("warning: could not write the {suite} records: {e}");
+    }
+}
+
 fn run_distcampaign(scale: Scale) {
-    let quick = matches!(scale, Scale::Quick);
-    let (workers, sample, shard_size): (&[usize], usize, usize) =
-        if quick { (&[1, 2, 4], 48, 8) } else { (&[1, 2, 4, 8], 4096, 64) };
-    let points = match speed::distcampaign_comparison(quick, workers, sample, shard_size) {
-        Ok(points) => points,
+    let (workers, sample, shard_size): (&[usize], usize, usize) = match scale {
+        Scale::Full => (&[1, 2, 4, 8], 4096, 64),
+        Scale::Quick => (&[1, 2, 4], 48, 8),
+    };
+    let records = match speed::distcampaign_comparison(workers, sample, shard_size) {
+        Ok(records) => records,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(1);
         }
     };
-    let table = speed::report_distcampaign(scale, &points);
-    println!("\nDistributed campaign: worker-process scaling (bundles byte-compared)");
-    println!("{}", table.render());
-    match speed::write_distcampaign_json(scale, &points) {
-        Ok(path) => println!("(machine-readable copy: {})", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_distcampaign.json: {e}"),
-    }
+    publish_or_warn(
+        scale,
+        "distcampaign",
+        &format!(
+            "Distributed campaign: wall time per worker-process count, {} evaluations \
+             (quick-geometry traces), fresh journal each, CSV bundles byte-compared \
+             against the in-process run",
+            2 * sample
+        ),
+        &records,
+    );
 }
 
 fn main() {
@@ -45,32 +58,29 @@ fn main() {
     // first (and alone under --analyze-only) because it needs no traces
     // or profiles.
     let analyze = speed::analyze_comparison(3);
-    let antable = speed::report_analyze(ctx.scale(), &analyze);
-    println!("\nmppm-analyze workspace scan: cold vs warm fact cache");
-    println!("{}", antable.render());
-    match speed::write_analyze_json(ctx.scale(), &analyze) {
-        Ok(path) => println!("(machine-readable copy: {})", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_analyze.json: {e}"),
-    }
+    publish_or_warn(
+        ctx.scale(),
+        "analyze",
+        "mppm-analyze workspace scan: cold (no fact cache) vs warm (fact-cache replay), \
+         reports asserted byte-identical",
+        &analyze,
+    );
     // Gates: the warm scan must be >=2x faster than cold, and a full
     // warm scan of the workspace must stay interactive — 2 s is ~20x
     // headroom over the observed warm time, so only a gross regression
     // (cache never hitting, quadratic graph pass) trips it.
-    if analyze.speedup() < 2.0 {
+    let files = &analyze[0].param;
+    let speedup = find_record(&analyze, "speedup", files).median;
+    let warm = find_record(&analyze, "warm", files).median;
+    if speedup < 2.0 {
         eprintln!(
-            "error: warm analyze scan is only {:.2}x faster than cold (cold {:.4}s, warm {:.4}s); \
-             the fact cache must buy >=2x",
-            analyze.speedup(),
-            analyze.cold_seconds,
-            analyze.warm_seconds
+            "error: warm analyze scan is only {speedup:.2}x faster than cold (median of \
+             per-round ratios); the fact cache must buy >=2x"
         );
         std::process::exit(1);
     }
-    if analyze.warm_seconds > 2.0 {
-        eprintln!(
-            "error: warm analyze scan took {:.2}s for {} files; the wall-clock bound is 2s",
-            analyze.warm_seconds, analyze.files
-        );
+    if warm > 2.0 {
+        eprintln!("error: warm analyze scan took {warm:.2}s ({files}); the wall-clock bound is 2s");
         std::process::exit(1);
     }
     if analyze_only {
@@ -80,12 +90,14 @@ fn main() {
         Scale::Full => 10,
         Scale::Quick => 2,
     };
-    let points = speed::run(&ctx, &[2, 4, 8, 16], mixes);
-    let table = speed::report(ctx.scale(), &points);
-    println!("\n§4.3 — speed: analytic model vs detailed simulation");
-    println!("{}", table.render());
-    println!(
-        "(the paper reports up to five orders of magnitude against CMP$im;\n our ground-truth simulator is itself ~10^4x faster than CMP$im, so\n the measured gap compresses accordingly — see EXPERIMENTS.md)"
+    publish_or_warn(
+        ctx.scale(),
+        "speed",
+        "§4.3 — speed: analytic model vs detailed simulation, per mix \
+         (the paper reports up to five orders of magnitude against CMP$im; \
+         our ground-truth simulator is itself ~10^4x faster than CMP$im, so \
+         the measured gap compresses accordingly — see EXPERIMENTS.md)",
+        &speed::run(&ctx, &[2, 4, 8, 16], mixes),
     );
 
     // Observability overhead: the zero-cost claim, measured. The same
@@ -96,13 +108,13 @@ fn main() {
         Scale::Quick => 2,
     };
     let obs = speed::obs_overhead(&ctx, &[2, 4, 8, 16], bench_mixes);
-    let otable = speed::report_obs(ctx.scale(), &obs);
-    println!("\nObservability overhead: disabled span must cost < 2%");
-    println!("{}", otable.render());
-    match speed::write_obs_json(ctx.scale(), &obs) {
-        Ok(path) => println!("(machine-readable copy: {})", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_obs.json: {e}"),
-    }
+    publish_or_warn(
+        ctx.scale(),
+        "obs",
+        "Observability overhead: detailed-simulator s/mix with no observer, a disabled \
+         span (must cost < 2%) and an enabled no-op-sink observer",
+        &obs,
+    );
 
     // Distributed-campaign scaling: the same campaign through 1..N
     // worker processes, CSV bundles byte-compared inside the bench.
@@ -112,17 +124,15 @@ fn main() {
     // enough that run-to-run jitter swamps a 2% bound (±8% observed), so
     // the smoke gate only catches gross regressions — accidental work on
     // the disabled path shows up as 2x, not 10%.
-    let budget = match ctx.scale() {
-        Scale::Full => 0.02,
-        Scale::Quick => 0.25,
+    let budget_pct = match ctx.scale() {
+        Scale::Full => 2.0,
+        Scale::Quick => 25.0,
     };
-    for p in &obs {
-        if p.disabled_overhead() > budget {
+    for r in obs.iter().filter(|r| r.variant == "disabled-overhead") {
+        if r.median > budget_pct {
             eprintln!(
-                "error: disabled-observer overhead {:+.2}% at {} cores exceeds the {:.0}% budget",
-                p.disabled_overhead() * 100.0,
-                p.cores,
-                budget * 100.0
+                "error: disabled-observer overhead {:+.2}% at {} exceeds the {budget_pct:.0}% budget",
+                r.median, r.param
             );
             std::process::exit(1);
         }

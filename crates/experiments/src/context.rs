@@ -105,11 +105,6 @@ impl Context {
         self.scale
     }
 
-    /// A clonable handle to the underlying store.
-    pub fn shared_store(&self) -> Arc<Store> {
-        Arc::clone(&self.store)
-    }
-
     /// Trace geometry in use.
     pub fn geometry(&self) -> TraceGeometry {
         self.geometry

@@ -1,8 +1,9 @@
 //! Load-generator harness for the `mppmd` campaign/predict server.
 //!
 //! Drives a running daemon over its Unix-domain-socket NDJSON protocol
-//! with `N >= 4` concurrent clients and measures request latency
-//! percentiles (p50/p95/p99) and throughput in three phases:
+//! with `N >= 4` concurrent clients and measures request latency (median
+//! and the highest tail percentile the sample count supports) and
+//! throughput in three phases:
 //!
 //! 1. **cold-closed** — every client issues a disjoint set of predict
 //!    requests closed-loop (one outstanding request per connection)
@@ -18,19 +19,18 @@
 //! The harness deliberately does *not* link against `mppm-server` (the
 //! server depends on this crate); it speaks the wire protocol directly,
 //! which doubles as an independent check that the protocol is what
-//! DESIGN.md §13 says it is. Results go to `BENCH_server.json` and
-//! `results/speed_server.csv` via [`write_server_json`] and
-//! [`report_server`].
+//! DESIGN.md §13 says it is. [`run_load`] returns the `server` suite's
+//! records, which the `loadgen` binary publishes to `BENCH_server.json`
+//! and `results/speed_server.csv`.
 
-use serde::{Serialize, Value};
+use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::table::{f3, write_bench_json, Table};
-use crate::Scale;
+use crate::table::BenchRecord;
 
 /// Load-run shape: how many clients, how much work each.
 #[derive(Debug, Clone, Copy)]
@@ -45,29 +45,6 @@ impl Default for LoadgenOptions {
     fn default() -> Self {
         Self { clients: 4, requests_per_client: 16 }
     }
-}
-
-/// Measured latency/throughput summary for one phase.
-#[derive(Debug, Clone, Serialize)]
-pub struct PhaseStats {
-    /// Phase name: `cold-closed`, `warm-closed` or `warm-open`.
-    pub phase: String,
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Total requests across all clients.
-    pub requests: usize,
-    /// Wall-clock seconds for the whole phase.
-    pub seconds: f64,
-    /// Requests per second over the phase wall time.
-    pub throughput_rps: f64,
-    /// Median request latency, milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile request latency, milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile request latency, milliseconds.
-    pub p99_ms: f64,
-    /// Responses the daemon reported as served from its response cache.
-    pub cached_responses: usize,
 }
 
 /// A minimal NDJSON client for the `mppmd` wire protocol.
@@ -167,26 +144,41 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
+/// The highest tail of a sorted sample with at least ten samples beyond
+/// it — p99.9, p99, p95 or p90, else the maximum — as its label and
+/// value. The rule is perfbench's `tail_percentile`: a "p99" of 64
+/// samples would be the maximum in disguise.
+fn tail(sorted_ms: &[f64]) -> (String, f64) {
+    let n = sorted_ms.len() as f64;
+    // The tolerance absorbs rounding in `100 - p` (100 - 99.9 is not 0.1).
+    match [99.9, 99.0, 95.0, 90.0].into_iter().find(|&p| n * (100.0 - p) / 100.0 >= 10.0 - 1e-9) {
+        Some(p) => (format!("p{p}"), percentile(sorted_ms, p)),
+        None => ("max".to_string(), sorted_ms.last().copied().unwrap_or(0.0)),
+    }
+}
+
+/// One phase's records (variant = the phase): `latency` (median and
+/// interval over every request, ms), the latency tail (`latency p90`,
+/// `latency max`, ...; see [`tail`]), `throughput` over the phase wall
+/// time (req/s) and `cached`, the responses the daemon served from its
+/// response cache.
 fn summarize(
     phase: &str,
-    clients: usize,
     seconds: f64,
     mut latencies_ms: Vec<f64>,
     cached: usize,
-) -> PhaseStats {
+) -> Vec<BenchRecord> {
     latencies_ms.sort_by(f64::total_cmp);
     let requests = latencies_ms.len();
-    PhaseStats {
-        phase: phase.to_string(),
-        clients,
-        requests,
-        seconds,
-        throughput_rps: if seconds > 0.0 { requests as f64 / seconds } else { 0.0 },
-        p50_ms: percentile(&latencies_ms, 50.0),
-        p95_ms: percentile(&latencies_ms, 95.0),
-        p99_ms: percentile(&latencies_ms, 99.0),
-        cached_responses: cached,
-    }
+    let (tail_label, tail_ms) = tail(&latencies_ms);
+    let tail_param = format!("latency {tail_label}");
+    let throughput = if seconds > 0.0 { requests as f64 / seconds } else { 0.0 };
+    vec![
+        BenchRecord::of_samples("server", phase, "latency", "ms", &latencies_ms),
+        BenchRecord::of_value("server", phase, &tail_param, "ms", requests, tail_ms),
+        BenchRecord::of_value("server", phase, "throughput", "req/s", 1, throughput),
+        BenchRecord::of_value("server", phase, "cached", "responses", requests, cached as f64),
+    ]
 }
 
 /// Per-client measurement: latencies in milliseconds plus the number of
@@ -200,7 +192,7 @@ fn run_phase<F>(
     per_client: &[Vec<String>],
     phase: &str,
     drive: F,
-) -> std::io::Result<PhaseStats>
+) -> std::io::Result<Vec<BenchRecord>>
 where
     F: Fn(&mut LoadClient, &[String]) -> std::io::Result<ClientSample> + Sync,
 {
@@ -244,7 +236,7 @@ where
         latencies.extend(lats);
         cached += hit;
     }
-    Ok(summarize(phase, clients, seconds, latencies, cached))
+    Ok(summarize(phase, seconds, latencies, cached))
 }
 
 /// Closed loop: one outstanding request per connection.
@@ -290,7 +282,8 @@ fn drive_open(client: &mut LoadClient, lines: &[String]) -> std::io::Result<Clie
 }
 
 /// Runs the full three-phase load measurement against a daemon
-/// listening on `socket`.
+/// listening on `socket` and returns the `server` suite's records,
+/// phase by phase ([`summarize`]).
 ///
 /// Cold numbers are only meaningful if the daemon's store and response
 /// cache start empty — the `loadgen` binary spawns a fresh daemon on a
@@ -299,16 +292,15 @@ fn drive_open(client: &mut LoadClient, lines: &[String]) -> std::io::Result<Clie
 /// # Errors
 ///
 /// Connection failures, daemon error frames, or a mid-phase disconnect.
-pub fn run_load(socket: &Path, opts: &LoadgenOptions) -> std::io::Result<Vec<PhaseStats>> {
+pub fn run_load(socket: &Path, opts: &LoadgenOptions) -> std::io::Result<Vec<BenchRecord>> {
     let pool = request_pool();
     let per_client: Vec<Vec<String>> = (0..opts.clients)
         .map(|c| client_lines(&pool, c, opts.requests_per_client))
         .collect();
-    Ok(vec![
-        run_phase(socket, &per_client, "cold-closed", drive_closed)?,
-        run_phase(socket, &per_client, "warm-closed", drive_closed)?,
-        run_phase(socket, &per_client, "warm-open", drive_open)?,
-    ])
+    let mut records = run_phase(socket, &per_client, "cold-closed", drive_closed)?;
+    records.extend(run_phase(socket, &per_client, "warm-closed", drive_closed)?);
+    records.extend(run_phase(socket, &per_client, "warm-open", drive_open)?);
+    Ok(records)
 }
 
 /// Polls `socket` until a connection succeeds or `timeout` elapses.
@@ -344,62 +336,11 @@ pub fn request_shutdown(socket: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Renders the phase table and writes `results/speed_server.csv`.
-pub fn report_server(scale: Scale, phases: &[PhaseStats]) -> Table {
-    let mut t = Table::new(&[
-        "phase",
-        "clients",
-        "requests",
-        "seconds",
-        "throughput rps",
-        "p50 ms",
-        "p95 ms",
-        "p99 ms",
-        "cached",
-    ]);
-    for p in phases {
-        t.row(vec![
-            p.phase.clone(),
-            p.clients.to_string(),
-            p.requests.to_string(),
-            f3(p.seconds),
-            format!("{:.1}", p.throughput_rps),
-            f3(p.p50_ms),
-            f3(p.p95_ms),
-            f3(p.p99_ms),
-            p.cached_responses.to_string(),
-        ]);
-    }
-    let _ = t.save_csv(scale, "speed_server");
-    t
-}
-
-/// Writes the machine-readable load report to `BENCH_server.json`
-/// ([`write_bench_json`] picks the directory from `scale`).
-///
-/// # Errors
-///
-/// Any I/O error from creating the directory or writing the file.
-pub fn write_server_json(scale: Scale, phases: &[PhaseStats]) -> std::io::Result<PathBuf> {
-    #[derive(Serialize)]
-    struct BenchFile {
-        description: String,
-        unit: String,
-        phases: Vec<PhaseStats>,
-    }
-    let record = BenchFile {
-        description: "mppmd under concurrent predict load: closed-loop latency \
-                      percentiles and open-loop throughput, cold caches vs warm"
-            .to_string(),
-        unit: "milliseconds (latency), requests/second (throughput)".to_string(),
-        phases: phases.to_vec(),
-    };
-    write_bench_json(scale, "server", &record)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::{find_record, publish};
+    use crate::Scale;
 
     #[test]
     fn pool_is_distinct_and_deterministic() {
@@ -434,20 +375,26 @@ mod tests {
         assert_eq!(percentile(&sorted, 95.0), 95.0);
         assert_eq!(percentile(&sorted, 99.0), 99.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
+        // The tail needs ten samples beyond it: a `--quick` phase (16)
+        // and a full phase (64) can only report their maximum.
+        let ramp = |n: u32| (1..=n).map(f64::from).collect::<Vec<_>>();
+        assert_eq!(tail(&ramp(16)), ("max".to_string(), 16.0));
+        assert_eq!(tail(&ramp(64)), ("max".to_string(), 64.0));
+        assert_eq!(tail(&sorted), ("p90".to_string(), 90.0));
+        assert_eq!(tail(&ramp(1000)), ("p99".to_string(), 990.0));
     }
 
     #[test]
     fn summaries_serialize_and_tabulate() {
-        let stats = summarize("warm-closed", 4, 2.0, vec![3.0, 1.0, 2.0, 4.0], 4);
-        assert_eq!(stats.requests, 4);
-        assert_eq!(stats.throughput_rps, 2.0);
-        assert_eq!(stats.p50_ms, 3.0);
-        let table = report_server(Scale::Quick, &[stats.clone()]);
-        assert_eq!(table.len(), 1);
-        let path = write_server_json(Scale::Quick, &[stats]).expect("json written");
-        let raw = std::fs::read_to_string(path).expect("json readable");
-        assert!(raw.contains("\"phase\":\"warm-closed\""), "unexpected JSON shape: {raw}");
-        assert!(raw.contains("throughput_rps"));
+        let records = summarize("warm-closed", 2.0, vec![3.0, 1.0, 2.0, 4.0], 4);
+        assert!(records.iter().all(|r| r.variant == "warm-closed"));
+        let latency = find_record(&records, "warm-closed", "latency");
+        assert_eq!((latency.n, latency.median), (4, 2.5));
+        assert!(latency.ci_lo < 2.5 && latency.ci_hi > 2.5);
+        assert_eq!(find_record(&records, "warm-closed", "latency max").median, 4.0);
+        assert_eq!(find_record(&records, "warm-closed", "throughput").median, 2.0);
+        assert_eq!(find_record(&records, "warm-closed", "cached").median, 4.0);
+        publish(Scale::Quick, "server", "summaries", &records).expect("published");
     }
 
     #[test]
@@ -467,16 +414,20 @@ mod tests {
         assert!(await_socket(&socket, Duration::from_secs(10)), "daemon never bound");
 
         let opts = LoadgenOptions { clients: 4, requests_per_client: 2 };
-        let phases = run_load(&socket, &opts).expect("load run succeeds");
-        assert_eq!(phases.len(), 3);
-        let (cold, warm, open) = (&phases[0], &phases[1], &phases[2]);
-        assert_eq!(cold.requests, 8);
-        assert_eq!(cold.cached_responses, 0, "fresh daemon must have no cache hits");
-        assert_eq!(warm.cached_responses, warm.requests, "repeats must all be cache hits");
-        assert_eq!(open.cached_responses, open.requests);
-        for p in &phases {
-            assert!(p.p50_ms > 0.0 && p.p95_ms >= p.p50_ms && p.p99_ms >= p.p95_ms, "{p:?}");
-            assert!(p.throughput_rps > 0.0);
+        let records = run_load(&socket, &opts).expect("load run succeeds");
+        assert_eq!(records.len(), 12);
+        let cold = find_record(&records, "cold-closed", "cached");
+        assert_eq!(cold.n, 8);
+        assert_eq!(cold.median, 0.0, "fresh daemon must have no cache hits");
+        for phase in ["warm-closed", "warm-open"] {
+            let warm = find_record(&records, phase, "cached");
+            assert_eq!(warm.median, warm.n as f64, "repeats must all be cache hits");
+        }
+        for phase in ["cold-closed", "warm-closed", "warm-open"] {
+            let p50 = find_record(&records, phase, "latency").median;
+            let max = find_record(&records, phase, "latency max").median;
+            assert!(p50 > 0.0 && max >= p50, "{phase}: p50 {p50}, max {max}");
+            assert!(find_record(&records, phase, "throughput").median > 0.0);
         }
 
         request_shutdown(&socket).expect("graceful shutdown");

@@ -1,9 +1,10 @@
-//! Plain-text tables and CSV output for experiment results.
+//! Plain-text tables and CSV output for experiment results, and the one
+//! benchmark record every `speed`/`loadgen` suite publishes.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::Scale;
 
@@ -126,15 +127,11 @@ pub fn results_dir_for(scale: Scale) -> PathBuf {
     }
 }
 
-/// Writes a machine-readable benchmark record `BENCH_<name>.json`: at
+/// Writes a machine-readable benchmark file `BENCH_<name>.json`: at
 /// the workspace root for full-scale runs (`target/test-results/` under
 /// `cargo test`), next to the quick-scale CSVs for quick runs. Returns
 /// the path.
-///
-/// # Errors
-///
-/// Any I/O error from creating the directory or writing the file.
-pub fn write_bench_json<T: Serialize>(
+fn write_bench_json<T: Serialize>(
     scale: Scale,
     name: &str,
     record: &T,
@@ -149,6 +146,192 @@ pub fn write_bench_json<T: Serialize>(
     let path = dir.join(format!("BENCH_{name}.json"));
     crate::store::atomic_write_json(&path, record)?;
     Ok(path)
+}
+
+/// One measured quantity of a benchmark suite. Every `BENCH_<suite>.json`
+/// and `results/speed*.csv` is a list of these.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BenchRecord {
+    /// The suite: `speed` (§4.3), `analyze`, `obs`, `distcampaign` or
+    /// `server`.
+    pub suite: String,
+    /// What was measured, e.g. `sim`, `warm`, `cold-closed`.
+    pub variant: String,
+    /// The setting it was measured at (`cores=4`, `workers=2`), or for
+    /// the server suite, whose one setting the description states, the
+    /// statistic (`latency`, `throughput`, ...).
+    pub param: String,
+    /// Number of samples behind the value.
+    pub n: usize,
+    /// Median of the samples; for a record holding one derived value (a
+    /// count, a rate, a tail percentile), that value.
+    pub median: f64,
+    /// Lower end of the 95% Student-t interval of the sample mean
+    /// ([`mppm::stats::ci95`]); equal to `median` when there is no
+    /// sampling interval (one sample, or one derived value).
+    pub ci_lo: f64,
+    /// Upper end of the interval.
+    pub ci_hi: f64,
+    /// Unit of `median` and the interval.
+    pub unit: String,
+}
+
+impl BenchRecord {
+    /// Summarises raw `samples` (any order) by their median and 95%
+    /// interval.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
+    pub fn of_samples(
+        suite: &str,
+        variant: &str,
+        param: &str,
+        unit: &str,
+        samples: &[f64],
+    ) -> Self {
+        assert!(!samples.is_empty(), "{suite}/{variant}/{param}: no samples");
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        let median =
+            if sorted.len() % 2 == 1 { sorted[mid] } else { (sorted[mid - 1] + sorted[mid]) / 2.0 };
+        let mut record = Self::of_value(suite, variant, param, unit, samples.len(), median);
+        if let Some(ci) = mppm::stats::ci95(samples) {
+            (record.ci_lo, record.ci_hi) = (ci.lo(), ci.hi());
+        }
+        record
+    }
+
+    /// A record of one value derived from `n` samples (a count, a rate, a
+    /// tail percentile), whose interval collapses to the value.
+    pub fn of_value(
+        suite: &str,
+        variant: &str,
+        param: &str,
+        unit: &str,
+        n: usize,
+        value: f64,
+    ) -> Self {
+        Self {
+            suite: suite.to_string(),
+            variant: variant.to_string(),
+            param: param.to_string(),
+            n,
+            median: value,
+            ci_lo: value,
+            ci_hi: value,
+            unit: unit.to_string(),
+        }
+    }
+}
+
+/// The record with this `variant` and `param`.
+///
+/// # Panics
+///
+/// Panics if `records` has none: the gates that look records up name
+/// only records their own suite always emits.
+pub fn find_record<'a>(records: &'a [BenchRecord], variant: &str, param: &str) -> &'a BenchRecord {
+    records
+        .iter()
+        .find(|r| r.variant == variant && r.param == param)
+        .unwrap_or_else(|| panic!("no {variant}/{param} record"))
+}
+
+/// The machine a benchmark file was measured on.
+#[derive(Serialize, Deserialize)]
+struct Host {
+    /// Available parallelism (`nproc`).
+    nproc: usize,
+    /// `rustc -V`.
+    rustc: String,
+    /// `git describe --always --dirty` of the measured tree.
+    git_rev: String,
+}
+
+impl Host {
+    fn current() -> Self {
+        let stdout_of = |program: &str, args: &[&str]| {
+            std::process::Command::new(program)
+                .args(args)
+                .current_dir(env!("CARGO_MANIFEST_DIR"))
+                .output()
+                .ok()
+                .filter(|out| out.status.success())
+                .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+                .filter(|s| !s.is_empty())
+                .unwrap_or_else(|| "unknown".to_string())
+        };
+        Self {
+            // mppm-lint: allow(taint-nondet-to-result): host stamp on a bench report, never a result
+            nproc: std::thread::available_parallelism().map_or(1, usize::from),
+            rustc: stdout_of("rustc", &["-V"]),
+            git_rev: stdout_of("git", &["describe", "--always", "--dirty"]),
+        }
+    }
+}
+
+/// The layout of every `BENCH_<suite>.json`.
+#[derive(Serialize, Deserialize)]
+struct BenchFile {
+    suite: String,
+    description: String,
+    host: Host,
+    records: Vec<BenchRecord>,
+}
+
+/// Publishes one suite's records: prints them as a table under
+/// `description` and the host line, saves the same table as
+/// `speed_<suite>.csv` (`speed.csv` for the §4.3 suite) and writes
+/// `BENCH_<suite>.json`, each where a run at `scale` writes
+/// ([`Table::save_csv`]). Returns the JSON path.
+///
+/// # Errors
+///
+/// Any I/O error from writing either file.
+pub fn publish(
+    scale: Scale,
+    suite: &str,
+    description: &str,
+    records: &[BenchRecord],
+) -> std::io::Result<PathBuf> {
+    let mut t = Table::new(&["suite", "variant", "param", "n", "median", "ci_lo", "ci_hi", "unit"]);
+    for r in records {
+        assert_eq!(r.suite, suite, "record {}/{} published under {suite}", r.variant, r.param);
+        t.row(vec![
+            r.suite.clone(),
+            r.variant.clone(),
+            r.param.clone(),
+            r.n.to_string(),
+            sig4(r.median),
+            sig4(r.ci_lo),
+            sig4(r.ci_hi),
+            r.unit.clone(),
+        ]);
+    }
+    let host = Host::current();
+    println!("\n{description}");
+    println!("(host: nproc={}, {}, rev {})", host.nproc, host.rustc, host.git_rev);
+    println!("{}", t.render());
+    let csv = if suite == "speed" { "speed".to_string() } else { format!("speed_{suite}") };
+    t.save_csv(scale, &csv)?;
+    let file = BenchFile {
+        suite: suite.to_string(),
+        description: description.to_string(),
+        host,
+        records: records.to_vec(),
+    };
+    let path = write_bench_json(scale, suite, &file)?;
+    println!("(machine-readable copy: {})", path.display());
+    Ok(path)
+}
+
+/// Formats a value to 4 significant digits, without trailing zeros.
+fn sig4(x: f64) -> String {
+    // `{:e}` rounds to significant digits; parsing it back and printing
+    // with `{}` drops the exponent and trailing zeros.
+    format!("{x:.3e}").parse::<f64>().expect("a formatted f64 parses").to_string()
 }
 
 /// Formats a float with 3 decimal places (table cell helper).
@@ -213,5 +396,51 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f3(1.23456), "1.235");
         assert_eq!(pct(0.0234), "2.3%");
+        assert_eq!(sig4(0.000_113_27), "0.0001133");
+        assert_eq!(sig4(49_176.22), "49180");
+        assert_eq!(sig4(64.0), "64");
+    }
+
+    #[test]
+    fn publish_round_trips_records_under_one_schema() {
+        const HEADER: &str = "suite,variant,param,n,median,ci_lo,ci_hi,unit";
+        let samples = BenchRecord::of_samples("probe", "warm", "files=3", "s", &[0.3, 0.1, 0.2]);
+        assert_eq!((samples.n, samples.median), (3, 0.2));
+        assert!(samples.ci_lo < 0.2 && samples.ci_hi > 0.2);
+        let one = BenchRecord::of_samples("probe", "wall", "workers=1", "s", &[0.5]);
+        assert_eq!((one.ci_lo, one.median, one.ci_hi), (0.5, 0.5, 0.5));
+        let records = vec![samples, one, BenchRecord::of_value("probe", "c", "n", "count", 8, 8.0)];
+
+        let path = publish(Scale::Quick, "probe", "round trip", &records).expect("published");
+        let quick = results_dir_for(Scale::Quick);
+        assert_eq!(path, quick.join("BENCH_probe.json"));
+        let file: BenchFile =
+            serde_json::from_str(&std::fs::read_to_string(&path).expect("json readable"))
+                .expect("json parses as a bench file");
+        assert_eq!((file.suite.as_str(), file.records), ("probe", records));
+        assert!(
+            file.host.nproc > 0 && !file.host.rustc.is_empty() && !file.host.git_rev.is_empty()
+        );
+        let csv_path = quick.join("speed_probe.csv");
+        let csv = std::fs::read_to_string(&csv_path).expect("csv readable");
+        assert_eq!(csv.lines().next(), Some(HEADER));
+        assert_eq!(csv.lines().count(), 4);
+        for probe in [path, csv_path] {
+            std::fs::remove_file(probe).expect("probe removed");
+        }
+
+        // The committed full-scale records share the schema.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for suite in ["speed", "analyze", "obs", "distcampaign", "server"] {
+            let json = root.join(format!("BENCH_{suite}.json"));
+            let file: BenchFile =
+                serde_json::from_str(&std::fs::read_to_string(&json).expect("committed json"))
+                    .unwrap_or_else(|e| panic!("{}: {e}", json.display()));
+            assert!(file.records.iter().all(|r| r.suite == suite), "{}", json.display());
+            let csv = if suite == "speed" { "speed".to_string() } else { format!("speed_{suite}") };
+            let csv = std::fs::read_to_string(root.join(format!("results/{csv}.csv")))
+                .expect("committed csv");
+            assert_eq!(csv.lines().next(), Some(HEADER), "results/{suite} csv header");
+        }
     }
 }
