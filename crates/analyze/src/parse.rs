@@ -40,14 +40,6 @@ const NON_CALL_IDENTS: &[&str] = &[
 /// paths; the rule targets unconditional aborts and unchecked accesses.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Files whose wall-clock reads are the *measurement* — mirrored from
-/// `wallclock-in-sim`'s path policy so the taint pass agrees with it.
-fn sources_exempt(path: &str) -> bool {
-    path.starts_with("crates/bench/")
-        || path == "crates/experiments/src/speed.rs"
-        || path == "crates/experiments/src/loadgen.rs"
-}
-
 /// The parsed items of one file.
 #[derive(Debug, Default)]
 pub struct ParsedItems {
@@ -123,7 +115,7 @@ pub fn items(file: &SourceFile) -> ParsedItems {
         }
     }
 
-    let exempt = sources_exempt(&file.path);
+    let exempt = crate::rules::timing_exempt(&file.path);
     let mut calls: Vec<Vec<CallFact>> = raw.iter().map(|_| Vec::new()).collect();
     let mut sources: Vec<Vec<SiteFact>> = raw.iter().map(|_| Vec::new()).collect();
     let mut panics: Vec<Vec<SiteFact>> = raw.iter().map(|_| Vec::new()).collect();

@@ -194,6 +194,13 @@ impl Rule for NonAtomicWrite {
     }
 }
 
+/// Files whose wall-clock reads are the *measurement*: benchmark code and
+/// the `speed` harness. `wallclock-in-sim` skips them and the taint pass
+/// takes no nondeterminism sources from them.
+pub(crate) fn timing_exempt(path: &str) -> bool {
+    path.starts_with("crates/bench/") || path == "crates/experiments/src/speed.rs"
+}
+
 /// `wallclock-in-sim` — host-clock reads (`Instant::now`, `SystemTime`)
 /// anywhere but benchmarking/speed-measurement code. Simulated time must
 /// come from the simulator; wall-clock telemetry is legitimate only where
@@ -211,9 +218,7 @@ impl Rule for WallclockInSim {
         Scope::Everywhere
     }
     fn applies_to(&self, path: &str) -> bool {
-        !path.starts_with("crates/bench/")
-            && path != "crates/experiments/src/speed.rs"
-            && path != "crates/experiments/src/loadgen.rs"
+        !timing_exempt(path)
     }
     fn check(&self, file: &SourceFile) -> Vec<Finding> {
         let toks = &file.lexed.toks;

@@ -168,7 +168,6 @@ fn wallclock_allowed_in_bench_paths() {
     let src = "fn t() { let x = std::time::Instant::now(); }";
     assert!(analyze_one("crates/bench/benches/figures.rs", src).is_clean());
     assert!(analyze_one("crates/experiments/src/speed.rs", src).is_clean());
-    assert!(analyze_one("crates/experiments/src/loadgen.rs", src).is_clean());
     assert!(!analyze_one("crates/experiments/src/fig3.rs", src).is_clean());
 }
 

@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use mppm_experiments::Context;
@@ -105,6 +105,65 @@ fn worker_error(frame: &Value, worker: usize) -> CampaignError {
 struct Job {
     id: ShardId,
     mixes: u64,
+}
+
+/// The shared work queue plus the number of jobs workers hold in flight.
+///
+/// A healthy worker leaves only when [`JobQueue::take`] returns `None`,
+/// which it does once the queue is empty *and* nothing is in flight. A
+/// job a dying worker hands back with [`JobQueue::requeue`] therefore
+/// always finds a survivor still waiting to take it.
+struct JobQueue {
+    state: Mutex<QueueState>,
+    changed: Condvar,
+}
+
+struct QueueState {
+    pending: VecDeque<Job>,
+    in_flight: usize,
+}
+
+impl JobQueue {
+    fn new(pending: VecDeque<Job>) -> Self {
+        let state = Mutex::new(QueueState { pending, in_flight: 0 });
+        JobQueue { state, changed: Condvar::new() }
+    }
+
+    /// The next job, blocking while the queue is empty but jobs are in
+    /// flight; `None` once every job is done.
+    fn take(&self) -> Option<Job> {
+        let mut state = self.state.lock().expect("poison-free");
+        loop {
+            if let Some(job) = state.pending.pop_front() {
+                state.in_flight += 1;
+                return Some(job);
+            }
+            if state.in_flight == 0 {
+                return None;
+            }
+            state = self.changed.wait(state).expect("poison-free");
+        }
+    }
+
+    /// Marks one taken job finished.
+    fn done(&self) {
+        self.state.lock().expect("poison-free").in_flight -= 1;
+        self.changed.notify_all();
+    }
+
+    /// Hands a taken job back for another worker.
+    fn requeue(&self, job: Job) {
+        let mut state = self.state.lock().expect("poison-free");
+        state.in_flight -= 1;
+        state.pending.push_front(job);
+        drop(state);
+        self.changed.notify_all();
+    }
+
+    /// Jobs no worker finished.
+    fn leftover(self) -> usize {
+        self.state.into_inner().expect("poison-free").pending.len()
+    }
 }
 
 /// Per-worker tally reported back to the coordinator.
@@ -188,7 +247,7 @@ pub fn execute_distributed(
 
     // mppm-lint: allow(wallclock-in-sim, taint-nondet-to-result): progress telemetry only; results live in the journal
     let started = Instant::now();
-    let queue = Mutex::new(pending);
+    let queue = JobQueue::new(pending);
     let failures: Mutex<Vec<CampaignError>> = Mutex::new(Vec::new());
     let tallies: Mutex<Vec<WorkerTally>> = Mutex::new(Vec::new());
 
@@ -244,7 +303,7 @@ pub fn execute_distributed(
     {
         return Err(mismatch.clone());
     }
-    let leftover = queue.into_inner().expect("poison-free").len();
+    let leftover = queue.leftover();
     if leftover > 0 {
         return Err(failures.into_iter().next().unwrap_or_else(|| {
             CampaignError::Worker(format!(
@@ -274,7 +333,7 @@ pub fn execute_distributed(
 
 type TallyResult = Result<WorkerTally, (WorkerTally, CampaignError)>;
 
-/// Drives one worker process until the queue drains or the worker dies.
+/// Drives one worker process until every job is done or the worker dies.
 /// On failure the in-flight job goes back to the queue and the error is
 /// reported with whatever tally accrued.
 fn service_worker(
@@ -282,7 +341,7 @@ fn service_worker(
     mut child: Child,
     hello: &str,
     plan: &CampaignPlan,
-    queue: &Mutex<VecDeque<Job>>,
+    queue: &JobQueue,
     span: &Span,
 ) -> TallyResult {
     let peer = format!("worker {worker}");
@@ -325,7 +384,7 @@ fn service_worker(
             }
         }
         loop {
-            let Some(job) = queue.lock().expect("poison-free").pop_front() else {
+            let Some(job) = queue.take() else {
                 let _ = send(writer, &frame_line("shutdown", Vec::new()));
                 return Ok(());
             };
@@ -380,6 +439,7 @@ fn service_worker(
                         ],
                     );
                     span.counter("campaign.worker_shards").incr();
+                    queue.done();
                 }
                 Some("error") => return Err((Some(job), worker_error(&reply, worker))),
                 other => {
@@ -403,11 +463,53 @@ fn service_worker(
         }
         Err((in_flight, error)) => {
             if let Some(job) = in_flight {
-                queue.lock().expect("poison-free").push_front(job);
+                queue.requeue(job);
             }
             let _ = child.kill();
             let _ = child.wait();
             Err((tally, error))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
+
+    /// Worker A holds the last job, so worker B's `take` must wait for
+    /// A's outcome instead of shutting down: B gets the job back if A
+    /// dies (`requeue`), and `None` once A finishes it (`done`). The
+    /// results after `requeue`/`done` hold under any interleaving; the
+    /// timeout only bounds how long a queue that wrongly lets B leave
+    /// early has to show it.
+    #[test]
+    fn take_waits_for_in_flight_jobs() {
+        for a_dies in [true, false] {
+            let queue = JobQueue::new(VecDeque::from([Job {
+                id: ShardId { design: 0, index: 7 },
+                mixes: 1,
+            }]));
+            let held = queue.take().expect("A takes the last job");
+            let (tx, rx) = mpsc::channel();
+            std::thread::scope(|scope| {
+                let queue = &queue;
+                scope.spawn(move || tx.send(queue.take().map(|job| job.id.index)));
+                assert_eq!(
+                    rx.recv_timeout(Duration::from_millis(100)),
+                    Err(RecvTimeoutError::Timeout),
+                    "B must not give up while A holds a job"
+                );
+                if a_dies {
+                    queue.requeue(held);
+                } else {
+                    queue.done();
+                }
+                let taken = rx.recv_timeout(Duration::from_secs(10)).expect("B wakes");
+                assert_eq!(taken, a_dies.then_some(7));
+            });
+            assert_eq!(queue.leftover(), 0, "a_dies={a_dies}");
         }
     }
 }

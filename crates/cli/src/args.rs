@@ -78,6 +78,8 @@ pub enum Command {
         workers: usize,
         /// Shard-journal directory override (default: inside the store).
         journal: Option<String>,
+        /// Also write the CSV bundle to this file (a byte-compare aid).
+        bundle: Option<String>,
     },
     /// Run the `mppmd` daemon in the foreground.
     Serve {
@@ -134,7 +136,7 @@ USAGE:
   mppm-cli record <bench> --out FILE [--quick]
   mppm-cli campaign [--cores N] [--configs A,B,...] [--sample N] [--seed S]
               [--shard-size N] [--trials N] [--quick]
-              [--workers N] [--journal DIR]
+              [--workers N] [--journal DIR] [--bundle FILE]
               [--trace FILE] [--progress]
   mppm-cli serve [--socket PATH] [--store DIR]
   mppm-cli client ping|stats|shutdown [--socket PATH]
@@ -155,7 +157,8 @@ Benchmarks are the 29 synthetic SPEC CPU2006 stand-ins (see `list`).
 --configs design point, checkpointing shards so a killed run resumes;
 --workers N fans shards out to N worker processes sharing one journal
 (the result is byte-identical for any worker count), --journal DIR
-overrides where shards checkpoint, --trace writes a deterministic JSONL
+overrides where shards checkpoint, --bundle FILE also writes the CSV
+bundle to FILE for byte comparison, --trace writes a deterministic JSONL
 event trace and --progress mirrors milestones to stderr.
 `lint` runs the mppm-analyze determinism rules over the workspace's own
 sources; --deny makes violations fatal (the CI gate), and --only /
@@ -226,6 +229,14 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
     }
     let flag = |name: &str| flags.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+    let number = |name: &str, default: u64| -> Result<u64, ParseError> {
+        match flag(name) {
+            Some(Some(v)) => v
+                .parse()
+                .map_err(|_| ParseError(format!("--{name} expects a number, got `{v}`"))),
+            _ => Ok(default),
+        }
+    };
     let quick = flag("quick").is_some();
     let config = match flag("config") {
         Some(Some(v)) => parse_config(v)?,
@@ -237,7 +248,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "record" => &["quick", "out"],
         "campaign" => &[
             "quick", "cores", "configs", "sample", "seed", "shard-size", "trials", "trace",
-            "progress", "workers", "journal",
+            "progress", "workers", "journal", "bundle",
         ],
         "lint" => &["deny", "json", "only", "exclude"],
         "serve" => &["socket", "store"],
@@ -396,19 +407,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             if let Some(Some(v)) = flag("configs") {
                 request.configs = v.to_string();
             }
-            let number = |name: &str| -> Result<u64, ParseError> {
-                match flag(name) {
-                    Some(Some(v)) => v.parse().map_err(|_| {
-                        ParseError(format!("--{name} expects a number, got `{v}`"))
-                    }),
-                    _ => Ok(0), // 0 = wire default
-                }
-            };
-            request.cores = number("cores")?;
-            request.sample = number("sample")?;
-            request.seed = number("seed")?;
-            request.shard_size = number("shard-size")?;
-            request.trials = number("trials")?;
+            // 0 = wire default.
+            request.cores = number("cores", 0)?;
+            request.sample = number("sample", 0)?;
+            request.seed = number("seed", 0)?;
+            request.shard_size = number("shard-size", 0)?;
+            request.trials = number("trials", 0)?;
             Ok(Command::Client {
                 socket: flag("socket").flatten().map(String::from),
                 request,
@@ -426,14 +430,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             Ok(Command::Record { benchmark, out, quick })
         }
         "campaign" => {
-            let number = |name: &str, default: u64| -> Result<u64, ParseError> {
-                match flag(name) {
-                    Some(Some(v)) => v.parse().map_err(|_| {
-                        ParseError(format!("--{name} expects a number, got `{v}`"))
-                    }),
-                    _ => Ok(default),
-                }
-            };
             let cores = number("cores", 2)? as usize;
             let configs = match flag("configs") {
                 Some(Some(list)) => list
@@ -444,19 +440,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 _ => vec![0, 1],
             };
             let sample = match flag("sample") {
-                Some(Some(v)) => Some(v.parse::<usize>().map_err(|_| {
-                    ParseError(format!("--sample expects a number, got `{v}`"))
-                })?),
-                _ => None,
-            };
-            let trace = match flag("trace") {
-                Some(Some(v)) => Some(v.to_string()),
-                Some(None) => return Err(ParseError("--trace expects a file path".into())),
-                None => None,
-            };
-            let journal = match flag("journal") {
-                Some(Some(v)) => Some(v.to_string()),
-                Some(None) => return Err(ParseError("--journal expects a directory".into())),
+                Some(_) => Some(number("sample", 0)? as usize),
                 None => None,
             };
             Ok(Command::Campaign {
@@ -467,10 +451,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 shard_size: number("shard-size", 64)? as usize,
                 trials: number("trials", 200)? as usize,
                 quick,
-                trace,
+                trace: flag("trace").flatten().map(String::from),
                 progress: flag("progress").is_some(),
                 workers: number("workers", 0)? as usize,
-                journal,
+                journal: flag("journal").flatten().map(String::from),
+                bundle: flag("bundle").flatten().map(String::from),
             })
         }
         other => Err(ParseError(format!("unknown command `{other}`; try `mppm-cli help`"))),
@@ -630,6 +615,7 @@ mod tests {
                 progress: false,
                 workers: 0,
                 journal: None,
+                bundle: None,
             }
         );
         assert_eq!(
@@ -637,6 +623,7 @@ mod tests {
                 "campaign", "--quick", "--cores", "4", "--configs", "1,3,6", "--sample", "500",
                 "--seed", "9", "--shard-size", "32", "--trials", "100", "--trace",
                 "/tmp/t.jsonl", "--progress", "--workers", "4", "--journal", "/tmp/j",
+                "--bundle", "/tmp/b.csv",
             ]),
             Command::Campaign {
                 cores: 4,
@@ -650,6 +637,7 @@ mod tests {
                 progress: true,
                 workers: 4,
                 journal: Some("/tmp/j".into()),
+                bundle: Some("/tmp/b.csv".into()),
             }
         );
         assert!(parse_err(&["campaign", "--configs", "0,1"]).contains("1..6"));

@@ -23,8 +23,8 @@ use mppm::{
     SdcCompetitionModel, SingleCoreProfile,
 };
 use mppm_campaign::{
-    design_table, histogram_table, stability_table, write_csvs, AggregateOptions, Campaign,
-    CampaignSpec, MixSource,
+    csv_bundle, design_table, histogram_table, stability_table, write_csvs, AggregateOptions,
+    Campaign, CampaignSpec, MixSource,
 };
 use mppm_obs::{JsonlSink, Observer, ProgressSink, Sink};
 use mppm_experiments::table::{f3, Table};
@@ -351,6 +351,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
             progress,
             workers,
             journal,
+            bundle,
         } => {
             let scale = if quick { Scale::Quick } else { Scale::Full };
             let ctx = Context::new(scale);
@@ -405,6 +406,11 @@ fn run(cmd: Command) -> Result<(), CliError> {
                     "throughput: {tp:.1} mixes/s ({} evaluations in {:.2}s)",
                     result.stats.evaluated_mixes, result.stats.compute_seconds
                 );
+            }
+            if let Some(path) = &bundle {
+                let bytes = csv_bundle(&result).into_bytes();
+                mppm_experiments::atomic_write_bytes(std::path::Path::new(path), &bytes)?;
+                println!("wrote csv bundle to {path}");
             }
             // Full-scale output owns results/; quick smoke runs land in
             // target/quick-results/ to protect the committed bundle.

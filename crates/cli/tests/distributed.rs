@@ -10,9 +10,10 @@ use mppm_campaign::{
 use mppm_experiments::{Context, Scale, Store};
 use std::path::Path;
 
-/// The real `campaign` binary, re-entered as a worker via
-/// `MPPM_CAMPAIGN_WORKER` (see `mppm_campaign::maybe_serve`).
-const WORKER_EXE: &str = env!("CARGO_BIN_EXE_campaign");
+/// The real `mppm-cli` binary, re-entered as a worker via
+/// `MPPM_CAMPAIGN_WORKER` (its `main` calls `mppm_campaign::maybe_serve`
+/// before it parses argv).
+const WORKER_EXE: &str = env!("CARGO_BIN_EXE_mppm-cli");
 
 #[test]
 fn distributed_campaigns_match_in_process_byte_for_byte() {
@@ -28,7 +29,7 @@ fn distributed_campaigns_match_in_process_byte_for_byte() {
 
     // Reference: in-process on the shared store (which also warms the
     // trace and profile caches the worker processes will read).
-    let ctx = Context::with_store(Scale::Quick, Store::open(&root.join("store")).unwrap());
+    let ctx = Context::with_store(Scale::Quick, Store::open(root.join("store")).unwrap());
     let reference = Campaign::new(&spec).options(&options).run(&ctx).unwrap();
     let reference_bundle = csv_bundle(&reference);
 

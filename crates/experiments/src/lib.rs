@@ -32,7 +32,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod loadgen;
 mod runner;
 pub mod speed;
 mod store;

@@ -117,29 +117,29 @@ fn sibling_binary(name: &str) -> Option<PathBuf> {
     None
 }
 
-/// Times the same campaign through the `campaign` binary at each worker
+/// Times the same campaign through `mppm-cli campaign` at each worker
 /// count, each on a fresh journal, and byte-compares the CSV bundles —
 /// the scaling benchmark doubles as the distribution differential check
 /// (worker count must never change output bytes). The `distcampaign`
 /// suite: one run per `workers=<n>` (0 = in-process), variants `wall`
 /// (s) and `throughput` (mix evaluations per second).
 ///
-/// The campaign always runs at quick trace geometry: at full scale the
-/// `campaign` binary writes `results/campaign_*.csv` and, rightly,
+/// The campaign always runs at quick trace geometry: at full scale
+/// `mppm-cli campaign` writes `results/campaign_*.csv` and, rightly,
 /// refuses to replace the committed paper-scale bundle with a sample.
 /// `sample` and `worker_counts` set the sweep's size.
 ///
 /// An untimed warm-up run first fills the shared trace store (profiles,
 /// compiled traces) so every timed point sees the same cache
-/// temperature. Returns `Err` if the `campaign` binary is not built,
+/// temperature. Returns `Err` if the `mppm-cli` binary is not built,
 /// a run fails, or any bundle differs from the first.
 pub fn distcampaign_comparison(
     worker_counts: &[usize],
     sample: usize,
     shard_size: usize,
 ) -> Result<Vec<BenchRecord>, String> {
-    let exe = sibling_binary("campaign").ok_or_else(|| {
-        "the `campaign` binary is not built; run `cargo build --release -p mppm-campaign` first"
+    let exe = sibling_binary("mppm-cli").ok_or_else(|| {
+        "the `mppm-cli` binary is not built; run `cargo build --release -p mppm-cli` first"
             .to_string()
     })?;
     let configs = "1,2";
@@ -152,7 +152,7 @@ pub fn distcampaign_comparison(
         let bundle = scratch.join(format!("bundle-{tag}.csv"));
         let mut command = std::process::Command::new(&exe);
         command
-            .arg("--quick")
+            .args(["campaign", "--quick"])
             .args(["--cores", "4", "--configs", configs])
             .args(["--sample", &sample.to_string(), "--seed", "7"])
             .args(["--shard-size", &shard_size.to_string(), "--trials", "40"])
@@ -169,7 +169,7 @@ pub fn distcampaign_comparison(
             command.status().map_err(|e| format!("spawning {}: {e}", exe.display()))?;
         let seconds = started.elapsed().as_secs_f64();
         if !status.success() {
-            return Err(format!("campaign --workers {workers} failed with {status}"));
+            return Err(format!("mppm-cli campaign --workers {workers} failed with {status}"));
         }
         let bytes = std::fs::read(&bundle).map_err(|e| format!("reading {bundle:?}: {e}"))?;
         Ok((seconds, bytes))
@@ -322,7 +322,7 @@ mod tests {
     fn distcampaign_comparison_measures_and_serializes() {
         let records = match distcampaign_comparison(&[1, 2], 24, 4) {
             Ok(records) => records,
-            // The `campaign` binary is built by the workspace, not by
+            // The `mppm-cli` binary is built by the workspace, not by
             // `cargo test -p mppm-experiments` alone — skip, not fail.
             Err(e) if e.contains("not built") => return,
             Err(e) => panic!("distributed campaign bench failed: {e}"),

@@ -1,5 +1,5 @@
 //! Plain-text tables and CSV output for experiment results, and the one
-//! benchmark record every `speed`/`loadgen` suite publishes.
+//! benchmark record every `speed` suite publishes.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
