@@ -331,15 +331,16 @@ impl Rule for LossyCounterCast {
 }
 
 /// `uncompiled-hot-loop` — direct per-item `TraceStream` driving
-/// (`.next_item()` calls) in simulation code. Since the phase compiler
-/// landed, hot simulation loops execute precompiled [`CompiledTrace`]
-/// blocks; per-item generation survives only as the differential
-/// reference substrate, and such loops must live in functions named
-/// `reference_*` so the differential harness can find them — anywhere
-/// else, a per-item loop is either a perf regression or an unchecked
-/// fork of the execution semantics. The generator/compiler crate
-/// (`crates/trace/src/`) is exempt: it *defines* `next_item` and the
-/// compiler is its one blessed bulk consumer.
+/// (`.next_item()` calls) in simulation code. Hot simulation loops
+/// replay trace items as flat columns: the blocks of a [`CompiledTrace`]
+/// or the chunks a generator thread streams in (`OpColumns::fill_from`
+/// generates in bulk). Per-item generation survives only as the
+/// differential reference substrate, and such loops must live in
+/// functions named `reference_*` so the differential harness can find
+/// them — anywhere else, a per-item loop is either a perf regression or
+/// an unchecked fork of the execution semantics. The generator/compiler
+/// crate (`crates/trace/src/`) is exempt: it *defines* `next_item` and
+/// the column fillers.
 pub struct UncompiledHotLoop;
 
 impl Rule for UncompiledHotLoop {
@@ -347,7 +348,7 @@ impl Rule for UncompiledHotLoop {
         "uncompiled-hot-loop"
     }
     fn description(&self) -> &'static str {
-        "per-item `.next_item()` loop outside `reference_*` functions; execute compiled blocks"
+        "per-item `.next_item()` loop outside `reference_*` functions; replay columns instead"
     }
     fn scope(&self) -> Scope {
         Scope::NonTest
@@ -367,9 +368,10 @@ impl Rule for UncompiledHotLoop {
             {
                 out.push(Finding {
                     tok: i,
-                    message: "per-item `.next_item()` drive in simulation code: execute \
-                              `CompiledTrace` blocks, or name the enclosing fn `reference_*` \
-                              if this loop *is* the differential reference"
+                    message: "per-item `.next_item()` drive in simulation code: replay \
+                              columns (`CompiledTrace` blocks or streamed chunks), or name \
+                              the enclosing fn `reference_*` if this loop *is* the \
+                              differential reference"
                         .into(),
                 });
             }

@@ -4,15 +4,17 @@
 //! A [`SimArena`] owns every heap structure a detailed mix simulation
 //! needs: the [`Uncore`] (LLC slabs + memory channel), one pooled
 //! [`CoreEngine`] per core (each holding its private L1/L2 slabs), the
-//! scheduler's event heap, the interleaver's bookkeeping vectors, the
-//! compiled-trace dedup map, and a content-keyed memo of resolved
-//! traces. [`crate::MixSim::arena`] threads one through a run; between
-//! runs everything is *reset in place* — `clear()` + `resize()` on
-//! vectors, [`SetAssocCache::reinit`](mppm_cache::SetAssocCache) on
+//! scheduler's event heap and the interleaver's bookkeeping vectors. It
+//! holds no traces: those come from the run's [`crate::TraceCache`] or
+//! are streamed. [`crate::MixSim::arena`] threads one through a run;
+//! between runs everything is *reset in place* — `clear()` + `resize()`
+//! on vectors, [`SetAssocCache::reinit`](mppm_cache::SetAssocCache) on
 //! cache slabs — never reallocated, so after the first mix of a given
-//! shape a worker performs **zero** heap allocations per simulation
-//! (proven by the counting-allocator harness in
-//! `tests/alloc_steady.rs`).
+//! shape a worker whose runs resolve traces through a warm
+//! [`crate::TraceCache`] performs **zero** heap allocations per
+//! simulation (proven by the counting-allocator harness in
+//! `tests/alloc_steady.rs`). A streamed run allocates a constant on
+//! top: its generator thread, streams and chunk buffers.
 //!
 //! # Reset invariants
 //!
@@ -49,38 +51,31 @@
 //! via `parallel_map_with`; the `mppmd` store keeps a checkout pool.
 
 use std::collections::BinaryHeap;
-use std::sync::Arc;
-
-use mppm_trace::CompiledTrace;
 
 use crate::multi::{Event, InterleaveState};
 use crate::{CoreEngine, Uncore};
 
-/// Intra-mix compiled-trace dedup map, keyed on the `&BenchmarkSpec`
-/// address (as `usize`). Capacity-hinted and cleared per mix; only ever
-/// used point-wise (`get`/`insert`/`clear`).
-// mppm-lint: allow(nondet-map-iteration): keyed get/insert/clear only, never iterated, so hash order cannot reach any result
-pub(crate) type PtrMap = std::collections::HashMap<usize, Arc<CompiledTrace>>;
-
 /// Reusable, resettable scratch for detailed mix simulations: engine
-/// and cache pools, scheduler heap, interleaver state, and a
-/// compiled-trace memo. See the [module docs](self) for the reset
-/// invariants and ownership model, and [`crate::MixSim::arena`] for
-/// usage.
+/// and cache pools, scheduler heap and interleaver state. See the
+/// [module docs](self) for the reset invariants and ownership model, and
+/// [`crate::MixSim::arena`] for usage.
 ///
 /// ```
-/// use mppm_sim::{MachineConfig, MixSim, SimArena};
+/// use mppm_sim::{MachineConfig, MixSim, SimArena, TraceCache};
 /// use mppm_trace::{suite, TraceGeometry};
 ///
 /// let gamess = suite::benchmark("gamess").unwrap();
 /// let lbm = suite::benchmark("lbm").unwrap();
 /// let machine = MachineConfig::baseline();
-/// let mut arena = SimArena::new();
-/// // First run warms the arena; later runs allocate nothing.
+/// let (mut arena, traces) = (SimArena::new(), TraceCache::new());
+/// // The first run warms the arena and the cache; later runs allocate
+/// // nothing.
 /// let warm = MixSim::new(&[gamess, lbm], &machine, TraceGeometry::tiny())
+///     .trace_cache(&traces)
 ///     .arena(&mut arena)
 ///     .run();
 /// let again = MixSim::new(&[gamess, lbm], &machine, TraceGeometry::tiny())
+///     .trace_cache(&traces)
 ///     .arena(&mut arena)
 ///     .run();
 /// assert_eq!(warm, again);
@@ -99,14 +94,6 @@ pub struct SimArena {
     pub(crate) state: InterleaveState,
     /// Scratch for the implicit all-ones `core_factors` slice.
     pub(crate) unit_factors: Vec<f64>,
-    /// Intra-mix spec-pointer dedup map.
-    pub(crate) dedup: PtrMap,
-    /// Content-keyed memo of every trace this arena has resolved:
-    /// steady-state runs hit this and skip even the shared
-    /// [`crate::TraceCache`]'s string-keyed lookup. Compilation is a
-    /// pure function of `(spec, geometry)`, so memo warmth cannot
-    /// affect results.
-    pub(crate) memo: Vec<Arc<CompiledTrace>>,
 }
 
 impl SimArena {
@@ -120,22 +107,15 @@ impl SimArena {
             heap: BinaryHeap::new(),
             state: InterleaveState::empty(),
             unit_factors: Vec::new(),
-            dedup: PtrMap::default(),
-            memo: Vec::new(),
         }
     }
 
-    /// Drops every pooled structure and memoized trace, returning the
-    /// arena to its cold state. Useful when a worker moves to a
-    /// workload with permanently different shapes and wants the memory
-    /// back; never required for correctness.
+    /// Drops every pooled structure, returning the arena to its cold
+    /// state. Useful when a worker moves to a workload with permanently
+    /// different shapes and wants the memory back; never required for
+    /// correctness.
     pub fn clear(&mut self) {
         *self = Self::new();
-    }
-
-    /// Number of distinct compiled traces this arena has memoized.
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
     }
 }
 
@@ -150,7 +130,6 @@ impl std::fmt::Debug for SimArena {
         f.debug_struct("SimArena")
             .field("warm", &self.uncore.is_some())
             .field("engines", &self.engines.len())
-            .field("memo", &self.memo.len())
             .finish_non_exhaustive()
     }
 }

@@ -223,18 +223,46 @@ impl BurstStop {
 /// The live generator is the *reference* path — the original per-item
 /// implementation every faster substrate is differential-tested against
 /// (the PR 1/PR 3 playbook). The compiled path replays pre-generated
-/// [`CompiledTrace`] blocks and must be bit-identical; the oracle in
-/// `crates/cmpsim/tests/differential.rs` proves it. The fed path replays
-/// chunks a generator thread streams in (the pipelined single-core
-/// profiler) through the same column walk as the compiled path.
+/// [`CompiledTrace`] blocks and the fed path replays chunks a generator
+/// thread streams in ([`crate::feed`]); both walk the same columns and
+/// must be bit-identical to the live generator, which the oracle in
+/// `crates/cmpsim/tests/differential.rs` proves.
 #[derive(Debug, Clone)]
-enum TraceSource {
+pub(crate) enum TraceSource {
     /// Per-item generation from the live [`TraceStream`].
     Reference(TraceStream),
     /// Batched replay of a pre-compiled trace.
     Compiled(CompiledCursor),
     /// Batched replay of chunks fed in one at a time.
     Fed(FedCursor),
+}
+
+impl TraceSource {
+    /// Live per-item generation of `spec`'s trace.
+    pub(crate) fn reference(spec: impl Into<Arc<BenchmarkSpec>>, geometry: TraceGeometry) -> Self {
+        Self::Reference(TraceStream::new(spec, geometry))
+    }
+
+    /// Replay of a compiled trace (the geometry comes from the trace).
+    pub(crate) fn compiled(trace: Arc<CompiledTrace>) -> Self {
+        Self::Compiled(CompiledCursor::new(trace))
+    }
+
+    /// Replay of `spec`'s trace as chunks fed in by the caller, starting
+    /// with `first`, which must begin at stream position 0.
+    pub(crate) fn fed(
+        first: TraceChunk,
+        spec: Arc<BenchmarkSpec>,
+        geometry: TraceGeometry,
+    ) -> Self {
+        Self::Fed(FedCursor {
+            spec,
+            trace_insns: geometry.trace_insns(),
+            chunk: first,
+            op: 0,
+            insn: 0,
+        })
+    }
 }
 
 /// Replay position within a shared [`CompiledTrace`].
@@ -245,7 +273,7 @@ enum TraceSource {
 /// Within a pass the block index is advanced eagerly, so
 /// `current_phase` always reflects the op about to execute.
 #[derive(Debug, Clone)]
-struct CompiledCursor {
+pub(crate) struct CompiledCursor {
     trace: Arc<CompiledTrace>,
     /// Current block index (always valid; op may equal the block's len
     /// only at the end-of-pass sentinel).
@@ -315,15 +343,12 @@ impl CompiledCursor {
     }
 }
 
-/// A run of same-phase trace items in [`OpColumns`] layout, ending at a
-/// known stream position — the unit the pipelined profiler's generator
-/// thread hands to [`CoreEngine::feed`].
+/// A run of same-phase trace items in [`OpColumns`] layout — the unit a
+/// [`crate::feed`] generator thread hands to a fed engine.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TraceChunk {
     /// Phase index every op of the chunk was generated under.
     pub(crate) phase: usize,
-    /// Stream position (monotonic across wraps) just past the last op.
-    pub(crate) end: u64,
     /// The items.
     pub(crate) ops: OpColumns,
 }
@@ -331,7 +356,7 @@ pub(crate) struct TraceChunk {
 impl TraceChunk {
     /// An empty chunk buffer with room for `ops` items.
     pub(crate) fn with_capacity(ops: usize) -> Self {
-        Self { phase: 0, end: 0, ops: OpColumns::with_capacity(ops) }
+        Self { phase: 0, ops: OpColumns::with_capacity(ops) }
     }
 
     /// Refills the buffer with the next items of `stream`: at most
@@ -340,16 +365,16 @@ impl TraceChunk {
         self.ops.clear();
         self.phase = stream.current_phase();
         self.ops.fill_from(stream, end, max_ops);
-        self.end = stream.position();
     }
 }
 
 /// Replay position within the chunk a fed engine holds. Fed engines
-/// only run bursts: [`CoreEngine::step`] and
-/// [`CoreEngine::trace_passes`] are not defined for them.
+/// only run bursts: [`CoreEngine::step`] is not defined for them.
 #[derive(Debug, Clone)]
-struct FedCursor {
+pub(crate) struct FedCursor {
     spec: Arc<BenchmarkSpec>,
+    /// Instructions in one trace pass.
+    trace_insns: u64,
     chunk: TraceChunk,
     /// Next op within the chunk.
     op: usize,
@@ -420,18 +445,14 @@ impl CoreEngine {
         core_idx: usize,
         core_factor: f64,
     ) -> Self {
-        Self::from_source(
-            TraceSource::Reference(TraceStream::new(spec, geometry)),
-            machine,
-            core_idx,
-            core_factor,
-        )
+        Self::from_source(TraceSource::reference(spec, geometry), machine, core_idx, core_factor)
     }
 
     /// Creates an engine that replays a pre-compiled trace instead of
-    /// running the live generator — the batched production path (the
-    /// geometry comes from the compiled trace). Bit-identical to the
-    /// reference-stream constructors by the differential oracle.
+    /// running the live generator — the path of runs that take a
+    /// [`crate::TraceCache`] (the geometry comes from the compiled
+    /// trace). Bit-identical to the reference-stream constructors by the
+    /// differential oracle.
     ///
     /// # Panics
     ///
@@ -442,25 +463,7 @@ impl CoreEngine {
         core_idx: usize,
         core_factor: f64,
     ) -> Self {
-        Self::from_source(
-            TraceSource::Compiled(CompiledCursor::new(trace)),
-            machine,
-            core_idx,
-            core_factor,
-        )
-    }
-
-    /// Creates an engine on core 0 that replays chunks of `spec`'s trace
-    /// fed in by the caller, starting with `first` (which must begin at
-    /// position 0). Bit-identical to the reference-stream constructor
-    /// when fed the stream's items in order.
-    pub(crate) fn fed(
-        spec: Arc<BenchmarkSpec>,
-        machine: &MachineConfig,
-        first: TraceChunk,
-    ) -> Self {
-        let cursor = FedCursor { spec, chunk: first, op: 0, insn: 0 };
-        Self::from_source(TraceSource::Fed(cursor), machine, 0, 1.0)
+        Self::from_source(TraceSource::compiled(trace), machine, core_idx, core_factor)
     }
 
     /// Swaps in the chunk that continues the trace where the held one
@@ -476,17 +479,12 @@ impl CoreEngine {
         std::mem::replace(&mut f.chunk, chunk)
     }
 
-    /// Stream position just past the held chunk (fed engines only).
+    /// Builds an engine for core `core_idx` over any trace source.
     ///
     /// # Panics
     ///
-    /// Panics if the engine is not fed.
-    pub(crate) fn chunk_end(&self) -> u64 {
-        let TraceSource::Fed(f) = &self.source else { panic!("only fed engines hold chunks") };
-        f.chunk.end
-    }
-
-    fn from_source(
+    /// Panics if `core_factor` is not positive and finite.
+    pub(crate) fn from_source(
         source: TraceSource,
         machine: &MachineConfig,
         core_idx: usize,
@@ -513,8 +511,13 @@ impl CoreEngine {
     /// Rebuilds this engine in place for a new mix — the `SimArena` pool
     /// path. Observationally equivalent to [`Self::from_source`] with the
     /// same arguments, but the private L1D/L2 slabs are reused (via
-    /// [`SetAssocCache::reinit`]) when the machine's cache shapes match.
-    fn reinit_from_source(
+    /// [`SetAssocCache::reinit`]) when the machine's cache shapes match,
+    /// so it allocates nothing unless they changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core_factor` is not positive and finite.
+    pub(crate) fn reinit(
         &mut self,
         source: TraceSource,
         machine: &MachineConfig,
@@ -537,49 +540,6 @@ impl CoreEngine {
         self.pending = None;
     }
 
-    /// In-place counterpart of [`Self::with_core_factor`] (pool path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core_factor` is not positive and finite.
-    pub(crate) fn reinit_with_core_factor(
-        &mut self,
-        spec: impl Into<Arc<BenchmarkSpec>>,
-        machine: &MachineConfig,
-        geometry: TraceGeometry,
-        core_idx: usize,
-        core_factor: f64,
-    ) {
-        self.reinit_from_source(
-            TraceSource::Reference(TraceStream::new(spec, geometry)),
-            machine,
-            core_idx,
-            core_factor,
-        );
-    }
-
-    /// In-place counterpart of [`Self::with_compiled_trace`] (pool path):
-    /// allocation-free apart from the caches' own reallocation when the
-    /// machine's cache shapes change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core_factor` is not positive and finite.
-    pub(crate) fn reinit_with_compiled_trace(
-        &mut self,
-        trace: Arc<CompiledTrace>,
-        machine: &MachineConfig,
-        core_idx: usize,
-        core_factor: f64,
-    ) {
-        self.reinit_from_source(
-            TraceSource::Compiled(CompiledCursor::new(trace)),
-            machine,
-            core_idx,
-            core_factor,
-        );
-    }
-
     /// Local clock, in cycles.
     pub fn cycles(&self) -> f64 {
         self.cycles
@@ -594,13 +554,16 @@ impl CoreEngine {
         }
     }
 
-    /// Completed trace passes (warmup plus measurement plus FAME
-    /// re-iteration).
+    /// Trace-pass wraps so far (warmup plus measurement plus FAME
+    /// re-iteration): the pass in progress is not counted, and a pass
+    /// is only left when its successor's first item runs. A fed engine's
+    /// generator runs ahead of it, so its count comes from its own
+    /// position, which the lazy rewind makes `(position − 1) / trace`.
     pub fn trace_passes(&self) -> u64 {
         match &self.source {
             TraceSource::Reference(stream) => stream.wraps(),
             TraceSource::Compiled(cursor) => cursor.wraps,
-            TraceSource::Fed(_) => unreachable!("fed engines count no trace passes"),
+            TraceSource::Fed(cursor) => cursor.insn.saturating_sub(1) / cursor.trace_insns,
         }
     }
 
@@ -741,7 +704,9 @@ impl CoreEngine {
         match self.source {
             TraceSource::Reference(_) => self.reference_run_until_llc(limit),
             TraceSource::Compiled(_) => self.compiled_run_until_llc(limit),
-            TraceSource::Fed(_) => self.fed_run_until_llc(limit),
+            TraceSource::Fed(_) => self
+                .run_fed_until_llc(limit)
+                .expect("a fed burst's limit lies within the held chunk"),
         }
     }
 
@@ -814,11 +779,19 @@ impl CoreEngine {
         }
     }
 
-    /// The burst loop over a fed chunk: one [`Self::walk_columns`] call.
-    /// The caller keeps `limit` within the held chunk, so the walk always
-    /// stops.
-    fn fed_run_until_llc(&mut self, limit: u64) -> BurstStop {
-        let TraceSource::Fed(f) = &mut self.source else { unreachable!() };
+    /// The burst loop over a fed chunk: one [`Self::walk_columns`] call,
+    /// returning `None` when the held chunk runs out first — the caller
+    /// then [feeds](Self::feed) the next chunk and bursts on, exactly as
+    /// the compiled loop steps from one block to the next.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is not fed.
+    pub(crate) fn run_fed_until_llc(&mut self, limit: u64) -> Option<BurstStop> {
+        debug_assert!(self.pending.is_none(), "commit the pending LLC access before bursting");
+        let TraceSource::Fed(f) = &mut self.source else {
+            panic!("only fed engines replay chunks")
+        };
         // Moved out for the walk (no copy of the columns) so the engine
         // stays mutably borrowable.
         let chunk = std::mem::take(&mut f.chunk);
@@ -828,7 +801,7 @@ impl CoreEngine {
         f.chunk = chunk;
         f.op = op;
         f.insn = pos;
-        stop.expect("a fed burst's limit lies within the held chunk")
+        stop
     }
 
     /// The one column-walking loop behind every batched burst: executes
@@ -1043,7 +1016,7 @@ mod tests {
         let mut shared = Uncore::new(&m);
         let mut state = crate::multi::InterleaveState::new(engines.len(), 0, 100_000);
         let mut heap = std::collections::BinaryHeap::new();
-        crate::multi::event_interleave_into(&mut engines, &mut shared, &mut state, &mut heap);
+        crate::multi::event_interleave_into(&mut engines, &mut shared, &mut state, &mut heap, None);
         let mem_cpi = engines[0].mem_stall() / engines[0].insns() as f64;
         assert!(mem_cpi > 0.2, "sharing should cause conflict misses, mem cpi {mem_cpi}");
     }

@@ -27,6 +27,9 @@
 //!   instead of O(cores) per *item*. Programs that finish re-iterate
 //!   their trace so contention stays live (the FAME methodology), and
 //!   each program's multi-core CPI is measured over its first full trace.
+//!   Each core replays trace chunks a generator thread streams from its
+//!   program (the pipeline the profiler uses), or, when the caller
+//!   attaches a [`TraceCache`], compiled traces reused across runs.
 //! * [`reference`] keeps the retired scheduler and per-item execution
 //!   substrate as oracles for the differential tests; they are not
 //!   reachable from the builder.
@@ -53,6 +56,7 @@
 
 mod arena;
 mod engine;
+mod feed;
 mod machine;
 mod memory;
 mod multi;

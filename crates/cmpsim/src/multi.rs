@@ -14,16 +14,28 @@
 //! events in identical order because smallest-clock-first stepping *is* a
 //! merge of the per-core step sequences by `(pre-step clock, core index)`
 //! — see DESIGN.md §9 for the argument.
+//!
+//! Where the trace items come from depends on whether the caller passes
+//! a [`TraceCache`]. Without one, each core replays chunks a generator
+//! thread streams from its live trace ([`crate::feed`]), so a run holds
+//! a few 53 KB buffers per core instead of whole compiled traces. With
+//! one, each core replays the cache's compiled trace, which pays off
+//! wherever a trace is reused across runs (`Store`, hence `mppmd` and
+//! every figure). Both replay the same columns through the same burst
+//! kernel, and a fed burst crosses chunk ends in place, so the two are
+//! bit-identical down to the scheduler's heap traffic.
 
 use mppm_obs::{Span, Value};
-use mppm_trace::{BenchmarkSpec, CompiledTrace, TraceGeometry};
+use mppm_trace::{BenchmarkSpec, CompiledTrace, TraceGeometry, TraceStream};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, BTreeMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as MemOrdering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::arena::{PtrMap, SimArena};
+use crate::arena::SimArena;
+use crate::engine::TraceSource;
+use crate::feed::{self, Feeds};
 use crate::reference::{Execution, Scheduler};
 use crate::{BurstStop, CoreEngine, MachineConfig, Uncore};
 
@@ -85,9 +97,10 @@ impl MixResult {
 /// point for detailed simulation.
 ///
 /// Defaults: one warmup pass, unified LLC, homogeneous cores, no
-/// observer. Every run uses the event-driven scheduler over compiled
-/// traces; the retired paths are reachable only as oracles, through
-/// [`crate::reference::run`].
+/// observer. Every run uses the event-driven scheduler over trace chunks
+/// streamed from a generator thread, or over compiled traces when a
+/// [`TraceCache`] is attached; the retired paths are reachable only as
+/// oracles, through [`crate::reference::run`].
 ///
 /// ```
 /// use mppm_sim::{MachineConfig, MixSim};
@@ -109,6 +122,8 @@ pub struct MixSim<'a> {
     core_factors: Option<&'a [f64]>,
     pub(crate) scheduler: Scheduler,
     pub(crate) execution: Execution,
+    /// Ops per streamed chunk (tests force tiny chunks).
+    pub(crate) chunk_ops: usize,
     observer: Option<&'a Span>,
     trace_cache: Option<&'a TraceCache>,
     arena: Option<&'a mut SimArena>,
@@ -130,6 +145,7 @@ impl<'a> MixSim<'a> {
             core_factors: None,
             scheduler: Scheduler::default(),
             execution: Execution::default(),
+            chunk_ops: feed::CHUNK_OPS,
             observer: None,
             trace_cache: None,
             arena: None,
@@ -168,11 +184,12 @@ impl<'a> MixSim<'a> {
         self
     }
 
-    /// Resolves compiled traces through a shared [`TraceCache`] instead
-    /// of compiling fresh on every run. Long-lived processes (the
+    /// Replays compiled traces resolved through a shared [`TraceCache`]
+    /// instead of streaming each trace afresh. Long-lived processes (the
     /// `mppmd` daemon, the experiment store) hand the same cache to
-    /// every run so each `(benchmark, geometry)` pair compiles once per
-    /// process.
+    /// every run so each `(spec, geometry)` pair is generated once per
+    /// process rather than once per run. Results are bit-identical
+    /// either way.
     pub fn trace_cache(mut self, cache: &'a TraceCache) -> Self {
         self.trace_cache = Some(cache);
         self
@@ -180,9 +197,11 @@ impl<'a> MixSim<'a> {
 
     /// Runs this mix through a reusable [`SimArena`]: engines, cache
     /// slabs, the scheduler heap, and all interleaver bookkeeping are
-    /// *reset in place* instead of reallocated, so a warm arena makes
-    /// the whole run allocation-free at steady state (proven by the
-    /// counting-allocator harness in `tests/alloc_steady.rs`).
+    /// *reset in place* instead of reallocated, so a warm arena together
+    /// with a warm [`TraceCache`] makes the whole run allocation-free at
+    /// steady state (proven by the counting-allocator harness in
+    /// `tests/alloc_steady.rs`). A streamed run still allocates its
+    /// generator thread, streams and chunk buffers, a constant per run.
     ///
     /// Results are bit-identical with or without an arena: the no-arena
     /// path constructs a throwaway arena internally, so both run the
@@ -218,16 +237,17 @@ impl<'a> MixSim<'a> {
     /// Runs the simulation, writing the result into `out` in place.
     ///
     /// Equivalent to [`MixSim::run`] but reuses `out`'s existing vector
-    /// capacity — combined with [`MixSim::arena`], a steady-state caller
-    /// (campaign shard worker, daemon request loop) performs zero heap
-    /// allocations per mix. `out`'s previous contents are overwritten
-    /// entirely.
+    /// capacity — combined with [`MixSim::arena`] and
+    /// [`MixSim::trace_cache`], a steady-state caller (the `Store`
+    /// worker path) performs zero heap allocations per mix. `out`'s
+    /// previous contents are overwritten entirely.
     ///
     /// # Panics
     ///
     /// Same conditions as [`MixSim::run`].
     pub fn run_into(mut self, out: &mut MixResult) {
-        assert!(!self.specs.is_empty(), "a mix needs at least one program");
+        let specs = self.specs;
+        assert!(!specs.is_empty(), "a mix needs at least one program");
         // Without a caller-provided arena, run through a throwaway one:
         // the cold-arena path is exactly the old allocate-per-run
         // behavior, and both paths execute the same code.
@@ -239,10 +259,9 @@ impl<'a> MixSim<'a> {
                 &mut local
             }
         };
-        let SimArena { uncore: uncore_slot, engines, heap, state, unit_factors, dedup, memo } =
-            scratch;
+        let SimArena { uncore: uncore_slot, engines, heap, state, unit_factors } = scratch;
         if let Some(ways) = self.ways {
-            assert_eq!(ways.len(), self.specs.len(), "one way count per program");
+            assert_eq!(ways.len(), specs.len(), "one way count per program");
         }
         match uncore_slot {
             Some(u) => u.reinit(self.machine, self.ways),
@@ -256,45 +275,115 @@ impl<'a> MixSim<'a> {
         let Some(uncore) = uncore_slot else { unreachable!("the uncore slot was just filled") };
         let factors = match self.core_factors {
             Some(f) => {
-                assert_eq!(f.len(), self.specs.len(), "one core factor per program");
+                assert_eq!(f.len(), specs.len(), "one core factor per program");
                 f
             }
             None => {
                 unit_factors.clear();
-                unit_factors.resize(self.specs.len(), 1.0);
+                unit_factors.resize(specs.len(), 1.0);
                 unit_factors
             }
         };
-        let disabled = Span::disabled();
-        let span = self.observer.unwrap_or(&disabled);
-        run_mix_into(
-            self.specs,
-            self.machine,
-            self.geometry,
-            self.warmup_passes,
-            uncore,
-            factors,
-            self.scheduler,
-            self.execution,
-            self.trace_cache,
-            span,
-            engines,
-            heap,
-            state,
-            dedup,
-            memo,
-            out,
+
+        let alloc_start = mppm_obs::alloc::snapshot();
+        let (machine, geometry) = (self.machine, self.geometry);
+        let trace_insns = geometry.trace_insns();
+        state.reset(specs.len(), trace_insns * u64::from(self.warmup_passes), trace_insns);
+        let substrate = match (self.execution, self.scheduler, self.trace_cache) {
+            (Execution::ReferenceStream, ..) => Substrate::ReferenceStream,
+            (Execution::Compiled, Scheduler::EventDriven, None) => Substrate::Streamed,
+            (Execution::Compiled, ..) => Substrate::Compiled,
+        };
+        let mut batch = BatchStats::default();
+        match substrate {
+            Substrate::Streamed => {
+                let shared: Vec<Arc<BenchmarkSpec>> =
+                    specs.iter().map(|&s| Arc::new(s.clone())).collect();
+                let mut streams: Vec<TraceStream> =
+                    shared.iter().map(|s| TraceStream::new(Arc::clone(s), geometry)).collect();
+                feed::with_feeds(&mut streams, u64::MAX, self.chunk_ops, |feeds| {
+                    place_engines(engines, machine, factors, |idx| {
+                        TraceSource::fed(feeds.next(idx), Arc::clone(&shared[idx]), geometry)
+                    });
+                    event_interleave_into(engines, uncore, state, heap, Some(feeds));
+                });
+            }
+            Substrate::Compiled => {
+                // The smallest-clock oracle steps item by item, which
+                // chunks cannot; without a caller's cache it replays
+                // traces compiled for this run alone.
+                let run_local;
+                let cache = match self.trace_cache {
+                    Some(cache) => cache,
+                    None => {
+                        run_local = TraceCache::new();
+                        &run_local
+                    }
+                };
+                place_engines(engines, machine, factors, |idx| {
+                    let trace = cache.get_or_compile(specs[idx], geometry);
+                    batch.traces += 1;
+                    batch.blocks += trace.blocks().len() as u64;
+                    batch.ops += trace.ops();
+                    TraceSource::compiled(trace)
+                });
+            }
+            Substrate::ReferenceStream => place_engines(engines, machine, factors, |idx| {
+                TraceSource::reference(specs[idx].clone(), geometry)
+            }),
+        }
+        if substrate != Substrate::Streamed {
+            match self.scheduler {
+                Scheduler::EventDriven => event_interleave_into(engines, uncore, state, heap, None),
+                Scheduler::Reference => crate::reference::interleave_into(engines, uncore, state),
+            }
+        }
+
+        assign_names(&mut out.names, specs);
+        out.trace_insns = trace_insns;
+        out.completion_cycles.clear();
+        out.completion_cycles.extend(
+            state
+                .completion
+                .iter()
+                .zip(&state.measure_start)
+                .map(|(end, start)| {
+                    end.expect("all programs completed")
+                        - start.expect("warmup completed before the run ended")
+                }),
         );
+        out.cpi_mc.clear();
+        out.cpi_mc.extend(out.completion_cycles.iter().map(|&c| c / trace_insns as f64));
+        out.llc_accesses_per_core.clear();
+        out.llc_accesses_per_core.extend_from_slice(&state.llc_accesses);
+        out.llc_misses_per_core.clear();
+        out.llc_misses_per_core.extend_from_slice(&state.llc_misses);
+        out.llc_accesses = state.llc_accesses.iter().sum();
+        out.llc_misses = state.llc_misses.iter().sum();
+        // The scheduler-observed traffic and the caches' own counters are two
+        // views of the same commits.
+        debug_assert_eq!(
+            (out.llc_accesses - out.llc_misses, out.llc_misses),
+            uncore.llc_totals(),
+            "per-core tallies must match the LLC's counters"
+        );
+        if let Some(span) = self.observer.filter(|s| s.is_enabled()) {
+            batch.passes = engines.iter().map(CoreEngine::trace_passes).sum();
+            let alloc = mppm_obs::alloc::snapshot().since(alloc_start);
+            let (warmup, scheduler) = (self.warmup_passes, self.scheduler);
+            publish_mix(span, uncore, state, out, warmup, scheduler, substrate, batch, alloc);
+        }
     }
 }
 
 /// Cross-run cache of compiled traces, shared by reference between
 /// [`MixSim`] runs (see [`MixSim::trace_cache`]).
 ///
-/// Keys are `(benchmark name, geometry)`: suite names uniquely identify
-/// benchmark parameters (the suite version stamp governs retuning), so
-/// callers must pass canonical suite specs. A debug assertion checks the
-/// cached trace's spec against the requested one.
+/// Content-keyed: a lookup compares the requested `(spec, geometry)`
+/// against each cached trace's own, so two specs that share a name but
+/// differ in any parameter get separate entries, and a hit allocates
+/// nothing. The cache holds one entry per distinct trace a process
+/// simulates (tens), so the scan is short.
 ///
 /// Determinism: a [`CompiledTrace`] is a pure function of
 /// `(spec, geometry)`, so cache warmth cannot affect simulation results,
@@ -304,7 +393,7 @@ impl<'a> MixSim<'a> {
 /// hit/compile totals live in [`TraceCache::stats`].
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    slots: Mutex<BTreeMap<(String, u64, u32), Arc<CompiledTrace>>>,
+    slots: Mutex<Vec<Arc<CompiledTrace>>>,
     hits: AtomicU64,
     compiles: AtomicU64,
 }
@@ -324,15 +413,18 @@ impl TraceCache {
         spec: &BenchmarkSpec,
         geometry: TraceGeometry,
     ) -> Arc<CompiledTrace> {
-        let key = (spec.name().to_string(), geometry.interval_insns, geometry.intervals);
-        if let Some(trace) = self.lock().get(&key) {
-            debug_assert_eq!(trace.spec().name(), spec.name(), "cache key matches its spec");
+        if let Some(trace) = Self::find(&self.lock(), spec, geometry) {
             self.hits.fetch_add(1, MemOrdering::Relaxed);
-            return Arc::clone(trace);
+            return trace;
         }
         let fresh = Arc::new(CompiledTrace::compile(spec.clone(), geometry));
         self.compiles.fetch_add(1, MemOrdering::Relaxed);
-        Arc::clone(self.lock().entry(key).or_insert(fresh))
+        let mut slots = self.lock();
+        if let Some(trace) = Self::find(&slots, spec, geometry) {
+            return trace;
+        }
+        slots.push(Arc::clone(&fresh));
+        fresh
     }
 
     /// `(hits, compiles)` so far. Lost races count as compiles: the
@@ -341,7 +433,7 @@ impl TraceCache {
         (self.hits.load(MemOrdering::Relaxed), self.compiles.load(MemOrdering::Relaxed))
     }
 
-    /// Number of distinct `(benchmark, geometry)` pairs cached.
+    /// Number of distinct `(spec, geometry)` pairs cached.
     pub fn len(&self) -> usize {
         self.lock().len()
     }
@@ -351,7 +443,15 @@ impl TraceCache {
         self.len() == 0
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<(String, u64, u32), Arc<CompiledTrace>>> {
+    fn find(
+        slots: &[Arc<CompiledTrace>],
+        spec: &BenchmarkSpec,
+        geometry: TraceGeometry,
+    ) -> Option<Arc<CompiledTrace>> {
+        slots.iter().find(|t| t.geometry() == geometry && t.spec() == spec).map(Arc::clone)
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<CompiledTrace>>> {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -528,7 +628,9 @@ impl PartialOrd for Event {
 ///
 /// The state and heap are caller-owned (arena-pooled); the outcome is
 /// left in `state`. The heap never holds more than one event per core,
-/// so a warm heap never grows.
+/// so a warm heap never grows. With `feeds`, the engines are fed and
+/// burst through [`Feeds::burst`], which crosses chunk ends without
+/// yielding, so the heap traffic is the same as over compiled traces.
 ///
 /// # Panics
 ///
@@ -538,17 +640,22 @@ pub(crate) fn event_interleave_into(
     uncore: &mut Uncore,
     state: &mut InterleaveState,
     heap: &mut BinaryHeap<Event>,
+    feeds: Option<&Feeds>,
 ) {
     assert!(!engines.is_empty(), "a mix needs at least one program");
     // Yield granularity for cores with no shared events in flight; any
     // positive value produces identical results (yields have no shared
     // effects), this one bounds heap traffic to ~1 event per trace pass.
     let chunk = state.trace_insns.max(1);
+    let burst = |engine: &mut CoreEngine, idx: usize, limit: u64| match feeds {
+        Some(feeds) => feeds.burst(idx, engine, limit),
+        None => engine.run_until_llc(limit),
+    };
     heap.clear();
     heap.reserve(engines.len());
     for idx in 0..engines.len() {
         let limit = state.next_limit(engines, idx, chunk);
-        heap.push(Event::new(engines[idx].run_until_llc(limit), idx));
+        heap.push(Event::new(burst(&mut engines[idx], idx, limit), idx));
         state.heap_pushes += 1;
     }
     while let Some(ev) = heap.pop() {
@@ -562,110 +669,57 @@ pub(crate) fn event_interleave_into(
             return;
         }
         let limit = state.next_limit(engines, idx, chunk);
-        heap.push(Event::new(engines[idx].run_until_llc(limit), idx));
+        heap.push(Event::new(burst(&mut engines[idx], idx, limit), idx));
         state.heap_pushes += 1;
     }
     unreachable!("the heap always holds one event per core until completion");
 }
 
-/// Batch-compilation bookkeeping published as `sim.batch.*`.
+/// The trace substrate a run resolves to, named in its `mix-config` and
+/// `batch` events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Substrate {
+    /// Chunks streamed from a generator thread: event-driven runs
+    /// without a [`TraceCache`].
+    Streamed,
+    /// Compiled traces resolved through a [`TraceCache`].
+    Compiled,
+    /// Live per-item generation (the oracle).
+    ReferenceStream,
+}
+
+/// Trace-substrate bookkeeping published as `sim.batch.*`.
 #[derive(Debug, Clone, Copy, Default)]
 struct BatchStats {
-    /// Distinct specs resolved to compiled traces — freshly compiled or
-    /// taken warm from a [`TraceCache`] alike, so the published `batch`
-    /// event is byte-identical regardless of cache warmth (zero under
-    /// reference-stream execution). Actual compile-vs-hit accounting
-    /// lives in [`TraceCache::stats`].
-    compiles: u64,
-    /// Compiled blocks across those compilations.
+    /// Compiled traces the cores replay, one per core, resolved through
+    /// a [`TraceCache`] — freshly compiled or taken warm alike, so the
+    /// published `batch` event is byte-identical regardless of cache
+    /// warmth (zero on streamed and reference-stream runs). Actual
+    /// compile-vs-hit accounting lives in [`TraceCache::stats`].
+    traces: u64,
+    /// Compiled blocks across those traces.
     blocks: u64,
-    /// Compiled ops (trace items) across those compilations.
+    /// Compiled ops (trace items) across those traces.
     ops: u64,
-    /// Engines that reused a compilation instead of running their own.
-    reused: u64,
-    /// Trace passes executed across all engines (all of them replayed
-    /// from compiled blocks under compiled execution).
+    /// Trace passes executed across all engines; the same on every
+    /// substrate.
     passes: u64,
 }
 
-/// Resolves a spec to its compiled trace. Resolution order: the arena's
-/// content-keyed memo (no allocation on a hit), then the shared
-/// cross-run [`TraceCache`] (whose lookup allocates a `String` key),
-/// then a fresh compile. The resolved trace is memoized, so the next
-/// mix through the same arena skips both the cache lookup and the
-/// compilation entirely. A [`CompiledTrace`] is a pure function of
-/// `(spec, geometry)`, so memo warmth cannot affect results.
-fn resolve_compiled(
-    spec: &BenchmarkSpec,
-    geometry: TraceGeometry,
-    cache: Option<&TraceCache>,
-    memo: &mut Vec<Arc<CompiledTrace>>,
-) -> Arc<CompiledTrace> {
-    if let Some(t) = memo.iter().find(|t| t.geometry() == geometry && *t.spec() == *spec) {
-        return Arc::clone(t);
-    }
-    let t = match cache {
-        Some(c) => c.get_or_compile(spec, geometry),
-        None => Arc::new(CompiledTrace::compile(spec.clone(), geometry)),
-    };
-    memo.push(Arc::clone(&t));
-    t
-}
-
 /// Builds (or, from a warm arena, re-initializes in place) one engine
-/// per spec into `engines`. Under compiled execution every *distinct*
-/// spec (by reference identity — mixes repeat specs by repeating the
-/// same `&BenchmarkSpec`) is resolved once per mix and shared by all
-/// cores running it; `dedup` replaces the old linear `std::ptr::eq`
-/// scan with a capacity-hinted pointer-keyed map, keeping wide mixes
-/// with many repeated specs O(1) per core.
-#[allow(clippy::too_many_arguments)]
-fn build_engines_into(
-    specs: &[&BenchmarkSpec],
-    machine: &MachineConfig,
-    geometry: TraceGeometry,
-    core_factors: &[f64],
-    execution: Execution,
-    cache: Option<&TraceCache>,
-    stats: &mut BatchStats,
+/// per core into `engines`, core `idx` replaying `source(idx)`.
+fn place_engines(
     engines: &mut Vec<CoreEngine>,
-    dedup: &mut PtrMap,
-    memo: &mut Vec<Arc<CompiledTrace>>,
+    machine: &MachineConfig,
+    core_factors: &[f64],
+    mut source: impl FnMut(usize) -> TraceSource,
 ) {
-    engines.truncate(specs.len());
-    dedup.clear();
-    dedup.reserve(specs.len());
-    for (idx, (spec, &factor)) in specs.iter().zip(core_factors).enumerate() {
-        match execution {
-            Execution::ReferenceStream => match engines.get_mut(idx) {
-                Some(e) => e.reinit_with_core_factor((*spec).clone(), machine, geometry, idx, factor),
-                None => engines
-                    .push(CoreEngine::with_core_factor((*spec).clone(), machine, geometry, idx, factor)),
-            },
-            Execution::Compiled => {
-                let key = (*spec as *const BenchmarkSpec) as usize;
-                let trace = match dedup.get(&key) {
-                    Some(t) => {
-                        stats.reused += 1;
-                        Arc::clone(t)
-                    }
-                    None => {
-                        let t = resolve_compiled(spec, geometry, cache, memo);
-                        // Memo hits still count as `compiles`: the batch
-                        // event counts *resolved* traces so observed
-                        // streams stay identical regardless of warmth.
-                        stats.compiles += 1;
-                        stats.blocks += t.blocks().len() as u64;
-                        stats.ops += t.ops();
-                        dedup.insert(key, Arc::clone(&t));
-                        t
-                    }
-                };
-                match engines.get_mut(idx) {
-                    Some(e) => e.reinit_with_compiled_trace(trace, machine, idx, factor),
-                    None => engines.push(CoreEngine::with_compiled_trace(trace, machine, idx, factor)),
-                }
-            }
+    engines.truncate(core_factors.len());
+    for (idx, &factor) in core_factors.iter().enumerate() {
+        let source = source(idx);
+        match engines.get_mut(idx) {
+            Some(e) => e.reinit(source, machine, idx, factor),
+            None => engines.push(CoreEngine::from_source(source, machine, idx, factor)),
         }
     }
 }
@@ -684,84 +738,6 @@ fn assign_names(out: &mut Vec<String>, specs: &[&BenchmarkSpec]) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_mix_into(
-    specs: &[&BenchmarkSpec],
-    machine: &MachineConfig,
-    geometry: TraceGeometry,
-    warmup_passes: u32,
-    uncore: &mut Uncore,
-    core_factors: &[f64],
-    scheduler: Scheduler,
-    execution: Execution,
-    trace_cache: Option<&TraceCache>,
-    span: &Span,
-    engines: &mut Vec<CoreEngine>,
-    heap: &mut BinaryHeap<Event>,
-    state: &mut InterleaveState,
-    dedup: &mut PtrMap,
-    memo: &mut Vec<Arc<CompiledTrace>>,
-    out: &mut MixResult,
-) {
-    assert!(!specs.is_empty(), "a mix needs at least one program");
-    let alloc_start = mppm_obs::alloc::snapshot();
-    let mut batch = BatchStats::default();
-    build_engines_into(
-        specs,
-        machine,
-        geometry,
-        core_factors,
-        execution,
-        trace_cache,
-        &mut batch,
-        engines,
-        dedup,
-        memo,
-    );
-    let engines = &mut engines[..specs.len()];
-    let trace_insns = geometry.trace_insns();
-    let warmup_insns = trace_insns * u64::from(warmup_passes);
-    state.reset(engines.len(), warmup_insns, trace_insns);
-    match scheduler {
-        Scheduler::EventDriven => event_interleave_into(engines, uncore, state, heap),
-        Scheduler::Reference => crate::reference::interleave_into(engines, uncore, state),
-    }
-
-    assign_names(&mut out.names, specs);
-    out.trace_insns = trace_insns;
-    out.completion_cycles.clear();
-    out.completion_cycles.extend(
-        state
-            .completion
-            .iter()
-            .zip(&state.measure_start)
-            .map(|(end, start)| {
-                end.expect("all programs completed")
-                    - start.expect("warmup completed before the run ended")
-            }),
-    );
-    out.cpi_mc.clear();
-    out.cpi_mc.extend(out.completion_cycles.iter().map(|&c| c / trace_insns as f64));
-    out.llc_accesses_per_core.clear();
-    out.llc_accesses_per_core.extend_from_slice(&state.llc_accesses);
-    out.llc_misses_per_core.clear();
-    out.llc_misses_per_core.extend_from_slice(&state.llc_misses);
-    out.llc_accesses = state.llc_accesses.iter().sum();
-    out.llc_misses = state.llc_misses.iter().sum();
-    // The scheduler-observed traffic and the caches' own counters are two
-    // views of the same commits.
-    debug_assert_eq!(
-        (out.llc_accesses - out.llc_misses, out.llc_misses),
-        uncore.llc_totals(),
-        "per-core tallies must match the LLC's counters"
-    );
-    if span.is_enabled() {
-        batch.passes = engines.iter().map(CoreEngine::trace_passes).sum();
-        let alloc = mppm_obs::alloc::snapshot().since(alloc_start);
-        publish_mix(span, uncore, state, out, warmup_passes, scheduler, execution, batch, alloc);
-    }
-}
-
 /// Publishes one finished mix to an enabled span: configuration, the
 /// per-core outcome, and the simulator's native counters (LLC kernel
 /// counters, scheduler heap traffic). Called once per simulation — the
@@ -775,7 +751,7 @@ fn publish_mix(
     result: &MixResult,
     warmup_passes: u32,
     scheduler: Scheduler,
-    execution: Execution,
+    substrate: Substrate,
     batch: BatchStats,
     alloc: mppm_obs::alloc::AllocSnapshot,
 ) {
@@ -783,9 +759,10 @@ fn publish_mix(
         Scheduler::EventDriven => "event-driven",
         Scheduler::Reference => "reference",
     };
-    let exec_name = match execution {
-        Execution::Compiled => "compiled",
-        Execution::ReferenceStream => "reference-stream",
+    let exec_name = match substrate {
+        Substrate::Streamed => "streamed",
+        Substrate::Compiled => "compiled",
+        Substrate::ReferenceStream => "reference-stream",
     };
     span.event(
         "mix-config",
@@ -832,10 +809,9 @@ fn publish_mix(
         "batch",
         &[
             ("execution", Value::from(exec_name)),
-            ("compiles", Value::from(batch.compiles)),
+            ("traces", Value::from(batch.traces)),
             ("blocks", Value::from(batch.blocks)),
             ("ops", Value::from(batch.ops)),
-            ("reused", Value::from(batch.reused)),
             ("passes", Value::from(batch.passes)),
         ],
     );
@@ -846,10 +822,9 @@ fn publish_mix(
     span.counter("sim.llc.commits").add(result.llc_accesses);
     span.counter("sim.sched.heap_pushes").add(outcome.heap_pushes);
     span.counter("sim.sched.heap_pops").add(outcome.heap_pops);
-    span.counter("sim.batch.compiles").add(batch.compiles);
+    span.counter("sim.batch.traces").add(batch.traces);
     span.counter("sim.batch.blocks").add(batch.blocks);
     span.counter("sim.batch.ops").add(batch.ops);
-    span.counter("sim.batch.reused").add(batch.reused);
     span.counter("sim.batch.passes").add(batch.passes);
     // Heap allocations observed during this mix — zero unless a counting
     // allocator feeds `mppm_obs::alloc` (test/bench binaries only), and
@@ -1123,6 +1098,27 @@ mod tests {
         }
     }
 
+    /// Runs `sim` under an observer, returning the result, every event
+    /// the run published and the counter snapshot.
+    fn observe(sim: MixSim<'_>) -> (MixResult, Vec<mppm_obs::Event>, Vec<(String, u64)>) {
+        let capture = CaptureSink::default();
+        let observer = mppm_obs::Observer::new(Box::new(capture.clone()));
+        let result = {
+            let root = observer.root("mix");
+            sim.observer(&root).run()
+        };
+        let events = capture.0.lock().unwrap().clone();
+        (result, events, observer.counter_snapshot())
+    }
+
+    fn counter(snapshot: &[(String, u64)], name: &str) -> u64 {
+        snapshot.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+    }
+
+    fn field<'e>(event: &'e mppm_obs::Event, key: &str) -> &'e mppm_obs::Value {
+        &event.fields.iter().find(|(k, _)| *k == key).unwrap().1
+    }
+
     #[test]
     fn observed_mix_publishes_events_and_counters_without_changing_results() {
         let m = MachineConfig::baseline();
@@ -1130,16 +1126,9 @@ mod tests {
         let gamess = suite::benchmark("gamess").unwrap();
         let lbm = suite::benchmark("lbm").unwrap();
         let silent = MixSim::new(&[gamess, lbm], &m, g).run();
-
-        let capture = CaptureSink::default();
-        let observer = mppm_obs::Observer::new(Box::new(capture.clone()));
-        let observed = {
-            let root = observer.root("mix-0000");
-            MixSim::new(&[gamess, lbm], &m, g).observer(&root).run()
-        };
+        let (observed, events, snapshot) = observe(MixSim::new(&[gamess, lbm], &m, g));
         assert_eq!(silent, observed, "observation must not perturb the simulation");
 
-        let events = capture.0.lock().unwrap().clone();
         let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(
             names,
@@ -1154,29 +1143,24 @@ mod tests {
                 "span-end"
             ]
         );
-        let sched = &events[5];
-        let pushes = sched.fields.iter().find(|(k, _)| *k == "heap_pushes").unwrap();
+        assert_eq!(*field(&events[1], "execution"), mppm_obs::Value::from("streamed"));
+        let pushes = field(&events[5], "heap_pushes");
         assert!(
-            matches!(pushes.1, mppm_obs::Value::U64(n) if n > 0),
+            matches!(pushes, mppm_obs::Value::U64(n) if *n > 0),
             "event-driven run must report heap traffic: {pushes:?}"
         );
-        let snapshot = observer.counter_snapshot();
-        let get = |name: &str| {
-            snapshot.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
-        };
+        let get = |name: &str| counter(&snapshot, name);
         assert_eq!(get("sim.mixes"), 1);
         assert_eq!(get("sim.llc.commits"), observed.llc_accesses);
         // Warmup passes also touch the LLC, so kernel hit/miss totals
         // exceed the measured-window commits.
         assert!(get("sim.llc.hits") + get("sim.llc.misses") >= observed.llc_accesses);
         assert!(get("sim.sched.heap_pops") > 0);
-        // Two distinct specs under the default compiled execution: two
-        // compilations, no reuse, and at least warmup+measurement passes
-        // replayed per engine.
-        assert_eq!(get("sim.batch.compiles"), 2);
-        assert_eq!(get("sim.batch.reused"), 0);
-        assert!(get("sim.batch.blocks") >= 2);
-        assert!(get("sim.batch.ops") > 0);
+        // A streamed run replays no compiled trace, and every engine
+        // still counts its warmup and measurement passes.
+        assert_eq!(get("sim.batch.traces"), 0);
+        assert_eq!(get("sim.batch.blocks"), 0);
+        assert_eq!(get("sim.batch.ops"), 0);
         assert!(get("sim.batch.passes") >= 2, "passes {}", get("sim.batch.passes"));
     }
 
@@ -1185,18 +1169,180 @@ mod tests {
         let m = MachineConfig::baseline();
         let g = TraceGeometry::tiny();
         let lbm = suite::benchmark("lbm").unwrap();
-        let capture = CaptureSink::default();
-        let observer = mppm_obs::Observer::new(Box::new(capture.clone()));
-        {
-            let root = observer.root("mix-0001");
-            MixSim::new(&[lbm, lbm, lbm], &m, g).observer(&root).run();
+        let cache = TraceCache::new();
+        let (_, _, snapshot) = observe(MixSim::new(&[lbm, lbm, lbm], &m, g).trace_cache(&cache));
+        assert_eq!(cache.len(), 1, "one spec, one cached trace");
+        assert_eq!(cache.stats(), (2, 1), "one compilation, two cores hit it");
+        assert_eq!(counter(&snapshot, "sim.batch.traces"), 3, "every core replays it");
+    }
+
+    #[test]
+    fn trace_cache_is_result_invariant_and_counts_hits() {
+        let m = MachineConfig::baseline();
+        let g = TraceGeometry::tiny();
+        let gamess = suite::benchmark("gamess").unwrap();
+        let lbm = suite::benchmark("lbm").unwrap();
+        let specs = [gamess, lbm, gamess];
+
+        let streamed = MixSim::new(&specs, &m, g).run();
+        let cache = TraceCache::new();
+        let first = MixSim::new(&specs, &m, g).trace_cache(&cache).run();
+        let second = MixSim::new(&specs, &m, g).trace_cache(&cache).run();
+        assert_eq!(streamed, first, "a cold cache changes nothing");
+        assert_eq!(first, second, "a warm cache changes nothing");
+
+        // Every core resolves its trace through the cache: the first run
+        // compiles the two distinct specs and hits once for the repeated
+        // gamess core, the second hits for all three.
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats(), (4, 2), "(hits, compiles)");
+    }
+
+    #[test]
+    fn trace_cache_keys_by_geometry() {
+        let m = MachineConfig::baseline();
+        let gamess = suite::benchmark("gamess").unwrap();
+        let specs = [gamess];
+        let cache = TraceCache::new();
+        let tiny = MixSim::new(&specs, &m, TraceGeometry::tiny()).trace_cache(&cache).run();
+        let other = MixSim::new(&specs, &m, TraceGeometry::new(2_000, 4))
+            .trace_cache(&cache)
+            .run();
+        assert_eq!(cache.len(), 2, "different geometries get different slots");
+        assert_ne!(tiny.trace_insns, other.trace_insns);
+    }
+
+    #[test]
+    fn trace_cache_keys_by_content_not_name() {
+        // Two specs sharing a name but not a seed are different programs:
+        // each gets its own entry, and each run replays its own trace.
+        let m = MachineConfig::baseline();
+        let g = TraceGeometry::tiny();
+        let lbm = suite::benchmark("lbm").unwrap();
+        let twin = BenchmarkSpec::new(
+            lbm.name(),
+            lbm.seed() ^ 1,
+            lbm.phases().to_vec(),
+            lbm.schedule().to_vec(),
+        )
+        .unwrap();
+        let cache = TraceCache::new();
+        assert_eq!(*cache.get_or_compile(lbm, g).spec(), *lbm);
+        assert_eq!(*cache.get_or_compile(&twin, g).spec(), twin);
+        assert_eq!(cache.len(), 2, "same name, different parameters, separate entries");
+        assert_eq!(cache.stats(), (0, 2));
+        for spec in [lbm, &twin] {
+            let cached = MixSim::new(&[spec], &m, g).trace_cache(&cache).run();
+            assert_eq!(cached, MixSim::new(&[spec], &m, g).run(), "{}", spec.seed());
         }
-        let snapshot = observer.counter_snapshot();
-        let get = |name: &str| {
-            snapshot.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
+        assert_eq!(cache.stats(), (2, 2), "each run hit its own entry");
+    }
+
+    #[test]
+    fn trace_cache_keeps_observed_batch_events_identical() {
+        // The `batch` event must not leak cache warmth: a cold-cache and
+        // a warm-cache run publish identical events. A streamed run names
+        // its own substrate but counts the same passes.
+        let m = MachineConfig::baseline();
+        let g = TraceGeometry::tiny();
+        let gamess = suite::benchmark("gamess").unwrap();
+        let specs = [gamess, gamess];
+        let batch = |cache: Option<&TraceCache>| {
+            let mut sim = MixSim::new(&specs, &m, g);
+            if let Some(cache) = cache {
+                sim = sim.trace_cache(cache);
+            }
+            let (_, events, _) = observe(sim);
+            events.into_iter().find(|e| e.name == "batch").unwrap()
         };
-        assert_eq!(get("sim.batch.compiles"), 1, "one spec, one compilation");
-        assert_eq!(get("sim.batch.reused"), 2, "two cores reuse the shared trace");
+        let cache = TraceCache::new();
+        let cold = batch(Some(&cache));
+        let warm = batch(Some(&cache));
+        assert_eq!(cold, warm, "batch events must not depend on cache warmth");
+        assert_eq!(*field(&cold, "traces"), mppm_obs::Value::U64(2));
+        let streamed = batch(None);
+        assert_eq!(*field(&streamed, "execution"), mppm_obs::Value::from("streamed"));
+        assert_eq!(field(&streamed, "passes"), field(&cold, "passes"));
+    }
+
+    #[test]
+    fn many_repeated_specs_share_cached_traces() {
+        // A wide mix repeating two specs eight times each resolves every
+        // core through the cache: two compilations, fourteen hits, and
+        // no core replays the other spec's trace.
+        let m = MachineConfig::baseline();
+        let g = TraceGeometry::tiny();
+        let gamess = suite::benchmark("gamess").unwrap();
+        let lbm = suite::benchmark("lbm").unwrap();
+        let mut specs = Vec::new();
+        for _ in 0..8 {
+            specs.push(gamess);
+            specs.push(lbm);
+        }
+        let cache = TraceCache::new();
+        let mix = MixSim::new(&specs, &m, g).trace_cache(&cache).run();
+        assert_eq!(mix.names.len(), 16);
+        assert_eq!(cache.stats(), (14, 2), "two distinct specs");
+        for (i, name) in mix.names.iter().enumerate() {
+            assert_eq!(name, if i % 2 == 0 { "gamess" } else { "lbm" });
+        }
+        assert_eq!(mix, MixSim::new(&specs, &m, g).run(), "streamed wide mix agrees");
+    }
+
+    /// Every event of `kind` among `events`.
+    fn events_named<'e>(events: &'e [mppm_obs::Event], kind: &str) -> Vec<&'e mppm_obs::Event> {
+        events.iter().filter(|e| e.name == kind).collect()
+    }
+
+    #[test]
+    fn tiny_chunks_match_cached_and_reference_runs() {
+        // Chunks of 1, 3 and 7 ops put chunk ends on (and right next to)
+        // every window threshold, phase change and pass wrap. Streamed
+        // runs must match cached ones — results and the `core`, `llc`
+        // and `scheduler` events, heap traffic included — and the
+        // per-item smallest-clock oracle.
+        let m = MachineConfig::baseline();
+        let g = TraceGeometry::new(1_000, 4);
+        let bench = |n: &str| suite::benchmark(n).unwrap();
+        let (gcc, lbm, gamess, mcf) = (bench("gcc"), bench("lbm"), bench("gamess"), bench("mcf"));
+        let mix = |specs: Vec<&'static BenchmarkSpec>| MixSimConfig { specs, ..Default::default() };
+        let mixes = [
+            ("unified", mix(vec![gcc, lbm, gamess])),
+            ("partitioned", MixSimConfig { ways: Some(vec![6, 2]), ..mix(vec![gamess, mcf]) }),
+            (
+                "heterogeneous",
+                MixSimConfig { factors: Some(vec![1.0, 2.0, 1.25]), ..mix(vec![gcc, lbm, gamess]) },
+            ),
+            ("repeated", mix(vec![lbm, gcc, lbm, lbm])),
+        ];
+        for (label, cfg) in &mixes {
+            for warmup in 0..3 {
+                let sim = || cfg.build(&m, g).warmup_passes(warmup);
+                let oracle =
+                    reference::run(sim(), Scheduler::Reference, Execution::ReferenceStream);
+                let cache = TraceCache::new();
+                let (cached, cached_events, _) = observe(sim().trace_cache(&cache));
+                assert_eq!(cached, oracle, "{label} w{warmup}: cached vs oracle");
+                for chunk_ops in [1, 3, 7, feed::CHUNK_OPS] {
+                    let mut streamed_sim = sim();
+                    streamed_sim.chunk_ops = chunk_ops;
+                    let (streamed, events, _) = observe(streamed_sim);
+                    let at = format!("{label} w{warmup} c{chunk_ops}");
+                    assert_eq!(streamed, cached, "{at}: streamed vs cached");
+                    for kind in ["core", "llc", "scheduler"] {
+                        assert_eq!(
+                            events_named(&events, kind),
+                            events_named(&cached_events, kind),
+                            "{at}: `{kind}` events"
+                        );
+                    }
+                    let passes = |evs: &[mppm_obs::Event]| {
+                        field(events_named(evs, "batch")[0], "passes").clone()
+                    };
+                    assert_eq!(passes(&events), passes(&cached_events), "{at}: passes");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1230,122 +1376,6 @@ mod tests {
             )
         };
         assert_eq!(part(Execution::Compiled), part(Execution::ReferenceStream));
-    }
-
-    #[test]
-    fn trace_cache_is_result_invariant_and_counts_hits() {
-        let m = MachineConfig::baseline();
-        let g = TraceGeometry::tiny();
-        let gamess = suite::benchmark("gamess").unwrap();
-        let lbm = suite::benchmark("lbm").unwrap();
-        let specs = [gamess, lbm, gamess];
-
-        let cold = MixSim::new(&specs, &m, g).run();
-        let cache = TraceCache::new();
-        let first = MixSim::new(&specs, &m, g).trace_cache(&cache).run();
-        let second = MixSim::new(&specs, &m, g).trace_cache(&cache).run();
-        assert_eq!(cold, first, "cold cache changes nothing");
-        assert_eq!(first, second, "warm cache changes nothing");
-
-        // Two distinct specs compiled once each; the repeated gamess core
-        // reuses within the run (never reaching the cache), and the second
-        // run hits for both.
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats(), (2, 2), "(hits, compiles)");
-    }
-
-    #[test]
-    fn trace_cache_keys_by_geometry() {
-        let m = MachineConfig::baseline();
-        let gamess = suite::benchmark("gamess").unwrap();
-        let specs = [gamess];
-        let cache = TraceCache::new();
-        let tiny = MixSim::new(&specs, &m, TraceGeometry::tiny()).trace_cache(&cache).run();
-        let other = MixSim::new(&specs, &m, TraceGeometry::new(2_000, 4))
-            .trace_cache(&cache)
-            .run();
-        assert_eq!(cache.len(), 2, "different geometries get different slots");
-        assert_ne!(tiny.trace_insns, other.trace_insns);
-    }
-
-    #[test]
-    fn trace_cache_keeps_observed_batch_events_identical() {
-        // The `batch` span event must not leak cache warmth: a warm run
-        // and a cacheless run publish byte-identical event streams.
-        use mppm_obs::{Event, Observer, Sink};
-
-        #[derive(Default)]
-        struct Capture(Arc<std::sync::Mutex<Vec<String>>>);
-        impl Sink for Capture {
-            fn record(&self, event: Event) {
-                if event.name == "batch" {
-                    self.0.lock().unwrap().push(event.to_jsonl(0));
-                }
-            }
-        }
-
-        let m = MachineConfig::baseline();
-        let g = TraceGeometry::tiny();
-        let gamess = suite::benchmark("gamess").unwrap();
-        let specs = [gamess, gamess];
-
-        let capture = |cache: Option<&TraceCache>| -> Vec<String> {
-            let lines = Arc::new(std::sync::Mutex::new(Vec::new()));
-            let observer = Observer::new(Box::new(Capture(Arc::clone(&lines))));
-            {
-                let root = observer.root("mix");
-                let mut sim = MixSim::new(&specs, &m, g).observer(&root);
-                if let Some(c) = cache {
-                    sim = sim.trace_cache(c);
-                }
-                sim.run();
-            }
-            observer.finish().unwrap();
-            let captured = lines.lock().unwrap().clone();
-            captured
-        };
-
-        let cache = TraceCache::new();
-        MixSim::new(&specs, &m, g).trace_cache(&cache).run();
-        let cacheless = capture(None);
-        let warm = capture(Some(&cache));
-        assert!(!cacheless.is_empty());
-        assert_eq!(cacheless, warm, "batch events must not depend on cache warmth");
-    }
-
-    #[test]
-    fn many_repeated_specs_dedup_via_pointer_map() {
-        // Satellite check for the pointer-keyed dedup map: a wide mix
-        // repeating two specs eight times each must compile each spec
-        // once and reuse it on every other core.
-        let m = MachineConfig::baseline();
-        let g = TraceGeometry::tiny();
-        let gamess = suite::benchmark("gamess").unwrap();
-        let lbm = suite::benchmark("lbm").unwrap();
-        let mut specs = Vec::new();
-        for _ in 0..8 {
-            specs.push(gamess);
-            specs.push(lbm);
-        }
-        let capture = CaptureSink::default();
-        let observer = mppm_obs::Observer::new(Box::new(capture.clone()));
-        let mix = {
-            let root = observer.root("mix-wide");
-            MixSim::new(&specs, &m, g).observer(&root).run()
-        };
-        assert_eq!(mix.names.len(), 16);
-        let snapshot = observer.counter_snapshot();
-        let get = |name: &str| {
-            snapshot.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
-        };
-        assert_eq!(get("sim.batch.compiles"), 2, "two distinct specs");
-        assert_eq!(get("sim.batch.reused"), 14, "fourteen cores reuse");
-        // Identical programs at even/odd positions see symmetric
-        // schedules only under partitioning; here just check the dedup
-        // did not cross specs: all gamess cores ran gamess.
-        for (i, name) in mix.names.iter().enumerate() {
-            assert_eq!(name, if i % 2 == 0 { "gamess" } else { "lbm" });
-        }
     }
 
     #[test]
@@ -1403,10 +1433,9 @@ mod tests {
     }
 
     #[test]
-    fn arena_memo_bypasses_the_shared_trace_cache() {
-        // A warm arena resolves traces from its own memo, so repeat runs
-        // leave the shared cache's hit/compile totals untouched — and
-        // stay bit-exact while doing so.
+    fn warm_arena_resolves_every_run_through_the_trace_cache() {
+        // The arena holds no traces: a warm arena takes each one from the
+        // shared cache again, and stays bit-exact while doing so.
         let m = MachineConfig::baseline();
         let g = TraceGeometry::tiny();
         let gamess = suite::benchmark("gamess").unwrap();
@@ -1415,25 +1444,30 @@ mod tests {
         let cache = TraceCache::new();
         let mut arena = SimArena::new();
         let first = MixSim::new(&specs, &m, g).trace_cache(&cache).arena(&mut arena).run();
-        assert_eq!(cache.stats(), (0, 2), "cold arena compiles through the cache");
-        assert_eq!(arena.memo_len(), 2);
+        assert_eq!(cache.stats(), (0, 2), "a cold arena compiles through the cache");
         let second = MixSim::new(&specs, &m, g).trace_cache(&cache).arena(&mut arena).run();
         assert_eq!(first, second);
-        assert_eq!(cache.stats(), (0, 2), "warm arena never re-enters the cache");
-        assert_eq!(arena.memo_len(), 2, "memo holds one entry per (spec, geometry)");
+        assert_eq!(cache.stats(), (2, 2), "a warm arena hits the cache");
     }
 
     #[test]
-    fn cleared_arena_recompiles() {
+    fn cleared_arena_reruns_bit_exact() {
+        // Clearing returns the pools to cold; streamed and cached runs
+        // through the cleared arena reproduce the warm ones.
         let m = MachineConfig::baseline();
         let g = TraceGeometry::tiny();
         let lbm = suite::benchmark("lbm").unwrap();
+        let cache = TraceCache::new();
         let mut arena = SimArena::new();
         let warm = MixSim::new(&[lbm], &m, g).arena(&mut arena).run();
-        assert_eq!(arena.memo_len(), 1);
+        let warm_cached = MixSim::new(&[lbm], &m, g).trace_cache(&cache).arena(&mut arena).run();
         arena.clear();
-        assert_eq!(arena.memo_len(), 0);
         let cold = MixSim::new(&[lbm], &m, g).arena(&mut arena).run();
+        arena.clear();
+        let cold_cached = MixSim::new(&[lbm], &m, g).trace_cache(&cache).arena(&mut arena).run();
         assert_eq!(warm, cold);
+        assert_eq!(warm_cached, cold_cached);
+        assert_eq!(warm, warm_cached);
+        assert_eq!(cache.stats(), (1, 1), "the cache, not the arena, kept the trace");
     }
 }

@@ -1,8 +1,9 @@
 //! The retired scheduler, execution substrate and single-core profiler,
 //! kept as oracles.
 //!
-//! [`MixSim`] runs one path: the event-driven scheduler over compiled
-//! trace blocks. The two paths it replaced are reached only from here,
+//! [`MixSim`] runs one path: the event-driven scheduler over streamed
+//! trace chunks, or over compiled traces when a [`crate::TraceCache`] is
+//! attached. The two paths it replaced are reached only from here,
 //! because they are how the production path is proven bit-exact:
 //!
 //! * [`Scheduler::Reference`] — the original smallest-clock-first loop
@@ -10,13 +11,14 @@
 //!   item);
 //! * [`Execution::ReferenceStream`] — every trace item generated live
 //!   from the per-core [`mppm_trace::TraceStream`] instead of replayed
-//!   from compiled blocks.
+//!   from chunks or compiled blocks.
 //!
 //! [`run`] drives a configured [`MixSim`] (partitioning, core factors,
-//! warmup, observer, arena all apply) through any combination of the two
-//! axes. The differential oracle (`crates/cmpsim/tests/differential.rs`)
-//! and the golden snapshot (`tests/differential.rs`) assert every
-//! combination bit-identical to the production path.
+//! warmup, observer, arena, trace cache all apply) through any
+//! combination of the two axes. The differential oracle
+//! (`crates/cmpsim/tests/differential.rs`) and the golden snapshot
+//! (`tests/differential.rs`) assert every combination bit-identical to
+//! the production path.
 //!
 //! [`profile_single_core_with`] is the per-item profiler the pipelined
 //! [`crate::profile_single_core_with`] replaced; the same differential
@@ -58,10 +60,13 @@ pub enum Scheduler {
 /// How trace items are produced during a mix simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Execution {
-    /// Compile each distinct spec's phases into flat
-    /// [`mppm_trace::CompiledTrace`] blocks once, then replay them on
-    /// every pass (warmup, measurement, FAME re-iteration) and on every
-    /// core running the same spec. The production substrate.
+    /// The production substrate: replay flat columns through the burst
+    /// kernel. Under the event-driven scheduler the columns are chunks a
+    /// generator thread streams in, or the compiled traces of a
+    /// configured [`MixSim::trace_cache`]. The smallest-clock scheduler
+    /// steps item by item, which chunks cannot, so under it the run
+    /// replays compiled traces — from a run-local cache when none is
+    /// configured.
     #[default]
     Compiled,
     /// Generate every item live from the per-core
@@ -75,7 +80,8 @@ pub enum Execution {
 ///
 /// `reference::run(sim, Scheduler::EventDriven, Execution::Compiled)` is
 /// exactly `sim.run()`. The observer's `mix-config` and `batch` events
-/// name the chosen paths.
+/// name the scheduler and the substrate the run resolved to
+/// (`streamed`, `compiled` or `reference-stream`).
 ///
 /// # Panics
 ///

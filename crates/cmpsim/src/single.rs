@@ -1,14 +1,14 @@
 //! Single-core runs: the profiler that produces MPPM's inputs, and plain
 //! isolated runs for validation.
 
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::sync::Arc;
 
 use mppm::{IntervalProfile, SingleCoreProfile};
 use mppm_cache::Sdc;
 use mppm_trace::{BenchmarkSpec, TraceGeometry, TraceStream};
 
-use crate::engine::TraceChunk;
+use crate::engine::TraceSource;
+use crate::feed;
 use crate::{BurstStop, CoreEngine, LlcMode, MachineConfig, Uncore};
 
 /// Statistics of a plain isolated run (no profiling).
@@ -77,19 +77,11 @@ pub fn profile_single_core(
     profile_single_core_with(spec, machine, geometry, 1)
 }
 
-/// Ops per pipeline chunk: 53 KB of columns, small enough that the
-/// buffers in flight stay cache-resident, large enough that channel
-/// hand-offs are rare next to the work per chunk.
-const CHUNK_OPS: usize = 4096;
-
-/// Chunk buffers in flight: one replaying, one filling, one queued.
-const CHUNK_BUFFERS: usize = 3;
-
 /// [`profile_single_core`] with an explicit number of warmup trace passes.
 ///
-/// A two-stage pipeline: a scoped generator thread drains the trace into
-/// fixed-size [`OpColumns`](mppm_trace::OpColumns) chunks while the
-/// calling thread replays them through the burst kernel
+/// A two-stage pipeline ([`crate::feed`]): a scoped generator thread
+/// drains the trace into fixed-size [`OpColumns`](mppm_trace::OpColumns)
+/// chunks while the calling thread replays them through the burst kernel
 /// ([`CoreEngine::run_until_llc`]/[`CoreEngine::commit_llc`]). The item
 /// sequence and the kernel's f64 operations are the same as stepping the
 /// live stream one item at a time, so the profile is bit-identical to
@@ -100,7 +92,7 @@ pub fn profile_single_core_with(
     geometry: TraceGeometry,
     warmup_passes: u32,
 ) -> SingleCoreProfile {
-    profile_pipelined(spec, machine, geometry, warmup_passes, CHUNK_OPS)
+    profile_pipelined(spec, machine, geometry, warmup_passes, feed::CHUNK_OPS)
 }
 
 /// The pipelined profiler with an explicit chunk size (tests force tiny
@@ -114,41 +106,14 @@ pub(crate) fn profile_pipelined(
 ) -> SingleCoreProfile {
     let spec = Arc::new(spec.clone());
     let total = geometry.trace_insns() * u64::from(warmup_passes + 1);
-    // The calling thread allocates — and frees — everything the pipeline
-    // uses: the stream, the channels and the chunk buffers. Frees on the
-    // generator thread would land in the calling thread's heap at
-    // timing-dependent moments, and bulk allocations there would fill a
-    // malloc arena of its own; either makes the process's peak RSS vary
-    // run to run. Only std's thread and channel bookkeeping allocates
-    // over there (a couple of small blocks; `tests/alloc_steady.rs`).
-    let mut stream = TraceStream::new(Arc::clone(&spec), geometry);
-    thread::scope(|scope| {
-        let (full_tx, full_rx) = mpsc::sync_channel::<TraceChunk>(CHUNK_BUFFERS);
-        let (spent_tx, spent_rx) = mpsc::sync_channel::<TraceChunk>(CHUNK_BUFFERS);
-        for _ in 0..CHUNK_BUFFERS {
-            spent_tx.send(TraceChunk::with_capacity(chunk_ops)).expect("the receiver is alive");
-        }
-        let generator = scope.spawn(move || {
-            while stream.position() < total {
-                // Either hang-up means the consumer is gone (unwinding).
-                let Ok(mut chunk) = spent_rx.recv() else { break };
-                chunk.refill(&mut stream, total, chunk_ops);
-                if full_tx.send(chunk).is_err() {
-                    break;
-                }
-            }
-            (stream, spent_rx, full_tx)
-        });
-        let next = || full_rx.recv().expect("the generator yields chunks up to the run's end");
-        let mut engine = CoreEngine::fed(Arc::clone(&spec), machine, next());
+    let mut streams = [TraceStream::new(Arc::clone(&spec), geometry)];
+    feed::with_feeds(&mut streams, total, chunk_ops, |feeds| {
+        let source = TraceSource::fed(feeds.next(0), Arc::clone(&spec), geometry);
+        let mut engine = CoreEngine::from_source(source, machine, 0, 1.0);
         let mut uncore = Uncore::new(machine);
         let run_to = |engine: &mut CoreEngine, end: u64, mut sdc: Option<&mut Sdc>| {
             while engine.insns() < end {
-                if engine.insns() == engine.chunk_end() {
-                    // The generator may already be done and gone.
-                    let _ = spent_tx.send(engine.feed(next()));
-                }
-                if let BurstStop::Llc { .. } = engine.run_until_llc(end.min(engine.chunk_end())) {
+                if let BurstStop::Llc { .. } = feeds.burst(0, engine, end) {
                     let obs = engine.commit_llc(&mut uncore);
                     if let Some(sdc) = sdc.as_deref_mut() {
                         sdc.record(obs.depth);
@@ -156,9 +121,7 @@ pub(crate) fn profile_pipelined(
                 }
             }
         };
-        let profile = collect_profile(&spec, machine, geometry, warmup_passes, &mut engine, run_to);
-        drop(generator.join().expect("the generator thread does not panic"));
-        profile
+        collect_profile(&spec, machine, geometry, warmup_passes, &mut engine, run_to)
     })
 }
 
@@ -243,7 +206,7 @@ mod tests {
             let spec = suite::benchmark(name).unwrap();
             for warmup in 0..3 {
                 let oracle = crate::reference::profile_single_core_with(spec, &m, g, warmup);
-                for chunk_ops in [1, 3, 7, CHUNK_OPS] {
+                for chunk_ops in [1, 3, 7, feed::CHUNK_OPS] {
                     let piped = profile_pipelined(spec, &m, g, warmup, chunk_ops);
                     assert_eq!(bits(&piped), bits(&oracle), "{name} w{warmup} c{chunk_ops}");
                     assert_eq!(piped, oracle, "{name} w{warmup} c{chunk_ops}");

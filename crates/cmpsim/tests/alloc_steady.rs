@@ -3,19 +3,24 @@
 //! This binary installs a `#[global_allocator]` that reports every heap
 //! allocation to `mppm_obs::alloc` (the library side is `forbid(unsafe)`,
 //! so the unsafe `GlobalAlloc` shim lives here), then drives warm
-//! [`SimArena`] runs and asserts the per-mix allocation delta is exactly
-//! zero. Combined with the bit-exactness oracle this rules out cross-mix
-//! state leaks: a run that allocates nothing and matches a fresh run
-//! byte-for-byte cannot have been influenced by stale arena state.
+//! [`SimArena`] runs that resolve their traces through a warm
+//! [`TraceCache`] — the `Store` worker path — and asserts the per-mix
+//! allocation delta is exactly zero. Combined with the bit-exactness
+//! oracle this rules out cross-mix state leaks: a run that allocates
+//! nothing and matches a fresh run byte-for-byte cannot have been
+//! influenced by stale arena state.
 //!
-//! It also proves the pipelined profiler's generator thread does not
-//! allocate as it generates: allocations made off the test thread are
-//! tallied separately and must stay a small constant on a long trace.
+//! A streamed run (no cache) spawns a generator thread and allocates its
+//! streams, channels and chunk buffers, so it is held to a weaker bound:
+//! its allocations are a constant per run, the same at any trace length,
+//! and the generator thread allocates only a few blocks however many
+//! chunks it fills. The pipelined profiler's generator is held to the
+//! same bound.
 //!
 //! Kept to a single `#[test]` so no concurrent test's allocations can
 //! pollute the measured windows.
 
-use mppm_sim::{profile_single_core, MachineConfig, MixResult, MixSim, SimArena};
+use mppm_sim::{profile_single_core, MachineConfig, MixResult, MixSim, SimArena, TraceCache};
 use mppm_trace::{suite, TraceGeometry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -88,19 +93,23 @@ fn warm_arena_mixes_allocate_nothing() {
 
     let fresh = MixSim::new(&specs, &m, g).run();
 
+    let traces = TraceCache::new();
     let mut arena = SimArena::new();
     let mut out = MixResult::default();
-    // Mix 1 of the "shard" warms the arena (compiles traces, sizes every
-    // pool); it is expected — and measured — to allocate.
-    let warmup_allocs =
-        allocs_for(|| MixSim::new(&specs, &m, g).arena(&mut arena).run_into(&mut out));
+    // Mix 1 of the "shard" warms the arena and the cache (compiles
+    // traces, sizes every pool); it is expected — and measured — to
+    // allocate.
+    let warmup_allocs = allocs_for(|| {
+        MixSim::new(&specs, &m, g).trace_cache(&traces).arena(&mut arena).run_into(&mut out)
+    });
     assert!(warmup_allocs > 0, "the cold first mix must size the pools");
     assert_eq!(fresh, out, "arena warm-up run must match the fresh run");
 
     // Every later same-shape mix must be allocation-free, end to end.
     for i in 0..4 {
-        let steady =
-            allocs_for(|| MixSim::new(&specs, &m, g).arena(&mut arena).run_into(&mut out));
+        let steady = allocs_for(|| {
+            MixSim::new(&specs, &m, g).trace_cache(&traces).arena(&mut arena).run_into(&mut out)
+        });
         assert_eq!(steady, 0, "steady-state mix {i} allocated {steady} times");
         assert_eq!(fresh, out, "steady-state mix {i} diverged");
     }
@@ -109,15 +118,12 @@ fn warm_arena_mixes_allocate_nothing() {
     // warm-up, then allocation-free again.
     let pair = [gamess, lbm];
     let fresh_part = MixSim::new(&pair, &m, g).partitioned(&[6, 2]).run();
-    let reshape = allocs_for(|| {
-        MixSim::new(&pair, &m, g).partitioned(&[6, 2]).arena(&mut arena).run_into(&mut out)
-    });
+    let partitioned = || MixSim::new(&pair, &m, g).partitioned(&[6, 2]).trace_cache(&traces);
+    let reshape = allocs_for(|| partitioned().arena(&mut arena).run_into(&mut out));
     assert!(reshape > 0, "re-shaping to partitioned slices sizes new slabs");
     assert_eq!(fresh_part, out);
     for i in 0..3 {
-        let steady = allocs_for(|| {
-            MixSim::new(&pair, &m, g).partitioned(&[6, 2]).arena(&mut arena).run_into(&mut out)
-        });
+        let steady = allocs_for(|| partitioned().arena(&mut arena).run_into(&mut out));
         assert_eq!(steady, 0, "steady-state partitioned mix {i} allocated {steady} times");
         assert_eq!(fresh_part, out, "steady-state partitioned mix {i} diverged");
     }
@@ -130,11 +136,7 @@ fn warm_arena_mixes_allocate_nothing() {
     {
         let root = observer.root("alloc-steady");
         for _ in 0..2 {
-            MixSim::new(&pair, &m, g)
-                .partitioned(&[6, 2])
-                .observer(&root)
-                .arena(&mut arena)
-                .run_into(&mut out);
+            partitioned().observer(&root).arena(&mut arena).run_into(&mut out);
         }
     }
     let snapshot = observer.counter_snapshot();
@@ -143,17 +145,39 @@ fn warm_arena_mixes_allocate_nothing() {
     assert_eq!(get("sim.alloc.bytes"), Some(0));
     assert_eq!(get("sim.mixes"), Some(2));
 
-    // The profiler's generator thread: the calling thread allocates the
-    // chunk buffers and the stream, so only std's thread and channel
-    // bookkeeping allocates over there — a handful of small blocks, how
-    // many depending on whether the thread ever blocked. A generator
-    // that allocated per chunk would allocate hundreds of times on the
-    // longer trace (~250 chunks).
+    // Generator threads: the calling thread allocates the chunk buffers
+    // and the streams, so only std's thread and channel bookkeeping
+    // allocates over there — a handful of small blocks, how many
+    // depending on whether the thread ever blocked. A generator that
+    // allocated per chunk would allocate hundreds of times on the longer
+    // trace (~250 chunks per core).
     ON_TEST_THREAD.with(|t| t.set(true));
-    for g in [TraceGeometry::tiny(), TraceGeometry::new(100_000, 10)] {
+    let geometries = [TraceGeometry::tiny(), TraceGeometry::new(100_000, 10)];
+    for g in geometries {
         let before = OFF_THREAD_ALLOCS.load(Ordering::Relaxed);
         profile_single_core(lbm, &m, g);
         let allocs = OFF_THREAD_ALLOCS.load(Ordering::Relaxed) - before;
-        assert!(allocs < 8, "the generator thread allocated {allocs} times over {g:?}");
+        assert!(allocs < 8, "the profiler's generator allocated {allocs} times over {g:?}");
     }
+
+    // Streamed mixes through a warm arena: the calling thread allocates
+    // a constant per run (streams, channels, chunk buffers, the thread),
+    // the same at both trace lengths. The bound leaves room for one
+    // allocation per core's ring, since std's channel may register a
+    // waiter the first time the calling thread blocks on it, and whether
+    // it blocks depends on timing.
+    let mut on_thread = Vec::new();
+    for g in geometries {
+        MixSim::new(&specs, &m, g).arena(&mut arena).run_into(&mut out);
+        for _ in 0..3 {
+            let off_before = OFF_THREAD_ALLOCS.load(Ordering::Relaxed);
+            let total =
+                allocs_for(|| MixSim::new(&specs, &m, g).arena(&mut arena).run_into(&mut out));
+            let off = OFF_THREAD_ALLOCS.load(Ordering::Relaxed) - off_before;
+            assert!(off < 8, "the mix generator allocated {off} times over {g:?}");
+            on_thread.push(total - off);
+        }
+    }
+    let (lo, hi) = (on_thread.iter().min().unwrap(), on_thread.iter().max().unwrap());
+    assert!(hi - lo <= specs.len() as u64, "streamed runs allocated {on_thread:?} times");
 }

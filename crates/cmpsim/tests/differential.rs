@@ -1,8 +1,8 @@
 //! Differential oracle: the event-driven interleaver against the
-//! smallest-clock-first reference scheduler it replaced, the
-//! compiled-trace execution substrate against the live per-item
-//! generator it replaced, and the pipelined single-core profiler against
-//! the per-item profiler it replaced.
+//! smallest-clock-first reference scheduler it replaced, the streamed
+//! and compiled-trace execution substrates against the live per-item
+//! generator they replaced, and the pipelined single-core profiler
+//! against the per-item profiler it replaced.
 //!
 //! Both schedulers — and both execution substrates — must be
 //! **bit-identical** observationally: per-core CPI, completion cycles,
@@ -23,7 +23,9 @@
 
 use mppm::SingleCoreProfile;
 use mppm_sim::reference::{self, Execution, Scheduler};
-use mppm_sim::{llc_configs, profile_single_core_with, MachineConfig, MixResult, MixSim};
+use mppm_sim::{
+    llc_configs, profile_single_core_with, MachineConfig, MixResult, MixSim, TraceCache,
+};
 use mppm_trace::{suite, BenchmarkSpec, Phase, Region, TraceGeometry};
 use proptest::prelude::*;
 
@@ -344,17 +346,18 @@ proptest! {
         }
     }
 
-    /// The compiled-execution oracle (property 8): replaying compiled
-    /// phase blocks must be bit-identical to generating every item live
-    /// from the reference stream — across phase-boundary splits (the
-    /// generated schedules put phase changes at varying interval
-    /// boundaries, so blocks split differently case to case), warmup
-    /// passes 0–2, heterogeneous core factors, all six LLC
-    /// configurations, and *both* schedulers. Multi-core shared-LLC
-    /// mixes preempt bursts mid-block constantly (every shared event
-    /// suspends a burst inside a compiled block and resumes it after
-    /// `commit_llc`), which is exactly the cursor state the batched loop
-    /// must keep exact.
+    /// The compiled-execution oracle (property 8): replaying streamed
+    /// chunks (event-driven runs without a cache) and compiled phase
+    /// blocks (runs with a `TraceCache`, and every smallest-clock run)
+    /// must be bit-identical to generating every item live from the
+    /// reference stream — across phase-boundary splits (the generated
+    /// schedules put phase changes at varying interval boundaries, so
+    /// blocks and chunks split differently case to case), warmup passes
+    /// 0–2, heterogeneous core factors, all six LLC configurations, and
+    /// *both* schedulers. Multi-core shared-LLC mixes preempt bursts
+    /// mid-block constantly (every shared event suspends a burst inside
+    /// a block or chunk and resumes it after `commit_llc`), which is
+    /// exactly the cursor state the batched loop must keep exact.
     #[test]
     fn compiled_blocks_match_reference_stream(
         raw in mix_strategy(1..5),
@@ -368,15 +371,21 @@ proptest! {
         let refs: Vec<&BenchmarkSpec> = specs.iter().collect();
         let machine = MachineConfig::baseline().with_llc(llc_configs()[llc_sel]);
         let geometry = build_geometry(interval_insns, intervals);
+        let cache = TraceCache::new();
         for scheduler in [Scheduler::EventDriven, Scheduler::Reference] {
-            let build = |execution: Execution| {
-                let sim = MixSim::new(&refs, &machine, geometry)
+            let build = |execution: Execution, cache: Option<&TraceCache>| {
+                let mut sim = MixSim::new(&refs, &machine, geometry)
                     .warmup_passes(warmup)
                     .core_factors(&factors[..refs.len()]);
+                if let Some(cache) = cache {
+                    sim = sim.trace_cache(cache);
+                }
                 reference::run(sim, scheduler, execution)
             };
-            let compiled = build(Execution::Compiled);
-            let reference = build(Execution::ReferenceStream);
+            let compiled = build(Execution::Compiled, None);
+            let cached = build(Execution::Compiled, Some(&cache));
+            let reference = build(Execution::ReferenceStream, None);
+            prop_assert_eq!(&compiled, &cached, "{:?}: streamed vs cached", scheduler);
             for core in 0..refs.len() {
                 prop_assert_eq!(
                     compiled.cpi_mc[core].to_bits(),

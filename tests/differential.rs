@@ -14,7 +14,7 @@
 //! ```
 
 use mppm_sim::reference::{self, Execution, Scheduler};
-use mppm_sim::{MachineConfig, MixResult, MixSim};
+use mppm_sim::{MachineConfig, MixResult, MixSim, TraceCache};
 use mppm_trace::{suite, TraceGeometry};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -58,9 +58,10 @@ fn compute_snapshot_with(execution: Execution) -> GoldenSnapshot {
     GoldenSnapshot { unified, partitioned }
 }
 
-/// The production default (compiled execution since the phase compiler
-/// landed; the snapshot bytes predate it and were *not* regenerated —
-/// reproducing them is part of the compiled path's proof).
+/// The production default (streamed chunks replayed through the compiled
+/// burst kernel; the snapshot bytes predate the phase compiler and were
+/// *not* regenerated — reproducing them is part of the batched paths'
+/// proof).
 fn compute_snapshot() -> GoldenSnapshot {
     compute_snapshot_with(Execution::Compiled)
 }
@@ -160,13 +161,30 @@ fn arena_runs_pin_to_the_same_golden_bytes() {
 #[test]
 fn both_execution_substrates_pin_to_the_same_golden_bytes() {
     // The golden file was generated by the per-item reference stream
-    // before the phase compiler existed. The compiled path (checked
-    // against the file in `simulate_mix_matches_golden_snapshot`) and
-    // the retained reference path must both still reproduce it, so the
-    // two substrates are pinned to one set of bytes — no silent fork.
-    let compiled = compute_snapshot_with(Execution::Compiled);
+    // before the phase compiler existed. The production path (streamed,
+    // checked against the file in `simulate_mix_matches_golden_snapshot`),
+    // its cached form and the retained reference path must all still
+    // reproduce it, so every substrate is pinned to one set of bytes —
+    // no silent fork.
+    let streamed = compute_snapshot_with(Execution::Compiled);
     let reference = compute_snapshot_with(Execution::ReferenceStream);
-    assert_eq!(compiled, reference, "execution substrates diverged");
+    assert_eq!(streamed, reference, "execution substrates diverged");
+    let machine = MachineConfig::baseline();
+    let g = quick_geometry();
+    let mix: Vec<_> = ["gamess", "soplex", "lbm", "hmmer"]
+        .iter()
+        .map(|n| suite::benchmark(n).expect("suite benchmark"))
+        .collect();
+    let pair = [mix[0], mix[2]];
+    let cache = TraceCache::new();
+    let cached = GoldenSnapshot {
+        unified: MixSim::new(&mix, &machine, g).trace_cache(&cache).run(),
+        partitioned: MixSim::new(&pair, &machine, g)
+            .partitioned(&[6, 2])
+            .trace_cache(&cache)
+            .run(),
+    };
+    assert_eq!(streamed, cached, "the cached substrate diverged");
 }
 
 #[test]
