@@ -33,31 +33,166 @@ pub struct AccessResult {
     pub evicted: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    block: u64,
-    inserted: u64,
+/// Most ways a [`SetAssocCache`] set can have: one byte lane per way in
+/// a `u128` rank word.
+const MAX_ASSOC: u32 = 16;
+
+/// The value of the byte lanes past a set's associativity. It is above
+/// every rank, so [`RankWord::promote`] never moves it and
+/// [`RankWord::way_of`] never finds it, and at most `0x7F`, so no lane
+/// operation carries or borrows into its neighbour.
+const PAD_RANK: u8 = 0x7F;
+
+/// One set's recency order packed into an integer: byte lane `w` holds
+/// way `w`'s 0-based LRU-stack depth (its *rank*). Implemented for `u64`
+/// (up to 8 ways) and `u128` (up to 16); every operation is a handful of
+/// SWAR ("SIMD within a register") steps instead of a loop over ways.
+trait RankWord: Copy {
+    /// Byte lanes: the most ways a set of this width can have, and the
+    /// stride of its tag slots.
+    const LANES: usize;
+    /// Ranks `0, 1, …, assoc − 1` in lanes `0..assoc`, [`PAD_RANK`]
+    /// above.
+    fn identity(assoc: usize) -> Self;
+    /// Way `way`'s rank.
+    fn rank(self, way: usize) -> u32;
+    /// The way whose rank is `rank` (`rank < assoc`; ranks are a
+    /// permutation, so exactly one lane matches).
+    fn way_of(self, rank: u32) -> usize;
+    /// Moves way `way`, whose rank is `depth`, to rank 0: every rank
+    /// below `depth` goes up by one, the others stay.
+    fn promote(self, way: usize, depth: u32) -> Self;
+    /// The rank words of `ranks`, which must be of this width.
+    fn words(ranks: &mut Ranks) -> &mut [Self];
+}
+
+macro_rules! rank_word {
+    ($word:ty, $variant:ident) => {
+        impl RankWord for $word {
+            const LANES: usize = std::mem::size_of::<$word>();
+
+            fn identity(assoc: usize) -> Self {
+                (0..Self::LANES).fold(0, |word, lane| {
+                    // mppm-lint: allow(lossy-counter-cast): lane < assoc <= 16 fits a byte
+                    let rank = if lane < assoc { lane as u8 } else { PAD_RANK };
+                    word | Self::from(rank) << (8 * lane)
+                })
+            }
+
+            #[inline(always)]
+            fn rank(self, way: usize) -> u32 {
+                // mppm-lint: allow(lossy-counter-cast): one byte lane, masked
+                ((self >> (8 * way)) & 0xFF) as u32
+            }
+
+            #[inline(always)]
+            fn way_of(self, rank: u32) -> usize {
+                const ONES: $word = <$word>::MAX / 0xFF;
+                const LOW7: $word = ONES * 0x7F;
+                // Zero exactly in the matching lane. Every lane is at most
+                // 0x7F, so adding 0x7F sets a lane's top bit iff the lane
+                // is non-zero, with no carry into the next lane.
+                let diff = self ^ (ONES * Self::from(rank));
+                let zero = !(diff + LOW7) & (ONES << 7);
+                zero.trailing_zeros() as usize / 8
+            }
+
+            #[inline(always)]
+            fn promote(self, way: usize, depth: u32) -> Self {
+                const ONES: $word = <$word>::MAX / 0xFF;
+                const HIGH: $word = ONES << 7;
+                // `0x80 | rank − depth` keeps a lane's top bit iff
+                // rank >= depth; ranks are at most 0x7F and depths below
+                // 16, so no lane borrows from its neighbour.
+                let below = !((self | HIGH) - ONES * Self::from(depth)) & HIGH;
+                (self + (below >> 7)) & !(0xFF << (8 * way))
+            }
+
+            #[inline(always)]
+            fn words(ranks: &mut Ranks) -> &mut [Self] {
+                match ranks {
+                    Ranks::$variant(words) => words,
+                    _ => unreachable!("the rank width follows the associativity"),
+                }
+            }
+        }
+    };
+}
+
+rank_word!(u64, Narrow);
+rank_word!(u128, Wide);
+
+/// The per-set rank words, as narrow as the associativity allows.
+#[derive(Debug, Clone)]
+enum Ranks {
+    /// Up to 8 ways.
+    Narrow(Box<[u64]>),
+    /// 9 to 16 ways.
+    Wide(Box<[u128]>),
+}
+
+impl Ranks {
+    fn new(sets: usize, assoc: usize) -> Self {
+        if assoc <= 8 {
+            Self::Narrow(vec![u64::identity(assoc); sets].into_boxed_slice())
+        } else {
+            Self::Wide(vec![u128::identity(assoc); sets].into_boxed_slice())
+        }
+    }
+
+    fn rank(&self, set: usize, way: usize) -> u32 {
+        match self {
+            Self::Narrow(words) => words[set].rank(way),
+            Self::Wide(words) => words[set].rank(way),
+        }
+    }
+
+    /// Tag slots per set.
+    fn lanes(&self) -> usize {
+        match self {
+            Self::Narrow(_) => u64::LANES,
+            Self::Wide(_) => u128::LANES,
+        }
+    }
+}
+
+/// The ways among a set's `tags` (one slot per rank-word lane) that
+/// hold `block`, as a bit mask. Every slot is compared, with no early
+/// exit, so the scan has no data-dependent branch.
+#[inline(always)]
+fn matching_ways(tags: &[u64], block: u64) -> u32 {
+    tags.iter().enumerate().fold(0, |mask, (way, &tag)| mask | u32::from(tag == block) << way)
 }
 
 /// A set-associative cache over 64-bit block identifiers.
 ///
 /// The cache stores whole block ids (callers index by block, not byte
-/// address) and keeps each set in recency order, so every hit reports its
-/// LRU-stack depth — the quantity stack-distance counter profiles are built
-/// from.
+/// address) and tracks each set's recency order, so every hit reports
+/// its LRU-stack depth — the quantity stack-distance counter profiles
+/// are built from.
 ///
 /// # Layout
 ///
-/// Storage is one flat `sets × assoc` slab (no per-set `Vec`s): set `s`
-/// owns slots `[s * assoc, (s + 1) * assoc)`, of which the first
-/// `lens[s]` hold resident lines in recency order (MRU first). The set
-/// count must be a power of two so set selection is a mask instead of a
-/// division; recency updates are in-place rotations of at most `assoc`
-/// fixed-size elements instead of `Vec::remove`/`insert` memmoves. The
-/// original per-set-`Vec` implementation survives as
+/// Recency is one packed rank word per set — a byte per way holding that
+/// way's LRU-stack depth, in a `u64` for up to 8 ways and a `u128` for
+/// up to 16. Tags live in one flat slab (no per-set `Vec`s) with one
+/// slot per lane of the word: set `s` owns slots
+/// `[s * lanes, s * lanes + assoc)`, the slots past `assoc` are padding,
+/// and a line never moves once filled. A lookup compares all of a set's
+/// slots, without an early exit, and masks off the padding. The ways of
+/// set `s` whose rank is below `lens[s]` are resident; the others hold
+/// stale tags that can never hit. A hit is a tag match plus three SWAR
+/// steps on the word: the depth is the way's rank, every lower rank goes
+/// up by one, and the way's rank becomes 0. A miss picks a victim rank —
+/// the first non-resident one while the set fills, then `assoc − 1`
+/// under LRU, a random draw under Random, or the oldest fill's under
+/// FIFO (whose fill stamps are the only per-way slab beyond the tags) —
+/// and applies the same update. The set count must be a power of two so
+/// set selection is a mask instead of a division. The original
+/// per-set-`Vec` implementation survives as
 /// [`crate::reference::NaiveCache`], and a property-test oracle
 /// (`tests/differential.rs`) proves the two bit-identical access by
-/// access under every replacement policy.
+/// access under every replacement policy at 1 to 16 ways.
 ///
 /// # Example
 ///
@@ -71,17 +206,24 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    /// `sets × assoc` slots, set-major; within a set the resident prefix
-    /// is in recency order (MRU first). Slots past a set's length hold
-    /// stale data and are never read.
-    ways: Box<[Way]>,
-    /// Resident-line count per set.
+    /// `sets × lanes` block tags, set-major. The tags of one set's ways
+    /// are pairwise distinct, resident or not, so a tag match is unique.
+    tags: Box<[u64]>,
+    /// One rank word per set.
+    ranks: Ranks,
+    /// Resident-line count per set: the ways ranked below it.
     lens: Box<[u32]>,
+    /// Fill stamp per tag slot under FIFO; empty under the other
+    /// policies.
+    inserted: Box<[u64]>,
     /// `sets - 1`; valid because the set count is a power of two.
     set_mask: u64,
     assoc: usize,
+    /// Bits `0..assoc`: the slots of a set that are ways, not padding.
+    way_mask: u32,
     replacement: Replacement,
     rng: Option<SmallRng>,
+    /// Fills so far; stamps FIFO fills.
     tick: u64,
     hits: u64,
     misses: u64,
@@ -95,32 +237,41 @@ impl SetAssocCache {
     ///
     /// Panics if the configuration's set count is not a power of two (the
     /// kernel indexes sets with a mask; every machine configuration in
-    /// this reproduction has power-of-two sets).
+    /// this reproduction has power-of-two sets), or if it has more than
+    /// 16 ways.
     pub fn new(config: CacheConfig, replacement: Replacement) -> Self {
         let sets = config.sets();
         assert!(
             sets.is_power_of_two(),
             "SetAssocCache requires a power-of-two set count, got {sets}"
         );
+        assert!(
+            config.assoc <= MAX_ASSOC,
+            "SetAssocCache supports at most {MAX_ASSOC} ways, got {}",
+            config.assoc
+        );
         let assoc = config.assoc as usize;
-        let slots = (sets as usize) * assoc;
-        let rng = match replacement {
-            Replacement::Random { seed } => Some(SmallRng::seed_from_u64(seed)),
-            _ => None,
-        };
-        Self {
+        let ranks = Ranks::new(sets as usize, assoc);
+        let lanes = ranks.lanes();
+        let mut cache = Self {
             config,
-            ways: vec![Way { block: 0, inserted: 0 }; slots].into_boxed_slice(),
+            // Any pairwise-distinct values do for a never-filled set.
+            tags: (0..sets as usize * lanes).map(|slot| (slot % lanes) as u64).collect(),
+            ranks,
             lens: vec![0u32; sets as usize].into_boxed_slice(),
+            inserted: Box::default(),
             set_mask: sets - 1,
             assoc,
+            way_mask: (1 << assoc) - 1,
             replacement,
-            rng,
+            rng: None,
             tick: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
-        }
+        };
+        cache.clear(replacement);
+        cache
     }
 
     /// The cache's configuration.
@@ -148,62 +299,84 @@ impl SetAssocCache {
     /// On a hit the block moves to the MRU position of its set; on a miss
     /// it is inserted at MRU, evicting a victim chosen by the replacement
     /// policy if the set is full.
+    #[inline]
     pub fn access(&mut self, block: u64) -> AccessResult {
-        self.tick += 1;
-        let set_idx = (block & self.set_mask) as usize;
-        let base = set_idx * self.assoc;
-        let len = self.lens[set_idx] as usize;
-        let set = &mut self.ways[base..base + self.assoc];
-
-        if let Some(pos) = set[..len].iter().position(|w| w.block == block) {
-            // `remove(pos)` + `insert(0, ..)` is exactly a one-step right
-            // rotation of the prefix ending at `pos`.
-            set[..=pos].rotate_right(1);
-            self.hits += 1;
-            // mppm-lint: allow(lossy-counter-cast): pos < assoc <= u32::MAX; hot kernel path stays branch-free
-            return AccessResult { hit: true, depth: Some(pos as u32), evicted: None };
+        match self.ranks {
+            Ranks::Narrow(_) => self.access_with::<u64>(block),
+            Ranks::Wide(_) => self.access_with::<u128>(block),
         }
+    }
 
-        self.misses += 1;
-        let evicted = if len == self.assoc {
-            let victim_pos = match self.replacement {
-                Replacement::Lru => len - 1,
-                Replacement::Fifo => {
-                    let (pos, _) = set
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, w)| w.inserted)
-                        .expect("set is non-empty");
-                    pos
+    /// [`Self::access`] over rank words of type `W`.
+    #[inline(always)]
+    fn access_with<W: RankWord>(&mut self, block: u64) -> AccessResult {
+        let set = (block & self.set_mask) as usize;
+        let base = set * W::LANES;
+        let len = self.lens[set];
+        let word = W::words(&mut self.ranks)[set];
+        let mask = matching_ways(&self.tags[base..base + W::LANES], block) & self.way_mask;
+        let matched = (mask != 0).then(|| mask.trailing_zeros() as usize);
+        let (way, result) = match matched {
+            Some(way) if word.rank(way) < len => {
+                self.hits += 1;
+                (way, AccessResult { hit: true, depth: Some(word.rank(way)), evicted: None })
+            }
+            _ => {
+                self.misses += 1;
+                self.tick += 1;
+                let (way, evicted) = match matched {
+                    // A non-resident way still holding the block is
+                    // refilled in place, which keeps the set's tags
+                    // distinct.
+                    Some(way) => (way, None),
+                    None if (len as usize) < self.assoc => (word.way_of(len), None),
+                    None => {
+                        let way = self.victim(word, base);
+                        self.evictions += 1;
+                        (way, Some(self.tags[base + way]))
+                    }
+                };
+                if evicted.is_none() {
+                    self.lens[set] = len + 1;
                 }
-                Replacement::Random { .. } => {
-                    let rng = self.rng.as_mut().expect("random policy has an rng");
-                    rng.gen_range(0..len)
+                self.tags[base + way] = block;
+                if let Some(stamp) = self.inserted.get_mut(base + way) {
+                    *stamp = self.tick;
                 }
-            };
-            let victim = set[victim_pos].block;
-            set[..=victim_pos].rotate_right(1);
-            set[0] = Way { block, inserted: self.tick };
-            self.evictions += 1;
-            Some(victim)
-        } else {
-            // Rotating one slot past the resident prefix shifts it right
-            // and brings a stale slot to the front, which is overwritten.
-            set[..=len].rotate_right(1);
-            set[0] = Way { block, inserted: self.tick };
-            // mppm-lint: allow(lossy-counter-cast): len < assoc <= u32::MAX; hot kernel path stays branch-free
-            self.lens[set_idx] = (len + 1) as u32;
-            None
+                (way, AccessResult { hit: false, depth: None, evicted })
+            }
         };
-        AccessResult { hit: false, depth: None, evicted }
+        W::words(&mut self.ranks)[set] = word.promote(way, word.rank(way));
+        result
+    }
+
+    /// The way a miss in the full set at slot `base`, ranked by `word`,
+    /// evicts under the replacement policy.
+    #[inline(always)]
+    fn victim<W: RankWord>(&mut self, word: W, base: usize) -> usize {
+        match self.replacement {
+            // mppm-lint: allow(lossy-counter-cast): assoc <= 16
+            Replacement::Lru => word.way_of(self.assoc as u32 - 1),
+            Replacement::Fifo => {
+                let stamps = &self.inserted[base..base + self.assoc];
+                let (way, _) =
+                    stamps.iter().enumerate().min_by_key(|&(_, &t)| t).expect("set is non-empty");
+                way
+            }
+            Replacement::Random { .. } => {
+                let rng = self.rng.as_mut().expect("random policy has an rng");
+                // mppm-lint: allow(lossy-counter-cast): a rank below assoc <= 16
+                word.way_of(rng.gen_range(0..self.assoc) as u32)
+            }
+        }
     }
 
     /// Whether `block` is currently resident (does not touch recency).
     pub fn contains(&self, block: u64) -> bool {
-        let set_idx = (block & self.set_mask) as usize;
-        let base = set_idx * self.assoc;
-        let len = self.lens[set_idx] as usize;
-        self.ways[base..base + len].iter().any(|w| w.block == block)
+        let set = (block & self.set_mask) as usize;
+        let lanes = self.ranks.lanes();
+        let mask = matching_ways(&self.tags[set * lanes..(set + 1) * lanes], block) & self.way_mask;
+        mask != 0 && self.ranks.rank(set, mask.trailing_zeros() as usize) < self.lens[set]
     }
 
     /// Number of resident lines.
@@ -213,28 +386,21 @@ impl SetAssocCache {
 
     /// Invalidates everything and clears statistics.
     pub fn reset(&mut self) {
-        self.lens.fill(0);
-        self.tick = 0;
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions = 0;
-        if let Replacement::Random { seed } = self.replacement {
-            self.rng = Some(SmallRng::seed_from_u64(seed));
-        }
+        self.clear(self.replacement);
     }
 
     /// Reconfigures the cache in place, equivalent in every observable
     /// way to `*self = Self::new(config, replacement)` but reusing the
-    /// existing `ways`/`lens` slabs when the `sets × assoc` shape is
-    /// unchanged — the object-pool path `mppm_sim`'s `SimArena` resets
-    /// between mixes. Stale slots past a set's resident length are never
-    /// read, so slab reuse cannot leak state across mixes.
+    /// existing slabs when the `sets × assoc` shape is unchanged — the
+    /// object-pool path `mppm_sim`'s `SimArena` resets between mixes.
+    /// Only the resident counts are cleared: a way ranked at or past its
+    /// set's count never hits, whatever tag it still holds.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration's set count is not a power of two
-    /// (only reachable on the reallocation path; a matching shape was
-    /// already validated when the slab was first built).
+    /// Same conditions as [`Self::new`] (only reachable on the
+    /// reallocation path; a matching shape was already validated when
+    /// the slabs were first built).
     pub fn reinit(&mut self, config: CacheConfig, replacement: Replacement) {
         let sets = config.sets();
         if sets as usize != self.lens.len() || config.assoc as usize != self.assoc {
@@ -243,11 +409,22 @@ impl SetAssocCache {
         }
         self.config = config;
         self.set_mask = sets - 1;
+        self.clear(replacement);
+    }
+
+    /// Empties every set, zeroes the statistics and (re)arms
+    /// `replacement`'s state: a fresh RNG for Random, fill stamps for
+    /// FIFO.
+    fn clear(&mut self, replacement: Replacement) {
         self.replacement = replacement;
         self.rng = match replacement {
             Replacement::Random { seed } => Some(SmallRng::seed_from_u64(seed)),
             _ => None,
         };
+        let stamps = if replacement == Replacement::Fifo { self.tags.len() } else { 0 };
+        if self.inserted.len() != stamps {
+            self.inserted = vec![0; stamps].into_boxed_slice();
+        }
         self.lens.fill(0);
         self.tick = 0;
         self.hits = 0;
@@ -428,6 +605,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn more_than_sixteen_ways_panics() {
+        SetAssocCache::new(CacheConfig::new(32 * 64, 32, 64, 1), Replacement::Lru);
+    }
+
+    #[test]
     fn high_tag_bits_do_not_alias_sets() {
         // Blocks differing only above the set-index bits (e.g. the core
         // tags the simulator ORs in at bit 44) map to the same set but
@@ -458,7 +641,7 @@ mod tests {
             #[test]
             fn bookkeeping_invariants(
                 blocks in proptest::collection::vec(0u64..200, 1..300),
-                assoc in 1u32..8,
+                assoc in 1u32..=16,
             ) {
                 for policy in policies() {
                     let sets = 4u64;

@@ -6,13 +6,26 @@
 //! depth, evicted block), and hit/miss counters, occupancy and residency
 //! agree at every point — under LRU, FIFO and seeded-Random replacement,
 //! across random geometries and access streams, including `reset()` in
-//! the middle of a stream. Random replacement is the strictest case: both
-//! implementations must consume their RNG in exactly the same call order
-//! or the streams diverge immediately.
+//! the middle of a stream and after `reinit` of a used cache. Random
+//! replacement is the strictest case: both implementations must consume
+//! their RNG in exactly the same call order or the streams diverge
+//! immediately. Associativities run from 1 to 16, covering both widths
+//! of the flat kernel's packed rank word (up to 8 ways in a `u64`, up to
+//! 16 in a `u128`).
+//!
+//! Case counts scale with `MPPM_ORACLE_CASES` (default 48):
+//!
+//! ```text
+//! MPPM_ORACLE_CASES=512 cargo test --release -p mppm-cache --test differential
+//! ```
 
 use mppm_cache::reference::NaiveCache;
 use mppm_cache::{CacheConfig, Replacement, SetAssocCache};
 use proptest::prelude::*;
+
+fn oracle_cases() -> u32 {
+    std::env::var("MPPM_ORACLE_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(48)
+}
 
 /// One step of a differential run.
 #[derive(Debug, Clone, Copy)]
@@ -29,12 +42,11 @@ fn decode(raw: &[(u8, u64)], span: u64) -> Vec<Op> {
         .collect()
 }
 
-/// Runs `ops` against both implementations, asserting bit-identical
-/// observable behavior at every step.
-fn assert_bit_identical(cfg: CacheConfig, policy: Replacement, ops: &[Op], span: u64) {
-    let mut flat = SetAssocCache::new(cfg, policy);
-    let mut naive = NaiveCache::new(cfg, policy);
-    assert_eq!(flat.config(), naive.config());
+/// Runs `ops` against `flat` and a fresh oracle of its configuration
+/// under `policy`, asserting bit-identical observable behavior at every
+/// step.
+fn assert_bit_identical(mut flat: SetAssocCache, policy: Replacement, ops: &[Op], span: u64) {
+    let mut naive = NaiveCache::new(flat.config(), policy);
     for (step, op) in ops.iter().enumerate() {
         match *op {
             Op::Access(block) => {
@@ -68,14 +80,14 @@ fn spans() -> [u64; 3] {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
 
     /// LRU and FIFO: bit-identical over random geometries and streams
     /// with mid-stream resets.
     #[test]
     fn deterministic_policies_match_oracle(
         raw in proptest::collection::vec((0u8..32, 0u64..1 << 48), 1..350),
-        assoc in 1u32..9,
+        assoc in 1u32..=16,
         sets_pow in 0u32..5,
         span_sel in 0usize..3,
         line_sel in 0usize..3,
@@ -87,7 +99,7 @@ proptest! {
         let span = spans()[span_sel];
         let ops = decode(&raw, span);
         for policy in [Replacement::Lru, Replacement::Fifo] {
-            assert_bit_identical(cfg, policy, &ops, span);
+            assert_bit_identical(SetAssocCache::new(cfg, policy), policy, &ops, span);
         }
     }
 
@@ -96,7 +108,7 @@ proptest! {
     #[test]
     fn random_policy_matches_oracle(
         raw in proptest::collection::vec((0u8..32, 0u64..1 << 48), 1..350),
-        assoc in 1u32..9,
+        assoc in 1u32..=16,
         sets_pow in 0u32..5,
         span_sel in 0usize..3,
         line_sel in 0usize..3,
@@ -108,7 +120,35 @@ proptest! {
             CacheConfig::new(sets * u64::from(assoc) * u64::from(line), assoc, line, 1);
         let span = spans()[span_sel];
         let ops = decode(&raw, span);
-        assert_bit_identical(cfg, Replacement::Random { seed }, &ops, span);
+        let policy = Replacement::Random { seed };
+        assert_bit_identical(SetAssocCache::new(cfg, policy), policy, &ops, span);
+    }
+
+    /// A used cache `reinit` to its own shape must behave as a fresh
+    /// one under any policy pair. The replayed stream draws from the
+    /// warm-up's blocks, so a tag left behind in a slot would surface as
+    /// a hit (or a depth, or an eviction) the oracle does not have.
+    #[test]
+    fn reinit_to_the_same_shape_matches_oracle(
+        warm in proptest::collection::vec(0u64..1 << 48, 1..350),
+        raw in proptest::collection::vec((0u8..32, 0u64..1 << 48), 1..350),
+        assoc in 1u32..=16,
+        sets_pow in 0u32..5,
+        span_sel in 0usize..3,
+        policy_sel in (0usize..3, 0usize..3),
+        seed in 0u64..1_000_000,
+    ) {
+        let policies = [Replacement::Lru, Replacement::Fifo, Replacement::Random { seed }];
+        let sets = 1u64 << sets_pow;
+        let cfg = CacheConfig::new(sets * u64::from(assoc) * 64, assoc, 64, 1);
+        let span = spans()[span_sel];
+        let mut used = SetAssocCache::new(cfg, policies[policy_sel.0]);
+        for &block in &warm {
+            used.access(block % span);
+        }
+        let policy = policies[policy_sel.1];
+        used.reinit(CacheConfig { latency: 9, ..cfg }, policy);
+        assert_bit_identical(used, policy, &decode(&raw, span), span);
     }
 
     /// The simulator's core-tagging pattern (ids ORed in above bit 44)

@@ -343,8 +343,8 @@ impl CompiledCursor {
     }
 }
 
-/// A run of same-phase trace items in [`OpColumns`] layout — the unit a
-/// [`crate::feed`] generator thread hands to a fed engine.
+/// A run of same-phase trace items in [`OpColumns`] layout — the unit
+/// [`crate::feed`] hands to a fed engine.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TraceChunk {
     /// Phase index every op of the chunk was generated under.
@@ -477,6 +477,20 @@ impl CoreEngine {
         assert_eq!(f.op, f.chunk.ops.len(), "the held chunk is not spent");
         f.op = 0;
         std::mem::replace(&mut f.chunk, chunk)
+    }
+
+    /// Refills the held, spent chunk in place with `refill`, which must
+    /// cut the chunk that continues the trace, and replays it from its
+    /// start — [`Self::feed`] without the buffer swap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is not fed, or the held chunk has ops left.
+    pub(crate) fn refeed(&mut self, refill: impl FnOnce(&mut TraceChunk)) {
+        let TraceSource::Fed(f) = &mut self.source else { panic!("only fed engines take chunks") };
+        assert_eq!(f.op, f.chunk.ops.len(), "the held chunk is not spent");
+        f.op = 0;
+        refill(&mut f.chunk);
     }
 
     /// Builds an engine for core `core_idx` over any trace source.

@@ -2,14 +2,23 @@
 //! [`crate::TraceCache`]: the single-core profiler and streamed
 //! [`crate::MixSim`] runs (DESIGN.md §12.1).
 //!
-//! A scoped generator thread owns the generation of one
-//! [`TraceStream`] per core. It refills fixed-size [`TraceChunk`]s that
-//! the calling thread hands back on one shared *spent* channel, tagged
-//! with the core index, and sends each refilled chunk on that core's
-//! ring. The calling thread replays the chunks through the burst kernel
-//! ([`Feeds::burst`]). Each core owns [`CHUNK_BUFFERS`] buffers, so no
-//! channel send ever blocks and the generator never stalls on one core
-//! while another waits.
+//! Each core's [`TraceStream`] sits behind a lock of its own. A scoped
+//! generator thread refills fixed-size [`TraceChunk`]s that the calling
+//! thread hands back on one shared *spent* channel, tagged with the core
+//! index, and sends each refilled chunk on that core's ring while still
+//! holding that core's lock. The calling thread replays the chunks
+//! through the burst kernel ([`Feeds::burst`]). Each core owns
+//! [`CHUNK_BUFFERS`] buffers, so no channel send ever blocks and the
+//! generator never stalls on one core while another waits.
+//!
+//! The work is shared: a burst that finds its core's ring empty takes
+//! the core's lock if it is free. Under the lock the ring is exact — the
+//! generator is neither cutting nor sending for that core — so if the
+//! ring is still empty the next chunk in stream order has not been cut,
+//! and the calling thread cuts it itself, into the buffer it just spent,
+//! instead of waiting. Either thread cuts a chunk by the same
+//! [`TraceChunk::refill`], so chunk contents and boundaries depend only
+//! on the stream, never on which thread cut them.
 //!
 //! The calling thread allocates — and frees — everything the pipeline
 //! uses: the streams, the channels and the chunk buffers. Frees on the
@@ -20,6 +29,7 @@
 //! there (a few small blocks; `tests/alloc_steady.rs`).
 
 use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::Mutex;
 use std::thread;
 
 use mppm_trace::TraceStream;
@@ -37,44 +47,67 @@ pub(crate) const CHUNK_OPS: usize = 4096;
 pub(crate) const CHUNK_BUFFERS: usize = 3;
 
 /// The calling thread's end of the pipeline: one ring of filled chunks
-/// per core and the spent channel all cores share.
-pub(crate) struct Feeds {
+/// per core, the spent channel all cores share, and the streams.
+pub(crate) struct Feeds<'s> {
     full: Vec<Receiver<TraceChunk>>,
     spent: SyncSender<(usize, TraceChunk)>,
+    streams: &'s [Mutex<TraceStream>],
+    end: u64,
+    chunk_ops: usize,
 }
 
-impl Feeds {
-    /// The next chunk of core `idx`'s stream.
+impl Feeds<'_> {
+    /// The next chunk of core `idx`'s stream, waiting for the generator.
     pub(crate) fn next(&self, idx: usize) -> TraceChunk {
         self.full[idx].recv().expect("the generator refills every stream until the feeds hang up")
     }
 
     /// [`CoreEngine::run_until_llc`] for the fed engine of core `idx`:
     /// a burst that reaches the end of its held chunk swaps in the next
-    /// one and continues in place, so it stops exactly where a burst over
-    /// the whole trace would.
+    /// one — from the ring, or cut on this thread when the ring is empty
+    /// and the generator is not cutting for that core — and continues in
+    /// place, so it stops exactly where a burst over the whole trace
+    /// would.
     pub(crate) fn burst(&self, idx: usize, engine: &mut CoreEngine, limit: u64) -> BurstStop {
         loop {
             if let Some(stop) = engine.run_fed_until_llc(limit) {
                 return stop;
             }
-            let spent = engine.feed(self.next(idx));
+            let chunk = match self.full[idx].try_recv() {
+                Ok(chunk) => chunk,
+                Err(_) => match self.streams[idx].try_lock() {
+                    // The generator sends under this lock, so an empty
+                    // ring here means the next chunk is not cut yet.
+                    Ok(mut stream) => match self.full[idx].try_recv() {
+                        Ok(chunk) => chunk,
+                        Err(_) => {
+                            engine.refeed(|chunk| {
+                                chunk.refill(&mut stream, self.end, self.chunk_ops);
+                            });
+                            continue;
+                        }
+                    },
+                    Err(_) => self.next(idx),
+                },
+            };
+            let spent = engine.feed(chunk);
             self.spent.send((idx, spent)).expect("the generator runs until the feeds hang up");
         }
     }
 }
 
 /// Runs `consume` on the calling thread against chunk feeds of
-/// `streams`, which a scoped generator thread drains in chunks of at
-/// most `chunk_ops` ops, none past stream position `end` (`u64::MAX`:
-/// for as long as `consume` runs). The streams are left wherever the
-/// generator stopped.
+/// `streams`, one per core, which the generator thread and the calling
+/// thread between them cut into chunks of at most `chunk_ops` ops, none
+/// past stream position `end` (`u64::MAX`: for as long as `consume`
+/// runs).
 pub(crate) fn with_feeds<R>(
-    streams: &mut [TraceStream],
+    streams: impl IntoIterator<Item = TraceStream>,
     end: u64,
     chunk_ops: usize,
     consume: impl FnOnce(&Feeds) -> R,
 ) -> R {
+    let streams: Vec<Mutex<TraceStream>> = streams.into_iter().map(Mutex::new).collect();
     let cores = streams.len();
     let (spent_tx, spent_rx) = mpsc::sync_channel(cores * CHUNK_BUFFERS);
     let (full_tx, full): (Vec<_>, Vec<_>) =
@@ -86,11 +119,16 @@ pub(crate) fn with_feeds<R>(
                 .expect("the spent channel holds every buffer");
         }
     }
+    let streams = &streams[..];
     thread::scope(|scope| {
         let generator = scope.spawn(move || {
             // Ends when the feeds hang up the spent channel.
             while let Ok((idx, mut chunk)) = spent_rx.recv() {
-                chunk.refill(&mut streams[idx], end, chunk_ops);
+                let mut stream =
+                    streams[idx].lock().expect("no thread panics while cutting a chunk");
+                chunk.refill(&mut stream, end, chunk_ops);
+                // Sent under the lock (the send never blocks), so a
+                // burst holding the lock sees every chunk cut so far.
                 // A hang-up here means the consumer is unwinding.
                 let _ = full_tx[idx].send(chunk);
             }
@@ -98,9 +136,9 @@ pub(crate) fn with_feeds<R>(
             // calling thread.
             (spent_rx, full_tx)
         });
-        let feeds = Feeds { full, spent: spent_tx };
+        let feeds = Feeds { full, spent: spent_tx, streams, end, chunk_ops };
         let out = consume(&feeds);
-        let Feeds { full, spent } = feeds;
+        let Feeds { full, spent, .. } = feeds;
         drop(spent);
         let endpoints = generator.join().expect("the generator thread does not panic");
         drop((endpoints, full));

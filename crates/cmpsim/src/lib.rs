@@ -28,7 +28,8 @@
 //!   their trace so contention stays live (the FAME methodology), and
 //!   each program's multi-core CPI is measured over its first full trace.
 //!   Each core replays trace chunks a generator thread streams from its
-//!   program (the pipeline the profiler uses), or, when the caller
+//!   program (the pipeline the profiler uses; the simulating thread cuts
+//!   a chunk itself rather than wait for one), or, when the caller
 //!   attaches a [`TraceCache`], compiled traces reused across runs.
 //! * [`reference`] keeps the retired scheduler and per-item execution
 //!   substrate as oracles for the differential tests; they are not

@@ -98,7 +98,8 @@ impl MixResult {
 ///
 /// Defaults: one warmup pass, unified LLC, homogeneous cores, no
 /// observer. Every run uses the event-driven scheduler over trace chunks
-/// streamed from a generator thread, or over compiled traces when a
+/// streamed from a generator thread (and cut on the calling thread
+/// whenever that saves a wait), or over compiled traces when a
 /// [`TraceCache`] is attached; the retired paths are reachable only as
 /// oracles, through [`crate::reference::run`].
 ///
@@ -299,9 +300,8 @@ impl<'a> MixSim<'a> {
             Substrate::Streamed => {
                 let shared: Vec<Arc<BenchmarkSpec>> =
                     specs.iter().map(|&s| Arc::new(s.clone())).collect();
-                let mut streams: Vec<TraceStream> =
-                    shared.iter().map(|s| TraceStream::new(Arc::clone(s), geometry)).collect();
-                feed::with_feeds(&mut streams, u64::MAX, self.chunk_ops, |feeds| {
+                let streams = shared.iter().map(|s| TraceStream::new(Arc::clone(s), geometry));
+                feed::with_feeds(streams, u64::MAX, self.chunk_ops, |feeds| {
                     place_engines(engines, machine, factors, |idx| {
                         TraceSource::fed(feeds.next(idx), Arc::clone(&shared[idx]), geometry)
                     });
@@ -1296,11 +1296,13 @@ mod tests {
 
     #[test]
     fn tiny_chunks_match_cached_and_reference_runs() {
-        // Chunks of 1, 3 and 7 ops put chunk ends on (and right next to)
-        // every window threshold, phase change and pass wrap. Streamed
-        // runs must match cached ones — results and the `core`, `llc`
-        // and `scheduler` events, heap traffic included — and the
-        // per-item smallest-clock oracle.
+        // Chunks of 1 to 7 ops put chunk ends on (and right next to)
+        // every window threshold, phase change and pass wrap, and empty
+        // the rings so often that the calling thread cuts many chunks
+        // itself, in an interleaving with the generator that differs run
+        // to run. Streamed runs must match cached ones — results and the
+        // `core`, `llc` and `scheduler` events, heap traffic included —
+        // and the per-item smallest-clock oracle.
         let m = MachineConfig::baseline();
         let g = TraceGeometry::new(1_000, 4);
         let bench = |n: &str| suite::benchmark(n).unwrap();
@@ -1314,6 +1316,12 @@ mod tests {
                 MixSimConfig { factors: Some(vec![1.0, 2.0, 1.25]), ..mix(vec![gcc, lbm, gamess]) },
             ),
             ("repeated", mix(vec![lbm, gcc, lbm, lbm])),
+            (
+                "eight",
+                mix(["mcf", "povray", "lbm", "namd", "libquantum", "gamess", "soplex", "gcc"]
+                    .map(bench)
+                    .to_vec()),
+            ),
         ];
         for (label, cfg) in &mixes {
             for warmup in 0..3 {
@@ -1323,7 +1331,7 @@ mod tests {
                 let cache = TraceCache::new();
                 let (cached, cached_events, _) = observe(sim().trace_cache(&cache));
                 assert_eq!(cached, oracle, "{label} w{warmup}: cached vs oracle");
-                for chunk_ops in [1, 3, 7, feed::CHUNK_OPS] {
+                for chunk_ops in (1..=7).chain([feed::CHUNK_OPS]) {
                     let mut streamed_sim = sim();
                     streamed_sim.chunk_ops = chunk_ops;
                     let (streamed, events, _) = observe(streamed_sim);

@@ -106,8 +106,8 @@ pub(crate) fn profile_pipelined(
 ) -> SingleCoreProfile {
     let spec = Arc::new(spec.clone());
     let total = geometry.trace_insns() * u64::from(warmup_passes + 1);
-    let mut streams = [TraceStream::new(Arc::clone(&spec), geometry)];
-    feed::with_feeds(&mut streams, total, chunk_ops, |feeds| {
+    let stream = TraceStream::new(Arc::clone(&spec), geometry);
+    feed::with_feeds([stream], total, chunk_ops, |feeds| {
         let source = TraceSource::fed(feeds.next(0), Arc::clone(&spec), geometry);
         let mut engine = CoreEngine::from_source(source, machine, 0, 1.0);
         let mut uncore = Uncore::new(machine);

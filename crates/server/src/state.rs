@@ -422,6 +422,25 @@ mod tests {
     }
 
     #[test]
+    fn eviction_order_is_least_recently_used() {
+        // Hits and refreshes reorder the entries; every eviction past
+        // the cap must take the least recently used of the rest.
+        let mut cache = ResponseCache::new(4);
+        for key in ["a", "b", "c", "d"] {
+            cache.insert(key.into(), resp(key));
+        }
+        assert!(cache.get("a").is_some());
+        assert!(cache.get("c").is_some());
+        cache.insert("b".into(), resp("b2"));
+        // Least to most recent: d, a, c, b.
+        for (new, gone) in [("e", "d"), ("f", "a"), ("g", "c"), ("h", "b")] {
+            assert_eq!(cache.insert(new.into(), resp(new)), 1);
+            assert!(!cache.entries.contains_key(gone), "inserting {new} evicts {gone}");
+            assert_eq!(cache.entries.len(), 4);
+        }
+    }
+
+    #[test]
     fn refreshing_an_existing_key_does_not_evict() {
         let mut cache = ResponseCache::new(2);
         cache.insert("a".into(), resp("a"));
