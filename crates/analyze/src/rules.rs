@@ -332,15 +332,15 @@ impl Rule for LossyCounterCast {
 
 /// `uncompiled-hot-loop` — direct per-item `TraceStream` driving
 /// (`.next_item()` calls) in simulation code. Hot simulation loops
-/// replay trace items as flat columns: the blocks of a [`CompiledTrace`]
-/// or the chunks a generator thread streams in (`OpColumns::fill_from`
-/// generates in bulk). Per-item generation survives only as the
+/// replay trace items as packed op words: the blocks of a
+/// [`CompiledTrace`] or the chunks a generator thread streams in
+/// (`OpWords::fill_from` generates in bulk). Per-item generation survives only as the
 /// differential reference substrate, and such loops must live in
 /// functions named `reference_*` so the differential harness can find
 /// them — anywhere else, a per-item loop is either a perf regression or
 /// an unchecked fork of the execution semantics. The generator/compiler
 /// crate (`crates/trace/src/`) is exempt: it *defines* `next_item` and
-/// the column fillers.
+/// the op-word filler.
 pub struct UncompiledHotLoop;
 
 impl Rule for UncompiledHotLoop {
@@ -348,7 +348,7 @@ impl Rule for UncompiledHotLoop {
         "uncompiled-hot-loop"
     }
     fn description(&self) -> &'static str {
-        "per-item `.next_item()` loop outside `reference_*` functions; replay columns instead"
+        "per-item `.next_item()` loop outside `reference_*` functions; replay packed ops instead"
     }
     fn scope(&self) -> Scope {
         Scope::NonTest
@@ -369,7 +369,7 @@ impl Rule for UncompiledHotLoop {
                 out.push(Finding {
                     tok: i,
                     message: "per-item `.next_item()` drive in simulation code: replay \
-                              columns (`CompiledTrace` blocks or streamed chunks), or name \
+                              packed ops (`CompiledTrace` blocks or streamed chunks), or name \
                               the enclosing fn `reference_*` if this loop *is* the \
                               differential reference"
                         .into(),
@@ -440,15 +440,15 @@ impl Rule for BlockingInHandler {
 pub struct AllocInSteadyLoop;
 
 /// Function bodies that constitute the allocation-free steady state:
-/// the compiled and fed burst loops, their shared column walk and LLC
+/// the compiled and fed burst loops, their shared op walk and LLC
 /// commit, the per-engine drive dispatcher, the profiler's chunk fill
-/// (generator loop, column fill, chunk refill — run on the generator
+/// (generator loop, op-word fill, chunk refill — run on the generator
 /// thread, which must not allocate), the scheduler interleave loops, and
 /// the solver's lockstep window walks (run once per program-step).
 const STEADY_LOOP_FNS: &[&str] = &[
     "compiled_run_until_llc",
     "fed_run_until_llc",
-    "walk_columns",
+    "walk_ops",
     "commit_llc",
     "run_until_llc",
     "generate_items",

@@ -420,7 +420,7 @@ fn fill_from(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
     );
     // The chunk refill, the generator loop and both burst walks are
     // covered too.
-    for kernel in ["refill", "generate_items", "walk_columns", "fed_run_until_llc"] {
+    for kernel in ["refill", "generate_items", "walk_ops", "fed_run_until_llc"] {
         let src = format!("fn {kernel}(ops: &mut Ops) {{ let v = Vec::new(); }}");
         let fired = rules_fired(&analyze_one(LIB, &src));
         assert!(fired.iter().any(|(r, _)| r == "alloc-in-steady-loop"), "{kernel}: {fired:?}");

@@ -109,8 +109,10 @@ impl Sdc {
     /// that `a` cuts through.
     pub fn hits_at(&self, a: f64) -> f64 {
         let a = a.clamp(0.0, f64::from(self.assoc()));
-        let full = a.floor() as usize;
-        let frac = a - a.floor();
+        // `a ≥ 0` after the clamp, so truncation is `floor` without the
+        // libm call; a NaN `a` casts to 0 and its NaN `frac` adds nothing.
+        let full = a as usize;
+        let frac = a - full as f64;
         let mut hits: f64 = self.counters[..full].iter().sum();
         if frac > 0.0 && full < self.assoc() as usize {
             hits += frac * self.counters[full];
@@ -275,6 +277,16 @@ mod tests {
         assert_eq!(sdc.misses_at(1.0), 120.0);
         // a=1.5: C_1 + half of C_2 → hits 100 → misses 100
         assert_eq!(sdc.misses_at(1.5), 100.0);
+    }
+
+    #[test]
+    fn hits_at_sums_whole_counters_and_interpolates_the_cut_one() {
+        let sdc = sample();
+        assert_eq!(sdc.hits_at(0.0), 0.0);
+        assert_eq!(sdc.hits_at(3.0), 140.0, "C_1 + C_2 + C_3");
+        assert_eq!(sdc.hits_at(2.25), 125.0, "C_1 + C_2 + a quarter of C_3");
+        assert_eq!(sdc.hits_at(8.0), sdc.hits());
+        assert_eq!(sdc.hits_at(f64::NAN), 0.0);
     }
 
     #[test]

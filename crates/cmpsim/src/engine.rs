@@ -3,10 +3,7 @@
 //! cycles.
 
 use mppm_cache::{Replacement, SetAssocCache};
-use mppm_trace::{
-    BenchmarkSpec, CompiledTrace, OpColumns, TraceGeometry, TraceItem, TraceStream, FLAG_ACCESS,
-    FLAG_STORE,
-};
+use mppm_trace::{BenchmarkSpec, CompiledTrace, OpWords, TraceGeometry, TraceItem, TraceStream};
 use std::sync::Arc;
 
 use crate::{MachineConfig, MemoryChannel};
@@ -224,7 +221,7 @@ impl BurstStop {
 /// implementation every faster substrate is differential-tested against
 /// (the PR 1/PR 3 playbook). The compiled path replays pre-generated
 /// [`CompiledTrace`] blocks and the fed path replays chunks a generator
-/// thread streams in ([`crate::feed`]); both walk the same columns and
+/// thread streams in ([`crate::feed`]); both walk the same op words and
 /// must be bit-identical to the live generator, which the oracle in
 /// `crates/cmpsim/tests/differential.rs` proves.
 #[derive(Debug, Clone)]
@@ -329,34 +326,33 @@ impl CompiledCursor {
 
     /// Materializes the next item, advancing the cursor — the
     /// item-at-a-time view of the compiled trace used by
-    /// [`CoreEngine::step`]; the burst path walks the columns directly.
+    /// [`CoreEngine::step`]; the burst path walks the words directly.
     fn replay_item(&mut self) -> TraceItem {
         if self.insn == self.trace.geometry().trace_insns() {
             self.rewind();
         }
-        let ops = self.trace.blocks()[self.block].ops();
-        let item = ops.item(self.op);
-        self.insn += u64::from(ops.insn_counts()[self.op]);
+        let item = self.trace.blocks()[self.block].ops().item(self.op);
+        self.insn += item.insns();
         self.op += 1;
         self.settle();
         item
     }
 }
 
-/// A run of same-phase trace items in [`OpColumns`] layout — the unit
+/// A run of same-phase trace items as [`OpWords`] — the unit
 /// [`crate::feed`] hands to a fed engine.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TraceChunk {
     /// Phase index every op of the chunk was generated under.
     pub(crate) phase: usize,
     /// The items.
-    pub(crate) ops: OpColumns,
+    pub(crate) ops: OpWords,
 }
 
 impl TraceChunk {
     /// An empty chunk buffer with room for `ops` items.
     pub(crate) fn with_capacity(ops: usize) -> Self {
-        Self { phase: 0, ops: OpColumns::with_capacity(ops) }
+        Self { phase: 0, ops: OpWords::with_capacity(ops) }
     }
 
     /// Refills the buffer with the next items of `stream`: at most
@@ -768,7 +764,7 @@ impl CoreEngine {
     }
 
     /// The batched burst loop over a compiled trace: executes whole
-    /// blocks through [`Self::walk_columns`], with one lazy-rewind check
+    /// blocks through [`Self::walk_ops`], with one lazy-rewind check
     /// per block.
     fn compiled_run_until_llc(&mut self, limit: u64) -> BurstStop {
         let TraceSource::Compiled(c) = &self.source else { unreachable!() };
@@ -782,7 +778,7 @@ impl CoreEngine {
             let blk = &trace.blocks()[c.block];
             let wraps_off = c.wraps * trace_len;
             let (mut op, mut pos) = (c.op, wraps_off + c.insn);
-            let stop = self.walk_columns(blk.phase(), blk.ops(), &mut op, &mut pos, limit);
+            let stop = self.walk_ops(blk.phase(), blk.ops(), &mut op, &mut pos, limit);
             let TraceSource::Compiled(c) = &mut self.source else { unreachable!() };
             c.op = op;
             c.insn = pos - wraps_off;
@@ -793,7 +789,7 @@ impl CoreEngine {
         }
     }
 
-    /// The burst loop over a fed chunk: one [`Self::walk_columns`] call,
+    /// The burst loop over a fed chunk: one [`Self::walk_ops`] call,
     /// returning `None` when the held chunk runs out first — the caller
     /// then [feeds](Self::feed) the next chunk and bursts on, exactly as
     /// the compiled loop steps from one block to the next.
@@ -806,11 +802,11 @@ impl CoreEngine {
         let TraceSource::Fed(f) = &mut self.source else {
             panic!("only fed engines replay chunks")
         };
-        // Moved out for the walk (no copy of the columns) so the engine
+        // Moved out for the walk (no copy of the words) so the engine
         // stays mutably borrowable.
         let chunk = std::mem::take(&mut f.chunk);
         let (mut op, mut pos) = (f.op, f.insn);
-        let stop = self.walk_columns(chunk.phase, &chunk.ops, &mut op, &mut pos, limit);
+        let stop = self.walk_ops(chunk.phase, &chunk.ops, &mut op, &mut pos, limit);
         let TraceSource::Fed(f) = &mut self.source else { unreachable!() };
         f.chunk = chunk;
         f.op = op;
@@ -818,12 +814,12 @@ impl CoreEngine {
         stop
     }
 
-    /// The one column-walking loop behind every batched burst: executes
+    /// The one op-walking loop behind every batched burst: executes
     /// ops `*op..` of `ops` (all of phase `phase`) against the private
     /// caches until a shared-LLC access is generated or the stream
-    /// position `*pos` reaches `limit`, returning `None` if the columns
+    /// position `*pos` reaches `limit`, returning `None` if the words
     /// run out first. Address generation and classification were paid
-    /// when the columns were filled; phase parameters and the L2 stall
+    /// when the words were filled; phase parameters and the L2 stall
     /// are loaded once per call.
     ///
     /// Charges the exact same f64 operations in the exact same order as
@@ -832,10 +828,10 @@ impl CoreEngine {
     /// f64 accumulation is not associative and merging adjacent batches
     /// would change low-order bits.
     #[inline(always)]
-    fn walk_columns(
+    fn walk_ops(
         &mut self,
         phase: usize,
-        ops: &OpColumns,
+        ops: &OpWords,
         op: &mut usize,
         pos: &mut u64,
         limit: u64,
@@ -846,21 +842,22 @@ impl CoreEngine {
         let base_cpi = self.cached_base_cpi;
         let mlp = self.cached_mlp;
         let l2_stall = self.machine.stall_cycles(self.machine.l2.latency, mlp);
-        let (counts, ids, flags) = (ops.insn_counts(), ops.block_ids(), ops.flags());
-        while *op < counts.len() {
-            let i = *op;
-            *op = i + 1;
+        let words = ops.words();
+        while *op < words.len() {
+            let word = words[*op];
+            *op += 1;
             let stamp = self.cycles;
-            if flags[i] & FLAG_ACCESS == 0 {
-                let cost = f64::from(counts[i]) * base_cpi;
+            if !OpWords::is_access(word) {
+                let insns = OpWords::compute_insns(word);
+                let cost = f64::from(insns) * base_cpi;
                 self.cycles += cost;
                 self.stack.base += cost;
-                *pos += u64::from(counts[i]);
+                *pos += u64::from(insns);
             } else {
                 self.cycles += base_cpi;
                 self.stack.base += base_cpi;
                 *pos += 1;
-                let block = self.tag | ids[i];
+                let block = self.tag | OpWords::block(word);
                 if !self.l1d.access(block).hit {
                     if self.l2.access(block).hit {
                         self.cycles += l2_stall;
@@ -868,7 +865,7 @@ impl CoreEngine {
                     } else {
                         self.pending = Some(PendingLlc {
                             block,
-                            store: flags[i] & FLAG_STORE != 0,
+                            store: OpWords::is_store(word),
                             mlp,
                         });
                         return Some(BurstStop::Llc { stamp });

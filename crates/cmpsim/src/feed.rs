@@ -37,7 +37,7 @@ use mppm_trace::TraceStream;
 use crate::engine::TraceChunk;
 use crate::{BurstStop, CoreEngine};
 
-/// Ops per pipeline chunk: 53 KB of columns, small enough that the
+/// Ops per pipeline chunk: 32 KB of op words, small enough that the
 /// buffers in flight stay cache-resident, large enough that channel
 /// hand-offs are rare next to the work per chunk.
 pub(crate) const CHUNK_OPS: usize = 4096;

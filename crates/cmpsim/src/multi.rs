@@ -18,10 +18,10 @@
 //! Where the trace items come from depends on whether the caller passes
 //! a [`TraceCache`]. Without one, each core replays chunks a generator
 //! thread streams from its live trace ([`crate::feed`]), so a run holds
-//! a few 53 KB buffers per core instead of whole compiled traces. With
+//! a few 32 KB buffers per core instead of whole compiled traces. With
 //! one, each core replays the cache's compiled trace, which pays off
 //! wherever a trace is reused across runs (`Store`, hence `mppmd` and
-//! every figure). Both replay the same columns through the same burst
+//! every figure). Both replay the same op words through the same burst
 //! kernel, and a fed burst crosses chunk ends in place, so the two are
 //! bit-identical down to the scheduler's heap traffic.
 

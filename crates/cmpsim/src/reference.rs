@@ -60,8 +60,8 @@ pub enum Scheduler {
 /// How trace items are produced during a mix simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Execution {
-    /// The production substrate: replay flat columns through the burst
-    /// kernel. Under the event-driven scheduler the columns are chunks a
+    /// The production substrate: replay packed op words through the
+    /// burst kernel. Under the event-driven scheduler the words are chunks a
     /// generator thread streams in, or the compiled traces of a
     /// configured [`MixSim::trace_cache`]. The smallest-clock scheduler
     /// steps item by item, which chunks cannot, so under it the run

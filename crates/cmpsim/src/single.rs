@@ -80,7 +80,7 @@ pub fn profile_single_core(
 /// [`profile_single_core`] with an explicit number of warmup trace passes.
 ///
 /// A two-stage pipeline ([`crate::feed`]): a scoped generator thread
-/// drains the trace into fixed-size [`OpColumns`](mppm_trace::OpColumns)
+/// drains the trace into fixed-size [`OpWords`](mppm_trace::OpWords)
 /// chunks while the calling thread replays them through the burst kernel
 /// ([`CoreEngine::run_until_llc`]/[`CoreEngine::commit_llc`]). The item
 /// sequence and the kernel's f64 operations are the same as stepping the

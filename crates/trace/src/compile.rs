@@ -16,10 +16,11 @@
 //! interval-boundary clipping of compute batches, which must be preserved
 //! because f64 cycle accumulation is not associative. Items are grouped
 //! into one [`CompiledBlock`] per maximal run of same-phase intervals and
-//! stored as parallel structure-of-arrays [`OpColumns`] (instruction counts,
-//! block addresses, access/store flags), so the executor's inner loop
-//! walks three contiguous arrays with no RNG, no `BTreeMap`, and one
-//! phase-parameter load per *block* instead of per item.
+//! stored as [`OpWords`], one packed 8-byte word per item (an instruction
+//! count, or a block address with access/store bits), so the executor's
+//! inner loop makes one load per op from one contiguous array, with no
+//! RNG, no `BTreeMap`, and one phase-parameter load per *block* instead
+//! of per item.
 //!
 //! Each block also records the generator state at its entry (RNG plus the
 //! per-region stream offsets, *ranked into* the checkpoint rather than
@@ -35,59 +36,95 @@ use std::sync::Arc;
 use crate::stream::StreamCheckpoint;
 use crate::{BenchmarkSpec, MemAccess, TraceGeometry, TraceItem, TraceStream};
 
-/// Flag bit set on ops that access memory (clear means a compute batch).
-pub const FLAG_ACCESS: u8 = 1 << 0;
-/// Flag bit set on memory ops that are stores.
-pub const FLAG_STORE: u8 = 1 << 1;
-
-/// Trace items as parallel structure-of-arrays columns — the layout of
-/// every [`CompiledBlock`], and of the chunks the pipelined single-core
-/// profiler streams from its generator thread.
+/// Trace items packed one `u64` word per op — the layout of every
+/// [`CompiledBlock`], and of the chunks the pipelined profiler and
+/// streamed mixes receive from their generator thread.
 ///
-/// Column `i` describes the `i`-th item: compute batches have
-/// `insn_counts[i]` instructions and a zero flag byte; accesses have a
-/// count of 1, the (untagged) block address in `block_ids[i]`, and
-/// [`FLAG_ACCESS`] (plus [`FLAG_STORE`] for stores) in `flags[i]`.
+/// A compute batch's word is its instruction count (at most
+/// `u32::MAX`). An access's word is its (untagged) block address with
+/// bit 62 set, plus bit 63 for a store. Block addresses stay below
+/// `1 << 44` ([`crate::Region::MAX_ID`]), so the bits never collide. The
+/// layout is private to this crate: readers decode words with
+/// [`OpWords::is_access`], [`OpWords::compute_insns`],
+/// [`OpWords::block`] and [`OpWords::is_store`].
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct OpColumns {
-    insn_counts: Vec<u32>,
-    block_ids: Vec<u64>,
-    flags: Vec<u8>,
+pub struct OpWords {
+    words: Vec<u64>,
 }
 
-impl OpColumns {
-    /// Empty columns with room for `ops` items.
-    pub fn with_capacity(ops: usize) -> Self {
-        Self {
-            insn_counts: Vec::with_capacity(ops),
-            block_ids: Vec::with_capacity(ops),
-            flags: Vec::with_capacity(ops),
+/// Word bit set on ops that access memory (clear means a compute batch).
+const ACCESS: u64 = 1 << 62;
+/// Word bit set on memory ops that are stores.
+const STORE_SHIFT: u32 = 63;
+
+impl OpWords {
+    /// The word of a compute batch of `insns` instructions.
+    #[inline(always)]
+    pub(crate) fn compute_word(insns: u32) -> u64 {
+        u64::from(insns)
+    }
+
+    /// The word of an access to `block`.
+    #[inline(always)]
+    pub(crate) fn access_word(block: u64, store: bool) -> u64 {
+        block | ACCESS | (u64::from(store) << STORE_SHIFT)
+    }
+
+    /// The [`TraceItem`] word `word` encodes.
+    #[inline(always)]
+    pub(crate) fn decode(word: u64) -> TraceItem {
+        if Self::is_access(word) {
+            TraceItem::Access(MemAccess { block: Self::block(word), store: Self::is_store(word) })
+        } else {
+            TraceItem::Compute { insns: Self::compute_insns(word) }
         }
+    }
+
+    /// Whether `word` is a memory access (otherwise a compute batch).
+    #[inline(always)]
+    pub fn is_access(word: u64) -> bool {
+        word & ACCESS != 0
+    }
+
+    /// Instruction count of compute-batch word `word`.
+    #[inline(always)]
+    pub fn compute_insns(word: u64) -> u32 {
+        debug_assert!(!Self::is_access(word));
+        // mppm-lint: allow(lossy-counter-cast): compute words hold a u32 count by construction
+        word as u32
+    }
+
+    /// Untagged block address of access word `word`.
+    #[inline(always)]
+    pub fn block(word: u64) -> u64 {
+        debug_assert!(Self::is_access(word));
+        word & (ACCESS - 1)
+    }
+
+    /// Whether access word `word` is a store.
+    #[inline(always)]
+    pub fn is_store(word: u64) -> bool {
+        word >> STORE_SHIFT != 0
+    }
+
+    /// Empty words with room for `ops` items.
+    pub fn with_capacity(ops: usize) -> Self {
+        Self { words: Vec::with_capacity(ops) }
     }
 
     /// Number of ops (trace items).
     pub fn len(&self) -> usize {
-        self.insn_counts.len()
+        self.words.len()
     }
 
-    /// Whether the columns hold no ops.
+    /// Whether no ops are held.
     pub fn is_empty(&self) -> bool {
-        self.insn_counts.is_empty()
+        self.words.is_empty()
     }
 
-    /// Instruction count per op.
-    pub fn insn_counts(&self) -> &[u32] {
-        &self.insn_counts
-    }
-
-    /// Untagged block address per op (zero for compute batches).
-    pub fn block_ids(&self) -> &[u64] {
-        &self.block_ids
-    }
-
-    /// [`FLAG_ACCESS`]/[`FLAG_STORE`] bits per op.
-    pub fn flags(&self) -> &[u8] {
-        &self.flags
+    /// The packed op words.
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Materializes op `op` back into the [`TraceItem`] the generator
@@ -97,58 +134,42 @@ impl OpColumns {
     ///
     /// Panics if `op >= self.len()`.
     pub fn item(&self, op: usize) -> TraceItem {
-        if self.flags[op] & FLAG_ACCESS == 0 {
-            TraceItem::Compute { insns: self.insn_counts[op] }
-        } else {
-            TraceItem::Access(MemAccess {
-                block: self.block_ids[op],
-                store: self.flags[op] & FLAG_STORE != 0,
-            })
-        }
+        Self::decode(self.words[op])
     }
 
     /// Removes every op, keeping the allocation.
     pub fn clear(&mut self) {
-        self.insn_counts.clear();
-        self.block_ids.clear();
-        self.flags.clear();
+        self.words.clear();
     }
 
     /// Appends the items `stream` generates, stopping once its position
-    /// reaches `end`, the phase index changes, or the columns hold
-    /// `max_ops` ops — whichever comes first. Appends at least one item
-    /// when the stream is short of `end` and the columns short of
-    /// `max_ops`. Never reallocates while `max_ops` is within capacity.
+    /// reaches `end`, the phase index changes, or `max_ops` ops are held
+    /// — whichever comes first. Appends at least one item when the
+    /// stream is short of `end` and the words short of `max_ops`. Never
+    /// reallocates while `max_ops` is within capacity.
     pub fn fill_from(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
         if self.len() >= max_ops {
             return;
         }
-        stream.generate_items(end, |item| {
-            match item {
-                TraceItem::Compute { insns } => {
-                    self.insn_counts.push(insns);
-                    self.block_ids.push(0);
-                    self.flags.push(0);
-                }
-                TraceItem::Access(a) => {
-                    self.insn_counts.push(1);
-                    self.block_ids.push(a.block);
-                    self.flags.push(FLAG_ACCESS | if a.store { FLAG_STORE } else { 0 });
-                }
-            }
-            self.insn_counts.len() < max_ops
+        stream.generate_items(end, |word| {
+            debug_assert!(
+                !Self::is_access(word) || Self::block(word) < 1 << 44,
+                "block ids stay below 2^44"
+            );
+            self.words.push(word);
+            self.words.len() < max_ops
         });
     }
 }
 
 /// One maximal run of same-phase intervals, compiled to flat
-/// [`OpColumns`].
+/// [`OpWords`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledBlock {
     phase: usize,
     start_insn: u64,
     end_insn: u64,
-    ops: OpColumns,
+    ops: OpWords,
     entry: StreamCheckpoint,
 }
 
@@ -170,7 +191,7 @@ impl CompiledBlock {
 
     /// The block's ops (never empty: every interval generates at least
     /// one item).
-    pub fn ops(&self) -> &OpColumns {
+    pub fn ops(&self) -> &OpWords {
         &self.ops
     }
 }
@@ -277,7 +298,7 @@ impl CompiledTrace {
 }
 
 /// Drains `stream` from `start` (its current position) to `end`,
-/// collecting the items into a block's columns.
+/// collecting the items into a block's words.
 fn drain_block(
     stream: &mut TraceStream,
     phase: usize,
@@ -286,7 +307,7 @@ fn drain_block(
     entry: StreamCheckpoint,
 ) -> CompiledBlock {
     debug_assert_eq!(stream.position(), start);
-    let mut ops = OpColumns::default();
+    let mut ops = OpWords::default();
     ops.fill_from(stream, end, usize::MAX);
     // Items never cross interval boundaries and the phase is constant
     // inside a block, so the fill lands exactly on the block boundary.
@@ -321,6 +342,35 @@ mod tests {
     }
 
     #[test]
+    fn op_words_round_trip_extreme_items() {
+        let top_block = (u64::from(Region::MAX_ID) << 32) + Region::MAX_BLOCKS - 1;
+        let items = [
+            TraceItem::Access(MemAccess { block: top_block, store: true }),
+            TraceItem::Access(MemAccess { block: top_block, store: false }),
+            TraceItem::Access(MemAccess { block: 0, store: true }),
+            TraceItem::Compute { insns: u32::MAX },
+            TraceItem::Compute { insns: 1 },
+        ];
+        let words = items
+            .iter()
+            .map(|item| match *item {
+                TraceItem::Compute { insns } => OpWords::compute_word(insns),
+                TraceItem::Access(a) => OpWords::access_word(a.block, a.store),
+            })
+            .collect();
+        let ops = OpWords { words };
+        for (op, item) in items.iter().enumerate() {
+            assert_eq!(ops.item(op), *item);
+        }
+        let w = ops.words();
+        assert!(OpWords::is_access(w[0]) && OpWords::is_store(w[0]));
+        assert_eq!(OpWords::block(w[1]), top_block);
+        assert!(!OpWords::is_store(w[1]));
+        assert!(!OpWords::is_access(w[3]));
+        assert_eq!(OpWords::compute_insns(w[3]), u32::MAX);
+    }
+
+    #[test]
     fn blocks_tile_the_trace_by_phase_run() {
         let g = TraceGeometry::tiny();
         let compiled = CompiledTrace::compile(phased_spec(), g);
@@ -340,7 +390,7 @@ mod tests {
                 );
                 insn += g.interval_insns;
             }
-            let total: u64 = blk.ops().insn_counts().iter().map(|&n| u64::from(n)).sum();
+            let total: u64 = blk.ops().words().iter().map(|&w| OpWords::decode(w).insns()).sum();
             assert_eq!(total, blk.end_insn() - blk.start_insn());
             expected_start = blk.end_insn();
         }

@@ -54,7 +54,7 @@ mod spec;
 mod stream;
 pub mod suite;
 
-pub use compile::{CompiledBlock, CompiledTrace, OpColumns, FLAG_ACCESS, FLAG_STORE};
+pub use compile::{CompiledBlock, CompiledTrace, OpWords};
 pub use geometry::TraceGeometry;
 pub use item::{MemAccess, TraceItem};
 pub use phase::Phase;

@@ -1,8 +1,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::cmp::Ordering;
+use std::sync::{Arc, OnceLock};
 
-use crate::{BenchmarkSpec, MemAccess, RegionKind, TraceGeometry, TraceItem};
+use crate::{BenchmarkSpec, OpWords, RegionKind, TraceGeometry, TraceItem};
 
 /// Deterministic, cyclic instruction stream generated from a
 /// [`BenchmarkSpec`].
@@ -50,10 +51,8 @@ pub struct TraceStream {
     /// carrying a clipped gap exact *within* a phase; across a phase
     /// change the remainder is resampled under the new access rate.
     pending_gap: Option<(usize, u64)>,
-    /// Per-phase cumulative (unnormalized) region weights, precomputed.
-    cum_weights: Vec<Vec<f64>>,
-    /// Per-phase `ln(1 − mem_ratio)`, the geometric gap's denominator.
-    ln_keep: Vec<f64>,
+    /// Per-phase sampling constants, precomputed.
+    draws: Vec<PhaseDraw>,
     /// Phase index at the current position. Items never cross interval
     /// boundaries, so this only changes when `insn` reaches
     /// `interval_end_insn` — which keeps the per-item hot path free of the
@@ -97,18 +96,56 @@ fn stream_slots_for(spec: &BenchmarkSpec) -> Vec<(u32, u64)> {
     ids.into_iter().map(|id| (id, 0)).collect()
 }
 
-fn cum_weights_for(spec: &BenchmarkSpec) -> Vec<Vec<f64>> {
+/// One phase's sampling constants, worked out once per stream instead
+/// of once per op.
+#[derive(Debug, Clone)]
+struct PhaseDraw {
+    gap: GapSampler,
+    store_ratio: f64,
+    /// Cumulative (unnormalized) region weights.
+    cum: Vec<f64>,
+    regions: Vec<RegionDraw>,
+}
+
+/// One region of a phase, resolved for sampling.
+#[derive(Debug, Clone, Copy)]
+struct RegionDraw {
+    base: u64,
+    blocks: u64,
+    /// A stream region's index in `stream_pos`; `None` for a uniform one.
+    stream_slot: Option<usize>,
+}
+
+/// The draws of every phase of `spec`, resolving stream regions to their
+/// slots in `stream_pos`.
+fn draws_for(spec: &BenchmarkSpec, stream_pos: &[(u32, u64)]) -> Vec<PhaseDraw> {
     spec.phases()
         .iter()
         .map(|p| {
             let mut acc = 0.0;
-            p.regions
+            let cum = p
+                .regions
                 .iter()
                 .map(|r| {
                     acc += r.weight;
                     acc
                 })
-                .collect()
+                .collect();
+            let regions = p
+                .regions
+                .iter()
+                .map(|r| RegionDraw {
+                    base: r.base_block(),
+                    blocks: r.blocks,
+                    stream_slot: (r.kind == RegionKind::Stream).then(|| {
+                        stream_pos
+                            .binary_search_by_key(&r.id, |&(id, _)| id)
+                            .expect("every stream region id has a walk slot")
+                    }),
+                })
+                .collect();
+            let gap = GapSampler::new(p.mem_ratio);
+            PhaseDraw { gap, store_ratio: p.store_ratio, cum, regions }
         })
         .collect()
 }
@@ -133,8 +170,7 @@ impl TraceStream {
         checkpoint: StreamCheckpoint,
     ) -> Self {
         let interval = geometry.interval_of(insn);
-        let cum_weights = cum_weights_for(&spec);
-        let ln_keep = spec.phases().iter().map(|p| (1.0 - p.mem_ratio).ln()).collect();
+        let draws = draws_for(&spec, &checkpoint.stream_pos);
         let cur_phase = spec.phase_for_interval(interval, geometry.intervals);
         Self {
             spec,
@@ -144,8 +180,7 @@ impl TraceStream {
             wraps: 0,
             stream_pos: checkpoint.stream_pos,
             pending_gap: None,
-            cum_weights,
-            ln_keep,
+            draws,
             cur_phase,
             interval_end_insn: geometry.interval_start(interval) + geometry.interval_insns,
         }
@@ -232,35 +267,35 @@ impl TraceStream {
     /// [`TraceItem::insns`] instructions.
     pub fn next_item(&mut self) -> TraceItem {
         let mut next = None;
-        self.generate_items(u64::MAX, |item| {
-            next = Some(item);
+        self.generate_items(u64::MAX, |word| {
+            next = Some(word);
             false
         });
-        next.expect("generate emits at least one item")
+        OpWords::decode(next.expect("generate emits at least one item"))
     }
 
-    /// Generates items into `emit` until the position reaches `end`, the
-    /// phase index changes, or `emit` returns `false` — the one
-    /// generation loop behind [`Self::next_item`] and
-    /// [`crate::OpColumns::fill_from`]. Emits at least one item when the
-    /// position is short of `end`.
+    /// Generates items, as [`OpWords`] words, into `emit` until the
+    /// position reaches `end`, the phase index changes, or `emit` returns
+    /// `false` — the one generation loop behind [`Self::next_item`] and
+    /// [`OpWords::fill_from`]. Emits at least one item when the position
+    /// is short of `end`.
     ///
     /// The phase's parameters are looked up once per interval-bounded run
     /// of items, which is what makes batch generation cheaper than
     /// item-at-a-time generation; the items and RNG draws are the same.
     #[inline(always)]
-    pub(crate) fn generate_items(&mut self, end: u64, mut emit: impl FnMut(TraceItem) -> bool) {
+    pub(crate) fn generate_items(&mut self, end: u64, mut emit: impl FnMut(u64) -> bool) {
         let trace_len = self.geometry.trace_insns();
         let phase_idx = self.cur_phase;
+        let ln_table = ln_table();
         loop {
             if self.insn == trace_len {
                 self.rewind();
             }
-            let Self { spec, rng, insn, stream_pos, pending_gap, cum_weights, ln_keep, .. } = self;
+            let Self { rng, insn, stream_pos, pending_gap, draws, .. } = self;
             let interval_end = self.interval_end_insn;
             let stop = interval_end.min(end.saturating_sub(self.wraps * trace_len));
-            let phase = &spec.phases()[phase_idx];
-            let (cum, ln_keep) = (&cum_weights[phase_idx][..], ln_keep[phase_idx]);
+            let draw = &draws[phase_idx];
             let mut more = true;
             while more && *insn < stop {
                 // Geometric gap to the next memory access. Geometric
@@ -271,21 +306,21 @@ impl TraceStream {
                 // different phase is resampled at the new phase's rate.
                 let gap = match *pending_gap {
                     Some((sampled_phase, g)) if sampled_phase == phase_idx => g,
-                    _ => sample_gap(rng, phase.mem_ratio, ln_keep),
+                    _ => sample_gap(rng.gen(), &draw.gap, ln_table),
                 };
-                let item = if gap == 0 {
+                let word = if gap == 0 {
                     *pending_gap = None;
                     *insn += 1;
-                    TraceItem::Access(sample_access(rng, stream_pos, cum, phase))
+                    sample_access(rng, stream_pos, draw)
                 } else {
                     let room = interval_end - *insn;
                     let batch = u32::try_from(gap.min(room).min(u64::from(u32::MAX)))
                         .expect("clamped to u32::MAX above");
                     *pending_gap = Some((phase_idx, gap - u64::from(batch)));
                     *insn += u64::from(batch);
-                    TraceItem::Compute { insns: batch }
+                    OpWords::compute_word(batch)
                 };
-                more = emit(item);
+                more = emit(word);
             }
             self.refresh_phase_cache();
             if !more || self.position() >= end || self.cur_phase != phase_idx {
@@ -308,56 +343,213 @@ impl TraceStream {
     }
 }
 
-/// Number of non-memory instructions before the next access (geometric
-/// with per-instruction access probability `m`; `ln_keep` is `ln(1 − m)`).
+/// The geometric compute-gap sampler of one phase: per-instruction
+/// access probability `m`, with its logarithm precomputed.
+#[derive(Debug, Clone, Copy)]
+struct GapSampler {
+    m: f64,
+    /// `ln(1 − m)`, the exact path's divisor.
+    ln_keep: f64,
+    /// `1 / ln_keep`, the fast path's factor; `None` where the fast
+    /// path's error bound does not hold (`ln_keep > −1e-3`, which
+    /// includes `m = 0`).
+    inv_ln_keep: Option<f64>,
+}
+
+impl GapSampler {
+    fn new(m: f64) -> Self {
+        let ln_keep = (1.0 - m).ln();
+        Self { m, ln_keep, inv_ln_keep: (ln_keep <= -1e-3).then(|| 1.0 / ln_keep) }
+    }
+}
+
+/// How far the fast path's quotient must sit from an integer for its
+/// truncation to equal the exact one. [`fast_ln`] is within about 1.4e-14
+/// of libm's `ln`, and `|1 / ln_keep| ≤ 1,000` on the fast path, so the
+/// fast quotient is within 1e-9 of the exact one.
+const FRAC_GUARD: f64 = 1e-6;
+
+/// Number of non-memory instructions before the next access for the
+/// uniform draw `u` (geometric with per-instruction access probability
+/// `m`): 0 if `u < m`, else `⌊ln(1 − u) / ln(1 − m)⌋`, at least 1.
+///
+/// The fast path evaluates the quotient with [`fast_ln`] and a multiply,
+/// and returns only when it is far enough from an integer that its floor
+/// cannot differ from the exact one ([`FRAC_GUARD`]). Everything else
+/// takes the exact libm expression, so the gap equals the exact one for
+/// every `u`.
 #[inline(always)]
-fn sample_gap(rng: &mut SmallRng, m: f64, ln_keep: f64) -> u64 {
-    let u: f64 = rng.gen();
-    if u < m {
+fn sample_gap(u: f64, g: &GapSampler, ln_table: &LnTable) -> u64 {
+    if u < g.m {
         return 0;
     }
-    // Inverse-CDF geometric sampling on the remaining mass.
-    let k = ((1.0 - u).ln() / ln_keep).floor();
-    if k.is_finite() && k >= 1.0 {
-        k as u64
+    if let Some(inv_ln_keep) = g.inv_ln_keep {
+        let y = fast_ln(1.0 - u, ln_table) * inv_ln_keep;
+        let k = y as u64;
+        let frac = y - k as f64;
+        if frac > FRAC_GUARD && frac < 1.0 - FRAC_GUARD {
+            return k.max(1);
+        }
+    }
+    // Inverse-CDF geometric sampling on the remaining mass. Truncation
+    // is `floor` here: only a finite `y ≥ 1` reaches the cast.
+    let y = (1.0 - u).ln() / g.ln_keep;
+    if y.is_finite() && y >= 1.0 {
+        y as u64
     } else {
         1
     }
 }
 
-/// One access of `phase`: a weighted region pick (`cum` holds the
-/// cumulative region weights), a block within it, and a store draw.
+/// Mantissa bits that index an [`LnTable`].
+const LN_TABLE_BITS: u32 = 7;
+
+/// `(1/c, −ln(1/c))` for the centre `c` of each of the 128 equal slices
+/// of `[1, 2)`.
+type LnTable = [(f64, f64); 1 << LN_TABLE_BITS];
+
+/// The table [`fast_ln`] reads, built once per process with libm `ln`.
+fn ln_table() -> &'static LnTable {
+    static TABLE: OnceLock<LnTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let slices = f64::from(1u32 << LN_TABLE_BITS);
+        std::array::from_fn(|i| {
+            let inv_c = 1.0 / (1.0 + (i as f64 + 0.5) / slices);
+            (inv_c, -inv_c.ln())
+        })
+    })
+}
+
+/// `ln(x)` for a positive normal `x` without a libm call. With
+/// `x = 2^e · m`, `m ∈ [1, 2)`, it is `e · ln 2 − ln(1/c) + ln(1 + r)`
+/// for the table slice `c` holding `m` and `r = m · (1/c) − 1`,
+/// `|r| < 2^-8`; a degree-5 Taylor polynomial gives `ln(1 + r)` to
+/// about 1e-15.
 #[inline(always)]
-fn sample_access(
-    rng: &mut SmallRng,
-    stream_pos: &mut [(u32, u64)],
-    cum: &[f64],
-    phase: &crate::Phase,
-) -> MemAccess {
-    let total = *cum.last().expect("phases have at least one region");
+fn fast_ln(x: f64, table: &LnTable) -> f64 {
+    const MANTISSA_BITS: u32 = 52;
+    const MANTISSA: u64 = (1 << MANTISSA_BITS) - 1;
+    const BIAS: u64 = 1023;
+    let bits = x.to_bits();
+    let e = (bits >> MANTISSA_BITS) as f64 - BIAS as f64;
+    let m = f64::from_bits((bits & MANTISSA) | (BIAS << MANTISSA_BITS));
+    let slice = (bits & MANTISSA) >> (MANTISSA_BITS - LN_TABLE_BITS);
+    let (inv_c, neg_ln_inv_c) = table[slice as usize];
+    let r = m * inv_c - 1.0;
+    let poly = r + r * r * (-0.5 + r * (1.0 / 3.0 + r * (-0.25 + r * 0.2)));
+    e * std::f64::consts::LN_2 + neg_ln_inv_c + poly
+}
+
+/// One access of phase `draw`: a weighted region pick, a block within
+/// it, and a store draw, packed as an [`OpWords`] word.
+#[inline(always)]
+fn sample_access(rng: &mut SmallRng, stream_pos: &mut [(u32, u64)], draw: &PhaseDraw) -> u64 {
+    let total = *draw.cum.last().expect("phases have at least one region");
     let pick: f64 = rng.gen::<f64>() * total;
-    let region_idx = cum.partition_point(|&w| w <= pick).min(phase.regions.len() - 1);
-    let region = phase.regions[region_idx];
-    let offset = match region.kind {
-        RegionKind::Uniform => rng.gen_range(0..region.blocks),
-        RegionKind::Stream => {
-            let (_, pos) = stream_pos
-                .iter_mut()
-                .find(|(id, _)| *id == region.id)
-                .expect("every stream region id has a walk slot");
+    let region_idx = draw.cum.partition_point(|&w| w <= pick).min(draw.regions.len() - 1);
+    let region = draw.regions[region_idx];
+    let offset = match region.stream_slot {
+        None => rng.gen_range(0..region.blocks),
+        Some(slot) => {
+            let pos = &mut stream_pos[slot].1;
             let cur = *pos;
-            *pos = (cur + 1) % region.blocks;
+            let next = cur + 1;
+            // A cursor past this region's end was left there by a larger
+            // region of another phase sharing the id.
+            *pos = match next.cmp(&region.blocks) {
+                Ordering::Less => next,
+                Ordering::Equal => 0,
+                Ordering::Greater => next % region.blocks,
+            };
             cur
         }
     };
-    let store = rng.gen::<f64>() < phase.store_ratio;
-    MemAccess { block: region.base_block() + offset, store }
+    let store = rng.gen::<f64>() < draw.store_ratio;
+    OpWords::access_word(region.base + offset, store)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Phase, Region};
+    use crate::{suite, Phase, Region};
+
+    /// Gap-sampler oracle cases: `MPPM_ORACLE_CASES`, default 16, times
+    /// 4,096 random draws per access ratio.
+    fn oracle_cases() -> u64 {
+        std::env::var("MPPM_ORACLE_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(16)
+    }
+
+    /// The gap as the generator computed it before the fast path: the
+    /// libm expression with `floor`.
+    fn exact_gap(u: f64, m: f64) -> u64 {
+        if u < m {
+            return 0;
+        }
+        let k = ((1.0 - u).ln() / (1.0 - m).ln()).floor();
+        if k.is_finite() && k >= 1.0 {
+            k as u64
+        } else {
+            1
+        }
+    }
+
+    #[test]
+    fn gap_sampler_matches_the_exact_expression() {
+        let table = ln_table();
+        let mut ratios: Vec<f64> = suite::spec_suite()
+            .iter()
+            .flat_map(|s| s.phases().iter().map(|p| p.mem_ratio))
+            .collect();
+        ratios.extend([0.0005, 0.001, 0.01, 0.5, 0.99]);
+        // `rng.gen::<f64>()` draws `j · 2^-53` for a 53-bit `j`.
+        const GRID: u64 = 1 << 53;
+        let u_at = |j: u64| j as f64 / GRID as f64;
+        let mut rng = SmallRng::seed_from_u64(0x6A95);
+        for &m in &ratios {
+            let g = GapSampler::new(m);
+            let check = |u: f64| {
+                assert_eq!(sample_gap(u, &g, table), exact_gap(u, m), "m = {m}, u = {u:e}");
+            };
+            for _ in 0..oracle_cases() * 4096 {
+                check(rng.gen());
+            }
+            // Every grid point within 64 steps of each point where the
+            // exact gap steps up to k, found by bisection on the grid.
+            for k in 1..=64 {
+                let reaches = |j: u64| exact_gap(u_at(j), m) >= k;
+                let (mut lo, mut hi) = (0, GRID - 1);
+                if reaches(lo) || !reaches(hi) {
+                    continue;
+                }
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if reaches(mid) {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                for j in hi.saturating_sub(64)..=(hi + 64).min(GRID - 1) {
+                    check(u_at(j));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gap_sampler_fast_ln_stays_within_its_error_bound() {
+        // `FRAC_GUARD` relies on this bound, over every binade the
+        // sampler's `1 − u` can fall in.
+        let table = ln_table();
+        let mut rng = SmallRng::seed_from_u64(0x1B);
+        for binade in 0..53 {
+            for _ in 0..oracle_cases() * 64 {
+                let x = (1.0 + rng.gen::<f64>()) * 0.5f64.powi(binade + 1);
+                let err = (fast_ln(x, table) - x.ln()).abs();
+                assert!(err < 2e-14, "x = {x:e}: error {err:e}");
+            }
+        }
+    }
 
     fn spec(mem_ratio: f64, regions: Vec<Region>) -> BenchmarkSpec {
         BenchmarkSpec::new(
