@@ -332,9 +332,9 @@ impl Rule for LossyCounterCast {
 
 /// `uncompiled-hot-loop` — direct per-item `TraceStream` driving
 /// (`.next_item()` calls) in simulation code. Hot simulation loops
-/// replay trace items as packed op words: the blocks of a
-/// [`CompiledTrace`] or the chunks a generator thread streams in
-/// (`OpWords::fill_from` generates in bulk). Per-item generation survives only as the
+/// replay trace items as packed op words: chunks a generator thread
+/// streams in (`PhaseRun::refill` generates in bulk) or copies from the
+/// runs of a `CompiledTrace`. Per-item generation survives only as the
 /// differential reference substrate, and such loops must live in
 /// functions named `reference_*` so the differential harness can find
 /// them — anywhere else, a per-item loop is either a perf regression or
@@ -430,7 +430,7 @@ impl Rule for BlockingInHandler {
 
 /// `alloc-in-steady-loop` — heap allocation (`Vec::new()`, `vec![...]`,
 /// `Box::new(...)`) inside the steady-state loops: the simulator's
-/// compiled burst loop and scheduler interleave loops, and the model
+/// fed burst loops and scheduler interleave loop, and the model
 /// solver's per-step window kernel. Since the `SimArena` and
 /// `SolverScratch` landed, warm mixes are allocation-free in both
 /// (proven by the counting-allocator test and the per-step scratch
@@ -440,20 +440,24 @@ impl Rule for BlockingInHandler {
 pub struct AllocInSteadyLoop;
 
 /// Function bodies that constitute the allocation-free steady state:
-/// the compiled and fed burst loops, their shared op walk and LLC
-/// commit, the per-engine drive dispatcher, the profiler's chunk fill
-/// (generator loop, op-word fill, chunk refill — run on the generator
-/// thread, which must not allocate), the scheduler interleave loops, and
-/// the solver's lockstep window walks (run once per program-step).
+/// the fed burst loops (`burst` around `run_fed_until_llc`), their op
+/// walk and LLC commit, the per-engine drive dispatcher, the chunk cuts
+/// (the generator loop and chunk refill — run on the generator thread,
+/// which must not allocate — and a cached replay's cut and copy), the
+/// scheduler interleave loop, and the solver's lockstep window walks
+/// (run once per program-step). Every entry names a live `fn`
+/// (`steady_loop_fns_name_live_kernels` below), so a rename cannot
+/// silently drop a kernel from the rule.
 const STEADY_LOOP_FNS: &[&str] = &[
-    "compiled_run_until_llc",
-    "fed_run_until_llc",
+    "burst",
+    "run_fed_until_llc",
     "walk_ops",
     "commit_llc",
     "run_until_llc",
     "generate_items",
-    "fill_from",
     "refill",
+    "cut",
+    "copy_from",
     "event_interleave_into",
     "lockstep_window_cycles",
     "lockstep_advance",
@@ -637,6 +641,24 @@ pub fn mark_test_regions(toks: &[Tok]) -> (Vec<bool>, bool) {
 mod tests {
     use super::*;
     use crate::lexer::lex;
+
+    #[test]
+    fn steady_loop_fns_name_live_kernels() {
+        let root = crate::find_workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+            .expect("the analyzer builds inside the workspace");
+        let sources = crate::workspace_sources(&root).expect("workspace sources are readable");
+        let defined: std::collections::BTreeSet<String> = sources
+            .iter()
+            .flat_map(|(path, src)| crate::parse::items(&SourceFile::parse(path.as_str(), src)).fns)
+            .map(|f| f.name)
+            .collect();
+        for name in STEADY_LOOP_FNS {
+            assert!(
+                defined.contains(*name),
+                "STEADY_LOOP_FNS names `{name}`, which no non-test source defines"
+            );
+        }
+    }
 
     #[test]
     fn test_regions_cover_cfg_test_mod() {

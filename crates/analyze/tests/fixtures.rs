@@ -404,13 +404,13 @@ fn alloc_in_steady_loop_covers_the_profiler_chunk_fill() {
     fires_and_fixes(
         "alloc-in-steady-loop",
         r#"
-fn fill_from(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
+fn refill(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
     let mut counts = Vec::new();
     stream.generate_items(end, |item| { counts.push(item.insns()); counts.len() < max_ops });
 }
 "#,
         r#"
-fn fill_from(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
+fn refill(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
     stream.generate_items(end, |item| {
         self.counts.push(item.insns());
         self.counts.len() < max_ops
@@ -418,9 +418,9 @@ fn fill_from(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
 }
 "#,
     );
-    // The chunk refill, the generator loop and both burst walks are
+    // The chunk cuts, the generator loop and the fed burst loops are
     // covered too.
-    for kernel in ["refill", "generate_items", "walk_ops", "fed_run_until_llc"] {
+    for kernel in ["cut", "copy_from", "generate_items", "walk_ops", "run_fed_until_llc", "burst"] {
         let src = format!("fn {kernel}(ops: &mut Ops) {{ let v = Vec::new(); }}");
         let fired = rules_fired(&analyze_one(LIB, &src));
         assert!(fired.iter().any(|(r, _)| r == "alloc-in-steady-loop"), "{kernel}: {fired:?}");
@@ -431,7 +431,7 @@ fn fill_from(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
 fn alloc_in_steady_loop_covers_every_pattern_and_exempts_reference_fns() {
     // All three allocation forms fire inside a steady-loop body...
     let hot = r#"
-fn compiled_run_until_llc(x: u64) -> u64 {
+fn run_fed_until_llc(x: u64) -> u64 {
     let a = Vec::new();
     let b = vec![0u64; 4];
     let c = Box::new(x);

@@ -45,6 +45,7 @@
 //! are refused at open with migration advice.
 
 use mppm_experiments::{atomic_write_bytes, atomic_write_json};
+use mppm_trace::fnv1a;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -56,18 +57,6 @@ pub const JOURNAL_VERSION: u32 = 1;
 
 const MAGIC: &[u8; 8] = b"MPPMSHRD";
 const HEADER_LEN: usize = 8 + 4 + 4 + 4 + 4 + 4 + 8;
-
-/// FNV-1a 64-bit — the journal's checksum and fingerprint hash. Not
-/// cryptographic; it guards against truncation and bit rot, while the
-/// atomic rename guards against torn writes.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The model's verdict on one mix: everything the aggregator needs,
 /// nothing it doesn't (full per-interval traces would make journals

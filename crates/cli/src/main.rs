@@ -30,7 +30,7 @@ use mppm_obs::{JsonlSink, Observer, ProgressSink, Sink};
 use mppm_experiments::table::{f3, Table};
 use mppm_experiments::{Context, Scale, Store};
 use mppm_sim::{llc_configs, MachineConfig};
-use mppm_trace::{suite, RecordedTrace, TraceGeometry, TraceStream};
+use mppm_trace::{suite, CompiledTrace, TraceGeometry};
 
 fn main() {
     // When re-executed as a campaign worker (`--workers N` fan-out),
@@ -327,14 +327,14 @@ fn run(cmd: Command) -> Result<(), CliError> {
             let spec = suite::benchmark(&benchmark)
                 .ok_or_else(|| format!("unknown benchmark `{benchmark}`"))?;
             let g = geometry(quick);
-            let mut stream = TraceStream::new(spec.clone(), g);
-            let trace = RecordedTrace::capture(&mut stream, g.trace_insns());
+            let trace = CompiledTrace::compile(spec.clone(), g);
             let bytes = trace.to_bytes();
             mppm_experiments::atomic_write_bytes(std::path::Path::new(&out), &bytes)?;
             println!(
-                "recorded {} instructions ({} items, {} bytes) to {out}",
-                trace.insns(),
-                trace.items().len(),
+                "recorded {} instructions ({} ops in {} phase runs, {} bytes) to {out}",
+                g.trace_insns(),
+                trace.ops(),
+                trace.runs().len(),
                 bytes.len()
             );
             Ok(())

@@ -4,9 +4,10 @@
 //! A [`SimArena`] owns every heap structure a detailed mix simulation
 //! needs: the [`Uncore`] (LLC slabs + memory channel), one pooled
 //! [`CoreEngine`] per core (each holding its private L1/L2 slabs), the
-//! scheduler's event heap and the interleaver's bookkeeping vectors. It
-//! holds no traces: those come from the run's [`crate::TraceCache`] or
-//! are streamed. [`crate::MixSim::arena`] threads one through a run;
+//! scheduler's event heap, the interleaver's bookkeeping vectors, and the
+//! chunk buffers and cursors of cached replays. It holds no traces
+//! between runs: those come from the run's [`crate::TraceCache`] or are
+//! streamed. [`crate::MixSim::arena`] threads one through a run;
 //! between runs everything is *reset in place* — `clear()` + `resize()`
 //! on vectors, [`SetAssocCache::reinit`](mppm_cache::SetAssocCache) on
 //! cache slabs — never reallocated, so after the first mix of a given
@@ -51,7 +52,11 @@
 //! via `parallel_map_with`; the `mppmd` store keeps a checkout pool.
 
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
+use mppm_trace::{CompiledTrace, PhaseRun};
+
+use crate::feed::RunCursor;
 use crate::multi::{Event, InterleaveState};
 use crate::{CoreEngine, Uncore};
 
@@ -94,6 +99,11 @@ pub struct SimArena {
     pub(crate) state: InterleaveState,
     /// Scratch for the implicit all-ones `core_factors` slice.
     pub(crate) unit_factors: Vec<f64>,
+    /// Chunk buffers of cached replays, lent to the engines for a run.
+    pub(crate) chunks: Vec<PhaseRun>,
+    /// Each core's cached trace and replay cursor during a cached run;
+    /// empty between runs.
+    pub(crate) replays: Vec<(Arc<CompiledTrace>, RunCursor)>,
 }
 
 impl SimArena {
@@ -107,6 +117,8 @@ impl SimArena {
             heap: BinaryHeap::new(),
             state: InterleaveState::empty(),
             unit_factors: Vec::new(),
+            chunks: Vec::new(),
+            replays: Vec::new(),
         }
     }
 

@@ -3,7 +3,7 @@
 //! cycles.
 
 use mppm_cache::{Replacement, SetAssocCache};
-use mppm_trace::{BenchmarkSpec, CompiledTrace, OpWords, TraceGeometry, TraceItem, TraceStream};
+use mppm_trace::{BenchmarkSpec, OpWords, PhaseRun, TraceGeometry, TraceItem, TraceStream};
 use std::sync::Arc;
 
 use crate::{MachineConfig, MemoryChannel};
@@ -218,149 +218,27 @@ impl BurstStop {
 /// Where a core's trace items come from.
 ///
 /// The live generator is the *reference* path — the original per-item
-/// implementation every faster substrate is differential-tested against
-/// (the PR 1/PR 3 playbook). The compiled path replays pre-generated
-/// [`CompiledTrace`] blocks and the fed path replays chunks a generator
-/// thread streams in ([`crate::feed`]); both walk the same op words and
-/// must be bit-identical to the live generator, which the oracle in
-/// `crates/cmpsim/tests/differential.rs` proves.
+/// implementation every faster substrate is differential-tested
+/// against. The fed path replays [`PhaseRun`] chunks handed in one at a
+/// time ([`crate::feed`]): cut from the live stream by a generator
+/// thread, or copied from a cached [`mppm_trace::CompiledTrace`] on the
+/// calling thread. Both must be bit-identical to the live
+/// generator, which the oracle in `crates/cmpsim/tests/differential.rs`
+/// proves.
 #[derive(Debug, Clone)]
 pub(crate) enum TraceSource {
     /// Per-item generation from the live [`TraceStream`].
     Reference(TraceStream),
-    /// Batched replay of a pre-compiled trace.
-    Compiled(CompiledCursor),
     /// Batched replay of chunks fed in one at a time.
     Fed(FedCursor),
 }
 
 impl TraceSource {
-    /// Live per-item generation of `spec`'s trace.
-    pub(crate) fn reference(spec: impl Into<Arc<BenchmarkSpec>>, geometry: TraceGeometry) -> Self {
-        Self::Reference(TraceStream::new(spec, geometry))
-    }
-
-    /// Replay of a compiled trace (the geometry comes from the trace).
-    pub(crate) fn compiled(trace: Arc<CompiledTrace>) -> Self {
-        Self::Compiled(CompiledCursor::new(trace))
-    }
-
     /// Replay of `spec`'s trace as chunks fed in by the caller, starting
     /// with `first`, which must begin at stream position 0.
-    pub(crate) fn fed(
-        first: TraceChunk,
-        spec: Arc<BenchmarkSpec>,
-        geometry: TraceGeometry,
-    ) -> Self {
-        Self::Fed(FedCursor {
-            spec,
-            trace_insns: geometry.trace_insns(),
-            chunk: first,
-            op: 0,
-            insn: 0,
-        })
-    }
-}
-
-/// Replay position within a shared [`CompiledTrace`].
-///
-/// Mirrors [`TraceStream`]'s position semantics exactly: `insn` may sit
-/// at the pre-rewind sentinel (`== trace_insns`) after the last op of a
-/// pass, and the rewind to block 0 happens lazily on the next item.
-/// Within a pass the block index is advanced eagerly, so
-/// `current_phase` always reflects the op about to execute.
-#[derive(Debug, Clone)]
-pub(crate) struct CompiledCursor {
-    trace: Arc<CompiledTrace>,
-    /// Current block index (always valid; op may equal the block's len
-    /// only at the end-of-pass sentinel).
-    block: usize,
-    /// Next op within the current block.
-    op: usize,
-    /// Position within the current pass, in instructions.
-    insn: u64,
-    /// Completed trace passes.
-    wraps: u64,
-}
-
-impl CompiledCursor {
-    fn new(trace: Arc<CompiledTrace>) -> Self {
-        assert!(!trace.blocks().is_empty(), "compiled traces have at least one block");
-        Self { trace, block: 0, op: 0, insn: 0, wraps: 0 }
-    }
-
-    /// Total instructions replayed (monotonic across wraps).
-    fn position(&self) -> u64 {
-        self.wraps * self.trace.geometry().trace_insns() + self.insn
-    }
-
-    /// Phase index at the current position; at the pre-rewind sentinel
-    /// the phase wraps to block 0, exactly as [`TraceStream`] does.
-    fn current_phase(&self) -> usize {
-        let blocks = self.trace.blocks();
-        if self.insn >= self.trace.geometry().trace_insns() {
-            blocks[0].phase()
-        } else {
-            blocks[self.block].phase()
-        }
-    }
-
-    /// Resets to the start of the trace, bumping the wrap count.
-    fn rewind(&mut self) {
-        self.block = 0;
-        self.op = 0;
-        self.insn = 0;
-        self.wraps += 1;
-    }
-
-    /// Steps to the next block once the current one's last op has run;
-    /// at the end of a pass the cursor stays on the last block, leaving
-    /// the sentinel for the lazy rewind.
-    fn settle(&mut self) {
-        let blocks = self.trace.blocks();
-        if self.op == blocks[self.block].ops().len() && self.block + 1 < blocks.len() {
-            self.block += 1;
-            self.op = 0;
-        }
-    }
-
-    /// Materializes the next item, advancing the cursor — the
-    /// item-at-a-time view of the compiled trace used by
-    /// [`CoreEngine::step`]; the burst path walks the words directly.
-    fn replay_item(&mut self) -> TraceItem {
-        if self.insn == self.trace.geometry().trace_insns() {
-            self.rewind();
-        }
-        let item = self.trace.blocks()[self.block].ops().item(self.op);
-        self.insn += item.insns();
-        self.op += 1;
-        self.settle();
-        item
-    }
-}
-
-/// A run of same-phase trace items as [`OpWords`] — the unit
-/// [`crate::feed`] hands to a fed engine.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TraceChunk {
-    /// Phase index every op of the chunk was generated under.
-    pub(crate) phase: usize,
-    /// The items.
-    pub(crate) ops: OpWords,
-}
-
-impl TraceChunk {
-    /// An empty chunk buffer with room for `ops` items.
-    pub(crate) fn with_capacity(ops: usize) -> Self {
-        Self { phase: 0, ops: OpWords::with_capacity(ops) }
-    }
-
-    /// Refills the buffer with the next items of `stream`: at most
-    /// `max_ops`, all of one phase, none past position `end`.
-    pub(crate) fn refill(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
-        self.ops.clear();
-        self.phase = stream.current_phase();
-        self.ops.fill_from(stream, end, max_ops);
+    pub(crate) fn fed(first: PhaseRun, spec: Arc<BenchmarkSpec>, geometry: TraceGeometry) -> Self {
+        let trace_insns = geometry.trace_insns();
+        Self::Fed(FedCursor { spec, trace_insns, chunk: first, op: 0, insn: 0 })
     }
 }
 
@@ -371,7 +249,7 @@ pub(crate) struct FedCursor {
     spec: Arc<BenchmarkSpec>,
     /// Instructions in one trace pass.
     trace_insns: u64,
-    chunk: TraceChunk,
+    chunk: PhaseRun,
     /// Next op within the chunk.
     op: usize,
     /// Total instructions replayed (monotonic across wraps).
@@ -381,7 +259,7 @@ pub(crate) struct FedCursor {
 /// One core executing one program.
 ///
 /// The engine owns the program's deterministic trace source — the live
-/// [`TraceStream`] generator or a pre-compiled [`CompiledTrace`] replay —
+/// [`TraceStream`] generator or a cursor over fed [`PhaseRun`] chunks —
 /// and its private L1D and L2; the LLC is passed into
 /// [`CoreEngine::step`] so several engines can share it. Block addresses
 /// are tagged with the engine's id because co-scheduled programs share no
@@ -423,43 +301,8 @@ impl CoreEngine {
         geometry: TraceGeometry,
         core_idx: usize,
     ) -> Self {
-        Self::with_core_factor(spec, machine, geometry, core_idx, 1.0)
-    }
-
-    /// Creates an engine on a core whose compute throughput is scaled by
-    /// `1/core_factor` — the heterogeneous-multi-core extension (§8). A
-    /// factor of 2 models a little core at half the issue throughput;
-    /// cache and memory latencies are unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core_factor` is not positive and finite.
-    pub fn with_core_factor(
-        spec: impl Into<Arc<BenchmarkSpec>>,
-        machine: &MachineConfig,
-        geometry: TraceGeometry,
-        core_idx: usize,
-        core_factor: f64,
-    ) -> Self {
-        Self::from_source(TraceSource::reference(spec, geometry), machine, core_idx, core_factor)
-    }
-
-    /// Creates an engine that replays a pre-compiled trace instead of
-    /// running the live generator — the path of runs that take a
-    /// [`crate::TraceCache`] (the geometry comes from the compiled
-    /// trace). Bit-identical to the reference-stream constructors by the
-    /// differential oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core_factor` is not positive and finite.
-    pub fn with_compiled_trace(
-        trace: Arc<CompiledTrace>,
-        machine: &MachineConfig,
-        core_idx: usize,
-        core_factor: f64,
-    ) -> Self {
-        Self::from_source(TraceSource::compiled(trace), machine, core_idx, core_factor)
+        let source = TraceSource::Reference(TraceStream::new(spec, geometry));
+        Self::from_source(source, machine, core_idx, 1.0)
     }
 
     /// Swaps in the chunk that continues the trace where the held one
@@ -468,11 +311,9 @@ impl CoreEngine {
     /// # Panics
     ///
     /// Panics if the engine is not fed, or the held chunk has ops left.
-    pub(crate) fn feed(&mut self, chunk: TraceChunk) -> TraceChunk {
-        let TraceSource::Fed(f) = &mut self.source else { panic!("only fed engines take chunks") };
-        assert_eq!(f.op, f.chunk.ops.len(), "the held chunk is not spent");
-        f.op = 0;
-        std::mem::replace(&mut f.chunk, chunk)
+    pub(crate) fn feed(&mut self, mut chunk: PhaseRun) -> PhaseRun {
+        self.refeed(|held| std::mem::swap(held, &mut chunk));
+        chunk
     }
 
     /// Refills the held, spent chunk in place with `refill`, which must
@@ -482,11 +323,22 @@ impl CoreEngine {
     /// # Panics
     ///
     /// Panics if the engine is not fed, or the held chunk has ops left.
-    pub(crate) fn refeed(&mut self, refill: impl FnOnce(&mut TraceChunk)) {
+    pub(crate) fn refeed(&mut self, refill: impl FnOnce(&mut PhaseRun)) {
         let TraceSource::Fed(f) = &mut self.source else { panic!("only fed engines take chunks") };
-        assert_eq!(f.op, f.chunk.ops.len(), "the held chunk is not spent");
+        assert_eq!(f.op, f.chunk.ops().len(), "the held chunk is not spent");
         f.op = 0;
         refill(&mut f.chunk);
+    }
+
+    /// Takes the held chunk buffer back (leaving an empty one) — how a
+    /// run returns its chunk buffers to the [`crate::SimArena`] pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is not fed.
+    pub(crate) fn take_chunk(&mut self) -> PhaseRun {
+        let TraceSource::Fed(f) = &mut self.source else { panic!("only fed engines hold chunks") };
+        std::mem::take(&mut f.chunk)
     }
 
     /// Builds an engine for core `core_idx` over any trace source.
@@ -559,7 +411,6 @@ impl CoreEngine {
     pub fn insns(&self) -> u64 {
         match &self.source {
             TraceSource::Reference(stream) => stream.position(),
-            TraceSource::Compiled(cursor) => cursor.position(),
             TraceSource::Fed(cursor) => cursor.insn,
         }
     }
@@ -572,7 +423,6 @@ impl CoreEngine {
     pub fn trace_passes(&self) -> u64 {
         match &self.source {
             TraceSource::Reference(stream) => stream.wraps(),
-            TraceSource::Compiled(cursor) => cursor.wraps,
             TraceSource::Fed(cursor) => cursor.insn.saturating_sub(1) / cursor.trace_insns,
         }
     }
@@ -593,33 +443,21 @@ impl CoreEngine {
     pub fn spec(&self) -> &BenchmarkSpec {
         match &self.source {
             TraceSource::Reference(stream) => stream.spec(),
-            TraceSource::Compiled(cursor) => cursor.trace.spec(),
             TraceSource::Fed(cursor) => &cursor.spec,
         }
     }
 
-    /// Phase index at the current trace position, whichever the source.
-    fn source_current_phase(&self) -> usize {
-        match &self.source {
-            TraceSource::Reference(stream) => stream.current_phase(),
-            TraceSource::Compiled(cursor) => cursor.current_phase(),
-            TraceSource::Fed(cursor) => cursor.chunk.phase,
-        }
-    }
-
-    /// The next trace item, whichever the source.
-    fn source_next_item(&mut self) -> TraceItem {
-        match &mut self.source {
-            TraceSource::Reference(stream) => Self::reference_item(stream),
-            TraceSource::Compiled(cursor) => cursor.replay_item(),
-            TraceSource::Fed(_) => unreachable!("fed engines run bursts only"),
-        }
-    }
-
-    /// The reference path's per-item generation — the live generator the
-    /// compiled replay is differential-tested against.
-    fn reference_item(stream: &mut TraceStream) -> TraceItem {
-        stream.next_item()
+    /// The next item of a reference engine's live stream, with the
+    /// index of the phase it was generated under.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is fed: fed engines run bursts only.
+    fn reference_next_item(&mut self) -> (usize, TraceItem) {
+        let TraceSource::Reference(stream) = &mut self.source else {
+            panic!("fed engines run bursts only")
+        };
+        (stream.current_phase(), stream.next_item())
     }
 
     /// Re-reads the phase parameters after a phase change. Out of the
@@ -636,16 +474,20 @@ impl CoreEngine {
         self.cached_phase = phase_idx;
     }
 
-    /// Executes one trace item, charging cycles to the local clock and
-    /// accessing the memory hierarchy as needed.
+    /// Executes one trace item of the live stream, charging cycles to the
+    /// local clock and accessing the memory hierarchy as needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is fed: fed engines run bursts only.
     pub fn step(&mut self, uncore: &mut Uncore, mode: LlcMode) -> StepOutcome {
         debug_assert!(self.pending.is_none(), "commit the pending LLC access before stepping");
-        let phase_idx = self.source_current_phase();
+        let (phase_idx, item) = self.reference_next_item();
         if phase_idx != self.cached_phase {
             self.refresh_phase(phase_idx);
         }
         let (base_cpi, mlp) = (self.cached_base_cpi, self.cached_mlp);
-        match self.source_next_item() {
+        match item {
             TraceItem::Compute { insns } => {
                 let cost = f64::from(insns) * base_cpi;
                 self.cycles += cost;
@@ -713,7 +555,6 @@ impl CoreEngine {
         assert!(self.pending.is_none(), "commit the pending LLC access before bursting");
         match self.source {
             TraceSource::Reference(_) => self.reference_run_until_llc(limit),
-            TraceSource::Compiled(_) => self.compiled_run_until_llc(limit),
             TraceSource::Fed(_) => self
                 .run_fed_until_llc(limit)
                 .expect("a fed burst's limit lies within the held chunk"),
@@ -721,16 +562,16 @@ impl CoreEngine {
     }
 
     /// The per-item burst loop over the live generator — the reference
-    /// implementation [`Self::compiled_run_until_llc`] is
-    /// differential-tested against.
+    /// implementation [`Self::run_fed_until_llc`] is differential-tested
+    /// against.
     fn reference_run_until_llc(&mut self, limit: u64) -> BurstStop {
         loop {
             let stamp = self.cycles;
-            let phase_idx = self.source_current_phase();
+            let (phase_idx, item) = self.reference_next_item();
             if phase_idx != self.cached_phase {
                 self.refresh_phase(phase_idx);
             }
-            match self.source_next_item() {
+            match item {
                 TraceItem::Compute { insns } => {
                     let cost = f64::from(insns) * self.cached_base_cpi;
                     self.cycles += cost;
@@ -763,36 +604,11 @@ impl CoreEngine {
         }
     }
 
-    /// The batched burst loop over a compiled trace: executes whole
-    /// blocks through [`Self::walk_ops`], with one lazy-rewind check
-    /// per block.
-    fn compiled_run_until_llc(&mut self, limit: u64) -> BurstStop {
-        let TraceSource::Compiled(c) = &self.source else { unreachable!() };
-        let trace = Arc::clone(&c.trace);
-        let trace_len = trace.geometry().trace_insns();
-        loop {
-            let TraceSource::Compiled(c) = &mut self.source else { unreachable!() };
-            if c.insn == trace_len {
-                c.rewind();
-            }
-            let blk = &trace.blocks()[c.block];
-            let wraps_off = c.wraps * trace_len;
-            let (mut op, mut pos) = (c.op, wraps_off + c.insn);
-            let stop = self.walk_ops(blk.phase(), blk.ops(), &mut op, &mut pos, limit);
-            let TraceSource::Compiled(c) = &mut self.source else { unreachable!() };
-            c.op = op;
-            c.insn = pos - wraps_off;
-            c.settle();
-            if let Some(stop) = stop {
-                return stop;
-            }
-        }
-    }
-
     /// The burst loop over a fed chunk: one [`Self::walk_ops`] call,
     /// returning `None` when the held chunk runs out first — the caller
-    /// then [feeds](Self::feed) the next chunk and bursts on, exactly as
-    /// the compiled loop steps from one block to the next.
+    /// then [feeds](Self::feed) the next chunk and bursts on
+    /// ([`crate::feed::burst`]), so a burst stops exactly where one over
+    /// the whole trace would.
     ///
     /// # Panics
     ///
@@ -806,7 +622,7 @@ impl CoreEngine {
         // stays mutably borrowable.
         let chunk = std::mem::take(&mut f.chunk);
         let (mut op, mut pos) = (f.op, f.insn);
-        let stop = self.walk_ops(chunk.phase, &chunk.ops, &mut op, &mut pos, limit);
+        let stop = self.walk_ops(chunk.phase(), chunk.ops(), &mut op, &mut pos, limit);
         let TraceSource::Fed(f) = &mut self.source else { unreachable!() };
         f.chunk = chunk;
         f.op = op;
@@ -814,7 +630,7 @@ impl CoreEngine {
         stop
     }
 
-    /// The one op-walking loop behind every batched burst: executes
+    /// The one op-walking loop behind every fed burst: executes
     /// ops `*op..` of `ops` (all of phase `phase`) against the private
     /// caches until a shared-LLC access is generated or the stream
     /// position `*pos` reaches `limit`, returning `None` if the words
@@ -1027,7 +843,9 @@ mod tests {
         let mut shared = Uncore::new(&m);
         let mut state = crate::multi::InterleaveState::new(engines.len(), 0, 100_000);
         let mut heap = std::collections::BinaryHeap::new();
-        crate::multi::event_interleave_into(&mut engines, &mut shared, &mut state, &mut heap, None);
+        let burst = |e: &mut CoreEngine, _, limit| e.run_until_llc(limit);
+        let (state, heap) = (&mut state, &mut heap);
+        crate::multi::event_interleave_into(&mut engines, &mut shared, state, heap, burst);
         let mem_cpi = engines[0].mem_stall() / engines[0].insns() as f64;
         assert!(mem_cpi > 0.2, "sharing should cause conflict misses, mem cpi {mem_cpi}");
     }

@@ -1,15 +1,25 @@
-//! The chunk pipeline behind every trace a run does not take from a
-//! [`crate::TraceCache`]: the single-core profiler and streamed
-//! [`crate::MixSim`] runs (DESIGN.md §12.1).
+//! The chunk feeds behind every fed engine (DESIGN.md §12.1): the
+//! single-core profilers and every [`crate::MixSim`] run.
 //!
+//! A fed engine replays [`PhaseRun`] chunks through the burst kernel, and
+//! [`burst`] swaps in the next chunk whenever the held one is spent and
+//! bursts on in place, so a burst stops exactly where one over the whole
+//! trace would. The next chunk comes from one of two sources.
+//!
+//! **A cached trace** ([`RunCursor`]). The calling thread copies the next
+//! ops of the current run of a [`CompiledTrace`], at most a chunk's
+//! worth, into the core's spent buffer. No thread is involved, and the
+//! buffers are pooled in the [`crate::SimArena`], so a warm run copies
+//! without allocating.
+//!
+//! **The generator ring** ([`with_feeds`]), for traces no cache holds.
 //! Each core's [`TraceStream`] sits behind a lock of its own. A scoped
-//! generator thread refills fixed-size [`TraceChunk`]s that the calling
-//! thread hands back on one shared *spent* channel, tagged with the core
-//! index, and sends each refilled chunk on that core's ring while still
-//! holding that core's lock. The calling thread replays the chunks
-//! through the burst kernel ([`Feeds::burst`]). Each core owns
-//! [`CHUNK_BUFFERS`] buffers, so no channel send ever blocks and the
-//! generator never stalls on one core while another waits.
+//! generator thread refills fixed-size chunks that the calling thread
+//! hands back on one shared *spent* channel, tagged with the core index,
+//! and sends each refilled chunk on that core's ring while still holding
+//! that core's lock. Each core owns [`CHUNK_BUFFERS`] buffers, so no
+//! channel send ever blocks and the generator never stalls on one core
+//! while another waits.
 //!
 //! The work is shared: a burst that finds its core's ring empty takes
 //! the core's lock if it is free. Under the lock the ring is exact — the
@@ -17,11 +27,11 @@
 //! ring is still empty the next chunk in stream order has not been cut,
 //! and the calling thread cuts it itself, into the buffer it just spent,
 //! instead of waiting. Either thread cuts a chunk by the same
-//! [`TraceChunk::refill`], so chunk contents and boundaries depend only
+//! [`PhaseRun::refill`], so chunk contents and boundaries depend only
 //! on the stream, never on which thread cut them.
 //!
-//! The calling thread allocates — and frees — everything the pipeline
-//! uses: the streams, the channels and the chunk buffers. Frees on the
+//! The calling thread allocates — and frees — everything the ring uses:
+//! the streams, the channels and the chunk buffers. Frees on the
 //! generator thread would land in the calling thread's heap at
 //! timing-dependent moments, and bulk allocations there would fill a
 //! malloc arena of its own; either makes the process's peak RSS vary run
@@ -29,28 +39,82 @@
 //! there (a few small blocks; `tests/alloc_steady.rs`).
 
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread;
 
-use mppm_trace::TraceStream;
+use mppm_trace::{CompiledTrace, PhaseRun, TraceStream};
 
-use crate::engine::TraceChunk;
+use crate::engine::TraceSource;
 use crate::{BurstStop, CoreEngine};
 
-/// Ops per pipeline chunk: 32 KB of op words, small enough that the
-/// buffers in flight stay cache-resident, large enough that channel
-/// hand-offs are rare next to the work per chunk.
+/// Ops per chunk: 32 KB of op words, small enough that the buffers in
+/// flight stay cache-resident, large enough that hand-offs are rare next
+/// to the work per chunk.
 pub(crate) const CHUNK_OPS: usize = 4096;
 
-/// Chunk buffers in flight per core: one replaying, one filling, one
-/// queued.
+/// Chunk buffers in flight per core on the generator ring: one
+/// replaying, one filling, one queued.
 pub(crate) const CHUNK_BUFFERS: usize = 3;
 
-/// The calling thread's end of the pipeline: one ring of filled chunks
-/// per core, the spent channel all cores share, and the streams.
+/// [`CoreEngine::run_until_llc`] for a fed engine: bursts to `limit`,
+/// calling `refeed` to hand the engine its next chunk whenever the held
+/// one is spent.
+#[inline(always)]
+pub(crate) fn burst(
+    engine: &mut CoreEngine,
+    limit: u64,
+    mut refeed: impl FnMut(&mut CoreEngine),
+) -> BurstStop {
+    loop {
+        if let Some(stop) = engine.run_fed_until_llc(limit) {
+            return stop;
+        }
+        refeed(engine);
+    }
+}
+
+/// Where a cached replay stands in its [`CompiledTrace`]: the run and
+/// the op within it that the next chunk starts at.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RunCursor {
+    run: usize,
+    op: usize,
+}
+
+impl RunCursor {
+    /// Copies the next ops of `trace`'s current run, at most `max_ops`,
+    /// into `chunk`, wrapping to the first run after the last.
+    pub(crate) fn cut(&mut self, trace: &CompiledTrace, chunk: &mut PhaseRun, max_ops: usize) {
+        let runs = trace.runs();
+        if self.run == runs.len() {
+            self.run = 0;
+        }
+        let run = &runs[self.run];
+        self.op += chunk.copy_from(run, self.op, max_ops);
+        if self.op == run.ops().len() {
+            self.run += 1;
+            self.op = 0;
+        }
+    }
+}
+
+/// A fed source replaying `trace` from its start, its first chunk cut
+/// into `buffer`, and the cursor that cuts the rest.
+pub(crate) fn cached(
+    trace: &CompiledTrace,
+    mut buffer: PhaseRun,
+    max_ops: usize,
+) -> (TraceSource, RunCursor) {
+    let mut cursor = RunCursor::default();
+    cursor.cut(trace, &mut buffer, max_ops);
+    (TraceSource::fed(buffer, Arc::clone(trace.spec()), trace.geometry()), cursor)
+}
+
+/// The calling thread's end of the generator ring: one ring of filled
+/// chunks per core, the spent channel all cores share, and the streams.
 pub(crate) struct Feeds<'s> {
-    full: Vec<Receiver<TraceChunk>>,
-    spent: SyncSender<(usize, TraceChunk)>,
+    full: Vec<Receiver<PhaseRun>>,
+    spent: SyncSender<(usize, PhaseRun)>,
     streams: &'s [Mutex<TraceStream>],
     end: u64,
     chunk_ops: usize,
@@ -58,21 +122,15 @@ pub(crate) struct Feeds<'s> {
 
 impl Feeds<'_> {
     /// The next chunk of core `idx`'s stream, waiting for the generator.
-    pub(crate) fn next(&self, idx: usize) -> TraceChunk {
+    pub(crate) fn next(&self, idx: usize) -> PhaseRun {
         self.full[idx].recv().expect("the generator refills every stream until the feeds hang up")
     }
 
-    /// [`CoreEngine::run_until_llc`] for the fed engine of core `idx`:
-    /// a burst that reaches the end of its held chunk swaps in the next
-    /// one — from the ring, or cut on this thread when the ring is empty
-    /// and the generator is not cutting for that core — and continues in
-    /// place, so it stops exactly where a burst over the whole trace
-    /// would.
+    /// [`burst`] for the fed engine of core `idx`, its next chunk taken
+    /// from the ring — or cut on this thread when the ring is empty and
+    /// the generator is not cutting for that core.
     pub(crate) fn burst(&self, idx: usize, engine: &mut CoreEngine, limit: u64) -> BurstStop {
-        loop {
-            if let Some(stop) = engine.run_fed_until_llc(limit) {
-                return stop;
-            }
+        burst(engine, limit, |engine| {
             let chunk = match self.full[idx].try_recv() {
                 Ok(chunk) => chunk,
                 Err(_) => match self.streams[idx].try_lock() {
@@ -84,7 +142,7 @@ impl Feeds<'_> {
                             engine.refeed(|chunk| {
                                 chunk.refill(&mut stream, self.end, self.chunk_ops);
                             });
-                            continue;
+                            return;
                         }
                     },
                     Err(_) => self.next(idx),
@@ -92,7 +150,7 @@ impl Feeds<'_> {
             };
             let spent = engine.feed(chunk);
             self.spent.send((idx, spent)).expect("the generator runs until the feeds hang up");
-        }
+        })
     }
 }
 
@@ -111,11 +169,11 @@ pub(crate) fn with_feeds<R>(
     let cores = streams.len();
     let (spent_tx, spent_rx) = mpsc::sync_channel(cores * CHUNK_BUFFERS);
     let (full_tx, full): (Vec<_>, Vec<_>) =
-        (0..cores).map(|_| mpsc::sync_channel::<TraceChunk>(CHUNK_BUFFERS)).unzip();
+        (0..cores).map(|_| mpsc::sync_channel::<PhaseRun>(CHUNK_BUFFERS)).unzip();
     for idx in 0..cores {
         for _ in 0..CHUNK_BUFFERS {
             spent_tx
-                .send((idx, TraceChunk::with_capacity(chunk_ops)))
+                .send((idx, PhaseRun::with_capacity(chunk_ops)))
                 .expect("the spent channel holds every buffer");
         }
     }

@@ -70,5 +70,6 @@ pub use memory::MemoryChannel;
 pub use machine::{llc_configs, CoreConfig, MachineConfig, LLC_CONFIG_COUNT};
 pub use multi::{MixResult, MixSim, SchedKey, TraceCache};
 pub use single::{
-    profile_single_core, profile_single_core_with, run_single_core, SingleRunStats,
+    profile_compiled, profile_single_core, profile_single_core_with, run_single_core,
+    SingleRunStats,
 };

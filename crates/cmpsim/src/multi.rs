@@ -15,18 +15,18 @@
 //! merge of the per-core step sequences by `(pre-step clock, core index)`
 //! — see DESIGN.md §9 for the argument.
 //!
-//! Where the trace items come from depends on whether the caller passes
-//! a [`TraceCache`]. Without one, each core replays chunks a generator
-//! thread streams from its live trace ([`crate::feed`]), so a run holds
-//! a few 32 KB buffers per core instead of whole compiled traces. With
-//! one, each core replays the cache's compiled trace, which pays off
-//! wherever a trace is reused across runs (`Store`, hence `mppmd` and
-//! every figure). Both replay the same op words through the same burst
-//! kernel, and a fed burst crosses chunk ends in place, so the two are
-//! bit-identical down to the scheduler's heap traffic.
+//! Every core is fed [`mppm_trace::PhaseRun`] chunks through one burst
+//! loop ([`crate::feed`]); where the chunks come from depends on whether
+//! the caller passes a [`TraceCache`]. Without one, a generator thread
+//! streams them from each core's live trace, so a run holds a few 32 KB
+//! buffers per core instead of whole compiled traces. With one, the
+//! calling thread copies them out of the cache's compiled traces, which
+//! pays off wherever a trace is reused across runs (`Store`, hence
+//! `mppmd` and every figure). A burst crosses chunk ends in place, so
+//! the two are bit-identical down to the scheduler's heap traffic.
 
 use mppm_obs::{Span, Value};
-use mppm_trace::{BenchmarkSpec, CompiledTrace, TraceGeometry, TraceStream};
+use mppm_trace::{BenchmarkSpec, CompiledTrace, PhaseRun, TraceGeometry, TraceStream};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::arena::SimArena;
 use crate::engine::TraceSource;
-use crate::feed::{self, Feeds};
+use crate::feed;
 use crate::reference::{Execution, Scheduler};
 use crate::{BurstStop, CoreEngine, MachineConfig, Uncore};
 
@@ -99,7 +99,7 @@ impl MixResult {
 /// Defaults: one warmup pass, unified LLC, homogeneous cores, no
 /// observer. Every run uses the event-driven scheduler over trace chunks
 /// streamed from a generator thread (and cut on the calling thread
-/// whenever that saves a wait), or over compiled traces when a
+/// whenever that saves a wait), or copied from compiled traces when a
 /// [`TraceCache`] is attached; the retired paths are reachable only as
 /// oracles, through [`crate::reference::run`].
 ///
@@ -123,7 +123,7 @@ pub struct MixSim<'a> {
     core_factors: Option<&'a [f64]>,
     pub(crate) scheduler: Scheduler,
     pub(crate) execution: Execution,
-    /// Ops per streamed chunk (tests force tiny chunks).
+    /// Ops per fed chunk (tests force tiny chunks).
     pub(crate) chunk_ops: usize,
     observer: Option<&'a Span>,
     trace_cache: Option<&'a TraceCache>,
@@ -186,7 +186,8 @@ impl<'a> MixSim<'a> {
     }
 
     /// Replays compiled traces resolved through a shared [`TraceCache`]
-    /// instead of streaming each trace afresh. Long-lived processes (the
+    /// instead of streaming each trace afresh (or recordings inserted
+    /// into it with [`TraceCache::insert`]). Long-lived processes (the
     /// `mppmd` daemon, the experiment store) hand the same cache to
     /// every run so each `(spec, geometry)` pair is generated once per
     /// process rather than once per run. Results are bit-identical
@@ -260,7 +261,8 @@ impl<'a> MixSim<'a> {
                 &mut local
             }
         };
-        let SimArena { uncore: uncore_slot, engines, heap, state, unit_factors } = scratch;
+        let SimArena { uncore: uncore_slot, engines, heap, state, unit_factors, chunks, replays } =
+            scratch;
         if let Some(ways) = self.ways {
             assert_eq!(ways.len(), specs.len(), "one way count per program");
         }
@@ -291,51 +293,66 @@ impl<'a> MixSim<'a> {
         let trace_insns = geometry.trace_insns();
         state.reset(specs.len(), trace_insns * u64::from(self.warmup_passes), trace_insns);
         let substrate = match (self.execution, self.scheduler, self.trace_cache) {
-            (Execution::ReferenceStream, ..) => Substrate::ReferenceStream,
+            (Execution::ReferenceStream, ..) | (_, Scheduler::Reference, _) => {
+                Substrate::ReferenceStream
+            }
             (Execution::Compiled, Scheduler::EventDriven, None) => Substrate::Streamed,
-            (Execution::Compiled, ..) => Substrate::Compiled,
+            (Execution::Compiled, Scheduler::EventDriven, Some(_)) => Substrate::Compiled,
         };
+        let chunk_ops = self.chunk_ops;
         let mut batch = BatchStats::default();
         match substrate {
             Substrate::Streamed => {
                 let shared: Vec<Arc<BenchmarkSpec>> =
                     specs.iter().map(|&s| Arc::new(s.clone())).collect();
                 let streams = shared.iter().map(|s| TraceStream::new(Arc::clone(s), geometry));
-                feed::with_feeds(streams, u64::MAX, self.chunk_ops, |feeds| {
+                feed::with_feeds(streams, u64::MAX, chunk_ops, |feeds| {
                     place_engines(engines, machine, factors, |idx| {
                         TraceSource::fed(feeds.next(idx), Arc::clone(&shared[idx]), geometry)
                     });
-                    event_interleave_into(engines, uncore, state, heap, Some(feeds));
+                    event_interleave_into(engines, uncore, state, heap, |engine, idx, limit| {
+                        feeds.burst(idx, engine, limit)
+                    });
                 });
             }
             Substrate::Compiled => {
-                // The smallest-clock oracle steps item by item, which
-                // chunks cannot; without a caller's cache it replays
-                // traces compiled for this run alone.
-                let run_local;
-                let cache = match self.trace_cache {
-                    Some(cache) => cache,
-                    None => {
-                        run_local = TraceCache::new();
-                        &run_local
-                    }
-                };
+                let cache = self.trace_cache.expect("only runs with a cache resolve to it");
+                // Chunk buffers and cursors come from the arena's pools
+                // and go back to them, so a warm run allocates nothing.
+                replays.clear();
                 place_engines(engines, machine, factors, |idx| {
                     let trace = cache.get_or_compile(specs[idx], geometry);
                     batch.traces += 1;
-                    batch.blocks += trace.blocks().len() as u64;
+                    batch.blocks += trace.runs().len() as u64;
                     batch.ops += trace.ops();
-                    TraceSource::compiled(trace)
+                    let buffer = chunks.pop().unwrap_or_else(|| PhaseRun::with_capacity(chunk_ops));
+                    let (source, cursor) = feed::cached(&trace, buffer, chunk_ops);
+                    replays.push((trace, cursor));
+                    source
                 });
+                event_interleave_into(engines, uncore, state, heap, |engine, idx, limit| {
+                    let (trace, cursor) = &mut replays[idx];
+                    feed::burst(engine, limit, |engine| {
+                        engine.refeed(|chunk| cursor.cut(trace, chunk, chunk_ops));
+                    })
+                });
+                chunks.extend(engines.iter_mut().map(CoreEngine::take_chunk));
+                replays.clear();
             }
-            Substrate::ReferenceStream => place_engines(engines, machine, factors, |idx| {
-                TraceSource::reference(specs[idx].clone(), geometry)
-            }),
-        }
-        if substrate != Substrate::Streamed {
-            match self.scheduler {
-                Scheduler::EventDriven => event_interleave_into(engines, uncore, state, heap, None),
-                Scheduler::Reference => crate::reference::interleave_into(engines, uncore, state),
+            Substrate::ReferenceStream => {
+                place_engines(engines, machine, factors, |idx| {
+                    TraceSource::Reference(TraceStream::new(specs[idx].clone(), geometry))
+                });
+                match self.scheduler {
+                    Scheduler::EventDriven => {
+                        event_interleave_into(engines, uncore, state, heap, |engine, _, limit| {
+                            engine.run_until_llc(limit)
+                        });
+                    }
+                    Scheduler::Reference => {
+                        crate::reference::interleave_into(engines, uncore, state);
+                    }
+                }
             }
         }
 
@@ -377,7 +394,9 @@ impl<'a> MixSim<'a> {
 }
 
 /// Cross-run cache of compiled traces, shared by reference between
-/// [`MixSim`] runs (see [`MixSim::trace_cache`]).
+/// [`MixSim`] runs (see [`MixSim::trace_cache`]). Besides the traces it
+/// compiles itself it holds the ones [inserted](TraceCache::insert),
+/// such as loaded recordings.
 ///
 /// Content-keyed: a lookup compares the requested `(spec, geometry)`
 /// against each cached trace's own, so two specs that share a name but
@@ -427,6 +446,22 @@ impl TraceCache {
         fresh
     }
 
+    /// Makes runs over `trace`'s `(spec, geometry)` replay `trace` — a
+    /// recording loaded with [`CompiledTrace::from_bytes`], say —
+    /// replacing any trace cached for that pair. Counts as neither a hit
+    /// nor a compile.
+    pub fn insert(&self, trace: CompiledTrace) {
+        let trace = Arc::new(trace);
+        let mut slots = self.lock();
+        let same = |t: &&mut Arc<CompiledTrace>| {
+            t.geometry() == trace.geometry() && t.spec() == trace.spec()
+        };
+        match slots.iter_mut().find(same) {
+            Some(slot) => *slot = trace,
+            None => slots.push(trace),
+        }
+    }
+
     /// `(hits, compiles)` so far. Lost races count as compiles: the
     /// totals measure work spent, not slots filled.
     pub fn stats(&self) -> (u64, u64) {
@@ -448,7 +483,7 @@ impl TraceCache {
         spec: &BenchmarkSpec,
         geometry: TraceGeometry,
     ) -> Option<Arc<CompiledTrace>> {
-        slots.iter().find(|t| t.geometry() == geometry && t.spec() == spec).map(Arc::clone)
+        slots.iter().find(|t| t.geometry() == geometry && **t.spec() == *spec).map(Arc::clone)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<CompiledTrace>>> {
@@ -628,9 +663,10 @@ impl PartialOrd for Event {
 ///
 /// The state and heap are caller-owned (arena-pooled); the outcome is
 /// left in `state`. The heap never holds more than one event per core,
-/// so a warm heap never grows. With `feeds`, the engines are fed and
-/// burst through [`Feeds::burst`], which crosses chunk ends without
-/// yielding, so the heap traffic is the same as over compiled traces.
+/// so a warm heap never grows. `burst(engine, idx, limit)` runs core
+/// `idx`'s burst: [`CoreEngine::run_until_llc`] on the live stream, or a
+/// fed [`feed::burst`], which crosses chunk ends without yielding, so the
+/// heap traffic is the same whatever the chunking.
 ///
 /// # Panics
 ///
@@ -640,17 +676,13 @@ pub(crate) fn event_interleave_into(
     uncore: &mut Uncore,
     state: &mut InterleaveState,
     heap: &mut BinaryHeap<Event>,
-    feeds: Option<&Feeds>,
+    mut burst: impl FnMut(&mut CoreEngine, usize, u64) -> BurstStop,
 ) {
     assert!(!engines.is_empty(), "a mix needs at least one program");
     // Yield granularity for cores with no shared events in flight; any
     // positive value produces identical results (yields have no shared
     // effects), this one bounds heap traffic to ~1 event per trace pass.
     let chunk = state.trace_insns.max(1);
-    let burst = |engine: &mut CoreEngine, idx: usize, limit: u64| match feeds {
-        Some(feeds) => feeds.burst(idx, engine, limit),
-        None => engine.run_until_llc(limit),
-    };
     heap.clear();
     heap.reserve(engines.len());
     for idx in 0..engines.len() {
@@ -682,9 +714,11 @@ enum Substrate {
     /// Chunks streamed from a generator thread: event-driven runs
     /// without a [`TraceCache`].
     Streamed,
-    /// Compiled traces resolved through a [`TraceCache`].
+    /// Chunks copied from compiled traces resolved through a
+    /// [`TraceCache`]: event-driven runs with one.
     Compiled,
-    /// Live per-item generation (the oracle).
+    /// Live per-item generation (the oracle, and every run of the
+    /// smallest-clock scheduler).
     ReferenceStream,
 }
 
@@ -697,7 +731,7 @@ struct BatchStats {
     /// warmth (zero on streamed and reference-stream runs). Actual
     /// compile-vs-hit accounting lives in [`TraceCache::stats`].
     traces: u64,
-    /// Compiled blocks across those traces.
+    /// Phase runs across those traces.
     blocks: u64,
     /// Compiled ops (trace items) across those traces.
     ops: u64,
@@ -1227,8 +1261,8 @@ mod tests {
         )
         .unwrap();
         let cache = TraceCache::new();
-        assert_eq!(*cache.get_or_compile(lbm, g).spec(), *lbm);
-        assert_eq!(*cache.get_or_compile(&twin, g).spec(), twin);
+        assert_eq!(**cache.get_or_compile(lbm, g).spec(), *lbm);
+        assert_eq!(**cache.get_or_compile(&twin, g).spec(), twin);
         assert_eq!(cache.len(), 2, "same name, different parameters, separate entries");
         assert_eq!(cache.stats(), (0, 2));
         for spec in [lbm, &twin] {
@@ -1236,6 +1270,21 @@ mod tests {
             assert_eq!(cached, MixSim::new(&[spec], &m, g).run(), "{}", spec.seed());
         }
         assert_eq!(cache.stats(), (2, 2), "each run hit its own entry");
+    }
+
+    #[test]
+    fn inserted_traces_are_replayed_and_replace_cached_ones() {
+        let m = MachineConfig::baseline();
+        let g = TraceGeometry::tiny();
+        let lbm = suite::benchmark("lbm").unwrap();
+        let cache = TraceCache::new();
+        cache.insert(CompiledTrace::compile(lbm.clone(), g));
+        assert_eq!((cache.len(), cache.stats()), (1, (0, 0)), "an insert is no compile");
+        let cached = MixSim::new(&[lbm], &m, g).trace_cache(&cache).run();
+        assert_eq!(cache.stats(), (1, 0), "the run hit the inserted trace");
+        assert_eq!(cached, MixSim::new(&[lbm], &m, g).run());
+        cache.insert(CompiledTrace::compile(lbm.clone(), g));
+        assert_eq!(cache.len(), 1, "same spec and geometry, one entry");
     }
 
     #[test]
@@ -1300,9 +1349,10 @@ mod tests {
         // every window threshold, phase change and pass wrap, and empty
         // the rings so often that the calling thread cuts many chunks
         // itself, in an interleaving with the generator that differs run
-        // to run. Streamed runs must match cached ones — results and the
-        // `core`, `llc` and `scheduler` events, heap traffic included —
-        // and the per-item smallest-clock oracle.
+        // to run. Streamed and cached runs at every chunk size must match
+        // cached ones at the default size — results and the `core`,
+        // `llc` and `scheduler` events, heap traffic included — and the
+        // per-item smallest-clock oracle.
         let m = MachineConfig::baseline();
         let g = TraceGeometry::new(1_000, 4);
         let bench = |n: &str| suite::benchmark(n).unwrap();
@@ -1331,12 +1381,17 @@ mod tests {
                 let cache = TraceCache::new();
                 let (cached, cached_events, _) = observe(sim().trace_cache(&cache));
                 assert_eq!(cached, oracle, "{label} w{warmup}: cached vs oracle");
-                for chunk_ops in (1..=7).chain([feed::CHUNK_OPS]) {
-                    let mut streamed_sim = sim();
-                    streamed_sim.chunk_ops = chunk_ops;
-                    let (streamed, events, _) = observe(streamed_sim);
-                    let at = format!("{label} w{warmup} c{chunk_ops}");
-                    assert_eq!(streamed, cached, "{at}: streamed vs cached");
+                for (chunk_ops, cache) in (1..=7).chain([feed::CHUNK_OPS]).flat_map(|c| {
+                    [(c, None), (c, Some(&cache))]
+                }) {
+                    let mut fed_sim = sim();
+                    fed_sim.chunk_ops = chunk_ops;
+                    if let Some(cache) = cache {
+                        fed_sim = fed_sim.trace_cache(cache);
+                    }
+                    let (fed, events, _) = observe(fed_sim);
+                    let at = format!("{label} w{warmup} c{chunk_ops} cached {}", cache.is_some());
+                    assert_eq!(fed, cached, "{at}: fed vs cached");
                     for kind in ["core", "llc", "scheduler"] {
                         assert_eq!(
                             events_named(&events, kind),
@@ -1356,34 +1411,23 @@ mod tests {
     #[test]
     fn compiled_execution_matches_reference_stream() {
         // The quick in-crate check (the full axis sweep lives in the
-        // proptest oracle): both schedulers, heterogeneous cores, and a
-        // partitioned variant must be bit-identical across executions.
+        // proptest oracle): streamed and cached replay, and the per-item
+        // stream under either scheduler, must be bit-identical, with
+        // heterogeneous cores and on a partitioned LLC.
         let m = MachineConfig::baseline();
         let g = TraceGeometry::tiny();
         let specs: Vec<_> =
             ["gamess", "lbm", "mcf"].iter().map(|n| suite::benchmark(n).unwrap()).collect();
-        for scheduler in [Scheduler::EventDriven, Scheduler::Reference] {
-            let run = |execution| {
-                reference::run(
-                    MixSim::new(&specs, &m, g).core_factors(&[1.0, 2.0, 1.25]),
-                    scheduler,
-                    execution,
-                )
-            };
-            assert_eq!(
-                run(Execution::Compiled),
-                run(Execution::ReferenceStream),
-                "{scheduler:?}"
-            );
+        fn agree<'a>(sim: impl Fn() -> MixSim<'a>, cache: &'a TraceCache) {
+            let oracle = reference::run(sim(), Scheduler::Reference, Execution::ReferenceStream);
+            let live = reference::run(sim(), Scheduler::EventDriven, Execution::ReferenceStream);
+            assert_eq!(live, oracle, "event-driven live stream");
+            assert_eq!(sim().run(), oracle, "streamed");
+            assert_eq!(sim().trace_cache(cache).run(), oracle, "cached");
         }
-        let part = |execution| {
-            reference::run(
-                MixSim::new(&specs[..2], &m, g).partitioned(&[6, 2]),
-                Scheduler::EventDriven,
-                execution,
-            )
-        };
-        assert_eq!(part(Execution::Compiled), part(Execution::ReferenceStream));
+        let cache = TraceCache::new();
+        agree(|| MixSim::new(&specs, &m, g).core_factors(&[1.0, 2.0, 1.25]), &cache);
+        agree(|| MixSim::new(&specs[..2], &m, g).partitioned(&[6, 2]), &cache);
     }
 
     #[test]

@@ -1,21 +1,23 @@
 //! The retired scheduler, execution substrate and single-core profiler,
 //! kept as oracles.
 //!
-//! [`MixSim`] runs one path: the event-driven scheduler over streamed
-//! trace chunks, or over compiled traces when a [`crate::TraceCache`] is
-//! attached. The two paths it replaced are reached only from here,
-//! because they are how the production path is proven bit-exact:
+//! [`MixSim`] runs one path: the event-driven scheduler over fed trace
+//! chunks, streamed from a generator thread or copied from the compiled
+//! traces of an attached [`crate::TraceCache`]. The two paths it
+//! replaced are reached only from here, because they are how the
+//! production path is proven bit-exact:
 //!
 //! * [`Scheduler::Reference`] — the original smallest-clock-first loop
 //!   that re-scans every core's clock for every trace item (O(cores) per
-//!   item);
+//!   item) and steps it on the live stream;
 //! * [`Execution::ReferenceStream`] — every trace item generated live
 //!   from the per-core [`mppm_trace::TraceStream`] instead of replayed
-//!   from chunks or compiled blocks.
+//!   from chunks.
 //!
 //! [`run`] drives a configured [`MixSim`] (partitioning, core factors,
-//! warmup, observer, arena, trace cache all apply) through any
-//! combination of the two axes. The differential oracle
+//! warmup, observer, arena, trace cache all apply) through the two axes;
+//! the smallest-clock scheduler always steps the live stream, so it runs
+//! the per-item substrate whatever the execution. The differential oracle
 //! (`crates/cmpsim/tests/differential.rs`) and the golden snapshot
 //! (`tests/differential.rs`) assert every combination bit-identical to
 //! the production path.
@@ -61,12 +63,10 @@ pub enum Scheduler {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Execution {
     /// The production substrate: replay packed op words through the
-    /// burst kernel. Under the event-driven scheduler the words are chunks a
-    /// generator thread streams in, or the compiled traces of a
-    /// configured [`MixSim::trace_cache`]. The smallest-clock scheduler
-    /// steps item by item, which chunks cannot, so under it the run
-    /// replays compiled traces — from a run-local cache when none is
-    /// configured.
+    /// burst kernel, as chunks a generator thread streams in or copied
+    /// from the compiled traces of a configured [`MixSim::trace_cache`].
+    /// The smallest-clock scheduler steps item by item, which chunks
+    /// cannot, so under it the run takes [`Self::ReferenceStream`].
     #[default]
     Compiled,
     /// Generate every item live from the per-core
@@ -81,7 +81,7 @@ pub enum Execution {
 /// `reference::run(sim, Scheduler::EventDriven, Execution::Compiled)` is
 /// exactly `sim.run()`. The observer's `mix-config` and `batch` events
 /// name the scheduler and the substrate the run resolved to
-/// (`streamed`, `compiled` or `reference-stream`).
+/// (`streamed`, `compiled` for cached replay, or `reference-stream`).
 ///
 /// # Panics
 ///

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use mppm::{IntervalProfile, SingleCoreProfile};
 use mppm_cache::Sdc;
-use mppm_trace::{BenchmarkSpec, TraceGeometry, TraceStream};
+use mppm_trace::{BenchmarkSpec, CompiledTrace, PhaseRun, TraceGeometry, TraceStream};
 
 use crate::engine::TraceSource;
 use crate::feed;
@@ -109,24 +109,59 @@ pub(crate) fn profile_pipelined(
     let stream = TraceStream::new(Arc::clone(&spec), geometry);
     feed::with_feeds([stream], total, chunk_ops, |feeds| {
         let source = TraceSource::fed(feeds.next(0), Arc::clone(&spec), geometry);
-        let mut engine = CoreEngine::from_source(source, machine, 0, 1.0);
-        let mut uncore = Uncore::new(machine);
-        let run_to = |engine: &mut CoreEngine, end: u64, mut sdc: Option<&mut Sdc>| {
-            while engine.insns() < end {
-                if let BurstStop::Llc { .. } = feeds.burst(0, engine, end) {
-                    let obs = engine.commit_llc(&mut uncore);
-                    if let Some(sdc) = sdc.as_deref_mut() {
-                        sdc.record(obs.depth);
-                    }
-                }
-            }
-        };
-        collect_profile(&spec, machine, geometry, warmup_passes, &mut engine, run_to)
+        profile_fed(&spec, source, machine, geometry, warmup_passes, |engine, end| {
+            feeds.burst(0, engine, end)
+        })
     })
 }
 
-/// The profiler's measurement skeleton, shared by the pipeline and the
-/// per-item oracle: `run_to(engine, end, sdc)` must advance `engine` to
+/// Profiles a compiled trace — a recording loaded with
+/// [`CompiledTrace::from_bytes`], say — the way
+/// [`profile_single_core_with`] profiles the generator: the same fed
+/// burst loop and measurement, over chunks copied from the trace on the
+/// calling thread. For a trace compiled from a spec the profile is
+/// bit-identical to [`profile_single_core_with`] on that spec.
+pub fn profile_compiled(
+    trace: &CompiledTrace,
+    machine: &MachineConfig,
+    warmup_passes: u32,
+) -> SingleCoreProfile {
+    let buffer = PhaseRun::with_capacity(feed::CHUNK_OPS);
+    let (source, mut cursor) = feed::cached(trace, buffer, feed::CHUNK_OPS);
+    profile_fed(trace.spec(), source, machine, trace.geometry(), warmup_passes, |engine, end| {
+        feed::burst(engine, end, |engine| {
+            engine.refeed(|chunk| cursor.cut(trace, chunk, feed::CHUNK_OPS));
+        })
+    })
+}
+
+/// Profiles `spec`'s trace on an engine fed from `source` that bursts
+/// with `burst(engine, limit)`.
+fn profile_fed(
+    spec: &BenchmarkSpec,
+    source: TraceSource,
+    machine: &MachineConfig,
+    geometry: TraceGeometry,
+    warmup_passes: u32,
+    mut burst: impl FnMut(&mut CoreEngine, u64) -> BurstStop,
+) -> SingleCoreProfile {
+    let mut engine = CoreEngine::from_source(source, machine, 0, 1.0);
+    let mut uncore = Uncore::new(machine);
+    let run_to = |engine: &mut CoreEngine, end: u64, mut sdc: Option<&mut Sdc>| {
+        while engine.insns() < end {
+            if let BurstStop::Llc { .. } = burst(engine, end) {
+                let obs = engine.commit_llc(&mut uncore);
+                if let Some(sdc) = sdc.as_deref_mut() {
+                    sdc.record(obs.depth);
+                }
+            }
+        }
+    };
+    collect_profile(spec, machine, geometry, warmup_passes, &mut engine, run_to)
+}
+
+/// The profiler's measurement skeleton, shared by both fed profilers and
+/// the per-item oracle: `run_to(engine, end, sdc)` must advance `engine` to
 /// stream position `end`, recording every LLC depth into `sdc` when one
 /// is given. Runs the warmup passes, then snapshots cycles and the CPI
 /// stack around each interval.

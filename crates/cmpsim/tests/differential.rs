@@ -1,8 +1,9 @@
 //! Differential oracle: the event-driven interleaver against the
-//! smallest-clock-first reference scheduler it replaced, the streamed
-//! and compiled-trace execution substrates against the live per-item
-//! generator they replaced, and the pipelined single-core profiler
-//! against the per-item profiler it replaced.
+//! smallest-clock-first reference scheduler it replaced, streamed and
+//! cached chunk replay against the live per-item generator they
+//! replaced, the pipelined single-core profiler against the per-item
+//! profiler it replaced, and recorded traces against the generator they
+//! were recorded from.
 //!
 //! Both schedulers — and both execution substrates — must be
 //! **bit-identical** observationally: per-core CPI, completion cycles,
@@ -24,9 +25,10 @@
 use mppm::SingleCoreProfile;
 use mppm_sim::reference::{self, Execution, Scheduler};
 use mppm_sim::{
-    llc_configs, profile_single_core_with, MachineConfig, MixResult, MixSim, TraceCache,
+    llc_configs, profile_compiled, profile_single_core_with, MachineConfig, MixResult, MixSim,
+    TraceCache,
 };
-use mppm_trace::{suite, BenchmarkSpec, Phase, Region, TraceGeometry};
+use mppm_trace::{suite, BenchmarkSpec, CompiledTrace, Phase, Region, TraceGeometry};
 use proptest::prelude::*;
 
 fn oracle_cases() -> u32 {
@@ -154,6 +156,24 @@ fn assert_schedulers_agree(
     (event, reference)
 }
 
+/// Bit-level view of a profile, one row per interval: every f64 field
+/// and SDC count through `to_bits`, then the instruction count.
+fn profile_bits(p: &SingleCoreProfile) -> Vec<Vec<u64>> {
+    p.intervals
+        .iter()
+        .map(|iv| {
+            let s = iv.stack;
+            [iv.cycles, iv.mem_stall_cycles, iv.fallback_penalty]
+                .into_iter()
+                .chain([s.base, s.l2_hit, s.llc_hit, s.memory, s.queue])
+                .chain(iv.sdc.counters().iter().copied())
+                .map(f64::to_bits)
+                .chain([iv.insns])
+                .collect()
+        })
+        .collect()
+}
+
 /// Asserts the pipelined profiler and the per-item oracle agree bit for
 /// bit: every f64 interval field and SDC count through `to_bits`, then
 /// the whole profile.
@@ -165,22 +185,7 @@ fn assert_profilers_agree(
 ) {
     let piped = profile_single_core_with(spec, machine, geometry, warmup_passes);
     let oracle = reference::profile_single_core_with(spec, machine, geometry, warmup_passes);
-    let bits = |p: &SingleCoreProfile| -> Vec<Vec<u64>> {
-        p.intervals
-            .iter()
-            .map(|iv| {
-                let s = iv.stack;
-                [iv.cycles, iv.mem_stall_cycles, iv.fallback_penalty]
-                    .into_iter()
-                    .chain([s.base, s.l2_hit, s.llc_hit, s.memory, s.queue])
-                    .chain(iv.sdc.counters().iter().copied())
-                    .map(f64::to_bits)
-                    .chain([iv.insns])
-                    .collect()
-            })
-            .collect()
-    };
-    let (piped_bits, oracle_bits) = (bits(&piped), bits(&oracle));
+    let (piped_bits, oracle_bits) = (profile_bits(&piped), profile_bits(&oracle));
     assert_eq!(piped_bits.len(), oracle_bits.len(), "{}: interval count", spec.name());
     for (i, (a, b)) in piped_bits.iter().zip(&oracle_bits).enumerate() {
         assert_eq!(a, b, "{}: interval {i} diverged (warmup {warmup_passes})", spec.name());
@@ -199,6 +204,32 @@ fn suite_profiles_match_the_per_item_profiler() {
             assert_profilers_agree(spec, &machine, geometry, 1);
         }
     }
+}
+
+/// A trace recorded with `to_bytes` and loaded with `from_bytes` replays
+/// exactly like the generator: profiled, bit for bit the generator's
+/// profile; seeded into a `TraceCache`, the streamed run's result.
+#[test]
+fn recorded_traces_replay_like_the_generator() {
+    let machine = MachineConfig::baseline();
+    let geometry = TraceGeometry::new(5_000, 8);
+    let specs: Vec<&BenchmarkSpec> =
+        ["gcc", "lbm", "gamess"].iter().map(|n| suite::benchmark(n).unwrap()).collect();
+    let cache = TraceCache::new();
+    for &spec in &specs {
+        let bytes = CompiledTrace::compile(spec.clone(), geometry).to_bytes();
+        let loaded = CompiledTrace::from_bytes(spec.clone(), &bytes).expect("a valid recording");
+        for warmup in 0..2 {
+            let generated = profile_single_core_with(spec, &machine, geometry, warmup);
+            let replayed = profile_compiled(&loaded, &machine, warmup);
+            assert_eq!(profile_bits(&replayed), profile_bits(&generated), "{}", spec.name());
+            assert_eq!(replayed, generated, "{}: warmup {warmup}", spec.name());
+        }
+        cache.insert(loaded);
+    }
+    let cached = MixSim::new(&specs, &machine, geometry).trace_cache(&cache).run();
+    assert_eq!(cache.stats(), (3, 0), "every core replays its recording");
+    assert_eq!(cached, MixSim::new(&specs, &machine, geometry).run());
 }
 
 proptest! {
@@ -347,17 +378,18 @@ proptest! {
     }
 
     /// The compiled-execution oracle (property 8): replaying streamed
-    /// chunks (event-driven runs without a cache) and compiled phase
-    /// blocks (runs with a `TraceCache`, and every smallest-clock run)
-    /// must be bit-identical to generating every item live from the
-    /// reference stream — across phase-boundary splits (the generated
-    /// schedules put phase changes at varying interval boundaries, so
-    /// blocks and chunks split differently case to case), warmup passes
-    /// 0–2, heterogeneous core factors, all six LLC configurations, and
-    /// *both* schedulers. Multi-core shared-LLC mixes preempt bursts
-    /// mid-block constantly (every shared event suspends a burst inside
-    /// a block or chunk and resumes it after `commit_llc`), which is
-    /// exactly the cursor state the batched loop must keep exact.
+    /// chunks (runs without a cache) and chunks copied from compiled
+    /// phase runs (runs with a `TraceCache`) must be bit-identical to
+    /// generating every item live from the reference stream, under the
+    /// event-driven scheduler and under the smallest-clock one (which
+    /// always steps the live stream) — across phase-boundary splits (the
+    /// generated schedules put phase changes at varying interval
+    /// boundaries, so runs and chunks split differently case to case),
+    /// warmup passes 0–2, heterogeneous core factors and all six LLC
+    /// configurations. Multi-core shared-LLC mixes preempt bursts
+    /// mid-chunk constantly (every shared event suspends a burst inside a
+    /// chunk and resumes it after `commit_llc`), which is exactly the
+    /// cursor state the fed loop must keep exact.
     #[test]
     fn compiled_blocks_match_reference_stream(
         raw in mix_strategy(1..5),
@@ -372,45 +404,38 @@ proptest! {
         let machine = MachineConfig::baseline().with_llc(llc_configs()[llc_sel]);
         let geometry = build_geometry(interval_insns, intervals);
         let cache = TraceCache::new();
-        for scheduler in [Scheduler::EventDriven, Scheduler::Reference] {
-            let build = |execution: Execution, cache: Option<&TraceCache>| {
-                let mut sim = MixSim::new(&refs, &machine, geometry)
-                    .warmup_passes(warmup)
-                    .core_factors(&factors[..refs.len()]);
-                if let Some(cache) = cache {
-                    sim = sim.trace_cache(cache);
-                }
-                reference::run(sim, scheduler, execution)
-            };
-            let compiled = build(Execution::Compiled, None);
-            let cached = build(Execution::Compiled, Some(&cache));
-            let reference = build(Execution::ReferenceStream, None);
-            prop_assert_eq!(&compiled, &cached, "{:?}: streamed vs cached", scheduler);
-            for core in 0..refs.len() {
-                prop_assert_eq!(
-                    compiled.cpi_mc[core].to_bits(),
-                    reference.cpi_mc[core].to_bits(),
-                    "{:?}: core {} CPI diverged: {} vs {}",
-                    scheduler,
-                    core,
-                    compiled.cpi_mc[core],
-                    reference.cpi_mc[core]
-                );
-                prop_assert_eq!(
-                    compiled.completion_cycles[core].to_bits(),
-                    reference.completion_cycles[core].to_bits(),
-                    "{:?}: core {} completion cycles diverged",
-                    scheduler,
-                    core
-                );
+        let build = |scheduler, execution, cache: Option<&TraceCache>| {
+            let mut sim = MixSim::new(&refs, &machine, geometry)
+                .warmup_passes(warmup)
+                .core_factors(&factors[..refs.len()]);
+            if let Some(cache) = cache {
+                sim = sim.trace_cache(cache);
             }
+            reference::run(sim, scheduler, execution)
+        };
+        let streamed = build(Scheduler::EventDriven, Execution::Compiled, None);
+        let cached = build(Scheduler::EventDriven, Execution::Compiled, Some(&cache));
+        let live = build(Scheduler::EventDriven, Execution::ReferenceStream, None);
+        let reference = build(Scheduler::Reference, Execution::ReferenceStream, None);
+        prop_assert_eq!(&streamed, &cached, "streamed vs cached");
+        prop_assert_eq!(&live, &reference, "event-driven vs smallest-clock live stream");
+        for core in 0..refs.len() {
             prop_assert_eq!(
-                &compiled,
-                &reference,
-                "{:?}: full MixResult must be bit-identical",
-                scheduler
+                streamed.cpi_mc[core].to_bits(),
+                reference.cpi_mc[core].to_bits(),
+                "core {} CPI diverged: {} vs {}",
+                core,
+                streamed.cpi_mc[core],
+                reference.cpi_mc[core]
+            );
+            prop_assert_eq!(
+                streamed.completion_cycles[core].to_bits(),
+                reference.completion_cycles[core].to_bits(),
+                "core {} completion cycles diverged",
+                core
             );
         }
+        prop_assert_eq!(&streamed, &reference, "full MixResult must be bit-identical");
     }
 
     /// Arena reset semantics: a *sequence* of mixes with different core

@@ -3,10 +3,11 @@
 //!
 //! The paper's observation: 10 random mixes give ~10% (STP) and ~18%
 //! (ANTT) wide 95% confidence intervals; even 20 mixes only reach ~7% and
-//! ~13%; 150 mixes are needed for ~2.6% / 4.5%. MPPM's speed is what makes
-//! evaluating enough mixes practical, so this figure evaluates the mix
-//! population with the model (its accuracy is established by Figure 4) and
-//! spot-checks the detailed simulator at small counts.
+//! ~13%; 150 mixes are needed for ~2.6% / 4.5%. The paper measured the
+//! curve with detailed simulation. For now this figure evaluates every mix
+//! with the model instead (`ctx.predict`, leaning on Figure 4's accuracy)
+//! and runs no detailed simulation; ROADMAP item 2 moves the curve to the
+//! detailed simulator.
 
 use mppm::mix::Mix;
 use mppm::stats::{ci95, ConfidenceInterval};

@@ -1,5 +1,5 @@
-//! Phase compiler: one-shot compilation of a benchmark's trace into flat
-//! replayable blocks.
+//! Phase compiler: one-shot compilation of a benchmark's trace into the
+//! phase-tagged runs every replay walks.
 //!
 //! A [`crate::Phase`] is a stationary statistical process, so the items it
 //! generates can be produced *once* and replayed on every subsequent trace
@@ -10,35 +10,27 @@
 //! (warmup plus measurement) and usually more, because finished programs
 //! keep re-iterating until the whole mix completes.
 //!
+//! The simulator replays one trace representation: a [`PhaseRun`], a
+//! phase index plus the [`OpWords`] generated under it, one packed
+//! 8-byte word per item (an instruction count, or a block address with
+//! access/store bits). The chunks a generator thread streams to the
+//! pipelined profiler and to streamed mixes are runs of at most a chunk's
+//! ops; a [`CompiledTrace`] is one whole pass as maximal runs, one per
+//! run of same-phase intervals, and its on-disk form is a recording
+//! ([`CompiledTrace::to_bytes`]).
+//!
 //! [`CompiledTrace::compile`] drains a live [`TraceStream`] for exactly
-//! one pass and records every item it emits, so the compiled program is
+//! one pass and keeps every item it emits, so the compiled program is
 //! bit-identical to the generator *by construction* — including
 //! interval-boundary clipping of compute batches, which must be preserved
-//! because f64 cycle accumulation is not associative. Items are grouped
-//! into one [`CompiledBlock`] per maximal run of same-phase intervals and
-//! stored as [`OpWords`], one packed 8-byte word per item (an instruction
-//! count, or a block address with access/store bits), so the executor's
-//! inner loop makes one load per op from one contiguous array, with no
-//! RNG, no `BTreeMap`, and one phase-parameter load per *block* instead
-//! of per item.
-//!
-//! Each block also records the generator state at its entry (RNG plus the
-//! per-region stream offsets, *ranked into* the checkpoint rather than
-//! shared mutably between blocks), making blocks independently
-//! regenerable: [`CompiledTrace::regenerate_block`] rebuilds any block
-//! from its own checkpoint and must reproduce the front-to-back
-//! compilation exactly. That replay-stability is what lets incremental
-//! recompilation (and the differential harness) treat blocks as
-//! independent units.
+//! because f64 cycle accumulation is not associative.
 
 use std::sync::Arc;
 
-use crate::stream::StreamCheckpoint;
 use crate::{BenchmarkSpec, MemAccess, TraceGeometry, TraceItem, TraceStream};
 
 /// Trace items packed one `u64` word per op — the layout of every
-/// [`CompiledBlock`], and of the chunks the pipelined profiler and
-/// streamed mixes receive from their generator thread.
+/// [`PhaseRun`].
 ///
 /// A compute batch's word is its instruction count (at most
 /// `u32::MAX`). An access's word is its (untagged) block address with
@@ -49,13 +41,15 @@ use crate::{BenchmarkSpec, MemAccess, TraceGeometry, TraceItem, TraceStream};
 /// [`OpWords::block`] and [`OpWords::is_store`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpWords {
-    words: Vec<u64>,
+    pub(crate) words: Vec<u64>,
 }
 
 /// Word bit set on ops that access memory (clear means a compute batch).
 const ACCESS: u64 = 1 << 62;
 /// Word bit set on memory ops that are stores.
 const STORE_SHIFT: u32 = 63;
+/// Block addresses fit in this many bits.
+pub(crate) const BLOCK_BITS: u32 = 44;
 
 impl OpWords {
     /// The word of a compute batch of `insns` instructions.
@@ -107,11 +101,6 @@ impl OpWords {
         word >> STORE_SHIFT != 0
     }
 
-    /// Empty words with room for `ops` items.
-    pub fn with_capacity(ops: usize) -> Self {
-        Self { words: Vec::with_capacity(ops) }
-    }
-
     /// Number of ops (trace items).
     pub fn len(&self) -> usize {
         self.words.len()
@@ -136,73 +125,75 @@ impl OpWords {
     pub fn item(&self, op: usize) -> TraceItem {
         Self::decode(self.words[op])
     }
-
-    /// Removes every op, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.words.clear();
-    }
-
-    /// Appends the items `stream` generates, stopping once its position
-    /// reaches `end`, the phase index changes, or `max_ops` ops are held
-    /// — whichever comes first. Appends at least one item when the
-    /// stream is short of `end` and the words short of `max_ops`. Never
-    /// reallocates while `max_ops` is within capacity.
-    pub fn fill_from(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
-        if self.len() >= max_ops {
-            return;
-        }
-        stream.generate_items(end, |word| {
-            debug_assert!(
-                !Self::is_access(word) || Self::block(word) < 1 << 44,
-                "block ids stay below 2^44"
-            );
-            self.words.push(word);
-            self.words.len() < max_ops
-        });
-    }
 }
 
-/// One maximal run of same-phase intervals, compiled to flat
-/// [`OpWords`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledBlock {
+/// A run of same-phase trace items: the phase index they were generated
+/// under and their [`OpWords`] — the one unit every replay walks.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PhaseRun {
     phase: usize,
-    start_insn: u64,
-    end_insn: u64,
     ops: OpWords,
-    entry: StreamCheckpoint,
 }
 
-impl CompiledBlock {
-    /// Index of the phase every interval of this block runs.
+impl PhaseRun {
+    /// An empty run buffer with room for `ops` items.
+    pub fn with_capacity(ops: usize) -> Self {
+        Self { phase: 0, ops: OpWords { words: Vec::with_capacity(ops) } }
+    }
+
+    /// A run of phase `phase` holding `words`.
+    pub(crate) fn from_words(phase: usize, words: Vec<u64>) -> Self {
+        Self { phase, ops: OpWords { words } }
+    }
+
+    /// Index of the phase every op of the run was generated under.
     pub fn phase(&self) -> usize {
         self.phase
     }
 
-    /// First instruction of the block within one trace pass.
-    pub fn start_insn(&self) -> u64 {
-        self.start_insn
-    }
-
-    /// First instruction past the block within one trace pass.
-    pub fn end_insn(&self) -> u64 {
-        self.end_insn
-    }
-
-    /// The block's ops (never empty: every interval generates at least
-    /// one item).
+    /// The run's ops.
     pub fn ops(&self) -> &OpWords {
         &self.ops
     }
+
+    /// Refills the buffer with the next items of `stream`: at least one
+    /// and at most `max_ops`, all of one phase, none past position `end`
+    /// (the stream must be short of `end`). Never reallocates while
+    /// `max_ops` is within capacity.
+    pub fn refill(&mut self, stream: &mut TraceStream, end: u64, max_ops: usize) {
+        let words = &mut self.ops.words;
+        words.clear();
+        self.phase = stream.current_phase();
+        stream.generate_items(end, |word| {
+            debug_assert!(
+                !OpWords::is_access(word) || OpWords::block(word) >> BLOCK_BITS == 0,
+                "block ids stay below 2^44"
+            );
+            words.push(word);
+            words.len() < max_ops
+        });
+    }
+
+    /// Refills the buffer with at most `max_ops` ops of `run`, starting
+    /// at op `start`, and returns how many it copied. Never reallocates
+    /// while `max_ops` is within capacity.
+    pub fn copy_from(&mut self, run: &PhaseRun, start: usize, max_ops: usize) -> usize {
+        let src = &run.ops.words[start..];
+        let take = src.len().min(max_ops);
+        self.phase = run.phase;
+        self.ops.words.clear();
+        self.ops.words.extend_from_slice(&src[..take]);
+        take
+    }
 }
 
-/// A benchmark's full trace pass, compiled into per-phase-run
-/// [`CompiledBlock`]s.
+/// A benchmark's full trace pass, compiled into one [`PhaseRun`] per
+/// maximal run of same-phase intervals.
 ///
-/// Replaying the blocks in order (wrapping back to block 0 after the
-/// last) yields exactly the item sequence of a [`TraceStream`] over the
-/// same spec and geometry — the stream rewinds to its seed on every wrap,
-/// so one compiled pass covers all passes.
+/// Replaying the runs in order (wrapping back to run 0 after the last)
+/// yields exactly the item sequence of a [`TraceStream`] over the same
+/// spec and geometry — the stream rewinds to its seed on every wrap, so
+/// one compiled pass covers all passes.
 ///
 /// # Example
 ///
@@ -213,50 +204,43 @@ impl CompiledBlock {
 /// let spec = suite::benchmark("mcf").unwrap().clone();
 /// let compiled = CompiledTrace::compile(spec.clone(), g);
 /// let mut stream = TraceStream::new(spec, g);
-/// for block in compiled.blocks() {
-///     for op in 0..block.ops().len() {
-///         assert_eq!(block.ops().item(op), stream.next_item());
+/// for run in compiled.runs() {
+///     for op in 0..run.ops().len() {
+///         assert_eq!(run.ops().item(op), stream.next_item());
 ///     }
 /// }
 /// assert_eq!(stream.position(), g.trace_insns());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledTrace {
-    spec: Arc<BenchmarkSpec>,
-    geometry: TraceGeometry,
-    blocks: Vec<CompiledBlock>,
+    pub(crate) spec: Arc<BenchmarkSpec>,
+    pub(crate) geometry: TraceGeometry,
+    pub(crate) runs: Vec<PhaseRun>,
 }
 
 impl CompiledTrace {
     /// Compiles one full trace pass of `spec` on `geometry`.
     pub fn compile(spec: impl Into<Arc<BenchmarkSpec>>, geometry: TraceGeometry) -> Self {
         let spec = spec.into();
-        // Maximal runs of consecutive same-phase intervals; block
-        // boundaries are exactly the positions where the phase index
-        // changes (plus position 0), which is the contract
-        // `StreamCheckpoint` needs to drop the pending-gap remainder.
-        let mut runs: Vec<(usize, u64)> = Vec::new();
-        for interval in 0..geometry.intervals {
-            let phase = spec.phase_for_interval(interval, geometry.intervals);
-            let end = geometry.interval_start(interval) + geometry.interval_insns;
-            match runs.last_mut() {
-                Some((p, e)) if *p == phase => *e = end,
-                _ => runs.push((phase, end)),
-            }
-        }
         let mut stream = TraceStream::new(Arc::clone(&spec), geometry);
-        let mut blocks = Vec::with_capacity(runs.len());
-        let mut start = 0u64;
-        for (phase, end) in runs {
-            let entry = stream.checkpoint();
-            blocks.push(drain_block(&mut stream, phase, start, end, entry));
-            start = end;
-        }
-        Self { spec, geometry, blocks }
+        let runs = phase_runs(&spec, geometry)
+            .into_iter()
+            .map(|(phase, end)| {
+                let mut run = PhaseRun::default();
+                run.refill(&mut stream, end, usize::MAX);
+                debug_assert_eq!(run.phase(), phase);
+                // Items never cross interval boundaries and the phase is
+                // constant inside a run, so the fill lands exactly on the
+                // run's end.
+                assert_eq!(stream.position(), end, "an item crossed a phase-run boundary");
+                run
+            })
+            .collect();
+        Self { spec, geometry, runs }
     }
 
     /// The spec this trace was compiled from.
-    pub fn spec(&self) -> &BenchmarkSpec {
+    pub fn spec(&self) -> &Arc<BenchmarkSpec> {
         &self.spec
     }
 
@@ -265,54 +249,32 @@ impl CompiledTrace {
         self.geometry
     }
 
-    /// The compiled blocks, in trace order.
-    pub fn blocks(&self) -> &[CompiledBlock] {
-        &self.blocks
+    /// The pass's phase runs, in trace order (none empty: every interval
+    /// generates at least one item).
+    pub fn runs(&self) -> &[PhaseRun] {
+        &self.runs
     }
 
-    /// Total ops across all blocks.
+    /// Total ops across all runs.
     pub fn ops(&self) -> u64 {
-        self.blocks.iter().map(|b| b.ops().len() as u64).sum()
-    }
-
-    /// Regenerates block `k` from its own entry checkpoint, independent
-    /// of every other block.
-    ///
-    /// Must equal `self.blocks()[k]` exactly (unit-tested below): the
-    /// checkpointed RNG and ranked-in stream offsets are the *only*
-    /// generator state a block depends on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn regenerate_block(&self, k: usize) -> CompiledBlock {
-        let blk = &self.blocks[k];
-        let mut stream = TraceStream::restore_within_pass(
-            Arc::clone(&self.spec),
-            self.geometry,
-            blk.start_insn,
-            blk.entry.clone(),
-        );
-        drain_block(&mut stream, blk.phase, blk.start_insn, blk.end_insn, blk.entry.clone())
+        self.runs.iter().map(|r| r.ops().len() as u64).sum()
     }
 }
 
-/// Drains `stream` from `start` (its current position) to `end`,
-/// collecting the items into a block's words.
-fn drain_block(
-    stream: &mut TraceStream,
-    phase: usize,
-    start: u64,
-    end: u64,
-    entry: StreamCheckpoint,
-) -> CompiledBlock {
-    debug_assert_eq!(stream.position(), start);
-    let mut ops = OpWords::default();
-    ops.fill_from(stream, end, usize::MAX);
-    // Items never cross interval boundaries and the phase is constant
-    // inside a block, so the fill lands exactly on the block boundary.
-    assert_eq!(stream.position(), end, "an item crossed the block boundary");
-    CompiledBlock { phase, start_insn: start, end_insn: end, ops, entry }
+/// The maximal runs of consecutive same-phase intervals of one pass of
+/// `spec` on `geometry`, as `(phase index, first instruction past the
+/// run)`.
+pub(crate) fn phase_runs(spec: &BenchmarkSpec, geometry: TraceGeometry) -> Vec<(usize, u64)> {
+    let mut runs: Vec<(usize, u64)> = Vec::new();
+    for interval in 0..geometry.intervals {
+        let phase = spec.phase_for_interval(interval, geometry.intervals);
+        let end = geometry.interval_start(interval) + geometry.interval_insns;
+        match runs.last_mut() {
+            Some((p, e)) if *p == phase => *e = end,
+            _ => runs.push((phase, end)),
+        }
+    }
+    runs
 }
 
 #[cfg(test)]
@@ -374,27 +336,25 @@ mod tests {
     fn blocks_tile_the_trace_by_phase_run() {
         let g = TraceGeometry::tiny();
         let compiled = CompiledTrace::compile(phased_spec(), g);
-        assert!(compiled.blocks().len() >= 3, "schedule 0,1,0 has three phase runs");
-        let mut expected_start = 0;
-        for blk in compiled.blocks() {
-            assert_eq!(blk.start_insn(), expected_start, "blocks must tile contiguously");
-            assert!(blk.end_insn() > blk.start_insn());
-            assert_eq!(blk.start_insn() % g.interval_insns, 0);
-            // Every interval inside the block runs the block's phase.
-            let mut insn = blk.start_insn();
-            while insn < blk.end_insn() {
+        let expected = phase_runs(compiled.spec(), g);
+        assert!(expected.len() >= 3, "schedule 0,1,0 has three phase runs");
+        assert_eq!(compiled.runs().len(), expected.len());
+        let mut start = 0;
+        for (run, &(phase, end)) in compiled.runs().iter().zip(&expected) {
+            assert_eq!(run.phase(), phase);
+            assert!(end > start && end % g.interval_insns == 0);
+            // Every interval inside the run runs the run's phase.
+            let mut insn = start;
+            while insn < end {
                 let spec = compiled.spec();
-                assert_eq!(
-                    spec.phase_for_interval(g.interval_of(insn), g.intervals),
-                    blk.phase()
-                );
+                assert_eq!(spec.phase_for_interval(g.interval_of(insn), g.intervals), phase);
                 insn += g.interval_insns;
             }
-            let total: u64 = blk.ops().words().iter().map(|&w| OpWords::decode(w).insns()).sum();
-            assert_eq!(total, blk.end_insn() - blk.start_insn());
-            expected_start = blk.end_insn();
+            let total: u64 = run.ops().words().iter().map(|&w| OpWords::decode(w).insns()).sum();
+            assert_eq!(total, end - start, "runs must tile the pass contiguously");
+            start = end;
         }
-        assert_eq!(expected_start, g.trace_insns());
+        assert_eq!(start, g.trace_insns());
     }
 
     #[test]
@@ -404,9 +364,9 @@ mod tests {
             let spec = suite::benchmark(name).unwrap().clone();
             let compiled = CompiledTrace::compile(spec.clone(), g);
             let mut stream = TraceStream::new(spec, g);
-            for (b, blk) in compiled.blocks().iter().enumerate() {
-                for op in 0..blk.ops().len() {
-                    assert_eq!(blk.ops().item(op), stream.next_item(), "{name}: block {b} op {op}");
+            for (r, run) in compiled.runs().iter().enumerate() {
+                for op in 0..run.ops().len() {
+                    assert_eq!(run.ops().item(op), stream.next_item(), "{name}: run {r} op {op}");
                 }
             }
             assert_eq!(stream.position(), g.trace_insns());
@@ -414,36 +374,21 @@ mod tests {
     }
 
     #[test]
-    fn blocks_regenerate_from_their_entry_checkpoints() {
-        // The satellite contract: re-running any block from its own
-        // checkpoint — an arbitrary mid-trace offset, with the stream
-        // offsets ranked in rather than read from a shared cursor — must
-        // match the front-to-back compilation bit for bit.
+    fn copied_chunks_reassemble_the_run() {
         let g = TraceGeometry::tiny();
         let compiled = CompiledTrace::compile(phased_spec(), g);
-        assert!(compiled.blocks().len() > 1);
-        for k in (0..compiled.blocks().len()).rev() {
-            assert_eq!(
-                compiled.regenerate_block(k),
-                compiled.blocks()[k],
-                "block {k} is not replay-stable"
-            );
-        }
-    }
-
-    #[test]
-    fn suite_blocks_are_replay_stable() {
-        let g = TraceGeometry::tiny();
-        for spec in suite::spec_suite().iter().take(8) {
-            let compiled = CompiledTrace::compile(spec.clone(), g);
-            for k in 0..compiled.blocks().len() {
-                assert_eq!(
-                    compiled.regenerate_block(k),
-                    compiled.blocks()[k],
-                    "{}: block {k}",
-                    spec.name()
-                );
+        let mut chunk = PhaseRun::with_capacity(7);
+        for run in compiled.runs() {
+            let mut words = Vec::new();
+            let mut start = 0;
+            while start < run.ops().len() {
+                let copied = chunk.copy_from(run, start, 7);
+                assert!(copied > 0 && copied <= 7);
+                assert_eq!(chunk.phase(), run.phase());
+                words.extend_from_slice(chunk.ops().words());
+                start += copied;
             }
+            assert_eq!(words, run.ops().words());
         }
     }
 
@@ -464,9 +409,10 @@ mod tests {
         .unwrap();
         let g = TraceGeometry::tiny();
         let compiled = CompiledTrace::compile(spec, g);
-        assert_eq!(compiled.blocks().len(), 1);
-        assert_eq!(compiled.blocks()[0].start_insn(), 0);
-        assert_eq!(compiled.blocks()[0].end_insn(), g.trace_insns());
+        assert_eq!(compiled.runs().len(), 1);
+        let insns: u64 =
+            compiled.runs()[0].ops().words().iter().map(|&w| OpWords::decode(w).insns()).sum();
+        assert_eq!(insns, g.trace_insns());
         assert!(compiled.ops() > 0);
     }
 

@@ -54,11 +54,11 @@ mod spec;
 mod stream;
 pub mod suite;
 
-pub use compile::{CompiledBlock, CompiledTrace, OpWords};
+pub use compile::{CompiledTrace, OpWords, PhaseRun};
 pub use geometry::TraceGeometry;
 pub use item::{MemAccess, TraceItem};
 pub use phase::Phase;
-pub use recorded::{DecodeError, RecordedTrace, Replay};
+pub use recorded::DecodeError;
 pub use region::{Region, RegionKind};
 pub use spec::{BenchmarkSpec, SpecError};
 pub use stream::TraceStream;
@@ -71,3 +71,15 @@ pub const LINE_BYTES: u64 = 64;
 
 /// log2 of [`LINE_BYTES`].
 pub const LINE_SHIFT: u32 = 6;
+
+/// FNV-1a 64-bit — the checksum and fingerprint hash of recorded traces
+/// and of campaign journals. Not cryptographic: it guards against
+/// truncation, bit rot and mismatched inputs.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}

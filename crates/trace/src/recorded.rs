@@ -1,355 +1,449 @@
-//! Recorded traces: capture one pass of an instruction stream into a
-//! compact binary buffer and replay it without regenerating.
+//! Recorded traces: the on-disk form of a [`CompiledTrace`].
 //!
-//! Two uses:
+//! A recording is one trace pass exactly as the simulator replays it —
+//! the pass's phase-tagged runs of [`crate::OpWords`] — behind a header
+//! that ties it to the spec and geometry it was recorded for. Two uses:
 //!
 //! * **External traces.** The synthetic suite stands in for SPEC CPU2006,
 //!   but users with real address traces (from Pin, DynamoRIO, QEMU, ...)
-//!   can convert them to [`RecordedTrace`]s and drive the simulator and
-//!   profiler with production behavior.
-//! * **Archival reproducibility.** A recorded trace pins the exact item
+//!   can convert them to recordings and drive the simulator and profiler
+//!   with production behavior.
+//! * **Archival reproducibility.** A recording pins the exact item
 //!   sequence independent of the generator's RNG implementation, so
 //!   results can be reproduced across versions.
 //!
-//! The binary format is little-endian: a 16-byte header (magic,
-//! version, item count) followed by one `u64` per item — the two top bits
-//! tag the kind (`00` compute, `01` load, `10` store) and the low 62 bits
-//! carry the payload (batch length or block id).
+//! [`CompiledTrace::to_bytes`] writes a recording and
+//! [`CompiledTrace::from_bytes`] reads one back; the loaded trace is
+//! replayed by the profiler (`mppm_sim::profile_compiled`) and by mix
+//! simulations (`mppm_sim::TraceCache::insert`) like a freshly compiled
+//! one. The format is little-endian:
+//!
+//! ```text
+//! magic      4  b"MPPM"
+//! version    u32  format version (this module writes 2)
+//! spec       u64  FNV-1a fingerprint of the spec's parameters
+//! interval   u64  instructions per interval
+//! intervals  u32  intervals per pass
+//! runs       u32  phase runs in the pass
+//! run table  runs × (u32 phase index, u64 ops)
+//! ops        one u64 op word per op, run after run
+//! check      u64  FNV-1a over every preceding byte
+//! ```
 
-use bytes::{Buf, BufMut};
+use std::sync::Arc;
 
-use crate::{MemAccess, TraceItem};
+use crate::compile::{phase_runs, BLOCK_BITS};
+use crate::{fnv1a, BenchmarkSpec, CompiledTrace, OpWords, PhaseRun, RegionKind, TraceGeometry};
 
-/// Magic bytes introducing a recorded-trace buffer.
+/// Magic bytes introducing a recorded trace.
 pub const MAGIC: [u8; 4] = *b"MPPM";
-/// Current format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Format version this build reads and writes.
+pub const FORMAT_VERSION: u32 = 2;
 
-const TAG_SHIFT: u32 = 62;
-const TAG_COMPUTE: u64 = 0b00;
-const TAG_LOAD: u64 = 0b01;
-const TAG_STORE: u64 = 0b10;
-const PAYLOAD_MASK: u64 = (1 << TAG_SHIFT) - 1;
+const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 4 + 4;
+const RUN_LEN: usize = 4 + 8;
+const CHECK_LEN: usize = 8;
 
 /// Error decoding a recorded trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DecodeError {
-    /// Buffer too short or missing trailing items.
+    /// Shorter than its header says it is.
     Truncated,
+    /// Longer than its header says it is.
+    TrailingBytes,
     /// Magic bytes did not match.
     BadMagic,
     /// Unsupported format version.
     BadVersion(u32),
-    /// Unknown item tag at the given index.
-    BadTag(usize),
-    /// A compute batch with zero instructions at the given index.
+    /// The checksum does not match the contents.
+    BadChecksum,
+    /// Recorded for a spec other than the one given.
+    SpecMismatch,
+    /// A zero interval length or count, or a pass too long to count.
+    BadGeometry,
+    /// The run at this index names a phase the spec does not have.
+    BadPhase(usize),
+    /// The run at this index does not end where the spec's phase run of
+    /// the same index does (or the run counts differ).
+    RunBoundary(usize),
+    /// The op at this index is a compute batch of zero instructions.
     EmptyBatch(usize),
+    /// The op at this index is no valid op word: a block id of 2^44 or
+    /// more, or a compute word with bits above its `u32` count set.
+    BadWord(usize),
 }
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecodeError::Truncated => write!(f, "buffer is truncated"),
+            DecodeError::Truncated => write!(f, "recording is truncated"),
+            DecodeError::TrailingBytes => write!(f, "recording has trailing bytes"),
             DecodeError::BadMagic => write!(f, "missing MPPM trace magic"),
             DecodeError::BadVersion(v) => write!(f, "unsupported format version {v}"),
-            DecodeError::BadTag(i) => write!(f, "unknown item tag at index {i}"),
-            DecodeError::EmptyBatch(i) => write!(f, "empty compute batch at index {i}"),
+            DecodeError::BadChecksum => write!(f, "checksum mismatch"),
+            DecodeError::SpecMismatch => write!(f, "recorded for a different benchmark spec"),
+            DecodeError::BadGeometry => write!(f, "invalid trace geometry"),
+            DecodeError::BadPhase(k) => write!(f, "run {k} names a phase the spec lacks"),
+            DecodeError::RunBoundary(k) => {
+                write!(f, "run {k} does not end at the spec's phase-run boundary")
+            }
+            DecodeError::EmptyBatch(i) => write!(f, "empty compute batch at op {i}"),
+            DecodeError::BadWord(i) => write!(f, "invalid op word at op {i}"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-/// An immutable, replayable sequence of trace items.
-///
-/// # Example
-///
-/// ```
-/// use mppm_trace::{suite, RecordedTrace, TraceGeometry, TraceStream};
-///
-/// let geometry = TraceGeometry::tiny();
-/// let mut stream = TraceStream::new(suite::benchmark("mcf").unwrap().clone(), geometry);
-/// let recorded = RecordedTrace::capture(&mut stream, geometry.trace_insns());
-/// assert_eq!(recorded.insns(), geometry.trace_insns());
-///
-/// let bytes = recorded.to_bytes();
-/// let back = RecordedTrace::from_bytes(&bytes).unwrap();
-/// assert_eq!(recorded, back);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordedTrace {
-    items: Vec<TraceItem>,
-    insns: u64,
-}
-
-impl RecordedTrace {
-    /// Builds a trace from items.
+impl CompiledTrace {
+    /// Serializes the pass to the recording format.
     ///
-    /// # Panics
+    /// # Example
     ///
-    /// Panics if any block id exceeds the 62-bit payload or a compute
-    /// batch is empty.
-    pub fn new(items: Vec<TraceItem>) -> Self {
-        let mut insns = 0;
-        for item in &items {
-            match item {
-                TraceItem::Compute { insns: n } => {
-                    assert!(*n > 0, "compute batches must be non-empty");
-                }
-                TraceItem::Access(a) => {
-                    assert!(a.block <= PAYLOAD_MASK, "block id exceeds 62 bits");
-                }
-            }
-            insns += item.insns();
-        }
-        Self { items, insns }
-    }
-
-    /// Captures the next `insns` instructions of a generator.
+    /// ```
+    /// use mppm_trace::{suite, CompiledTrace, TraceGeometry};
     ///
-    /// The final item may overshoot by the tail of a compute batch; it is
-    /// clipped so the recorded length is exact.
-    pub fn capture(stream: &mut crate::TraceStream, insns: u64) -> Self {
-        let mut items = Vec::new();
-        let mut captured = 0;
-        while captured < insns {
-            let item = stream.next_item();
-            let take = item.insns().min(insns - captured);
-            match item {
-                TraceItem::Compute { .. } => {
-                    items.push(TraceItem::Compute {
-                        insns: u32::try_from(take).expect("clipped to a u32 batch length"),
-                    });
-                }
-                access => items.push(access),
-            }
-            captured += take;
-        }
-        Self::new(items)
-    }
-
-    /// The items, in order.
-    pub fn items(&self) -> &[TraceItem] {
-        &self.items
-    }
-
-    /// Total instructions in one replay pass.
-    pub fn insns(&self) -> u64 {
-        self.insns
-    }
-
-    /// Serializes to the binary format.
+    /// let spec = suite::benchmark("mcf").unwrap().clone();
+    /// let trace = CompiledTrace::compile(spec.clone(), TraceGeometry::tiny());
+    /// let bytes = trace.to_bytes();
+    /// assert_eq!(CompiledTrace::from_bytes(spec, &bytes).unwrap(), trace);
+    /// ```
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.items.len() * 8);
-        out.put_slice(&MAGIC);
-        out.put_u32_le(FORMAT_VERSION);
-        out.put_u64_le(self.items.len() as u64);
-        for item in &self.items {
-            let word = match item {
-                TraceItem::Compute { insns } => {
-                    (TAG_COMPUTE << TAG_SHIFT) | u64::from(*insns)
-                }
-                TraceItem::Access(MemAccess { block, store: false }) => {
-                    (TAG_LOAD << TAG_SHIFT) | block
-                }
-                TraceItem::Access(MemAccess { block, store: true }) => {
-                    (TAG_STORE << TAG_SHIFT) | block
-                }
-            };
-            out.put_u64_le(word);
+        let table = self.runs.len() * RUN_LEN;
+        let words = self.runs.iter().map(|r| r.ops().len() * 8).sum::<usize>();
+        let mut buf = Vec::with_capacity(HEADER_LEN + table + words + CHECK_LEN);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&spec_fingerprint(&self.spec).to_le_bytes());
+        buf.extend_from_slice(&self.geometry.interval_insns.to_le_bytes());
+        buf.extend_from_slice(&self.geometry.intervals.to_le_bytes());
+        let runs = u32::try_from(self.runs.len()).expect("at most one run per interval");
+        buf.extend_from_slice(&runs.to_le_bytes());
+        for run in &self.runs {
+            let phase = u32::try_from(run.phase()).expect("phase index fits u32");
+            buf.extend_from_slice(&phase.to_le_bytes());
+            buf.extend_from_slice(&(run.ops().len() as u64).to_le_bytes());
         }
-        out
+        for run in &self.runs {
+            for word in run.ops().words() {
+                buf.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        let check = fnv1a(&buf);
+        buf.extend_from_slice(&check.to_le_bytes());
+        buf
     }
 
-    /// Deserializes from the binary format.
+    /// Reads a recording of `spec`'s trace, validating everything it
+    /// takes from `bytes`: the header, the checksum, the spec
+    /// fingerprint, the geometry, that every run names one of the spec's
+    /// phases and that the runs tile the pass at the spec's phase-run
+    /// boundaries, and that every op word is valid.
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] describing the first problem found.
-    pub fn from_bytes(mut buf: &[u8]) -> Result<Self, DecodeError> {
-        if buf.remaining() < 16 {
+    /// The first [`DecodeError`] found; bad input never panics.
+    pub fn from_bytes(
+        spec: impl Into<Arc<BenchmarkSpec>>,
+        bytes: &[u8],
+    ) -> Result<Self, DecodeError> {
+        if bytes.len() < HEADER_LEN + CHECK_LEN {
             return Err(DecodeError::Truncated);
         }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if magic != MAGIC {
+        if bytes[..4] != MAGIC {
             return Err(DecodeError::BadMagic);
         }
-        let version = buf.get_u32_le();
+        let version = u32_at(bytes, 4);
         if version != FORMAT_VERSION {
             return Err(DecodeError::BadVersion(version));
         }
-        let count = buf.get_u64_le() as usize;
-        if buf.remaining() < count * 8 {
+        let runs = u32_at(bytes, 28) as usize;
+        let table_end = runs.checked_mul(RUN_LEN).and_then(|t| t.checked_add(HEADER_LEN));
+        let Some(table_end) = table_end.filter(|&t| t + CHECK_LEN <= bytes.len()) else {
+            return Err(DecodeError::Truncated);
+        };
+        let run_at = |k: usize| {
+            let at = HEADER_LEN + k * RUN_LEN;
+            (u32_at(bytes, at) as usize, u64_at(bytes, at + 4))
+        };
+        // An op count the buffer cannot hold fails the length check.
+        let ops_end = (0..runs)
+            .try_fold(0u64, |sum, k| sum.checked_add(run_at(k).1))
+            .and_then(|ops| ops.checked_mul(8))
+            .and_then(|len| len.checked_add(table_end as u64))
+            .unwrap_or(u64::MAX);
+        let available = (bytes.len() - CHECK_LEN) as u64;
+        if ops_end > available {
             return Err(DecodeError::Truncated);
         }
-        let mut items = Vec::with_capacity(count);
-        for i in 0..count {
-            let word = buf.get_u64_le();
-            let payload = word & PAYLOAD_MASK;
-            let item = match word >> TAG_SHIFT {
-                TAG_COMPUTE => {
-                    if payload == 0 || payload > u64::from(u32::MAX) {
-                        return Err(DecodeError::EmptyBatch(i));
-                    }
-                    TraceItem::Compute {
-                        insns: u32::try_from(payload).expect("range-checked above"),
-                    }
-                }
-                TAG_LOAD => TraceItem::Access(MemAccess { block: payload, store: false }),
-                TAG_STORE => TraceItem::Access(MemAccess { block: payload, store: true }),
-                _ => return Err(DecodeError::BadTag(i)),
-            };
-            items.push(item);
+        if ops_end < available {
+            return Err(DecodeError::TrailingBytes);
         }
-        Ok(Self::new(items))
-    }
-
-    /// An infinite cyclic replay of the trace.
-    pub fn replay(&self) -> Replay<'_> {
-        Replay { trace: self, next: 0, wraps: 0, insns_done: 0 }
+        let ops_end = bytes.len() - CHECK_LEN;
+        if u64_at(bytes, ops_end) != fnv1a(&bytes[..ops_end]) {
+            return Err(DecodeError::BadChecksum);
+        }
+        let spec = spec.into();
+        if u64_at(bytes, 8) != spec_fingerprint(&spec) {
+            return Err(DecodeError::SpecMismatch);
+        }
+        let (interval_insns, intervals) = (u64_at(bytes, 16), u32_at(bytes, 24));
+        if interval_insns == 0
+            || intervals == 0
+            || interval_insns.checked_mul(u64::from(intervals)).is_none()
+        {
+            return Err(DecodeError::BadGeometry);
+        }
+        let geometry = TraceGeometry::new(interval_insns, intervals);
+        if let Some(k) = (0..runs).find(|&k| run_at(k).0 >= spec.phases().len()) {
+            return Err(DecodeError::BadPhase(k));
+        }
+        let expected = phase_runs(&spec, geometry);
+        if runs != expected.len() {
+            return Err(DecodeError::RunBoundary(runs.min(expected.len())));
+        }
+        let mut decoded = Vec::with_capacity(runs);
+        let (mut at, mut op, mut insn) = (table_end, 0usize, 0u64);
+        for (k, &(phase, end)) in expected.iter().enumerate() {
+            let (run_phase, ops) = run_at(k);
+            if run_phase != phase {
+                return Err(DecodeError::RunBoundary(k));
+            }
+            // `ops` fits: the buffer holds a word for each.
+            let mut words = Vec::with_capacity(ops as usize);
+            for _ in 0..ops {
+                let word = u64_at(bytes, at);
+                insn = insn.saturating_add(word_insns(word).map_err(|bad| bad(op))?);
+                words.push(word);
+                at += 8;
+                op += 1;
+            }
+            if insn != end {
+                return Err(DecodeError::RunBoundary(k));
+            }
+            decoded.push(PhaseRun::from_words(phase, words));
+        }
+        Ok(Self { spec, geometry, runs: decoded })
     }
 }
 
-/// Cyclic replay iterator over a [`RecordedTrace`]; the replay-side
-/// counterpart of [`crate::TraceStream`].
-#[derive(Debug, Clone)]
-pub struct Replay<'a> {
-    trace: &'a RecordedTrace,
-    next: usize,
-    wraps: u64,
-    insns_done: u64,
+/// Instructions op word `word` retires, or the error naming it invalid.
+fn word_insns(word: u64) -> Result<u64, fn(usize) -> DecodeError> {
+    if OpWords::is_access(word) {
+        if OpWords::block(word) >> BLOCK_BITS != 0 {
+            return Err(DecodeError::BadWord);
+        }
+        Ok(1)
+    } else if word == 0 {
+        Err(DecodeError::EmptyBatch)
+    } else if word > u64::from(u32::MAX) {
+        Err(DecodeError::BadWord)
+    } else {
+        Ok(word)
+    }
 }
 
-impl Replay<'_> {
-    /// The next item, wrapping at the end of the trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
-    pub fn next_item(&mut self) -> TraceItem {
-        assert!(!self.trace.items.is_empty(), "cannot replay an empty trace");
-        let item = self.trace.items[self.next];
-        self.next += 1;
-        if self.next == self.trace.items.len() {
-            self.next = 0;
-            self.wraps += 1;
+/// FNV-1a over every parameter of `spec`: its name, seed, phases and
+/// schedule.
+fn spec_fingerprint(spec: &BenchmarkSpec) -> u64 {
+    let mut words = vec![spec.name().len() as u64, spec.seed(), spec.phases().len() as u64];
+    for p in spec.phases() {
+        words.extend([p.mem_ratio, p.store_ratio, p.base_cpi, p.mlp].map(f64::to_bits));
+        words.push(p.regions.len() as u64);
+        for r in &p.regions {
+            let stream = u64::from(r.kind == RegionKind::Stream);
+            words.extend([u64::from(r.id), stream, r.blocks, r.weight.to_bits()]);
         }
-        self.insns_done += item.insns();
-        item
     }
+    words.push(spec.schedule().len() as u64);
+    words.extend(spec.schedule().iter().map(|&s| s as u64));
+    let mut bytes = spec.name().as_bytes().to_vec();
+    bytes.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+    fnv1a(&bytes)
+}
 
-    /// Total instructions replayed so far.
-    pub fn position(&self) -> u64 {
-        self.insns_done
-    }
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds checked"))
+}
 
-    /// Completed passes.
-    pub fn wraps(&self) -> u64 {
-        self.wraps
-    }
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{suite, TraceGeometry, TraceStream};
+    use crate::{suite, TraceStream};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
-    fn recorded() -> RecordedTrace {
-        let g = TraceGeometry::tiny();
-        let mut stream = TraceStream::new(suite::benchmark("gcc").unwrap().clone(), g);
-        RecordedTrace::capture(&mut stream, g.trace_insns())
+    fn gcc() -> BenchmarkSpec {
+        suite::benchmark("gcc").unwrap().clone()
     }
 
-    #[test]
-    fn capture_has_exact_length() {
-        let g = TraceGeometry::tiny();
-        let trace = recorded();
-        assert_eq!(trace.insns(), g.trace_insns());
-        let total: u64 = trace.items().iter().map(TraceItem::insns).sum();
-        assert_eq!(total, g.trace_insns());
+    fn recorded() -> CompiledTrace {
+        CompiledTrace::compile(gcc(), TraceGeometry::tiny())
+    }
+
+    /// `bytes` after `edit`, with the checksum recomputed so the decoder
+    /// gets past it to the check under test.
+    fn patched(bytes: &[u8], edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        let body = out.len() - CHECK_LEN;
+        edit(&mut out[..body]);
+        let check = fnv1a(&out[..body]);
+        out[body..].copy_from_slice(&check.to_le_bytes());
+        out
+    }
+
+    /// Byte offset of op `op`'s word in a recording of `trace`.
+    fn op_offset(trace: &CompiledTrace, op: usize) -> usize {
+        HEADER_LEN + trace.runs().len() * RUN_LEN + op * 8
     }
 
     #[test]
     fn round_trip_is_identity() {
-        let trace = recorded();
-        let bytes = trace.to_bytes();
-        let back = RecordedTrace::from_bytes(&bytes).unwrap();
-        assert_eq!(trace, back);
+        for name in ["gcc", "lbm", "gamess"] {
+            let spec = suite::benchmark(name).unwrap().clone();
+            let trace = CompiledTrace::compile(spec.clone(), TraceGeometry::new(3_000, 7));
+            let back = CompiledTrace::from_bytes(spec, &trace.to_bytes()).unwrap();
+            assert_eq!(trace, back, "{name}");
+        }
     }
 
-    #[test]
-    fn replay_matches_items_and_wraps() {
-        let trace = recorded();
-        let mut replay = trace.replay();
-        for item in trace.items() {
-            assert_eq!(*item, replay.next_item());
-        }
-        assert_eq!(replay.wraps(), 1);
-        assert_eq!(replay.position(), trace.insns());
-        // Second pass identical.
-        assert_eq!(trace.items()[0], replay.next_item());
+    /// A recording of `name`'s trace, written and read back.
+    fn loaded(name: &str, g: TraceGeometry) -> (CompiledTrace, BenchmarkSpec) {
+        let spec = suite::benchmark(name).unwrap().clone();
+        let bytes = CompiledTrace::compile(spec.clone(), g).to_bytes();
+        (CompiledTrace::from_bytes(spec.clone(), &bytes).unwrap(), spec)
     }
 
     #[test]
     fn capture_matches_generator_exactly() {
-        // Capturing then replaying must equal generating directly,
-        // access for access.
+        // Recording then replaying must equal generating directly, item
+        // for item, with each run tagged with the generator's phase.
         let g = TraceGeometry::tiny();
-        let spec = suite::benchmark("milc").unwrap().clone();
-        let mut gen_stream = TraceStream::new(spec.clone(), g);
-        let trace = {
-            let mut s = TraceStream::new(spec, g);
-            RecordedTrace::capture(&mut s, g.trace_insns())
-        };
-        let mut replay = trace.replay();
-        let mut replayed_accesses = Vec::new();
-        let mut generated_accesses = Vec::new();
-        while replay.position() < g.trace_insns() {
-            if let Some(a) = replay.next_item().access() {
-                replayed_accesses.push(a);
+        let (trace, spec) = loaded("milc", g);
+        let mut stream = TraceStream::new(spec, g);
+        for run in trace.runs() {
+            assert_eq!(run.phase(), stream.current_phase());
+            for op in 0..run.ops().len() {
+                assert_eq!(run.ops().item(op), stream.next_item(), "op {op}");
             }
         }
-        while gen_stream.position() < g.trace_insns() {
-            if let Some(a) = gen_stream.next_item().access() {
-                generated_accesses.push(a);
+        assert_eq!(stream.position(), g.trace_insns());
+    }
+
+    #[test]
+    fn replay_matches_items_and_wraps() {
+        // Replayed cyclically, a recording is the live stream across a
+        // wrap: the stream rewinds to its seed, so one pass covers all.
+        let g = TraceGeometry::new(2_000, 5);
+        let (trace, spec) = loaded("gcc", g);
+        let mut stream = TraceStream::new(spec, g);
+        for pass in 0..3 {
+            for run in trace.runs() {
+                for op in 0..run.ops().len() {
+                    assert_eq!(run.ops().item(op), stream.next_item(), "pass {pass} op {op}");
+                }
             }
         }
-        assert_eq!(replayed_accesses, generated_accesses);
+        assert_eq!(stream.wraps(), 2);
+        assert_eq!(stream.position(), 3 * g.trace_insns());
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert_eq!(RecordedTrace::from_bytes(b"xx").unwrap_err(), DecodeError::Truncated);
-        assert_eq!(
-            RecordedTrace::from_bytes(b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00")
-                .unwrap_err(),
-            DecodeError::BadMagic
-        );
-        let mut bad_version = recorded().to_bytes();
+        let bytes = recorded().to_bytes();
+        let decode = |b: &[u8]| CompiledTrace::from_bytes(gcc(), b).unwrap_err();
+        assert_eq!(decode(b"xx"), DecodeError::Truncated);
+        assert_eq!(decode(&bytes[..bytes.len() - 4]), DecodeError::Truncated);
+        assert_eq!(decode(&bytes[..HEADER_LEN + CHECK_LEN + 4]), DecodeError::Truncated);
+        let mut long = bytes.clone();
+        long.extend_from_slice(&[0; 8]);
+        assert_eq!(decode(&long), DecodeError::TrailingBytes);
+        let mut bad_magic = bytes.clone();
+        bad_magic[0] = b'X';
+        assert_eq!(decode(&bad_magic), DecodeError::BadMagic);
+        let mut bad_version = bytes.clone();
         bad_version[4] = 99;
-        assert_eq!(
-            RecordedTrace::from_bytes(&bad_version).unwrap_err(),
-            DecodeError::BadVersion(99)
-        );
-        let mut truncated = recorded().to_bytes();
-        truncated.truncate(truncated.len() - 4);
-        assert_eq!(RecordedTrace::from_bytes(&truncated).unwrap_err(), DecodeError::Truncated);
+        assert_eq!(decode(&bad_version), DecodeError::BadVersion(99));
+    }
+
+    #[test]
+    fn decode_rejects_a_flipped_payload_byte() {
+        let trace = recorded();
+        let mut bytes = trace.to_bytes();
+        bytes[op_offset(&trace, 10) + 1] ^= 0x10;
+        assert_eq!(CompiledTrace::from_bytes(gcc(), &bytes), Err(DecodeError::BadChecksum));
+    }
+
+    #[test]
+    fn decode_rejects_another_spec_or_geometry() {
+        let bytes = recorded().to_bytes();
+        let lbm = suite::benchmark("lbm").unwrap().clone();
+        assert_eq!(CompiledTrace::from_bytes(lbm, &bytes), Err(DecodeError::SpecMismatch));
+        // Same name, one parameter off.
+        let g = gcc();
+        let (phases, schedule) = (g.phases().to_vec(), g.schedule().to_vec());
+        let twin = BenchmarkSpec::new(g.name(), g.seed() ^ 1, phases, schedule).unwrap();
+        assert_eq!(CompiledTrace::from_bytes(twin, &bytes), Err(DecodeError::SpecMismatch));
+        // A header claiming another geometry: the runs no longer tile it.
+        let other = patched(&bytes, |b| b[16..24].copy_from_slice(&20_000u64.to_le_bytes()));
+        assert_eq!(CompiledTrace::from_bytes(gcc(), &other), Err(DecodeError::RunBoundary(0)));
+        let zero = patched(&bytes, |b| b[24..28].copy_from_slice(&0u32.to_le_bytes()));
+        assert_eq!(CompiledTrace::from_bytes(gcc(), &zero), Err(DecodeError::BadGeometry));
+    }
+
+    #[test]
+    fn decode_rejects_an_out_of_range_phase() {
+        let trace = recorded();
+        let last = trace.runs().len() - 1;
+        let at = HEADER_LEN + last * RUN_LEN;
+        let bytes =
+            patched(&trace.to_bytes(), |b| b[at..at + 4].copy_from_slice(&99u32.to_le_bytes()));
+        assert_eq!(CompiledTrace::from_bytes(gcc(), &bytes), Err(DecodeError::BadPhase(last)));
+    }
+
+    #[test]
+    fn decode_rejects_a_zero_compute_word() {
+        let trace = recorded();
+        let words = trace.runs()[0].ops().words();
+        let op = words.iter().position(|&w| !OpWords::is_access(w)).unwrap();
+        let at = op_offset(&trace, op);
+        let bytes = patched(&trace.to_bytes(), |b| b[at..at + 8].fill(0));
+        assert_eq!(CompiledTrace::from_bytes(gcc(), &bytes), Err(DecodeError::EmptyBatch(op)));
     }
 
     #[test]
     fn decode_rejects_bad_tag() {
-        let trace = RecordedTrace::new(vec![TraceItem::Compute { insns: 1 }]);
-        let mut bytes = trace.to_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] = 0xC0; // tag 0b11
-        assert_eq!(RecordedTrace::from_bytes(&bytes).unwrap_err(), DecodeError::BadTag(0));
+        // A store bit on a compute word, and an access past 2^44 blocks.
+        let trace = recorded();
+        let words = trace.runs()[0].ops().words();
+        let compute = words.iter().position(|&w| !OpWords::is_access(w)).unwrap();
+        let access = words.iter().position(|&w| OpWords::is_access(w)).unwrap();
+        for (op, bit) in [(compute, 63), (access, BLOCK_BITS)] {
+            let at = op_offset(&trace, op);
+            let bytes = patched(&trace.to_bytes(), |b| b[at + bit as usize / 8] |= 1 << (bit % 8));
+            assert_eq!(CompiledTrace::from_bytes(gcc(), &bytes), Err(DecodeError::BadWord(op)));
+        }
     }
 
     #[test]
-    #[should_panic(expected = "non-empty")]
-    fn rejects_empty_batches() {
-        RecordedTrace::new(vec![TraceItem::Compute { insns: 0 }]);
+    fn decode_never_panics_on_mutated_input() {
+        // Random byte edits (checksum recomputed, so they reach every
+        // later check) and random truncations decode to a value or a
+        // typed error.
+        let trace = CompiledTrace::compile(gcc(), TraceGeometry::new(500, 4));
+        let bytes = trace.to_bytes();
+        let mut rng = SmallRng::seed_from_u64(0x7ACE);
+        for _ in 0..2_000 {
+            let at = rng.gen_range(0..bytes.len() - CHECK_LEN);
+            let value = rng.gen::<u64>().to_le_bytes()[0];
+            let edited = patched(&bytes, |b| b[at] = value);
+            let _ = CompiledTrace::from_bytes(gcc(), &edited);
+            let _ = CompiledTrace::from_bytes(gcc(), &edited[..rng.gen_range(0..edited.len())]);
+        }
     }
 }

@@ -63,25 +63,6 @@ pub struct TraceStream {
     interval_end_insn: u64,
 }
 
-/// Generator state captured at a phase-run boundary within one trace
-/// pass, sufficient to regenerate the rest of the pass from that point
-/// without any state shared with earlier blocks.
-///
-/// The per-region stream offsets are *ranked into* the checkpoint (a
-/// plain sorted snapshot of the walk positions), so a restored stream
-/// never consults a cursor another replay may have advanced. The pending
-/// compute-gap remainder is deliberately **not** captured: checkpoints
-/// are only taken where the phase index changes, and [`TraceStream::
-/// next_item`] resamples a remainder carried across a phase change
-/// anyway (geometric memorylessness), so dropping it is exact — which
-/// [`crate::CompiledTrace`]'s block-regeneration test proves.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct StreamCheckpoint {
-    pub(crate) rng: SmallRng,
-    /// Per-region-id stream walk positions, sorted by region id.
-    pub(crate) stream_pos: Vec<(u32, u64)>,
-}
-
 /// One zeroed walk position per distinct stream region id, sorted by id.
 fn stream_slots_for(spec: &BenchmarkSpec) -> Vec<(u32, u64)> {
     let mut ids: Vec<u32> = spec
@@ -154,66 +135,20 @@ impl TraceStream {
     /// Creates a stream at the beginning of the trace.
     pub fn new(spec: impl Into<Arc<BenchmarkSpec>>, geometry: TraceGeometry) -> Self {
         let spec = spec.into();
-        let checkpoint = StreamCheckpoint {
-            rng: SmallRng::seed_from_u64(spec.seed()),
-            stream_pos: stream_slots_for(&spec),
-        };
-        Self::at(spec, geometry, 0, checkpoint)
-    }
-
-    /// A stream at interval boundary `insn` of the first pass with the
-    /// generator state of `checkpoint` and no pending gap.
-    fn at(
-        spec: Arc<BenchmarkSpec>,
-        geometry: TraceGeometry,
-        insn: u64,
-        checkpoint: StreamCheckpoint,
-    ) -> Self {
-        let interval = geometry.interval_of(insn);
-        let draws = draws_for(&spec, &checkpoint.stream_pos);
-        let cur_phase = spec.phase_for_interval(interval, geometry.intervals);
+        let stream_pos = stream_slots_for(&spec);
+        let draws = draws_for(&spec, &stream_pos);
         Self {
-            spec,
-            geometry,
-            rng: checkpoint.rng,
-            insn,
+            rng: SmallRng::seed_from_u64(spec.seed()),
+            insn: 0,
             wraps: 0,
-            stream_pos: checkpoint.stream_pos,
+            stream_pos,
             pending_gap: None,
             draws,
-            cur_phase,
-            interval_end_insn: geometry.interval_start(interval) + geometry.interval_insns,
+            cur_phase: spec.phase_for_interval(0, geometry.intervals),
+            interval_end_insn: geometry.interval_insns,
+            spec,
+            geometry,
         }
-    }
-
-    /// Captures the generator state at the current position.
-    ///
-    /// Only meaningful at interval boundaries where the phase index
-    /// changes (or at position 0): see [`StreamCheckpoint`] for why the
-    /// pending gap remainder may be dropped there and nowhere else.
-    pub(crate) fn checkpoint(&self) -> StreamCheckpoint {
-        StreamCheckpoint {
-            rng: self.rng.clone(),
-            stream_pos: self.stream_pos.clone(),
-        }
-    }
-
-    /// Rebuilds a stream mid-pass from a checkpoint taken at instruction
-    /// `insn` of the first pass, as if the original stream had generated
-    /// front-to-back up to that point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `insn` is not an interval boundary inside one pass.
-    pub(crate) fn restore_within_pass(
-        spec: Arc<BenchmarkSpec>,
-        geometry: TraceGeometry,
-        insn: u64,
-        checkpoint: StreamCheckpoint,
-    ) -> Self {
-        assert!(insn < geometry.trace_insns(), "checkpoint must be inside one pass");
-        assert_eq!(insn % geometry.interval_insns, 0, "checkpoint off an interval boundary");
-        Self::at(spec, geometry, insn, checkpoint)
     }
 
     /// The spec this stream generates.
@@ -277,7 +212,7 @@ impl TraceStream {
     /// Generates items, as [`OpWords`] words, into `emit` until the
     /// position reaches `end`, the phase index changes, or `emit` returns
     /// `false` — the one generation loop behind [`Self::next_item`] and
-    /// [`OpWords::fill_from`]. Emits at least one item when the position
+    /// [`crate::PhaseRun::refill`]. Emits at least one item when the position
     /// is short of `end`.
     ///
     /// The phase's parameters are looked up once per interval-bounded run

@@ -8,10 +8,8 @@
 //! ```
 
 use mppm::{FoaModel, Mppm, MppmConfig};
-use mppm_sim::{profile_single_core, MachineConfig};
-use mppm_trace::{
-    suite, BenchmarkSpec, Phase, RecordedTrace, Region, TraceGeometry, TraceStream,
-};
+use mppm_sim::{profile_compiled, profile_single_core, MachineConfig};
+use mppm_trace::{suite, BenchmarkSpec, CompiledTrace, Phase, Region, TraceGeometry};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let machine = MachineConfig::baseline();
@@ -42,19 +40,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = BenchmarkSpec::new("mydb", 0xDB, vec![oltp, scan], vec![0, 0, 0, 1])?;
     println!("defined `{}`: {} phases over {} schedule slots", spec.name(), spec.phases().len(), spec.schedule().len());
 
-    // Optionally freeze the trace to a binary buffer (shareable, stable
-    // across generator versions).
-    let mut stream = TraceStream::new(spec.clone(), geometry);
-    let recorded = RecordedTrace::capture(&mut stream, geometry.trace_insns());
+    // Freeze the trace to a binary recording (shareable, stable across
+    // generator versions), then load it back as a replayable trace.
+    let bytes = CompiledTrace::compile(spec.clone(), geometry).to_bytes();
+    let recorded = CompiledTrace::from_bytes(spec.clone(), &bytes)?;
     println!(
-        "recorded one pass: {} instructions, {} items, {} KiB",
-        recorded.insns(),
-        recorded.items().len(),
-        recorded.to_bytes().len() / 1024
+        "recorded one pass: {} instructions, {} ops, {} KiB",
+        geometry.trace_insns(),
+        recorded.ops(),
+        bytes.len() / 1024
     );
 
-    // Profile it once, alone.
-    let profile = profile_single_core(&spec, &machine, geometry);
+    // Profile the recording once, alone (the same profile the generator
+    // gives).
+    let profile = profile_compiled(&recorded, &machine, 1);
     println!(
         "isolated: CPI {:.3}, memory CPI {:.3}, {:.1} LLC accesses/kinsn\n",
         profile.cpi_sc(),
