@@ -280,7 +280,7 @@ mod tests {
         files
             .iter()
             .map(|(path, src)| {
-                let file = SourceFile::parse(*path, *src);
+                let file = SourceFile::parse(*path, src);
                 let parsed = parse::items(&file);
                 FileFacts {
                     path: (*path).to_string(),

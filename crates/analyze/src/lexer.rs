@@ -225,9 +225,9 @@ pub fn lex(src: &str) -> Lexed {
             let mut j = i + 1;
             while j < n {
                 let d = chars[j];
-                if is_ident_continue(d) {
-                    j += 1;
-                } else if d == '.' && j + 1 < n && chars[j + 1].is_ascii_digit() {
+                if is_ident_continue(d)
+                    || (d == '.' && j + 1 < n && chars[j + 1].is_ascii_digit())
+                {
                     j += 1;
                 } else {
                     break;

@@ -446,7 +446,7 @@ fn assemble(all: &[FileFacts], filter: &RuleFilter) -> Analysis {
 /// Any I/O error from walking or reading the tree.
 pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut paths: Vec<PathBuf> = Vec::new();
-    collect_rs(root, root, &mut paths)?;
+    collect_rs(root, &mut paths)?;
     paths.sort();
     let mut out = Vec::with_capacity(paths.len());
     for path in paths {
@@ -462,7 +462,7 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> 
     Ok(out)
 }
 
-fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -471,7 +471,7 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Resul
             if name == "target" || name == "compat" || name.starts_with('.') {
                 continue;
             }
-            collect_rs(root, &path, out)?;
+            collect_rs(&path, out)?;
         } else if name.ends_with(".rs") {
             out.push(path);
         }

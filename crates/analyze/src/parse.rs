@@ -61,7 +61,7 @@ struct RawFn {
     is_test: bool,
 }
 
-fn ident_at<'a>(toks: &'a [Tok], i: usize) -> Option<&'a str> {
+fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
     toks.get(i).and_then(Tok::ident)
 }
 

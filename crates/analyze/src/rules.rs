@@ -76,7 +76,7 @@ pub fn rule_names() -> Vec<&'static str> {
     names
 }
 
-fn ident_at<'a>(toks: &'a [Tok], i: usize) -> Option<&'a str> {
+fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
     toks.get(i).and_then(Tok::ident)
 }
 
@@ -360,11 +360,11 @@ impl Rule for UncompiledHotLoop {
         let toks = &file.lexed.toks;
         let in_reference = mark_reference_fns(toks);
         let mut out = Vec::new();
-        for i in 1..toks.len() {
+        for (i, &in_reference) in in_reference.iter().enumerate().skip(1) {
             if ident_at(toks, i) == Some("next_item")
                 && punct_at(toks, i - 1, '.')
                 && punct_at(toks, i + 1, '(')
-                && !in_reference[i]
+                && !in_reference
             {
                 out.push(Finding {
                     tok: i,
@@ -478,8 +478,8 @@ impl Rule for AllocInSteadyLoop {
         let toks = &file.lexed.toks;
         let in_steady = mark_fn_bodies(toks, |name| STEADY_LOOP_FNS.contains(&name));
         let mut out = Vec::new();
-        for i in 0..toks.len() {
-            if !in_steady[i] {
+        for (i, &in_steady) in in_steady.iter().enumerate() {
+            if !in_steady {
                 continue;
             }
             let what = if path_pair(toks, i, "Vec", "new") || path_pair(toks, i, "Box", "new") {
@@ -523,7 +523,7 @@ fn mark_fn_bodies(toks: &[Tok], matches: impl Fn(&str) -> bool) -> Vec<bool> {
     let mut i = 0;
     while i < toks.len() {
         let is_ref_fn = ident_at(toks, i) == Some("fn")
-            && ident_at(toks, i + 1).is_some_and(|n| matches(n));
+            && ident_at(toks, i + 1).is_some_and(&matches);
         if !is_ref_fn {
             i += 1;
             continue;

@@ -132,7 +132,7 @@ impl SlowdownHistogram {
     /// `[lo, hi)` bounds of bin `idx` (the last bin is open-ended).
     pub fn bounds(&self, idx: usize) -> (f64, Option<f64>) {
         let lo = self.start + idx as f64 * self.width;
-        let hi = (idx + 1 < self.counts.len()).then(|| lo + self.width);
+        let hi = (idx + 1 < self.counts.len()).then_some(lo + self.width);
         (lo, hi)
     }
 

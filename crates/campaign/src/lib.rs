@@ -176,7 +176,7 @@ impl<'a> Campaign<'a> {
 
     /// Aggregation options (stability-sweep sizes and trial counts).
     pub fn options(mut self, options: &AggregateOptions) -> Self {
-        self.options = options.clone();
+        self.options = *options;
         self
     }
 
@@ -424,17 +424,14 @@ pub fn write_csvs(
         let new_max = result.designs.iter().map(|d| d.mixes).max().unwrap_or(0);
         let old_max = existing_mix_count(&designs_path);
         if old_max.is_some_and(|old| old > new_max) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Other,
-                format!(
-                    "refusing to overwrite {}: the existing bundle covers {} mixes \
-                     per design, this run only {new_max}; a small run must not replace \
-                     paper-scale results (delete the old CSVs first if the smaller \
-                     replacement is intentional)",
-                    designs_path.display(),
-                    old_max.unwrap_or(0),
-                ),
-            ));
+            return Err(std::io::Error::other(format!(
+                "refusing to overwrite {}: the existing bundle covers {} mixes \
+                 per design, this run only {new_max}; a small run must not replace \
+                 paper-scale results (delete the old CSVs first if the smaller \
+                 replacement is intentional)",
+                designs_path.display(),
+                old_max.unwrap_or(0),
+            )));
         }
     }
     atomic_write_bytes(&designs_path, design_table(result).to_csv().as_bytes())?;

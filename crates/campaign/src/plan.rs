@@ -108,7 +108,8 @@ pub const MAX_SHARDS_PER_DESIGN: u64 = 1 << 20;
 
 impl CampaignSpec {
     /// A 2-core exhaustive sweep over the first two LLC configs — the
-    /// smallest campaign that exercises every subsystem layer.
+    /// smallest campaign that exercises every subsystem layer, and the
+    /// defaults of `mppm-cli campaign` and `mppmd`'s campaign request.
     pub fn quick_default() -> Self {
         Self { cores: 2, designs: vec![0, 1], source: MixSource::Exhaustive, shard_size: 64 }
     }

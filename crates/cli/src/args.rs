@@ -1,19 +1,12 @@
 //! Hand-rolled argument parsing for the CLI (kept dependency-free).
+//!
+//! `predict`, `simulate` and `campaign` (one-shot or through `client`)
+//! build the daemon's wire [`Request`] from their flags in one place,
+//! [`request`], and the one-shot verbs resolve it here with the
+//! daemon's [`resolve`], so both front ends share defaults and checks.
 
+use mppm_server::protocol::{resolve, CampaignRequest, MixRequest, Request, Resolved};
 use std::fmt;
-
-/// Which contention model a prediction uses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ContentionKind {
-    /// Frequency-of-access (the paper's choice).
-    Foa,
-    /// Stack-distance competition.
-    SdcCompetition,
-    /// Simplified inductive probability.
-    Prob,
-    /// Static way partition with the given allocation.
-    Partition(Vec<u32>),
-}
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,22 +19,9 @@ pub enum Command {
         quick: bool,
     },
     /// Predict a mix analytically.
-    Predict {
-        /// Benchmark names, one per core.
-        mix: Vec<String>,
-        config: usize,
-        quick: bool,
-        contention: ContentionKind,
-        /// Shared memory bandwidth (accesses/cycle), if limited.
-        bandwidth: Option<f64>,
-    },
+    Predict(MixRequest),
     /// Run the detailed simulator on a mix and compare with the model.
-    Simulate {
-        /// Benchmark names, one per core.
-        mix: Vec<String>,
-        config: usize,
-        quick: bool,
-    },
+    Simulate(MixRequest),
     /// Print how many distinct mixes exist for `cores` programs.
     Count {
         /// Programs per mix.
@@ -57,19 +37,8 @@ pub enum Command {
     },
     /// Run a design-space exploration campaign over the mix space.
     Campaign {
-        /// Programs per mix.
-        cores: usize,
-        /// Table 2 LLC configs, 0-based.
-        configs: Vec<usize>,
-        /// Stratified sample size; `None` enumerates the full space.
-        sample: Option<usize>,
-        /// Sample seed (ignored without `sample`).
-        seed: u64,
-        /// Mixes per checkpoint shard.
-        shard_size: usize,
-        /// Random subsets per ranking-stability point.
-        trials: usize,
-        quick: bool,
+        /// The campaign, resolved as the daemon resolves it.
+        request: CampaignRequest,
         /// JSONL event-trace output path, if requested.
         trace: Option<String>,
         /// Mirror campaign milestones to stderr.
@@ -93,7 +62,7 @@ pub enum Command {
         /// Socket path override (default `$TMPDIR/mppmd.sock`).
         socket: Option<String>,
         /// The wire request to send (kind + parameters).
-        request: mppm_server::protocol::Request,
+        request: Request,
     },
     /// Run the determinism lint pass over the workspace sources.
     Lint {
@@ -179,13 +148,80 @@ fn parse_config(value: &str) -> Result<usize, ParseError> {
     Ok(n - 1)
 }
 
-fn parse_mix(value: &str) -> Result<Vec<String>, ParseError> {
-    let mix: Vec<String> =
-        value.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
-    if mix.is_empty() {
-        return Err(ParseError("mix must contain at least one benchmark".into()));
+/// The flags of one invocation: `--name value` pairs and bare switches.
+struct Flags<'a>(Vec<(&'a str, Option<&'a str>)>);
+
+impl<'a> Flags<'a> {
+    fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|(n, _)| *n == name)
     }
-    Ok(mix)
+
+    /// Every value given for `name`, in order.
+    fn values<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.0.iter().filter(move |(n, _)| *n == name).filter_map(|(_, v)| *v)
+    }
+
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.values(name).next()
+    }
+
+    fn number(&self, name: &str) -> Result<Option<u64>, ParseError> {
+        self.value(name)
+            .map(|v| {
+                v.parse().map_err(|_| ParseError(format!("--{name} expects a number, got `{v}`")))
+            })
+            .transpose()
+    }
+
+    /// A count the wire carries with 0 meaning "absent, use the
+    /// default": 0 when the flag is left out, refused when given as 0.
+    fn count(&self, name: &str) -> Result<u64, ParseError> {
+        match self.number(name)? {
+            Some(0) => Err(ParseError(format!(
+                "--{name} must be at least 1 (leave it out for the default)"
+            ))),
+            n => Ok(n.unwrap_or(0)),
+        }
+    }
+}
+
+/// Builds the wire request for `kind` from the flags, the one mapping
+/// the one-shot verbs and `client` share, and resolves it with the
+/// daemon's [`resolve`]: a malformed field is a usage error before any
+/// store or socket is touched. Flags left out stay 0 or empty, which
+/// `resolve` reads as its defaults.
+fn request(
+    kind: &str,
+    mix: Option<&str>,
+    flags: &Flags,
+) -> Result<(Request, Resolved), ParseError> {
+    let mut request = Request { kind: kind.to_string(), ..Request::default() };
+    if matches!(kind, "predict" | "simulate") {
+        request.mix = mix.ok_or_else(|| ParseError(format!("{kind} expects a mix")))?.to_string();
+    }
+    if let Some(v) = flags.value("config") {
+        // The wire speaks 1-based configs, like the flag does.
+        request.config = parse_config(v)? as u64 + 1;
+    }
+    request.quick = flags.has("quick");
+    request.subscribe = flags.has("subscribe");
+    request.contention = flags.value("contention").unwrap_or_default().to_string();
+    request.partition = flags.value("partition").unwrap_or_default().to_string();
+    request.bandwidth = flags
+        .value("bandwidth")
+        .map(|v| {
+            v.parse::<f64>()
+                .map_err(|_| ParseError(format!("--bandwidth expects a number, got `{v}`")))
+        })
+        .transpose()?;
+    request.configs = flags.value("configs").unwrap_or_default().to_string();
+    request.cores = flags.count("cores")?;
+    request.sample = flags.count("sample")?;
+    request.seed = flags.count("seed")?;
+    request.shard_size = flags.count("shard-size")?;
+    request.trials = flags.count("trials")?;
+    let resolved = resolve(&request).map_err(|e| ParseError(e.message))?;
+    Ok((request, resolved))
 }
 
 /// Parses an argv (excluding the program name) into a [`Command`].
@@ -203,7 +239,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     // Collect flags generically: `--name value` or bare `--quick`.
     let rest: Vec<&str> = it.collect();
     let mut positional = Vec::new();
-    let mut flags: Vec<(&str, Option<&str>)> = Vec::new();
+    let mut flags = Vec::new();
     let mut i = 0;
     while i < rest.len() {
         let a = rest[i];
@@ -220,7 +256,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 let value = rest
                     .get(i + 1)
                     .ok_or_else(|| ParseError(format!("--{name} expects a value")))?;
-                flags.push((name, Some(value)));
+                flags.push((name, Some(*value)));
                 i += 2;
             }
         } else {
@@ -228,20 +264,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             i += 1;
         }
     }
-    let flag = |name: &str| flags.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
-    let number = |name: &str, default: u64| -> Result<u64, ParseError> {
-        match flag(name) {
-            Some(Some(v)) => v
-                .parse()
-                .map_err(|_| ParseError(format!("--{name} expects a number, got `{v}`"))),
-            _ => Ok(default),
-        }
-    };
-    let quick = flag("quick").is_some();
-    let config = match flag("config") {
-        Some(Some(v)) => parse_config(v)?,
-        _ => 0,
-    };
+    let flags = Flags(flags);
+    let quick = flags.has("quick");
     let known_flags: &[&str] = match cmd {
         "predict" => &["quick", "config", "contention", "partition", "bandwidth"],
         "list" | "simulate" => &["quick", "config"],
@@ -258,7 +282,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         ],
         _ => &[],
     };
-    for (name, _) in &flags {
+    for (name, _) in &flags.0 {
         if !known_flags.contains(name) {
             return Err(ParseError(format!("unknown flag --{name} for `{cmd}`")));
         }
@@ -266,7 +290,10 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
 
     match cmd {
         "help" | "--help" | "-h" => Ok(Command::Help),
-        "list" => Ok(Command::List { config, quick }),
+        "list" => Ok(Command::List {
+            config: flags.value("config").map(parse_config).transpose()?.unwrap_or(0),
+            quick,
+        }),
         "count" => {
             let cores = positional
                 .first()
@@ -279,57 +306,20 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             }
             Ok(Command::Count { cores })
         }
-        "predict" => {
-            let mix = parse_mix(
-                positional.first().ok_or_else(|| ParseError("predict expects a mix".into()))?,
-            )?;
-            let contention = match (flag("contention"), flag("partition")) {
-                (Some(_), Some(_)) => {
-                    return Err(ParseError(
-                        "--contention and --partition are mutually exclusive".into(),
-                    ))
-                }
-                (None, None) => ContentionKind::Foa,
-                (Some(Some("foa")), None) => ContentionKind::Foa,
-                (Some(Some("sdc")), None) => ContentionKind::SdcCompetition,
-                (Some(Some("prob")), None) => ContentionKind::Prob,
-                (Some(Some(other)), None) => {
-                    return Err(ParseError(format!(
-                        "unknown contention model `{other}` (foa|sdc|prob)"
-                    )))
-                }
-                (Some(None), _) | (None, Some(None)) => {
-                    return Err(ParseError("missing flag value".into()))
-                }
-                (None, Some(Some(spec))) => {
-                    let ways: Result<Vec<u32>, _> =
-                        spec.split(',').map(|w| w.trim().parse::<u32>()).collect();
-                    let ways = ways.map_err(|_| {
-                        ParseError(format!("--partition expects way counts, got `{spec}`"))
-                    })?;
-                    if ways.len() != mix.len() {
-                        return Err(ParseError(format!(
-                            "--partition needs one way count per program ({} vs {})",
-                            ways.len(),
-                            mix.len()
-                        )));
-                    }
-                    ContentionKind::Partition(ways)
-                }
-            };
-            let bandwidth = match flag("bandwidth") {
-                Some(Some(v)) => Some(v.parse::<f64>().map_err(|_| {
-                    ParseError(format!("--bandwidth expects a number, got `{v}`"))
-                })?),
-                _ => None,
-            };
-            Ok(Command::Predict { mix, config, quick, contention, bandwidth })
-        }
-        "simulate" => {
-            let mix = parse_mix(
-                positional.first().ok_or_else(|| ParseError("simulate expects a mix".into()))?,
-            )?;
-            Ok(Command::Simulate { mix, config, quick })
+        "predict" | "simulate" | "campaign" => {
+            match request(cmd, positional.first().copied(), &flags)?.1 {
+                Resolved::Predict(m) => Ok(Command::Predict(m)),
+                Resolved::Simulate(m) => Ok(Command::Simulate(m)),
+                Resolved::Campaign(request) => Ok(Command::Campaign {
+                    request,
+                    trace: flags.value("trace").map(String::from),
+                    progress: flags.has("progress"),
+                    workers: flags.number("workers")?.unwrap_or(0) as usize,
+                    journal: flags.value("journal").map(String::from),
+                    bundle: flags.value("bundle").map(String::from),
+                }),
+                other => unreachable!("`{cmd}` resolved to {other:?}"),
+            }
         }
         "lint" => {
             // `--only` / `--exclude` are repeatable and comma-separable;
@@ -337,9 +327,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             // other usage error.
             let collect = |name: &str| -> Vec<String> {
                 flags
-                    .iter()
-                    .filter(|(n, _)| *n == name)
-                    .filter_map(|(_, v)| *v)
+                    .values(name)
                     .flat_map(|v| v.split(','))
                     .map(|r| r.trim().to_string())
                     .filter(|r| !r.is_empty())
@@ -356,66 +344,25 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     )));
                 }
             }
-            Ok(Command::Lint {
-                deny: flag("deny").is_some(),
-                json: flag("json").is_some(),
-                only,
-                exclude,
-            })
+            Ok(Command::Lint { deny: flags.has("deny"), json: flags.has("json"), only, exclude })
         }
         "serve" => Ok(Command::Serve {
-            socket: flag("socket").flatten().map(String::from),
-            store: flag("store").flatten().map(String::from),
+            socket: flags.value("socket").map(String::from),
+            store: flags.value("store").map(String::from),
         }),
         "client" => {
-            let verb = *positional
-                .first()
+            let (&verb, rest) = positional
+                .split_first()
                 .ok_or_else(|| ParseError("client expects a request kind".into()))?;
-            let mut request = mppm_server::protocol::Request::default();
-            request.kind = verb.to_string();
-            match verb {
-                "predict" | "simulate" => {
-                    let mix = positional.get(1).ok_or_else(|| {
-                        ParseError(format!("client {verb} expects a mix"))
-                    })?;
-                    parse_mix(mix)?; // syntactic check; the daemon re-validates
-                    request.mix = (*mix).to_string();
-                }
-                "campaign" | "ping" | "stats" | "shutdown" => {}
-                other => {
-                    return Err(ParseError(format!(
-                        "unknown client request `{other}` \
-                         (ping|stats|predict|simulate|campaign|shutdown)"
-                    )))
-                }
+            if !matches!(verb, "ping" | "stats" | "predict" | "simulate" | "campaign" | "shutdown") {
+                return Err(ParseError(format!(
+                    "unknown client request `{verb}` \
+                     (ping|stats|predict|simulate|campaign|shutdown)"
+                )));
             }
-            // The wire speaks 1-based configs, like the flags do.
-            request.config = (config + 1) as u64;
-            request.quick = quick;
-            request.subscribe = flag("subscribe").is_some();
-            if let Some(Some(v)) = flag("contention") {
-                request.contention = v.to_string();
-            }
-            if let Some(Some(v)) = flag("partition") {
-                request.partition = v.to_string();
-            }
-            if let Some(Some(v)) = flag("bandwidth") {
-                request.bandwidth = Some(v.parse::<f64>().map_err(|_| {
-                    ParseError(format!("--bandwidth expects a number, got `{v}`"))
-                })?);
-            }
-            if let Some(Some(v)) = flag("configs") {
-                request.configs = v.to_string();
-            }
-            // 0 = wire default.
-            request.cores = number("cores", 0)?;
-            request.sample = number("sample", 0)?;
-            request.seed = number("seed", 0)?;
-            request.shard_size = number("shard-size", 0)?;
-            request.trials = number("trials", 0)?;
             Ok(Command::Client {
-                socket: flag("socket").flatten().map(String::from),
-                request,
+                socket: flags.value("socket").map(String::from),
+                request: request(verb, rest.first().copied(), &flags)?.0,
             })
         }
         "record" => {
@@ -423,40 +370,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 .first()
                 .ok_or_else(|| ParseError("record expects a benchmark name".into()))?
                 .to_string();
-            let out = match flag("out") {
-                Some(Some(v)) => v.to_string(),
-                _ => return Err(ParseError("record needs --out FILE".into())),
-            };
+            let out = flags
+                .value("out")
+                .ok_or_else(|| ParseError("record needs --out FILE".into()))?
+                .to_string();
             Ok(Command::Record { benchmark, out, quick })
-        }
-        "campaign" => {
-            let cores = number("cores", 2)? as usize;
-            let configs = match flag("configs") {
-                Some(Some(list)) => list
-                    .split(',')
-                    .map(|s| parse_config(s.trim()))
-                    .collect::<Result<Vec<usize>, _>>()
-                    .map_err(|e| ParseError(format!("--configs: {e}")))?,
-                _ => vec![0, 1],
-            };
-            let sample = match flag("sample") {
-                Some(_) => Some(number("sample", 0)? as usize),
-                None => None,
-            };
-            Ok(Command::Campaign {
-                cores,
-                configs,
-                sample,
-                seed: number("seed", 1)?,
-                shard_size: number("shard-size", 64)? as usize,
-                trials: number("trials", 200)? as usize,
-                quick,
-                trace: flag("trace").flatten().map(String::from),
-                progress: flag("progress").is_some(),
-                workers: number("workers", 0)? as usize,
-                journal: flag("journal").flatten().map(String::from),
-                bundle: flag("bundle").flatten().map(String::from),
-            })
         }
         other => Err(ParseError(format!("unknown command `{other}`; try `mppm-cli help`"))),
     }
@@ -465,6 +383,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mppm_server::protocol::{cli_geometry, codes, Contention};
 
     fn parse_ok(args: &[&str]) -> Command {
         parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
@@ -550,21 +469,28 @@ mod tests {
         let cmd = parse_ok(&["predict", "gamess,lbm", "--contention", "prob"]);
         assert_eq!(
             cmd,
-            Command::Predict {
-                mix: vec!["gamess".into(), "lbm".into()],
+            Command::Predict(MixRequest {
+                names: vec!["gamess".into(), "lbm".into()],
                 config: 0,
-                quick: false,
-                contention: ContentionKind::Prob,
+                geometry: cli_geometry(false),
+                contention: Contention::Prob,
                 bandwidth: None,
-            }
+            })
         );
+        let Command::Simulate(m) = parse_ok(&["simulate", "gamess,lbm", "--quick"]) else {
+            panic!("simulate command")
+        };
+        assert_eq!((m.contention, m.geometry), (Contention::Foa, cli_geometry(true)));
+        assert!(parse_err(&["predict", "gamess", "--contention", "xyz"])
+            .contains("unknown contention model"));
+        assert!(parse_err(&["predict"]).contains("expects a mix"));
     }
 
     #[test]
     fn predict_partition() {
         let cmd = parse_ok(&["predict", "gamess,lbm", "--partition", "6,2"]);
         match cmd {
-            Command::Predict { contention: ContentionKind::Partition(w), .. } => {
+            Command::Predict(MixRequest { contention: Contention::Partition(w), .. }) => {
                 assert_eq!(w, vec![6, 2]);
             }
             other => panic!("unexpected {other:?}"),
@@ -572,15 +498,34 @@ mod tests {
         assert!(parse_err(&["predict", "a,b", "--partition", "6"]).contains("one way count"));
         assert!(parse_err(&["predict", "a,b", "--partition", "6,2", "--contention", "foa"])
             .contains("mutually exclusive"));
+        // The sum against the LLC's ways is the daemon's check, run
+        // before anything is profiled.
+        let Command::Predict(m) = parse_ok(&["predict", "gamess,lbm", "--partition", "6,6"])
+        else {
+            panic!("predict command")
+        };
+        assert!(m.check().unwrap_err().message.contains("ways sum to 12"));
     }
 
     #[test]
     fn predict_bandwidth() {
         let cmd = parse_ok(&["predict", "lbm,mcf", "--bandwidth", "0.05"]);
         match cmd {
-            Command::Predict { bandwidth, .. } => assert_eq!(bandwidth, Some(0.05)),
+            Command::Predict(m) => {
+                assert_eq!(m.bandwidth, Some(0.05));
+                assert!(m.check().is_ok());
+            }
             other => panic!("unexpected {other:?}"),
         }
+        for bad in ["0", "-2", "nan"] {
+            let Command::Predict(m) = parse_ok(&["predict", "lbm,mcf", "--bandwidth", bad]) else {
+                panic!("predict command")
+            };
+            let err = m.check().unwrap_err();
+            assert_eq!(err.code, codes::BAD_REQUEST);
+            assert!(err.message.contains("must be positive"), "{bad}: {}", err.message);
+        }
+        assert!(parse_err(&["predict", "lbm", "--bandwidth", "lots"]).contains("number"));
     }
 
     #[test]
@@ -599,18 +544,20 @@ mod tests {
         assert!(parse_err(&["record", "gcc"]).contains("--out"));
     }
 
+    const ZERO_REFUSED: [&str; 5] = ["cores", "sample", "seed", "shard-size", "trials"];
+
     #[test]
     fn campaign_defaults_and_flags() {
+        // The defaults are the daemon's: the CLI adds none of its own.
+        let Resolved::Campaign(defaults) =
+            resolve(&Request { kind: "campaign".into(), ..Request::default() }).unwrap()
+        else {
+            panic!("campaign request")
+        };
         assert_eq!(
             parse_ok(&["campaign"]),
             Command::Campaign {
-                cores: 2,
-                configs: vec![0, 1],
-                sample: None,
-                seed: 1,
-                shard_size: 64,
-                trials: 200,
-                quick: false,
+                request: defaults,
                 trace: None,
                 progress: false,
                 workers: 0,
@@ -626,13 +573,15 @@ mod tests {
                 "--bundle", "/tmp/b.csv",
             ]),
             Command::Campaign {
-                cores: 4,
-                configs: vec![0, 2, 5],
-                sample: Some(500),
-                seed: 9,
-                shard_size: 32,
-                trials: 100,
-                quick: true,
+                request: CampaignRequest {
+                    cores: 4,
+                    designs: vec![0, 2, 5],
+                    sample: Some(500),
+                    seed: 9,
+                    shard_size: 32,
+                    trials: 100,
+                    quick: true,
+                },
                 trace: Some("/tmp/t.jsonl".into()),
                 progress: true,
                 workers: 4,
@@ -643,6 +592,11 @@ mod tests {
         assert!(parse_err(&["campaign", "--configs", "0,1"]).contains("1..6"));
         assert!(parse_err(&["campaign", "--sample", "lots"]).contains("number"));
         assert!(parse_err(&["predict", "a,b", "--trace", "x"]).contains("unknown flag"));
+        // The wire reads 0 as "use the default", so an explicit 0 is refused.
+        for flag in ZERO_REFUSED {
+            let err = parse_err(&["campaign", &format!("--{flag}"), "0"]);
+            assert!(err.contains(&format!("--{flag} must be at least 1")), "{err}");
+        }
     }
 
     #[test]
@@ -665,7 +619,7 @@ mod tests {
         };
         assert_eq!(socket, None);
         assert_eq!(request.kind, "ping");
-        assert_eq!(request.config, 1, "wire config is 1-based");
+        assert_eq!(request.config, 0, "a left-out flag stays 0, the wire's default");
 
         let Command::Client { request, .. } = parse_ok(&[
             "client", "predict", "gamess,lbm", "--config", "3", "--quick", "--subscribe",
@@ -694,6 +648,13 @@ mod tests {
         assert!(parse_err(&["client"]).contains("request kind"));
         assert!(parse_err(&["client", "frobnicate"]).contains("unknown client request"));
         assert!(parse_err(&["client", "predict"]).contains("expects a mix"));
+        // The same builder and checks as the one-shot verbs.
+        assert!(parse_err(&["client", "predict", "a", "--contention", "xyz"])
+            .contains("unknown contention model"));
+        for flag in ZERO_REFUSED {
+            let err = parse_err(&["client", "campaign", &format!("--{flag}"), "0"]);
+            assert!(err.contains(&format!("--{flag} must be at least 1")), "{err}");
+        }
     }
 
     #[test]

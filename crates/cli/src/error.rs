@@ -5,15 +5,19 @@
 //! so scripts and CI can tell *why* an invocation failed without
 //! parsing stderr:
 //!
-//! | code | meaning                                          |
-//! |------|--------------------------------------------------|
-//! | 1    | invalid input (unknown benchmark, bad partition) |
-//! | 2    | usage / argument parse error (set in `main`)     |
-//! | 3    | model error ([`mppm::ModelError`])               |
-//! | 4    | campaign error ([`mppm_campaign::CampaignError`])|
-//! | 5    | store / trace / CSV I/O error                    |
-//! | 6    | server error (`mppmd` / `client` transport, daemon) |
+//! | code | meaning                                                   |
+//! |------|-----------------------------------------------------------|
+//! | 1    | invalid input: unknown benchmark, bandwidth not positive, partition that does not fit the LLC |
+//! | 2    | usage error, set in `main`: a malformed flag or request field, or a campaign count given as 0 |
+//! | 3    | model error (the daemon's `model` code)                   |
+//! | 4    | campaign error ([`mppm_campaign::CampaignError`])         |
+//! | 5    | store / trace / CSV I/O error                             |
+//! | 6    | server error (`mppmd` / `client` transport, daemon)       |
+//!
+//! Codes 1 and 3 are the request checks `mppmd` answers with
+//! `bad-request` and `model`: the one-shot verbs run the same checks.
 
+use mppm_server::protocol::{codes, ProtoError};
 use std::fmt;
 
 /// Everything the `mppm-cli` commands can fail with.
@@ -23,7 +27,7 @@ pub enum CliError {
     /// benchmark, inconsistent partition, ...).
     Invalid(String),
     /// The analytical model rejected the request.
-    Model(mppm::ModelError),
+    Model(String),
     /// A campaign failed (spec validation, journal I/O, mix space).
     Campaign(mppm_campaign::CampaignError),
     /// Filesystem I/O: the store, a recorded trace, CSVs, a JSONL trace.
@@ -53,7 +57,7 @@ impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Invalid(msg) => write!(f, "{msg}"),
-            CliError::Model(e) => write!(f, "model error: {e}"),
+            CliError::Model(msg) => write!(f, "model error: {msg}"),
             CliError::Campaign(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "I/O error: {e}"),
             CliError::Server(e) => write!(f, "{e}"),
@@ -64,8 +68,7 @@ impl fmt::Display for CliError {
 impl std::error::Error for CliError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CliError::Invalid(_) => None,
-            CliError::Model(e) => Some(e),
+            CliError::Invalid(_) | CliError::Model(_) => None,
             CliError::Campaign(e) => Some(e),
             CliError::Io(e) => Some(e),
             CliError::Server(e) => Some(e),
@@ -73,9 +76,12 @@ impl std::error::Error for CliError {
     }
 }
 
-impl From<mppm::ModelError> for CliError {
-    fn from(e: mppm::ModelError) -> Self {
-        CliError::Model(e)
+impl From<ProtoError> for CliError {
+    fn from(e: ProtoError) -> Self {
+        match e.code {
+            codes::MODEL => CliError::Model(e.message),
+            _ => CliError::Invalid(e.message),
+        }
     }
 }
 
@@ -115,10 +121,11 @@ mod tests {
 
     #[test]
     fn exit_codes_are_distinct_and_stable() {
-        let io = CliError::from(std::io::Error::new(std::io::ErrorKind::Other, "disk"));
+        let io = CliError::from(std::io::Error::other("disk"));
         let cases = [
             (CliError::Invalid("bad".into()).exit_code(), 1),
-            (CliError::Model(mppm::ModelError::EmptyWorkload).exit_code(), 3),
+            (CliError::from(ProtoError::bad("unknown benchmark")).exit_code(), 1),
+            (CliError::from(ProtoError::from(mppm::ModelError::EmptyWorkload)).exit_code(), 3),
             (
                 CliError::Campaign(mppm_campaign::CampaignError::InvalidSpec("x".into()))
                     .exit_code(),
@@ -144,7 +151,7 @@ mod tests {
 
     #[test]
     fn display_carries_the_cause() {
-        let e = CliError::Model(mppm::ModelError::EmptyWorkload);
+        let e = CliError::from(ProtoError::from(mppm::ModelError::EmptyWorkload));
         assert!(e.to_string().contains("model error"));
         let e = CliError::from("unknown benchmark `nope`".to_string());
         assert_eq!(e.to_string(), "unknown benchmark `nope`");

@@ -14,23 +14,20 @@
 mod args;
 mod error;
 
-use args::{parse, Command, ContentionKind, USAGE};
+use args::{parse, Command, USAGE};
 use error::CliError;
 use mppm::classify::{classify, Thresholds};
 use mppm::mix::count_mixes;
-use mppm::{
-    ContentionModel, FoaModel, Mppm, MppmConfig, PartitionModel, Prediction, ProbModel,
-    SdcCompetitionModel, SingleCoreProfile,
-};
+use mppm::Prediction;
 use mppm_campaign::{
-    csv_bundle, design_table, histogram_table, stability_table, write_csvs, AggregateOptions,
-    Campaign, CampaignSpec, MixSource,
+    csv_bundle, design_table, histogram_table, stability_table, write_csvs, Campaign,
 };
-use mppm_obs::{JsonlSink, Observer, ProgressSink, Sink};
+use mppm_obs::{JsonlSink, Observer, ProgressSink, Sink, Span};
 use mppm_experiments::table::{f3, Table};
-use mppm_experiments::{Context, Scale, Store};
+use mppm_experiments::{Context, Store};
+use mppm_server::protocol::cli_geometry;
 use mppm_sim::{llc_configs, MachineConfig};
-use mppm_trace::{suite, CompiledTrace, TraceGeometry};
+use mppm_trace::{suite, CompiledTrace};
 
 fn main() {
     // When re-executed as a campaign worker (`--workers N` fan-out),
@@ -49,62 +46,6 @@ fn main() {
             eprintln!("error: {e}\n\n{USAGE}");
             std::process::exit(2);
         }
-    }
-}
-
-fn geometry(quick: bool) -> TraceGeometry {
-    if quick {
-        TraceGeometry::new(50_000, 20)
-    } else {
-        TraceGeometry::default()
-    }
-}
-
-fn machine(config: usize) -> MachineConfig {
-    MachineConfig::baseline().with_llc(llc_configs()[config])
-}
-
-fn resolve_mix(names: &[String]) -> Result<Vec<&'static mppm_trace::BenchmarkSpec>, CliError> {
-    names
-        .iter()
-        .map(|n| {
-            suite::benchmark(n).ok_or_else(|| {
-                CliError::Invalid(format!(
-                    "unknown benchmark `{n}`; `mppm-cli list` shows the suite"
-                ))
-            })
-        })
-        .collect()
-}
-
-fn profiles_for(
-    store: &Store,
-    specs: &[&mppm_trace::BenchmarkSpec],
-    machine: &MachineConfig,
-    geometry: TraceGeometry,
-) -> Vec<SingleCoreProfile> {
-    specs.iter().map(|s| store.profile(s, machine, geometry)).collect()
-}
-
-fn predict_with_kind(
-    profiles: &[SingleCoreProfile],
-    kind: &ContentionKind,
-    bandwidth: Option<f64>,
-) -> Result<Prediction, CliError> {
-    let refs: Vec<&SingleCoreProfile> = profiles.iter().collect();
-    let config = MppmConfig { bandwidth, ..MppmConfig::default() };
-    fn go<M: ContentionModel>(
-        cfg: MppmConfig,
-        m: M,
-        refs: &[&SingleCoreProfile],
-    ) -> Result<Prediction, CliError> {
-        Ok(Mppm::new(cfg, m).predict(refs)?)
-    }
-    match kind {
-        ContentionKind::Foa => go(config, FoaModel, &refs),
-        ContentionKind::SdcCompetition => go(config, SdcCompetitionModel, &refs),
-        ContentionKind::Prob => go(config, ProbModel, &refs),
-        ContentionKind::Partition(ways) => go(config, PartitionModel::new(ways.clone()), &refs),
     }
 }
 
@@ -216,8 +157,8 @@ fn run(cmd: Command) -> Result<(), CliError> {
         }
         Command::List { config, quick } => {
             let store = Store::open_default()?;
-            let machine = machine(config);
-            let g = geometry(quick);
+            let machine = MachineConfig::baseline().with_llc(llc_configs()[config]);
+            let g = cli_geometry(quick);
             eprintln!(
                 "profiling the suite on LLC config #{} ({}KB {}-way, {} cycles)...",
                 config + 1,
@@ -247,44 +188,18 @@ fn run(cmd: Command) -> Result<(), CliError> {
             println!("{}", t.render());
             Ok(())
         }
-        Command::Predict { mix, config, quick, contention, bandwidth } => {
-            let store = Store::open_default()?;
-            let mut m = machine(config);
-            if let Some(bw) = bandwidth {
-                m = m.with_mem_bandwidth(bw);
-            }
-            if let ContentionKind::Partition(ways) = &contention {
-                if ways.contains(&0) {
-                    return Err(CliError::Invalid(
-                        "every program needs at least one way".into(),
-                    ));
-                }
-                let total: u32 = ways.iter().sum();
-                if total != m.llc.assoc {
-                    return Err(CliError::Invalid(format!(
-                        "--partition ways sum to {total} but LLC config #{} has {} ways",
-                        config + 1,
-                        m.llc.assoc
-                    )));
-                }
-            }
-            let specs = resolve_mix(&mix)?;
-            let profiles = profiles_for(&store, &specs, &m, geometry(quick));
-            let pred = predict_with_kind(&profiles, &contention, bandwidth)?;
-            print_prediction(&pred);
+        Command::Predict(m) => {
+            let profiles = m.check()?.profiles(&Store::open_default()?);
+            print_prediction(&m.predict(&profiles, &Span::disabled())?);
             Ok(())
         }
-        Command::Simulate { mix, config, quick } => {
+        Command::Simulate(m) => {
+            let mix = m.check()?;
             let store = Store::open_default()?;
-            let m = machine(config);
-            let g = geometry(quick);
-            let specs = resolve_mix(&mix)?;
-            let profiles = profiles_for(&store, &specs, &m, g);
-            let cpi_sc: Vec<f64> = profiles.iter().map(SingleCoreProfile::cpi_sc).collect();
-            let names: Vec<&str> = mix.iter().map(String::as_str).collect();
+            let profiles = mix.profiles(&store);
             eprintln!("running the detailed simulator (cached on re-runs)...");
-            let record = store.simulate(&names, &cpi_sc, &m, g);
-            let pred = predict_with_kind(&profiles, &ContentionKind::Foa, None)?;
+            let record = mix.simulate(&store, &profiles);
+            let pred = m.predict(&profiles, &Span::disabled())?;
 
             let mut t = Table::new(&["program", "measured CPI", "predicted CPI", "err"]);
             // The record is in canonical (sorted) order; align by name
@@ -326,7 +241,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
         Command::Record { benchmark, out, quick } => {
             let spec = suite::benchmark(&benchmark)
                 .ok_or_else(|| format!("unknown benchmark `{benchmark}`"))?;
-            let g = geometry(quick);
+            let g = cli_geometry(quick);
             let trace = CompiledTrace::compile(spec.clone(), g);
             let bytes = trace.to_bytes();
             mppm_experiments::atomic_write_bytes(std::path::Path::new(&out), &bytes)?;
@@ -339,32 +254,9 @@ fn run(cmd: Command) -> Result<(), CliError> {
             );
             Ok(())
         }
-        Command::Campaign {
-            cores,
-            configs,
-            sample,
-            seed,
-            shard_size,
-            trials,
-            quick,
-            trace,
-            progress,
-            workers,
-            journal,
-            bundle,
-        } => {
-            let scale = if quick { Scale::Quick } else { Scale::Full };
+        Command::Campaign { request, trace, progress, workers, journal, bundle } => {
+            let (spec, options, scale) = request.campaign();
             let ctx = Context::new(scale);
-            let spec = CampaignSpec {
-                cores,
-                designs: configs,
-                source: match sample {
-                    Some(count) => MixSource::Stratified { count, seed },
-                    None => MixSource::Exhaustive,
-                },
-                shard_size,
-            };
-            let options = AggregateOptions { stability_trials: trials, ..Default::default() };
             let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
             if progress {
                 sinks.push(Box::new(ProgressSink));

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use crate::arena::SimArena;
 use crate::engine::TraceSource;
 use crate::feed;
-use crate::reference::{Execution, Scheduler};
+use crate::reference::Oracle;
 use crate::{BurstStop, CoreEngine, MachineConfig, Uncore};
 
 /// Measured outcome of one multi-program workload on the detailed
@@ -121,8 +121,9 @@ pub struct MixSim<'a> {
     warmup_passes: u32,
     ways: Option<&'a [u32]>,
     core_factors: Option<&'a [f64]>,
-    pub(crate) scheduler: Scheduler,
-    pub(crate) execution: Execution,
+    /// The retired path this run takes instead, if any
+    /// ([`crate::reference::run`]).
+    pub(crate) oracle: Option<Oracle>,
     /// Ops per fed chunk (tests force tiny chunks).
     pub(crate) chunk_ops: usize,
     observer: Option<&'a Span>,
@@ -144,8 +145,7 @@ impl<'a> MixSim<'a> {
             warmup_passes: 1,
             ways: None,
             core_factors: None,
-            scheduler: Scheduler::default(),
-            execution: Execution::default(),
+            oracle: None,
             chunk_ops: feed::CHUNK_OPS,
             observer: None,
             trace_cache: None,
@@ -292,12 +292,10 @@ impl<'a> MixSim<'a> {
         let (machine, geometry) = (self.machine, self.geometry);
         let trace_insns = geometry.trace_insns();
         state.reset(specs.len(), trace_insns * u64::from(self.warmup_passes), trace_insns);
-        let substrate = match (self.execution, self.scheduler, self.trace_cache) {
-            (Execution::ReferenceStream, ..) | (_, Scheduler::Reference, _) => {
-                Substrate::ReferenceStream
-            }
-            (Execution::Compiled, Scheduler::EventDriven, None) => Substrate::Streamed,
-            (Execution::Compiled, Scheduler::EventDriven, Some(_)) => Substrate::Compiled,
+        let substrate = match (self.oracle, self.trace_cache) {
+            (Some(oracle), _) => Substrate::Oracle(oracle),
+            (None, None) => Substrate::Streamed,
+            (None, Some(_)) => Substrate::Compiled,
         };
         let chunk_ops = self.chunk_ops;
         let mut batch = BatchStats::default();
@@ -339,17 +337,17 @@ impl<'a> MixSim<'a> {
                 chunks.extend(engines.iter_mut().map(CoreEngine::take_chunk));
                 replays.clear();
             }
-            Substrate::ReferenceStream => {
+            Substrate::Oracle(oracle) => {
                 place_engines(engines, machine, factors, |idx| {
                     TraceSource::Reference(TraceStream::new(specs[idx].clone(), geometry))
                 });
-                match self.scheduler {
-                    Scheduler::EventDriven => {
+                match oracle {
+                    Oracle::LiveStream => {
                         event_interleave_into(engines, uncore, state, heap, |engine, _, limit| {
                             engine.run_until_llc(limit)
                         });
                     }
-                    Scheduler::Reference => {
+                    Oracle::SmallestClock => {
                         crate::reference::interleave_into(engines, uncore, state);
                     }
                 }
@@ -387,8 +385,7 @@ impl<'a> MixSim<'a> {
         if let Some(span) = self.observer.filter(|s| s.is_enabled()) {
             batch.passes = engines.iter().map(CoreEngine::trace_passes).sum();
             let alloc = mppm_obs::alloc::snapshot().since(alloc_start);
-            let (warmup, scheduler) = (self.warmup_passes, self.scheduler);
-            publish_mix(span, uncore, state, out, warmup, scheduler, substrate, batch, alloc);
+            publish_mix(span, uncore, state, out, self.warmup_passes, substrate, batch, alloc);
         }
     }
 }
@@ -654,7 +651,7 @@ impl PartialOrd for Event {
 /// cost.
 ///
 /// Produces bit-identical results to the reference interleaver
-/// ([`crate::reference::Scheduler::Reference`], proven by the
+/// ([`crate::reference::Oracle::SmallestClock`], proven by the
 /// differential oracle in `tests/differential.rs`): shared events commit
 /// in the same `(pre-step clock, core index)` order that
 /// smallest-clock-first stepping induces, and the run ends at the same
@@ -707,19 +704,30 @@ pub(crate) fn event_interleave_into(
     unreachable!("the heap always holds one event per core until completion");
 }
 
-/// The trace substrate a run resolves to, named in its `mix-config` and
-/// `batch` events.
+/// The path a run resolves to, named in its `mix-config` and `batch`
+/// events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Substrate {
-    /// Chunks streamed from a generator thread: event-driven runs
-    /// without a [`TraceCache`].
+    /// Chunks streamed from a generator thread: runs without a
+    /// [`TraceCache`].
     Streamed,
     /// Chunks copied from compiled traces resolved through a
-    /// [`TraceCache`]: event-driven runs with one.
+    /// [`TraceCache`]: runs with one.
     Compiled,
-    /// Live per-item generation (the oracle, and every run of the
-    /// smallest-clock scheduler).
-    ReferenceStream,
+    /// A retired path, stepping each core's live per-item stream.
+    Oracle(Oracle),
+}
+
+impl Substrate {
+    /// The `(scheduler, execution)` names the run's events carry.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Substrate::Streamed => ("event-driven", "streamed"),
+            Substrate::Compiled => ("event-driven", "compiled"),
+            Substrate::Oracle(Oracle::LiveStream) => ("event-driven", "reference-stream"),
+            Substrate::Oracle(Oracle::SmallestClock) => ("reference", "reference-stream"),
+        }
+    }
 }
 
 /// Trace-substrate bookkeeping published as `sim.batch.*`.
@@ -784,20 +792,11 @@ fn publish_mix(
     outcome: &InterleaveState,
     result: &MixResult,
     warmup_passes: u32,
-    scheduler: Scheduler,
     substrate: Substrate,
     batch: BatchStats,
     alloc: mppm_obs::alloc::AllocSnapshot,
 ) {
-    let sched_name = match scheduler {
-        Scheduler::EventDriven => "event-driven",
-        Scheduler::Reference => "reference",
-    };
-    let exec_name = match substrate {
-        Substrate::Streamed => "streamed",
-        Substrate::Compiled => "compiled",
-        Substrate::ReferenceStream => "reference-stream",
-    };
+    let (sched_name, exec_name) = substrate.names();
     span.event(
         "mix-config",
         &[
@@ -1109,8 +1108,7 @@ mod tests {
         let event = MixSim::new(&specs, &m, g).partitioned(&[2, 2, 2, 2]).run();
         let reference = reference::run(
             MixSim::new(&specs, &m, g).partitioned(&[2, 2, 2, 2]),
-            Scheduler::Reference,
-            Execution::Compiled,
+            Oracle::SmallestClock,
         );
         assert_eq!(event, reference, "tie-breaking must match the reference interleaver");
         for core in 1..specs.len() {
@@ -1376,8 +1374,7 @@ mod tests {
         for (label, cfg) in &mixes {
             for warmup in 0..3 {
                 let sim = || cfg.build(&m, g).warmup_passes(warmup);
-                let oracle =
-                    reference::run(sim(), Scheduler::Reference, Execution::ReferenceStream);
+                let oracle = reference::run(sim(), Oracle::SmallestClock);
                 let cache = TraceCache::new();
                 let (cached, cached_events, _) = observe(sim().trace_cache(&cache));
                 assert_eq!(cached, oracle, "{label} w{warmup}: cached vs oracle");
@@ -1419,8 +1416,8 @@ mod tests {
         let specs: Vec<_> =
             ["gamess", "lbm", "mcf"].iter().map(|n| suite::benchmark(n).unwrap()).collect();
         fn agree<'a>(sim: impl Fn() -> MixSim<'a>, cache: &'a TraceCache) {
-            let oracle = reference::run(sim(), Scheduler::Reference, Execution::ReferenceStream);
-            let live = reference::run(sim(), Scheduler::EventDriven, Execution::ReferenceStream);
+            let oracle = reference::run(sim(), Oracle::SmallestClock);
+            let live = reference::run(sim(), Oracle::LiveStream);
             assert_eq!(live, oracle, "event-driven live stream");
             assert_eq!(sim().run(), oracle, "streamed");
             assert_eq!(sim().trace_cache(cache).run(), oracle, "cached");
@@ -1449,15 +1446,18 @@ mod tests {
             MixSimConfig {
                 specs: vec![mcf, mcf],
                 factors: Some(vec![1.0, 2.0]),
-                scheduler: Scheduler::Reference,
+                oracle: Some(Oracle::SmallestClock),
                 ..Default::default()
             },
             MixSimConfig { specs: vec![gamess, lbm], ..Default::default() },
         ];
         for (i, cfg) in configs.iter().enumerate() {
-            let fresh = reference::run(cfg.build(&m, g), cfg.scheduler, Execution::Compiled);
-            let pooled =
-                reference::run(cfg.build(&m, g).arena(&mut arena), cfg.scheduler, Execution::Compiled);
+            let run = |sim: MixSim<'_>| match cfg.oracle {
+                Some(oracle) => reference::run(sim, oracle),
+                None => sim.run(),
+            };
+            let fresh = run(cfg.build(&m, g));
+            let pooled = run(cfg.build(&m, g).arena(&mut arena));
             assert_eq!(fresh, pooled, "config {i} diverged through the arena");
         }
     }
@@ -1468,7 +1468,7 @@ mod tests {
         specs: Vec<&'static BenchmarkSpec>,
         ways: Option<Vec<u32>>,
         factors: Option<Vec<f64>>,
-        scheduler: Scheduler,
+        oracle: Option<Oracle>,
     }
 
     impl MixSimConfig {

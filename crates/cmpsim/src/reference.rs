@@ -3,31 +3,29 @@
 //!
 //! [`MixSim`] runs one path: the event-driven scheduler over fed trace
 //! chunks, streamed from a generator thread or copied from the compiled
-//! traces of an attached [`crate::TraceCache`]. The two paths it
-//! replaced are reached only from here, because they are how the
-//! production path is proven bit-exact:
+//! traces of an attached [`crate::TraceCache`]. The paths it replaced are
+//! reached only from here, because they are how the production path is
+//! proven bit-exact. [`run`] takes a configured [`MixSim`]
+//! (partitioning, core factors, warmup, observer and arena all apply;
+//! a trace cache is not consulted) down one of them, an [`Oracle`]:
 //!
-//! * [`Scheduler::Reference`] — the original smallest-clock-first loop
+//! * [`Oracle::LiveStream`] — the event-driven scheduler stepping every
+//!   trace item live from the per-core [`mppm_trace::TraceStream`]
+//!   instead of replaying chunks;
+//! * [`Oracle::SmallestClock`] — the original smallest-clock-first loop
 //!   that re-scans every core's clock for every trace item (O(cores) per
-//!   item) and steps it on the live stream;
-//! * [`Execution::ReferenceStream`] — every trace item generated live
-//!   from the per-core [`mppm_trace::TraceStream`] instead of replayed
-//!   from chunks.
+//!   item), on the same live stream.
 //!
-//! [`run`] drives a configured [`MixSim`] (partitioning, core factors,
-//! warmup, observer, arena, trace cache all apply) through the two axes;
-//! the smallest-clock scheduler always steps the live stream, so it runs
-//! the per-item substrate whatever the execution. The differential oracle
-//! (`crates/cmpsim/tests/differential.rs`) and the golden snapshot
-//! (`tests/differential.rs`) assert every combination bit-identical to
-//! the production path.
+//! The differential oracle (`crates/cmpsim/tests/differential.rs`) and
+//! the golden snapshot (`tests/differential.rs`) assert both
+//! bit-identical to the production path.
 //!
 //! [`profile_single_core_with`] is the per-item profiler the pipelined
 //! [`crate::profile_single_core_with`] replaced; the same differential
 //! oracle asserts the two produce bit-identical profiles.
 //!
 //! ```
-//! use mppm_sim::reference::{self, Execution, Scheduler};
+//! use mppm_sim::reference::{self, Oracle};
 //! use mppm_sim::{MachineConfig, MixSim};
 //! use mppm_trace::{suite, TraceGeometry};
 //!
@@ -35,7 +33,7 @@
 //! let specs = [lbm, lbm];
 //! let machine = MachineConfig::baseline();
 //! let sim = || MixSim::new(&specs, &machine, TraceGeometry::tiny());
-//! let oracle = reference::run(sim(), Scheduler::Reference, Execution::ReferenceStream);
+//! let oracle = reference::run(sim(), Oracle::SmallestClock);
 //! assert_eq!(oracle, sim().run());
 //! ```
 
@@ -47,48 +45,28 @@ use crate::multi::{InterleaveState, SchedKey};
 use crate::single::collect_profile;
 use crate::{CoreEngine, LlcMode, MachineConfig, MixResult, MixSim, Uncore};
 
-/// Which interleaving scheduler drives a mix simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Event-driven: private bursts plus a binary heap over shared-LLC
-    /// events, O(log cores) per shared event. The production scheduler.
-    #[default]
-    EventDriven,
+/// A retired mix-simulation path, kept as an oracle. Both step every
+/// core's live per-item [`mppm_trace::TraceStream`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Oracle {
+    /// The production event-driven scheduler over the live stream, in
+    /// place of fed chunks.
+    LiveStream,
     /// The original smallest-clock-first per-item loop, O(cores) per
-    /// trace item. Kept as the differential-testing oracle.
-    Reference,
+    /// trace item.
+    SmallestClock,
 }
 
-/// How trace items are produced during a mix simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Execution {
-    /// The production substrate: replay packed op words through the
-    /// burst kernel, as chunks a generator thread streams in or copied
-    /// from the compiled traces of a configured [`MixSim::trace_cache`].
-    /// The smallest-clock scheduler steps item by item, which chunks
-    /// cannot, so under it the run takes [`Self::ReferenceStream`].
-    #[default]
-    Compiled,
-    /// Generate every item live from the per-core
-    /// [`mppm_trace::TraceStream`] — the original per-item path, kept as
-    /// the reference the compiled substrate is tested against. A
-    /// configured [`MixSim::trace_cache`] is not consulted.
-    ReferenceStream,
-}
-
-/// Runs `sim` under an explicit scheduler and execution substrate.
-///
-/// `reference::run(sim, Scheduler::EventDriven, Execution::Compiled)` is
-/// exactly `sim.run()`. The observer's `mix-config` and `batch` events
-/// name the scheduler and the substrate the run resolved to
-/// (`streamed`, `compiled` for cached replay, or `reference-stream`).
+/// Runs `sim` down an oracle path instead of production's
+/// ([`MixSim::run`]). The observer's `mix-config` and `batch` events
+/// name the scheduler (`event-driven` or `reference`) and the
+/// `reference-stream` substrate.
 ///
 /// # Panics
 ///
 /// Same conditions as [`MixSim::run`].
-pub fn run(mut sim: MixSim<'_>, scheduler: Scheduler, execution: Execution) -> MixResult {
-    sim.scheduler = scheduler;
-    sim.execution = execution;
+pub fn run(mut sim: MixSim<'_>, oracle: Oracle) -> MixResult {
+    sim.oracle = Some(oracle);
     sim.run()
 }
 

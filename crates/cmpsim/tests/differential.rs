@@ -23,7 +23,7 @@
 //! ```
 
 use mppm::SingleCoreProfile;
-use mppm_sim::reference::{self, Execution, Scheduler};
+use mppm_sim::reference::{self, Oracle};
 use mppm_sim::{
     llc_configs, profile_compiled, profile_single_core_with, MachineConfig, MixResult, MixSim,
     TraceCache,
@@ -116,7 +116,7 @@ fn assert_schedulers_agree(
     axes: &Axes,
 ) -> (MixResult, MixResult) {
     let refs: Vec<&BenchmarkSpec> = specs.iter().collect();
-    let build = |scheduler: Scheduler| {
+    let build = |oracle: Option<Oracle>| {
         let mut sim = MixSim::new(&refs, machine, geometry).warmup_passes(axes.warmup_passes);
         if let Some(ways) = axes.ways {
             sim = sim.partitioned(ways);
@@ -124,10 +124,13 @@ fn assert_schedulers_agree(
         if let Some(factors) = axes.core_factors {
             sim = sim.core_factors(factors);
         }
-        reference::run(sim, scheduler, Execution::Compiled)
+        match oracle {
+            Some(oracle) => reference::run(sim, oracle),
+            None => sim.run(),
+        }
     };
-    let event = build(Scheduler::EventDriven);
-    let reference = build(Scheduler::Reference);
+    let event = build(None);
+    let reference = build(Some(Oracle::SmallestClock));
     for core in 0..refs.len() {
         assert_eq!(
             event.cpi_mc[core].to_bits(),
@@ -404,19 +407,15 @@ proptest! {
         let machine = MachineConfig::baseline().with_llc(llc_configs()[llc_sel]);
         let geometry = build_geometry(interval_insns, intervals);
         let cache = TraceCache::new();
-        let build = |scheduler, execution, cache: Option<&TraceCache>| {
-            let mut sim = MixSim::new(&refs, &machine, geometry)
+        let sim = || {
+            MixSim::new(&refs, &machine, geometry)
                 .warmup_passes(warmup)
-                .core_factors(&factors[..refs.len()]);
-            if let Some(cache) = cache {
-                sim = sim.trace_cache(cache);
-            }
-            reference::run(sim, scheduler, execution)
+                .core_factors(&factors[..refs.len()])
         };
-        let streamed = build(Scheduler::EventDriven, Execution::Compiled, None);
-        let cached = build(Scheduler::EventDriven, Execution::Compiled, Some(&cache));
-        let live = build(Scheduler::EventDriven, Execution::ReferenceStream, None);
-        let reference = build(Scheduler::Reference, Execution::ReferenceStream, None);
+        let streamed = sim().run();
+        let cached = sim().trace_cache(&cache).run();
+        let live = reference::run(sim(), Oracle::LiveStream);
+        let reference = reference::run(sim(), Oracle::SmallestClock);
         prop_assert_eq!(&streamed, &cached, "streamed vs cached");
         prop_assert_eq!(&live, &reference, "event-driven vs smallest-clock live stream");
         for core in 0..refs.len() {

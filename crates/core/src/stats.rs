@@ -870,7 +870,7 @@ mod tests {
         // has to confront this case.
         assert_eq!(total_cmp(-0.0, 0.0), Ordering::Less);
 
-        let mut xs = vec![f64::NAN, 2.0, f64::NEG_INFINITY, 1.0, f64::INFINITY];
+        let mut xs = [f64::NAN, 2.0, f64::NEG_INFINITY, 1.0, f64::INFINITY];
         xs.sort_by(|a, b| total_cmp(*a, *b));
         assert_eq!(xs[0], f64::NEG_INFINITY);
         assert_eq!(&xs[1..3], &[1.0, 2.0]);

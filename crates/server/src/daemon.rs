@@ -1,8 +1,8 @@
 //! The `mppmd` daemon: accept loop, connection threads, and the
 //! batching campaign executor.
 
-use mppm_campaign::{AggregateOptions, Campaign, CampaignSpec, MixSource};
-use mppm_experiments::{Context, Scale, Store};
+use mppm_campaign::Campaign;
+use mppm_experiments::{Context, Store};
 use mppm_obs::{Observer, Sink};
 use mppm_wire::{Frame, FrameReader};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -207,18 +207,8 @@ fn run_campaign_job(state: &Arc<ServerState>, job: CampaignJob) {
         }
         return;
     }
-    let scale = if job.req.quick { Scale::Quick } else { Scale::Full };
+    let (spec, options, scale) = job.req.campaign();
     let ctx = Context::with_shared_store(scale, state.store());
-    let spec = CampaignSpec {
-        cores: job.req.cores,
-        designs: job.req.designs.clone(),
-        source: match job.req.sample {
-            Some(count) => MixSource::Stratified { count, seed: job.req.seed },
-            None => MixSource::Exhaustive,
-        },
-        shard_size: job.req.shard_size,
-    };
-    let options = AggregateOptions { stability_trials: job.req.trials, ..Default::default() };
     let sinks: Vec<Box<dyn Sink>> = job
         .waiters
         .iter()

@@ -4,25 +4,20 @@
 //! against identical in-flight requests); campaigns are queued for the
 //! batching executor. Every deterministic payload is cached by its
 //! canonical request key, so a repeat request is answered from memory
-//! with `cached:true`.
+//! with `cached:true`. Checking and computing a request is
+//! [`MixRequest`]'s, shared with the one-shot CLI; this module packs the
+//! outcome into JSON.
 
-use mppm::{
-    ContentionModel, FoaModel, Mppm, MppmConfig, PartitionModel, Prediction, ProbModel,
-    SdcCompetitionModel, SingleCoreProfile,
-};
 use mppm_obs::{Observer, Sink, Span};
-use mppm_sim::{llc_configs, MachineConfig};
-use mppm_trace::{suite, BenchmarkSpec};
 use serde::Value;
 use std::sync::Arc;
 
 use crate::protocol::{
-    codes, err_frame, ok_frame, resolve, Contention, MixRequest, Request, Resolved,
+    codes, err_frame, ok_frame, resolve, MixRequest, ProtoError, Request, Resolved,
 };
 use crate::state::{CampaignJob, ConnWriter, ServerState, SocketSink, Waiter};
 
 type Payload = (Value, Option<Value>);
-type HandlerError = (&'static str, String);
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -125,13 +120,13 @@ fn respond(
     writer: &ConnWriter,
     id: u64,
     kind: &str,
-    outcome: Result<(Value, Option<Value>, bool), HandlerError>,
+    outcome: Result<(Value, Option<Value>, bool), ProtoError>,
 ) {
     match outcome {
         Ok((result, meta, cached)) => {
             writer.send_line(&ok_frame(id, kind, cached, result, meta));
         }
-        Err((code, message)) => writer.send_line(&err_frame(id, code, &message)),
+        Err(e) => writer.send_line(&err_frame(id, e.code, &e.message)),
     }
 }
 
@@ -144,9 +139,9 @@ fn observed<F>(
     subscribe: bool,
     name: &str,
     compute: F,
-) -> Result<Payload, HandlerError>
+) -> Result<Payload, ProtoError>
 where
-    F: FnOnce(&Span) -> Result<Payload, HandlerError>,
+    F: FnOnce(&Span) -> Result<Payload, ProtoError>,
 {
     if !subscribe {
         return compute(&Span::disabled());
@@ -183,90 +178,18 @@ fn stats_value(state: &Arc<ServerState>) -> Value {
     ])
 }
 
-fn resolve_specs(names: &[String]) -> Result<Vec<&'static BenchmarkSpec>, HandlerError> {
-    names
-        .iter()
-        .map(|n| {
-            suite::benchmark(n).ok_or_else(|| {
-                (codes::BAD_REQUEST, format!("unknown benchmark `{n}`; see `mppm-cli list`"))
-            })
-        })
-        .collect()
-}
-
-/// Builds the machine for a mix request, mirroring the one-shot CLI:
-/// Table 2 LLC config plus the optional bandwidth cap, with the same
-/// partition validation `mppm-cli predict --partition` performs.
-fn machine_for(m: &MixRequest) -> Result<MachineConfig, HandlerError> {
-    // mppm-lint: allow(panic-reaches-handler): `parse_config_1based` bounds-checked `m.config` against `llc_configs()` at resolve time
-    let mut machine = MachineConfig::baseline().with_llc(llc_configs()[m.config]);
-    if let Some(bw) = m.bandwidth {
-        if !(bw.is_finite() && bw > 0.0) {
-            return Err((codes::BAD_REQUEST, format!("`bandwidth` must be positive, got {bw}")));
-        }
-        machine = machine.with_mem_bandwidth(bw);
-    }
-    if let Contention::Partition(ways) = &m.contention {
-        if ways.contains(&0) {
-            return Err((codes::BAD_REQUEST, "every program needs at least one way".to_string()));
-        }
-        let total: u32 = ways.iter().sum();
-        if total != machine.llc.assoc {
-            return Err((
-                codes::BAD_REQUEST,
-                format!(
-                    "partition ways sum to {total} but LLC config #{} has {} ways",
-                    m.config + 1,
-                    machine.llc.assoc
-                ),
-            ));
-        }
-    }
-    Ok(machine)
-}
-
-fn predict_for(
-    profiles: &[SingleCoreProfile],
-    contention: &Contention,
-    bandwidth: Option<f64>,
-    span: &Span,
-) -> Result<Prediction, HandlerError> {
-    let refs: Vec<&SingleCoreProfile> = profiles.iter().collect();
-    let config = MppmConfig { bandwidth, ..MppmConfig::default() };
-    fn go<M: ContentionModel>(
-        cfg: MppmConfig,
-        m: M,
-        refs: &[&SingleCoreProfile],
-        span: &Span,
-    ) -> Result<Prediction, HandlerError> {
-        Mppm::new(cfg, m)
-            .predict_observed(refs, span)
-            .map_err(|e| (codes::MODEL, e.to_string()))
-    }
-    match contention {
-        Contention::Foa => go(config, FoaModel, &refs, span),
-        Contention::Sdc => go(config, SdcCompetitionModel, &refs, span),
-        Contention::Prob => go(config, ProbModel, &refs, span),
-        Contention::Partition(ways) => go(config, PartitionModel::new(ways.clone()), &refs, span),
-    }
-}
-
 fn compute_predict(
     state: &Arc<ServerState>,
     m: &MixRequest,
     span: &Span,
-) -> Result<Payload, HandlerError> {
-    let specs = resolve_specs(&m.names)?;
-    let machine = machine_for(m)?;
-    let store = state.store();
-    let profiles: Vec<SingleCoreProfile> =
-        specs.iter().map(|s| store.profile(s, &machine, m.geometry)).collect();
-    let pred = predict_for(&profiles, &m.contention, m.bandwidth, span)?;
+) -> Result<Payload, ProtoError> {
+    let profiles = m.check()?.profiles(&state.store());
+    let pred = m.predict(&profiles, span)?;
     let result = obj(vec![
         ("names", strings(pred.names())),
         ("cpi_sc", floats(pred.cpi_sc())),
         ("cpi_mc", floats(pred.cpi_mc())),
-        ("slowdowns", floats(&pred.slowdowns())),
+        ("slowdowns", floats(pred.slowdowns())),
         ("stp", Value::Float(pred.stp())),
         ("antt", Value::Float(pred.antt())),
         ("steps", Value::UInt(pred.steps() as u64)),
@@ -279,16 +202,12 @@ fn compute_simulate(
     state: &Arc<ServerState>,
     m: &MixRequest,
     span: &Span,
-) -> Result<Payload, HandlerError> {
-    let specs = resolve_specs(&m.names)?;
-    let machine = machine_for(m)?;
+) -> Result<Payload, ProtoError> {
+    let mix = m.check()?;
     let store = state.store();
-    let profiles: Vec<SingleCoreProfile> =
-        specs.iter().map(|s| store.profile(s, &machine, m.geometry)).collect();
-    let cpi_sc: Vec<f64> = profiles.iter().map(SingleCoreProfile::cpi_sc).collect();
-    let names: Vec<&str> = m.names.iter().map(String::as_str).collect();
-    span.event("simulate-start", &[("programs", mppm_obs::Value::from(names.len()))]);
-    let record = store.simulate(&names, &cpi_sc, &machine, m.geometry);
+    let profiles = mix.profiles(&store);
+    span.event("simulate-start", &[("programs", mppm_obs::Value::from(m.names.len()))]);
+    let record = mix.simulate(&store, &profiles);
     // `sim_seconds` is wall-clock telemetry: it rides in `meta`, outside
     // the byte-identical `result` contract (and is 0-cost on cache hits).
     let result = obj(vec![
@@ -308,7 +227,7 @@ pub(crate) fn campaign_value(result: &mppm_campaign::CampaignResult) -> Payload 
     let value = obj(vec![
         ("plan_id", Value::String(result.plan_id.clone())),
         ("cores", Value::UInt(result.cores as u64)),
-        ("mixes", Value::UInt(result.mixes as u64)),
+        ("mixes", Value::UInt(result.mixes)),
         ("designs_csv", Value::String(mppm_campaign::design_table(result).to_csv())),
         ("histogram_csv", Value::String(mppm_campaign::histogram_table(result).to_csv())),
         ("stability_csv", Value::String(mppm_campaign::stability_table(result).to_csv())),
@@ -317,7 +236,7 @@ pub(crate) fn campaign_value(result: &mppm_campaign::CampaignResult) -> Payload 
         ("total_shards", Value::UInt(result.stats.total_shards as u64)),
         ("resumed_shards", Value::UInt(result.stats.resumed_shards as u64)),
         ("computed_shards", Value::UInt(result.stats.computed_shards as u64)),
-        ("evaluated_mixes", Value::UInt(result.stats.evaluated_mixes as u64)),
+        ("evaluated_mixes", Value::UInt(result.stats.evaluated_mixes)),
         ("compute_seconds", Value::Float(result.stats.compute_seconds)),
     ]);
     (value, Some(meta))

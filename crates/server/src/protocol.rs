@@ -4,9 +4,8 @@
 //! grammar is documented in DESIGN.md §13; in short:
 //!
 //! * **Request** — a flat object; `kind` selects the verb and the other
-//!   fields default so clients send only what they mean. Numeric
-//!   knobs mirror the one-shot CLI exactly (`config`/`configs` are
-//!   1-based like `--config`, `quick` selects the same short geometry).
+//!   fields default so clients send only what they mean (`config` and
+//!   `configs` are 1-based, a numeric 0 means "absent").
 //! * **Response** — `{"id","ok":true,"kind","cached","result",...}`.
 //!   The `result` member is the *deterministic* payload: byte-identical
 //!   for identical resolved requests at any worker count and any cache
@@ -15,7 +14,21 @@
 //! * **Error** — `{"id","ok":false,"error":{"code","message"}}`.
 //! * **Event** — `{"id","kind":"event","event":{...}}`, streamed for
 //!   requests sent with `subscribe:true` before their response frame.
+//!
+//! [`resolve`] and the methods on [`MixRequest`] and [`CampaignRequest`]
+//! are the one request path: `mppmd`'s handlers and the one-shot
+//! `mppm-cli predict|simulate|campaign` verbs both resolve, check and
+//! compute a request through them.
 
+use mppm::{
+    ContentionModel, FoaModel, ModelError, Mppm, MppmConfig, PartitionModel, Prediction,
+    ProbModel, SdcCompetitionModel, SingleCoreProfile,
+};
+use mppm_campaign::{AggregateOptions, CampaignSpec, MixSource};
+use mppm_experiments::{MixRecord, Scale, Store};
+use mppm_obs::Span;
+use mppm_sim::{llc_configs, MachineConfig};
+use mppm_trace::{suite, BenchmarkSpec};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt::Write as _;
 
@@ -56,8 +69,8 @@ pub mod codes {
 }
 
 /// One request frame. Unknown fields are ignored; missing fields take
-/// the defaults below, chosen so a resolved request matches what the
-/// one-shot CLI would do with the same flags.
+/// the defaults [`resolve`] applies. `mppm-cli` builds the same frame
+/// from its flags, for the daemon and for its own one-shot verbs.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     /// Wire protocol version; must equal [`PROTOCOL_VERSION`]. The
@@ -127,8 +140,7 @@ pub struct Request {
     pub target: u64,
 }
 
-/// Contention-model selection (mirrors the CLI's `--contention` /
-/// `--partition`).
+/// Contention-model selection (`--contention` / `--partition`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Contention {
     /// Frequency-of-access (the paper's choice, the default).
@@ -212,7 +224,8 @@ pub enum Resolved {
     Campaign(CampaignRequest),
 }
 
-/// A syntactic protocol error: `(code, message)`.
+/// A request error: `(code, message)`. [`resolve`] raises syntactic
+/// ones; [`MixRequest::check`] and [`MixRequest::predict`] the rest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtoError {
     /// One of [`codes`].
@@ -228,6 +241,12 @@ impl ProtoError {
     }
 }
 
+impl From<ModelError> for ProtoError {
+    fn from(e: ModelError) -> Self {
+        Self { code: codes::MODEL, message: e.to_string() }
+    }
+}
+
 fn parse_config_1based(value: u64, what: &str) -> Result<usize, ProtoError> {
     match value {
         0 => Ok(0),
@@ -236,9 +255,8 @@ fn parse_config_1based(value: u64, what: &str) -> Result<usize, ProtoError> {
     }
 }
 
-/// The CLI's geometry mapping: `--quick` short traces or the paper's
-/// full default (`mppm-cli` `geometry()` must stay in lockstep; an
-/// integration test pins the equivalence).
+/// The geometry `quick` selects: short smoke-test traces, or the
+/// paper's full default. `mppm-cli` uses it for every verb.
 pub fn cli_geometry(quick: bool) -> mppm_trace::TraceGeometry {
     if quick {
         mppm_trace::TraceGeometry::new(50_000, 20)
@@ -301,39 +319,37 @@ fn resolve_mix_request(req: &Request) -> Result<MixRequest, ProtoError> {
     Ok(MixRequest { names, config, geometry, contention, bandwidth: req.bandwidth })
 }
 
+/// Campaign fields left at 0 (or empty) take the campaign library's
+/// defaults: [`CampaignSpec::quick_default`] and
+/// [`AggregateOptions::default`], with sample seed 1.
 fn resolve_campaign_request(req: &Request) -> Result<CampaignRequest, ProtoError> {
-    let cores = if req.cores == 0 { 2 } else { req.cores as usize };
+    let defaults = CampaignSpec::quick_default();
+    let or_default = |value: u64, default: usize| if value == 0 { default } else { value as usize };
     let designs = if req.configs.trim().is_empty() {
-        vec![0, 1]
+        defaults.designs
     } else {
         req.configs
             .split(',')
-            .map(|s| {
-                let n: u64 = s
-                    .trim()
-                    .parse()
-                    .map_err(|_| ProtoError::bad(format!("`configs` expects numbers, got `{s}`")))?;
-                if n == 0 {
-                    return Err(ProtoError::bad("`configs` entries are 1-based"));
-                }
-                parse_config_1based(n, "`configs` entry")
+            .map(|s| match s.trim().parse::<usize>() {
+                Ok(n @ 1..=6) => Ok(n - 1),
+                _ => Err(ProtoError::bad(format!("`configs` entries must be 1..6, got `{s}`"))),
             })
             .collect::<Result<Vec<usize>, _>>()?
     };
     Ok(CampaignRequest {
-        cores,
+        cores: or_default(req.cores, defaults.cores),
         designs,
         sample: (req.sample > 0).then_some(req.sample as usize),
         seed: if req.seed == 0 { 1 } else { req.seed },
-        shard_size: if req.shard_size == 0 { 64 } else { req.shard_size as usize },
-        trials: if req.trials == 0 { 200 } else { req.trials as usize },
+        shard_size: or_default(req.shard_size, defaults.shard_size),
+        trials: or_default(req.trials, AggregateOptions::default().stability_trials),
         quick: req.quick,
     })
 }
 
 /// Applies defaults and parses lists; semantic checks that need the
-/// machine (partition sums, benchmark existence) happen in the
-/// handlers.
+/// suite or the machine (benchmark names, bandwidth, partition sums)
+/// are [`MixRequest::check`].
 ///
 /// # Errors
 ///
@@ -356,7 +372,105 @@ pub fn resolve(req: &Request) -> Result<Resolved, ProtoError> {
     }
 }
 
+/// A [`MixRequest`] that passed [`MixRequest::check`]: its programs and
+/// the machine they share, ready to profile and simulate.
+#[derive(Debug)]
+pub struct CheckedMix<'r> {
+    request: &'r MixRequest,
+    specs: Vec<&'static BenchmarkSpec>,
+    machine: MachineConfig,
+}
+
+impl CheckedMix<'_> {
+    /// Each program's isolated profile, in request order.
+    pub fn profiles(&self, store: &Store) -> Vec<SingleCoreProfile> {
+        self.specs.iter().map(|s| store.profile(s, &self.machine, self.request.geometry)).collect()
+    }
+
+    /// The detailed simulation of the mix (cached in `store`), given the
+    /// programs' [`Self::profiles`].
+    pub fn simulate(&self, store: &Store, profiles: &[SingleCoreProfile]) -> MixRecord {
+        let cpi_sc: Vec<f64> = profiles.iter().map(SingleCoreProfile::cpi_sc).collect();
+        let names: Vec<&str> = self.request.names.iter().map(String::as_str).collect();
+        store.simulate(&names, &cpi_sc, &self.machine, self.request.geometry)
+    }
+}
+
 impl MixRequest {
+    /// Looks up every program in the suite and builds the machine they
+    /// share: the Table 2 LLC config plus the bandwidth cap, with a
+    /// partition that gives every program a way and fills the LLC.
+    /// Nothing is profiled, so a bad request costs nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`codes::BAD_REQUEST`] for an unknown benchmark, a bandwidth that
+    /// is not positive, or a partition that does not fit the LLC.
+    pub fn check(&self) -> Result<CheckedMix<'_>, ProtoError> {
+        let specs = self
+            .names
+            .iter()
+            .map(|n| {
+                suite::benchmark(n).ok_or_else(|| {
+                    ProtoError::bad(format!("unknown benchmark `{n}`; see `mppm-cli list`"))
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        // mppm-lint: allow(panic-reaches-handler): `parse_config_1based` bounds-checked `self.config` against `llc_configs()` at resolve time
+        let mut machine = MachineConfig::baseline().with_llc(llc_configs()[self.config]);
+        if let Some(bw) = self.bandwidth {
+            if !(bw.is_finite() && bw > 0.0) {
+                return Err(ProtoError::bad(format!("`bandwidth` must be positive, got {bw}")));
+            }
+            machine = machine.with_mem_bandwidth(bw);
+        }
+        if let Contention::Partition(ways) = &self.contention {
+            if ways.contains(&0) {
+                return Err(ProtoError::bad("every program needs at least one way"));
+            }
+            let total: u32 = ways.iter().sum();
+            if total != machine.llc.assoc {
+                return Err(ProtoError::bad(format!(
+                    "partition ways sum to {total} but LLC config #{} has {} ways",
+                    self.config + 1,
+                    machine.llc.assoc
+                )));
+            }
+        }
+        Ok(CheckedMix { request: self, specs, machine })
+    }
+
+    /// Solves the mix with the requested contention model and bandwidth
+    /// cap, one `solver-step` event per iteration on an enabled `span`.
+    ///
+    /// # Errors
+    ///
+    /// [`codes::MODEL`] when the model rejects the profiles.
+    pub fn predict(
+        &self,
+        profiles: &[SingleCoreProfile],
+        span: &Span,
+    ) -> Result<Prediction, ProtoError> {
+        fn go<M: ContentionModel>(
+            cfg: MppmConfig,
+            m: M,
+            refs: &[&SingleCoreProfile],
+            span: &Span,
+        ) -> Result<Prediction, ProtoError> {
+            Ok(Mppm::new(cfg, m).predict_observed(refs, span)?)
+        }
+        let refs: Vec<&SingleCoreProfile> = profiles.iter().collect();
+        let config = MppmConfig { bandwidth: self.bandwidth, ..MppmConfig::default() };
+        match &self.contention {
+            Contention::Foa => go(config, FoaModel, &refs, span),
+            Contention::Sdc => go(config, SdcCompetitionModel, &refs, span),
+            Contention::Prob => go(config, ProbModel, &refs, span),
+            Contention::Partition(ways) => {
+                go(config, PartitionModel::new(ways.clone()), &refs, span)
+            }
+        }
+    }
+
     /// Canonical cache key: every result-affecting parameter, nothing
     /// else. Identical resolved requests — regardless of frame ids or
     /// field spelling — share one key.
@@ -377,6 +491,22 @@ impl MixRequest {
 }
 
 impl CampaignRequest {
+    /// The campaign this request runs: its spec, aggregation options and
+    /// scale.
+    pub fn campaign(&self) -> (CampaignSpec, AggregateOptions, Scale) {
+        let spec = CampaignSpec {
+            cores: self.cores,
+            designs: self.designs.clone(),
+            source: match self.sample {
+                Some(count) => MixSource::Stratified { count, seed: self.seed },
+                None => MixSource::Exhaustive,
+            },
+            shard_size: self.shard_size,
+        };
+        let options = AggregateOptions { stability_trials: self.trials, ..Default::default() };
+        (spec, options, if self.quick { Scale::Quick } else { Scale::Full })
+    }
+
     /// Canonical cache key (see [`MixRequest::cache_key`]).
     pub fn cache_key(&self) -> String {
         let designs: Vec<String> = self.designs.iter().map(|d| d.to_string()).collect();

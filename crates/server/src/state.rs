@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::protocol::{codes, event_frame, CampaignRequest};
+use crate::protocol::{codes, event_frame, CampaignRequest, ProtoError};
 
 fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
@@ -303,9 +303,9 @@ impl ServerState {
         key: &str,
         kind: &'static str,
         compute: F,
-    ) -> Result<(Value, Option<Value>, bool), (&'static str, String)>
+    ) -> Result<(Value, Option<Value>, bool), ProtoError>
     where
-        F: FnOnce() -> Result<(Value, Option<Value>), (&'static str, String)>,
+        F: FnOnce() -> Result<(Value, Option<Value>), ProtoError>,
     {
         if let Some(hit) = self.cached(key) {
             self.counters.cache_hits.incr();
@@ -399,6 +399,19 @@ impl ServerState {
     }
 }
 
+impl std::fmt::Debug for ServerState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (responses, inflight, queued) = self.cache_sizes();
+        f.debug_struct("ServerState")
+            .field("socket", &self.socket)
+            .field("responses", &responses)
+            .field("inflight", &inflight)
+            .field("queued", &queued)
+            .field("shutdown", &self.is_shutdown())
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,18 +480,5 @@ mod tests {
         cache.insert("a".into(), resp("a"));
         assert!(cache.get("nope").is_none());
         assert!(cache.get("a").is_some());
-    }
-}
-
-impl std::fmt::Debug for ServerState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (responses, inflight, queued) = self.cache_sizes();
-        f.debug_struct("ServerState")
-            .field("socket", &self.socket)
-            .field("responses", &responses)
-            .field("inflight", &inflight)
-            .field("queued", &queued)
-            .field("shutdown", &self.is_shutdown())
-            .finish()
     }
 }

@@ -13,7 +13,7 @@
 //! MPPM_REGEN_GOLDEN=1 cargo test -p mppm-integration --test differential
 //! ```
 
-use mppm_sim::reference::{self, Execution, Scheduler};
+use mppm_sim::reference::{self, Oracle};
 use mppm_sim::{MachineConfig, MixResult, MixSim, TraceCache};
 use mppm_trace::{suite, TraceGeometry};
 use serde::{Deserialize, Serialize};
@@ -38,23 +38,24 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/mix_result_quick.json")
 }
 
-fn compute_snapshot_with(execution: Execution) -> GoldenSnapshot {
+/// The snapshot from production runs, or down `oracle`.
+fn compute_snapshot_with(oracle: Option<Oracle>) -> GoldenSnapshot {
+    let run = |sim: MixSim<'_>| match oracle {
+        Some(oracle) => reference::run(sim, oracle),
+        None => sim.run(),
+    };
     let machine = MachineConfig::baseline();
     let g = quick_geometry();
     let mix: Vec<_> = ["gamess", "soplex", "lbm", "hmmer"]
         .iter()
         .map(|n| suite::benchmark(n).expect("suite benchmark"))
         .collect();
-    let unified = reference::run(MixSim::new(&mix, &machine, g), Scheduler::EventDriven, execution);
+    let unified = run(MixSim::new(&mix, &machine, g));
     let pair: Vec<_> = ["gamess", "lbm"]
         .iter()
         .map(|n| suite::benchmark(n).expect("suite benchmark"))
         .collect();
-    let partitioned = reference::run(
-        MixSim::new(&pair, &machine, g).partitioned(&[6, 2]),
-        Scheduler::EventDriven,
-        execution,
-    );
+    let partitioned = run(MixSim::new(&pair, &machine, g).partitioned(&[6, 2]));
     GoldenSnapshot { unified, partitioned }
 }
 
@@ -63,7 +64,7 @@ fn compute_snapshot_with(execution: Execution) -> GoldenSnapshot {
 /// *not* regenerated — reproducing them is part of the batched paths'
 /// proof).
 fn compute_snapshot() -> GoldenSnapshot {
-    compute_snapshot_with(Execution::Compiled)
+    compute_snapshot_with(None)
 }
 
 #[test]
@@ -166,8 +167,8 @@ fn both_execution_substrates_pin_to_the_same_golden_bytes() {
     // its cached form and the retained reference path must all still
     // reproduce it, so every substrate is pinned to one set of bytes —
     // no silent fork.
-    let streamed = compute_snapshot_with(Execution::Compiled);
-    let reference = compute_snapshot_with(Execution::ReferenceStream);
+    let streamed = compute_snapshot_with(None);
+    let reference = compute_snapshot_with(Some(Oracle::LiveStream));
     assert_eq!(streamed, reference, "execution substrates diverged");
     let machine = MachineConfig::baseline();
     let g = quick_geometry();
