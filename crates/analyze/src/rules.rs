@@ -445,7 +445,8 @@ pub struct AllocInSteadyLoop;
 /// (the generator loop and chunk refill — run on the generator thread,
 /// which must not allocate — and a cached replay's cut and copy), the
 /// scheduler interleave loop, and the solver's lockstep window walks
-/// (run once per program-step). Every entry names a live `fn`
+/// (run once per program-step) with their per-piece whole-interval
+/// helpers. Every entry names a live `fn`
 /// (`steady_loop_fns_name_live_kernels` below), so a rename cannot
 /// silently drop a kernel from the rule.
 const STEADY_LOOP_FNS: &[&str] = &[
@@ -462,6 +463,9 @@ const STEADY_LOOP_FNS: &[&str] = &[
     "lockstep_window_cycles",
     "lockstep_advance",
     "lockstep_windows",
+    "skip_interval",
+    "interval_row",
+    "add_counters",
 ];
 
 impl Rule for AllocInSteadyLoop {

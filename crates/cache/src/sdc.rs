@@ -212,6 +212,20 @@ impl Sdc {
         }
     }
 
+    /// Adds the raw `counters` of another SDC (as [`Sdc::counters`]
+    /// returns them) into `self`: [`Sdc::add_scaled`] at `w = 1` without
+    /// the multiplications, bit-identical to it since `1.0 * x == x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the associativities differ.
+    pub fn add_counters(&mut self, counters: &[f64]) {
+        assert_eq!(self.counters.len(), counters.len(), "associativity mismatch");
+        for (dst, src) in self.counters.iter_mut().zip(counters) {
+            *dst += src;
+        }
+    }
+
     /// Returns `w × self` as a new value.
     pub fn scaled(&self, w: f64) -> Sdc {
         let mut out = Sdc::new(self.assoc());

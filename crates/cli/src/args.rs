@@ -50,13 +50,9 @@ pub enum Command {
         /// Also write the CSV bundle to this file (a byte-compare aid).
         bundle: Option<String>,
     },
-    /// Run the `mppmd` daemon in the foreground.
-    Serve {
-        /// Socket path override (default `$TMPDIR/mppmd.sock`).
-        socket: Option<String>,
-        /// Store root override (default `target/mppm-store`).
-        store: Option<String>,
-    },
+    /// Run the `mppmd` daemon in the foreground, configured by the
+    /// daemon's own flag parser.
+    Serve(mppm_server::ServerConfig),
     /// Send one request to a running `mppmd` daemon.
     Client {
         /// Socket path override (default `$TMPDIR/mppmd.sock`).
@@ -107,7 +103,7 @@ USAGE:
               [--shard-size N] [--trials N] [--quick]
               [--workers N] [--journal DIR] [--bundle FILE]
               [--trace FILE] [--progress]
-  mppm-cli serve [--socket PATH] [--store DIR]
+  mppm-cli serve [--socket PATH] [--store DIR] [--cache-cap N]
   mppm-cli client ping|stats|shutdown [--socket PATH]
   mppm-cli client predict|simulate <bench,...> [--config N] [--quick]
               [--contention foa|sdc|prob] [--partition w1,w2,...]
@@ -275,7 +271,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             "progress", "workers", "journal", "bundle",
         ],
         "lint" => &["deny", "json", "only", "exclude"],
-        "serve" => &["socket", "store"],
+        "serve" => mppm_server::DAEMON_FLAGS,
         "client" => &[
             "socket", "quick", "config", "contention", "partition", "bandwidth", "cores",
             "configs", "sample", "seed", "shard-size", "trials", "subscribe",
@@ -346,10 +342,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             }
             Ok(Command::Lint { deny: flags.has("deny"), json: flags.has("json"), only, exclude })
         }
-        "serve" => Ok(Command::Serve {
-            socket: flags.value("socket").map(String::from),
-            store: flags.value("store").map(String::from),
-        }),
+        "serve" => {
+            mppm_server::ServerConfig::from_flags(flags.0.iter().copied())
+                .map(Command::Serve)
+                .map_err(ParseError)
+        }
         "client" => {
             let (&verb, rest) = positional
                 .split_first()
@@ -384,6 +381,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
 mod tests {
     use super::*;
     use mppm_server::protocol::{cli_geometry, codes, Contention};
+    use mppm_server::ServerConfig;
 
     fn parse_ok(args: &[&str]) -> Command {
         parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
@@ -601,14 +599,25 @@ mod tests {
 
     #[test]
     fn serve_parses_overrides() {
-        assert_eq!(parse_ok(&["serve"]), Command::Serve { socket: None, store: None });
+        let daemon = |flags: &[(&'static str, &'static str)]| {
+            ServerConfig::from_flags(flags.iter().map(|&(n, v)| (n, Some(v))))
+        };
+        assert_eq!(parse_ok(&["serve"]), Command::Serve(daemon(&[]).unwrap()));
         assert_eq!(
             parse_ok(&["serve", "--socket", "/tmp/d.sock", "--store", "/tmp/store"]),
-            Command::Serve {
-                socket: Some("/tmp/d.sock".into()),
-                store: Some("/tmp/store".into())
-            }
+            Command::Serve(daemon(&[("socket", "/tmp/d.sock"), ("store", "/tmp/store")]).unwrap())
         );
+        let Command::Serve(config) = parse_ok(&["serve", "--cache-cap", "64"]) else {
+            panic!("serve command")
+        };
+        assert_eq!(config.response_cache_cap, 64);
+        // `mppmd` refuses a bad cap with this same message.
+        for bad in ["0", "x"] {
+            assert_eq!(
+                parse_err(&["serve", "--cache-cap", bad]),
+                daemon(&[("cache-cap", bad)]).unwrap_err()
+            );
+        }
         assert!(parse_err(&["serve", "--quick"]).contains("unknown flag"));
     }
 

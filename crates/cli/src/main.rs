@@ -107,15 +107,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
             }
             Ok(())
         }
-        Command::Serve { socket, store } => {
-            let config = mppm_server::ServerConfig {
-                store_root: store.map(std::path::PathBuf::from),
-                ..mppm_server::ServerConfig::new(
-                    socket
-                        .map(std::path::PathBuf::from)
-                        .unwrap_or_else(mppm_server::default_socket_path),
-                )
-            };
+        Command::Serve(config) => {
             eprintln!("mppmd: listening on {}", config.socket.display());
             mppm_server::serve(&config).map_err(CliError::from)
         }

@@ -14,16 +14,29 @@
 //! program per round: the programs' chains share no value, so their
 //! divisions overlap.
 //!
+//! Most pieces are whole intervals: the walk sits on an interval edge and
+//! has at least an interval left. On such a piece every result is known
+//! without a division. The interval is the one after the last piece's;
+//! `take / interval` is exactly 1, so the window SDC adds the interval's
+//! counters unscaled; `take * cpi`, `mem_stall * take / interval` and
+//! `fallback * take` are per-interval constants of the [`Table`]; and in
+//! the advance walk `left / cpi >= interval` is settled by comparing
+//! `left` with a per-interval threshold just above `interval * cpi`. A
+//! lane runs its stretch of whole pieces in a tight loop; every other
+//! piece takes the general path.
+//!
 //! Each program still performs exactly the operations of the
 //! [`SingleCoreProfile`] window methods, in the same order, so the
 //! results are bit-identical to them (`reference_predict_observed` is the
-//! oracle). Two operations are skipped because their result is known:
-//! the walks' `start % total`, since a lane's position is always the
-//! output of an earlier `% total` (or 0); and the per-interval `cycles /
-//! insns` CPI division, which is read from a table holding the same
-//! quotient. The memory stall and the fallback-penalty weights
-//! accumulate in the SDC walk, piece by piece in the order their own
-//! walks would take, which removes the second walk of every window.
+//! oracle). The operations skipped are those whose result is known: the
+//! walks' `start % total`, since a lane's position is always the output
+//! of an earlier `% total` (or 0); the per-interval `cycles / insns` CPI
+//! division, which the table holds; and on whole pieces the
+//! `pos / interval` and `left / cpi` divisions and the multiplications
+//! by 1. The memory stall and the
+//! fallback-penalty weights accumulate in the SDC walk, piece by piece in
+//! the order their own walks would take, which removes the second walk
+//! of every window.
 
 use mppm_cache::Sdc;
 
@@ -37,6 +50,44 @@ const DONE: f64 = 1e-9;
 /// edge always moves.
 const MIN_PIECE: f64 = 1e-12;
 
+/// Up to this many instructions per trace pass, every interval edge
+/// `k * interval` is an exact f64 integer, so `edge / interval == k`.
+const EXACT_EDGES: u64 = 1 << 53;
+
+/// Columns of an interval's row in the [`Table`]: `cycles / insns`.
+const CPI: usize = 0;
+/// `interval * cpi`: the cycles of a whole interval, as `take * cpi`
+/// gives them.
+const CYCLES: usize = 1;
+/// The least cycles left that surely fit the whole interval: the next
+/// f64 above `CYCLES` (and above `DONE`, so the walk is live). `left >=
+/// FITS` puts `left` above the exact product `interval * cpi`, so the
+/// rounded `left / cpi` is at least `interval`.
+const FITS: usize = 2;
+/// `mem_stall * interval / interval`, the stall a whole piece adds.
+const STALL: usize = 3;
+/// `fallback * interval`, the fallback weight a whole piece adds.
+const FALLBACK: usize = 4;
+/// Start of the interval's SDC counters, which fill the rest of the row.
+const SDC: usize = 5;
+
+/// The per-interval constants every walk of a call reads: one row per
+/// interval of every program, the programs one after another.
+#[derive(Debug, Default)]
+pub(crate) struct Table {
+    vals: Vec<f64>,
+    /// Row length: the constants, then `assoc + 1` SDC counters.
+    stride: usize,
+}
+
+impl Table {
+    /// The row of interval `idx` of `lane`'s program.
+    fn interval_row(&self, lane: &Lane, idx: usize) -> &[f64] {
+        let at = lane.base + idx * self.stride;
+        &self.vals[at..at + self.stride]
+    }
+}
+
 /// One program's lane: its per-call constants, the solver state carried
 /// across steps, the step's outputs and the walk in flight.
 #[derive(Debug, Clone, Copy, Default)]
@@ -47,8 +98,12 @@ pub(crate) struct Lane {
     pub(crate) total: f64,
     /// Index of the last interval.
     last: usize,
-    /// Offset of the program's first interval in the CPI table.
+    /// Offset of the program's first row in the [`Table`].
     base: usize,
+    /// Whether the trace is short enough for exact edges
+    /// ([`EXACT_EDGES`]); without them every piece takes the general
+    /// path.
+    exact: bool,
     /// Trace position at the start of the step, in `[0, total)`.
     pub(crate) position: f64,
     /// Instructions executed so far.
@@ -66,6 +121,9 @@ pub(crate) struct Lane {
     stall: f64,
     weighted: f64,
     weight: f64,
+    /// Whether `pos` sits exactly on the start of interval `next`.
+    at_edge: bool,
+    next: usize,
 }
 
 impl Lane {
@@ -75,44 +133,88 @@ impl Lane {
         self.pos = self.position;
         self.left = len;
         self.acc = 0.0;
+        self.at_edge = false;
     }
 
-    /// The interval under the walk and the instruction where it ends.
+    /// The interval under the walk and the instruction where it ends. On
+    /// an edge the index is the one `pos / interval` gives there.
     fn piece(&self) -> (usize, f64) {
-        let idx = ((self.pos / self.interval) as usize).min(self.last);
+        let idx = if self.at_edge {
+            self.next
+        } else {
+            ((self.pos / self.interval) as usize).min(self.last)
+        };
         (idx, (idx as f64 + 1.0) * self.interval)
     }
 
-    /// Moves the walk `take` instructions on, wrapping at the trace end.
-    fn forward(&mut self, take: f64) {
+    /// Moves the walk `take` instructions on from inside interval `idx`,
+    /// which ends at `end`, wrapping at the trace end, and notes whether
+    /// it stopped on an interval edge.
+    fn forward(&mut self, take: f64, idx: usize, end: f64) {
         self.pos += take;
         if self.pos >= self.total - DONE {
             self.pos = 0.0;
+            self.next = 0;
+            self.at_edge = self.exact;
+        } else {
+            // `end` is the next interval's start unless `idx` is the last
+            // interval, whose end is the trace end handled above.
+            self.next = idx + 1;
+            self.at_edge = self.exact && self.pos == end;
+        }
+    }
+
+    /// Moves a walk on an edge over the whole interval `next`: to the
+    /// next edge, or to 0 after the last interval. The same position
+    /// [`Lane::forward`] reaches, since the edges are exact.
+    fn skip_interval(&mut self) {
+        if self.next == self.last {
+            self.pos = 0.0;
+            self.next = 0;
+        } else {
+            self.pos += self.interval;
+            self.next += 1;
         }
     }
 }
 
-/// Sizes `lanes` to the mix and builds the per-interval CPI table: the
-/// constants every walk of the call reads.
+/// Sizes `lanes` to the mix and builds the per-interval [`Table`]: the
+/// constants every walk of the call reads. The profiles are validated
+/// and share one machine, so every row has the same length.
 pub(crate) fn init(
     profiles: &[&SingleCoreProfile],
     target_passes: f64,
     lanes: &mut Vec<Lane>,
-    cpi: &mut Vec<f64>,
+    table: &mut Table,
 ) {
     lanes.clear();
-    cpi.clear();
+    table.vals.clear();
+    table.stride = SDC + profiles[0].machine.llc.assoc as usize + 1;
     for p in profiles {
+        let interval = p.interval_insns() as f64;
         let total = p.trace_insns() as f64;
         lanes.push(Lane {
-            interval: p.interval_insns() as f64,
+            interval,
             total,
             last: p.intervals.len() - 1,
-            base: cpi.len(),
+            base: table.vals.len(),
+            exact: p.trace_insns() <= EXACT_EDGES,
             target: target_passes * total,
             ..Lane::default()
         });
-        cpi.extend(p.intervals.iter().map(|iv| iv.cpi()));
+        for iv in &p.intervals {
+            let cpi = iv.cpi();
+            let cycles = interval * cpi;
+            table.vals.extend_from_slice(&[
+                cpi,
+                cycles,
+                cycles.max(DONE).next_up(),
+                iv.mem_stall_cycles * interval / interval,
+                iv.fallback_penalty * interval,
+            ]);
+            debug_assert_eq!(iv.sdc.counters().len(), table.stride - SDC, "validated assoc");
+            table.vals.extend_from_slice(iv.sdc.counters());
+        }
     }
 }
 
@@ -121,7 +223,7 @@ pub(crate) fn init(
 /// Each lane is [`SingleCoreProfile::cycles_in`]`(position, step)`.
 pub(crate) fn lockstep_window_cycles(
     lanes: &mut [Lane],
-    cpi: &[f64],
+    table: &Table,
     slowdown: &[f64],
     step: f64,
 ) -> f64 {
@@ -133,11 +235,19 @@ pub(crate) fn lockstep_window_cycles(
         live = false;
         for lane in lanes.iter_mut().filter(|l| l.left > DONE) {
             live = true;
-            let (idx, end) = lane.piece();
-            let take = lane.left.min(end - lane.pos).max(MIN_PIECE);
-            lane.acc += take * cpi[lane.base + idx];
-            lane.left -= take;
-            lane.forward(take);
+            // Whole intervals: `take` is the interval.
+            while lane.at_edge && lane.left >= lane.interval {
+                lane.acc += table.interval_row(lane, lane.next)[CYCLES];
+                lane.left -= lane.interval;
+                lane.skip_interval();
+            }
+            if lane.left > DONE {
+                let (idx, end) = lane.piece();
+                let take = lane.left.min(end - lane.pos).max(MIN_PIECE);
+                lane.acc += take * table.interval_row(lane, idx)[CPI];
+                lane.left -= take;
+                lane.forward(take, idx, end);
+            }
         }
     }
     lanes.iter().zip(slowdown).map(|(l, &r)| l.acc * r).fold(0.0_f64, f64::max)
@@ -145,7 +255,7 @@ pub(crate) fn lockstep_window_cycles(
 
 /// Sets each lane's `advance`: how far the program gets in `c` shared
 /// cycles, i.e. [`SingleCoreProfile::insns_for_cycles`]`(position, c / R)`.
-pub(crate) fn lockstep_advance(lanes: &mut [Lane], cpi: &[f64], slowdown: &[f64], c: f64) {
+pub(crate) fn lockstep_advance(lanes: &mut [Lane], table: &Table, slowdown: &[f64], c: f64) {
     for (lane, &r) in lanes.iter_mut().zip(slowdown) {
         let cycles = c / r;
         assert!(cycles >= 0.0, "cycles must be non-negative");
@@ -156,12 +266,22 @@ pub(crate) fn lockstep_advance(lanes: &mut [Lane], cpi: &[f64], slowdown: &[f64]
         live = false;
         for lane in lanes.iter_mut().filter(|l| l.left > DONE) {
             live = true;
-            let (idx, end) = lane.piece();
-            let cpi = cpi[lane.base + idx];
-            let fit = (lane.left / cpi).min(end - lane.pos).max(MIN_PIECE);
-            lane.acc += fit;
-            lane.left -= fit * cpi;
-            lane.forward(fit);
+            // Whole intervals: `left / cpi` reaches past the edge, so
+            // `fit` is the interval. Below the threshold the division
+            // decides.
+            while lane.at_edge && lane.left >= table.interval_row(lane, lane.next)[FITS] {
+                lane.acc += lane.interval;
+                lane.left -= table.interval_row(lane, lane.next)[CYCLES];
+                lane.skip_interval();
+            }
+            if lane.left > DONE {
+                let (idx, end) = lane.piece();
+                let cpi = table.interval_row(lane, idx)[CPI];
+                let fit = (lane.left / cpi).min(end - lane.pos).max(MIN_PIECE);
+                lane.acc += fit;
+                lane.left -= fit * cpi;
+                lane.forward(fit, idx, end);
+            }
         }
     }
     for lane in lanes.iter_mut() {
@@ -177,6 +297,7 @@ pub(crate) fn lockstep_advance(lanes: &mut [Lane], cpi: &[f64], slowdown: &[f64]
 pub(crate) fn lockstep_windows(
     profiles: &[&SingleCoreProfile],
     lanes: &mut [Lane],
+    table: &Table,
     windows: &mut [Sdc],
     min_misses: f64,
 ) {
@@ -193,16 +314,28 @@ pub(crate) fn lockstep_windows(
         live = false;
         for (p, lane) in lanes.iter_mut().enumerate().filter(|(_, l)| l.left > DONE) {
             live = true;
-            let (idx, end) = lane.piece();
-            let take = lane.left.min(end - lane.pos).max(MIN_PIECE);
-            let iv = &profiles[p].intervals[idx];
-            // Every interval holds `interval` instructions (validated).
-            windows[p].add_scaled(&iv.sdc, take / lane.interval);
-            lane.stall += iv.mem_stall_cycles * take / lane.interval;
-            lane.weighted += iv.fallback_penalty * take;
-            lane.weight += take;
-            lane.left -= take;
-            lane.forward(take);
+            // Whole intervals: `take / interval` is exactly 1.
+            while lane.at_edge && lane.left >= lane.interval {
+                let row = table.interval_row(lane, lane.next);
+                windows[p].add_counters(&row[SDC..]);
+                lane.stall += row[STALL];
+                lane.weighted += row[FALLBACK];
+                lane.weight += lane.interval;
+                lane.left -= lane.interval;
+                lane.skip_interval();
+            }
+            if lane.left > DONE {
+                let (idx, end) = lane.piece();
+                let take = lane.left.min(end - lane.pos).max(MIN_PIECE);
+                let iv = &profiles[p].intervals[idx];
+                // Every interval holds `interval` instructions (validated).
+                windows[p].add_scaled(&iv.sdc, take / lane.interval);
+                lane.stall += iv.mem_stall_cycles * take / lane.interval;
+                lane.weighted += iv.fallback_penalty * take;
+                lane.weight += take;
+                lane.left -= take;
+                lane.forward(take, idx, end);
+            }
         }
     }
     for (lane, window) in lanes.iter_mut().zip(windows.iter()) {

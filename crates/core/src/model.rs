@@ -117,7 +117,8 @@ impl MppmConfig {
 /// Reusable per-worker scratch for [`Mppm::predict_observed_with`].
 ///
 /// Holds the solver's per-program working state — slowdown estimates,
-/// trace positions, the per-interval CPI table, window SDCs, queueing
+/// trace positions, the per-interval table of the window walks (CPIs,
+/// whole-interval constants and SDC rows), window SDCs, queueing
 /// terms — so a worker that evaluates many mixes back to back (a
 /// campaign shard, the `mppmd` request loop) resets it in place instead
 /// of reallocating each call. Mixes of different core counts or LLC
@@ -134,7 +135,7 @@ impl MppmConfig {
 pub struct SolverScratch {
     slowdown: Vec<f64>,
     lanes: Vec<Lane>,
-    cpi: Vec<f64>,
+    table: lockstep::Table,
     windows: Vec<mppm_cache::Sdc>,
     queue_cycles: Vec<f64>,
     traffic: Vec<f64>,
@@ -262,10 +263,10 @@ impl<M: ContentionModel> Mppm<M> {
             .unwrap_or_else(|| 10 * profiles.iter().map(|p| p.interval_insns()).min().expect("non-empty"));
         let step = step as f64;
 
-        let SolverScratch { slowdown, lanes, cpi, windows, queue_cycles, traffic } = scratch;
+        let SolverScratch { slowdown, lanes, table, windows, queue_cycles, traffic } = scratch;
         slowdown.clear();
         slowdown.resize(n, 1.0);
-        lockstep::init(profiles, self.config.target_passes, lanes, cpi);
+        lockstep::init(profiles, self.config.target_passes, lanes, table);
         windows.truncate(n);
         windows.resize_with(n, || mppm_cache::Sdc::new(assoc));
         let mut history: Vec<Vec<f64>> = vec![slowdown.clone()];
@@ -282,10 +283,10 @@ impl<M: ContentionModel> Mppm<M> {
             // Cycles for the slowest program to execute the next L insns,
             // the progress each program makes in those C cycles, and the
             // window SDCs and miss penalties over that progress.
-            let c = lockstep::lockstep_window_cycles(lanes, cpi, slowdown, step);
+            let c = lockstep::lockstep_window_cycles(lanes, table, slowdown, step);
             debug_assert!(c > 0.0, "interval cycles must be positive");
-            lockstep::lockstep_advance(lanes, cpi, slowdown, c);
-            lockstep::lockstep_windows(profiles, lanes, windows, self.config.min_misses);
+            lockstep::lockstep_advance(lanes, table, slowdown, c);
+            lockstep::lockstep_windows(profiles, lanes, table, windows, self.config.min_misses);
             let extra = self.contention.extra_misses(windows, assoc);
 
             // Optional shared-bandwidth queueing (§8 extension): charge the

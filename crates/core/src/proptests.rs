@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use crate::contention::{
     ContentionModel, FoaModel, PartitionModel, ProbModel, SdcCompetitionModel,
 };
+use crate::lockstep;
 use crate::model::{Mppm, MppmConfig, Prediction, SlowdownUpdate, SolverScratch};
 use crate::profile::{IntervalProfile, MachineSummary, SingleCoreProfile};
 use crate::CpiStack;
@@ -167,16 +168,22 @@ proptest! {
 /// [`profile_strategy`]'s flat ones: each interval draws its own CPI,
 /// memory share, LLC traffic and deepest hit depth from the same ranges,
 /// over 2–59 intervals of 1K–20K instructions, so the solver's window
-/// walks cross phase edges at uneven offsets.
+/// walks cross phase edges at uneven offsets. A per-profile speed
+/// factor of 2^-4–2^1 scales every CPI, so two profiles of a mix can
+/// run 20x or more apart and a fast one laps its short trace several
+/// times in one step.
 fn phased_profile_strategy(assoc: u32) -> impl Strategy<Value = SingleCoreProfile> {
     (
         1_000u64..20_000,
+        -4.0f64..1.0,
         collection::vec((0.3f64..3.0, 0.0f64..0.5, 0.0f64..2_000.0, 0.0f64..1.0, 1..=assoc), 2..60),
     )
-        .prop_map(move |(insns, phases)| {
+        .prop_map(move |(insns, log2_speed, phases)| {
+            let speed = log2_speed.exp2();
             let intervals = phases
                 .into_iter()
                 .map(|(cpi, mem_frac, accesses, miss_frac, depths)| {
+                    let cpi = cpi * speed;
                     let misses = accesses * miss_frac;
                     let mut sdc = Sdc::new(assoc);
                     for d in 0..depths {
@@ -263,6 +270,8 @@ fn lockstep_kernel_matches_the_reference_solver_bit_for_bit() {
     let mut rng =
         test_runner::rng_for(concat!(module_path!(), "::lockstep_kernel_matches_the_reference"));
     let mut scratch = SolverScratch::new();
+    // The widest ratio of whole-trace CPIs within one mix.
+    let mut widest = 1.0_f64;
     for case in 0..oracle_cases() {
         // The low five bits of the case index pick the configuration.
         let bit = |b: u32| case >> b & 1 == 1;
@@ -285,6 +294,8 @@ fn lockstep_kernel_matches_the_reference_solver_bit_for_bit() {
             .into_iter()
             .map(|i| &pool[i])
             .collect();
+        let cpis = mix.iter().map(|p| p.cpi_sc());
+        widest = widest.max(cpis.clone().fold(0.0, f64::max) / cpis.fold(f64::MAX, f64::min));
         let what = format!("case {case}, {n} programs, {config:?}");
         check_kernel(FoaModel, &config, &mix, &mut scratch, &what);
         check_kernel(ProbModel, &config, &mix, &mut scratch, &what);
@@ -296,6 +307,243 @@ fn lockstep_kernel_matches_the_reference_solver_bit_for_bit() {
                 ways[(0..n).generate(&mut rng)] += 1;
             }
             check_kernel(PartitionModel::new(ways), &config, &mix, &mut scratch, &what);
+        }
+    }
+    if oracle_cases() >= 512 {
+        assert!(widest >= 20.0, "the CI oracle must cover 20x speed ratios, widest {widest}");
+    }
+}
+
+/// A profile of `insns`-instruction intervals with the given cycles,
+/// each with hits at every LLC depth, 20 misses, and a third of its
+/// cycles in memory stalls.
+fn profile_of(name: &str, insns: u64, cycles: &[f64]) -> SingleCoreProfile {
+    let assoc = 8;
+    let intervals = cycles
+        .iter()
+        .map(|&cycles| {
+            let mut sdc = Sdc::new(assoc);
+            for d in 0..assoc {
+                for _ in 0..=d {
+                    sdc.record(Some(d));
+                }
+            }
+            for _ in 0..20 {
+                sdc.record(None);
+            }
+            IntervalProfile {
+                insns,
+                cycles,
+                mem_stall_cycles: cycles / 3.0,
+                sdc,
+                fallback_penalty: 200.0,
+                stack: CpiStack::default(),
+            }
+        })
+        .collect();
+    let llc = CacheConfig::new(u64::from(assoc) * 1024 * 64, assoc, 64, 16);
+    let profile = SingleCoreProfile {
+        name: name.into(),
+        machine: MachineSummary { llc, mem_latency: 200 },
+        intervals,
+    };
+    profile.validate().expect("valid profile");
+    profile
+}
+
+/// Solves `mix` with the kernel and the reference solver under the
+/// FOA, Prob and SDC-competition models and asserts them bit-identical.
+fn check_models(config: &MppmConfig, mix: &[&SingleCoreProfile], what: &str) {
+    let mut scratch = SolverScratch::new();
+    check_kernel(FoaModel, config, mix, &mut scratch, what);
+    check_kernel(ProbModel, config, mix, &mut scratch, what);
+    check_kernel(SdcCompetitionModel, config, mix, &mut scratch, what);
+}
+
+/// Interval cycles near `cycles` for `insns`-instruction intervals whose
+/// whole-interval cycles `w = insns * cpi` divide back below the
+/// interval: `w / cpi < insns`, so a walk with exactly `w` cycles left on
+/// the interval's edge takes a partial piece, and only a threshold above
+/// `w` keeps the whole-interval path off it.
+fn cycles_dividing_below(insns: u64, cycles: f64) -> f64 {
+    let n = insns as f64;
+    let mut cycles = cycles;
+    for _ in 0..10_000 {
+        if (n * (cycles / n)) / (cycles / n) < n {
+            return cycles;
+        }
+        cycles = cycles.next_up();
+    }
+    panic!("no cycles near {cycles} divide below {insns}");
+}
+
+/// The cycles `c` with `c - spent == left` exactly (`left + spent` in
+/// the binade of `left`, so one exists).
+fn cycles_leaving(left: f64, spent: f64) -> f64 {
+    let mut c = left + spent;
+    for _ in 0..64 {
+        if c - spent == left {
+            return c;
+        }
+        c = if c - spent < left { c.next_up() } else { c.next_down() };
+    }
+    panic!("no cycles leave {left} after spending {spent}");
+}
+
+/// The advance walk's whole-interval guard, at its edge: `left` one ulp
+/// below `interval * cpi`, exactly it, and one ulp on each side of the
+/// threshold just above it. Program `a` has one 1024-instruction
+/// interval, so the step-1 window is exactly its cycles `c`; program `b`
+/// spends `w0` of them on its first interval and reaches the edge of
+/// interval 1 with `c - w0` left.
+#[test]
+fn advance_guard_matches_the_reference_one_ulp_around_its_threshold() {
+    let insns = 1000u64;
+    let n = insns as f64;
+    let cycles1 = cycles_dividing_below(insns, 900.3);
+    let w1 = n * (cycles1 / n);
+    let w0 = n * (1.0 / n);
+    let b = profile_of("b", insns, &[1.0, cycles1, 500.0]);
+    let config = MppmConfig { step_insns: Some(1024), ..MppmConfig::default() };
+    let threshold = w1.next_up();
+    for left in [w1.next_down(), w1, threshold, threshold.next_up()] {
+        let c = cycles_leaving(left, w0);
+        let a = profile_of("a", 1024, &[c]);
+        assert_eq!(a.cycles_in(0.0, 1024.0), c, "a sets the window");
+        assert!(b.cycles_in(0.0, 1024.0) < c, "b is not the slowest");
+        check_models(&config, &[&a, &b], &format!("left {left:e} at threshold {threshold:e}"));
+    }
+}
+
+/// A step whose window starts one ulp below an interval edge: `b`'s
+/// first step advances exactly `3000 - ulp` instructions.
+#[test]
+fn window_one_ulp_below_an_edge_matches_the_reference() {
+    let c = 3000.0_f64.next_down();
+    let a = profile_of("a", 1024, &[c]);
+    let b = profile_of("b", 1000, &[1000.0; 5]);
+    assert_eq!(b.insns_for_cycles(0.0, c), c, "b's second step starts at 3000 - ulp");
+    let config = MppmConfig { step_insns: Some(1024), ..MppmConfig::default() };
+    check_models(&config, &[&a, &b], "window one ulp below an edge");
+}
+
+/// Walks that end exactly at the trace end, and walks that wrap there
+/// and go on: `b`'s first step covers its 3000-instruction trace once,
+/// then one and a half times.
+#[test]
+fn walk_ending_at_the_trace_end_matches_the_reference() {
+    let b = profile_of("b", 1000, &[1000.0; 3]);
+    let config = MppmConfig { step_insns: Some(1024), ..MppmConfig::default() };
+    for c in [3000.0, 4500.0] {
+        let a = profile_of("a", 1024, &[c]);
+        assert_eq!(b.insns_for_cycles(0.0, c), c, "b advances {c}");
+        check_models(&config, &[&a, &b], &format!("window of {c} cycles"));
+    }
+}
+
+/// A mix whose profiles have four different interval lengths, under the
+/// default step (ten of the shortest intervals) and an explicit one.
+#[test]
+fn mixed_interval_lengths_match_the_reference() {
+    let cycles = |insns: u64, cpis: &[f64]| -> Vec<f64> {
+        cpis.iter().map(|c| c * insns as f64).collect()
+    };
+    let a = profile_of("a", 1000, &cycles(1000, &[0.7, 2.1, 1.3, 0.4, 3.0]));
+    let b = profile_of("b", 1024, &cycles(1024, &[1.1, 0.9]));
+    let c = profile_of("c", 1536, &cycles(1536, &[2.5, 0.35, 1.0, 1.9]));
+    let d = profile_of("d", 20_000, &cycles(20_000, &[0.8, 1.6, 1.2]));
+    for step_insns in [None, Some(7_777)] {
+        let config = MppmConfig { step_insns, ..MppmConfig::default() };
+        check_models(&config, &[&a, &b, &c, &d], &format!("step {step_insns:?}"));
+    }
+}
+
+/// A fast program with a short trace laps it dozens of times in one step
+/// next to a slow one: 46 passes of `b`'s 2000 instructions.
+#[test]
+fn fast_program_lapping_its_trace_matches_the_reference() {
+    let a = profile_of("a", 10_000, &[30_000.0, 27_000.0]);
+    let b = profile_of("b", 1000, &[300.0, 350.0]);
+    let c = a.cycles_in(0.0, 10_000.0);
+    assert!(b.insns_for_cycles(0.0, c) >= 3.0 * b.trace_insns() as f64, "b laps its trace");
+    check_models(&MppmConfig::default(), &[&a, &b], "fast program");
+}
+
+/// The three window walks, one lane at a time, against the
+/// [`SingleCoreProfile`] window methods that the reference solver calls,
+/// bit for bit: from interval edges and one ulp either side of them, over
+/// lengths that end on edges, one ulp short of or past them, at the trace
+/// end and laps beyond it; for the advance walk also from mid-interval to
+/// an edge with `interval * cpi` left, one ulp on either side of it and
+/// of the threshold above it.
+#[test]
+fn window_walks_match_the_profile_methods_at_interval_edges() {
+    let guard = cycles_dividing_below(900, 540.7);
+    let profiles = [
+        profile_of("guard", 900, &[150.0, guard, 1_300.0, 420.0]),
+        profile_of("pow2", 1024, &[700.0, 3_000.0, 1_024.0]),
+        profile_of("flat", 1000, &[1000.0; 5]),
+    ];
+    let mut lanes = Vec::new();
+    let mut table = lockstep::Table::default();
+    let mut windows = vec![Sdc::new(8)];
+    let bits = |sdc: &Sdc| sdc.counters().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    for p in &profiles {
+        let n = p.interval_insns() as f64;
+        let total = p.trace_insns() as f64;
+        lockstep::init(&[p], 5.0, &mut lanes, &mut table);
+        // Late in interval 0, so the advance below sums its pieces below
+        // 1024 instructions, where one ulp of the interval still shows.
+        let mid = n * 0.9;
+        let mut starts = vec![mid, total.next_down()];
+        for k in 0..p.intervals.len() {
+            let edge = k as f64 * n;
+            starts.extend([edge, edge.next_down(), edge.next_up()]);
+        }
+        starts.retain(|&s| (0.0..total).contains(&s));
+        for &start in &starts {
+            let lens = [
+                n,
+                2.0 * n,
+                3.0 * n,
+                n.next_down(),
+                n.next_up(),
+                total - start,
+                total,
+                2.5 * total,
+                n / 3.0,
+            ];
+            let mut budgets = Vec::new();
+            for len in lens {
+                lanes[0].position = start;
+                let c = lockstep::lockstep_window_cycles(&mut lanes, &table, &[1.0], len);
+                let what = format!("{}: C walk {start} + {len}", p.name);
+                assert_eq!(c.to_bits(), p.cycles_in(start, len).to_bits(), "{what}");
+                budgets.extend([c, c.next_down(), c.next_up()]);
+            }
+            if p.name == "guard" && start == mid {
+                // Mid-interval 0 to the edge of interval 1, arriving with
+                // `w1` and its neighbours left.
+                let spent = (n - start) * p.intervals[0].cpi();
+                let w1 = n * p.intervals[1].cpi();
+                for left in [w1.next_down(), w1, w1.next_up(), w1.next_up().next_up()] {
+                    budgets.push(cycles_leaving(left, spent));
+                }
+            }
+            for cycles in budgets.into_iter().filter(|&c| c >= 0.0) {
+                lanes[0].position = start;
+                lockstep::lockstep_advance(&mut lanes, &table, &[1.0], cycles);
+                let advance = lanes[0].advance;
+                let what = format!("{}: {cycles} cycles from {start}", p.name);
+                let reference = p.insns_for_cycles(start, cycles);
+                assert_eq!(advance.to_bits(), reference.to_bits(), "{what}");
+                for min_misses in [1.0, 1e12] {
+                    lockstep::lockstep_windows(&[p], &mut lanes, &table, &mut windows, min_misses);
+                    assert_eq!(bits(&windows[0]), bits(&p.sdc_in(start, advance)), "{what}: SDC");
+                    let penalty = p.miss_penalty_in(start, advance, min_misses);
+                    assert_eq!(lanes[0].penalty.to_bits(), penalty.to_bits(), "{what}: penalty");
+                }
+            }
         }
     }
 }

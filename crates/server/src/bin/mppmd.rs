@@ -8,7 +8,7 @@
 //! serves `predict`, `simulate`, and `campaign` requests from one warm
 //! store. Stop it with a `shutdown` request (`mppm-cli client shutdown`).
 
-use mppm_server::{default_socket_path, serve, ServerConfig};
+use mppm_server::{serve, ServerConfig};
 
 const USAGE: &str = "usage: mppmd [--socket PATH] [--store DIR] [--cache-cap N]
 
@@ -16,32 +16,19 @@ const USAGE: &str = "usage: mppmd [--socket PATH] [--store DIR] [--cache-cap N]
   --store DIR     store root (default <workspace>/target/mppm-store)
   --cache-cap N   response-cache entry cap before LRU eviction (default 1024)";
 
+/// Pairs each flag with its value and hands them to the daemon's one
+/// flag parser, [`ServerConfig::from_flags`]. `Err("")` asks for help.
 fn parse_args(argv: &[String]) -> Result<ServerConfig, String> {
-    let mut config = ServerConfig::new(default_socket_path());
+    let mut flags = Vec::new();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--socket" => {
-                let path = it.next().ok_or("--socket needs a path")?;
-                config.socket = path.into();
-            }
-            "--store" => {
-                let path = it.next().ok_or("--store needs a directory")?;
-                config.store_root = Some(path.into());
-            }
-            "--cache-cap" => {
-                let n = it.next().ok_or("--cache-cap needs a positive entry count")?;
-                config.response_cache_cap = n
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--cache-cap: `{n}` is not a positive integer"))?;
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown argument `{other}`")),
+        if arg == "--help" || arg == "-h" {
+            return Err(String::new());
         }
+        let name = arg.strip_prefix("--").ok_or_else(|| format!("unknown argument `{arg}`"))?;
+        flags.push((name, it.next().map(String::as_str)));
     }
-    Ok(config)
+    ServerConfig::from_flags(flags)
 }
 
 fn main() {
@@ -63,5 +50,29 @@ fn main() {
         // Exit code 6 is the server-error code across the toolkit
         // (mirrored by `mppm-cli`'s CliError::Server).
         std::process::exit(6);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(argv: &[&str]) -> Result<ServerConfig, String> {
+        parse_args(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn cache_cap_goes_through_the_shared_parser() {
+        assert_eq!(args(&["--cache-cap", "64"]).map(|c| c.response_cache_cap), Ok(64));
+        for bad in ["0", "x"] {
+            assert_eq!(
+                args(&["--cache-cap", bad]),
+                ServerConfig::from_flags([("cache-cap", Some(bad))]),
+                "the same message as `mppm-cli serve`"
+            );
+        }
+        assert_eq!(args(&["--quick"]), Err("unknown flag --quick".to_string()));
+        assert_eq!(args(&["quick"]), Err("unknown argument `quick`".to_string()));
+        assert_eq!(args(&["--help"]), Err(String::new()));
     }
 }

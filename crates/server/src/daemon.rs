@@ -21,8 +21,13 @@ use crate::ServerError;
 /// few MB at most, while still making a week-long daemon's memory flat.
 pub const DEFAULT_RESPONSE_CACHE_CAP: usize = 1024;
 
+/// The daemon's flags, without their leading `--`. `mppmd` and
+/// `mppm-cli serve` both accept exactly these and hand them to
+/// [`ServerConfig::from_flags`].
+pub const DAEMON_FLAGS: &[&str] = &["socket", "store", "cache-cap"];
+
 /// How to run the daemon.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Unix domain socket to listen on.
     pub socket: PathBuf,
@@ -42,6 +47,40 @@ impl ServerConfig {
             store_root: None,
             response_cache_cap: DEFAULT_RESPONSE_CACHE_CAP,
         }
+    }
+
+    /// Parses the daemon's flags, given as `(name, value)` pairs with
+    /// the name's `--` stripped: `--socket PATH`, `--store DIR` and
+    /// `--cache-cap N`. Flags left out keep the defaults of
+    /// [`ServerConfig::new`] on [`crate::default_socket_path`]. The one
+    /// parser behind `mppmd` and `mppm-cli serve`.
+    ///
+    /// # Errors
+    ///
+    /// A user-facing message for a flag outside [`DAEMON_FLAGS`], a flag
+    /// without its value, or a `--cache-cap` that is not a positive
+    /// integer.
+    pub fn from_flags<'a>(
+        flags: impl IntoIterator<Item = (&'a str, Option<&'a str>)>,
+    ) -> Result<Self, String> {
+        let mut config = Self::new(crate::default_socket_path());
+        for (name, value) in flags {
+            let value = || value.ok_or_else(|| format!("--{name} expects a value"));
+            match name {
+                "socket" => config.socket = value()?.into(),
+                "store" => config.store_root = Some(value()?.into()),
+                "cache-cap" => {
+                    let n = value()?;
+                    config.response_cache_cap = n
+                        .parse::<usize>()
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or_else(|| format!("--cache-cap: `{n}` is not a positive integer"))?;
+                }
+                other => return Err(format!("unknown flag --{other}")),
+            }
+        }
+        Ok(config)
     }
 }
 
@@ -240,5 +279,43 @@ fn run_campaign_job(state: &Arc<ServerState>, job: CampaignJob) {
                 w.writer.send_line(&err_frame(w.id, code, &message));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[(&'static str, &'static str)]) -> Result<ServerConfig, String> {
+        ServerConfig::from_flags(flags.iter().map(|&(n, v)| (n, Some(v))))
+    }
+
+    #[test]
+    fn from_flags_reads_every_daemon_flag() {
+        assert_eq!(parse(&[]), Ok(ServerConfig::new(crate::default_socket_path())));
+        let config =
+            parse(&[("socket", "/tmp/d.sock"), ("store", "/tmp/store"), ("cache-cap", "64")])
+                .expect("valid flags");
+        assert_eq!(config.socket, PathBuf::from("/tmp/d.sock"));
+        assert_eq!(config.store_root, Some(PathBuf::from("/tmp/store")));
+        assert_eq!(config.response_cache_cap, 64);
+        for name in DAEMON_FLAGS {
+            assert!(parse(&[(name, "1")]).is_ok(), "--{name} is a daemon flag");
+        }
+    }
+
+    #[test]
+    fn from_flags_refuses_bad_values_and_names() {
+        for bad in ["0", "-1", "1.5", "x", ""] {
+            assert_eq!(
+                parse(&[("cache-cap", bad)]),
+                Err(format!("--cache-cap: `{bad}` is not a positive integer"))
+            );
+        }
+        assert_eq!(parse(&[("quick", "1")]), Err("unknown flag --quick".to_string()));
+        assert_eq!(
+            ServerConfig::from_flags([("socket", None)]),
+            Err("--socket expects a value".to_string())
+        );
     }
 }

@@ -29,7 +29,7 @@ pub mod protocol;
 mod state;
 
 pub use client::{Client, Response};
-pub use daemon::{serve, ServerConfig, DEFAULT_RESPONSE_CACHE_CAP};
+pub use daemon::{serve, ServerConfig, DAEMON_FLAGS, DEFAULT_RESPONSE_CACHE_CAP};
 pub use state::{ConnWriter, ServerState};
 
 use std::fmt;
