@@ -444,9 +444,10 @@ pub struct AllocInSteadyLoop;
 /// walk and LLC commit, the per-engine drive dispatcher, the chunk cuts
 /// (the generator loop and chunk refill — run on the generator thread,
 /// which must not allocate — and a cached replay's cut and copy), the
-/// scheduler interleave loop, and the solver's lockstep window walks
-/// (run once per program-step) with their per-piece whole-interval
-/// helpers. Every entry names a live `fn`
+/// scheduler interleave loop, and the solver: its step loop (`solve`),
+/// the lockstep window walks (run once per program-step) with their
+/// whole-interval helpers, the window SDC's write-back, and the
+/// contention models' per-step extra misses. Every entry names a live `fn`
 /// (`steady_loop_fns_name_live_kernels` below), so a rename cannot
 /// silently drop a kernel from the rule.
 const STEADY_LOOP_FNS: &[&str] = &[
@@ -463,9 +464,11 @@ const STEADY_LOOP_FNS: &[&str] = &[
     "lockstep_window_cycles",
     "lockstep_advance",
     "lockstep_windows",
-    "skip_interval",
-    "interval_row",
+    "interval_after",
+    "land",
     "add_counters",
+    "solve",
+    "extra_misses",
 ];
 
 impl Rule for AllocInSteadyLoop {

@@ -42,4 +42,4 @@ mod set_assoc;
 
 pub use config::CacheConfig;
 pub use sdc::Sdc;
-pub use set_assoc::{AccessResult, Replacement, SetAssocCache};
+pub use set_assoc::{AccessResult, Replacement, SetAssocCache, MAX_ASSOC};

@@ -35,7 +35,7 @@ pub struct AccessResult {
 
 /// Most ways a [`SetAssocCache`] set can have: one byte lane per way in
 /// a `u128` rank word.
-const MAX_ASSOC: u32 = 16;
+pub const MAX_ASSOC: u32 = 16;
 
 /// The value of the byte lanes past a set's associativity. It is above
 /// every rank, so [`RankWord::promote`] never moves it and

@@ -13,7 +13,7 @@
 //! campaign therefore aggregate exactly the same parsed bytes, which is
 //! what makes their outputs bit-identical rather than merely close.
 
-use mppm::{SingleCoreProfile, SolverScratch};
+use mppm::{SolverProfile, SolverScratch};
 use mppm_experiments::{parallel_map_with, Context};
 use mppm_obs::{Span, Value};
 use std::time::Instant;
@@ -54,7 +54,7 @@ impl ExecutionStats {
 pub(crate) fn compute_shard(
     ctx: &Context,
     plan: &CampaignPlan,
-    profiles: &[SingleCoreProfile],
+    profiles: &[SolverProfile],
     shard: &Shard,
     span: &Span,
     scratch: &mut SolverScratch,
@@ -65,7 +65,7 @@ pub(crate) fn compute_shard(
         .enumerate()
         .map(|(offset, mix)| {
             let mix_span = span.child(&format!("mix-{:04}", shard.start + offset as u64));
-            let pred = ctx.predict_observed_with(&mix, profiles, &mix_span, scratch);
+            let pred = ctx.solve(&mix, profiles, &mix_span, scratch);
             span.counter("campaign.mixes").incr();
             MixOutcome {
                 members: mix.members().to_vec(),
@@ -100,12 +100,13 @@ pub fn execute_pending(
     journal: &Journal,
     span: &Span,
 ) -> Result<ExecutionStats, CampaignError> {
-    // Profiles once per design point (cached on disk by the store).
-    let profiles: Vec<Vec<SingleCoreProfile>> = plan
+    // Solve-ready profiles once per design point (the profiles are
+    // cached on disk by the store).
+    let profiles: Vec<Vec<SolverProfile>> = plan
         .spec
         .designs
         .iter()
-        .map(|&cfg| ctx.profiles(&ctx.machine_with_config(cfg)))
+        .map(|&cfg| ctx.solver_profiles(&ctx.machine_with_config(cfg)))
         .collect();
 
     let mut pending: Vec<&Shard> = Vec::new();

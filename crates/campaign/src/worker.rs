@@ -183,9 +183,10 @@ fn serve_campaign(
         return Err(ServeError::PipeGone);
     }
 
-    // Profiles per design point, computed lazily on first use (the
-    // store caches them on disk, so across workers this is one compute).
-    let mut profiles: Vec<Option<Vec<mppm::SingleCoreProfile>>> =
+    // Solve-ready profiles per design point, built lazily on first use
+    // (the store caches the profiles on disk, so across workers this is
+    // one compute).
+    let mut profiles: Vec<Option<Vec<mppm::SolverProfile>>> =
         vec![None; plan.spec.designs.len()];
     let mut scratch = SolverScratch::new();
     let span = Span::disabled();
@@ -224,7 +225,7 @@ fn serve_campaign(
                 let was_computed = already.is_none();
                 if already.is_none() {
                     let design_profiles = profiles[design].get_or_insert_with(|| {
-                        ctx.profiles(&ctx.machine_with_config(plan.spec.designs[design]))
+                        ctx.solver_profiles(&ctx.machine_with_config(plan.spec.designs[design]))
                     });
                     let record =
                         compute_shard(&ctx, &plan, design_profiles, shard, &span, &mut scratch);

@@ -31,7 +31,8 @@ use super::ContentionModel;
 /// let mut hog = Sdc::new(4);
 /// for _ in 0..300 { hog.record(None); }
 ///
-/// let extra = FoaModel.extra_misses(&[victim, hog], 4);
+/// let mut extra = Vec::new();
+/// FoaModel.extra_misses(&[victim, hog], 4, &mut extra);
 /// // The victim keeps only 1 of 4 ways, so its depth-3 hits become misses.
 /// assert!(extra[0] > 99.0);
 /// // The hog was missing anyway: no *extra* misses.
@@ -41,20 +42,18 @@ use super::ContentionModel;
 pub struct FoaModel;
 
 impl ContentionModel for FoaModel {
-    fn extra_misses(&self, windows: &[Sdc], assoc: u32) -> Vec<f64> {
+    fn extra_misses(&self, windows: &[Sdc], assoc: u32, extra: &mut Vec<f64>) {
         let total: f64 = windows.iter().map(Sdc::accesses).sum();
-        windows
-            .iter()
-            .map(|sdc| {
-                let acc = sdc.accesses();
-                if acc <= 0.0 || total <= 0.0 {
-                    return 0.0;
-                }
-                let share = acc / total;
-                let a_eff = f64::from(assoc) * share;
-                (sdc.misses_at(a_eff) - sdc.misses()).max(0.0)
-            })
-            .collect()
+        extra.clear();
+        extra.extend(windows.iter().map(|sdc| {
+            let acc = sdc.accesses();
+            if acc <= 0.0 || total <= 0.0 {
+                return 0.0;
+            }
+            let share = acc / total;
+            let a_eff = f64::from(assoc) * share;
+            (sdc.misses_at(a_eff) - sdc.misses()).max(0.0)
+        }));
     }
 
     fn name(&self) -> &'static str {
@@ -64,14 +63,14 @@ impl ContentionModel for FoaModel {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::sdc;
+    use super::super::test_support::{extra_of, sdc};
     use super::*;
 
     #[test]
     fn equal_frequency_splits_cache_evenly() {
         // Two identical programs, hits uniform over 8 depths.
         let w = vec![sdc(&[10.0; 8], 0.0), sdc(&[10.0; 8], 0.0)];
-        let extra = FoaModel.extra_misses(&w, 8);
+        let extra = extra_of(&FoaModel, &w, 8);
         // Each gets 4 ways: hits at depths 4..8 (40) become misses.
         assert!((extra[0] - 40.0).abs() < 1e-9);
         assert!((extra[1] - 40.0).abs() < 1e-9);
@@ -81,7 +80,7 @@ mod tests {
     fn share_is_proportional_to_frequency() {
         // Program 0 does 3x the accesses of program 1.
         let w = vec![sdc(&[30.0; 8], 0.0), sdc(&[10.0; 8], 0.0)];
-        let extra = FoaModel.extra_misses(&w, 8);
+        let extra = extra_of(&FoaModel, &w, 8);
         // a_0 = 6 ways -> loses depths 6,7: 60 hits -> 60 extra.
         assert!((extra[0] - 60.0).abs() < 1e-9, "got {}", extra[0]);
         // a_1 = 2 ways -> loses depths 2..8: 60 hits.
@@ -92,7 +91,7 @@ mod tests {
     fn fractional_share_interpolates() {
         // Three equal programs on an 8-way cache: a = 8/3 ≈ 2.667.
         let w = vec![sdc(&[9.0; 8], 0.0); 3];
-        let extra = FoaModel.extra_misses(&w, 8);
+        let extra = extra_of(&FoaModel, &w, 8);
         // hits_at(2.667) = 2*9 + 0.667*9 = 24; extra = 72 - 24 = 48.
         assert!((extra[0] - 48.0).abs() < 1e-6, "got {}", extra[0]);
     }
@@ -101,7 +100,7 @@ mod tests {
     fn streaming_program_gains_nothing_and_loses_nothing() {
         // Pure streamer: all accesses miss already.
         let w = vec![sdc(&[0.0; 8], 1000.0), sdc(&[10.0; 8], 0.0)];
-        let extra = FoaModel.extra_misses(&w, 8);
+        let extra = extra_of(&FoaModel, &w, 8);
         assert!(extra[0].abs() < 1e-9);
         // The victim keeps 8 × 80/1080 ≈ 0.59 ways.
         assert!(extra[1] > 70.0, "victim loses nearly all hits: {}", extra[1]);
@@ -110,8 +109,8 @@ mod tests {
     #[test]
     fn more_corunners_more_pressure() {
         let mk = || sdc(&[10.0; 8], 5.0);
-        let two = FoaModel.extra_misses(&[mk(), mk()], 8)[0];
-        let four = FoaModel.extra_misses(&[mk(), mk(), mk(), mk()], 8)[0];
+        let two = extra_of(&FoaModel, &[mk(), mk()], 8)[0];
+        let four = extra_of(&FoaModel, &[mk(), mk(), mk(), mk()], 8)[0];
         assert!(four > two, "4-way sharing ({four}) hurts more than 2-way ({two})");
     }
 }

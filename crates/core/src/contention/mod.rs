@@ -25,17 +25,19 @@ pub use sdc_comp::SdcCompetitionModel;
 ///
 /// Implementations receive one [`Sdc`] per co-running program, all measured
 /// over the *same* window of `C` cycles (so raw counts are directly
-/// comparable), plus the shared cache's associativity. They return, for
+/// comparable), plus the shared cache's associativity. They report, for
 /// each program, the estimated number of additional misses relative to
 /// running alone — always `≥ 0`, and exactly `0` when the program runs
 /// alone.
 pub trait ContentionModel {
-    /// Extra conflict misses per program.
+    /// Extra conflict misses per program, written into `extra`.
     ///
     /// `windows[p]` are program `p`'s stack-distance counters over the
-    /// shared window; `assoc` is the shared cache's associativity. The
-    /// returned vector is parallel to `windows`.
-    fn extra_misses(&self, windows: &[Sdc], assoc: u32) -> Vec<f64>;
+    /// shared window; `assoc` is the shared cache's associativity.
+    /// `extra` is cleared and refilled parallel to `windows`; the solver
+    /// keeps it across steps, so a model that works in `extra` alone
+    /// allocates nothing once it is warm.
+    fn extra_misses(&self, windows: &[Sdc], assoc: u32, extra: &mut Vec<f64>);
 
     /// Short human-readable name for reports.
     fn name(&self) -> &'static str;
@@ -60,29 +62,40 @@ pub(crate) mod test_support {
         out
     }
 
+    /// [`super::ContentionModel::extra_misses`] into a fresh vector.
+    pub fn extra_of<M: super::ContentionModel + ?Sized>(
+        model: &M,
+        windows: &[Sdc],
+        assoc: u32,
+    ) -> Vec<f64> {
+        let mut out = vec![f64::NAN; 3];
+        model.extra_misses(windows, assoc, &mut out);
+        out
+    }
+
     /// Shared sanity checks every contention model must satisfy.
     pub fn check_model_axioms<M: super::ContentionModel>(model: &M) {
         // Alone: no extra misses.
         let alone = vec![sdc(&[10.0; 8], 5.0)];
-        let extra = model.extra_misses(&alone, 8);
+        let extra = extra_of(model, &alone, 8);
         assert_eq!(extra.len(), 1);
         assert!(extra[0].abs() < 1e-9, "{}: extra misses when alone", model.name());
 
         // Symmetric co-runners: symmetric extra misses.
         let pair = vec![sdc(&[10.0; 8], 5.0), sdc(&[10.0; 8], 5.0)];
-        let extra = model.extra_misses(&pair, 8);
+        let extra = extra_of(model, &pair, 8);
         assert!((extra[0] - extra[1]).abs() < 1e-9, "{}: asymmetric", model.name());
         assert!(extra[0] >= 0.0);
 
         // A program with no LLC accesses suffers nothing.
         let mixed = vec![sdc(&[10.0; 8], 5.0), sdc(&[0.0; 8], 0.0)];
-        let extra = model.extra_misses(&mixed, 8);
+        let extra = extra_of(model, &mixed, 8);
         assert!(extra[1].abs() < 1e-9, "{}: misses without accesses", model.name());
 
         // Extra misses are bounded by the program's own hit count (only
         // hits can convert to misses).
         let heavy = vec![sdc(&[100.0; 8], 50.0), sdc(&[1000.0; 8], 500.0)];
-        let extra = model.extra_misses(&heavy, 8);
+        let extra = extra_of(model, &heavy, 8);
         for (i, &e) in extra.iter().enumerate() {
             assert!(e >= -1e-9, "{}: negative extra", model.name());
             assert!(
@@ -114,7 +127,7 @@ mod tests {
             vec![Box::new(FoaModel), Box::new(SdcCompetitionModel), Box::new(ProbModel)];
         let windows = vec![test_support::sdc(&[5.0; 4], 2.0), test_support::sdc(&[50.0; 4], 20.0)];
         for m in &models {
-            let extra = m.extra_misses(&windows, 4);
+            let extra = test_support::extra_of(m.as_ref(), &windows, 4);
             assert_eq!(extra.len(), 2, "{}", m.name());
         }
     }

@@ -21,7 +21,8 @@ use super::ContentionModel;
 /// let mut sdc = Sdc::new(8);
 /// for d in 0..8 { for _ in 0..10 { sdc.record(Some(d)); } }
 /// let model = PartitionModel::new(vec![6, 2]);
-/// let extra = model.extra_misses(&[sdc.clone(), sdc], 8);
+/// let mut extra = Vec::new();
+/// model.extra_misses(&[sdc.clone(), sdc], 8, &mut extra);
 /// assert_eq!(extra[0], 20.0); // depths 6,7 lost
 /// assert_eq!(extra[1], 60.0); // depths 2..8 lost
 /// ```
@@ -53,18 +54,20 @@ impl ContentionModel for PartitionModel {
     ///
     /// Panics if the number of windows does not match the allocation, or
     /// the allocation does not sum to `assoc`.
-    fn extra_misses(&self, windows: &[Sdc], assoc: u32) -> Vec<f64> {
+    fn extra_misses(&self, windows: &[Sdc], assoc: u32, extra: &mut Vec<f64>) {
         assert_eq!(windows.len(), self.ways.len(), "one way count per program");
         assert_eq!(
             self.ways.iter().sum::<u32>(),
             assoc,
             "partition must sum to the cache associativity"
         );
-        windows
-            .iter()
-            .zip(&self.ways)
-            .map(|(sdc, &w)| (sdc.misses_at(f64::from(w)) - sdc.misses()).max(0.0))
-            .collect()
+        extra.clear();
+        extra.extend(
+            windows
+                .iter()
+                .zip(&self.ways)
+                .map(|(sdc, &w)| (sdc.misses_at(f64::from(w)) - sdc.misses()).max(0.0)),
+        );
     }
 
     fn name(&self) -> &'static str {
@@ -74,13 +77,13 @@ impl ContentionModel for PartitionModel {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::sdc;
+    use super::super::test_support::{extra_of, sdc};
     use super::*;
 
     #[test]
     fn full_allocation_means_no_extra() {
         let w = vec![sdc(&[10.0; 8], 5.0)];
-        let extra = PartitionModel::new(vec![8]).extra_misses(&w, 8);
+        let extra = extra_of(&PartitionModel::new(vec![8]), &w, 8);
         assert!(extra[0].abs() < 1e-9);
     }
 
@@ -92,8 +95,8 @@ mod tests {
         let light = vec![victim.clone(), sdc(&[0.0; 8], 10.0)];
         let heavy = vec![victim, sdc(&[0.0; 8], 100_000.0)];
         let model = PartitionModel::new(vec![4, 4]);
-        let e_light = model.extra_misses(&light, 8);
-        let e_heavy = model.extra_misses(&heavy, 8);
+        let e_light = extra_of(&model, &light, 8);
+        let e_heavy = extra_of(&model, &heavy, 8);
         assert_eq!(e_light[0], e_heavy[0], "partitioning isolates the victim");
     }
 
@@ -101,12 +104,12 @@ mod tests {
     #[should_panic(expected = "sum to the cache associativity")]
     fn rejects_mismatched_total() {
         let w = sdc(&[1.0; 8], 0.0);
-        PartitionModel::new(vec![3, 3]).extra_misses(&[w.clone(), w], 8);
+        extra_of(&PartitionModel::new(vec![3, 3]), &[w.clone(), w], 8);
     }
 
     #[test]
     #[should_panic(expected = "one way count per program")]
     fn rejects_wrong_arity() {
-        PartitionModel::new(vec![4, 4]).extra_misses(&[sdc(&[1.0; 8], 0.0)], 8);
+        extra_of(&PartitionModel::new(vec![4, 4]), &[sdc(&[1.0; 8], 0.0)], 8);
     }
 }

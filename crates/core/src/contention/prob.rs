@@ -36,26 +36,27 @@ impl ProbModel {
 }
 
 impl ContentionModel for ProbModel {
-    fn extra_misses(&self, windows: &[Sdc], assoc: u32) -> Vec<f64> {
+    fn extra_misses(&self, windows: &[Sdc], assoc: u32, extra: &mut Vec<f64>) {
+        extra.clear();
         if windows.len() <= 1 {
-            return vec![0.0; windows.len()];
+            extra.resize(windows.len(), 0.0);
+            return;
         }
-        let distinct: Vec<f64> = windows.iter().map(Self::distinct_rate).collect();
-        let total_distinct: f64 = distinct.iter().sum();
-        windows
-            .iter()
-            .zip(&distinct)
-            .map(|(sdc, own_distinct)| {
-                let acc = sdc.accesses();
-                if acc <= 0.0 {
-                    return 0.0;
-                }
-                let others = total_distinct - own_distinct;
+        // Each program's distinct rate, replaced in place by its extra
+        // misses once the total is known.
+        extra.extend(windows.iter().map(Self::distinct_rate));
+        let total_distinct: f64 = extra.iter().sum();
+        for (e, sdc) in extra.iter_mut().zip(windows) {
+            let acc = sdc.accesses();
+            *e = if acc <= 0.0 {
+                0.0
+            } else {
+                let others = total_distinct - *e;
                 let r = others / acc;
                 let a_eff = f64::from(assoc) / (1.0 + r);
                 (sdc.misses_at(a_eff) - sdc.misses()).max(0.0)
-            })
-            .collect()
+            };
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -65,7 +66,7 @@ impl ContentionModel for ProbModel {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::sdc;
+    use super::super::test_support::{extra_of, sdc};
     use super::*;
 
     #[test]
@@ -77,15 +78,15 @@ mod tests {
         unit.record(Some(0));
         hot.add_scaled(&unit, 1000.0);
         let victim = sdc(&[10.0; 8], 0.0);
-        let extra = ProbModel.extra_misses(&[victim, hot], 8);
+        let extra = extra_of(&ProbModel, &[victim, hot], 8);
         assert!(extra[0].abs() < 1e-9, "MRU-hammering co-runner displaces nothing");
     }
 
     #[test]
     fn streamer_hurts_in_proportion_to_volume() {
         let victim = sdc(&[100.0; 8], 0.0);
-        let small = ProbModel.extra_misses(&[victim.clone(), sdc(&[0.0; 8], 400.0)], 8)[0];
-        let large = ProbModel.extra_misses(&[victim, sdc(&[0.0; 8], 4000.0)], 8)[0];
+        let small = extra_of(&ProbModel, &[victim.clone(), sdc(&[0.0; 8], 400.0)], 8)[0];
+        let large = extra_of(&ProbModel, &[victim, sdc(&[0.0; 8], 4000.0)], 8)[0];
         assert!(large > small, "more streaming traffic, more damage: {small} vs {large}");
     }
 
@@ -94,7 +95,7 @@ mod tests {
         // victim: 800 accesses uniform over depths; co-runner inserts 800
         // distinct blocks -> r = 1 -> a_eff = 4 -> half the hits lost.
         let victim = sdc(&[100.0; 8], 0.0);
-        let extra = ProbModel.extra_misses(&[victim, sdc(&[0.0; 8], 800.0)], 8)[0];
+        let extra = extra_of(&ProbModel, &[victim, sdc(&[0.0; 8], 800.0)], 8)[0];
         assert!((extra - 400.0).abs() < 1e-6, "got {extra}");
     }
 
@@ -107,8 +108,8 @@ mod tests {
         }
         let victim = sdc(&[10.0; 8], 0.0);
         let windows = vec![victim, hot];
-        let foa = FoaModel.extra_misses(&windows, 8)[0];
-        let prob = ProbModel.extra_misses(&windows, 8)[0];
+        let foa = extra_of(&FoaModel, &windows, 8)[0];
+        let prob = extra_of(&ProbModel, &windows, 8)[0];
         // FOA punishes the victim for the co-runner's frequency; Prob does
         // not because the co-runner brings in no new blocks.
         assert!(foa > prob);

@@ -18,33 +18,36 @@ use super::ContentionModel;
 pub struct SdcCompetitionModel;
 
 impl ContentionModel for SdcCompetitionModel {
-    fn extra_misses(&self, windows: &[Sdc], assoc: u32) -> Vec<f64> {
+    fn extra_misses(&self, windows: &[Sdc], assoc: u32, extra: &mut Vec<f64>) {
+        extra.clear();
+        extra.resize(windows.len(), 0.0);
         if windows.len() <= 1 {
-            return vec![0.0; windows.len()];
+            return;
         }
-        let mut ways = vec![0u32; windows.len()];
+        // The ways each program wins, counted in `extra` (whole numbers,
+        // exact in f64) before they become its extra misses.
+        let ways = extra;
+        let limit = f64::from(assoc);
         for _ in 0..assoc {
             // Ties go to the program holding fewer ways so far, keeping the
             // allocation symmetric for identical co-runners.
             let winner = (0..windows.len())
-                .filter(|&p| ways[p] < assoc)
+                .filter(|&p| ways[p] < limit)
                 .max_by(|&a, &b| {
                     let ca = windows[a].counters()[ways[a] as usize];
                     let cb = windows[b].counters()[ways[b] as usize];
                     ca.total_cmp(&cb)
-                        .then(ways[b].cmp(&ways[a]))
+                        .then(ways[b].total_cmp(&ways[a]))
                         .then(b.cmp(&a))
                 });
             match winner {
-                Some(p) => ways[p] += 1,
+                Some(p) => ways[p] += 1.0,
                 None => break,
             }
         }
-        windows
-            .iter()
-            .zip(&ways)
-            .map(|(sdc, &a)| (sdc.misses_at(f64::from(a)) - sdc.misses()).max(0.0))
-            .collect()
+        for (e, sdc) in ways.iter_mut().zip(windows) {
+            *e = (sdc.misses_at(*e) - sdc.misses()).max(0.0);
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -54,7 +57,7 @@ impl ContentionModel for SdcCompetitionModel {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::sdc;
+    use super::super::test_support::{extra_of, sdc};
     use super::*;
 
     #[test]
@@ -62,7 +65,7 @@ mod tests {
         // Program 0 re-references shallow depths 10x more than program 1:
         // it should win nearly every way.
         let w = vec![sdc(&[100.0; 8], 0.0), sdc(&[10.0; 8], 0.0)];
-        let extra = SdcCompetitionModel.extra_misses(&w, 8);
+        let extra = extra_of(&SdcCompetitionModel, &w, 8);
         assert!(extra[0] < extra[1], "loser suffers more: {extra:?}");
         // Winner takes all 8 ways -> zero extra misses.
         assert!(extra[0].abs() < 1e-9);
@@ -73,7 +76,7 @@ mod tests {
     #[test]
     fn equal_programs_split_ways() {
         let w = vec![sdc(&[10.0; 8], 0.0), sdc(&[10.0; 8], 0.0)];
-        let extra = SdcCompetitionModel.extra_misses(&w, 8);
+        let extra = extra_of(&SdcCompetitionModel, &w, 8);
         // Ties resolved 4/4 (max_by keeps the later on ties, alternating
         // outcomes still end symmetric in total): each loses 4 depths.
         assert!((extra[0] + extra[1] - 80.0).abs() < 1e-9);
@@ -84,7 +87,7 @@ mod tests {
         // A streamer has no reuse (all misses), so its counters at every
         // depth are zero and it never wins a way.
         let w = vec![sdc(&[0.0; 8], 1000.0), sdc(&[10.0; 8], 0.0)];
-        let extra = SdcCompetitionModel.extra_misses(&w, 8);
+        let extra = extra_of(&SdcCompetitionModel, &w, 8);
         assert!(extra[0].abs() < 1e-9);
         assert!(extra[1].abs() < 1e-9, "victim keeps all ways against a streamer");
     }
@@ -96,8 +99,8 @@ mod tests {
         // does not.
         use super::super::FoaModel;
         let w = vec![sdc(&[0.0; 8], 1000.0), sdc(&[10.0; 8], 0.0)];
-        let foa = FoaModel.extra_misses(&w, 8);
-        let comp = SdcCompetitionModel.extra_misses(&w, 8);
+        let foa = extra_of(&FoaModel, &w, 8);
+        let comp = extra_of(&SdcCompetitionModel, &w, 8);
         assert!(foa[1] > comp[1]);
     }
 }

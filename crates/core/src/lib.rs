@@ -63,6 +63,7 @@ pub use contention::{
 };
 pub use cpi_stack::CpiStack;
 pub use error::ModelError;
+pub use lockstep::SolverProfile;
 pub use model::{Mppm, MppmConfig, Prediction, SlowdownUpdate, SolverScratch};
 pub use profile::{IntervalProfile, MachineSummary, SingleCoreProfile};
 

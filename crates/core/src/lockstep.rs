@@ -1,5 +1,5 @@
 //! The solver's per-step window kernel: the n programs of a mix walk
-//! their profile windows in lockstep.
+//! their profile windows in lockstep, over solve-ready profiles.
 //!
 //! One fixed-point step of [`crate::Mppm`] walks each program's profile
 //! three times: over the next `L` instructions to find the shared window
@@ -14,16 +14,19 @@
 //! program per round: the programs' chains share no value, so their
 //! divisions overlap.
 //!
-//! Most pieces are whole intervals: the walk sits on an interval edge and
-//! has at least an interval left. On such a piece every result is known
-//! without a division. The interval is the one after the last piece's;
+//! The walks read a [`SolverProfile`]: a validated profile tabulated once
+//! into one [`Row`] of per-interval constants per interval. Most pieces
+//! are whole intervals: the walk sits on an interval edge and has at
+//! least an interval left. On such a piece every result is known without
+//! a division. The interval is the one after the last piece's;
 //! `take / interval` is exactly 1, so the window SDC adds the interval's
 //! counters unscaled; `take * cpi`, `mem_stall * take / interval` and
-//! `fallback * take` are per-interval constants of the [`Table`]; and in
-//! the advance walk `left / cpi >= interval` is settled by comparing
-//! `left` with a per-interval threshold just above `interval * cpi`. A
-//! lane runs its stretch of whole pieces in a tight loop; every other
-//! piece takes the general path.
+//! `fallback * take` are row constants; and in the advance walk
+//! `left / cpi >= interval` is settled by comparing `left` with a
+//! per-interval threshold just above `interval * cpi`. A lane runs its
+//! stretch of whole pieces in a tight loop over locals (the window SDC in
+//! a fixed block of [`SDC_WIDTH`] counters) and writes them back once;
+//! every other piece takes the general path.
 //!
 //! Each program still performs exactly the operations of the
 //! [`SingleCoreProfile`] window methods, in the same order, so the
@@ -31,16 +34,16 @@
 //! oracle). The operations skipped are those whose result is known: the
 //! walks' `start % total`, since a lane's position is always the output
 //! of an earlier `% total` (or 0); the per-interval `cycles / insns` CPI
-//! division, which the table holds; and on whole pieces the
+//! division, which the row holds; and on whole pieces the
 //! `pos / interval` and `left / cpi` divisions and the multiplications
-//! by 1. The memory stall and the
-//! fallback-penalty weights accumulate in the SDC walk, piece by piece in
-//! the order their own walks would take, which removes the second walk
-//! of every window.
+//! by 1. The memory stall and the fallback-penalty weights accumulate in
+//! the SDC walk, piece by piece in the order their own walks would take,
+//! which removes the second walk of every window.
 
-use mppm_cache::Sdc;
+use mppm_cache::{Sdc, MAX_ASSOC};
 
-use crate::profile::SingleCoreProfile;
+use crate::profile::{MachineSummary, SingleCoreProfile};
+use crate::ModelError;
 
 /// Tolerance against float drift at interval edges: a walk with less
 /// than this left is done, and a walk this close to the trace end wraps.
@@ -50,41 +53,126 @@ const DONE: f64 = 1e-9;
 /// edge always moves.
 const MIN_PIECE: f64 = 1e-12;
 
-/// Up to this many instructions per trace pass, every interval edge
-/// `k * interval` is an exact f64 integer, so `edge / interval == k`.
-const EXACT_EDGES: u64 = 1 << 53;
+/// Counters in a [`Row`]'s SDC block and a lane's window block: 16 ways
+/// plus the miss bucket, the widest SDC a validated profile has. Narrower
+/// SDCs are padded with zeros, which every sum leaves at zero.
+const SDC_WIDTH: usize = MAX_ASSOC as usize + 1;
 
-/// Columns of an interval's row in the [`Table`]: `cycles / insns`.
-const CPI: usize = 0;
-/// `interval * cpi`: the cycles of a whole interval, as `take * cpi`
-/// gives them.
-const CYCLES: usize = 1;
-/// The least cycles left that surely fit the whole interval: the next
-/// f64 above `CYCLES` (and above `DONE`, so the walk is live). `left >=
-/// FITS` puts `left` above the exact product `interval * cpi`, so the
-/// rounded `left / cpi` is at least `interval`.
-const FITS: usize = 2;
-/// `mem_stall * interval / interval`, the stall a whole piece adds.
-const STALL: usize = 3;
-/// `fallback * interval`, the fallback weight a whole piece adds.
-const FALLBACK: usize = 4;
-/// Start of the interval's SDC counters, which fill the rest of the row.
-const SDC: usize = 5;
-
-/// The per-interval constants every walk of a call reads: one row per
-/// interval of every program, the programs one after another.
-#[derive(Debug, Default)]
-pub(crate) struct Table {
-    vals: Vec<f64>,
-    /// Row length: the constants, then `assoc + 1` SDC counters.
-    stride: usize,
+/// The constants every walk reads for one interval.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Row {
+    /// `cycles / insns`.
+    cpi: f64,
+    /// `interval * cpi`: the cycles of a whole interval, as `take * cpi`
+    /// gives them.
+    cycles: f64,
+    /// The least cycles left that surely fit the whole interval: the next
+    /// f64 above `cycles` (and above `DONE`, so the walk is live). `left
+    /// >= fits` puts `left` above the exact product `interval * cpi`, so
+    /// the rounded `left / cpi` is at least `interval`.
+    fits: f64,
+    /// `mem_stall * interval / interval`, the stall a whole piece adds.
+    stall: f64,
+    /// `fallback * interval`, the fallback weight a whole piece adds.
+    fallback: f64,
+    /// The interval's memory stall cycles, for partial pieces.
+    mem_stall: f64,
+    /// The interval's fallback miss penalty, for partial pieces.
+    fallback_penalty: f64,
+    /// The interval's SDC counters, zero-padded to [`SDC_WIDTH`].
+    sdc: [f64; SDC_WIDTH],
 }
 
-impl Table {
-    /// The row of interval `idx` of `lane`'s program.
-    fn interval_row(&self, lane: &Lane, idx: usize) -> &[f64] {
-        let at = lane.base + idx * self.stride;
-        &self.vals[at..at + self.stride]
+/// A [`SingleCoreProfile`] made ready for [`crate::Mppm::solve`]:
+/// validated once, with its whole-trace CPI and one row of per-interval
+/// constants per interval, so a caller solving many mixes over the same
+/// profiles (a campaign design point) pays for validation and the table
+/// once per profile instead of once per mix.
+///
+/// ```
+/// use mppm::{FoaModel, Mppm, MppmConfig, SingleCoreProfile, SolverProfile, SolverScratch};
+/// use mppm_obs::Span;
+///
+/// let a = SingleCoreProfile::synthetic("a", 8, 10, 1_000, 0.5, 0.1, 400.0, 40.0);
+/// let b = SingleCoreProfile::synthetic("b", 8, 10, 1_000, 1.5, 0.8, 900.0, 600.0);
+/// let (a, b) = (SolverProfile::new(&a)?, SolverProfile::new(&b)?);
+/// let mppm = Mppm::new(MppmConfig::default(), FoaModel);
+/// let pred = mppm.solve(&[&a, &b], &Span::disabled(), &mut SolverScratch::new())?;
+/// assert_eq!(pred.names(), ["a", "b"]);
+/// # Ok::<(), mppm::ModelError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct SolverProfile {
+    name: String,
+    machine: MachineSummary,
+    cpi_sc: f64,
+    /// Instructions per interval.
+    interval: f64,
+    /// Instructions per trace pass.
+    total: f64,
+    rows: Vec<Row>,
+}
+
+impl SolverProfile {
+    /// Validates `profile` and tabulates it.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::InvalidProfile`] exactly when
+    /// [`SingleCoreProfile::validate`] fails.
+    pub fn new(profile: &SingleCoreProfile) -> Result<Self, ModelError> {
+        profile.validate()?;
+        let interval = profile.interval_insns() as f64;
+        let rows = profile
+            .intervals
+            .iter()
+            .map(|iv| {
+                let cpi = iv.cpi();
+                let cycles = interval * cpi;
+                let mut sdc = [0.0; SDC_WIDTH];
+                // At most `SDC_WIDTH` counters: the associativity is validated.
+                sdc[..iv.sdc.counters().len()].copy_from_slice(iv.sdc.counters());
+                Row {
+                    cpi,
+                    cycles,
+                    fits: cycles.max(DONE).next_up(),
+                    stall: iv.mem_stall_cycles * interval / interval,
+                    fallback: iv.fallback_penalty * interval,
+                    mem_stall: iv.mem_stall_cycles,
+                    fallback_penalty: iv.fallback_penalty,
+                    sdc,
+                }
+            })
+            .collect();
+        Ok(Self {
+            name: profile.name.clone(),
+            machine: profile.machine,
+            cpi_sc: profile.cpi_sc(),
+            interval,
+            total: profile.trace_insns() as f64,
+            rows,
+        })
+    }
+
+    /// Benchmark name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Machine parameters the profile was measured on.
+    pub fn machine(&self) -> MachineSummary {
+        self.machine
+    }
+
+    /// Whole-trace isolated CPI ([`SingleCoreProfile::cpi_sc`]).
+    pub fn cpi_sc(&self) -> f64 {
+        self.cpi_sc
+    }
+
+    /// Instructions per interval.
+    pub fn interval_insns(&self) -> u64 {
+        // Exact: validated traces are at most 2^53 instructions.
+        self.interval as u64
     }
 }
 
@@ -98,12 +186,6 @@ pub(crate) struct Lane {
     pub(crate) total: f64,
     /// Index of the last interval.
     last: usize,
-    /// Offset of the program's first row in the [`Table`].
-    base: usize,
-    /// Whether the trace is short enough for exact edges
-    /// ([`EXACT_EDGES`]); without them every piece takes the general
-    /// path.
-    exact: bool,
     /// Trace position at the start of the step, in `[0, total)`.
     pub(crate) position: f64,
     /// Instructions executed so far.
@@ -121,6 +203,8 @@ pub(crate) struct Lane {
     stall: f64,
     weighted: f64,
     weight: f64,
+    /// The window walk's SDC, zero-padded like the rows.
+    sdc: [f64; SDC_WIDTH],
     /// Whether `pos` sits exactly on the start of interval `next`.
     at_edge: bool,
     next: usize,
@@ -155,67 +239,44 @@ impl Lane {
         if self.pos >= self.total - DONE {
             self.pos = 0.0;
             self.next = 0;
-            self.at_edge = self.exact;
+            self.at_edge = true;
         } else {
             // `end` is the next interval's start unless `idx` is the last
             // interval, whose end is the trace end handled above.
             self.next = idx + 1;
-            self.at_edge = self.exact && self.pos == end;
+            self.at_edge = self.pos == end;
         }
     }
 
-    /// Moves a walk on an edge over the whole interval `next`: to the
-    /// next edge, or to 0 after the last interval. The same position
-    /// [`Lane::forward`] reaches, since the edges are exact.
-    fn skip_interval(&mut self) {
-        if self.next == self.last {
-            self.pos = 0.0;
-            self.next = 0;
+    /// The interval after `idx`, wrapping after the last.
+    fn interval_after(&self, idx: usize) -> usize {
+        if idx == self.last {
+            0
         } else {
-            self.pos += self.interval;
-            self.next += 1;
+            idx + 1
         }
+    }
+
+    /// Ends a stretch of whole intervals on the edge of interval `next`:
+    /// `next * interval` is the position the pieces' `pos + interval`
+    /// (or the wrap to 0) reaches, since every edge is an exact f64.
+    fn land(&mut self, next: usize) {
+        self.next = next;
+        self.pos = next as f64 * self.interval;
     }
 }
 
-/// Sizes `lanes` to the mix and builds the per-interval [`Table`]: the
-/// constants every walk of the call reads. The profiles are validated
-/// and share one machine, so every row has the same length.
-pub(crate) fn init(
-    profiles: &[&SingleCoreProfile],
-    target_passes: f64,
-    lanes: &mut Vec<Lane>,
-    table: &mut Table,
-) {
+/// Sizes `lanes` to the mix. The profiles are validated and share one
+/// machine.
+pub(crate) fn init(profiles: &[&SolverProfile], target_passes: f64, lanes: &mut Vec<Lane>) {
     lanes.clear();
-    table.vals.clear();
-    table.stride = SDC + profiles[0].machine.llc.assoc as usize + 1;
-    for p in profiles {
-        let interval = p.interval_insns() as f64;
-        let total = p.trace_insns() as f64;
-        lanes.push(Lane {
-            interval,
-            total,
-            last: p.intervals.len() - 1,
-            base: table.vals.len(),
-            exact: p.trace_insns() <= EXACT_EDGES,
-            target: target_passes * total,
-            ..Lane::default()
-        });
-        for iv in &p.intervals {
-            let cpi = iv.cpi();
-            let cycles = interval * cpi;
-            table.vals.extend_from_slice(&[
-                cpi,
-                cycles,
-                cycles.max(DONE).next_up(),
-                iv.mem_stall_cycles * interval / interval,
-                iv.fallback_penalty * interval,
-            ]);
-            debug_assert_eq!(iv.sdc.counters().len(), table.stride - SDC, "validated assoc");
-            table.vals.extend_from_slice(iv.sdc.counters());
-        }
-    }
+    lanes.extend(profiles.iter().map(|p| Lane {
+        interval: p.interval,
+        total: p.total,
+        last: p.rows.len() - 1,
+        target: target_passes * p.total,
+        ..Lane::default()
+    }));
 }
 
 /// The step's shared window length `C`: the most cycles any program
@@ -223,7 +284,7 @@ pub(crate) fn init(
 /// Each lane is [`SingleCoreProfile::cycles_in`]`(position, step)`.
 pub(crate) fn lockstep_window_cycles(
     lanes: &mut [Lane],
-    table: &Table,
+    profiles: &[&SolverProfile],
     slowdown: &[f64],
     step: f64,
 ) -> f64 {
@@ -233,18 +294,23 @@ pub(crate) fn lockstep_window_cycles(
     let mut live = true;
     while live {
         live = false;
-        for lane in lanes.iter_mut().filter(|l| l.left > DONE) {
+        for (lane, p) in lanes.iter_mut().zip(profiles).filter(|(l, _)| l.left > DONE) {
             live = true;
-            // Whole intervals: `take` is the interval.
-            while lane.at_edge && lane.left >= lane.interval {
-                lane.acc += table.interval_row(lane, lane.next)[CYCLES];
-                lane.left -= lane.interval;
-                lane.skip_interval();
+            if lane.at_edge && lane.left >= lane.interval {
+                // Whole intervals: `take` is the interval.
+                let (mut acc, mut left, mut next) = (lane.acc, lane.left, lane.next);
+                while left >= lane.interval {
+                    acc += p.rows[next].cycles;
+                    left -= lane.interval;
+                    next = lane.interval_after(next);
+                }
+                (lane.acc, lane.left) = (acc, left);
+                lane.land(next);
             }
             if lane.left > DONE {
                 let (idx, end) = lane.piece();
                 let take = lane.left.min(end - lane.pos).max(MIN_PIECE);
-                lane.acc += take * table.interval_row(lane, idx)[CPI];
+                lane.acc += take * p.rows[idx].cpi;
                 lane.left -= take;
                 lane.forward(take, idx, end);
             }
@@ -255,7 +321,12 @@ pub(crate) fn lockstep_window_cycles(
 
 /// Sets each lane's `advance`: how far the program gets in `c` shared
 /// cycles, i.e. [`SingleCoreProfile::insns_for_cycles`]`(position, c / R)`.
-pub(crate) fn lockstep_advance(lanes: &mut [Lane], table: &Table, slowdown: &[f64], c: f64) {
+pub(crate) fn lockstep_advance(
+    lanes: &mut [Lane],
+    profiles: &[&SolverProfile],
+    slowdown: &[f64],
+    c: f64,
+) {
     for (lane, &r) in lanes.iter_mut().zip(slowdown) {
         let cycles = c / r;
         assert!(cycles >= 0.0, "cycles must be non-negative");
@@ -264,19 +335,24 @@ pub(crate) fn lockstep_advance(lanes: &mut [Lane], table: &Table, slowdown: &[f6
     let mut live = true;
     while live {
         live = false;
-        for lane in lanes.iter_mut().filter(|l| l.left > DONE) {
+        for (lane, p) in lanes.iter_mut().zip(profiles).filter(|(l, _)| l.left > DONE) {
             live = true;
-            // Whole intervals: `left / cpi` reaches past the edge, so
-            // `fit` is the interval. Below the threshold the division
-            // decides.
-            while lane.at_edge && lane.left >= table.interval_row(lane, lane.next)[FITS] {
-                lane.acc += lane.interval;
-                lane.left -= table.interval_row(lane, lane.next)[CYCLES];
-                lane.skip_interval();
+            if lane.at_edge {
+                // Whole intervals: `left / cpi` reaches past the edge, so
+                // `fit` is the interval. Below the threshold the division
+                // decides.
+                let (mut acc, mut left, mut next) = (lane.acc, lane.left, lane.next);
+                while left >= p.rows[next].fits {
+                    acc += lane.interval;
+                    left -= p.rows[next].cycles;
+                    next = lane.interval_after(next);
+                }
+                (lane.acc, lane.left) = (acc, left);
+                lane.land(next);
             }
             if lane.left > DONE {
                 let (idx, end) = lane.piece();
-                let cpi = table.interval_row(lane, idx)[CPI];
+                let cpi = p.rows[idx].cpi;
                 let fit = (lane.left / cpi).min(end - lane.pos).max(MIN_PIECE);
                 lane.acc += fit;
                 lane.left -= fit * cpi;
@@ -295,50 +371,66 @@ pub(crate) fn lockstep_advance(lanes: &mut [Lane], table: &Table, slowdown: &[f6
 /// the same window: the memory stall and the fallback-penalty weights
 /// are summed in the SDC walk.
 pub(crate) fn lockstep_windows(
-    profiles: &[&SingleCoreProfile],
     lanes: &mut [Lane],
-    table: &Table,
+    profiles: &[&SolverProfile],
     windows: &mut [Sdc],
     min_misses: f64,
 ) {
-    let assoc = profiles[0].machine.llc.assoc;
-    for (lane, window) in lanes.iter_mut().zip(windows.iter_mut()) {
+    for lane in lanes.iter_mut() {
         lane.start(lane.advance);
         lane.stall = 0.0;
         lane.weighted = 0.0;
         lane.weight = 0.0;
-        window.reset(assoc);
+        lane.sdc = [0.0; SDC_WIDTH];
     }
     let mut live = true;
     while live {
         live = false;
-        for (p, lane) in lanes.iter_mut().enumerate().filter(|(_, l)| l.left > DONE) {
+        for (lane, p) in lanes.iter_mut().zip(profiles).filter(|(l, _)| l.left > DONE) {
             live = true;
-            // Whole intervals: `take / interval` is exactly 1.
-            while lane.at_edge && lane.left >= lane.interval {
-                let row = table.interval_row(lane, lane.next);
-                windows[p].add_counters(&row[SDC..]);
-                lane.stall += row[STALL];
-                lane.weighted += row[FALLBACK];
-                lane.weight += lane.interval;
-                lane.left -= lane.interval;
-                lane.skip_interval();
+            if lane.at_edge && lane.left >= lane.interval {
+                // Whole intervals: `take / interval` is exactly 1.
+                let mut sdc = lane.sdc;
+                let (mut stall, mut weighted, mut weight) =
+                    (lane.stall, lane.weighted, lane.weight);
+                let (mut left, mut next) = (lane.left, lane.next);
+                while left >= lane.interval {
+                    let row = &p.rows[next];
+                    for (dst, src) in sdc.iter_mut().zip(&row.sdc) {
+                        *dst += src;
+                    }
+                    stall += row.stall;
+                    weighted += row.fallback;
+                    weight += lane.interval;
+                    left -= lane.interval;
+                    next = lane.interval_after(next);
+                }
+                lane.sdc = sdc;
+                (lane.stall, lane.weighted, lane.weight, lane.left) =
+                    (stall, weighted, weight, left);
+                lane.land(next);
             }
             if lane.left > DONE {
                 let (idx, end) = lane.piece();
                 let take = lane.left.min(end - lane.pos).max(MIN_PIECE);
-                let iv = &profiles[p].intervals[idx];
+                let row = &p.rows[idx];
                 // Every interval holds `interval` instructions (validated).
-                windows[p].add_scaled(&iv.sdc, take / lane.interval);
-                lane.stall += iv.mem_stall_cycles * take / lane.interval;
-                lane.weighted += iv.fallback_penalty * take;
+                let w = take / lane.interval;
+                for (dst, src) in lane.sdc.iter_mut().zip(&row.sdc) {
+                    *dst += w * src;
+                }
+                lane.stall += row.mem_stall * take / lane.interval;
+                lane.weighted += row.fallback_penalty * take;
                 lane.weight += take;
                 lane.left -= take;
                 lane.forward(take, idx, end);
             }
         }
     }
-    for (lane, window) in lanes.iter_mut().zip(windows.iter()) {
+    for ((lane, window), p) in lanes.iter_mut().zip(windows.iter_mut()).zip(profiles) {
+        let assoc = p.machine.llc.assoc;
+        window.reset(assoc);
+        window.add_counters(&lane.sdc[..=assoc as usize]);
         let misses = window.misses();
         lane.penalty = if misses >= min_misses {
             lane.stall / misses

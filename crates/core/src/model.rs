@@ -1,7 +1,7 @@
 //! The iterative Multi-Program Performance Model (paper §2.2, Figure 2).
 
 use crate::contention::ContentionModel;
-use crate::lockstep::{self, Lane};
+use crate::lockstep::{self, Lane, SolverProfile};
 use crate::metrics;
 use crate::profile::SingleCoreProfile;
 use crate::ModelError;
@@ -114,31 +114,30 @@ impl MppmConfig {
     }
 }
 
-/// Reusable per-worker scratch for [`Mppm::predict_observed_with`].
+/// Reusable per-worker scratch for [`Mppm::solve`].
 ///
 /// Holds the solver's per-program working state — slowdown estimates,
-/// trace positions, the per-interval table of the window walks (CPIs,
-/// whole-interval constants and SDC rows), window SDCs, queueing
-/// terms — so a worker that evaluates many mixes back to back (a
-/// campaign shard, the `mppmd` request loop) resets it in place instead
-/// of reallocating each call. Mixes of different core counts or LLC
-/// associativities can share one scratch: every field is sized to the
-/// current mix on entry, and the bit-exactness oracle pins reuse to
+/// one lane per program with its position and walk state, window SDCs,
+/// the contention model's extra misses, queueing terms and the
+/// convergence history — so a worker that evaluates many mixes back to
+/// back (a campaign shard, the `mppmd` request loop) resets it in place
+/// instead of reallocating each call. Mixes of different core counts or
+/// LLC associativities can share one scratch: every field is sized to
+/// the current mix on entry, and the bit-exactness oracle pins reuse to
 /// fresh-allocation results.
 ///
-/// Not everything is pooled: the contention model's
-/// [`ContentionModel::extra_misses`] returns a fresh `Vec` per step, the
-/// convergence `history` grows with the step count, and the returned
-/// [`Prediction`] owns its vectors — those allocations are part of the
-/// output, not the steady state.
+/// Once warm, a solve allocates only the [`Prediction`] it returns: its
+/// names, per-program vectors and a copy of the history, a fixed count
+/// for a given mix size however many steps the solve takes.
 #[derive(Debug, Default)]
 pub struct SolverScratch {
     slowdown: Vec<f64>,
     lanes: Vec<Lane>,
-    table: lockstep::Table,
     windows: Vec<mppm_cache::Sdc>,
+    extra: Vec<f64>,
     queue_cycles: Vec<f64>,
     traffic: Vec<f64>,
+    history: Vec<f64>,
 }
 
 impl SolverScratch {
@@ -220,15 +219,9 @@ impl<M: ContentionModel> Mppm<M> {
     }
 
     /// [`Mppm::predict_observed`] over caller-owned [`SolverScratch`]:
-    /// the per-step working state (slowdowns, positions, window SDCs,
-    /// queueing terms) is reset in place instead of reallocated, so a
-    /// worker evaluating many mixes (a campaign shard, the `mppmd`
-    /// request loop) pays the solver's transient allocations once per
-    /// worker rather than once per step. Each step walks the mix's
-    /// programs in lockstep, with one walk per window for its SDC, memory
-    /// stall and fallback penalty. Bit-identical to the retained
-    /// allocate-per-step reference solver (a test-only oracle): every
-    /// program performs the same f64 operations in the same order.
+    /// builds a [`SolverProfile`] of each profile and runs [`Mppm::solve`].
+    /// A caller solving many mixes over the same profiles builds the
+    /// [`SolverProfile`]s once and calls [`Mppm::solve`] itself.
     ///
     /// # Errors
     ///
@@ -239,18 +232,48 @@ impl<M: ContentionModel> Mppm<M> {
         span: &Span,
         scratch: &mut SolverScratch,
     ) -> Result<Prediction, ModelError> {
+        // A bad configuration is reported before a bad profile.
+        self.config.validate()?;
+        let ready: Vec<SolverProfile> =
+            profiles.iter().map(|p| SolverProfile::new(p)).collect::<Result<_, _>>()?;
+        let refs: Vec<&SolverProfile> = ready.iter().collect();
+        self.solve(&refs, span, scratch)
+    }
+
+    /// The solver: runs the iterative model of Figure 2 over solve-ready
+    /// profiles, with the per-step working state (slowdowns, positions,
+    /// window SDCs, extra misses, queueing terms, history) reset in place
+    /// in `scratch` instead of reallocated, so a worker evaluating many
+    /// mixes (a campaign shard, the `mppmd` request loop) pays the
+    /// solver's transient allocations once per worker rather than once
+    /// per step. Each step walks the mix's programs in lockstep, with one
+    /// walk per window for its SDC, memory stall and fallback penalty.
+    /// Bit-identical to the retained allocate-per-step reference solver
+    /// (a test-only oracle): every program performs the same f64
+    /// operations in the same order.
+    ///
+    /// Emits the same `solver-step` and `solver` events and counters as
+    /// [`Mppm::predict_observed`] on an enabled `span`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError`] if the configuration is invalid, the mix is
+    /// empty, or the profiles disagree on machine parameters.
+    pub fn solve(
+        &self,
+        profiles: &[&SolverProfile],
+        span: &Span,
+        scratch: &mut SolverScratch,
+    ) -> Result<Prediction, ModelError> {
         self.config.validate()?;
         if profiles.is_empty() {
             return Err(ModelError::EmptyWorkload);
         }
-        for p in profiles {
-            p.validate()?;
-        }
-        let machine = profiles[0].machine;
+        let machine = profiles[0].machine();
         for p in &profiles[1..] {
-            if p.machine != machine {
+            if p.machine() != machine {
                 return Err(ModelError::MismatchedProfiles {
-                    names: (profiles[0].name.clone(), p.name.clone()),
+                    names: (profiles[0].name().to_string(), p.name().to_string()),
                     detail: "profiles measured on different machine configurations".into(),
                 });
             }
@@ -263,13 +286,15 @@ impl<M: ContentionModel> Mppm<M> {
             .unwrap_or_else(|| 10 * profiles.iter().map(|p| p.interval_insns()).min().expect("non-empty"));
         let step = step as f64;
 
-        let SolverScratch { slowdown, lanes, table, windows, queue_cycles, traffic } = scratch;
+        let SolverScratch { slowdown, lanes, windows, extra, queue_cycles, traffic, history } =
+            scratch;
         slowdown.clear();
         slowdown.resize(n, 1.0);
-        lockstep::init(profiles, self.config.target_passes, lanes, table);
+        lockstep::init(profiles, self.config.target_passes, lanes);
         windows.truncate(n);
         windows.resize_with(n, || mppm_cache::Sdc::new(assoc));
-        let mut history: Vec<Vec<f64>> = vec![slowdown.clone()];
+        history.clear();
+        history.extend_from_slice(slowdown);
         let mut steps = 0;
         let mut converged = false;
 
@@ -283,11 +308,11 @@ impl<M: ContentionModel> Mppm<M> {
             // Cycles for the slowest program to execute the next L insns,
             // the progress each program makes in those C cycles, and the
             // window SDCs and miss penalties over that progress.
-            let c = lockstep::lockstep_window_cycles(lanes, table, slowdown, step);
+            let c = lockstep::lockstep_window_cycles(lanes, profiles, slowdown, step);
             debug_assert!(c > 0.0, "interval cycles must be positive");
-            lockstep::lockstep_advance(lanes, table, slowdown, c);
-            lockstep::lockstep_windows(profiles, lanes, table, windows, self.config.min_misses);
-            let extra = self.contention.extra_misses(windows, assoc);
+            lockstep::lockstep_advance(lanes, profiles, slowdown, c);
+            lockstep::lockstep_windows(lanes, profiles, windows, self.config.min_misses);
+            self.contention.extra_misses(windows, assoc, extra);
 
             // Optional shared-bandwidth queueing (§8 extension): charge the
             // delta between shared and isolated channel utilization.
@@ -302,9 +327,7 @@ impl<M: ContentionModel> Mppm<M> {
                         0.5 * rho / (bw * (1.0 - rho))
                     };
                     traffic.clear();
-                    traffic.extend(
-                        windows.iter().zip(&extra).map(|(w, &e)| w.misses() + e),
-                    );
+                    traffic.extend(windows.iter().zip(extra.iter()).map(|(w, &e)| w.misses() + e));
                     let rho_total = traffic.iter().sum::<f64>() / c / bw;
                     queue_cycles.extend((0..n).map(|p| {
                         // The baseline already inside the profile is the
@@ -332,9 +355,9 @@ impl<M: ContentionModel> Mppm<M> {
                 lane.position = (lane.position + lane.advance) % lane.total;
                 lane.executed += lane.advance;
             }
-            history.push(slowdown.clone());
+            history.extend_from_slice(slowdown);
             if span.is_enabled() {
-                let prev = &history[history.len() - 2];
+                let prev = &history[history.len() - 2 * n..history.len() - n];
                 let residual = slowdown
                     .iter()
                     .zip(prev)
@@ -364,13 +387,13 @@ impl<M: ContentionModel> Mppm<M> {
         let cpi_mc: Vec<f64> =
             cpi_sc.iter().zip(slowdown.iter()).map(|(&sc, &r)| sc * r).collect();
         Ok(Prediction {
-            names: profiles.iter().map(|p| p.name.clone()).collect(),
+            names: profiles.iter().map(|p| p.name().to_string()).collect(),
             slowdowns: slowdown.clone(),
             cpi_sc,
             cpi_mc,
             steps,
             converged,
-            history,
+            history: history.clone(),
         })
     }
 
@@ -421,7 +444,7 @@ impl<M: ContentionModel> Mppm<M> {
         let mut executed = vec![0.0_f64; n];
         let targets: Vec<f64> =
             profiles.iter().map(|p| self.config.target_passes * p.trace_insns() as f64).collect();
-        let mut history: Vec<Vec<f64>> = vec![slowdown.clone()];
+        let mut history: Vec<f64> = slowdown.clone();
         let mut steps = 0;
         let mut converged = false;
 
@@ -453,7 +476,8 @@ impl<M: ContentionModel> Mppm<M> {
                 .zip(&advance)
                 .map(|((p, &pos), &len)| p.sdc_in(pos, len))
                 .collect();
-            let extra = self.contention.extra_misses(&windows, assoc);
+            let mut extra = Vec::new();
+            self.contention.extra_misses(&windows, assoc, &mut extra);
 
             let queue_cycles: Vec<f64> = match self.config.bandwidth {
                 None => vec![0.0; n],
@@ -488,9 +512,9 @@ impl<M: ContentionModel> Mppm<M> {
                 position[p] = (position[p] + advance[p]) % profiles[p].trace_insns() as f64;
                 executed[p] += advance[p];
             }
-            history.push(slowdown.clone());
+            history.extend_from_slice(&slowdown);
             if span.is_enabled() {
-                let prev = &history[history.len() - 2];
+                let prev = &history[history.len() - 2 * n..history.len() - n];
                 let residual = slowdown
                     .iter()
                     .zip(prev)
@@ -540,7 +564,7 @@ pub struct Prediction {
     cpi_mc: Vec<f64>,
     steps: usize,
     converged: bool,
-    history: Vec<Vec<f64>>,
+    history: Vec<f64>,
 }
 
 impl Prediction {
@@ -576,9 +600,11 @@ impl Prediction {
         self.converged
     }
 
-    /// Slowdown after each iteration (`history[0]` is the initial all-ones
-    /// state), for convergence diagnostics.
-    pub fn history(&self) -> &[Vec<f64>] {
+    /// Slowdowns after each iteration, for convergence diagnostics: flat,
+    /// `steps() + 1` rows of one entry per program, so program `p`'s
+    /// slowdown after iteration `s` is `history()[s * n + p]` for an
+    /// `n`-program mix. Row 0 is the initial all-ones state.
+    pub fn history(&self) -> &[f64] {
         &self.history
     }
 
@@ -697,6 +723,29 @@ mod tests {
     }
 
     #[test]
+    fn traces_past_two_to_the_53_are_refused_not_walked() {
+        // 8 intervals of 2^51 + 1 instructions: past 2^53 not every
+        // interval edge is an exact f64, and a walk sitting on an edge
+        // that `pos / interval` rounds below takes pieces that never
+        // move it.
+        let mut p = SingleCoreProfile::synthetic("huge", 8, 8, 1_000, 1.0, 0.2, 100.0, 10.0);
+        let resize = |p: &mut SingleCoreProfile, insns: u64| {
+            for iv in &mut p.intervals {
+                iv.insns = insns;
+                iv.cycles = insns as f64;
+                iv.mem_stall_cycles = 0.2 * insns as f64;
+                iv.stack = crate::CpiStack::default();
+            }
+        };
+        resize(&mut p, (1 << 51) + 1);
+        let err = model().predict(&[&p, &friendly()]).unwrap_err();
+        assert!(matches!(&err, ModelError::InvalidProfile { name, .. } if name == "huge"), "{err}");
+        // Exactly 2^53 instructions is accepted, and its walks end.
+        resize(&mut p, 1 << 50);
+        assert!(model().predict(&[&p]).unwrap().converged());
+    }
+
+    #[test]
     fn mismatched_machines_rejected() {
         let a = SingleCoreProfile::synthetic("a", 8, 10, 1_000, 0.5, 0.1, 100.0, 10.0);
         let b = SingleCoreProfile::synthetic("b", 4, 10, 1_000, 0.5, 0.1, 100.0, 10.0);
@@ -787,8 +836,10 @@ mod tests {
     fn history_starts_at_one_and_tracks_steps() {
         let (a, b) = (friendly(), streamer());
         let pred = model().predict(&[&a, &b]).unwrap();
-        assert_eq!(pred.history().len(), pred.steps() + 1);
-        assert!(pred.history()[0].iter().all(|&r| r == 1.0));
+        assert_eq!(pred.history().len(), 2 * (pred.steps() + 1));
+        assert!(pred.history()[..2].iter().all(|&r| r == 1.0));
+        let last = &pred.history()[2 * pred.steps()..];
+        assert_eq!(last, pred.slowdowns(), "the last row is the answer");
     }
 
     #[test]

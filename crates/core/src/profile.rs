@@ -8,10 +8,15 @@
 //! parameters it was measured on ([`MachineSummary`]) so predictions can
 //! refuse to mix incompatible profiles.
 
-use mppm_cache::{CacheConfig, Sdc};
+use mppm_cache::{CacheConfig, Sdc, MAX_ASSOC};
 use serde::{Deserialize, Serialize};
 
 use crate::{CpiStack, ModelError};
+
+/// The longest trace a profile may cover, in instructions: up to 2^53
+/// every interval edge `k * interval` is an exact f64, which the window
+/// walks rely on to land on edges and leave them.
+const MAX_TRACE_INSNS: u64 = 1 << 53;
 
 /// The machine parameters a profile was measured on, as far as the model
 /// cares: the shared-LLC geometry and the memory latency.
@@ -82,9 +87,11 @@ impl SingleCoreProfile {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidProfile`] if the profile has no
-    /// intervals, intervals of unequal length, non-positive cycle counts,
-    /// a memory component exceeding total cycles, or SDCs measured at an
-    /// associativity other than the machine's LLC associativity.
+    /// intervals, intervals of unequal length, a trace longer than 2^53
+    /// instructions, an LLC of more than [`MAX_ASSOC`] ways (the most the
+    /// simulator models), non-positive cycle counts, a memory component
+    /// exceeding total cycles, or SDCs measured at an associativity other
+    /// than the machine's LLC associativity.
     pub fn validate(&self) -> Result<(), ModelError> {
         let fail = |detail: String| {
             Err(ModelError::InvalidProfile { name: self.name.clone(), detail })
@@ -95,6 +102,21 @@ impl SingleCoreProfile {
         let insns = self.intervals[0].insns;
         if insns == 0 {
             return fail("interval length is zero".into());
+        }
+        match insns.checked_mul(self.intervals.len() as u64) {
+            Some(total) if total <= MAX_TRACE_INSNS => {}
+            _ => {
+                return fail(format!(
+                    "{} intervals of {insns} insns exceed the 2^53-instruction trace limit",
+                    self.intervals.len()
+                ))
+            }
+        }
+        if self.machine.llc.assoc > MAX_ASSOC {
+            return fail(format!(
+                "LLC is {}-way, above the {MAX_ASSOC}-way limit",
+                self.machine.llc.assoc
+            ));
         }
         for (i, iv) in self.intervals.iter().enumerate() {
             if iv.insns != insns {
@@ -496,6 +518,34 @@ mod tests {
     fn validate_rejects_wrong_sdc_assoc() {
         let mut p = two_phase();
         p.intervals[0].sdc = Sdc::new(8);
+        assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_traces_past_two_to_the_53() {
+        let mut p = two_phase();
+        p.intervals = vec![p.intervals[0].clone(); 8];
+        for iv in &mut p.intervals {
+            iv.insns = (1 << 51) + 1;
+        }
+        assert!(p.validate().is_err(), "8 intervals of 2^51+1 insns pass 2^53");
+        for iv in &mut p.intervals {
+            iv.insns = 1 << 50;
+        }
+        p.validate().expect("exactly 2^53 insns is accepted");
+        for iv in &mut p.intervals {
+            iv.insns = u64::MAX / 4;
+        }
+        assert!(p.validate().is_err(), "an overflowing trace length is rejected");
+    }
+
+    #[test]
+    fn validate_rejects_llcs_wider_than_sixteen_ways() {
+        let mut p = two_phase();
+        p.machine.llc = CacheConfig::new(32 * 64 * 16, 32, 64, 16);
+        for iv in &mut p.intervals {
+            iv.sdc = Sdc::new(32);
+        }
         assert!(p.validate().is_err());
     }
 

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use crate::contention::{
     ContentionModel, FoaModel, PartitionModel, ProbModel, SdcCompetitionModel,
 };
-use crate::lockstep;
+use crate::lockstep::{self, SolverProfile};
 use crate::model::{Mppm, MppmConfig, Prediction, SlowdownUpdate, SolverScratch};
 use crate::profile::{IntervalProfile, MachineSummary, SingleCoreProfile};
 use crate::CpiStack;
@@ -135,7 +135,8 @@ proptest! {
             })
             .collect();
         for model in [&FoaModel as &dyn ContentionModel, &SdcCompetitionModel, &ProbModel] {
-            let extra = model.extra_misses(&windows, 8);
+            let mut extra = Vec::new();
+            model.extra_misses(&windows, 8, &mut extra);
             prop_assert_eq!(extra.len(), windows.len());
             for (e, w) in extra.iter().zip(&windows) {
                 prop_assert!(*e >= -1e-9, "{}: negative extra", model.name());
@@ -236,8 +237,8 @@ fn assert_bit_identical(kernel: &Prediction, reference: &Prediction, what: &str)
     assert_eq!(bits(kernel.slowdowns()), bits(reference.slowdowns()), "{what}: slowdowns");
     assert_eq!(bits(kernel.cpi_mc()), bits(reference.cpi_mc()), "{what}: cpi_mc");
     assert_eq!(kernel.history().len(), reference.history().len(), "{what}: history");
-    for (step, (k, r)) in kernel.history().iter().zip(reference.history()).enumerate() {
-        assert_eq!(bits(k), bits(r), "{what}: history[{step}]");
+    for (at, (k, r)) in kernel.history().iter().zip(reference.history()).enumerate() {
+        assert_eq!(k.to_bits(), r.to_bits(), "{what}: history[{at}]");
     }
 }
 
@@ -485,13 +486,13 @@ fn window_walks_match_the_profile_methods_at_interval_edges() {
         profile_of("flat", 1000, &[1000.0; 5]),
     ];
     let mut lanes = Vec::new();
-    let mut table = lockstep::Table::default();
     let mut windows = vec![Sdc::new(8)];
     let bits = |sdc: &Sdc| sdc.counters().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
     for p in &profiles {
         let n = p.interval_insns() as f64;
         let total = p.trace_insns() as f64;
-        lockstep::init(&[p], 5.0, &mut lanes, &mut table);
+        let ready = SolverProfile::new(p).expect("valid profile");
+        lockstep::init(&[&ready], 5.0, &mut lanes);
         // Late in interval 0, so the advance below sums its pieces below
         // 1024 instructions, where one ulp of the interval still shows.
         let mid = n * 0.9;
@@ -516,7 +517,7 @@ fn window_walks_match_the_profile_methods_at_interval_edges() {
             let mut budgets = Vec::new();
             for len in lens {
                 lanes[0].position = start;
-                let c = lockstep::lockstep_window_cycles(&mut lanes, &table, &[1.0], len);
+                let c = lockstep::lockstep_window_cycles(&mut lanes, &[&ready], &[1.0], len);
                 let what = format!("{}: C walk {start} + {len}", p.name);
                 assert_eq!(c.to_bits(), p.cycles_in(start, len).to_bits(), "{what}");
                 budgets.extend([c, c.next_down(), c.next_up()]);
@@ -532,13 +533,13 @@ fn window_walks_match_the_profile_methods_at_interval_edges() {
             }
             for cycles in budgets.into_iter().filter(|&c| c >= 0.0) {
                 lanes[0].position = start;
-                lockstep::lockstep_advance(&mut lanes, &table, &[1.0], cycles);
+                lockstep::lockstep_advance(&mut lanes, &[&ready], &[1.0], cycles);
                 let advance = lanes[0].advance;
                 let what = format!("{}: {cycles} cycles from {start}", p.name);
                 let reference = p.insns_for_cycles(start, cycles);
                 assert_eq!(advance.to_bits(), reference.to_bits(), "{what}");
                 for min_misses in [1.0, 1e12] {
-                    lockstep::lockstep_windows(&[p], &mut lanes, &table, &mut windows, min_misses);
+                    lockstep::lockstep_windows(&mut lanes, &[&ready], &mut windows, min_misses);
                     assert_eq!(bits(&windows[0]), bits(&p.sdc_in(start, advance)), "{what}: SDC");
                     let penalty = p.miss_penalty_in(start, advance, min_misses);
                     assert_eq!(lanes[0].penalty.to_bits(), penalty.to_bits(), "{what}: penalty");

@@ -1,6 +1,6 @@
 //! Shared experiment context: machine, geometry, profiles, model.
 
-use mppm::{FoaModel, Mppm, MppmConfig, Prediction, SingleCoreProfile};
+use mppm::{FoaModel, Mppm, MppmConfig, Prediction, SingleCoreProfile, SolverProfile};
 use mppm::mix::Mix;
 use mppm_sim::{llc_configs, MachineConfig};
 use mppm_trace::{suite, TraceGeometry};
@@ -130,6 +130,16 @@ impl Context {
         self.store.suite_profiles(machine, self.geometry)
     }
 
+    /// [`Context::profiles`] made solve-ready for [`Context::solve`]:
+    /// validated and tabulated once, for callers that solve many mixes
+    /// over one design point.
+    pub fn solver_profiles(&self, machine: &MachineConfig) -> Vec<SolverProfile> {
+        self.profiles(machine)
+            .iter()
+            .map(|p| SolverProfile::new(p).expect("suite profiles are valid"))
+            .collect()
+    }
+
     /// The paper's model: MPPM over FOA with default settings.
     pub fn model(&self) -> Mppm<FoaModel> {
         Mppm::new(MppmConfig::default(), FoaModel)
@@ -148,25 +158,27 @@ impl Context {
         profiles: &[SingleCoreProfile],
         span: &mppm_obs::Span,
     ) -> Prediction {
-        self.predict_observed_with(mix, profiles, span, &mut mppm::SolverScratch::new())
+        self.model()
+            .predict_observed(&mix.resolve(profiles), span)
+            .expect("suite profiles are valid and compatible")
     }
 
-    /// [`Context::predict_observed`] over a caller-owned solver scratch:
+    /// [`Context::predict_observed`] over solve-ready profiles
+    /// ([`Context::solver_profiles`]) and a caller-owned solver scratch:
     /// campaign-shard workers thread one [`mppm::SolverScratch`] per
     /// worker through every mix they evaluate, keeping the solver's
     /// working vectors warm across calls. Bit-identical to
     /// [`Context::predict`].
-    pub fn predict_observed_with(
+    pub fn solve(
         &self,
         mix: &Mix,
-        profiles: &[SingleCoreProfile],
+        profiles: &[SolverProfile],
         span: &mppm_obs::Span,
         scratch: &mut mppm::SolverScratch,
     ) -> Prediction {
-        let refs: Vec<&SingleCoreProfile> = mix.resolve(profiles);
         self.model()
-            .predict_observed_with(&refs, span, scratch)
-            .expect("suite profiles are valid and compatible")
+            .solve(&mix.resolve(profiles), span, scratch)
+            .expect("suite profiles share one machine")
     }
 
     /// Simulates one mix on the detailed simulator (cached), returning the

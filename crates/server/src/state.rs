@@ -97,10 +97,13 @@ pub(crate) struct CachedResponse {
 /// least-recently-used entry, so a long-lived daemon's memory is bounded
 /// by `cap` responses no matter how many distinct requests it serves.
 /// Recomputing an evicted response is always safe — responses are
-/// deterministic functions of their key.
+/// deterministic functions of their key. A stamp-ordered index of the
+/// keys makes every hit, insert and eviction O(log n).
 #[derive(Debug)]
 struct ResponseCache {
     entries: BTreeMap<String, (CachedResponse, u64)>,
+    /// Each entry's stamp → its key, least recently used first.
+    recency: BTreeMap<u64, String>,
     /// Monotonic use stamp; bumped on every hit and insert.
     clock: u64,
     /// Maximum entries kept; at least 1.
@@ -109,34 +112,33 @@ struct ResponseCache {
 
 impl ResponseCache {
     fn new(cap: usize) -> Self {
-        Self { entries: BTreeMap::new(), clock: 0, cap: cap.max(1) }
+        Self { entries: BTreeMap::new(), recency: BTreeMap::new(), clock: 0, cap: cap.max(1) }
     }
 
     fn get(&mut self, key: &str) -> Option<CachedResponse> {
         self.clock += 1;
-        let clock = self.clock;
-        self.entries.get_mut(key).map(|(resp, used)| {
-            *used = clock;
-            resp.clone()
-        })
+        let (resp, used) = self.entries.get_mut(key)?;
+        let last = std::mem::replace(used, self.clock);
+        if let Some(key) = self.recency.remove(&last) {
+            self.recency.insert(self.clock, key);
+        }
+        Some(resp.clone())
     }
 
     /// Inserts (or refreshes) `key`; returns how many entries were
     /// evicted to stay within the cap.
     fn insert(&mut self, key: String, response: CachedResponse) -> u64 {
         self.clock += 1;
-        self.entries.insert(key, (response, self.clock));
+        if let Some((_, last)) = self.entries.insert(key.clone(), (response, self.clock)) {
+            self.recency.remove(&last);
+        }
+        self.recency.insert(self.clock, key);
         let mut evicted = 0;
         while self.entries.len() > self.cap {
-            // O(n) min-stamp scan: the cache is small (≤ cap entries)
-            // and insertions are rare next to the work they memoize.
-            let oldest = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone());
-            // mppm-lint: allow(panic-reaches-handler): the loop condition guarantees the cache is non-empty, so a minimum exists
-            let Some(oldest) = oldest else { unreachable!("non-empty cache has a minimum") };
+            let Some((_, oldest)) = self.recency.pop_first() else {
+                // mppm-lint: allow(panic-reaches-handler): the loop condition guarantees the cache is non-empty, and `recency` holds one stamp per entry
+                unreachable!("non-empty cache has a least recent entry")
+            };
             self.entries.remove(&oldest);
             evicted += 1;
         }
@@ -471,6 +473,53 @@ mod tests {
         assert!(cache.get("a").is_some());
         assert_eq!(cache.insert("b".into(), resp("b")), 1);
         assert!(cache.get("a").is_none());
+    }
+
+    #[test]
+    fn matches_a_naive_lru_over_thousands_of_inserts_and_hits() {
+        // A seeded stream of 4,096 inserts and as many lookups over 2,048
+        // keys against a 1,024-entry cache, checked step by step against
+        // a list kept in recency order.
+        let mut cache = ResponseCache::new(1024);
+        let mut naive: Vec<String> = Vec::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next_key = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            format!("k{}", state % 2048)
+        };
+        let (mut hits, mut evictions) = (0, 0);
+        for _ in 0..4096 {
+            let key = next_key();
+            naive.retain(|k| *k != key);
+            naive.push(key.clone());
+            let gone: Vec<String> = naive.drain(..naive.len().saturating_sub(1024)).collect();
+            let evicted = cache.insert(key.clone(), resp(&key));
+            assert_eq!(evicted, gone.len() as u64, "inserting {key}");
+            evictions += evicted;
+            for k in &gone {
+                assert!(!cache.entries.contains_key(k), "{k} was the least recently used");
+            }
+
+            let key = next_key();
+            let got = cache.get(&key);
+            if let Some(at) = naive.iter().position(|k| *k == key) {
+                let k = naive.remove(at);
+                naive.push(k);
+                assert_eq!(got.map(|r| r.result), Some(Value::from(key.as_str())), "hit {key}");
+                hits += 1;
+            } else {
+                assert!(got.is_none(), "miss {key}");
+            }
+        }
+        assert!(hits > 500 && evictions > 500, "{hits} hits, {evictions} evictions");
+        let mut by_recency: Vec<(u64, &String)> =
+            cache.entries.iter().map(|(k, (_, used))| (*used, k)).collect();
+        by_recency.sort();
+        let order: Vec<&String> = by_recency.into_iter().map(|(_, k)| k).collect();
+        assert_eq!(order, naive.iter().collect::<Vec<_>>(), "same entries, same recency order");
+        assert!(cache.recency.values().eq(naive.iter()), "the index holds every key in order");
     }
 
     #[test]
