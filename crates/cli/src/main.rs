@@ -18,7 +18,7 @@ use args::{parse, Command, USAGE};
 use error::CliError;
 use mppm::classify::{classify, Thresholds};
 use mppm::mix::count_mixes;
-use mppm::Prediction;
+use mppm::{Prediction, SolverScratch};
 use mppm_campaign::{
     csv_bundle, design_table, histogram_table, stability_table, write_csvs, Campaign,
 };
@@ -181,17 +181,17 @@ fn run(cmd: Command) -> Result<(), CliError> {
             Ok(())
         }
         Command::Predict(m) => {
-            let profiles = m.check()?.profiles(&Store::open_default()?);
-            print_prediction(&m.predict(&profiles, &Span::disabled())?);
+            let profiles = m.check()?.profiles(&Store::open_default()?)?;
+            print_prediction(&m.predict(&profiles, &Span::disabled(), &mut SolverScratch::new())?);
             Ok(())
         }
         Command::Simulate(m) => {
             let mix = m.check()?;
             let store = Store::open_default()?;
-            let profiles = mix.profiles(&store);
+            let profiles = mix.profiles(&store)?;
             eprintln!("running the detailed simulator (cached on re-runs)...");
             let record = mix.simulate(&store, &profiles);
-            let pred = m.predict(&profiles, &Span::disabled())?;
+            let pred = m.predict(&profiles, &Span::disabled(), &mut SolverScratch::new())?;
 
             let mut t = Table::new(&["program", "measured CPI", "predicted CPI", "err"]);
             // The record is in canonical (sorted) order; align by name

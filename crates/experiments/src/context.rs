@@ -132,7 +132,8 @@ impl Context {
 
     /// [`Context::profiles`] made solve-ready for [`Context::solve`]:
     /// validated and tabulated once, for callers that solve many mixes
-    /// over one design point.
+    /// over one design point. The caller owns them, so they are freed
+    /// with its loop rather than held by the store's memo.
     pub fn solver_profiles(&self, machine: &MachineConfig) -> Vec<SolverProfile> {
         self.profiles(machine)
             .iter()
@@ -165,9 +166,9 @@ impl Context {
 
     /// [`Context::predict_observed`] over solve-ready profiles
     /// ([`Context::solver_profiles`]) and a caller-owned solver scratch:
-    /// campaign-shard workers thread one [`mppm::SolverScratch`] per
-    /// worker through every mix they evaluate, keeping the solver's
-    /// working vectors warm across calls. Bit-identical to
+    /// campaign-shard workers and the figures' model loops thread one
+    /// [`mppm::SolverScratch`] through every mix they evaluate, keeping
+    /// the solver's working vectors warm across calls. Bit-identical to
     /// [`Context::predict`].
     pub fn solve(
         &self,

@@ -5,12 +5,14 @@
 //! (ANTT) wide 95% confidence intervals; even 20 mixes only reach ~7% and
 //! ~13%; 150 mixes are needed for ~2.6% / 4.5%. The paper measured the
 //! curve with detailed simulation. For now this figure evaluates every mix
-//! with the model instead (`ctx.predict`, leaning on Figure 4's accuracy)
+//! with the model instead (`ctx.solve`, leaning on Figure 4's accuracy)
 //! and runs no detailed simulation; ROADMAP item 2 moves the curve to the
 //! detailed simulator.
 
 use mppm::mix::Mix;
 use mppm::stats::{ci95, ConfidenceInterval};
+use mppm::SolverScratch;
+use mppm_obs::Span;
 
 use crate::fig4::mixes_for;
 use crate::table::{f3, pct, Table};
@@ -43,13 +45,14 @@ const CURVE_MIXES: usize = 150;
 /// only those are solved.
 pub fn run(ctx: &Context) -> Fig3Output {
     let machine = ctx.baseline();
-    let profiles = ctx.profiles(&machine);
+    let profiles = ctx.solver_profiles(&machine);
+    let mut scratch = SolverScratch::new();
     let population: Vec<Mix> = mixes_for(4, ctx.scale().model_mixes());
     let values: Vec<(f64, f64)> = population
         .iter()
         .take(CURVE_MIXES)
         .map(|mix| {
-            let pred = ctx.predict(mix, &profiles);
+            let pred = ctx.solve(mix, &profiles, &Span::disabled(), &mut scratch);
             (pred.stp(), pred.antt())
         })
         .collect();

@@ -7,7 +7,8 @@
 //! 2.3% / 2.9% for 25 mixes on 16 cores.
 
 use mppm::mix::{sample_random, Mix};
-use mppm::Prediction;
+use mppm::{Prediction, SolverScratch};
+use mppm_obs::Span;
 use mppm_trace::suite;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -91,8 +92,12 @@ pub fn run_core_count(
     let label = format!("fig4 {cores}-core sims");
     let measured =
         parallel_map(&label, &mixes, |mix| ctx.simulate(mix, &profiles, &machine));
-    let predicted: Vec<Prediction> =
-        mixes.iter().map(|mix| ctx.predict(mix, &profiles)).collect();
+    let ready = ctx.solver_profiles(&machine);
+    let mut scratch = SolverScratch::new();
+    let predicted: Vec<Prediction> = mixes
+        .iter()
+        .map(|mix| ctx.solve(mix, &ready, &Span::disabled(), &mut scratch))
+        .collect();
     CoreCountResult { cores, config_idx, mixes, measured, predicted }
 }
 

@@ -20,7 +20,8 @@
 
 use mppm::mix::{sample_from_pool, sample_mixed, sample_random, Mix};
 use mppm::stats::spearman;
-use mppm::SingleCoreProfile;
+use mppm::{SingleCoreProfile, SolverProfile, SolverScratch};
+use mppm_obs::Span;
 use mppm_trace::suite;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -132,11 +133,12 @@ pub fn category_sets(count: usize, profiles: &[SingleCoreProfile]) -> Vec<Vec<Mi
 }
 
 /// Average STP/ANTT of a set of mixes on one configuration, via MPPM.
-fn model_averages(ctx: &Context, mixes: &[Mix], profiles: &[SingleCoreProfile]) -> (f64, f64) {
+fn model_averages(ctx: &Context, mixes: &[Mix], profiles: &[SolverProfile]) -> (f64, f64) {
+    let mut scratch = SolverScratch::new();
     let mut stp = 0.0;
     let mut antt = 0.0;
     for mix in mixes {
-        let pred = ctx.predict(mix, profiles);
+        let pred = ctx.solve(mix, profiles, &Span::disabled(), &mut scratch);
         stp += pred.stp();
         antt += pred.antt();
     }
@@ -163,6 +165,8 @@ fn detailed_averages(
 pub fn run(ctx: &Context, options: Fig7Options) -> Fig7Output {
     let per_config_profiles: Vec<Vec<SingleCoreProfile>> =
         (0..CONFIGS).map(|c| ctx.profiles(&ctx.machine_with_config(c))).collect();
+    let per_config_ready: Vec<Vec<SolverProfile>> =
+        (0..CONFIGS).map(|c| ctx.solver_profiles(&ctx.machine_with_config(c))).collect();
 
     // Reference: detailed simulation of the full population per config.
     let population = mixes_for(4, ctx.scale().detailed_mixes());
@@ -178,7 +182,7 @@ pub fn run(ctx: &Context, options: Fig7Options) -> Fig7Output {
     let model_population = mixes_for(4, ctx.scale().model_mixes());
     let mut mppm_stp = Vec::new();
     let mut mppm_antt = Vec::new();
-    for profiles in per_config_profiles.iter() {
+    for profiles in &per_config_ready {
         let (stp, antt) = model_averages(ctx, &model_population, profiles);
         mppm_stp.push(stp);
         mppm_antt.push(antt);
@@ -195,7 +199,7 @@ pub fn run(ctx: &Context, options: Fig7Options) -> Fig7Output {
             let (s, a) = if options.practice_detailed {
                 detailed_averages(ctx, mixes, profiles, c)
             } else {
-                model_averages(ctx, mixes, profiles)
+                model_averages(ctx, mixes, &per_config_ready[c])
             };
             stp.push(s);
             antt.push(a);

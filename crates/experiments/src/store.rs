@@ -7,8 +7,7 @@
 //! it: the machine configuration, the trace geometry, the workload mix and
 //! the benchmark-suite version.
 
-use mppm::SingleCoreProfile;
-use mppm_cache::CacheConfig;
+use mppm::{ModelError, SingleCoreProfile, SolverProfile};
 use mppm_obs::{Counter, Observer};
 use mppm_sim::{MachineConfig, MixResult, MixSim, SimArena, TraceCache};
 use mppm_trace::{suite, BenchmarkSpec, TraceGeometry};
@@ -16,23 +15,76 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Version stamp for the synthetic suite's calibration; bump to invalidate
 /// caches after retuning benchmark parameters.
 pub const SUITE_VERSION: u32 = 6;
 
-fn llc_tag(llc: &CacheConfig) -> String {
-    format!("{}k{}w{}", llc.size_bytes / 1024, llc.assoc, llc.latency)
+/// What names a profile or simulation file apart from its programs: the
+/// machine parameters the file name records and the trace geometry. The
+/// in-memory profile memo is keyed by it (and the program name), so a
+/// lookup formats nothing; [`DesignPoint::tag`] renders the same fields
+/// into the file names, so the memo and the disk agree on what is one
+/// profile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct DesignPoint {
+    llc_kb: u64,
+    llc_assoc: u32,
+    llc_latency: u32,
+    mem_latency: u32,
+    hide_cycles: u32,
+    /// Bits of the bandwidth cap, if any.
+    bandwidth: Option<u64>,
+    interval_insns: u64,
+    intervals: u32,
 }
 
-fn machine_tag(machine: &MachineConfig) -> String {
-    let bw = machine.mem_bandwidth.map(|b| format!("_bw{b}")).unwrap_or_default();
-    format!("{}_m{}h{}{bw}", llc_tag(&machine.llc), machine.mem_latency, machine.core.hide_cycles)
+impl DesignPoint {
+    fn new(machine: &MachineConfig, geometry: TraceGeometry) -> Self {
+        Self {
+            llc_kb: machine.llc.size_bytes / 1024,
+            llc_assoc: machine.llc.assoc,
+            llc_latency: machine.llc.latency,
+            mem_latency: machine.mem_latency,
+            hide_cycles: machine.core.hide_cycles,
+            bandwidth: machine.mem_bandwidth.map(f64::to_bits),
+            interval_insns: geometry.interval_insns,
+            intervals: geometry.intervals,
+        }
+    }
+
+    /// `{llc}k{ways}w{latency}_m{mem}h{hide}[_bw{cap}]_{insns}x{intervals}`.
+    fn tag(&self) -> String {
+        let bw = self.bandwidth.map(|b| format!("_bw{}", f64::from_bits(b))).unwrap_or_default();
+        format!(
+            "{}k{}w{}_m{}h{}{bw}_{}x{}",
+            self.llc_kb,
+            self.llc_assoc,
+            self.llc_latency,
+            self.mem_latency,
+            self.hide_cycles,
+            self.interval_insns,
+            self.intervals
+        )
+    }
 }
 
-fn geometry_tag(geometry: TraceGeometry) -> String {
-    format!("{}x{}", geometry.interval_insns, geometry.intervals)
+/// One memoized profile, as measured and solve-ready.
+#[derive(Debug)]
+struct Memo {
+    profile: SingleCoreProfile,
+    /// Validated and tabulated once, on the first
+    /// [`Store::solver_profile`] call. Built on demand rather than at
+    /// load, so callers that only read profiles never hold it.
+    solver: OnceLock<Result<Arc<SolverProfile>, ModelError>>,
+}
+
+impl Memo {
+    fn new(profile: SingleCoreProfile) -> Self {
+        Self { profile, solver: OnceLock::new() }
+    }
 }
 
 /// Key identifying one simulated mix measurement.
@@ -104,10 +156,10 @@ pub struct Store {
     /// Cached mix measurements per (machine, geometry) file, loaded
     /// lazily.
     mixes: Mutex<BTreeMap<String, BTreeMap<String, MixRecord>>>,
-    /// In-memory memo of loaded profiles, keyed by profile file name, so
-    /// a long-lived process (the `mppmd` daemon) parses each profile
-    /// once.
-    profiles: Mutex<BTreeMap<String, SingleCoreProfile>>,
+    /// In-memory memo of loaded profiles, keyed by design point and
+    /// program name, so a long-lived process (the `mppmd` daemon) parses,
+    /// validates and tabulates each profile once.
+    profiles: Mutex<BTreeMap<DesignPoint, BTreeMap<String, Arc<Memo>>>>,
     /// Compiled traces shared across every simulation this store runs.
     traces: TraceCache,
     /// Pool of warm simulator arenas. A simulation checks one out for its
@@ -168,17 +220,39 @@ impl Store {
         &self.root
     }
 
-    fn profile_path(
+    fn profile_path(&self, name: &str, point: DesignPoint) -> PathBuf {
+        self.root.join("profiles").join(format!("{name}_{}_v{SUITE_VERSION}.json", point.tag()))
+    }
+
+    /// The memo entry of `spec`'s profile, loaded or (re)computed on
+    /// first use. A hit takes one lock and clones one `Arc`.
+    fn memo(
         &self,
-        name: &str,
+        spec: &BenchmarkSpec,
         machine: &MachineConfig,
         geometry: TraceGeometry,
-    ) -> PathBuf {
-        self.root.join("profiles").join(format!(
-            "{name}_{}_{}_v{SUITE_VERSION}.json",
-            machine_tag(machine),
-            geometry_tag(geometry),
-        ))
+    ) -> Arc<Memo> {
+        let point = DesignPoint::new(machine, geometry);
+        if let Some(memo) = self.profiles.lock().get(&point).and_then(|ps| ps.get(spec.name())) {
+            return Arc::clone(memo);
+        }
+        self.counters.lock().profile_load.incr();
+        let path = self.profile_path(spec.name(), point);
+        let profile = match read_json::<SingleCoreProfile>(&path) {
+            Some(profile) if profile.validate().is_ok() => profile,
+            _ => {
+                let profile = mppm_sim::profile_single_core(spec, machine, geometry);
+                write_json(&path, &profile);
+                profile
+            }
+        };
+        let memo = Arc::new(Memo::new(profile));
+        self.profiles
+            .lock()
+            .entry(point)
+            .or_default()
+            .insert(spec.name().to_string(), Arc::clone(&memo));
+        memo
     }
 
     /// Loads or (re)computes the single-core profile of `spec`.
@@ -188,23 +262,35 @@ impl Store {
         machine: &MachineConfig,
         geometry: TraceGeometry,
     ) -> SingleCoreProfile {
-        let path = self.profile_path(spec.name(), machine, geometry);
-        let memo_key =
-            path.file_name().expect("profile paths have file names").to_string_lossy().into_owned();
-        if let Some(profile) = self.profiles.lock().get(&memo_key) {
-            return profile.clone();
-        }
-        self.counters.lock().profile_load.incr();
-        let profile = match read_json::<SingleCoreProfile>(&path) {
-            Some(profile) if profile.validate().is_ok() => profile,
-            _ => {
-                let profile = mppm_sim::profile_single_core(spec, machine, geometry);
-                write_json(&path, &profile);
-                profile
-            }
-        };
-        self.profiles.lock().insert(memo_key, profile.clone());
-        profile
+        self.memo(spec, machine, geometry).profile.clone()
+    }
+
+    /// [`Store::profile`], solve-ready: validated and tabulated once per
+    /// store, on the first call, and shared from then on. A repeat takes
+    /// one lock and clones one `Arc`.
+    ///
+    /// # Errors
+    ///
+    /// The [`ModelError`] of [`SolverProfile::new`] when the profile
+    /// fails validation.
+    pub fn solver_profile(
+        &self,
+        spec: &BenchmarkSpec,
+        machine: &MachineConfig,
+        geometry: TraceGeometry,
+    ) -> Result<Arc<SolverProfile>, ModelError> {
+        let memo = self.memo(spec, machine, geometry);
+        memo.solver.get_or_init(|| SolverProfile::new(&memo.profile).map(Arc::new)).clone()
+    }
+
+    /// Number of memoized solve-ready profiles.
+    pub fn solve_ready_profiles(&self) -> usize {
+        let profiles = self.profiles.lock();
+        profiles
+            .values()
+            .flat_map(BTreeMap::values)
+            .filter(|m| m.solver.get().is_some_and(Result::is_ok))
+            .count()
     }
 
     /// Loads or computes the profiles of the whole suite, in suite order.
@@ -217,7 +303,7 @@ impl Store {
     }
 
     fn sim_file_tag(machine: &MachineConfig, geometry: TraceGeometry, cores: usize) -> String {
-        format!("{}_{}_{}c_v{SUITE_VERSION}", machine_tag(machine), geometry_tag(geometry), cores)
+        format!("{}_{cores}c_v{SUITE_VERSION}", DesignPoint::new(machine, geometry).tag())
     }
 
     fn sim_path(&self, tag: &str) -> PathBuf {
@@ -391,6 +477,39 @@ mod tests {
     }
 
     #[test]
+    fn solver_profiles_are_built_once_and_shared() {
+        let (dir, store) = tmp_store();
+        let observer = Observer::with_sinks(Vec::new());
+        store.attach_counters(&observer);
+        let loads = || {
+            observer
+                .counter_snapshot()
+                .into_iter()
+                .find(|(n, _)| n == "store.profile_load")
+                .map_or(0, |(_, v)| v)
+        };
+        let machine = MachineConfig::baseline();
+        let geometry = TraceGeometry::tiny();
+        let spec = suite::benchmark("hmmer").unwrap();
+        assert_eq!(store.solve_ready_profiles(), 0);
+        let first = store.solver_profile(spec, &machine, geometry).unwrap();
+        assert_eq!(loads(), 1);
+        let again = store.solver_profile(spec, &machine, geometry).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "a repeat shares the memoized profile");
+        assert_eq!(*first, SolverProfile::new(&store.profile(spec, &machine, geometry)).unwrap());
+        assert_eq!(loads(), 1, "repeats and `profile` read the memo");
+        assert_eq!(store.solve_ready_profiles(), 1);
+        // A profile loaded from disk by a fresh store is the same.
+        let reopened = Store::open(dir.path.clone()).unwrap();
+        assert_eq!(*reopened.solver_profile(spec, &machine, geometry).unwrap(), *first);
+        // Another design point is another entry.
+        let other = MachineConfig::baseline().with_mem_bandwidth(0.04);
+        let limited = store.solver_profile(spec, &other, geometry).unwrap();
+        assert!(!Arc::ptr_eq(&first, &limited));
+        assert_eq!((loads(), store.solve_ready_profiles()), (2, 2));
+    }
+
+    #[test]
     fn sim_cache_hits_after_first_run() {
         let (_dir, store) = tmp_store();
         let machine = MachineConfig::baseline();
@@ -406,6 +525,21 @@ mod tests {
         let b = store.simulate(&names, &sc, &machine, geometry);
         assert_eq!(a.cpi_mc, b.cpi_mc);
         assert!(a.stp() > 0.0 && a.antt() >= 1.0 - 1e-9);
+    }
+
+    fn machine_tag(machine: &MachineConfig) -> String {
+        DesignPoint::new(machine, TraceGeometry::tiny()).tag()
+    }
+
+    #[test]
+    fn design_point_tags_name_the_existing_files() {
+        // Profile and sim files written before the memo was keyed by
+        // `DesignPoint` keep their names.
+        let geometry = TraceGeometry::new(20_000, 10);
+        let base = MachineConfig::baseline();
+        assert_eq!(DesignPoint::new(&base, geometry).tag(), "512k8w16_m200h12_20000x10");
+        let limited = MachineConfig::baseline().with_mem_bandwidth(0.04);
+        assert_eq!(DesignPoint::new(&limited, geometry).tag(), "512k8w16_m200h12_bw0.04_20000x10");
     }
 
     #[test]
@@ -442,7 +576,7 @@ mod tests {
         let geometry = TraceGeometry::tiny();
         let spec = suite::benchmark("hmmer").unwrap();
         let reference = store.profile(spec, &machine, geometry);
-        let path = store.profile_path(spec.name(), &machine, geometry);
+        let path = store.profile_path(spec.name(), DesignPoint::new(&machine, geometry));
         assert!(path.exists(), "profile was cached");
 
         // A stray staging file from a killed writer must never be read.

@@ -1,6 +1,7 @@
 //! The `mppmd` daemon: accept loop, connection threads, and the
 //! batching campaign executor.
 
+use mppm::SolverScratch;
 use mppm_campaign::Campaign;
 use mppm_experiments::{Context, Store};
 use mppm_obs::{Observer, Sink};
@@ -12,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use crate::handlers::{self, campaign_value};
-use crate::protocol::{codes, err_frame, ok_frame, Request};
+use crate::protocol::{codes, err_frame, Request};
 use crate::state::{CampaignJob, ConnWriter, ServerState, SocketSink};
 use crate::ServerError;
 
@@ -170,6 +171,7 @@ fn handle_conn(state: &Arc<ServerState>, conn_id: u64, stream: UnixStream) {
     let Ok(write_half) = stream.try_clone() else { return };
     let writer = ConnWriter::new(write_half);
     let mut reader = FrameReader::new(stream);
+    let mut scratch = SolverScratch::new();
     loop {
         match reader.next_frame() {
             Ok(Frame::Line(line)) => {
@@ -190,7 +192,7 @@ fn handle_conn(state: &Arc<ServerState>, conn_id: u64, stream: UnixStream) {
                             continue;
                         }
                         let stopping = req.kind == "shutdown";
-                        handlers::handle(state, conn_id, &writer, req);
+                        handlers::handle(state, conn_id, &writer, req, &mut scratch);
                         if stopping {
                             return;
                         }
@@ -242,7 +244,7 @@ fn run_campaign_job(state: &Arc<ServerState>, job: CampaignJob) {
     if let Some(hit) = state.cached(&job.key) {
         for w in &job.waiters {
             state.counters.cache_hits.incr();
-            w.writer.send_line(&ok_frame(w.id, hit.kind, true, hit.result.clone(), None));
+            w.writer.send_line(&hit.frame(w.id, true, None));
         }
         return;
     }
@@ -263,9 +265,9 @@ fn run_campaign_job(state: &Arc<ServerState>, job: CampaignJob) {
     match outcome {
         Ok(result) => {
             let (value, meta) = campaign_value(&result);
-            state.insert_response(job.key.clone(), "campaign", value.clone());
+            let response = state.insert_response(job.key.clone(), "campaign", &value);
             for w in &job.waiters {
-                w.writer.send_line(&ok_frame(w.id, "campaign", false, value.clone(), meta.clone()));
+                w.writer.send_line(&response.frame(w.id, false, meta.as_ref()));
             }
         }
         Err(e) => {

@@ -8,14 +8,17 @@
 //! [`MixRequest`]'s, shared with the one-shot CLI; this module packs the
 //! outcome into JSON.
 
+use mppm::stats::QuantileSketch;
+use mppm::SolverScratch;
 use mppm_obs::{Observer, Sink, Span};
 use serde::Value;
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::protocol::{
     codes, err_frame, ok_frame, resolve, MixRequest, ProtoError, Request, Resolved,
 };
-use crate::state::{CampaignJob, ConnWriter, ServerState, SocketSink, Waiter};
+use crate::state::{CachedResponse, CampaignJob, ConnWriter, ServerState, SocketSink, Waiter};
 
 type Payload = (Value, Option<Value>);
 
@@ -31,8 +34,17 @@ fn strings<S: AsRef<str>>(xs: &[S]) -> Value {
     Value::Array(xs.iter().map(|s| Value::String(s.as_ref().to_string())).collect())
 }
 
-/// Handles one parsed request on a connection thread.
-pub(crate) fn handle(state: &Arc<ServerState>, conn: u64, writer: &ConnWriter, req: Request) {
+/// Handles one parsed request on a connection thread. `scratch` is the
+/// thread's solver scratch, reused by every predict it serves.
+pub(crate) fn handle(
+    state: &Arc<ServerState>,
+    conn: u64,
+    writer: &ConnWriter,
+    req: Request,
+    scratch: &mut SolverScratch,
+) {
+    // mppm-lint: allow(wallclock-in-sim, taint-nondet-to-result): predict service time for the `stats` verb; it never enters a `result` member
+    let started = Instant::now();
     state.counters.requests.incr();
     let resolved = match resolve(&req) {
         Ok(r) => r,
@@ -76,10 +88,14 @@ pub(crate) fn handle(state: &Arc<ServerState>, conn: u64, writer: &ConnWriter, r
             let key = m.cache_key("predict");
             let outcome = state.serve_deduped(&key, "predict", || {
                 observed(writer, req.id, req.subscribe, "predict", |span| {
-                    compute_predict(state, &m, span)
+                    compute_predict(state, &m, span, scratch)
                 })
             });
-            respond(writer, req.id, "predict", outcome);
+            let warm = outcome.as_ref().ok().map(|&(_, _, warm)| warm);
+            respond(writer, req.id, outcome);
+            if let Some(warm) = warm {
+                state.record_predict(warm, started.elapsed().as_secs_f64() * 1e6);
+            }
         }
         Resolved::Simulate(m) => {
             let key = m.cache_key("simulate");
@@ -88,14 +104,14 @@ pub(crate) fn handle(state: &Arc<ServerState>, conn: u64, writer: &ConnWriter, r
                     compute_simulate(state, &m, span)
                 })
             });
-            respond(writer, req.id, "simulate", outcome);
+            respond(writer, req.id, outcome);
         }
         Resolved::Campaign(c) => {
             state.counters.campaign_jobs.incr();
             let key = c.cache_key();
             if let Some(hit) = state.cached(&key) {
                 state.counters.cache_hits.incr();
-                writer.send_line(&ok_frame(req.id, hit.kind, true, hit.result, None));
+                writer.send_line(&hit.frame(req.id, true, None));
                 return;
             }
             let job = CampaignJob {
@@ -119,12 +135,11 @@ pub(crate) fn handle(state: &Arc<ServerState>, conn: u64, writer: &ConnWriter, r
 fn respond(
     writer: &ConnWriter,
     id: u64,
-    kind: &str,
-    outcome: Result<(Value, Option<Value>, bool), ProtoError>,
+    outcome: Result<(CachedResponse, Option<Value>, bool), ProtoError>,
 ) {
     match outcome {
-        Ok((result, meta, cached)) => {
-            writer.send_line(&ok_frame(id, kind, cached, result, meta));
+        Ok((response, meta, cached)) => {
+            writer.send_line(&response.frame(id, cached, meta.as_ref()));
         }
         Err(e) => writer.send_line(&err_frame(id, e.code, &e.message)),
     }
@@ -164,27 +179,43 @@ fn stats_value(state: &Arc<ServerState>) -> Value {
         .into_iter()
         .map(|(name, v)| (name, Value::UInt(v)))
         .collect();
-    let (hits, compiles) = state.store().trace_cache_stats();
-    let (responses, inflight, queued) = state.cache_sizes();
+    let store = state.store();
+    let (hits, compiles) = store.trace_cache_stats();
+    let gauges = state.gauges();
+    let (warm, solved) = &gauges.predict_us;
     obj(vec![
         ("counters", Value::Object(counters)),
         (
             "trace_cache",
             obj(vec![("hits", Value::UInt(hits)), ("compiles", Value::UInt(compiles))]),
         ),
-        ("response_cache", Value::UInt(responses as u64)),
-        ("inflight", Value::UInt(inflight as u64)),
-        ("queued_campaigns", Value::UInt(queued as u64)),
+        ("response_cache", Value::UInt(gauges.responses as u64)),
+        ("response_cache_bytes", Value::UInt(gauges.response_bytes as u64)),
+        ("solve_ready_profiles", Value::UInt(store.solve_ready_profiles() as u64)),
+        ("inflight", Value::UInt(gauges.inflight as u64)),
+        ("queued_campaigns", Value::UInt(gauges.queued as u64)),
+        (
+            "predict_service_us",
+            obj(vec![("hit", quantiles(warm)), ("miss", quantiles(solved))]),
+        ),
     ])
+}
+
+/// `{"n","p50","p99"}` of a service-time sketch; the quantiles are
+/// `null` until it has an observation.
+fn quantiles(sketch: &QuantileSketch) -> Value {
+    let at = |q: f64| sketch.quantile(q).map_or(Value::Null, Value::Float);
+    obj(vec![("n", Value::UInt(sketch.count())), ("p50", at(0.5)), ("p99", at(0.99))])
 }
 
 fn compute_predict(
     state: &Arc<ServerState>,
     m: &MixRequest,
     span: &Span,
+    scratch: &mut SolverScratch,
 ) -> Result<Payload, ProtoError> {
-    let profiles = m.check()?.profiles(&state.store());
-    let pred = m.predict(&profiles, span)?;
+    let profiles = m.check()?.profiles(&state.store())?;
+    let pred = m.predict(&profiles, span, scratch)?;
     let result = obj(vec![
         ("names", strings(pred.names())),
         ("cpi_sc", floats(pred.cpi_sc())),
@@ -205,7 +236,7 @@ fn compute_simulate(
 ) -> Result<Payload, ProtoError> {
     let mix = m.check()?;
     let store = state.store();
-    let profiles = mix.profiles(&store);
+    let profiles = mix.profiles(&store)?;
     span.event("simulate-start", &[("programs", mppm_obs::Value::from(m.names.len()))]);
     let record = mix.simulate(&store, &profiles);
     // `sim_seconds` is wall-clock telemetry: it rides in `meta`, outside

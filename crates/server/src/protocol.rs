@@ -22,7 +22,7 @@
 
 use mppm::{
     ContentionModel, FoaModel, ModelError, Mppm, MppmConfig, PartitionModel, Prediction,
-    ProbModel, SdcCompetitionModel, SingleCoreProfile,
+    ProbModel, SdcCompetitionModel, SolverProfile, SolverScratch,
 };
 use mppm_campaign::{AggregateOptions, CampaignSpec, MixSource};
 use mppm_experiments::{MixRecord, Scale, Store};
@@ -31,6 +31,7 @@ use mppm_sim::{llc_configs, MachineConfig};
 use mppm_trace::{suite, BenchmarkSpec};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Longest accepted request line, in bytes (shared with the campaign
 /// worker wire via `mppm-wire`). Longer lines are discarded to the next
@@ -382,15 +383,23 @@ pub struct CheckedMix<'r> {
 }
 
 impl CheckedMix<'_> {
-    /// Each program's isolated profile, in request order.
-    pub fn profiles(&self, store: &Store) -> Vec<SingleCoreProfile> {
-        self.specs.iter().map(|s| store.profile(s, &self.machine, self.request.geometry)).collect()
+    /// Each program's solve-ready profile, in request order: the
+    /// store's memo, so a warm store validates and tabulates nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`codes::MODEL`] when a profile fails validation.
+    pub fn profiles(&self, store: &Store) -> Result<Vec<Arc<SolverProfile>>, ProtoError> {
+        self.specs
+            .iter()
+            .map(|s| Ok(store.solver_profile(s, &self.machine, self.request.geometry)?))
+            .collect()
     }
 
     /// The detailed simulation of the mix (cached in `store`), given the
     /// programs' [`Self::profiles`].
-    pub fn simulate(&self, store: &Store, profiles: &[SingleCoreProfile]) -> MixRecord {
-        let cpi_sc: Vec<f64> = profiles.iter().map(SingleCoreProfile::cpi_sc).collect();
+    pub fn simulate(&self, store: &Store, profiles: &[Arc<SolverProfile>]) -> MixRecord {
+        let cpi_sc: Vec<f64> = profiles.iter().map(|p| p.cpi_sc()).collect();
         let names: Vec<&str> = self.request.names.iter().map(String::as_str).collect();
         store.simulate(&names, &cpi_sc, &self.machine, self.request.geometry)
     }
@@ -440,33 +449,37 @@ impl MixRequest {
         Ok(CheckedMix { request: self, specs, machine })
     }
 
-    /// Solves the mix with the requested contention model and bandwidth
-    /// cap, one `solver-step` event per iteration on an enabled `span`.
+    /// Solves the mix over the programs' [`CheckedMix::profiles`] with
+    /// the requested contention model and bandwidth cap, one
+    /// `solver-step` event per iteration on an enabled `span`. `scratch`
+    /// carries the solver's working vectors from one call to the next.
     ///
     /// # Errors
     ///
     /// [`codes::MODEL`] when the model rejects the profiles.
     pub fn predict(
         &self,
-        profiles: &[SingleCoreProfile],
+        profiles: &[Arc<SolverProfile>],
         span: &Span,
+        scratch: &mut SolverScratch,
     ) -> Result<Prediction, ProtoError> {
         fn go<M: ContentionModel>(
             cfg: MppmConfig,
             m: M,
-            refs: &[&SingleCoreProfile],
+            ready: &[&SolverProfile],
             span: &Span,
+            scratch: &mut SolverScratch,
         ) -> Result<Prediction, ProtoError> {
-            Ok(Mppm::new(cfg, m).predict_observed(refs, span)?)
+            Ok(Mppm::new(cfg, m).solve(ready, span, scratch)?)
         }
-        let refs: Vec<&SingleCoreProfile> = profiles.iter().collect();
+        let ready: Vec<&SolverProfile> = profiles.iter().map(|p| &**p).collect();
         let config = MppmConfig { bandwidth: self.bandwidth, ..MppmConfig::default() };
         match &self.contention {
-            Contention::Foa => go(config, FoaModel, &refs, span),
-            Contention::Sdc => go(config, SdcCompetitionModel, &refs, span),
-            Contention::Prob => go(config, ProbModel, &refs, span),
+            Contention::Foa => go(config, FoaModel, &ready, span, scratch),
+            Contention::Sdc => go(config, SdcCompetitionModel, &ready, span, scratch),
+            Contention::Prob => go(config, ProbModel, &ready, span, scratch),
             Contention::Partition(ways) => {
-                go(config, PartitionModel::new(ways.clone()), &refs, span)
+                go(config, PartitionModel::new(ways.clone()), &ready, span, scratch)
             }
         }
     }
@@ -528,18 +541,35 @@ impl CampaignRequest {
 
 /// Serializes one ok-response frame (no trailing newline).
 pub fn ok_frame(id: u64, kind: &str, cached: bool, result: Value, meta: Option<Value>) -> String {
-    let mut fields = vec![
-        ("v".to_string(), Value::UInt(PROTOCOL_VERSION)),
-        ("id".to_string(), Value::UInt(id)),
-        ("ok".to_string(), Value::Bool(true)),
-        ("kind".to_string(), Value::String(kind.to_string())),
-        ("cached".to_string(), Value::Bool(cached)),
-        ("result".to_string(), result),
-    ];
+    ok_frame_rendered(id, kind, cached, &render(&result), meta.as_ref())
+}
+
+/// The compact JSON of `value`, as it appears inside a frame.
+pub(crate) fn render(value: &Value) -> String {
+    serde_json::to_string(value).expect("values serialize")
+}
+
+/// [`ok_frame`] around a `result` member already rendered by [`render`]:
+/// the same bytes, without a `Value` tree. The response cache keeps
+/// results rendered, so a hit splices its bytes into a new frame.
+pub(crate) fn ok_frame_rendered(
+    id: u64,
+    kind: &str,
+    cached: bool,
+    result: &str,
+    meta: Option<&Value>,
+) -> String {
+    let kind = render(&Value::String(kind.to_string()));
+    let meta = meta.map(render);
+    let mut frame = String::with_capacity(result.len() + meta.as_ref().map_or(0, String::len) + 80);
+    let _ = write!(frame, "{{\"v\":{PROTOCOL_VERSION},\"id\":{id},\"ok\":true,\"kind\":{kind}");
+    let _ = write!(frame, ",\"cached\":{cached},\"result\":{result}");
     if let Some(meta) = meta {
-        fields.push(("meta".to_string(), meta));
+        frame.push_str(",\"meta\":");
+        frame.push_str(&meta);
     }
-    serde_json::to_string(&Value::Object(fields)).expect("frame serialization cannot fail")
+    frame.push('}');
+    frame
 }
 
 /// Serializes one error frame (no trailing newline).
@@ -703,6 +733,59 @@ mod tests {
             "{\"v\":1,\"id\":5,\"kind\":\"event\",\"event\":{\"scope\":\"campaign\",\"index\":1,\
              \"name\":\"plan\",\"fields\":{\"shards\":4}}}"
         );
+    }
+
+    /// The frame as one `Value` tree serialized whole: what `ok_frame`
+    /// produced before results were cached rendered.
+    fn tree_frame(id: u64, kind: &str, cached: bool, result: Value, meta: Option<Value>) -> String {
+        let mut fields = vec![
+            ("v".to_string(), Value::UInt(PROTOCOL_VERSION)),
+            ("id".to_string(), Value::UInt(id)),
+            ("ok".to_string(), Value::Bool(true)),
+            ("kind".to_string(), Value::String(kind.to_string())),
+            ("cached".to_string(), Value::Bool(cached)),
+            ("result".to_string(), result),
+        ];
+        fields.extend(meta.map(|m| ("meta".to_string(), m)));
+        serde_json::to_string(&Value::Object(fields)).unwrap()
+    }
+
+    #[test]
+    fn frames_from_rendered_results_match_the_value_tree() {
+        let floats = |xs: &[f64]| Value::Array(xs.iter().map(|&f| Value::Float(f)).collect());
+        let object = |fields: Vec<(&str, Value)>| {
+            Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        };
+        let edges = [-0.0, 0.0, 1e-300, 1e300, 2.0, -3.0, 0.1, f64::MAX, f64::MIN_POSITIVE];
+        let predict = object(vec![
+            ("names", Value::Array(vec![Value::from("gamess"), Value::from("lbm")])),
+            ("cpi_sc", floats(&edges)),
+            ("cpi_mc", floats(&[1.25, f64::NAN, f64::INFINITY])),
+            ("stp", Value::Float(1.0)),
+            ("steps", Value::UInt(7)),
+            ("converged", Value::Bool(true)),
+        ]);
+        let simulate = object(vec![("cpi_mc", floats(&[1.5e-7, 12.0])), ("stp", Value::Float(-0.0))]);
+        let sim_meta = object(vec![("sim_seconds", Value::Float(0.0123))]);
+        let campaign = object(vec![
+            ("plan_id", Value::from("c2_n29")),
+            ("designs_csv", Value::from("design,stp_mean\n\"#1\",1.5\n\ttab\u{1}")),
+        ]);
+        let campaign_meta = object(vec![("compute_seconds", Value::Float(1e300))]);
+        let cases = [
+            ("predict", predict, None),
+            ("simulate", simulate, Some(sim_meta)),
+            ("campaign", campaign, Some(campaign_meta)),
+            ("ping", Value::Object(vec![]), None),
+        ];
+        for (kind, result, meta) in cases {
+            for (id, cached) in [(0, false), (u64::MAX, true)] {
+                let expected = tree_frame(id, kind, cached, result.clone(), meta.clone());
+                assert_eq!(ok_frame(id, kind, cached, result.clone(), meta.clone()), expected);
+                let rendered = render(&result);
+                assert_eq!(ok_frame_rendered(id, kind, cached, &rendered, meta.as_ref()), expected);
+            }
+        }
     }
 
     #[test]

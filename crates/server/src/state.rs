@@ -1,6 +1,7 @@
 //! Shared daemon state: the warm store, response cache, in-flight
 //! dedup table and the campaign queue.
 
+use mppm::stats::QuantileSketch;
 use mppm_experiments::Store;
 use mppm_obs::{Counter, Event, Observer, Sink};
 use serde::Value;
@@ -11,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::protocol::{codes, event_frame, CampaignRequest, ProtoError};
+use crate::protocol::{codes, event_frame, ok_frame_rendered, render, CampaignRequest, ProtoError};
 
 fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
@@ -88,8 +89,16 @@ impl Sink for SocketSink {
 pub(crate) struct CachedResponse {
     /// The request verb that produced it.
     pub kind: &'static str,
-    /// The `result` member, exactly as first computed.
-    pub result: Value,
+    /// The `result` member, rendered once when first computed
+    /// ([`crate::protocol::render`]); every reply splices these bytes.
+    pub result: Arc<str>,
+}
+
+impl CachedResponse {
+    /// The ok frame answering request `id` with this payload.
+    pub fn frame(&self, id: u64, cached: bool, meta: Option<&Value>) -> String {
+        ok_frame_rendered(id, self.kind, cached, &self.result, meta)
+    }
 }
 
 /// The bounded response cache: LRU over a logical clock. Every hit
@@ -108,11 +117,19 @@ struct ResponseCache {
     clock: u64,
     /// Maximum entries kept; at least 1.
     cap: usize,
+    /// Bytes of the cached keys and rendered results.
+    bytes: usize,
 }
 
 impl ResponseCache {
     fn new(cap: usize) -> Self {
-        Self { entries: BTreeMap::new(), recency: BTreeMap::new(), clock: 0, cap: cap.max(1) }
+        Self {
+            entries: BTreeMap::new(),
+            recency: BTreeMap::new(),
+            clock: 0,
+            cap: cap.max(1),
+            bytes: 0,
+        }
     }
 
     fn get(&mut self, key: &str) -> Option<CachedResponse> {
@@ -129,7 +146,9 @@ impl ResponseCache {
     /// evicted to stay within the cap.
     fn insert(&mut self, key: String, response: CachedResponse) -> u64 {
         self.clock += 1;
-        if let Some((_, last)) = self.entries.insert(key.clone(), (response, self.clock)) {
+        self.bytes += key.len() + response.result.len();
+        if let Some((old, last)) = self.entries.insert(key.clone(), (response, self.clock)) {
+            self.bytes -= key.len() + old.result.len();
             self.recency.remove(&last);
         }
         self.recency.insert(self.clock, key);
@@ -139,7 +158,9 @@ impl ResponseCache {
                 // mppm-lint: allow(panic-reaches-handler): the loop condition guarantees the cache is non-empty, and `recency` holds one stamp per entry
                 unreachable!("non-empty cache has a least recent entry")
             };
-            self.entries.remove(&oldest);
+            if let Some((gone, _)) = self.entries.remove(&oldest) {
+                self.bytes -= oldest.len() + gone.result.len();
+            }
             evicted += 1;
         }
         evicted
@@ -198,12 +219,38 @@ pub(crate) struct ServerCounters {
     pub evictions: Counter,
 }
 
+/// Server-side service times of predict requests, in µs from the start
+/// of handling to the reply's write, split by whether the reply was
+/// served warm (a cache hit or a dedup join) or solved. Telemetry for
+/// the `stats` verb only: no `result` member ever reads it.
+#[derive(Debug)]
+struct ServiceTimes {
+    hit: QuantileSketch,
+    miss: QuantileSketch,
+}
+
+/// Sizes and latencies the `stats` verb reports beside the counters.
+#[derive(Debug)]
+pub(crate) struct Gauges {
+    /// Cached responses.
+    pub responses: usize,
+    /// Bytes of the cached keys and rendered results.
+    pub response_bytes: usize,
+    /// Computations in flight.
+    pub inflight: usize,
+    /// Campaigns queued for the executor.
+    pub queued: usize,
+    /// Predict service times, `(warm, solved)`.
+    pub predict_us: (QuantileSketch, QuantileSketch),
+}
+
 /// Everything the daemon shares across connections.
 pub struct ServerState {
     store: Arc<Store>,
     observer: Observer,
     socket: PathBuf,
     responses: Mutex<ResponseCache>,
+    service: Mutex<ServiceTimes>,
     inflight: Mutex<BTreeSet<String>>,
     inflight_cv: Condvar,
     queue: Mutex<Queue>,
@@ -237,6 +284,10 @@ impl ServerState {
             observer,
             socket,
             responses: Mutex::new(ResponseCache::new(response_cache_cap)),
+            service: Mutex::new(ServiceTimes {
+                hit: QuantileSketch::new(),
+                miss: QuantileSketch::new(),
+            }),
             inflight: Mutex::new(BTreeSet::new()),
             inflight_cv: Condvar::new(),
             queue: Mutex::new(Queue::default()),
@@ -275,26 +326,48 @@ impl ServerState {
         relock(self.responses.lock()).get(key)
     }
 
-    pub(crate) fn insert_response(&self, key: String, kind: &'static str, result: Value) {
-        let evicted =
-            relock(self.responses.lock()).insert(key, CachedResponse { kind, result });
+    /// Renders `result` once and caches it under `key`; the returned
+    /// response builds every reply from those bytes.
+    pub(crate) fn insert_response(
+        &self,
+        key: String,
+        kind: &'static str,
+        result: &Value,
+    ) -> CachedResponse {
+        let response = CachedResponse { kind, result: render(result).into() };
+        let evicted = relock(self.responses.lock()).insert(key, response.clone());
         if evicted > 0 {
             self.counters.evictions.add(evicted);
         }
+        response
     }
 
-    /// `(cached responses, in-flight computations, queued campaigns)`.
-    pub(crate) fn cache_sizes(&self) -> (usize, usize, usize) {
-        (
-            relock(self.responses.lock()).entries.len(),
-            relock(self.inflight.lock()).len(),
-            relock(self.queue.lock()).jobs.len(),
-        )
+    /// Records one predict request's service time.
+    pub(crate) fn record_predict(&self, warm: bool, micros: f64) {
+        let mut service = relock(self.service.lock());
+        if warm { &mut service.hit } else { &mut service.miss }.push(micros);
+    }
+
+    /// A snapshot of the cache sizes and service times.
+    pub(crate) fn gauges(&self) -> Gauges {
+        let (responses, response_bytes) = {
+            let cache = relock(self.responses.lock());
+            (cache.entries.len(), cache.bytes)
+        };
+        let service = relock(self.service.lock());
+        Gauges {
+            responses,
+            response_bytes,
+            inflight: relock(self.inflight.lock()).len(),
+            queued: relock(self.queue.lock()).jobs.len(),
+            predict_us: (service.hit.clone(), service.miss.clone()),
+        }
     }
 
     /// Serves `key` from the response cache, joins an identical
     /// in-flight computation, or computes (and caches) it. Returns the
-    /// payload plus whether it was served warm.
+    /// response, the computation's `meta`, and whether it was served
+    /// warm.
     ///
     /// # Errors
     ///
@@ -305,13 +378,13 @@ impl ServerState {
         key: &str,
         kind: &'static str,
         compute: F,
-    ) -> Result<(Value, Option<Value>, bool), ProtoError>
+    ) -> Result<(CachedResponse, Option<Value>, bool), ProtoError>
     where
         F: FnOnce() -> Result<(Value, Option<Value>), ProtoError>,
     {
         if let Some(hit) = self.cached(key) {
             self.counters.cache_hits.incr();
-            return Ok((hit.result, None, true));
+            return Ok((hit, None, true));
         }
         let mut inflight = relock(self.inflight.lock());
         if inflight.contains(key) {
@@ -321,19 +394,17 @@ impl ServerState {
             inflight = relock(self.inflight_cv.wait(inflight));
             if let Some(hit) = self.cached(key) {
                 self.counters.cache_hits.incr();
-                return Ok((hit.result, None, true));
+                return Ok((hit, None, true));
             }
             // The computing thread failed; take over below.
         }
         inflight.insert(key.to_string());
         drop(inflight);
-        let outcome = compute();
-        if let Ok((result, _)) = &outcome {
-            self.insert_response(key.to_string(), kind, result.clone());
-        }
+        let outcome = compute()
+            .map(|(result, meta)| (self.insert_response(key.to_string(), kind, &result), meta, false));
         relock(self.inflight.lock()).remove(key);
         self.inflight_cv.notify_all();
-        outcome.map(|(result, meta)| (result, meta, false))
+        outcome
     }
 
     /// Queues a campaign job (merging onto the executor's next wave).
@@ -403,12 +474,12 @@ impl ServerState {
 
 impl std::fmt::Debug for ServerState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (responses, inflight, queued) = self.cache_sizes();
+        let gauges = self.gauges();
         f.debug_struct("ServerState")
             .field("socket", &self.socket)
-            .field("responses", &responses)
-            .field("inflight", &inflight)
-            .field("queued", &queued)
+            .field("responses", &gauges.responses)
+            .field("inflight", &gauges.inflight)
+            .field("queued", &gauges.queued)
             .field("shutdown", &self.is_shutdown())
             .finish()
     }
@@ -419,7 +490,11 @@ mod tests {
     use super::*;
 
     fn resp(tag: &str) -> CachedResponse {
-        CachedResponse { kind: "predict", result: Value::from(tag) }
+        CachedResponse { kind: "predict", result: render(&Value::from(tag)).into() }
+    }
+
+    fn rendered(tag: &str) -> Option<Arc<str>> {
+        Some(render(&Value::from(tag)).into())
     }
 
     #[test]
@@ -461,7 +536,7 @@ mod tests {
         cache.insert("a".into(), resp("a"));
         cache.insert("b".into(), resp("b"));
         assert_eq!(cache.insert("a".into(), resp("a2")), 0, "overwrite stays within cap");
-        assert_eq!(cache.get("a").map(|r| r.result), Some(Value::from("a2")));
+        assert_eq!(cache.get("a").map(|r| r.result), rendered("a2"));
     }
 
     #[test]
@@ -502,12 +577,16 @@ mod tests {
                 assert!(!cache.entries.contains_key(k), "{k} was the least recently used");
             }
 
+            let held: usize =
+                cache.entries.iter().map(|(k, (r, _))| k.len() + r.result.len()).sum();
+            assert_eq!(cache.bytes, held, "bytes track the cached keys and results");
+
             let key = next_key();
             let got = cache.get(&key);
             if let Some(at) = naive.iter().position(|k| *k == key) {
                 let k = naive.remove(at);
                 naive.push(k);
-                assert_eq!(got.map(|r| r.result), Some(Value::from(key.as_str())), "hit {key}");
+                assert_eq!(got.map(|r| r.result), rendered(&key), "hit {key}");
                 hits += 1;
             } else {
                 assert!(got.is_none(), "miss {key}");
@@ -529,5 +608,58 @@ mod tests {
         cache.insert("a".into(), resp("a"));
         assert!(cache.get("nope").is_none());
         assert!(cache.get("a").is_some());
+    }
+
+    #[test]
+    fn hit_miss_and_join_replies_differ_only_in_cached() {
+        let dir = std::env::temp_dir().join(format!("mppmd-state-{}", std::process::id()));
+        let store = Arc::new(Store::open(&dir).unwrap());
+        let state =
+            Arc::new(ServerState::new(store, Observer::with_sinks(Vec::new()), dir.join("s"), 8));
+        let joins = |state: &ServerState| {
+            state
+                .observer()
+                .counter_snapshot()
+                .into_iter()
+                .find(|(n, _)| n == "server.dedup_join")
+                .map_or(0, |(_, v)| v)
+        };
+        let result = Value::Object(vec![
+            ("cpi_mc".to_string(), Value::Array(vec![Value::Float(-0.0), Value::Float(1e-300)])),
+            ("stp".to_string(), Value::Float(2.0)),
+        ]);
+        let (started, computing) = std::sync::mpsc::channel();
+        let joiner = {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || {
+                computing.recv().unwrap();
+                state.serve_deduped("k", "predict", || unreachable!("a join does not compute"))
+            })
+        };
+        // The computation finishes only once the second request has
+        // joined it, so that request is a dedup join, not a hit.
+        let miss = state.serve_deduped("k", "predict", || {
+            started.send(()).unwrap();
+            while joins(&state) == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            Ok((result.clone(), None))
+        });
+        let join = joiner.join().unwrap();
+        let hit = state.serve_deduped("k", "predict", || unreachable!("a hit does not compute"));
+        let frame = |outcome: Result<(CachedResponse, Option<Value>, bool), ProtoError>| {
+            let (response, meta, cached) = outcome.unwrap();
+            (response.frame(9, cached, meta.as_ref()), cached)
+        };
+        let (miss, join, hit) = (frame(miss), frame(join), frame(hit));
+        assert_eq!((miss.1, join.1, hit.1), (false, true, true));
+        assert_eq!(miss.0, crate::protocol::ok_frame(9, "predict", false, result, None));
+        let warm = miss.0.replace("\"cached\":false", "\"cached\":true");
+        assert_eq!(join.0, warm);
+        assert_eq!(hit.0, warm);
+        assert_eq!(joins(&state), 1);
+        let gauges = state.gauges();
+        assert_eq!((gauges.responses, gauges.inflight), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -247,6 +247,23 @@ fn predict_is_deduped_and_cached() {
     assert!(second.cached);
     assert_eq!(second.result_json(), first.result_json());
     assert!(second.events.is_empty(), "cache hits skip recomputation, so no solver events");
+    // The whole reply repeats byte for byte, apart from `cached`.
+    request.id = 77;
+    let third = client.request(&mut request.clone()).expect("third predict");
+    let mut fourth_request = request.clone();
+    fourth_request.subscribe = false;
+    let fourth = client.request(&mut fourth_request).expect("fourth predict");
+    assert!(third.cached && fourth.cached);
+    assert_eq!(third.raw, fourth.raw, "hits reply with the cached bytes");
+    let mut evict = golden_mix_request("predict");
+    evict.id = 77;
+    let miss = Daemon::start().client().request(&mut evict).expect("predict on a fresh daemon");
+    assert!(!miss.cached);
+    assert_eq!(
+        miss.raw.replace("\"cached\":false", "\"cached\":true"),
+        third.raw,
+        "a miss and a hit of one key differ only in `cached`"
+    );
 
     // Unknown benchmarks and bad partitions are typed errors.
     let mut bad = req("predict");
@@ -263,6 +280,23 @@ fn predict_is_deduped_and_cached() {
             assert!(message.contains("ways"), "{message}");
         }
         other => panic!("expected bad-request, got {other:?}"),
+    }
+
+    // `stats` reports the serving cost: the cache's bytes, the memoized
+    // solve-ready profiles (the mix's four), and service times of the
+    // one solved predict and the three warm ones (errors are left out).
+    let stats = client.request(&mut req("stats")).expect("stats");
+    let gauge = |name: &str| stats.result.get(name).and_then(Value::as_u64).unwrap_or(0);
+    assert_eq!(gauge("response_cache"), 1);
+    assert!(gauge("response_cache_bytes") > first.result_json().len() as u64);
+    assert_eq!(gauge("solve_ready_profiles"), 4);
+    let service = stats.result.get("predict_service_us").expect("service times");
+    for (side, n) in [("hit", 3), ("miss", 1)] {
+        let sketch = service.get(side).expect("hit and miss sketches");
+        assert_eq!(sketch.get("n").and_then(Value::as_u64), Some(n), "{side}");
+        let p50 = sketch.get("p50").and_then(Value::as_f64).expect("p50");
+        let p99 = sketch.get("p99").and_then(Value::as_f64).expect("p99");
+        assert!(0.0 < p50 && p50 <= p99, "{side}: p50 {p50} p99 {p99}");
     }
 }
 
