@@ -18,8 +18,8 @@ use mppm::mix::{
     count_mixes, enumerate_mixes_from, sample_stratified, unrank_mix, EnumerateMixes, Mix,
     MixSpaceError,
 };
-use mppm_sim::llc_configs;
-use mppm_trace::TraceGeometry;
+use mppm_sim::{llc_configs, MachineConfig};
+use mppm_trace::{suite, BenchmarkSpec, TraceGeometry};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -290,9 +290,11 @@ pub struct CampaignPlan {
 }
 
 impl CampaignPlan {
-    /// Builds the plan for `spec` over `n_benchmarks` benchmarks at trace
-    /// geometry `geometry` (the geometry and suite version participate in
-    /// the campaign id because they change every profile).
+    /// Builds the plan for `spec` over the first `n_benchmarks` suite
+    /// benchmarks at trace geometry `geometry`. The id's `_k` field is
+    /// the store's content key of those benchmarks on the designs'
+    /// machines, so retuning any of them, or any parameter of a design's
+    /// machine, names a new campaign.
     pub fn build(
         spec: &CampaignSpec,
         n_benchmarks: usize,
@@ -343,7 +345,7 @@ impl CampaignPlan {
         }
         let designs: Vec<String> = spec.designs.iter().map(|d| (d + 1).to_string()).collect();
         let id = format!(
-            "c{}_n{}_g{}x{}_d{}_{}_sh{}_v{}",
+            "c{}_n{}_g{}x{}_d{}_{}_sh{}_k{:016x}",
             spec.cores,
             n_benchmarks,
             geometry.interval_insns,
@@ -351,7 +353,7 @@ impl CampaignPlan {
             designs.join("-"),
             spec.source.tag(),
             spec.shard_size,
-            mppm_experiments::SUITE_VERSION,
+            plan_key(spec, suite::spec_suite().iter().take(n_benchmarks), geometry),
         );
         Ok(Self { spec: spec.clone(), id, population, shards })
     }
@@ -365,6 +367,18 @@ impl CampaignPlan {
     pub fn evaluations(&self) -> u64 {
         self.population.len() * self.spec.designs.len() as u64
     }
+}
+
+/// The store's [`mppm_experiments::content_key`] of a campaign: its
+/// programs, the machine of each design, the geometry and the core count.
+fn plan_key<'a>(
+    spec: &CampaignSpec,
+    programs: impl IntoIterator<Item = &'a BenchmarkSpec>,
+    geometry: TraceGeometry,
+) -> u64 {
+    let machines =
+        spec.designs.iter().map(|&d| MachineConfig::baseline().with_llc(llc_configs()[d]));
+    mppm_experiments::content_key(programs, machines, geometry, spec.cores)
 }
 
 impl From<MixSpaceError> for CampaignError {
@@ -480,6 +494,26 @@ mod tests {
         sharded.shard_size = 65;
         assert_ne!(id(&sharded, geometry()), baseline);
         assert_ne!(id(&base, TraceGeometry::new(10_000, 5)), baseline);
+        assert!(baseline.ends_with(&format!(
+            "_k{:016x}",
+            plan_key(&base, suite::spec_suite(), geometry())
+        )));
+    }
+
+    #[test]
+    fn plan_keys_follow_the_programs_they_cover() {
+        let spec = CampaignSpec::quick_default();
+        let suite = suite::spec_suite();
+        let key =
+            |programs: &[BenchmarkSpec]| plan_key(&spec, programs.iter().take(7), geometry());
+        let base = key(suite);
+        for (k, changes) in [(0, true), (6, true), (7, false), (28, false)] {
+            let mut retuned = suite.to_vec();
+            let p = &suite[k];
+            let (phases, schedule) = (p.phases().to_vec(), p.schedule().to_vec());
+            retuned[k] = BenchmarkSpec::new(p.name(), p.seed() ^ 1, phases, schedule).unwrap();
+            assert_eq!(key(&retuned) != base, changes, "program {k} of a 7-program plan");
+        }
     }
 
     #[test]

@@ -36,6 +36,12 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Converts `self` into a [`Value`] tree.
     fn to_value(&self) -> Value;
+
+    /// `self` as a [`Value`] tree to read: a [`Value`] lends itself
+    /// rather than building a copy.
+    fn as_value(&self) -> std::borrow::Cow<'_, Value> {
+        std::borrow::Cow::Owned(self.to_value())
+    }
 }
 
 /// Types reconstructible from the [`Value`] data model.
@@ -154,6 +160,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> std::borrow::Cow<'_, Value> {
+        (**self).as_value()
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
@@ -239,6 +249,10 @@ impl<T: Deserialize> Deserialize for std::collections::BTreeMap<String, T> {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> std::borrow::Cow<'_, Value> {
+        std::borrow::Cow::Borrowed(self)
     }
 }
 

@@ -44,14 +44,14 @@ pub fn from_value<T: serde::de::DeserializeOwned>(value: Value) -> Result<T> {
 /// Serializes to a JSON string.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value());
+    write_value(&mut out, &value.as_value());
     Ok(out)
 }
 
 /// Serializes to a pretty-printed JSON string (two-space indent).
 pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value_pretty(&mut out, &value.to_value(), 0);
+    write_value_pretty(&mut out, &value.as_value(), 0);
     Ok(out)
 }
 
@@ -421,6 +421,15 @@ mod tests {
             let back: f64 = from_str(&s).unwrap();
             assert_eq!(f.to_bits(), back.to_bits(), "{f} -> {s} -> {back}");
         }
+    }
+
+    #[test]
+    fn values_are_written_in_place() {
+        let v = json!({"a": [1, "b"]});
+        assert!(matches!(v.as_value(), std::borrow::Cow::Borrowed(_)));
+        assert!(matches!((&&v).as_value(), std::borrow::Cow::Borrowed(_)));
+        assert_eq!(to_string(&v).unwrap(), to_string(&v.clone().to_value()).unwrap());
+        assert_eq!(to_string(&v).unwrap(), "{\"a\":[1,\"b\"]}");
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub mod table;
 
 pub use context::{Context, Scale};
 pub use runner::{parallel_map, parallel_map_with, worker_threads};
-pub use store::{atomic_write_bytes, atomic_write_json, MixKey, MixRecord, Store, SUITE_VERSION};
+pub use store::{atomic_write_bytes, atomic_write_json, content_key, MixKey, MixRecord, Store};

@@ -52,38 +52,42 @@ where
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let total = items.len();
-    let mut slots: Vec<Option<U>> = (0..total).map(|_| None).collect();
-    {
-        // Hand each worker a disjoint set of output slots.
-        let slot_refs: Vec<parking_lot::Mutex<&mut Option<U>>> =
-            slots.iter_mut().map(parking_lot::Mutex::new).collect();
-        crossbeam::scope(|scope| {
-            for _ in 0..threads.min(total.max(1)) {
-                scope.spawn(|_| {
-                    let mut state = init();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= total {
-                            break;
-                        }
-                        let out = f(&mut state, &items[idx]);
-                        **slot_refs[idx].lock() = Some(out);
-                        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        if d.is_multiple_of(10) || d == total {
-                            eprintln!("  [{label}] {d}/{total}");
-                        }
-                    }
-                });
+    // Each worker claims items one at a time and returns its
+    // `(index, output)` pairs when the queue runs dry.
+    let worker = || {
+        let mut state = init();
+        let mut outputs = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= total {
+                break;
             }
-        })
-        .expect("worker threads do not panic");
-    }
+            outputs.push((idx, f(&mut state, &items[idx])));
+            let d = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if d.is_multiple_of(10) || d == total {
+                eprintln!("  [{label}] {d}/{total}");
+            }
+        }
+        outputs
+    };
+    let mut slots: Vec<Option<U>> = (0..total).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> =
+            (0..threads.min(total.max(1))).map(|_| scope.spawn(worker)).collect();
+        for handle in workers {
+            let outputs = handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (idx, out) in outputs {
+                slots[idx] = Some(out);
+            }
+        }
+    });
     slots.into_iter().map(|s| s.expect("every slot was filled")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn preserves_order() {
@@ -109,11 +113,11 @@ mod tests {
         // state; the per-item outputs must still be order-preserving and
         // worker-count-independent, and the counts must sum to the total.
         let items: Vec<usize> = (0..64).collect();
-        let counts = parking_lot::Mutex::new(Vec::new());
-        struct Tally<'a>(u64, &'a parking_lot::Mutex<Vec<u64>>);
+        let counts = Mutex::new(Vec::new());
+        struct Tally<'a>(u64, &'a Mutex<Vec<u64>>);
         impl Drop for Tally<'_> {
             fn drop(&mut self) {
-                self.1.lock().push(self.0);
+                self.1.lock().unwrap().push(self.0);
             }
         }
         let out = parallel_map_with(
@@ -126,7 +130,18 @@ mod tests {
             },
         );
         assert_eq!(out, (0..64).map(|x| x * 3).collect::<Vec<_>>());
-        assert_eq!(counts.lock().iter().sum::<u64>(), 64, "every item ran with some state");
+        let total = counts.lock().unwrap().iter().sum::<u64>();
+        assert_eq!(total, 64, "every item ran with some state");
+    }
+
+    #[test]
+    #[should_panic(expected = "item 7 fails")]
+    fn a_panicking_worker_panics_the_caller() {
+        let items: Vec<usize> = (0..16).collect();
+        parallel_map("test", &items, |&x| {
+            assert!(x != 7, "item 7 fails");
+            x
+        });
     }
 
     #[test]

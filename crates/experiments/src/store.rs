@@ -3,72 +3,97 @@
 //!
 //! Detailed simulation is the expensive side of this reproduction (as it
 //! is the paper's motivating problem), so every simulated mix and every
-//! single-core profile is cached as JSON keyed by everything that affects
-//! it: the machine configuration, the trace geometry, the workload mix and
-//! the benchmark-suite version.
+//! single-core profile is cached as JSON. Each file is named by a
+//! [`content_key`]: FNV-1a over everything that produces its contents —
+//! the programs' specs, every machine parameter, the trace geometry —
+//! and `CODE_SALT`. Retuning a program, a machine or a geometry
+//! therefore names new files; files under old keys are never read again.
+//! A profile is `profiles/{name}_{key:016x}.json`; the simulations of one
+//! (machine, geometry, core count) share `sims/{key:016x}.json`.
 
 use mppm::{ModelError, SingleCoreProfile, SolverProfile};
+use mppm_cache::CacheConfig;
 use mppm_obs::{Counter, Observer};
-use mppm_sim::{MachineConfig, MixResult, MixSim, SimArena, TraceCache};
-use mppm_trace::{suite, BenchmarkSpec, TraceGeometry};
-use parking_lot::Mutex;
+use mppm_sim::{CoreConfig, MachineConfig, MixResult, MixSim, SimArena, TraceCache};
+use mppm_trace::{suite, BenchmarkSpec, Fnv1a, TraceGeometry};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// Version stamp for the synthetic suite's calibration; bump to invalidate
-/// caches after retuning benchmark parameters.
-pub const SUITE_VERSION: u32 = 6;
+/// Mixed into every [`content_key`]. Change it only when code changes
+/// the bytes of a stored profile or simulation (the profiler's or the
+/// simulator's arithmetic, or the stored format); suite, machine and
+/// geometry changes are already in the key and need no change here.
+const CODE_SALT: u64 = 6;
 
-/// What names a profile or simulation file apart from its programs: the
-/// machine parameters the file name records and the trace geometry. The
-/// in-memory profile memo is keyed by it (and the program name), so a
-/// lookup formats nothing; [`DesignPoint::tag`] renders the same fields
-/// into the file names, so the memo and the disk agree on what is one
-/// profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct DesignPoint {
-    llc_kb: u64,
-    llc_assoc: u32,
-    llc_latency: u32,
-    mem_latency: u32,
-    hide_cycles: u32,
-    /// Bits of the bandwidth cap, if any.
-    bandwidth: Option<u64>,
-    interval_insns: u64,
-    intervals: u32,
+/// The key of what `specs` measure on `machines` at `geometry` with
+/// `cores` cores: FNV-1a over each spec's [`BenchmarkSpec::fingerprint`],
+/// every field of each machine, the geometry, the core count and
+/// `CODE_SALT`, the store's code version. A profile is keyed by its one
+/// spec and machine on one core, a simulation file by the whole suite,
+/// and a campaign plan by its programs and its designs' machines.
+pub fn content_key<'a>(
+    specs: impl IntoIterator<Item = &'a BenchmarkSpec>,
+    machines: impl IntoIterator<Item = MachineConfig>,
+    geometry: TraceGeometry,
+    cores: usize,
+) -> u64 {
+    let mut h = Fnv1a::new();
+    let mut n = 0u64;
+    for spec in specs {
+        h.write_u64(spec.fingerprint());
+        n += 1;
+    }
+    h.write_u64(n);
+    n = 0;
+    for machine in machines {
+        hash_machine(&mut h, &machine);
+        n += 1;
+    }
+    h.write_u64(n);
+    let TraceGeometry { interval_insns, intervals } = geometry;
+    for word in [interval_insns, u64::from(intervals), cores as u64, CODE_SALT] {
+        h.write_u64(word);
+    }
+    h.finish()
 }
 
-impl DesignPoint {
-    fn new(machine: &MachineConfig, geometry: TraceGeometry) -> Self {
-        Self {
-            llc_kb: machine.llc.size_bytes / 1024,
-            llc_assoc: machine.llc.assoc,
-            llc_latency: machine.llc.latency,
-            mem_latency: machine.mem_latency,
-            hide_cycles: machine.core.hide_cycles,
-            bandwidth: machine.mem_bandwidth.map(f64::to_bits),
-            interval_insns: geometry.interval_insns,
-            intervals: geometry.intervals,
+/// Feeds every field of `machine` to `h`. The patterns name each field,
+/// so a field added to the machine does not compile here until it is
+/// keyed.
+fn hash_machine(h: &mut Fnv1a, machine: &MachineConfig) {
+    let MachineConfig {
+        core: CoreConfig { width, rob, hide_cycles },
+        l1d,
+        l2,
+        llc,
+        mem_latency,
+        mem_bandwidth,
+    } = *machine;
+    for word in [width, rob, hide_cycles, mem_latency] {
+        h.write_u64(u64::from(word));
+    }
+    for CacheConfig { size_bytes, assoc, line_bytes, latency } in [l1d, l2, llc] {
+        h.write_u64(size_bytes);
+        for word in [assoc, line_bytes, latency] {
+            h.write_u64(u64::from(word));
         }
     }
-
-    /// `{llc}k{ways}w{latency}_m{mem}h{hide}[_bw{cap}]_{insns}x{intervals}`.
-    fn tag(&self) -> String {
-        let bw = self.bandwidth.map(|b| format!("_bw{}", f64::from_bits(b))).unwrap_or_default();
-        format!(
-            "{}k{}w{}_m{}h{}{bw}_{}x{}",
-            self.llc_kb,
-            self.llc_assoc,
-            self.llc_latency,
-            self.mem_latency,
-            self.hide_cycles,
-            self.interval_insns,
-            self.intervals
-        )
+    match mem_bandwidth {
+        None => h.write_u64(0),
+        Some(cap) => {
+            h.write_u64(1);
+            h.write_u64(cap.to_bits());
+        }
     }
+}
+
+/// Locks `mutex`, recovering the data from a panicked holder: every
+/// value behind the store's locks stays consistent between statements.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One memoized profile, as measured and solve-ready.
@@ -153,13 +178,13 @@ struct StoreCounters {
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
-    /// Cached mix measurements per (machine, geometry) file, loaded
+    /// Cached mix measurements per simulation file, by its key, loaded
     /// lazily.
-    mixes: Mutex<BTreeMap<String, BTreeMap<String, MixRecord>>>,
-    /// In-memory memo of loaded profiles, keyed by design point and
-    /// program name, so a long-lived process (the `mppmd` daemon) parses,
+    mixes: Mutex<BTreeMap<u64, BTreeMap<String, MixRecord>>>,
+    /// In-memory memo of loaded profiles, by the key that names their
+    /// files, so a long-lived process (the `mppmd` daemon) parses,
     /// validates and tabulates each profile once.
-    profiles: Mutex<BTreeMap<DesignPoint, BTreeMap<String, Arc<Memo>>>>,
+    profiles: Mutex<BTreeMap<u64, Arc<Memo>>>,
     /// Compiled traces shared across every simulation this store runs.
     traces: TraceCache,
     /// Pool of warm simulator arenas. A simulation checks one out for its
@@ -190,7 +215,7 @@ impl Store {
     /// effectiveness is observable (`store.sim_cache_hit`/`miss`,
     /// `store.profile_load`). Counters stay inert until this is called.
     pub fn attach_counters(&self, observer: &Observer) {
-        let mut counters = self.counters.lock();
+        let mut counters = lock(&self.counters);
         counters.sim_cache_hit = observer.counter("store.sim_cache_hit");
         counters.sim_cache_miss = observer.counter("store.sim_cache_miss");
         counters.profile_load = observer.counter("store.profile_load");
@@ -205,7 +230,7 @@ impl Store {
     /// mark equals the store's peak simulation concurrency: sequential
     /// callers keep reusing one arena.
     pub fn warm_arenas(&self) -> usize {
-        self.arenas.lock().len()
+        lock(&self.arenas).len()
     }
 
     /// Opens the workspace-default store under `target/mppm-store`.
@@ -220,24 +245,29 @@ impl Store {
         &self.root
     }
 
-    fn profile_path(&self, name: &str, point: DesignPoint) -> PathBuf {
-        self.root.join("profiles").join(format!("{name}_{}_v{SUITE_VERSION}.json", point.tag()))
+    fn profile_key(spec: &BenchmarkSpec, machine: &MachineConfig, geometry: TraceGeometry) -> u64 {
+        content_key([spec], [*machine], geometry, 1)
+    }
+
+    fn profile_path(&self, name: &str, key: u64) -> PathBuf {
+        self.root.join("profiles").join(format!("{name}_{key:016x}.json"))
     }
 
     /// The memo entry of `spec`'s profile, loaded or (re)computed on
-    /// first use. A hit takes one lock and clones one `Arc`.
+    /// first use. A hit hashes the spec and machine, takes one lock and
+    /// clones one `Arc`.
     fn memo(
         &self,
         spec: &BenchmarkSpec,
         machine: &MachineConfig,
         geometry: TraceGeometry,
     ) -> Arc<Memo> {
-        let point = DesignPoint::new(machine, geometry);
-        if let Some(memo) = self.profiles.lock().get(&point).and_then(|ps| ps.get(spec.name())) {
+        let key = Self::profile_key(spec, machine, geometry);
+        if let Some(memo) = lock(&self.profiles).get(&key) {
             return Arc::clone(memo);
         }
-        self.counters.lock().profile_load.incr();
-        let path = self.profile_path(spec.name(), point);
+        lock(&self.counters).profile_load.incr();
+        let path = self.profile_path(spec.name(), key);
         let profile = match read_json::<SingleCoreProfile>(&path) {
             Some(profile) if profile.validate().is_ok() => profile,
             _ => {
@@ -247,11 +277,7 @@ impl Store {
             }
         };
         let memo = Arc::new(Memo::new(profile));
-        self.profiles
-            .lock()
-            .entry(point)
-            .or_default()
-            .insert(spec.name().to_string(), Arc::clone(&memo));
+        lock(&self.profiles).insert(key, Arc::clone(&memo));
         memo
     }
 
@@ -285,10 +311,8 @@ impl Store {
 
     /// Number of memoized solve-ready profiles.
     pub fn solve_ready_profiles(&self) -> usize {
-        let profiles = self.profiles.lock();
-        profiles
+        lock(&self.profiles)
             .values()
-            .flat_map(BTreeMap::values)
             .filter(|m| m.solver.get().is_some_and(Result::is_ok))
             .count()
     }
@@ -302,12 +326,20 @@ impl Store {
         suite::spec_suite().iter().map(|s| self.profile(s, machine, geometry)).collect()
     }
 
-    fn sim_file_tag(machine: &MachineConfig, geometry: TraceGeometry, cores: usize) -> String {
-        format!("{}_{cores}c_v{SUITE_VERSION}", DesignPoint::new(machine, geometry).tag())
+    /// The key of the simulation file of `cores`-program mixes. It
+    /// covers the whole suite, since [`Store::simulate`] resolves every
+    /// program by name from it: retuning any program renames every file.
+    fn sims_key(
+        suite: &[BenchmarkSpec],
+        machine: &MachineConfig,
+        geometry: TraceGeometry,
+        cores: usize,
+    ) -> u64 {
+        content_key(suite, [*machine], geometry, cores)
     }
 
-    fn sim_path(&self, tag: &str) -> PathBuf {
-        self.root.join("sims").join(format!("{tag}.json"))
+    fn sim_path(&self, key: u64) -> PathBuf {
+        self.root.join("sims").join(format!("{key:016x}.json"))
     }
 
     /// Loads or runs the detailed simulation of `mix` (benchmark names).
@@ -323,19 +355,19 @@ impl Store {
         geometry: TraceGeometry,
     ) -> MixRecord {
         let key = MixKey::new(mix_names.iter().map(|s| s.to_string()).collect());
-        let tag = Self::sim_file_tag(machine, geometry, mix_names.len());
+        let file_key = Self::sims_key(suite::spec_suite(), machine, geometry, mix_names.len());
         // Fast path: cached.
         {
-            let mut files = self.mixes.lock();
+            let mut files = lock(&self.mixes);
             let file = files
-                .entry(tag.clone())
-                .or_insert_with(|| read_json(&self.sim_path(&tag)).unwrap_or_default());
+                .entry(file_key)
+                .or_insert_with(|| read_json(&self.sim_path(file_key)).unwrap_or_default());
             if let Some(rec) = file.get(&key.as_string()) {
-                self.counters.lock().sim_cache_hit.incr();
+                lock(&self.counters).sim_cache_hit.incr();
                 return rec.clone();
             }
         }
-        self.counters.lock().sim_cache_miss.incr();
+        lock(&self.counters).sim_cache_miss.incr();
         // Simulate outside the lock (these take seconds to minutes).
         let specs: Vec<&BenchmarkSpec> = key
             .names
@@ -347,12 +379,12 @@ impl Store {
         // Check a warm arena out of the pool for the duration of the run
         // (never holding the pool lock while simulating), and return it
         // warmer than we found it.
-        let mut arena = self.arenas.lock().pop().unwrap_or_default();
+        let mut arena = lock(&self.arenas).pop().unwrap_or_default();
         let result: MixResult = MixSim::new(&specs, machine, geometry)
             .trace_cache(&self.traces)
             .arena(&mut arena)
             .run();
-        self.arenas.lock().push(arena);
+        lock(&self.arenas).push(arena);
         // `cpi_sc` arrives in caller order; rebuild it in canonical order.
         let mut sc_by_name: BTreeMap<&str, f64> = BTreeMap::new();
         for (n, &sc) in mix_names.iter().zip(cpi_sc) {
@@ -364,10 +396,10 @@ impl Store {
             cpi_mc: result.cpi_mc,
             sim_seconds: started.elapsed().as_secs_f64(),
         };
-        let mut files = self.mixes.lock();
-        let file = files.entry(tag.clone()).or_default();
+        let mut files = lock(&self.mixes);
+        let file = files.entry(file_key).or_default();
         file.insert(key.as_string(), record.clone());
-        write_json(&self.sim_path(&tag), file);
+        write_json(&self.sim_path(file_key), file);
         record
     }
 
@@ -379,11 +411,10 @@ impl Store {
         geometry: TraceGeometry,
         cores: usize,
     ) -> usize {
-        let tag = Self::sim_file_tag(machine, geometry, cores);
-        let mut files = self.mixes.lock();
-        files
-            .entry(tag.clone())
-            .or_insert_with(|| read_json(&self.sim_path(&tag)).unwrap_or_default())
+        let file_key = Self::sims_key(suite::spec_suite(), machine, geometry, cores);
+        lock(&self.mixes)
+            .entry(file_key)
+            .or_insert_with(|| read_json(&self.sim_path(file_key)).unwrap_or_default())
             .len()
     }
 }
@@ -427,7 +458,7 @@ fn write_json<T: Serialize>(path: &Path, value: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mppm_sim::MachineConfig;
+    use std::collections::HashSet;
 
     fn tmp_store() -> (tempdir::TempDir, Store) {
         let dir = tempdir::TempDir::new();
@@ -527,38 +558,124 @@ mod tests {
         assert!(a.stp() > 0.0 && a.antt() >= 1.0 - 1e-9);
     }
 
-    fn machine_tag(machine: &MachineConfig) -> String {
-        DesignPoint::new(machine, TraceGeometry::tiny()).tag()
+    /// `spec` retuned four ways, one parameter each: its first phase's
+    /// `mem_ratio`, its first region's `blocks`, its seed, its schedule.
+    fn retunings(spec: &BenchmarkSpec) -> Vec<BenchmarkSpec> {
+        let rebuild = |seed, phases, schedule| {
+            BenchmarkSpec::new(spec.name(), seed, phases, schedule).unwrap()
+        };
+        let (phases, schedule) = (spec.phases().to_vec(), spec.schedule().to_vec());
+        let mut mem_ratio = phases.clone();
+        mem_ratio[0].mem_ratio *= 0.5;
+        let mut blocks = phases.clone();
+        blocks[0].regions[0].blocks += 1;
+        let mut longer = schedule.clone();
+        longer.push(0);
+        vec![
+            rebuild(spec.seed(), mem_ratio, schedule.clone()),
+            rebuild(spec.seed(), blocks, schedule.clone()),
+            rebuild(spec.seed() ^ 1, phases.clone(), schedule),
+            rebuild(spec.seed(), phases, longer),
+        ]
     }
 
-    #[test]
-    fn design_point_tags_name_the_existing_files() {
-        // Profile and sim files written before the memo was keyed by
-        // `DesignPoint` keep their names.
-        let geometry = TraceGeometry::new(20_000, 10);
+    /// The baseline machine and one copy per field changed, each
+    /// bandwidth cap and each Table 2 LLC.
+    fn machines() -> Vec<MachineConfig> {
         let base = MachineConfig::baseline();
-        assert_eq!(DesignPoint::new(&base, geometry).tag(), "512k8w16_m200h12_20000x10");
-        let limited = MachineConfig::baseline().with_mem_bandwidth(0.04);
-        assert_eq!(DesignPoint::new(&limited, geometry).tag(), "512k8w16_m200h12_bw0.04_20000x10");
+        let edits: [fn(&mut MachineConfig); 16] = [
+            |m| m.core.width = 2,
+            |m| m.core.rob = 64,
+            |m| m.core.hide_cycles = 8,
+            |m| m.l1d.size_bytes *= 2,
+            |m| m.l1d.assoc = 4,
+            |m| m.l1d.line_bytes = 128,
+            |m| m.l1d.latency = 2,
+            |m| m.l2.size_bytes *= 2,
+            |m| m.l2.assoc = 16,
+            |m| m.l2.line_bytes = 128,
+            |m| m.l2.latency = 12,
+            |m| m.llc.line_bytes = 128,
+            |m| m.mem_latency = 300,
+            |m| m.mem_bandwidth = Some(0.04),
+            |m| m.mem_bandwidth = Some(0.08),
+            |m| m.mem_bandwidth = Some(0.0),
+        ];
+        let edited = edits.iter().map(|edit| {
+            let mut m = base;
+            edit(&mut m);
+            m
+        });
+        let llcs = mppm_sim::llc_configs().into_iter().map(|llc| base.with_llc(llc));
+        std::iter::once(base).chain(edited).chain(llcs.skip(1)).collect()
+    }
+
+    /// The profile key of one program on `machine`: what a machine
+    /// contributes to the file names in `profiles/`.
+    fn machine_key(machine: &MachineConfig) -> u64 {
+        Store::profile_key(&suite::spec_suite()[0], machine, TraceGeometry::tiny())
     }
 
     #[test]
     fn machine_tags_distinguish_bandwidth() {
         let base = MachineConfig::baseline();
         let limited = MachineConfig::baseline().with_mem_bandwidth(0.04);
-        assert_ne!(machine_tag(&base), machine_tag(&limited));
+        assert_ne!(machine_key(&base), machine_key(&limited));
         let other = MachineConfig::baseline().with_mem_bandwidth(0.08);
-        assert_ne!(machine_tag(&limited), machine_tag(&other));
+        assert_ne!(machine_key(&limited), machine_key(&other));
     }
 
     #[test]
     fn machine_tags_distinguish_llc_configs() {
-        let tags: Vec<String> = mppm_sim::llc_configs()
+        let keys: Vec<u64> = mppm_sim::llc_configs()
             .iter()
-            .map(|llc| machine_tag(&MachineConfig::baseline().with_llc(*llc)))
+            .map(|llc| machine_key(&MachineConfig::baseline().with_llc(*llc)))
             .collect();
-        let unique: std::collections::HashSet<_> = tags.iter().collect();
-        assert_eq!(unique.len(), tags.len(), "all six configs get distinct tags");
+        let unique: HashSet<_> = keys.iter().collect();
+        assert_eq!(unique.len(), keys.len(), "all six configs get distinct keys");
+    }
+
+    #[test]
+    fn keys_change_with_exactly_the_inputs_they_cover() {
+        let geometry = TraceGeometry::tiny();
+        let suite = suite::spec_suite();
+        let base = MachineConfig::baseline();
+        let profile_keys = |specs: &[BenchmarkSpec], m: &MachineConfig, g| -> Vec<u64> {
+            specs.iter().map(|s| Store::profile_key(s, m, g)).collect()
+        };
+        let sims_keys = |specs: &[BenchmarkSpec], m: &MachineConfig, g| -> Vec<u64> {
+            (1..=8).map(|cores| Store::sims_key(specs, m, g, cores)).collect()
+        };
+        let profiles = profile_keys(suite, &base, geometry);
+        let sims = sims_keys(suite, &base, geometry);
+        let unique: HashSet<_> = profiles.iter().chain(&sims).collect();
+        assert_eq!(unique.len(), profiles.len() + sims.len(), "every program and core count apart");
+
+        // Retuning one program changes its profile key and every sims
+        // key, and no other program's profile key.
+        for k in [0, 13, suite.len() - 1] {
+            for retuned in retunings(&suite[k]) {
+                let mut specs = suite.to_vec();
+                specs[k] = retuned;
+                let keys = profile_keys(&specs, &base, geometry);
+                for (i, (new, old)) in keys.iter().zip(&profiles).enumerate() {
+                    assert_eq!(new == old, i != k, "{}: program {i}", suite[k].name());
+                }
+                let resims = sims_keys(&specs, &base, geometry);
+                assert!(resims.iter().zip(&sims).all(|(new, old)| new != old));
+            }
+        }
+
+        // Every machine field and the geometry are keyed, for the
+        // profile and the sims file alike.
+        let mut seen = HashSet::new();
+        for machine in machines() {
+            assert!(seen.insert(Store::profile_key(&suite[0], &machine, geometry)), "{machine:?}");
+            assert!(seen.insert(Store::sims_key(suite, &machine, geometry, 4)), "{machine:?}");
+        }
+        let longer = TraceGeometry::new(geometry.interval_insns, geometry.intervals + 1);
+        assert!(profile_keys(suite, &base, longer).iter().all(|k| !profiles.contains(k)));
+        assert!(sims_keys(suite, &base, longer).iter().all(|k| !sims.contains(k)));
     }
 
     #[test]
@@ -576,7 +693,7 @@ mod tests {
         let geometry = TraceGeometry::tiny();
         let spec = suite::benchmark("hmmer").unwrap();
         let reference = store.profile(spec, &machine, geometry);
-        let path = store.profile_path(spec.name(), DesignPoint::new(&machine, geometry));
+        let path = store.profile_path(spec.name(), Store::profile_key(spec, &machine, geometry));
         assert!(path.exists(), "profile was cached");
 
         // A stray staging file from a killed writer must never be read.

@@ -184,7 +184,7 @@ fn handle_conn(state: &Arc<ServerState>, conn_id: u64, stream: UnixStream) {
                         // from another build gets a typed refusal, not
                         // a confusing bad-request or wrong answer.
                         if let Err(mismatch) = mppm_wire::check_version(Some(req.v)) {
-                            writer.send_line(&err_frame(
+                            writer.send_line(err_frame(
                                 req.id,
                                 codes::PROTOCOL,
                                 &mismatch.to_string(),
@@ -198,12 +198,12 @@ fn handle_conn(state: &Arc<ServerState>, conn_id: u64, stream: UnixStream) {
                         }
                     }
                     Err(e) => {
-                        writer.send_line(&err_frame(0, codes::PARSE, &format!("bad frame: {e}")));
+                        writer.send_line(err_frame(0, codes::PARSE, &format!("bad frame: {e}")));
                     }
                 }
             }
             Ok(Frame::Oversized { discarded }) => {
-                writer.send_line(&err_frame(
+                writer.send_line(err_frame(
                     0,
                     codes::OVERSIZED,
                     &format!(
@@ -244,7 +244,7 @@ fn run_campaign_job(state: &Arc<ServerState>, job: CampaignJob) {
     if let Some(hit) = state.cached(&job.key) {
         for w in &job.waiters {
             state.counters.cache_hits.incr();
-            w.writer.send_line(&hit.frame(w.id, true, None));
+            w.writer.send_line(hit.frame(w.id, true, None));
         }
         return;
     }
@@ -267,7 +267,7 @@ fn run_campaign_job(state: &Arc<ServerState>, job: CampaignJob) {
             let (value, meta) = campaign_value(&result);
             let response = state.insert_response(job.key.clone(), "campaign", &value);
             for w in &job.waiters {
-                w.writer.send_line(&response.frame(w.id, false, meta.as_ref()));
+                w.writer.send_line(response.frame(w.id, false, meta.as_ref()));
             }
         }
         Err(e) => {
@@ -278,7 +278,7 @@ fn run_campaign_job(state: &Arc<ServerState>, job: CampaignJob) {
                 _ => (codes::CAMPAIGN, e.to_string()),
             };
             for w in &job.waiters {
-                w.writer.send_line(&err_frame(w.id, code, &message));
+                w.writer.send_line(err_frame(w.id, code, &message));
             }
         }
     }

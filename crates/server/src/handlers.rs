@@ -49,23 +49,23 @@ pub(crate) fn handle(
     let resolved = match resolve(&req) {
         Ok(r) => r,
         Err(e) => {
-            writer.send_line(&err_frame(req.id, e.code, &e.message));
+            writer.send_line(err_frame(req.id, e.code, &e.message));
             return;
         }
     };
     if state.is_shutdown() && !matches!(resolved, Resolved::Ping | Resolved::Stats) {
-        writer.send_line(&err_frame(req.id, codes::SHUTDOWN, "daemon is shutting down"));
+        writer.send_line(err_frame(req.id, codes::SHUTDOWN, "daemon is shutting down"));
         return;
     }
     match resolved {
         Resolved::Ping => {
-            writer.send_line(&ok_frame(req.id, "ping", false, obj(vec![("pong", Value::Bool(true))]), None));
+            writer.send_line(ok_frame(req.id, "ping", false, obj(vec![("pong", Value::Bool(true))]), None));
         }
         Resolved::Stats => {
-            writer.send_line(&ok_frame(req.id, "stats", false, stats_value(state), None));
+            writer.send_line(ok_frame(req.id, "stats", false, stats_value(state), None));
         }
         Resolved::Shutdown => {
-            writer.send_line(&ok_frame(
+            writer.send_line(ok_frame(
                 req.id,
                 "shutdown",
                 false,
@@ -76,7 +76,7 @@ pub(crate) fn handle(
         }
         Resolved::Cancel(target) => {
             let found = state.cancel_queued(conn, target);
-            writer.send_line(&ok_frame(
+            writer.send_line(ok_frame(
                 req.id,
                 "cancel",
                 false,
@@ -111,7 +111,7 @@ pub(crate) fn handle(
             let key = c.cache_key();
             if let Some(hit) = state.cached(&key) {
                 state.counters.cache_hits.incr();
-                writer.send_line(&hit.frame(req.id, true, None));
+                writer.send_line(hit.frame(req.id, true, None));
                 return;
             }
             let job = CampaignJob {
@@ -125,7 +125,7 @@ pub(crate) fn handle(
                 }],
             };
             if state.enqueue_campaign(job).is_err() {
-                writer.send_line(&err_frame(req.id, codes::SHUTDOWN, "daemon is shutting down"));
+                writer.send_line(err_frame(req.id, codes::SHUTDOWN, "daemon is shutting down"));
             }
             // The executor answers this request when the job completes.
         }
@@ -139,9 +139,9 @@ fn respond(
 ) {
     match outcome {
         Ok((response, meta, cached)) => {
-            writer.send_line(&response.frame(id, cached, meta.as_ref()));
+            writer.send_line(response.frame(id, cached, meta.as_ref()));
         }
-        Err(e) => writer.send_line(&err_frame(id, e.code, &e.message)),
+        Err(e) => writer.send_line(err_frame(id, e.code, &e.message)),
     }
 }
 

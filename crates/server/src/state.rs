@@ -36,14 +36,12 @@ impl ConnWriter {
         Self { inner: Arc::new(Mutex::new(stream)) }
     }
 
-    /// Sends one frame, appending the newline. Frame and newline go out
-    /// in a single `write_all` — one syscall per frame, not two.
-    pub fn send_line(&self, line: &str) {
-        let mut frame = Vec::with_capacity(line.len() + 1);
-        frame.extend_from_slice(line.as_bytes());
-        frame.push(b'\n');
+    /// Sends one frame, appending the newline to it. Frame and newline
+    /// go out in a single `write_all` — one syscall per frame, not two.
+    pub fn send_line(&self, mut frame: String) {
+        frame.push('\n');
         let mut stream = relock(self.inner.lock());
-        let _ = stream.write_all(&frame);
+        let _ = stream.write_all(frame.as_bytes());
     }
 }
 
@@ -80,7 +78,7 @@ impl Sink for SocketSink {
         if self.milestones_only && !is_milestone(&event) {
             return;
         }
-        self.writer.send_line(&event_frame(self.id, &event));
+        self.writer.send_line(event_frame(self.id, &event));
     }
 }
 
@@ -462,7 +460,7 @@ impl ServerState {
             removed
         };
         for w in &removed {
-            w.writer.send_line(&crate::protocol::err_frame(
+            w.writer.send_line(crate::protocol::err_frame(
                 w.id,
                 codes::CANCELED,
                 "request canceled before it ran",

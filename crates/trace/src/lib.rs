@@ -72,14 +72,47 @@ pub const LINE_BYTES: u64 = 64;
 /// log2 of [`LINE_BYTES`].
 pub const LINE_SHIFT: u32 = 6;
 
-/// FNV-1a 64-bit — the checksum and fingerprint hash of recorded traces
-/// and of campaign journals. Not cryptographic: it guards against
-/// truncation, bit rot and mismatched inputs.
+/// FNV-1a 64-bit — the checksum and fingerprint hash of recorded traces,
+/// campaign journals and the experiment store's keys. Not cryptographic:
+/// it guards against truncation, bit rot and mismatched inputs.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`fnv1a`] fed in pieces: the hash of the concatenated bytes, with no
+/// buffer to concatenate them into.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The hash of no bytes.
+    pub const fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Feeds `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Feeds `word` as its 8 little-endian bytes.
+    pub fn write_u64(&mut self, word: u64) {
+        self.write(&word.to_le_bytes());
+    }
+
+    /// The hash of everything fed so far.
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
 }

@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use crate::compile::{phase_runs, BLOCK_BITS};
-use crate::{fnv1a, BenchmarkSpec, CompiledTrace, OpWords, PhaseRun, RegionKind, TraceGeometry};
+use crate::{fnv1a, BenchmarkSpec, CompiledTrace, OpWords, PhaseRun, TraceGeometry};
 
 /// Magic bytes introducing a recorded trace.
 pub const MAGIC: [u8; 4] = *b"MPPM";
@@ -115,7 +115,7 @@ impl CompiledTrace {
         let mut buf = Vec::with_capacity(HEADER_LEN + table + words + CHECK_LEN);
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&spec_fingerprint(&self.spec).to_le_bytes());
+        buf.extend_from_slice(&self.spec.fingerprint().to_le_bytes());
         buf.extend_from_slice(&self.geometry.interval_insns.to_le_bytes());
         buf.extend_from_slice(&self.geometry.intervals.to_le_bytes());
         let runs = u32::try_from(self.runs.len()).expect("at most one run per interval");
@@ -185,7 +185,7 @@ impl CompiledTrace {
             return Err(DecodeError::BadChecksum);
         }
         let spec = spec.into();
-        if u64_at(bytes, 8) != spec_fingerprint(&spec) {
+        if u64_at(bytes, 8) != spec.fingerprint() {
             return Err(DecodeError::SpecMismatch);
         }
         let (interval_insns, intervals) = (u64_at(bytes, 16), u32_at(bytes, 24));
@@ -242,25 +242,6 @@ fn word_insns(word: u64) -> Result<u64, fn(usize) -> DecodeError> {
     } else {
         Ok(word)
     }
-}
-
-/// FNV-1a over every parameter of `spec`: its name, seed, phases and
-/// schedule.
-fn spec_fingerprint(spec: &BenchmarkSpec) -> u64 {
-    let mut words = vec![spec.name().len() as u64, spec.seed(), spec.phases().len() as u64];
-    for p in spec.phases() {
-        words.extend([p.mem_ratio, p.store_ratio, p.base_cpi, p.mlp].map(f64::to_bits));
-        words.push(p.regions.len() as u64);
-        for r in &p.regions {
-            let stream = u64::from(r.kind == RegionKind::Stream);
-            words.extend([u64::from(r.id), stream, r.blocks, r.weight.to_bits()]);
-        }
-    }
-    words.push(spec.schedule().len() as u64);
-    words.extend(spec.schedule().iter().map(|&s| s as u64));
-    let mut bytes = spec.name().as_bytes().to_vec();
-    bytes.extend(words.iter().flat_map(|w| w.to_le_bytes()));
-    fnv1a(&bytes)
 }
 
 fn u32_at(bytes: &[u8], at: usize) -> u32 {

@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use crate::{Phase, TraceGeometry};
+use crate::{Fnv1a, Phase, RegionKind, TraceGeometry};
 
 /// Error returned when a [`BenchmarkSpec`] violates its invariants.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,6 +130,34 @@ impl BenchmarkSpec {
         &self.phases[self.phase_for_interval(interval, geometry.intervals)]
     }
 
+    /// FNV-1a over every parameter: the name, seed, phases and schedule.
+    /// Recordings carry it in their header, and the experiment store keys
+    /// its caches with it, so any retuned parameter changes it.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write(self.name.as_bytes());
+        for word in [self.name.len() as u64, self.seed, self.phases.len() as u64] {
+            h.write_u64(word);
+        }
+        for p in &self.phases {
+            for x in [p.mem_ratio, p.store_ratio, p.base_cpi, p.mlp] {
+                h.write_u64(x.to_bits());
+            }
+            h.write_u64(p.regions.len() as u64);
+            for r in &p.regions {
+                let stream = u64::from(r.kind == RegionKind::Stream);
+                for word in [u64::from(r.id), stream, r.blocks, r.weight.to_bits()] {
+                    h.write_u64(word);
+                }
+            }
+        }
+        h.write_u64(self.schedule.len() as u64);
+        for &s in &self.schedule {
+            h.write_u64(s as u64);
+        }
+        h.finish()
+    }
+
     /// Largest footprint over all phases, in blocks: an upper bound on the
     /// program's instantaneous working-set size.
     pub fn max_footprint_blocks(&self) -> u64 {
@@ -191,6 +219,14 @@ mod tests {
         let spec =
             BenchmarkSpec::new("s", 1, vec![phase(10), phase(20)], vec![0, 1]).unwrap();
         assert_eq!(spec.max_footprint_blocks(), 20);
+    }
+
+    #[test]
+    fn fingerprints_stay_those_in_existing_recordings() {
+        let fingerprint = |name| crate::suite::benchmark(name).unwrap().fingerprint();
+        assert_eq!(fingerprint("astar"), 0xe991_97fd_7ee8_cce1);
+        assert_eq!(fingerprint("bwaves"), 0xd15f_48e7_7fd1_57c1);
+        assert_eq!(fingerprint("GemsFDTD"), 0x1919_8763_48be_f54c);
     }
 
     #[test]
