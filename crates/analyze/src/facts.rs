@@ -1,21 +1,10 @@
-//! Per-file analysis facts and the on-disk fact cache.
+//! Per-file analysis facts.
 //!
-//! The inter-procedural pass ([`crate::taint`]) needs whole-workspace
-//! knowledge, but almost nothing changes between two runs: editing one
-//! file must not re-lex and re-parse the other ~hundred. So everything
-//! the engine needs from a file is distilled into a [`FileFacts`] value —
-//! token-rule candidates, suppression directives, and the `fn`-item facts
-//! the call graph is built from — keyed on an FNV-1a fingerprint of the
-//! source text. A warm run re-parses only files whose bytes changed.
-//!
-//! The cache file is a versioned line-based text format (this crate is
-//! dependency-free by design) salted with the rule-name list, so adding
-//! or renaming a rule invalidates every entry at once. Any parse anomaly
-//! discards the whole cache: a cold run is always correct.
-
-use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::path::Path;
+//! Everything the engine needs from one source file is distilled into a
+//! [`FileFacts`] value: token-rule candidates, suppression directives,
+//! and the `fn`-item facts the call graph ([`crate::callgraph`]) is
+//! built from. The per-file pass computes them; the cross-file pass
+//! reads only these, never the tokens.
 
 /// One post-scope candidate finding from a token rule, or a meta finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,8 +98,6 @@ pub struct FnFact {
 pub struct FileFacts {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// FNV-1a fingerprint of the source text.
-    pub fingerprint: u64,
     /// Post-scope token-rule candidates (pre-suppression).
     pub candidates: Vec<Candidate>,
     /// Malformed-directive findings (never suppressible).
@@ -121,383 +108,4 @@ pub struct FileFacts {
     pub aliases: Vec<(String, String)>,
     /// Non-test `fn` items, in source order.
     pub fns: Vec<FnFact>,
-}
-
-/// FNV-1a 64-bit hash of a string — the content fingerprint.
-pub fn fingerprint(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-/// Format version; bump on any serialization change.
-const FORMAT: &str = "v1";
-
-/// Cache salt: hashes the format version and the rule-name list so rule
-/// changes invalidate cached facts wholesale.
-pub fn cache_salt() -> u64 {
-    let mut s = String::from(FORMAT);
-    for name in crate::rules::rule_names() {
-        s.push('|');
-        s.push_str(name);
-    }
-    fingerprint(&s)
-}
-
-/// The on-disk fact cache: path → [`FileFacts`], valid only while the
-/// fingerprint matches.
-#[derive(Debug, Default)]
-pub struct FactCache {
-    salt: u64,
-    entries: BTreeMap<String, FileFacts>,
-}
-
-impl FactCache {
-    /// Loads the cache at `path`. A missing, malformed, or differently
-    /// salted file yields an empty (cold) cache — never an error.
-    pub fn load(path: &Path, salt: u64) -> FactCache {
-        let cold = FactCache { salt, entries: BTreeMap::new() };
-        let Ok(text) = std::fs::read_to_string(path) else { return cold };
-        parse_cache(&text, salt).unwrap_or(cold)
-    }
-
-    /// The cached facts for `path`, if the fingerprint still matches.
-    pub fn lookup(&self, path: &str, fp: u64) -> Option<&FileFacts> {
-        self.entries.get(path).filter(|f| f.fingerprint == fp)
-    }
-
-    /// Number of cached entries (for tests and the bench harness).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Replaces the contents with exactly `facts` (dropping entries for
-    /// files that no longer exist).
-    pub fn replace_all(&mut self, facts: &[FileFacts]) {
-        self.entries = facts.iter().map(|f| (f.path.clone(), f.clone())).collect();
-    }
-
-    /// Writes the cache atomically (temp file + rename, the same
-    /// discipline the `non-atomic-write` rule enforces elsewhere).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error from writing or renaming.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let tmp = path.with_extension("tmp");
-        let mut f = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        f.write_all(self.serialize().as_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)
-    }
-
-    fn serialize(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "mppm-analyze-facts {FORMAT} {:016x}", self.salt);
-        for facts in self.entries.values() {
-            let _ = writeln!(out, "F {:016x} {}", facts.fingerprint, esc(&facts.path));
-            for c in &facts.candidates {
-                let _ = writeln!(out, "C {} {} {}", c.line, c.rule, esc(&c.message));
-            }
-            for c in &facts.invalids {
-                let _ = writeln!(out, "I {} {} {}", c.line, c.rule, esc(&c.message));
-            }
-            for a in &facts.allows {
-                let _ =
-                    writeln!(out, "A {} {} {}", a.line, a.rules.join(","), esc(&a.justification));
-            }
-            for (alias, real) in &facts.aliases {
-                let _ = writeln!(out, "U {alias} {real}");
-            }
-            for f in &facts.fns {
-                let flags = match (f.is_sink, f.is_handler) {
-                    (true, true) => "sh",
-                    (true, false) => "s",
-                    (false, true) => "h",
-                    (false, false) => "-",
-                };
-                let _ = writeln!(out, "N {} {} {} {}", f.line, flags, f.name, esc(&f.qual));
-                for c in &f.calls {
-                    let k = match c.kind {
-                        CallKind::Free => "f",
-                        CallKind::Path => "p",
-                        CallKind::Method => "m",
-                    };
-                    let q = if c.qualifier.is_empty() { "-" } else { &c.qualifier };
-                    let _ = writeln!(out, "L {} {} {} {}", c.line, k, q, esc(&c.name));
-                }
-                for s in &f.sources {
-                    let _ = writeln!(out, "S {} {} {}", s.line, s.kind, esc(&s.what));
-                }
-                for s in &f.panics {
-                    let _ = writeln!(out, "P {} {} {}", s.line, s.kind, esc(&s.what));
-                }
-                for s in &f.blocking {
-                    let _ = writeln!(out, "B {} {} {}", s.line, s.kind, esc(&s.what));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Escapes a free-text trailing field (newlines and backslashes only —
-/// earlier fields on each line are space-free by construction).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Splits a fact line into `n` leading space-separated fields plus the
-/// escaped free-text remainder.
-fn fields(line: &str, n: usize) -> Option<(Vec<&str>, String)> {
-    let mut rest = line;
-    let mut head = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (field, tail) = rest.split_once(' ')?;
-        head.push(field);
-        rest = tail;
-    }
-    Some((head, unesc(rest)))
-}
-
-fn parse_cache(text: &str, salt: u64) -> Option<FactCache> {
-    let mut lines = text.lines();
-    let header = lines.next()?;
-    let (head, salt_hex) = fields(header, 2)?;
-    if head != ["mppm-analyze-facts", FORMAT] {
-        return None;
-    }
-    if u64::from_str_radix(&salt_hex, 16).ok()? != salt {
-        return None;
-    }
-    let mut cache = FactCache { salt, entries: BTreeMap::new() };
-    let mut cur: Option<FileFacts> = None;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (tag, rest) = line.split_once(' ')?;
-        match tag {
-            "F" => {
-                if let Some(done) = cur.take() {
-                    cache.entries.insert(done.path.clone(), done);
-                }
-                let (head, path) = fields(rest, 1)?;
-                cur = Some(FileFacts {
-                    path,
-                    fingerprint: u64::from_str_radix(head[0], 16).ok()?,
-                    ..FileFacts::default()
-                });
-            }
-            "C" | "I" => {
-                let (head, message) = fields(rest, 2)?;
-                let cand = Candidate {
-                    line: head[0].parse().ok()?,
-                    rule: head[1].to_string(),
-                    message,
-                };
-                let f = cur.as_mut()?;
-                if tag == "C" {
-                    f.candidates.push(cand);
-                } else {
-                    f.invalids.push(cand);
-                }
-            }
-            "A" => {
-                let (head, justification) = fields(rest, 2)?;
-                cur.as_mut()?.allows.push(AllowFact {
-                    line: head[0].parse().ok()?,
-                    rules: head[1].split(',').map(str::to_string).collect(),
-                    justification,
-                });
-            }
-            "U" => {
-                let (alias, real) = rest.split_once(' ')?;
-                cur.as_mut()?.aliases.push((alias.to_string(), real.to_string()));
-            }
-            "N" => {
-                let (head, qual) = fields(rest, 3)?;
-                cur.as_mut()?.fns.push(FnFact {
-                    line: head[0].parse().ok()?,
-                    is_sink: head[1].contains('s'),
-                    is_handler: head[1].contains('h'),
-                    name: head[2].to_string(),
-                    qual,
-                    ..FnFact::default()
-                });
-            }
-            "L" => {
-                let (head, name) = fields(rest, 3)?;
-                let kind = match head[1] {
-                    "f" => CallKind::Free,
-                    "p" => CallKind::Path,
-                    "m" => CallKind::Method,
-                    _ => return None,
-                };
-                let qualifier =
-                    if head[2] == "-" { String::new() } else { head[2].to_string() };
-                cur.as_mut()?.fns.last_mut()?.calls.push(CallFact {
-                    line: head[0].parse().ok()?,
-                    kind,
-                    qualifier,
-                    name,
-                });
-            }
-            "S" | "P" | "B" => {
-                let (head, what) = fields(rest, 2)?;
-                let site =
-                    SiteFact { line: head[0].parse().ok()?, kind: head[1].to_string(), what };
-                let f = cur.as_mut()?.fns.last_mut()?;
-                match tag {
-                    "S" => f.sources.push(site),
-                    "P" => f.panics.push(site),
-                    _ => f.blocking.push(site),
-                }
-            }
-            _ => return None,
-        }
-    }
-    if let Some(done) = cur.take() {
-        cache.entries.insert(done.path.clone(), done);
-    }
-    Some(cache)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> FileFacts {
-        FileFacts {
-            path: "crates/x/src/lib.rs".into(),
-            fingerprint: fingerprint("fn main() {}"),
-            candidates: vec![Candidate {
-                line: 3,
-                rule: "wallclock-in-sim".into(),
-                message: "a message with spaces\nand a newline".into(),
-            }],
-            invalids: vec![Candidate {
-                line: 9,
-                rule: "invalid-suppression".into(),
-                message: "bad \\ directive".into(),
-            }],
-            allows: vec![AllowFact {
-                line: 2,
-                rules: vec!["wallclock-in-sim".into(), "lossy-counter-cast".into()],
-                justification: "because: reasons".into(),
-            }],
-            aliases: vec![("camp".into(), "campaign".into())],
-            fns: vec![FnFact {
-                line: 10,
-                name: "f".into(),
-                qual: "Type::f".into(),
-                is_sink: true,
-                is_handler: false,
-                calls: vec![CallFact {
-                    line: 11,
-                    kind: CallKind::Path,
-                    qualifier: "Type".into(),
-                    name: "g".into(),
-                }],
-                sources: vec![SiteFact {
-                    line: 12,
-                    kind: "wallclock".into(),
-                    what: "Instant::now".into(),
-                }],
-                panics: vec![SiteFact { line: 13, kind: "panic".into(), what: ".unwrap()".into() }],
-                blocking: vec![SiteFact {
-                    line: 14,
-                    kind: "blocking".into(),
-                    what: ".read_to_end(...)".into(),
-                }],
-            }],
-        }
-    }
-
-    #[test]
-    fn roundtrips_through_the_line_format() {
-        let mut cache = FactCache { salt: 42, entries: BTreeMap::new() };
-        cache.replace_all(&[sample()]);
-        let text = cache.serialize();
-        let back = parse_cache(&text, 42).expect("roundtrip parses");
-        assert_eq!(back.entries.get("crates/x/src/lib.rs"), Some(&sample()));
-    }
-
-    #[test]
-    fn wrong_salt_or_garbage_is_a_cold_cache() {
-        let mut cache = FactCache { salt: 42, entries: BTreeMap::new() };
-        cache.replace_all(&[sample()]);
-        let text = cache.serialize();
-        assert!(parse_cache(&text, 43).is_none(), "salt mismatch");
-        assert!(parse_cache("not a cache", 42).is_none(), "garbage header");
-        assert!(parse_cache(&text.replace("N 10", "N ten"), 42).is_none(), "bad line");
-    }
-
-    #[test]
-    fn save_and_load_through_disk() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("mppm-facts-roundtrip-{}.cache", std::process::id()));
-        let mut cache = FactCache { salt: 7, entries: BTreeMap::new() };
-        cache.replace_all(&[sample()]);
-        cache.save(&path).expect("save succeeds");
-        let back = FactCache::load(&path, 7);
-        assert_eq!(back.lookup("crates/x/src/lib.rs", sample().fingerprint), Some(&sample()));
-        assert!(FactCache::load(&path, 8).is_empty(), "different salt loads cold");
-        assert!(
-            FactCache::load(&dir.join("absent.cache"), 7).is_empty(),
-            "missing file loads cold"
-        );
-    }
-
-    #[test]
-    fn lookup_requires_matching_fingerprint() {
-        let mut cache = FactCache::default();
-        cache.replace_all(&[sample()]);
-        assert!(cache.lookup("crates/x/src/lib.rs", 1).is_none());
-        assert_eq!(cache.len(), 1);
-    }
 }

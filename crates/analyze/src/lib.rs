@@ -27,9 +27,10 @@
 //! rules emit per-line findings; and an item-level parser ([`parse`])
 //! builds an intra-workspace call graph ([`callgraph`]) for the
 //! inter-procedural determinism rules ([`taint`]), whose findings carry
-//! the full source→…→sink call chain. Per-file facts are cached keyed on
-//! a content fingerprint ([`facts`]) so warm runs only re-parse what
-//! changed. Intentional exceptions are written in the code as
+//! the full source→…→sink call chain. Each file is distilled once into
+//! its [`facts`]; the cross-file pass reads only those. `mppm-analyze`
+//! and `mppm-cli lint` share one flag parser and runner ([`cli`]).
+//! Intentional exceptions are written in the code as
 //!
 //! ```text
 //! // mppm-lint: allow(<rule>, <rule>...): <justification>
@@ -41,6 +42,7 @@
 //! otherwise.
 
 pub mod callgraph;
+pub mod cli;
 pub mod facts;
 pub mod lexer;
 pub mod parse;
@@ -48,7 +50,7 @@ pub mod report;
 pub mod rules;
 pub mod taint;
 
-use facts::{AllowFact, Candidate, FactCache, FileFacts};
+use facts::{AllowFact, Candidate, FileFacts};
 use lexer::Lexed;
 use rules::{all_rules, mark_test_regions, rule_names, Rule, Scope};
 use std::path::{Path, PathBuf};
@@ -161,7 +163,7 @@ pub fn known_rule_names() -> Vec<&'static str> {
 
 /// An `--only` / `--exclude` rule filter. Construction validates rule
 /// names; an empty filter admits everything.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuleFilter {
     only: Vec<String>,
     exclude: Vec<String>,
@@ -191,16 +193,6 @@ impl RuleFilter {
         (self.only.is_empty() || self.only.iter().any(|r| r == rule))
             && !self.exclude.iter().any(|r| r == rule)
     }
-}
-
-/// Engine options: report filtering and the optional fact cache.
-#[derive(Debug, Clone, Default)]
-pub struct AnalyzeOptions {
-    /// Rule filter applied at reporting time (facts are always complete,
-    /// so the cache is filter-independent).
-    pub filter: RuleFilter,
-    /// Fact-cache file; `None` runs cold and writes nothing.
-    pub cache: Option<PathBuf>,
 }
 
 /// The directive marker looked up inside line comments.
@@ -287,11 +279,7 @@ fn parse_allows(file: &SourceFile, facts: &mut FileFacts) {
 /// `fn` items the call graph consumes.
 fn compute_file_facts(path: &str, src: &str, rules: &[Box<dyn Rule>]) -> FileFacts {
     let file = SourceFile::parse(path, src);
-    let mut facts = FileFacts {
-        path: path.to_string(),
-        fingerprint: facts::fingerprint(src),
-        ..FileFacts::default()
-    };
+    let mut facts = FileFacts { path: path.to_string(), ..FileFacts::default() };
     parse_allows(&file, &mut facts);
     for rule in rules {
         if !rule.applies_to(&file.path) {
@@ -315,36 +303,20 @@ fn compute_file_facts(path: &str, src: &str, rules: &[Box<dyn Rule>]) -> FileFac
     facts
 }
 
-/// Analyzes in-memory `(path, source)` pairs with default options.
-pub fn analyze_sources<P: AsRef<str>, S: AsRef<str>>(files: &[(P, S)]) -> Analysis {
-    analyze_sources_opts(files, &AnalyzeOptions::default())
-}
-
-/// Analyzes in-memory `(path, source)` pairs. This is the whole engine;
-/// [`analyze_workspace`] merely feeds it files from disk. With a cache
-/// path in `opts`, per-file facts are reused when the content
-/// fingerprint matches and the cache is rewritten afterwards (atomic
-/// temp-file + rename; cache I/O failures degrade to a cold run, never
-/// an error).
-pub fn analyze_sources_opts<P: AsRef<str>, S: AsRef<str>>(
+/// Analyzes in-memory `(path, source)` pairs, reporting the findings
+/// `filter` admits. This is the whole engine; [`analyze_workspace`]
+/// merely feeds it files from disk. Facts are always computed for every
+/// rule, so the filter changes only what is reported.
+pub fn analyze_sources<P: AsRef<str>, S: AsRef<str>>(
     files: &[(P, S)],
-    opts: &AnalyzeOptions,
+    filter: &RuleFilter,
 ) -> Analysis {
     let rules = all_rules();
-    let cache = opts.cache.as_deref().map(|p| FactCache::load(p, facts::cache_salt()));
-    let mut all: Vec<FileFacts> = Vec::with_capacity(files.len());
-    for (path, src) in files {
-        let (path, src) = (path.as_ref(), src.as_ref());
-        let fp = facts::fingerprint(src);
-        let cached = cache.as_ref().and_then(|c| c.lookup(path, fp)).cloned();
-        all.push(cached.unwrap_or_else(|| compute_file_facts(path, src, &rules)));
-    }
-    if let (Some(mut cache), Some(path)) = (cache, opts.cache.as_deref()) {
-        cache.replace_all(&all);
-        // Best-effort: a read-only tree still analyzes fine, just cold.
-        let _ = cache.save(path);
-    }
-    assemble(&all, &opts.filter)
+    let all: Vec<FileFacts> = files
+        .iter()
+        .map(|(path, src)| compute_file_facts(path.as_ref(), src.as_ref(), &rules))
+        .collect();
+    assemble(&all, filter)
 }
 
 /// Cross-file assembly: builds the call graph, runs the graph rules,
@@ -479,23 +451,13 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Analyzes the workspace rooted at `root` with default options (no
-/// cache, no filter).
+/// Analyzes the workspace rooted at `root` under `filter`.
 ///
 /// # Errors
 ///
 /// Any I/O error from reading the tree.
-pub fn analyze_workspace(root: &Path) -> std::io::Result<Analysis> {
-    Ok(analyze_sources(&workspace_sources(root)?))
-}
-
-/// Analyzes the workspace rooted at `root` with explicit options.
-///
-/// # Errors
-///
-/// Any I/O error from reading the tree.
-pub fn analyze_workspace_opts(root: &Path, opts: &AnalyzeOptions) -> std::io::Result<Analysis> {
-    Ok(analyze_sources_opts(&workspace_sources(root)?, opts))
+pub fn analyze_workspace(root: &Path, filter: &RuleFilter) -> std::io::Result<Analysis> {
+    Ok(analyze_sources(&workspace_sources(root)?, filter))
 }
 
 /// Locates the workspace root by walking up from `start` to the first

@@ -7,89 +7,20 @@
 //! mppm-analyze --root <dir>    # explicit workspace root
 //! mppm-analyze --only <rule>   # report only this rule (repeatable / comma-list)
 //! mppm-analyze --exclude <rule># drop this rule from the report
-//! mppm-analyze --no-cache      # skip the per-file fact cache
 //! ```
 //!
-//! Unknown rule names passed to `--only`/`--exclude` exit 2 with a
-//! usage error. The fact cache lives at `<root>/target/analyze-facts.cache`.
+//! The flags are parsed and run by [`mppm_analyze::cli`], which `mppm-cli
+//! lint` shares. Usage errors, such as an unknown rule name, exit 2.
 
-use mppm_analyze::{AnalyzeOptions, RuleFilter};
-use std::path::PathBuf;
+use mppm_analyze::cli;
 
 fn main() {
-    let mut deny = false;
-    let mut json = false;
-    let mut no_cache = false;
-    let mut root: Option<PathBuf> = None;
-    let mut only: Vec<String> = Vec::new();
-    let mut exclude: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--deny" => deny = true,
-            "--json" => json = true,
-            "--no-cache" => no_cache = true,
-            "--root" => match args.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => fail("--root needs a directory argument"),
-            },
-            "--only" => match args.next() {
-                Some(rules) => only.extend(rules.split(',').map(str::to_string)),
-                None => fail("--only needs a rule name"),
-            },
-            "--exclude" => match args.next() {
-                Some(rules) => exclude.extend(rules.split(',').map(str::to_string)),
-                None => fail("--exclude needs a rule name"),
-            },
-            "--help" | "-h" => {
-                println!(
-                    "usage: mppm-analyze [--deny] [--json] [--root <dir>] \
-                     [--only <rule>] [--exclude <rule>] [--no-cache]\n\n\
-                     Determinism lint pass over the MPPM workspace sources.\n\
-                     --deny      exit 1 on any violation (CI gate)\n\
-                     --json      machine-readable report\n\
-                     --root      workspace root (default: nearest ancestor with Cargo.toml + crates/)\n\
-                     --only      report only the named rule(s); repeatable, comma-separable\n\
-                     --exclude   drop the named rule(s) from the report\n\
-                     --no-cache  ignore and do not write target/analyze-facts.cache\n\n\
-                     known rules: {}",
-                    mppm_analyze::known_rule_names().join(", ")
-                );
-                return;
-            }
-            other => fail(&format!("unknown argument `{other}` (try --help)")),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match cli::parse(&args).and_then(|lint| lint.run()) {
+        Ok(code) => std::process::exit(code),
+        Err(msg) => {
+            eprintln!("mppm-analyze: {msg}");
+            std::process::exit(cli::USAGE_ERROR);
         }
     }
-    let filter = match RuleFilter::new(&only, &exclude) {
-        Ok(filter) => filter,
-        Err(msg) => fail(&msg),
-    };
-    let root = root.or_else(|| {
-        let cwd = std::env::current_dir().ok()?;
-        mppm_analyze::find_workspace_root(&cwd)
-    });
-    let Some(root) = root else {
-        fail("could not locate the workspace root; pass --root <dir>");
-    };
-    let cache = (!no_cache).then(|| root.join("target/analyze-facts.cache"));
-    let opts = AnalyzeOptions { filter, cache };
-    match mppm_analyze::analyze_workspace_opts(&root, &opts) {
-        Ok(analysis) => {
-            let report = if json {
-                mppm_analyze::report::json(&analysis)
-            } else {
-                mppm_analyze::report::human(&analysis)
-            };
-            print!("{report}");
-            if deny && !analysis.is_clean() {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => fail(&format!("analyzing {}: {e}", root.display())),
-    }
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("mppm-analyze: {msg}");
-    std::process::exit(2);
 }

@@ -49,23 +49,6 @@ pub fn graph_rule_names() -> Vec<&'static str> {
     vec![TAINT_RULE, PANIC_RULE, BLOCKING_RULE]
 }
 
-/// `(name, one-line description)` for docs and the catalog test. The
-/// call-graph side of `blocking-in-handler` is described on the token
-/// rule it extends.
-pub fn graph_rule_docs() -> Vec<(&'static str, &'static str)> {
-    vec![
-        (
-            TAINT_RULE,
-            "nondeterminism source (wallclock/env/thread/entropy/hash-order) reaches a \
-             result/journal/wire sink through the call graph",
-        ),
-        (
-            PANIC_RULE,
-            "`panic!`/`.unwrap()`/fallible slice index reachable from a daemon request handler",
-        ),
-    ]
-}
-
 /// Known deterministic sinks: `(file, fn name)`. Results, shard
 /// journals, and mppmd wire frames are the repo's reproducibility
 /// contract surfaces.

@@ -1,14 +1,13 @@
 //! Report determinism and docs-catalog guarantees.
 //!
 //! The analyzer polices byte-reproducibility, so its own report must be
-//! byte-reproducible: identical across repeated runs, indifferent to
-//! `MPPM_THREADS`, and identical whether facts came from a cold parse or
-//! the warm fact cache. The docs catalog test keeps README.md and
-//! DESIGN.md honest the same way `unused-suppression` keeps allows
-//! honest: every rule the engine knows must be documented, and the
-//! inter-procedural design section must describe the machinery.
+//! byte-reproducible: identical across repeated runs and indifferent to
+//! `MPPM_THREADS`. The docs catalog test keeps README.md and DESIGN.md
+//! honest the same way `unused-suppression` keeps allows honest: every
+//! rule the engine knows must be documented, and the inter-procedural
+//! design section must describe the machinery.
 
-use mppm_analyze::{analyze_workspace_opts, find_workspace_root, AnalyzeOptions};
+use mppm_analyze::{analyze_workspace, find_workspace_root, RuleFilter};
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -16,41 +15,29 @@ fn workspace_root() -> PathBuf {
         .expect("test runs inside the workspace")
 }
 
-fn json_scan(root: &std::path::Path, opts: &AnalyzeOptions) -> String {
-    let analysis = analyze_workspace_opts(root, opts).expect("workspace sources are readable");
+fn json_scan(root: &std::path::Path) -> String {
+    let analysis =
+        analyze_workspace(root, &RuleFilter::default()).expect("workspace sources are readable");
     mppm_analyze::report::json(&analysis)
 }
 
 #[test]
-fn json_report_is_byte_identical_across_runs_threads_and_cache() {
+fn json_report_is_byte_identical_across_runs_and_threads() {
     let root = workspace_root();
-    let baseline = json_scan(&root, &AnalyzeOptions::default());
+    let baseline = json_scan(&root);
     assert!(!baseline.is_empty());
 
     // Repeated runs: byte-for-byte stable.
-    assert_eq!(baseline, json_scan(&root, &AnalyzeOptions::default()), "second run differs");
+    assert_eq!(baseline, json_scan(&root), "second run differs");
 
     // Worker-count override: the report must not care.
     std::env::set_var("MPPM_THREADS", "1");
-    let one = json_scan(&root, &AnalyzeOptions::default());
+    let one = json_scan(&root);
     std::env::set_var("MPPM_THREADS", "4");
-    let four = json_scan(&root, &AnalyzeOptions::default());
+    let four = json_scan(&root);
     std::env::remove_var("MPPM_THREADS");
     assert_eq!(baseline, one, "MPPM_THREADS=1 changed the report");
     assert_eq!(baseline, four, "MPPM_THREADS=4 changed the report");
-
-    // Fact cache: cold fill and warm replay both reproduce the
-    // uncached report exactly.
-    let cache = std::env::temp_dir()
-        .join(format!("mppm-analyze-determinism-{}.cache", std::process::id()));
-    let _ = std::fs::remove_file(&cache);
-    let opts = AnalyzeOptions { cache: Some(cache.clone()), ..AnalyzeOptions::default() };
-    let cold = json_scan(&root, &opts);
-    assert!(cache.exists(), "cold run must write the fact cache");
-    let warm = json_scan(&root, &opts);
-    let _ = std::fs::remove_file(&cache);
-    assert_eq!(baseline, cold, "cold cached run changed the report");
-    assert_eq!(baseline, warm, "warm cached run changed the report");
 }
 
 #[test]

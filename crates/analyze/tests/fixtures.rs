@@ -8,12 +8,12 @@
 //! analyzer's own lexer strips when it scans *this* file — the corpus
 //! cannot trip the self-test.
 
-use mppm_analyze::{analyze_sources, Analysis};
+use mppm_analyze::{analyze_sources, Analysis, RuleFilter};
 
 const LIB: &str = "crates/fixture/src/lib.rs";
 
 fn analyze_one(path: &str, src: &str) -> Analysis {
-    analyze_sources(&[(path, src)])
+    analyze_sources(&[(path, src)], &RuleFilter::default())
 }
 
 fn rules_fired(analysis: &Analysis) -> Vec<(String, usize)> {
@@ -684,7 +684,7 @@ pub fn drain_all(conn: &mut impl std::io::Read) -> Vec<u8> {
 }
 "#,
     );
-    let analysis = analyze_sources(&[handler, helper]);
+    let analysis = analyze_sources(&[handler, helper], &RuleFilter::default());
     let fired = rules_fired(&analysis);
     assert_eq!(fired, vec![("blocking-in-handler".to_string(), 4)], "{fired:?}");
     let v = &analysis.violations[0];
@@ -703,7 +703,7 @@ pub fn drain_all(conn: &mut impl std::io::Read) -> Vec<u8> {
 }
 "#,
     );
-    let analysis = analyze_sources(&[handler, suppressed_helper]);
+    let analysis = analyze_sources(&[handler, suppressed_helper], &RuleFilter::default());
     assert!(analysis.is_clean(), "got {:?}", rules_fired(&analysis));
     assert_eq!(analysis.suppressed, 1);
 }

@@ -9,7 +9,7 @@ fn workspace_is_lint_clean() {
         &std::env::current_dir().expect("cwd exists in a test run"),
     )
     .expect("test runs inside the workspace");
-    let analysis = mppm_analyze::analyze_workspace(&root)
+    let analysis = mppm_analyze::analyze_workspace(&root, &mppm_analyze::RuleFilter::default())
         .expect("workspace sources are readable");
     assert!(analysis.files > 30, "walker found only {} files — scan is broken", analysis.files);
     assert!(
@@ -33,7 +33,7 @@ fn analyzer_sources_are_lint_clean() {
         .filter(|(path, _)| path.starts_with("crates/analyze/"))
         .collect();
     assert!(own.len() >= 5, "expected the analyzer's own sources, got {}", own.len());
-    let analysis = mppm_analyze::analyze_sources(&own);
+    let analysis = mppm_analyze::analyze_sources(&own, &mppm_analyze::RuleFilter::default());
     assert!(
         analysis.is_clean(),
         "mppm-analyze does not pass its own lints:\n{}",

@@ -60,17 +60,9 @@ pub enum Command {
         /// The wire request to send (kind + parameters).
         request: Request,
     },
-    /// Run the determinism lint pass over the workspace sources.
-    Lint {
-        /// Exit non-zero on any violation (the CI gate).
-        deny: bool,
-        /// Machine-readable report.
-        json: bool,
-        /// Report only these rules (empty = all).
-        only: Vec<String>,
-        /// Drop these rules from the report.
-        exclude: Vec<String>,
-    },
+    /// Run the determinism lint pass over the workspace sources, parsed
+    /// and run by `mppm-analyze`'s own front end.
+    Lint(mppm_analyze::cli::Lint),
     /// Show usage.
     Help,
 }
@@ -111,7 +103,7 @@ USAGE:
   mppm-cli client campaign [--cores N] [--configs A,B,...] [--sample N]
               [--seed S] [--shard-size N] [--trials N] [--quick]
               [--subscribe] [--socket PATH]
-  mppm-cli lint [--deny] [--json] [--only RULE[,RULE]]
+  mppm-cli lint [--deny] [--json] [--root DIR] [--only RULE[,RULE]]
               [--exclude RULE[,RULE]]
   mppm-cli help
 
@@ -126,9 +118,10 @@ overrides where shards checkpoint, --bundle FILE also writes the CSV
 bundle to FILE for byte comparison, --trace writes a deterministic JSONL
 event trace and --progress mirrors milestones to stderr.
 `lint` runs the mppm-analyze determinism rules over the workspace's own
-sources; --deny makes violations fatal (the CI gate), and --only /
---exclude (repeatable, comma-separable) narrow the report to named
-rules — unknown rule names are usage errors.
+sources and takes `mppm-analyze`'s flags: --deny makes violations fatal
+(exit 1, the CI gate), and --only / --exclude (repeatable,
+comma-separated) narrow the report to named rules — unknown rule names
+are usage errors.
 `serve` runs the long-lived `mppmd` daemon (warm caches, request
 batching); `client` sends it one request — results are byte-identical
 to the one-shot commands, repeats are answered from the warm cache, and
@@ -152,13 +145,8 @@ impl<'a> Flags<'a> {
         self.0.iter().any(|(n, _)| *n == name)
     }
 
-    /// Every value given for `name`, in order.
-    fn values<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'a str> + 's {
-        self.0.iter().filter(move |(n, _)| *n == name).filter_map(|(_, v)| *v)
-    }
-
     fn value(&self, name: &str) -> Option<&'a str> {
-        self.values(name).next()
+        self.0.iter().filter(|(n, _)| *n == name).find_map(|(_, v)| *v)
     }
 
     fn number(&self, name: &str) -> Result<Option<u64>, ParseError> {
@@ -231,6 +219,9 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let Some(cmd) = it.next() else {
         return Ok(Command::Help);
     };
+    if cmd == "lint" {
+        return mppm_analyze::cli::parse(&args[1..]).map(Command::Lint).map_err(ParseError);
+    }
 
     // Collect flags generically: `--name value` or bare `--quick`.
     let rest: Vec<&str> = it.collect();
@@ -240,12 +231,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     while i < rest.len() {
         let a = rest[i];
         if let Some(name) = a.strip_prefix("--") {
-            if name == "quick"
-                || name == "deny"
-                || name == "json"
-                || name == "progress"
-                || name == "subscribe"
-            {
+            if name == "quick" || name == "progress" || name == "subscribe" {
                 flags.push((name, None));
                 i += 1;
             } else {
@@ -270,7 +256,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             "quick", "cores", "configs", "sample", "seed", "shard-size", "trials", "trace",
             "progress", "workers", "journal", "bundle",
         ],
-        "lint" => &["deny", "json", "only", "exclude"],
         "serve" => mppm_server::DAEMON_FLAGS,
         "client" => &[
             "socket", "quick", "config", "contention", "partition", "bandwidth", "cores",
@@ -316,31 +301,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 }),
                 other => unreachable!("`{cmd}` resolved to {other:?}"),
             }
-        }
-        "lint" => {
-            // `--only` / `--exclude` are repeatable and comma-separable;
-            // rule names are validated here so typos exit 2 like any
-            // other usage error.
-            let collect = |name: &str| -> Vec<String> {
-                flags
-                    .values(name)
-                    .flat_map(|v| v.split(','))
-                    .map(|r| r.trim().to_string())
-                    .filter(|r| !r.is_empty())
-                    .collect()
-            };
-            let only = collect("only");
-            let exclude = collect("exclude");
-            let known = mppm_analyze::known_rule_names();
-            for rule in only.iter().chain(&exclude) {
-                if !known.contains(&rule.as_str()) {
-                    return Err(ParseError(format!(
-                        "unknown rule `{rule}` (known rules: {})",
-                        known.join(", ")
-                    )));
-                }
-            }
-            Ok(Command::Lint { deny: flags.has("deny"), json: flags.has("json"), only, exclude })
         }
         "serve" => {
             mppm_server::ServerConfig::from_flags(flags.0.iter().copied())
@@ -397,53 +357,21 @@ mod tests {
         assert_eq!(parse_ok(&["help"]), Command::Help);
     }
 
-    fn lint(deny: bool, json: bool, only: &[&str], exclude: &[&str]) -> Command {
-        Command::Lint {
-            deny,
-            json,
-            only: only.iter().map(|s| s.to_string()).collect(),
-            exclude: exclude.iter().map(|s| s.to_string()).collect(),
+    #[test]
+    fn lint_is_mppm_analyzes_command() {
+        for args in [
+            &[][..],
+            &["--deny", "--json"],
+            &["--root", ".", "--only", "taint-nondet-to-result, panic-reaches-handler"],
+            &["--exclude", "unused-suppression,,", "--help"],
+        ] {
+            let lint = mppm_analyze::cli::parse(args).expect("valid lint flags");
+            assert_eq!(parse_ok(&[&["lint"][..], args].concat()), Command::Lint(lint), "{args:?}");
         }
-    }
-
-    #[test]
-    fn lint_flags() {
-        assert_eq!(parse_ok(&["lint"]), lint(false, false, &[], &[]));
-        assert_eq!(parse_ok(&["lint", "--deny"]), lint(true, false, &[], &[]));
-        assert_eq!(parse_ok(&["lint", "--deny", "--json"]), lint(true, true, &[], &[]));
-        assert!(parse_err(&["lint", "--quick"]).contains("unknown flag"));
-    }
-
-    #[test]
-    fn lint_rule_filters() {
-        assert_eq!(
-            parse_ok(&["lint", "--only", "taint-nondet-to-result"]),
-            lint(false, false, &["taint-nondet-to-result"], &[])
-        );
-        // Repeatable and comma-separable, on both flags.
-        assert_eq!(
-            parse_ok(&[
-                "lint",
-                "--only",
-                "unwrap-in-lib,lossy-counter-cast",
-                "--only",
-                "wallclock-in-sim",
-                "--exclude",
-                "unused-suppression"
-            ]),
-            lint(
-                false,
-                false,
-                &["unwrap-in-lib", "lossy-counter-cast", "wallclock-in-sim"],
-                &["unused-suppression"]
-            )
-        );
-        // Unknown rule names are usage errors (exit 2 in main).
-        let err = parse_err(&["lint", "--only", "no-such-rule"]);
-        assert!(err.contains("unknown rule `no-such-rule`"), "{err}");
-        assert!(err.contains("taint-nondet-to-result"), "lists the known rules: {err}");
-        let err = parse_err(&["lint", "--exclude", "nope"]);
-        assert!(err.contains("unknown rule `nope`"), "{err}");
+        for args in [&["--quick"][..], &["--only", "no-such-rule"], &["--only"]] {
+            let err = mppm_analyze::cli::parse(args).expect_err("a usage error");
+            assert_eq!(parse_err(&[&["lint"][..], args].concat()), err, "{args:?}");
+        }
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! Every failure path in `run` converts (usually via `From`) into one
 //! [`CliError`] variant, and each variant maps to a distinct exit code
 //! so scripts and CI can tell *why* an invocation failed without
-//! parsing stderr:
+//! parsing stderr. `lint` is the exception: it exits with the codes of
+//! `mppm_analyze::cli`, which `mppm-analyze` shares (rows 1 and 2).
 //!
 //! | code | meaning                                                   |
 //! |------|-----------------------------------------------------------|
-//! | 1    | invalid input: unknown benchmark, bandwidth not positive, partition that does not fit the LLC |
-//! | 2    | usage error, set in `main`: a malformed flag or request field, or a campaign count given as 0 |
+//! | 1    | invalid input: unknown benchmark, bandwidth not positive, partition that does not fit the LLC; `lint --deny` violations |
+//! | 2    | usage error, set in `main`: a malformed flag or request field, or a campaign count given as 0; `lint` without a readable workspace |
 //! | 3    | model error (the daemon's `model` code)                   |
 //! | 4    | campaign error ([`mppm_campaign::CampaignError`])         |
 //! | 5    | store / trace / CSV I/O error                             |

@@ -76,37 +76,14 @@ fn run(cmd: Command) -> Result<(), CliError> {
             println!("{USAGE}");
             Ok(())
         }
-        Command::Lint { deny, json, only, exclude } => {
-            let root = std::env::current_dir()
-                .ok()
-                .and_then(|cwd| mppm_analyze::find_workspace_root(&cwd))
-                .ok_or(CliError::Invalid(
-                    "could not locate the workspace root (run from inside the repo)".into(),
-                ))?;
-            // Rule names were validated at parse time; re-validation here
-            // only guards direct construction.
-            let filter = mppm_analyze::RuleFilter::new(&only, &exclude)
-                .map_err(CliError::Invalid)?;
-            let opts = mppm_analyze::AnalyzeOptions {
-                filter,
-                cache: Some(root.join("target/analyze-facts.cache")),
-            };
-            let analysis = mppm_analyze::analyze_workspace_opts(&root, &opts)
-                .map_err(|e| CliError::Invalid(format!("analyzing {}: {e}", root.display())))?;
-            let report = if json {
-                mppm_analyze::report::json(&analysis)
-            } else {
-                mppm_analyze::report::human(&analysis)
-            };
-            print!("{report}");
-            if deny && !analysis.is_clean() {
-                return Err(CliError::Invalid(format!(
-                    "{} lint violation(s)",
-                    analysis.violations.len()
-                )));
+        Command::Lint(lint) => match lint.run() {
+            Ok(0) => Ok(()),
+            Ok(code) => std::process::exit(code),
+            Err(msg) => {
+                eprintln!("error: {msg}");
+                std::process::exit(mppm_analyze::cli::USAGE_ERROR);
             }
-            Ok(())
-        }
+        },
         Command::Serve(config) => {
             eprintln!("mppmd: listening on {}", config.socket.display());
             mppm_server::serve(&config).map_err(CliError::from)

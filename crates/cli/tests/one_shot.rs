@@ -52,6 +52,7 @@ fn bad_requests_exit_with_the_daemons_checks_before_any_work() {
         ("predict gamess,lbm --quick --contention xyz", 2, "unknown contention model"),
         ("serve --cache-cap 0", 2, "--cache-cap: `0` is not a positive integer"),
         ("serve --cache-cap x", 2, "--cache-cap: `x` is not a positive integer"),
+        ("lint --only no-such-rule", 2, "unknown rule `no-such-rule`"),
     ] {
         cases.push((args(argv), code, message.to_string()));
     }

@@ -50,52 +50,26 @@ pub fn run(ctx: &Context, core_counts: &[usize], mixes_per_point: usize) -> Vec<
     records
 }
 
-/// Times the full workspace lint scan cold (no fact cache on disk)
-/// versus warm (replaying the per-file fact cache), `rounds` times each,
-/// and asserts the two reports byte-identical — the benchmark doubles as
-/// the cache-correctness differential check. The `analyze` suite:
-/// variants `cold` and `warm` (s/scan) and their per-round ratio
-/// `speedup`, at `files=<scanned files>`.
-///
-/// Uses a private cache file so concurrent `mppm-analyze` / `mppm-cli
-/// lint` runs never contend with the benchmark.
+/// Times the full workspace lint scan `rounds` times (at least 5) and
+/// asserts the reports byte-identical from round to round. The
+/// `analyze` suite: variant `scan` (s/scan) at `files=<scanned files>`.
 pub fn analyze_comparison(rounds: usize) -> Vec<BenchRecord> {
     let root = mppm_analyze::find_workspace_root(
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")),
     )
     .expect("the experiments crate lives inside the workspace");
-    let cache = root.join("target/analyze-facts-bench.cache");
-    let opts = mppm_analyze::AnalyzeOptions {
-        cache: Some(cache.clone()),
-        ..mppm_analyze::AnalyzeOptions::default()
-    };
-    let (mut cold, mut warm) = (Vec::new(), Vec::new());
-    let mut files = 0;
-    for _ in 0..rounds.max(1) {
-        let _ = std::fs::remove_file(&cache);
+    let filter = mppm_analyze::RuleFilter::default();
+    let (mut seconds, mut reports, mut files) = (Vec::new(), Vec::new(), 0);
+    for _ in 0..rounds.max(5) {
         let started = Instant::now();
-        let cold_report = mppm_analyze::analyze_workspace_opts(&root, &opts)
+        let analysis = mppm_analyze::analyze_workspace(&root, &filter)
             .expect("workspace sources are readable");
-        cold.push(started.elapsed().as_secs_f64());
-        let started = Instant::now();
-        let warm_report = mppm_analyze::analyze_workspace_opts(&root, &opts)
-            .expect("workspace sources are readable");
-        warm.push(started.elapsed().as_secs_f64());
-        assert_eq!(
-            mppm_analyze::report::json(&cold_report),
-            mppm_analyze::report::json(&warm_report),
-            "cached facts changed the report"
-        );
-        files = cold_report.files;
+        seconds.push(started.elapsed().as_secs_f64());
+        files = analysis.files;
+        reports.push(mppm_analyze::report::json(&analysis));
     }
-    let _ = std::fs::remove_file(&cache);
-    let speedup: Vec<f64> = cold.iter().zip(&warm).map(|(c, w)| c / w).collect();
-    let param = format!("files={files}");
-    vec![
-        BenchRecord::of_samples("analyze", "cold", &param, "s/scan", &cold),
-        BenchRecord::of_samples("analyze", "warm", &param, "s/scan", &warm),
-        BenchRecord::of_samples("analyze", "speedup", &param, "x", &speedup),
-    ]
+    assert!(reports.windows(2).all(|w| w[0] == w[1]), "the report changed between rounds");
+    vec![BenchRecord::of_samples("analyze", "scan", &format!("files={files}"), "s/scan", &seconds)]
 }
 
 /// Locates a binary built alongside the running one (`target/<profile>/`),
@@ -300,22 +274,14 @@ mod tests {
 
     #[test]
     fn analyze_comparison_measures_and_serializes() {
-        let records = analyze_comparison(2);
-        let files: usize = records[0].param["files=".len()..].parse().expect("files=N");
+        let records = analyze_comparison(5);
+        assert_eq!(records.len(), 1);
+        let scan = &records[0];
+        let files: usize = scan.param["files=".len()..].parse().expect("files=N");
         assert!(files > 30, "scan is broken: only {files} files");
-        let cold = find_record(&records, "cold", &records[0].param);
-        let warm = find_record(&records, "warm", &records[0].param);
-        assert!(cold.median > 0.0);
-        assert!(warm.median > 0.0);
-        let speedup = find_record(&records, "speedup", &records[0].param).median;
-        assert!(
-            speedup >= 2.0,
-            "warm fact-cache scan should be >=2x faster than cold, got {speedup:.2}x \
-             (cold {:.4}s, warm {:.4}s)",
-            cold.median,
-            warm.median
-        );
-        publish(Scale::Quick, "analyze", "analyze cold vs warm", &records).expect("published");
+        assert_eq!((scan.variant.as_str(), scan.n), ("scan", 5));
+        assert!(scan.median > 0.0 && scan.ci_lo <= scan.ci_hi, "{scan:?}");
+        publish(Scale::Quick, "analyze", "analyze scan", &records).expect("published");
     }
 
     #[test]

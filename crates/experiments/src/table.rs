@@ -155,7 +155,7 @@ pub struct BenchRecord {
     /// The suite: `speed` (§4.3), `analyze`, `obs`, `distcampaign` or
     /// `server`.
     pub suite: String,
-    /// What was measured, e.g. `sim`, `warm`, `cold-closed`.
+    /// What was measured, e.g. `sim`, `scan`, `cold-closed`.
     pub variant: String,
     /// The setting it was measured at (`cores=4`, `workers=2`), or for
     /// the server suite, whose one setting the description states, the
