@@ -14,13 +14,55 @@
 //! and `--only "a,,"` name rules `a` and `b`, and `a`. Exit codes: 0 for
 //! a report, 1 for violations under `--deny`, [`USAGE_ERROR`] (2) for an
 //! unknown flag or rule name, a missing workspace root or an unreadable
-//! tree.
+//! tree, and [`BROKEN_PIPE`] (141) when stdout's reader goes away first.
 
 use crate::{analyze_workspace, find_workspace_root, known_rule_names, report, RuleFilter};
 use std::path::PathBuf;
 
 /// The exit code of a usage error.
 pub const USAGE_ERROR: i32 = 2;
+
+/// The exit code when the reader of stdout has gone (`| head`): what a
+/// shell reports for a process that SIGPIPE ended.
+pub const BROKEN_PIPE: i32 = 141;
+
+/// Writes `args` to stdout for the command-line front ends
+/// ([`outln!`](crate::outln), [`out!`](crate::out)). When the reader has
+/// closed the pipe the process ends at once with [`BROKEN_PIPE`] and no
+/// message, as a SIGPIPE-killed tool would, instead of `println!`'s
+/// panic.
+///
+/// # Panics
+///
+/// Panics, as `println!` does, on any other write error.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(BROKEN_PIPE);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` that ends the process quietly when stdout's reader has gone
+/// ([`write_stdout`]).
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` that ends the process quietly when stdout's reader has
+/// gone ([`write_stdout`]).
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// The flag summary `--help` prints, above the list of known rules.
 pub const USAGE: &str = "\
@@ -95,7 +137,7 @@ impl Lint {
     /// is found or the tree cannot be read.
     pub fn run(&self) -> Result<i32, String> {
         let Lint::Scan { deny, json, root, filter } = self else {
-            println!("{USAGE}\n\nknown rules: {}", known_rule_names().join(", "));
+            crate::outln!("{USAGE}\n\nknown rules: {}", known_rule_names().join(", "));
             return Ok(0);
         };
         let root = root
@@ -104,7 +146,7 @@ impl Lint {
             .ok_or("could not locate the workspace root; pass --root <dir>")?;
         let analysis = analyze_workspace(&root, filter)
             .map_err(|e| format!("analyzing {}: {e}", root.display()))?;
-        print!("{}", if *json { report::json(&analysis) } else { report::human(&analysis) });
+        crate::out!("{}", if *json { report::json(&analysis) } else { report::human(&analysis) });
         Ok(i32::from(*deny && !analysis.is_clean()))
     }
 }

@@ -440,8 +440,11 @@ impl Rule for BlockingInHandler {
 pub struct AllocInSteadyLoop;
 
 /// Function bodies that constitute the allocation-free steady state:
-/// the fed burst loops (`burst` around `run_fed_until_llc`), their op
-/// walk and LLC commit, the per-engine drive dispatcher, the chunk cuts
+/// the fed burst loops (`burst` and `walk` around `run_fed_until_llc`
+/// and `run_fed`), their op walk and LLC commit, the chunk refeeds, the
+/// skip-ahead burst (`try_skip` with its `binade_advance` and
+/// `skip_segment`, the `catch_up` walk, the recording's
+/// `close_segment`), the per-engine drive dispatcher, the chunk cuts
 /// (the generator loop and chunk refill — run on the generator thread,
 /// which must not allocate — and a cached replay's cut and copy), the
 /// scheduler interleave loop, and the solver: its step loop (`solve`),
@@ -452,8 +455,16 @@ pub struct AllocInSteadyLoop;
 /// silently drop a kernel from the rule.
 const STEADY_LOOP_FNS: &[&str] = &[
     "burst",
+    "walk",
     "run_fed_until_llc",
+    "run_fed",
     "walk_ops",
+    "refeed",
+    "try_skip",
+    "binade_advance",
+    "skip_segment",
+    "catch_up",
+    "close_segment",
     "commit_llc",
     "run_until_llc",
     "generate_items",

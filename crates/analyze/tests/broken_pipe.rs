@@ -1,0 +1,27 @@
+//! A reader that closes the pipe early (`mppm-analyze … | head -3`) ends
+//! `mppm-analyze` quietly: exit 141, as for a SIGPIPE-killed tool, with
+//! no panic message.
+
+use std::process::{Command, Stdio};
+
+const ANALYZE: &str = env!("CARGO_BIN_EXE_mppm-analyze");
+
+#[test]
+fn a_closed_stdout_ends_the_analyzer_quietly() {
+    for argv in [&["--help"][..], &["--json"]] {
+        // The read end is gone before the child starts, so its first
+        // write meets a broken pipe.
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(ANALYZE)
+            .args(argv)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .stdout(Stdio::from(writer))
+            .stderr(Stdio::piped())
+            .output()
+            .expect("run mppm-analyze");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(141), "{argv:?}: {stderr}");
+        assert!(stderr.is_empty(), "{argv:?} printed to stderr: {stderr}");
+    }
+}

@@ -147,6 +147,13 @@ impl Ranks {
         }
     }
 
+    fn way_of(&self, set: usize, rank: u32) -> usize {
+        match self {
+            Self::Narrow(words) => words[set].way_of(rank),
+            Self::Wide(words) => words[set].way_of(rank),
+        }
+    }
+
     /// Tag slots per set.
     fn lanes(&self) -> usize {
         match self {
@@ -384,6 +391,18 @@ impl SetAssocCache {
         self.lens.iter().map(|&l| u64::from(l)).sum()
     }
 
+    /// Every resident block, set by set, most recently used first: the
+    /// cache's logical state. Under LRU two caches that yield the same
+    /// sequence hit and miss alike on every later access, whichever ways
+    /// their lines sit in (a block's set follows from the block, so the
+    /// flat sequence fixes each set's contents and order).
+    pub fn resident_blocks(&self) -> impl Iterator<Item = u64> + '_ {
+        let lanes = self.ranks.lanes();
+        self.lens.iter().enumerate().flat_map(move |(set, &len)| {
+            (0..len).map(move |rank| self.tags[set * lanes + self.ranks.way_of(set, rank)])
+        })
+    }
+
     /// Invalidates everything and clears statistics.
     pub fn reset(&mut self) {
         self.clear(self.replacement);
@@ -466,6 +485,30 @@ mod tests {
         // 0 moved to MRU; 8 is at depth 1; 4 at depth 2.
         assert_eq!(c.access(8).depth, Some(1));
         assert_eq!(c.access(4).depth, Some(2));
+    }
+
+    #[test]
+    fn resident_blocks_list_each_set_most_recent_first() {
+        let mut c = tiny(2);
+        assert_eq!(c.resident_blocks().count(), 0);
+        for block in [0, 4, 1, 8, 4, 13] {
+            c.access(block);
+        }
+        // Set 0 saw 0, 4, 8, 4 (0 evicted); set 1 saw 1, 13.
+        assert_eq!(c.resident_blocks().collect::<Vec<_>>(), vec![4, 8, 13, 1]);
+        // The same contents and order filled into other ways read the
+        // same.
+        let mut other = tiny(2);
+        for block in [4, 8, 13, 4, 1] {
+            other.access(block);
+        }
+        let mut refill = tiny(2);
+        for block in [8, 1, 4, 13, 1] {
+            refill.access(block);
+        }
+        assert!(other.resident_blocks().eq(refill.resident_blocks()));
+        c.reset();
+        assert_eq!(c.resident_blocks().count(), 0);
     }
 
     #[test]

@@ -268,6 +268,20 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             return Err(ParseError(format!("unknown flag --{name} for `{cmd}`")));
         }
     }
+    // Positional arguments each verb reads; one more is a usage error,
+    // never silently dropped.
+    let takes = match cmd {
+        "help" | "--help" | "-h" | "list" | "campaign" | "serve" => Some(0),
+        "count" | "record" | "predict" | "simulate" => Some(1),
+        "client" => Some(match positional.first() {
+            Some(&("predict" | "simulate")) => 2,
+            _ => 1,
+        }),
+        _ => None,
+    };
+    if let Some(extra) = takes.and_then(|n| positional.get(n)) {
+        return Err(ParseError(format!("unexpected argument `{extra}` for `{cmd}`")));
+    }
 
     match cmd {
         "help" | "--help" | "-h" => Ok(Command::Help),
@@ -349,6 +363,33 @@ mod tests {
 
     fn parse_err(args: &[&str]) -> String {
         parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap_err().0
+    }
+
+    #[test]
+    fn extra_positional_arguments_are_usage_errors() {
+        for (argv, extra) in [
+            (&["count", "2", "extra"][..], "extra"),
+            (&["record", "gcc", "extra", "--out", "f", "--quick"], "extra"),
+            (&["list", "foo"], "foo"),
+            (&["help", "me"], "me"),
+            (&["campaign", "gcc"], "gcc"),
+            (&["serve", "x"], "x"),
+            (&["predict", "gcc,lbm", "mcf"], "mcf"),
+            (&["simulate", "gcc,lbm", "--quick", "mcf"], "mcf"),
+            (&["client", "ping", "now"], "now"),
+            (&["client", "predict", "gcc,lbm", "mcf"], "mcf"),
+        ] {
+            let cmd = argv[0];
+            assert_eq!(
+                parse_err(argv),
+                format!("unexpected argument `{extra}` for `{cmd}`"),
+                "{argv:?}"
+            );
+        }
+        // The arguments each verb reads still parse.
+        assert_eq!(parse_ok(&["count", "2"]), Command::Count { cores: 2 });
+        assert!(matches!(parse_ok(&["client", "stats"]), Command::Client { .. }));
+        assert!(matches!(parse_ok(&["client", "predict", "gcc,lbm"]), Command::Client { .. }));
     }
 
     #[test]

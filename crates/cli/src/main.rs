@@ -17,6 +17,7 @@ mod error;
 use args::{parse, Command, USAGE};
 use error::CliError;
 use mppm::classify::{classify, Thresholds};
+use mppm_analyze::outln;
 use mppm::mix::count_mixes;
 use mppm::{Prediction, SolverScratch};
 use mppm_campaign::{
@@ -60,8 +61,8 @@ fn print_prediction(pred: &Prediction) {
     {
         t.row(vec![name.clone(), f3(*sc), f3(*mc), f3(*slow)]);
     }
-    println!("{}", t.render());
-    println!(
+    outln!("{}", t.render());
+    outln!(
         "STP {:.3} (of {} ideal)   ANTT {:.3}   ({} model iterations)",
         pred.stp(),
         pred.names().len(),
@@ -73,7 +74,7 @@ fn print_prediction(pred: &Prediction) {
 fn run(cmd: Command) -> Result<(), CliError> {
     match cmd {
         Command::Help => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         Command::Lint(lint) => match lint.run() {
@@ -110,7 +111,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
             );
             // Stdout carries exactly the deterministic payload, so two
             // invocations are diffable.
-            println!(
+            outln!(
                 "{}",
                 serde_json::to_string_pretty(&response.result)
                     .map_err(|e| CliError::Invalid(format!("unprintable response: {e}")))?
@@ -121,7 +122,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
             let n = suite::spec_suite().len();
             let count =
                 count_mixes(n, cores).map_err(|e| CliError::Invalid(e.to_string()))?;
-            println!("{count} distinct {cores}-program workloads over the {n}-benchmark suite");
+            outln!("{count} distinct {cores}-program workloads over the {n}-benchmark suite");
             Ok(())
         }
         Command::List { config, quick } => {
@@ -154,7 +155,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
                     classify(&p, Thresholds::default()).to_string(),
                 ]);
             }
-            println!("{}", t.render());
+            outln!("{}", t.render());
             Ok(())
         }
         Command::Predict(m) => {
@@ -196,15 +197,15 @@ fn run(cmd: Command) -> Result<(), CliError> {
                     format!("{:+.1}%", (pred_cpi - meas) / meas * 100.0),
                 ]);
             }
-            println!("{}", t.render());
-            println!(
+            outln!("{}", t.render());
+            outln!(
                 "measured STP {:.3} ANTT {:.3} | predicted STP {:.3} ANTT {:.3}",
                 record.stp(),
                 record.antt(),
                 pred.stp(),
                 pred.antt()
             );
-            println!("(detailed simulation took {:.2}s)", record.sim_seconds);
+            outln!("(detailed simulation took {:.2}s)", record.sim_seconds);
             Ok(())
         }
         Command::Record { benchmark, out, quick } => {
@@ -214,7 +215,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
             let trace = CompiledTrace::compile(spec.clone(), g);
             let bytes = trace.to_bytes();
             mppm_experiments::atomic_write_bytes(std::path::Path::new(&out), &bytes)?;
-            println!(
+            outln!(
                 "recorded {} instructions ({} ops in {} phase runs, {} bytes) to {out}",
                 g.trace_insns(),
                 trace.ops(),
@@ -246,24 +247,24 @@ fn run(cmd: Command) -> Result<(), CliError> {
             };
             observer.finish()?;
             if let Some(path) = &trace {
-                println!("wrote JSONL trace to {path}");
+                outln!("wrote JSONL trace to {path}");
             }
-            println!(
+            outln!(
                 "campaign {}: {} mixes x {} designs ({} cores)\n",
                 result.plan_id,
                 result.mixes,
                 result.designs.len(),
                 result.cores
             );
-            println!("{}", design_table(&result).render());
-            println!("{}", histogram_table(&result).render());
-            println!("{}", stability_table(&result).render());
-            println!(
+            outln!("{}", design_table(&result).render());
+            outln!("{}", histogram_table(&result).render());
+            outln!("{}", stability_table(&result).render());
+            outln!(
                 "shards: {} total, {} resumed, {} computed",
                 result.stats.total_shards, result.stats.resumed_shards, result.stats.computed_shards
             );
             if let Some(tp) = result.stats.throughput() {
-                println!(
+                outln!(
                     "throughput: {tp:.1} mixes/s ({} evaluations in {:.2}s)",
                     result.stats.evaluated_mixes, result.stats.compute_seconds
                 );
@@ -271,13 +272,13 @@ fn run(cmd: Command) -> Result<(), CliError> {
             if let Some(path) = &bundle {
                 let bytes = csv_bundle(&result).into_bytes();
                 mppm_experiments::atomic_write_bytes(std::path::Path::new(path), &bytes)?;
-                println!("wrote csv bundle to {path}");
+                outln!("wrote csv bundle to {path}");
             }
             // Full-scale output owns results/; quick smoke runs land in
             // target/quick-results/ to protect the committed bundle.
             let dir = mppm_experiments::table::results_dir_for(scale);
             write_csvs(&result, &dir, &mppm_campaign::RunProvenance::current(scale))?;
-            println!("wrote campaign CSVs to {}", dir.display());
+            outln!("wrote campaign CSVs to {}", dir.display());
             Ok(())
         }
     }

@@ -53,6 +53,9 @@ fn bad_requests_exit_with_the_daemons_checks_before_any_work() {
         ("serve --cache-cap 0", 2, "--cache-cap: `0` is not a positive integer"),
         ("serve --cache-cap x", 2, "--cache-cap: `x` is not a positive integer"),
         ("lint --only no-such-rule", 2, "unknown rule `no-such-rule`"),
+        ("count 2 extra", 2, "unexpected argument `extra` for `count`"),
+        ("record gcc extra --out unwritten.trace --quick", 2, "unexpected argument `extra`"),
+        ("list foo", 2, "unexpected argument `foo` for `list`"),
     ] {
         cases.push((args(argv), code, message.to_string()));
     }

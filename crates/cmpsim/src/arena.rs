@@ -5,7 +5,8 @@
 //! needs: the [`Uncore`] (LLC slabs + memory channel), one pooled
 //! [`CoreEngine`] per core (each holding its private L1/L2 slabs), the
 //! scheduler's event heap, the interleaver's bookkeeping vectors, and the
-//! chunk buffers and cursors of cached replays. It holds no traces
+//! chunk buffers and cursors of cached replays, and the skip-ahead
+//! recordings and snapshots ([`crate::skip`]). It holds no traces
 //! between runs: those come from the run's [`crate::TraceCache`] or are
 //! streamed. [`crate::MixSim::arena`] threads one through a run;
 //! between runs everything is *reset in place* — `clear()` + `resize()`
@@ -58,6 +59,7 @@ use mppm_trace::{CompiledTrace, PhaseRun};
 
 use crate::feed::RunCursor;
 use crate::multi::{Event, InterleaveState};
+use crate::skip::Skipper;
 use crate::{CoreEngine, Uncore};
 
 /// Reusable, resettable scratch for detailed mix simulations: engine
@@ -104,6 +106,9 @@ pub struct SimArena {
     /// Each core's cached trace and replay cursor during a cached run;
     /// empty between runs.
     pub(crate) replays: Vec<(Arc<CompiledTrace>, RunCursor)>,
+    /// Skip-ahead state: per-core positions and the recorded passes,
+    /// snapshots included, reset in place each run.
+    pub(crate) skip: Skipper,
 }
 
 impl SimArena {
@@ -119,6 +124,7 @@ impl SimArena {
             unit_factors: Vec::new(),
             chunks: Vec::new(),
             replays: Vec::new(),
+            skip: Skipper::default(),
         }
     }
 

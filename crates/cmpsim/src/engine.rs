@@ -215,6 +215,30 @@ impl BurstStop {
     }
 }
 
+/// What a fed walk tells about the charges it makes
+/// ([`CoreEngine::run_fed`]): the skip-ahead recording sums them; the
+/// plain burst passes `()`, which ignores them. A step that reaches the
+/// LLC reports nothing, since its charges end the segment it would sum.
+pub(crate) trait Tally {
+    /// Walk the private side only: L1/L2 accesses, with no cycles
+    /// charged and no LLC access left pending, up to the limit.
+    const REPLAY: bool = false;
+    /// The phase's base CPI and L2-hit stall, once per walk.
+    #[inline(always)]
+    fn phase(&mut self, _base_cpi: f64, _l2_stall: f64) {}
+    /// A compute batch charged `cost`.
+    #[inline(always)]
+    fn compute(&mut self, _cost: f64) {}
+    /// An access that hit the L1D: its base CPI.
+    #[inline(always)]
+    fn l1_hit(&mut self) {}
+    /// An access that hit the L2: its base CPI, then the L2 stall.
+    #[inline(always)]
+    fn l2_hit(&mut self) {}
+}
+
+impl Tally for () {}
+
 /// Where a core's trace items come from.
 ///
 /// The live generator is the *reference* path — the original per-item
@@ -252,7 +276,10 @@ pub(crate) struct FedCursor {
     chunk: PhaseRun,
     /// Next op within the chunk.
     op: usize,
-    /// Total instructions replayed (monotonic across wraps).
+    /// Trace position: instructions retired, monotonic across wraps.
+    /// A skip-ahead burst moves it on without walking the chunk, which
+    /// then sits a whole number of passes behind it
+    /// ([`crate::skip`]).
     insn: u64,
 }
 
@@ -614,6 +641,18 @@ impl CoreEngine {
     ///
     /// Panics if the engine is not fed.
     pub(crate) fn run_fed_until_llc(&mut self, limit: u64) -> Option<BurstStop> {
+        self.run_fed(limit, &mut ())
+    }
+
+    /// [`Self::run_fed_until_llc`] with every charge also handed to
+    /// `tally` — or, for a [`Tally::REPLAY`] tally, the private side
+    /// alone: no cycles, no pending access, no stop before `limit`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is not fed.
+    #[inline(always)]
+    pub(crate) fn run_fed<T: Tally>(&mut self, limit: u64, tally: &mut T) -> Option<BurstStop> {
         debug_assert!(self.pending.is_none(), "commit the pending LLC access before bursting");
         let TraceSource::Fed(f) = &mut self.source else {
             panic!("only fed engines replay chunks")
@@ -622,7 +661,7 @@ impl CoreEngine {
         // stays mutably borrowable.
         let chunk = std::mem::take(&mut f.chunk);
         let (mut op, mut pos) = (f.op, f.insn);
-        let stop = self.walk_ops(chunk.phase(), chunk.ops(), &mut op, &mut pos, limit);
+        let stop = self.walk_ops(chunk.phase(), chunk.ops(), &mut op, &mut pos, limit, tally);
         let TraceSource::Fed(f) = &mut self.source else { unreachable!() };
         f.chunk = chunk;
         f.op = op;
@@ -642,15 +681,17 @@ impl CoreEngine {
     /// [`Self::reference_run_until_llc`] — compute batches stay clipped
     /// at interval boundaries as the generator emitted them, because
     /// f64 accumulation is not associative and merging adjacent batches
-    /// would change low-order bits.
+    /// would change low-order bits. `tally` sees each charge of a step
+    /// that stays private; the `()` tally compiles away.
     #[inline(always)]
-    fn walk_ops(
+    fn walk_ops<T: Tally>(
         &mut self,
         phase: usize,
         ops: &OpWords,
         op: &mut usize,
         pos: &mut u64,
         limit: u64,
+        tally: &mut T,
     ) -> Option<BurstStop> {
         if phase != self.cached_phase {
             self.refresh_phase(phase);
@@ -658,6 +699,7 @@ impl CoreEngine {
         let base_cpi = self.cached_base_cpi;
         let mlp = self.cached_mlp;
         let l2_stall = self.machine.stall_cycles(self.machine.l2.latency, mlp);
+        tally.phase(base_cpi, l2_stall);
         let words = ops.words();
         while *op < words.len() {
             let word = words[*op];
@@ -665,20 +707,28 @@ impl CoreEngine {
             let stamp = self.cycles;
             if !OpWords::is_access(word) {
                 let insns = OpWords::compute_insns(word);
-                let cost = f64::from(insns) * base_cpi;
-                self.cycles += cost;
-                self.stack.base += cost;
+                if !T::REPLAY {
+                    let cost = f64::from(insns) * base_cpi;
+                    self.cycles += cost;
+                    self.stack.base += cost;
+                    tally.compute(cost);
+                }
                 *pos += u64::from(insns);
             } else {
-                self.cycles += base_cpi;
-                self.stack.base += base_cpi;
+                if !T::REPLAY {
+                    self.cycles += base_cpi;
+                    self.stack.base += base_cpi;
+                }
                 *pos += 1;
                 let block = self.tag | OpWords::block(word);
                 if !self.l1d.access(block).hit {
                     if self.l2.access(block).hit {
-                        self.cycles += l2_stall;
-                        self.stack.l2_hit += l2_stall;
-                    } else {
+                        if !T::REPLAY {
+                            self.cycles += l2_stall;
+                            self.stack.l2_hit += l2_stall;
+                        }
+                        tally.l2_hit();
+                    } else if !T::REPLAY {
                         self.pending = Some(PendingLlc {
                             block,
                             store: OpWords::is_store(word),
@@ -686,6 +736,8 @@ impl CoreEngine {
                         });
                         return Some(BurstStop::Llc { stamp });
                     }
+                } else {
+                    tally.l1_hit();
                 }
             }
             if *pos >= limit {
@@ -693,6 +745,69 @@ impl CoreEngine {
             }
         }
         None
+    }
+
+    /// The private caches' logical state: L1D then L2, each set by set,
+    /// most recent first ([`SetAssocCache::resident_blocks`]).
+    pub(crate) fn private_state(&self) -> impl Iterator<Item = u64> + '_ {
+        self.l1d.resident_blocks().chain(self.l2.resident_blocks())
+    }
+
+    /// The LLC access a burst left pending, as `(untagged block, store)`,
+    /// and the phase it was issued under.
+    pub(crate) fn pending_access(&self) -> Option<(u64, bool, usize)> {
+        self.pending.map(|p| (p.block & !self.tag, p.store, self.cached_phase))
+    }
+
+    /// Instructions in one trace pass of a fed engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is not fed.
+    pub(crate) fn trace_insns(&self) -> u64 {
+        let TraceSource::Fed(f) = &self.source else { panic!("only fed engines hold a cursor") };
+        f.trace_insns
+    }
+
+    /// Moves a fed engine's position to `insn` and leaves its chunk and
+    /// op where they are: the skip-ahead burst runs the position ahead
+    /// of the chunk, and its catch-up walks the chunk after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is not fed.
+    pub(crate) fn set_position(&mut self, insn: u64) {
+        let TraceSource::Fed(f) = &mut self.source else {
+            panic!("only fed engines hold a cursor")
+        };
+        f.insn = insn;
+    }
+
+    /// Lands a skipped segment: the LLC access at the end of `insns`
+    /// instructions began at clock `stamp` under phase `phase`. Charges
+    /// that access's base CPI, leaves it pending and moves the position
+    /// on, as [`Self::walk_ops`] would have; the [`Self::cpi_stack`] is
+    /// not kept (no `MixSim` reader looks at it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is not fed.
+    #[inline(always)]
+    pub(crate) fn skip_segment(
+        &mut self,
+        stamp: f64,
+        phase: usize,
+        block: u64,
+        store: bool,
+        insns: u64,
+    ) {
+        if phase != self.cached_phase {
+            self.refresh_phase(phase);
+        }
+        self.cycles = stamp + self.cached_base_cpi;
+        self.pending = Some(PendingLlc { block: self.tag | block, store, mlp: self.cached_mlp });
+        let TraceSource::Fed(f) = &mut self.source else { panic!("only fed engines skip") };
+        f.insn += insns;
     }
 
     /// Commits the shared-LLC access a burst left pending: probes the

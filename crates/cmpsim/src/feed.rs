@@ -63,10 +63,22 @@ pub(crate) const CHUNK_BUFFERS: usize = 3;
 pub(crate) fn burst(
     engine: &mut CoreEngine,
     limit: u64,
+    refeed: impl FnMut(&mut CoreEngine),
+) -> BurstStop {
+    walk(engine, |engine| engine.run_fed_until_llc(limit), refeed)
+}
+
+/// Runs `step` — one walk over the held chunk, `None` when it runs out —
+/// until it stops, refeeding between walks: [`burst`] for any walk
+/// ([`CoreEngine::run_fed`]).
+#[inline(always)]
+pub(crate) fn walk(
+    engine: &mut CoreEngine,
+    mut step: impl FnMut(&mut CoreEngine) -> Option<BurstStop>,
     mut refeed: impl FnMut(&mut CoreEngine),
 ) -> BurstStop {
     loop {
-        if let Some(stop) = engine.run_fed_until_llc(limit) {
+        if let Some(stop) = step(engine) {
             return stop;
         }
         refeed(engine);
@@ -130,27 +142,31 @@ impl Feeds<'_> {
     /// from the ring — or cut on this thread when the ring is empty and
     /// the generator is not cutting for that core.
     pub(crate) fn burst(&self, idx: usize, engine: &mut CoreEngine, limit: u64) -> BurstStop {
-        burst(engine, limit, |engine| {
-            let chunk = match self.full[idx].try_recv() {
-                Ok(chunk) => chunk,
-                Err(_) => match self.streams[idx].try_lock() {
-                    // The generator sends under this lock, so an empty
-                    // ring here means the next chunk is not cut yet.
-                    Ok(mut stream) => match self.full[idx].try_recv() {
-                        Ok(chunk) => chunk,
-                        Err(_) => {
-                            engine.refeed(|chunk| {
-                                chunk.refill(&mut stream, self.end, self.chunk_ops);
-                            });
-                            return;
-                        }
-                    },
-                    Err(_) => self.next(idx),
+        burst(engine, limit, |engine| self.refeed(idx, engine))
+    }
+
+    /// Hands the fed engine of core `idx`, whose held chunk is spent, the
+    /// next chunk of its stream: [`Self::burst`]'s refeed.
+    pub(crate) fn refeed(&self, idx: usize, engine: &mut CoreEngine) {
+        let chunk = match self.full[idx].try_recv() {
+            Ok(chunk) => chunk,
+            Err(_) => match self.streams[idx].try_lock() {
+                // The generator sends under this lock, so an empty
+                // ring here means the next chunk is not cut yet.
+                Ok(mut stream) => match self.full[idx].try_recv() {
+                    Ok(chunk) => chunk,
+                    Err(_) => {
+                        engine.refeed(|chunk| {
+                            chunk.refill(&mut stream, self.end, self.chunk_ops);
+                        });
+                        return;
+                    }
                 },
-            };
-            let spent = engine.feed(chunk);
-            self.spent.send((idx, spent)).expect("the generator runs until the feeds hang up");
-        })
+                Err(_) => self.next(idx),
+            },
+        };
+        let spent = engine.feed(chunk);
+        self.spent.send((idx, spent)).expect("the generator runs until the feeds hang up");
     }
 }
 

@@ -63,6 +63,7 @@ mod memory;
 mod multi;
 pub mod reference;
 mod single;
+mod skip;
 
 pub use arena::SimArena;
 pub use engine::{BurstStop, CoreEngine, LlcMode, Uncore};

@@ -24,6 +24,12 @@
 //! pays off wherever a trace is reused across runs (`Store`, hence
 //! `mppmd` and every figure). A burst crosses chunk ends in place, so
 //! the two are bit-identical down to the scheduler's heap traffic.
+//!
+//! On both, a core whose private caches have settled skips its bursts
+//! ([`crate::skip`]): once one of its passes is recorded and shown to
+//! repeat, each burst lands its LLC access in O(1), bit for bit, so the
+//! FAME re-iteration of fast programs costs little more than their LLC
+//! traffic.
 
 use mppm_obs::{Span, Value};
 use mppm_trace::{BenchmarkSpec, CompiledTrace, PhaseRun, TraceGeometry, TraceStream};
@@ -37,6 +43,7 @@ use crate::arena::SimArena;
 use crate::engine::TraceSource;
 use crate::feed;
 use crate::reference::Oracle;
+use crate::skip::SkipStats;
 use crate::{BurstStop, CoreEngine, MachineConfig, Uncore};
 
 /// Measured outcome of one multi-program workload on the detailed
@@ -126,6 +133,9 @@ pub struct MixSim<'a> {
     pub(crate) oracle: Option<Oracle>,
     /// Ops per fed chunk (tests force tiny chunks).
     pub(crate) chunk_ops: usize,
+    /// Where skip-ahead recordings may start, when not at the end of the
+    /// warmup (tests start them before the private caches settle).
+    pub(crate) record_from: Option<u64>,
     observer: Option<&'a Span>,
     trace_cache: Option<&'a TraceCache>,
     arena: Option<&'a mut SimArena>,
@@ -147,6 +157,7 @@ impl<'a> MixSim<'a> {
             core_factors: None,
             oracle: None,
             chunk_ops: feed::CHUNK_OPS,
+            record_from: None,
             observer: None,
             trace_cache: None,
             arena: None,
@@ -261,8 +272,16 @@ impl<'a> MixSim<'a> {
                 &mut local
             }
         };
-        let SimArena { uncore: uncore_slot, engines, heap, state, unit_factors, chunks, replays } =
-            scratch;
+        let SimArena {
+            uncore: uncore_slot,
+            engines,
+            heap,
+            state,
+            unit_factors,
+            chunks,
+            replays,
+            skip,
+        } = scratch;
         if let Some(ways) = self.ways {
             assert_eq!(ways.len(), specs.len(), "one way count per program");
         }
@@ -299,6 +318,8 @@ impl<'a> MixSim<'a> {
         };
         let chunk_ops = self.chunk_ops;
         let mut batch = BatchStats::default();
+        let record_from = trace_insns * u64::from(self.warmup_passes);
+        skip.reset(specs, factors, self.record_from.unwrap_or(record_from));
         match substrate {
             Substrate::Streamed => {
                 let shared: Vec<Arc<BenchmarkSpec>> =
@@ -309,7 +330,7 @@ impl<'a> MixSim<'a> {
                         TraceSource::fed(feeds.next(idx), Arc::clone(&shared[idx]), geometry)
                     });
                     event_interleave_into(engines, uncore, state, heap, |engine, idx, limit| {
-                        feeds.burst(idx, engine, limit)
+                        skip.burst(engine, idx, limit, |engine| feeds.refeed(idx, engine))
                     });
                 });
             }
@@ -330,7 +351,7 @@ impl<'a> MixSim<'a> {
                 });
                 event_interleave_into(engines, uncore, state, heap, |engine, idx, limit| {
                     let (trace, cursor) = &mut replays[idx];
-                    feed::burst(engine, limit, |engine| {
+                    skip.burst(engine, idx, limit, |engine| {
                         engine.refeed(|chunk| cursor.cut(trace, chunk, chunk_ops));
                     })
                 });
@@ -385,7 +406,9 @@ impl<'a> MixSim<'a> {
         if let Some(span) = self.observer.filter(|s| s.is_enabled()) {
             batch.passes = engines.iter().map(CoreEngine::trace_passes).sum();
             let alloc = mppm_obs::alloc::snapshot().since(alloc_start);
-            publish_mix(span, uncore, state, out, self.warmup_passes, substrate, batch, alloc);
+            let skipped = skip.stats(trace_insns);
+            let warmup = self.warmup_passes;
+            publish_mix(span, uncore, state, out, warmup, substrate, batch, skipped, alloc);
         }
     }
 }
@@ -794,6 +817,7 @@ fn publish_mix(
     warmup_passes: u32,
     substrate: Substrate,
     batch: BatchStats,
+    skipped: SkipStats,
     alloc: mppm_obs::alloc::AllocSnapshot,
 ) {
     let (sched_name, exec_name) = substrate.names();
@@ -859,6 +883,11 @@ fn publish_mix(
     span.counter("sim.batch.blocks").add(batch.blocks);
     span.counter("sim.batch.ops").add(batch.ops);
     span.counter("sim.batch.passes").add(batch.passes);
+    // Skip-ahead bookkeeping, as counters: skipping leaves every event
+    // byte-identical, and these must not perturb them.
+    span.counter("sim.skip.bursts").add(skipped.bursts);
+    span.counter("sim.skip.passes").add(skipped.passes);
+    span.counter("sim.skip.fallbacks").add(skipped.fallbacks);
     // Heap allocations observed during this mix — zero unless a counting
     // allocator feeds `mppm_obs::alloc` (test/bench binaries only), and
     // zero at steady state on a warm arena even then. Counters only:
@@ -1133,11 +1162,19 @@ mod tests {
     /// Runs `sim` under an observer, returning the result, every event
     /// the run published and the counter snapshot.
     fn observe(sim: MixSim<'_>) -> (MixResult, Vec<mppm_obs::Event>, Vec<(String, u64)>) {
+        observe_with(sim, |sim| sim.run())
+    }
+
+    /// [`observe`] with the run made by `run`.
+    fn observe_with<'a>(
+        sim: MixSim<'a>,
+        run: impl FnOnce(MixSim<'_>) -> MixResult,
+    ) -> (MixResult, Vec<mppm_obs::Event>, Vec<(String, u64)>) {
         let capture = CaptureSink::default();
         let observer = mppm_obs::Observer::new(Box::new(capture.clone()));
         let result = {
             let root = observer.root("mix");
-            sim.observer(&root).run()
+            run(sim.observer(&root))
         };
         let events = capture.0.lock().unwrap().clone();
         (result, events, observer.counter_snapshot())
@@ -1341,6 +1378,17 @@ mod tests {
         events.iter().filter(|e| e.name == kind).collect()
     }
 
+    /// The baseline machine with private caches small enough (16-block
+    /// L1D, 128-block L2) that every program reaches the LLC in every
+    /// pass of a tiny trace, and an L2 slow enough to stall: the
+    /// skip-ahead burst engages on it.
+    fn skipping_machine() -> MachineConfig {
+        let mut m = MachineConfig::baseline();
+        m.l1d = mppm_cache::CacheConfig::new(16 * 64, 4, 64, 1);
+        m.l2 = mppm_cache::CacheConfig::new(128 * 64, 8, 64, 20);
+        m
+    }
+
     #[test]
     fn tiny_chunks_match_cached_and_reference_runs() {
         // Chunks of 1 to 7 ops put chunk ends on (and right next to)
@@ -1350,8 +1398,12 @@ mod tests {
         // to run. Streamed and cached runs at every chunk size must match
         // cached ones at the default size — results and the `core`,
         // `llc` and `scheduler` events, heap traffic included — and the
-        // per-item smallest-clock oracle.
-        let m = MachineConfig::baseline();
+        // per-item oracles: the smallest-clock result, and the live
+        // stream's events. On the baseline machine no program of this
+        // tiny geometry reaches the LLC after its first pass, so no core
+        // skips; on the skipping machine every mix skips, so skipped
+        // bursts, catch-ups and chunk ends meet everywhere too.
+        let skipping = skipping_machine();
         let g = TraceGeometry::new(1_000, 4);
         let bench = |n: &str| suite::benchmark(n).unwrap();
         let (gcc, lbm, gamess, mcf) = (bench("gcc"), bench("lbm"), bench("gamess"), bench("mcf"));
@@ -1371,38 +1423,91 @@ mod tests {
                     .to_vec()),
             ),
         ];
-        for (label, cfg) in &mixes {
-            for warmup in 0..3 {
-                let sim = || cfg.build(&m, g).warmup_passes(warmup);
-                let oracle = reference::run(sim(), Oracle::SmallestClock);
-                let cache = TraceCache::new();
-                let (cached, cached_events, _) = observe(sim().trace_cache(&cache));
-                assert_eq!(cached, oracle, "{label} w{warmup}: cached vs oracle");
-                for (chunk_ops, cache) in (1..=7).chain([feed::CHUNK_OPS]).flat_map(|c| {
-                    [(c, None), (c, Some(&cache))]
-                }) {
-                    let mut fed_sim = sim();
-                    fed_sim.chunk_ops = chunk_ops;
-                    if let Some(cache) = cache {
-                        fed_sim = fed_sim.trace_cache(cache);
-                    }
-                    let (fed, events, _) = observe(fed_sim);
-                    let at = format!("{label} w{warmup} c{chunk_ops} cached {}", cache.is_some());
-                    assert_eq!(fed, cached, "{at}: fed vs cached");
+        let machines = [
+            ("baseline", MachineConfig::baseline()),
+            ("skipping", skipping),
+            ("bandwidth", skipping.with_mem_bandwidth(0.05)),
+        ];
+        let same = |kind: &str, a: &[mppm_obs::Event], b: &[mppm_obs::Event]| {
+            events_named(a, kind) == events_named(b, kind)
+        };
+        let passes =
+            |evs: &[mppm_obs::Event]| field(events_named(evs, "batch")[0], "passes").clone();
+        for (machine_label, m) in &machines {
+            for (mix_label, cfg) in &mixes {
+                for warmup in 0..3 {
+                    let label = format!("{machine_label} {mix_label} w{warmup}");
+                    let sim = || cfg.build(m, g).warmup_passes(warmup);
+                    let oracle = reference::run(sim(), Oracle::SmallestClock);
+                    let (live, live_events, _) =
+                        observe_with(sim(), |sim| reference::run(sim, Oracle::LiveStream));
+                    let cache = TraceCache::new();
+                    let (cached, cached_events, counters) = observe(sim().trace_cache(&cache));
+                    assert_eq!(cached, oracle, "{label}: cached vs oracle");
+                    assert_eq!(live, oracle, "{label}: live stream vs oracle");
                     for kind in ["core", "llc", "scheduler"] {
-                        assert_eq!(
-                            events_named(&events, kind),
-                            events_named(&cached_events, kind),
-                            "{at}: `{kind}` events"
-                        );
+                        assert!(same(kind, &cached_events, &live_events), "{label}: `{kind}`");
                     }
-                    let passes = |evs: &[mppm_obs::Event]| {
-                        field(events_named(evs, "batch")[0], "passes").clone()
-                    };
-                    assert_eq!(passes(&events), passes(&cached_events), "{at}: passes");
+                    assert_eq!(passes(&cached_events), passes(&live_events), "{label}: passes");
+                    let skipped = counter(&counters, "sim.skip.bursts");
+                    if *machine_label == "baseline" {
+                        assert_eq!(skipped, 0, "{label}: no core settles into LLC traffic");
+                    } else {
+                        assert!(skipped > 0, "{label}: the skip must engage");
+                        // Recordings started an eighth of a pass in, on
+                        // cold caches, fail their state check and start
+                        // again; none may be used.
+                        let mut early = sim();
+                        early.record_from = Some(g.trace_insns() / 8);
+                        let (early, _, early_counters) = observe(early);
+                        assert_eq!(early, oracle, "{label}: early recordings");
+                        assert!(counter(&early_counters, "sim.skip.bursts") > 0, "{label}: early");
+                    }
+                    for (chunk_ops, cache) in (1..=7).chain([feed::CHUNK_OPS]).flat_map(|c| {
+                        [(c, None), (c, Some(&cache))]
+                    }) {
+                        let mut fed_sim = sim();
+                        fed_sim.chunk_ops = chunk_ops;
+                        if let Some(cache) = cache {
+                            fed_sim = fed_sim.trace_cache(cache);
+                        }
+                        let (fed, events, fed_counters) = observe(fed_sim);
+                        let at = format!("{label} c{chunk_ops} cached {}", cache.is_some());
+                        assert_eq!(fed, cached, "{at}: fed vs cached");
+                        for kind in ["core", "llc", "scheduler"] {
+                            assert!(same(kind, &events, &cached_events), "{at}: `{kind}` events");
+                        }
+                        assert_eq!(passes(&events), passes(&cached_events), "{at}: passes");
+                        let skip = |c: &[(String, u64)]| {
+                            ["bursts", "passes", "fallbacks"]
+                                .map(|k| counter(c, &format!("sim.skip.{k}")))
+                        };
+                        assert_eq!(skip(&fed_counters), skip(&counters), "{at}: skips");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn settled_cores_skip_their_re_iteration() {
+        // The compute-light cores of a contended mix re-iterate while the
+        // memory-bound one finishes; once their private caches settle,
+        // nearly all of those passes are skipped, per core, and a
+        // recording is shared by the cores running one spec.
+        let m = skipping_machine();
+        let g = TraceGeometry::new(1_000, 4);
+        let specs: Vec<&BenchmarkSpec> =
+            ["lbm", "gcc", "lbm", "lbm"].iter().map(|n| suite::benchmark(n).unwrap()).collect();
+        let mut arena = SimArena::new();
+        let result = MixSim::new(&specs, &m, g).arena(&mut arena).run();
+        assert_eq!(result, reference::run(MixSim::new(&specs, &m, g), Oracle::SmallestClock));
+        for core in [0, 2, 3] {
+            let passes = arena.engines[core].trace_passes();
+            let skipped = arena.skip.skipped_insns(core) / g.trace_insns();
+            assert!(passes >= 10 && skipped + 3 >= passes, "lbm {core}: {skipped} of {passes}");
+        }
+        assert_eq!(arena.skip.skipped_insns(1), 0, "the slowest core never re-iterates");
     }
 
     #[test]

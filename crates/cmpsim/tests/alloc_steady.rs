@@ -145,6 +145,35 @@ fn warm_arena_mixes_allocate_nothing() {
     assert_eq!(get("sim.alloc.bytes"), Some(0));
     assert_eq!(get("sim.mixes"), Some(2));
 
+    // A mix whose settled cores skip their re-iteration (small private
+    // caches leave every pass some LLC traffic): the recordings, the
+    // private-state snapshots and the per-core skip state are pooled in
+    // the arena, so after one warm-up the skipping mixes allocate
+    // nothing either.
+    let mut skipping = MachineConfig::baseline();
+    skipping.l1d = mppm_cache::CacheConfig::new(16 * 64, 4, 64, 1);
+    skipping.l2 = mppm_cache::CacheConfig::new(128 * 64, 8, 64, 20);
+    let repeated = [lbm, suite::benchmark("gcc").unwrap(), lbm, lbm];
+    let tiny = TraceGeometry::new(1_000, 4);
+    let skip_mix = || MixSim::new(&repeated, &skipping, tiny).trace_cache(&traces);
+    let fresh_skip = MixSim::new(&repeated, &skipping, tiny).run();
+    assert!(allocs_for(|| skip_mix().arena(&mut arena).run_into(&mut out)) > 0);
+    assert_eq!(fresh_skip, out);
+    for i in 0..3 {
+        let steady = allocs_for(|| skip_mix().arena(&mut arena).run_into(&mut out));
+        assert_eq!(steady, 0, "steady-state skipping mix {i} allocated {steady} times");
+        assert_eq!(fresh_skip, out, "steady-state skipping mix {i} diverged");
+    }
+    let observer = mppm_obs::Observer::new(Box::new(mppm_obs::NoopSink));
+    {
+        let root = observer.root("alloc-steady-skip");
+        skip_mix().observer(&root).arena(&mut arena).run_into(&mut out);
+    }
+    let snapshot = observer.counter_snapshot();
+    let get = |name: &str| snapshot.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    assert!(get("sim.skip.bursts") > Some(0), "the mix must skip: {snapshot:?}");
+    assert_eq!(get("sim.alloc.count"), Some(0));
+
     // Generator threads: the calling thread allocates the chunk buffers
     // and the streams, so only std's thread and channel bookkeeping
     // allocates over there — a handful of small blocks, how many

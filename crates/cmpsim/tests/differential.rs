@@ -15,6 +15,10 @@
 //! order-sensitive, so a single shared event committed out of order skews
 //! every queueing delay after it.
 //!
+//! The skip-ahead oracle (`skip_ahead_matches_reference`) holds the
+//! skip-ahead burst to the same standard on mixes built to engage it,
+//! events included, and fails any case where no core skipped.
+//!
 //! Case counts scale with `MPPM_ORACLE_CASES` (default 16) so CI can run
 //! a quick pass on every PR while deep local runs stay available:
 //!
@@ -30,6 +34,7 @@ use mppm_sim::{
 };
 use mppm_trace::{suite, BenchmarkSpec, CompiledTrace, Phase, Region, TraceGeometry};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 fn oracle_cases() -> u32 {
     std::env::var("MPPM_ORACLE_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(16)
@@ -233,6 +238,95 @@ fn recorded_traces_replay_like_the_generator() {
     let cached = MixSim::new(&specs, &machine, geometry).trace_cache(&cache).run();
     assert_eq!(cache.stats(), (3, 0), "every core replays its recording");
     assert_eq!(cached, MixSim::new(&specs, &machine, geometry).run());
+}
+
+/// The baseline machine with private caches small enough (16-block
+/// L1D, 128-block L2) that a program reaches the LLC in every pass of a
+/// small trace, and an L2 slow enough to stall: where cores skip.
+fn skipping_machine() -> MachineConfig {
+    let mut m = MachineConfig::baseline();
+    m.l1d = mppm_cache::CacheConfig::new(16 * 64, 4, 64, 1);
+    m.l2 = mppm_cache::CacheConfig::new(128 * 64, 8, 64, 20);
+    m
+}
+
+/// A compute-light program whose 300 blocks overflow the skipping
+/// machine's L2 but fit a 2-way LLC slice: it completes early and
+/// re-iterates with LLC traffic in every pass. With `tie_from`, it has
+/// one phase per interval, the `i`-th with base CPI `1 + 2^(e−53)` for
+/// `e = tie_from + i`, an exact tie at the ulp of binade `e` (so are
+/// its compute batches of odd length); its clock crosses those binades
+/// while it skips.
+fn skipper(seed: u64, tie_from: Option<(i32, u32)>) -> BenchmarkSpec {
+    let phase = |base_cpi| Phase {
+        mem_ratio: 0.25,
+        store_ratio: 0.3,
+        base_cpi,
+        mlp: 1.5,
+        regions: vec![Region::uniform(0, 300, 1.0)],
+    };
+    let (phases, schedule) = match tie_from {
+        None => (vec![phase(0.55)], vec![0]),
+        Some((from, intervals)) => {
+            let phases: Vec<Phase> =
+                (0..intervals).map(|i| phase(1.0 + 2f64.powi(from + i as i32 - 53))).collect();
+            (phases, (0..intervals as usize).collect())
+        }
+    };
+    BenchmarkSpec::new("skipper", seed, phases, schedule).expect("a valid spec")
+}
+
+/// A slow, memory-bound program: the others re-iterate until it is done.
+fn laggard(seed: u64) -> BenchmarkSpec {
+    let phase = Phase {
+        mem_ratio: 0.3,
+        store_ratio: 0.2,
+        base_cpi: 5.0,
+        mlp: 2.0,
+        regions: vec![Region::stream(1, 60_000, 1.0)],
+    };
+    BenchmarkSpec::new("laggard", seed, vec![phase], vec![0]).expect("a valid spec")
+}
+
+#[derive(Clone, Default)]
+struct Capture(Arc<Mutex<Vec<mppm_obs::Event>>>);
+
+impl mppm_obs::Sink for Capture {
+    fn record(&self, event: mppm_obs::Event) {
+        self.0.lock().unwrap().push(event);
+    }
+}
+
+/// A run's result, its `core`, `llc`, `scheduler` and `batch` events
+/// (the last without its substrate-specific fields), and its
+/// `sim.skip.bursts` count.
+fn observed(
+    sim: MixSim<'_>,
+    oracle: Option<Oracle>,
+) -> (MixResult, Vec<mppm_obs::Event>, u64) {
+    let capture = Capture::default();
+    let observer = mppm_obs::Observer::new(Box::new(capture.clone()));
+    let result = {
+        let root = observer.root("mix");
+        let sim = sim.observer(&root);
+        match oracle {
+            Some(oracle) => reference::run(sim, oracle),
+            None => sim.run(),
+        }
+    };
+    let mut events: Vec<mppm_obs::Event> = capture.0.lock().unwrap().clone();
+    events.retain(|e| ["core", "llc", "scheduler", "batch"].contains(&e.name.as_str()));
+    for event in &mut events {
+        if event.name == "batch" {
+            event.fields.retain(|(key, _)| *key == "passes");
+        }
+    }
+    let skipped = observer
+        .counter_snapshot()
+        .iter()
+        .find(|(name, _)| name == "sim.skip.bursts")
+        .map_or(0, |(_, n)| *n);
+    (result, events, skipped)
 }
 
 proptest! {
@@ -495,5 +589,80 @@ proptest! {
             ..Axes::default()
         };
         assert_schedulers_agree(&specs, &machine, geometry, &axes);
+    }
+    /// The skip-ahead oracle: mixes where compute-light programs settle
+    /// and re-iterate behind a slow one — on a unified LLC, way
+    /// partitions, heterogeneous cores, a finite-bandwidth channel, with
+    /// repeated specs (which share a recording), and with base CPIs that
+    /// are exact ties at the binades the skipping clock crosses — must
+    /// equal the smallest-clock oracle bit for bit, streamed and cached,
+    /// and publish the live-stream oracle's `core`, `llc`, `scheduler`
+    /// and `batch` events. Traces of 2K–18K instructions put completion
+    /// and the skipped stretches at every place relative to a binade
+    /// edge. A case where no core skipped fails: the oracle must not
+    /// pass vacuously.
+    #[test]
+    fn skip_ahead_matches_reference(
+        raw in mix_strategy(0..3),
+        variant in 0usize..5,
+        seeds in (0u64..u64::MAX, 0u64..u64::MAX),
+        factors in collection::vec(0.5f64..2.0, 5),
+        bandwidth in 0.02f64..0.3,
+        warmup in 0u32..3,
+        tie in 0u8..2,
+        interval_insns in 1_000u64..3_000,
+        intervals in 2u32..7,
+    ) {
+        let geometry = build_geometry(interval_insns, intervals);
+        let tie_from = (64 - geometry.trace_insns().leading_zeros()) as i32;
+        let skipper = skipper(seeds.0, (tie == 1).then_some((tie_from, intervals)));
+        let mut specs = vec![skipper.clone()];
+        if variant == 4 {
+            specs.push(skipper);
+        }
+        specs.extend(build_specs(&raw));
+        specs.push(laggard(seeds.1));
+        let refs: Vec<&BenchmarkSpec> = specs.iter().collect();
+        let cores = refs.len();
+        let mut machine = skipping_machine();
+        if variant == 3 {
+            machine = machine.with_mem_bandwidth(bandwidth);
+        }
+        // The skipper's slice holds its blocks; the rest share the others.
+        let ways: Vec<u32> = match cores {
+            2 => vec![4, 4],
+            3 => vec![4, 2, 2],
+            4 => vec![2, 2, 2, 2],
+            _ => vec![2, 2, 2, 1, 1],
+        };
+        let sim = || {
+            let mut sim = MixSim::new(&refs, &machine, geometry).warmup_passes(warmup);
+            if variant == 1 {
+                sim = sim.partitioned(&ways);
+            }
+            if variant == 2 {
+                sim = sim.core_factors(&factors[..cores]);
+            }
+            sim
+        };
+        let (oracle, _, _) = observed(sim(), Some(Oracle::SmallestClock));
+        let (_, live_events, _) = observed(sim(), Some(Oracle::LiveStream));
+        let cache = TraceCache::new();
+        for cached in [false, true] {
+            let run = if cached { sim().trace_cache(&cache) } else { sim() };
+            let (result, events, skipped) = observed(run, None);
+            prop_assert!(skipped > 0, "no core skipped (cached {})", cached);
+            for core in 0..cores {
+                prop_assert_eq!(
+                    result.completion_cycles[core].to_bits(),
+                    oracle.completion_cycles[core].to_bits(),
+                    "core {} completion cycles diverged (cached {})",
+                    core,
+                    cached
+                );
+            }
+            prop_assert_eq!(&result, &oracle, "cached {}", cached);
+            prop_assert_eq!(&events, &live_events, "events (cached {})", cached);
+        }
     }
 }
