@@ -447,6 +447,10 @@ pub struct AllocInSteadyLoop;
 /// `close_segment`), the per-engine drive dispatcher, the chunk cuts
 /// (the generator loop and chunk refill — run on the generator thread,
 /// which must not allocate — and a cached replay's cut and copy), the
+/// generator's per-op draws (`draw_index`, the gap table's `gap_of` with
+/// its `exact_gap` tail, `sample_access` with `region_of` and
+/// `is_store`), the set kernel's signature match (`find_way`, `signature`,
+/// `lanes_equal` with `lane_bits`, `with_lane`), the
 /// scheduler interleave loop, and the solver: its step loop (`solve`),
 /// the lockstep window walks (run once per program-step) with their
 /// whole-interval helpers, the window SDC's write-back, and the
@@ -469,6 +473,17 @@ const STEADY_LOOP_FNS: &[&str] = &[
     "run_until_llc",
     "generate_items",
     "refill",
+    "draw_index",
+    "gap_of",
+    "exact_gap",
+    "sample_access",
+    "region_of",
+    "is_store",
+    "find_way",
+    "signature",
+    "lanes_equal",
+    "lane_bits",
+    "with_lane",
     "cut",
     "copy_from",
     "event_interleave_into",

@@ -38,16 +38,18 @@ pub struct AccessResult {
 pub const MAX_ASSOC: u32 = 16;
 
 /// The value of the byte lanes past a set's associativity. It is above
-/// every rank, so [`RankWord::promote`] never moves it and
-/// [`RankWord::way_of`] never finds it, and at most `0x7F`, so no lane
+/// every rank, so [`LaneWord::promote`] never moves it and
+/// [`LaneWord::way_of`] never finds it, and at most `0x7F`, so no lane
 /// operation carries or borrows into its neighbour.
 const PAD_RANK: u8 = 0x7F;
 
-/// One set's recency order packed into an integer: byte lane `w` holds
-/// way `w`'s 0-based LRU-stack depth (its *rank*). Implemented for `u64`
-/// (up to 8 ways) and `u128` (up to 16); every operation is a handful of
-/// SWAR ("SIMD within a register") steps instead of a loop over ways.
-trait RankWord: Copy {
+/// A word of byte lanes, one per way of a set: `u64` for up to 8 ways,
+/// `u128` for up to 16. Each set has two — its rank word, where lane `w`
+/// holds way `w`'s 0-based LRU-stack depth (its *rank*), and its
+/// signature word, where lane `w` holds [`signature`] of way `w`'s tag.
+/// Every operation is a handful of SWAR ("SIMD within a register") steps
+/// instead of a loop over ways.
+trait LaneWord: Copy + Default {
     /// Byte lanes: the most ways a set of this width can have, and the
     /// stride of its tag slots.
     const LANES: usize;
@@ -62,13 +64,28 @@ trait RankWord: Copy {
     /// Moves way `way`, whose rank is `depth`, to rank 0: every rank
     /// below `depth` goes up by one, the others stay.
     fn promote(self, way: usize, depth: u32) -> Self;
-    /// The rank words of `ranks`, which must be of this width.
-    fn words(ranks: &mut Ranks) -> &mut [Self];
+    /// The word with lane `way` replaced by `byte`.
+    fn with_lane(self, way: usize, byte: u8) -> Self;
+    /// The lanes equal to `byte`, as a mask with bit `w` for lane `w`.
+    fn lanes_equal(self, byte: u8) -> u32;
+    /// The set words of `words`, which must be of this width.
+    fn sets(words: &Words) -> &[SetWords<Self>];
+    /// [`Self::sets`], mutably.
+    fn sets_mut(words: &mut Words) -> &mut [SetWords<Self>];
 }
 
-macro_rules! rank_word {
+/// Bit `w` for each lane `w` of an 8-lane word whose top bit is set
+/// (the other bits must be clear): the multiply moves bit `8w + 7` to
+/// bit `56 + w`, and no two partial products meet.
+#[inline(always)]
+fn lane_bits(high: u64) -> u32 {
+    // mppm-lint: allow(lossy-counter-cast): the product's top byte
+    ((high >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u32
+}
+
+macro_rules! lane_word {
     ($word:ty, $variant:ident) => {
-        impl RankWord for $word {
+        impl LaneWord for $word {
             const LANES: usize = std::mem::size_of::<$word>();
 
             fn identity(assoc: usize) -> Self {
@@ -109,66 +126,113 @@ macro_rules! rank_word {
             }
 
             #[inline(always)]
-            fn words(ranks: &mut Ranks) -> &mut [Self] {
-                match ranks {
-                    Ranks::$variant(words) => words,
-                    _ => unreachable!("the rank width follows the associativity"),
+            fn with_lane(self, way: usize, byte: u8) -> Self {
+                (self & !(0xFF << (8 * way))) | Self::from(byte) << (8 * way)
+            }
+
+            #[inline(always)]
+            fn lanes_equal(self, byte: u8) -> u32 {
+                const ONES: $word = <$word>::MAX / 0xFF;
+                const LOW7: $word = ONES * 0x7F;
+                // Zero exactly in the matching lanes. Signatures use all
+                // eight bits, so the low seven are summed apart: `+ 0x7F`
+                // sets a lane's top bit iff its low seven bits are
+                // non-zero and never carries out of the lane; or-ing the
+                // lane itself adds its own top bit.
+                let diff = self ^ (ONES * Self::from(byte));
+                let zero = !(((diff & LOW7) + LOW7) | diff) & (ONES << 7);
+                // Eight lanes per 64-bit half.
+                (0..Self::LANES / 8).fold(0, |mask, half| {
+                    mask | lane_bits((zero >> (64 * half)) as u64) << (8 * half)
+                })
+            }
+
+            #[inline(always)]
+            fn sets(words: &Words) -> &[SetWords<Self>] {
+                match words {
+                    Words::$variant(sets) => sets,
+                    _ => unreachable!("the word width follows the associativity"),
+                }
+            }
+
+            #[inline(always)]
+            fn sets_mut(words: &mut Words) -> &mut [SetWords<Self>] {
+                match words {
+                    Words::$variant(sets) => sets,
+                    _ => unreachable!("the word width follows the associativity"),
                 }
             }
         }
     };
 }
 
-rank_word!(u64, Narrow);
-rank_word!(u128, Wide);
+lane_word!(u64, Narrow);
+lane_word!(u128, Wide);
 
-/// The per-set rank words, as narrow as the associativity allows.
-#[derive(Debug, Clone)]
-enum Ranks {
-    /// Up to 8 ways.
-    Narrow(Box<[u64]>),
-    /// 9 to 16 ways.
-    Wide(Box<[u128]>),
+/// One set's two lane words, side by side so a probe reads both from
+/// one cache line.
+#[derive(Debug, Clone, Copy)]
+struct SetWords<W> {
+    /// Lane `w`: way `w`'s rank.
+    rank: W,
+    /// Lane `w`: [`signature`] of the tag in slot `w`, resident or not.
+    sig: W,
 }
 
-impl Ranks {
-    fn new(sets: usize, assoc: usize) -> Self {
+/// The per-set words, as narrow as the associativity allows.
+#[derive(Debug, Clone)]
+enum Words {
+    /// Up to 8 ways.
+    Narrow(Box<[SetWords<u64>]>),
+    /// 9 to 16 ways.
+    Wide(Box<[SetWords<u128>]>),
+}
+
+impl Words {
+    /// Identity rank words, and signature words mirroring `tags` (one
+    /// slot per lane, set-major) under `set_bits` set-index bits.
+    fn new(assoc: usize, tags: &[u64], set_bits: u32) -> Self {
+        fn build<W: LaneWord>(assoc: usize, tags: &[u64], set_bits: u32) -> Box<[SetWords<W>]> {
+            tags.chunks_exact(W::LANES)
+                .map(|slots| SetWords {
+                    rank: W::identity(assoc),
+                    sig: slots.iter().enumerate().fold(W::default(), |sig, (way, &tag)| {
+                        sig.with_lane(way, signature(tag, set_bits))
+                    }),
+                })
+                .collect()
+        }
         if assoc <= 8 {
-            Self::Narrow(vec![u64::identity(assoc); sets].into_boxed_slice())
+            Self::Narrow(build(assoc, tags, set_bits))
         } else {
-            Self::Wide(vec![u128::identity(assoc); sets].into_boxed_slice())
+            Self::Wide(build(assoc, tags, set_bits))
         }
     }
 
-    fn rank(&self, set: usize, way: usize) -> u32 {
-        match self {
-            Self::Narrow(words) => words[set].rank(way),
-            Self::Wide(words) => words[set].rank(way),
+    /// Tag slots per set.
+    fn lanes(assoc: usize) -> usize {
+        if assoc <= 8 {
+            u64::LANES
+        } else {
+            u128::LANES
         }
     }
 
     fn way_of(&self, set: usize, rank: u32) -> usize {
         match self {
-            Self::Narrow(words) => words[set].way_of(rank),
-            Self::Wide(words) => words[set].way_of(rank),
-        }
-    }
-
-    /// Tag slots per set.
-    fn lanes(&self) -> usize {
-        match self {
-            Self::Narrow(_) => u64::LANES,
-            Self::Wide(_) => u128::LANES,
+            Self::Narrow(sets) => sets[set].rank.way_of(rank),
+            Self::Wide(sets) => sets[set].rank.way_of(rank),
         }
     }
 }
 
-/// The ways among a set's `tags` (one slot per rank-word lane) that
-/// hold `block`, as a bit mask. Every slot is compared, with no early
-/// exit, so the scan has no data-dependent branch.
+/// A tag's signature byte: the top byte of a multiplicative hash of its
+/// bits above the set index (a block's bits below it are its set, the
+/// same for every block a probe of that set looks for).
 #[inline(always)]
-fn matching_ways(tags: &[u64], block: u64) -> u32 {
-    tags.iter().enumerate().fold(0, |mask, (way, &tag)| mask | u32::from(tag == block) << way)
+fn signature(tag: u64, set_bits: u32) -> u8 {
+    // mppm-lint: allow(lossy-counter-cast): the product's top byte
+    ((tag >> set_bits).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
 }
 
 /// A set-associative cache over 64-bit block identifiers.
@@ -180,17 +244,20 @@ fn matching_ways(tags: &[u64], block: u64) -> u32 {
 ///
 /// # Layout
 ///
-/// Recency is one packed rank word per set — a byte per way holding that
-/// way's LRU-stack depth, in a `u64` for up to 8 ways and a `u128` for
-/// up to 16. Tags live in one flat slab (no per-set `Vec`s) with one
+/// Each set has two packed words of a byte per way, in a `u64` for up to
+/// 8 ways and a `u128` for up to 16: the rank word holds each way's
+/// LRU-stack depth, and the signature word a one-byte hash of each
+/// way's tag. Tags live in one flat slab (no per-set `Vec`s) with one
 /// slot per lane of the word: set `s` owns slots
 /// `[s * lanes, s * lanes + assoc)`, the slots past `assoc` are padding,
-/// and a line never moves once filled. A lookup compares all of a set's
-/// slots, without an early exit, and masks off the padding. The ways of
+/// and a line never moves once filled. A lookup finds the ways whose
+/// signature matches the block's with one SWAR zero-byte test, masks off
+/// the padding, and verifies each against its full tag. The signature
+/// word always mirrors the tag slab, stale tags included. The ways of
 /// set `s` whose rank is below `lens[s]` are resident; the others hold
 /// stale tags that can never hit. A hit is a tag match plus three SWAR
-/// steps on the word: the depth is the way's rank, every lower rank goes
-/// up by one, and the way's rank becomes 0. A miss picks a victim rank —
+/// steps on the rank word: the depth is the way's rank, every lower rank
+/// goes up by one, and the way's rank becomes 0. A miss picks a victim rank —
 /// the first non-resident one while the set fills, then `assoc − 1`
 /// under LRU, a random draw under Random, or the oldest fill's under
 /// FIFO (whose fill stamps are the only per-way slab beyond the tags) —
@@ -216,8 +283,8 @@ pub struct SetAssocCache {
     /// `sets × lanes` block tags, set-major. The tags of one set's ways
     /// are pairwise distinct, resident or not, so a tag match is unique.
     tags: Box<[u64]>,
-    /// One rank word per set.
-    ranks: Ranks,
+    /// One rank word and one signature word per set.
+    words: Words,
     /// Resident-line count per set: the ways ranked below it.
     lens: Box<[u32]>,
     /// Fill stamp per tag slot under FIFO; empty under the other
@@ -225,6 +292,8 @@ pub struct SetAssocCache {
     inserted: Box<[u64]>,
     /// `sets - 1`; valid because the set count is a power of two.
     set_mask: u64,
+    /// `log2(sets)`: the tag bits [`signature`] skips.
+    set_bits: u32,
     assoc: usize,
     /// Bits `0..assoc`: the slots of a set that are ways, not padding.
     way_mask: u32,
@@ -258,16 +327,19 @@ impl SetAssocCache {
             config.assoc
         );
         let assoc = config.assoc as usize;
-        let ranks = Ranks::new(sets as usize, assoc);
-        let lanes = ranks.lanes();
+        let lanes = Words::lanes(assoc);
+        // Any pairwise-distinct values do for a never-filled set.
+        let tags: Box<[u64]> =
+            (0..sets as usize * lanes).map(|slot| (slot % lanes) as u64).collect();
+        let set_bits = sets.trailing_zeros();
         let mut cache = Self {
             config,
-            // Any pairwise-distinct values do for a never-filled set.
-            tags: (0..sets as usize * lanes).map(|slot| (slot % lanes) as u64).collect(),
-            ranks,
+            words: Words::new(assoc, &tags, set_bits),
+            tags,
             lens: vec![0u32; sets as usize].into_boxed_slice(),
             inserted: Box::default(),
             set_mask: sets - 1,
+            set_bits,
             assoc,
             way_mask: (1 << assoc) - 1,
             replacement,
@@ -308,21 +380,21 @@ impl SetAssocCache {
     /// policy if the set is full.
     #[inline]
     pub fn access(&mut self, block: u64) -> AccessResult {
-        match self.ranks {
-            Ranks::Narrow(_) => self.access_with::<u64>(block),
-            Ranks::Wide(_) => self.access_with::<u128>(block),
+        match self.words {
+            Words::Narrow(_) => self.access_with::<u64>(block),
+            Words::Wide(_) => self.access_with::<u128>(block),
         }
     }
 
-    /// [`Self::access`] over rank words of type `W`.
+    /// [`Self::access`] over lane words of type `W`.
     #[inline(always)]
-    fn access_with<W: RankWord>(&mut self, block: u64) -> AccessResult {
+    fn access_with<W: LaneWord>(&mut self, block: u64) -> AccessResult {
         let set = (block & self.set_mask) as usize;
         let base = set * W::LANES;
         let len = self.lens[set];
-        let word = W::words(&mut self.ranks)[set];
-        let mask = matching_ways(&self.tags[base..base + W::LANES], block) & self.way_mask;
-        let matched = (mask != 0).then(|| mask.trailing_zeros() as usize);
+        let SetWords { rank: word, sig } = W::sets(&self.words)[set];
+        let block_sig = signature(block, self.set_bits);
+        let matched = self.find_way(sig.lanes_equal(block_sig), base, block);
         let (way, result) = match matched {
             Some(way) if word.rank(way) < len => {
                 self.hits += 1;
@@ -347,20 +419,39 @@ impl SetAssocCache {
                     self.lens[set] = len + 1;
                 }
                 self.tags[base + way] = block;
+                W::sets_mut(&mut self.words)[set].sig = sig.with_lane(way, block_sig);
                 if let Some(stamp) = self.inserted.get_mut(base + way) {
                     *stamp = self.tick;
                 }
                 (way, AccessResult { hit: false, depth: None, evicted })
             }
         };
-        W::words(&mut self.ranks)[set] = word.promote(way, word.rank(way));
+        W::sets_mut(&mut self.words)[set].rank = word.promote(way, word.rank(way));
         result
+    }
+
+    /// The way of the set at slot `base` holding `block`, resident or
+    /// not, given the set's signature matches (`lanes_equal` of its
+    /// signature word). Padding lanes are masked off and each candidate
+    /// is verified against its full tag; a set's tags are pairwise
+    /// distinct, so at most one verifies.
+    #[inline(always)]
+    fn find_way(&self, sig_matches: u32, base: usize, block: u64) -> Option<usize> {
+        let mut candidates = sig_matches & self.way_mask;
+        while candidates != 0 {
+            let way = candidates.trailing_zeros() as usize;
+            if self.tags[base + way] == block {
+                return Some(way);
+            }
+            candidates &= candidates - 1;
+        }
+        None
     }
 
     /// The way a miss in the full set at slot `base`, ranked by `word`,
     /// evicts under the replacement policy.
     #[inline(always)]
-    fn victim<W: RankWord>(&mut self, word: W, base: usize) -> usize {
+    fn victim<W: LaneWord>(&mut self, word: W, base: usize) -> usize {
         match self.replacement {
             // mppm-lint: allow(lossy-counter-cast): assoc <= 16
             Replacement::Lru => word.way_of(self.assoc as u32 - 1),
@@ -378,12 +469,29 @@ impl SetAssocCache {
         }
     }
 
+    /// The signature byte a probe for `block` compares before the full
+    /// tag: a hash of the block's bits above the set index. Blocks of one
+    /// set that share it are told apart only by the full-tag check, which
+    /// is what the differential oracle's collision test searches for.
+    pub fn signature_of(&self, block: u64) -> u8 {
+        signature(block, self.set_bits)
+    }
+
     /// Whether `block` is currently resident (does not touch recency).
     pub fn contains(&self, block: u64) -> bool {
+        match self.words {
+            Words::Narrow(_) => self.contains_with::<u64>(block),
+            Words::Wide(_) => self.contains_with::<u128>(block),
+        }
+    }
+
+    /// [`Self::contains`] over lane words of type `W`.
+    fn contains_with<W: LaneWord>(&self, block: u64) -> bool {
         let set = (block & self.set_mask) as usize;
-        let lanes = self.ranks.lanes();
-        let mask = matching_ways(&self.tags[set * lanes..(set + 1) * lanes], block) & self.way_mask;
-        mask != 0 && self.ranks.rank(set, mask.trailing_zeros() as usize) < self.lens[set]
+        let SetWords { rank, sig } = W::sets(&self.words)[set];
+        let sig_matches = sig.lanes_equal(signature(block, self.set_bits));
+        self.find_way(sig_matches, set * W::LANES, block)
+            .is_some_and(|way| rank.rank(way) < self.lens[set])
     }
 
     /// Number of resident lines.
@@ -397,9 +505,9 @@ impl SetAssocCache {
     /// their lines sit in (a block's set follows from the block, so the
     /// flat sequence fixes each set's contents and order).
     pub fn resident_blocks(&self) -> impl Iterator<Item = u64> + '_ {
-        let lanes = self.ranks.lanes();
+        let lanes = Words::lanes(self.assoc);
         self.lens.iter().enumerate().flat_map(move |(set, &len)| {
-            (0..len).map(move |rank| self.tags[set * lanes + self.ranks.way_of(set, rank)])
+            (0..len).map(move |rank| self.tags[set * lanes + self.words.way_of(set, rank)])
         })
     }
 
@@ -413,7 +521,9 @@ impl SetAssocCache {
     /// existing slabs when the `sets × assoc` shape is unchanged — the
     /// object-pool path `mppm_sim`'s `SimArena` resets between mixes.
     /// Only the resident counts are cleared: a way ranked at or past its
-    /// set's count never hits, whatever tag it still holds.
+    /// set's count never hits, whatever tag it still holds, and the
+    /// signature words still mirror those tags (the set count, and so
+    /// the signature's set-index shift, is unchanged).
     ///
     /// # Panics
     ///

@@ -10,8 +10,10 @@
 //! replacement is the strictest case: both implementations must consume
 //! their RNG in exactly the same call order or the streams diverge
 //! immediately. Associativities run from 1 to 16, covering both widths
-//! of the flat kernel's packed rank word (up to 8 ways in a `u64`, up to
-//! 16 in a `u128`).
+//! of the flat kernel's packed rank and signature words (up to 8 ways in
+//! a `u64`, up to 16 in a `u128`). Sets filled with blocks that share one
+//! signature byte, found by search, make every probe rely on the
+//! full-tag check.
 //!
 //! Case counts scale with `MPPM_ORACLE_CASES` (default 48):
 //!
@@ -44,8 +46,13 @@ fn decode(raw: &[(u8, u64)], span: u64) -> Vec<Op> {
 
 /// Runs `ops` against `flat` and a fresh oracle of its configuration
 /// under `policy`, asserting bit-identical observable behavior at every
-/// step.
-fn assert_bit_identical(mut flat: SetAssocCache, policy: Replacement, ops: &[Op], span: u64) {
+/// step and residency over `domain` at the end.
+fn assert_bit_identical(
+    flat: &mut SetAssocCache,
+    policy: Replacement,
+    ops: &[Op],
+    domain: impl IntoIterator<Item = u64>,
+) {
     let mut naive = NaiveCache::new(flat.config(), policy);
     for (step, op) in ops.iter().enumerate() {
         match *op {
@@ -65,7 +72,7 @@ fn assert_bit_identical(mut flat: SetAssocCache, policy: Replacement, ops: &[Op]
     }
     // Residency agrees over the whole block domain, not just touched
     // blocks.
-    for block in 0..span {
+    for block in domain {
         assert_eq!(
             flat.contains(block),
             naive.contains(block),
@@ -77,6 +84,23 @@ fn assert_bit_identical(mut flat: SetAssocCache, policy: Replacement, ops: &[Op]
 fn spans() -> [u64; 3] {
     // Hit-heavy, mixed, and miss-heavy regimes.
     [24, 300, 4096]
+}
+
+/// `count` blocks of set `set` (of `sets`) sharing one signature byte
+/// under `cache`, found by search: the set's blocks in order, half of
+/// them tagged above bit 44 the way the simulator tags cores, bucketed
+/// by signature until a bucket holds `count`.
+fn colliding_blocks(cache: &SetAssocCache, sets: u64, set: u64, count: usize) -> Vec<u64> {
+    let mut buckets = vec![Vec::new(); 256];
+    for i in 0u64.. {
+        let block = ((i % 2) << 44) | (i / 2 * sets + set);
+        let bucket = &mut buckets[usize::from(cache.signature_of(block))];
+        bucket.push(block);
+        if bucket.len() == count {
+            return std::mem::take(bucket);
+        }
+    }
+    unreachable!("the search runs until a bucket fills")
 }
 
 proptest! {
@@ -99,7 +123,7 @@ proptest! {
         let span = spans()[span_sel];
         let ops = decode(&raw, span);
         for policy in [Replacement::Lru, Replacement::Fifo] {
-            assert_bit_identical(SetAssocCache::new(cfg, policy), policy, &ops, span);
+            assert_bit_identical(&mut SetAssocCache::new(cfg, policy), policy, &ops, 0..span);
         }
     }
 
@@ -121,7 +145,7 @@ proptest! {
         let span = spans()[span_sel];
         let ops = decode(&raw, span);
         let policy = Replacement::Random { seed };
-        assert_bit_identical(SetAssocCache::new(cfg, policy), policy, &ops, span);
+        assert_bit_identical(&mut SetAssocCache::new(cfg, policy), policy, &ops, 0..span);
     }
 
     /// A used cache `reinit` to its own shape must behave as a fresh
@@ -148,7 +172,7 @@ proptest! {
         }
         let policy = policies[policy_sel.1];
         used.reinit(CacheConfig { latency: 9, ..cfg }, policy);
-        assert_bit_identical(used, policy, &decode(&raw, span), span);
+        assert_bit_identical(&mut used, policy, &decode(&raw, span), 0..span);
     }
 
     /// The simulator's core-tagging pattern (ids ORed in above bit 44)
@@ -186,6 +210,47 @@ proptest! {
             prop_assert_eq!(flat.hits(), naive.hits());
             prop_assert_eq!(flat.misses(), naive.misses());
         }
+    }
+
+    /// Sets full of tags that share a signature byte, so every probe
+    /// finds several candidate ways and only the full-tag check tells
+    /// them apart: bit-identical to the oracle at 8 and 16 ways under
+    /// every policy, with mid-stream resets, and again after a `reinit`
+    /// that leaves those tags behind as stale ones.
+    #[test]
+    fn signature_collisions_match_oracle(
+        raw in proptest::collection::vec((0u8..32, 0usize..1 << 16), 1..400),
+        replay in proptest::collection::vec((0u8..32, 0usize..1 << 16), 1..400),
+        wide_sel in 0u8..2,
+        sets_pow in 0u32..3,
+        policy_sel in (0usize..3, 0usize..3),
+        seed in 0u64..1_000_000,
+    ) {
+        let assoc = if wide_sel == 1 { 16 } else { 8 };
+        let sets = 1u64 << sets_pow;
+        let cfg = CacheConfig::new(sets * u64::from(assoc) * 64, assoc, 64, 1);
+        let policies = [Replacement::Lru, Replacement::Fifo, Replacement::Random { seed }];
+        let probe = SetAssocCache::new(cfg, Replacement::Lru);
+        // Per set, one signature shared by more blocks than the set has
+        // ways, plus one block of another signature.
+        let pool: Vec<u64> = (0..sets)
+            .flat_map(|set| {
+                let mut blocks = colliding_blocks(&probe, sets, set, assoc as usize + 4);
+                let sig = probe.signature_of(blocks[0]);
+                let other = (0..).map(|i| set + i * sets).find(|&b| probe.signature_of(b) != sig);
+                blocks.extend(other);
+                blocks
+            })
+            .collect();
+        let ops = |raw: &[(u8, usize)]| -> Vec<Op> {
+            raw.iter()
+                .map(|&(sel, i)| if sel == 0 { Op::Reset } else { Op::Access(pool[i % pool.len()]) })
+                .collect()
+        };
+        let mut flat = SetAssocCache::new(cfg, policies[policy_sel.0]);
+        assert_bit_identical(&mut flat, policies[policy_sel.0], &ops(&raw), pool.clone());
+        flat.reinit(CacheConfig { latency: 9, ..cfg }, policies[policy_sel.1]);
+        assert_bit_identical(&mut flat, policies[policy_sel.1], &ops(&replay), pool);
     }
 }
 

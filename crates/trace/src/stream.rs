@@ -1,7 +1,7 @@
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::cmp::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::{BenchmarkSpec, OpWords, RegionKind, TraceGeometry, TraceItem};
 
@@ -78,14 +78,31 @@ fn stream_slots_for(spec: &BenchmarkSpec) -> Vec<(u32, u64)> {
 }
 
 /// One phase's sampling constants, worked out once per stream instead
-/// of once per op.
+/// of once per op. Each draw compares the draw index `j` with integer
+/// thresholds and gives what the `f64` expression on `j · 2^-53` gives.
 #[derive(Debug, Clone)]
 struct PhaseDraw {
-    gap: GapSampler,
-    store_ratio: f64,
-    /// Cumulative (unnormalized) region weights.
-    cum: Vec<f64>,
+    gap: GapTable,
+    /// Draws below this are stores ([`store_threshold`]).
+    store_below: u64,
+    /// The least draw picking each region past the first
+    /// ([`region_thresholds`]).
+    region_at: Vec<u64>,
     regions: Vec<RegionDraw>,
+}
+
+impl PhaseDraw {
+    /// The region index the draw index `j` picks.
+    #[inline(always)]
+    fn region_of(&self, j: u64) -> usize {
+        self.region_at.iter().filter(|&&at| at <= j).count()
+    }
+
+    /// Whether the draw index `j` makes the access a store.
+    #[inline(always)]
+    fn is_store(&self, j: u64) -> bool {
+        j < self.store_below
+    }
 }
 
 /// One region of a phase, resolved for sampling.
@@ -104,7 +121,7 @@ fn draws_for(spec: &BenchmarkSpec, stream_pos: &[(u32, u64)]) -> Vec<PhaseDraw> 
         .iter()
         .map(|p| {
             let mut acc = 0.0;
-            let cum = p
+            let cum: Vec<f64> = p
                 .regions
                 .iter()
                 .map(|r| {
@@ -125,8 +142,12 @@ fn draws_for(spec: &BenchmarkSpec, stream_pos: &[(u32, u64)]) -> Vec<PhaseDraw> 
                     }),
                 })
                 .collect();
-            let gap = GapSampler::new(p.mem_ratio);
-            PhaseDraw { gap, store_ratio: p.store_ratio, cum, regions }
+            PhaseDraw {
+                gap: GapTable::new(p.mem_ratio),
+                store_below: store_threshold(p.store_ratio),
+                region_at: region_thresholds(&cum),
+                regions,
+            }
         })
         .collect()
 }
@@ -222,7 +243,6 @@ impl TraceStream {
     pub(crate) fn generate_items(&mut self, end: u64, mut emit: impl FnMut(u64) -> bool) {
         let trace_len = self.geometry.trace_insns();
         let phase_idx = self.cur_phase;
-        let ln_table = ln_table();
         loop {
             if self.insn == trace_len {
                 self.rewind();
@@ -241,7 +261,7 @@ impl TraceStream {
                 // different phase is resampled at the new phase's rate.
                 let gap = match *pending_gap {
                     Some((sampled_phase, g)) if sampled_phase == phase_idx => g,
-                    _ => sample_gap(rng.gen(), &draw.gap, ln_table),
+                    _ => draw.gap.gap_of(draw_index(rng)),
                 };
                 let word = if gap == 0 {
                     *pending_gap = None;
@@ -278,57 +298,87 @@ impl TraceStream {
     }
 }
 
-/// The geometric compute-gap sampler of one phase: per-instruction
-/// access probability `m`, with its logarithm precomputed.
-#[derive(Debug, Clone, Copy)]
-struct GapSampler {
-    m: f64,
-    /// `ln(1 − m)`, the exact path's divisor.
-    ln_keep: f64,
-    /// `1 / ln_keep`, the fast path's factor; `None` where the fast
-    /// path's error bound does not hold (`ln_keep > −1e-3`, which
-    /// includes `m = 0`).
-    inv_ln_keep: Option<f64>,
+/// `rng.gen::<f64>()` is `j · 2^-53` for the 53-bit integer
+/// `j = next_u64() >> 11`, so every per-op draw is decided on `j`.
+const GRID_BITS: u32 = 53;
+
+/// Grid points of a uniform draw: `j < GRID`.
+const GRID: u64 = 1 << GRID_BITS;
+
+/// The next uniform draw as its grid index `j`: the one `next_u64` call
+/// `rng.gen::<f64>()` makes, before the scaling.
+#[inline(always)]
+fn draw_index(rng: &mut SmallRng) -> u64 {
+    rng.next_u64() >> (64 - GRID_BITS)
 }
 
-impl GapSampler {
-    fn new(m: f64) -> Self {
-        let ln_keep = (1.0 - m).ln();
-        Self { m, ln_keep, inv_ln_keep: (ln_keep <= -1e-3).then(|| 1.0 / ln_keep) }
+/// The uniform draw `j · 2^-53` exactly as `rng.gen::<f64>()` computes
+/// it (exact, since `j < 2^53`).
+fn unit(j: u64) -> f64 {
+    j as f64 * (1.0 / GRID as f64)
+}
+
+/// The least `j ≤ GRID` with `reaches(j)`, taking `reaches(GRID)` as
+/// true, for a `reaches` monotone in `j`. The search gallops out from
+/// `guess` and then bisects, so a guess a few grid points off costs a
+/// few evaluations.
+fn least_reaching(guess: u64, reaches: impl Fn(u64) -> bool) -> u64 {
+    let at = |j: u64| j >= GRID || reaches(j);
+    let guess = guess.min(GRID);
+    // The answer lies in `(lo, hi]`: `hi` reaches, `lo` does not.
+    let (mut lo, mut hi) = if at(guess) {
+        let (mut hi, mut step) = (guess, 1);
+        loop {
+            if hi == 0 {
+                return 0;
+            }
+            let lo = hi.saturating_sub(step);
+            if !at(lo) {
+                break (lo, hi);
+            }
+            hi = lo;
+            step *= 2;
+        }
+    } else {
+        let (mut lo, mut step) = (guess, 1);
+        loop {
+            let hi = (lo + step).min(GRID);
+            if at(hi) {
+                break (lo, hi);
+            }
+            lo = hi;
+            step *= 2;
+        }
+    };
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if at(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
     }
+    hi
 }
 
-/// How far the fast path's quotient must sit from an integer for its
-/// truncation to equal the exact one. [`fast_ln`] is within about 1.4e-14
-/// of libm's `ln`, and `|1 / ln_keep| ≤ 1,000` on the fast path, so the
-/// fast quotient is within 1e-9 of the exact one.
-const FRAC_GUARD: f64 = 1e-6;
+/// Gaps the [`GapTable`] decides by compares; longer ones (probability
+/// `(1 − m)^64`, at most 3e-5 on the suite) take [`exact_gap`].
+const TABLE_GAPS: usize = 64;
+
+/// Top bits of `j` that index [`GapTable::guide`].
+const GUIDE_BITS: u32 = 10;
 
 /// Number of non-memory instructions before the next access for the
 /// uniform draw `u` (geometric with per-instruction access probability
-/// `m`): 0 if `u < m`, else `⌊ln(1 − u) / ln(1 − m)⌋`, at least 1.
-///
-/// The fast path evaluates the quotient with [`fast_ln`] and a multiply,
-/// and returns only when it is far enough from an integer that its floor
-/// cannot differ from the exact one ([`FRAC_GUARD`]). Everything else
-/// takes the exact libm expression, so the gap equals the exact one for
-/// every `u`.
-#[inline(always)]
-fn sample_gap(u: f64, g: &GapSampler, ln_table: &LnTable) -> u64 {
-    if u < g.m {
+/// `m`, `ln_keep = ln(1 − m)`): 0 if `u < m`, else
+/// `⌊ln(1 − u) / ln(1 − m)⌋`, at least 1. Truncation is `floor` here:
+/// only a finite quotient ≥ 1 reaches the cast. This is the gap's
+/// definition; [`GapTable`] reproduces it.
+fn exact_gap(u: f64, m: f64, ln_keep: f64) -> u64 {
+    if u < m {
         return 0;
     }
-    if let Some(inv_ln_keep) = g.inv_ln_keep {
-        let y = fast_ln(1.0 - u, ln_table) * inv_ln_keep;
-        let k = y as u64;
-        let frac = y - k as f64;
-        if frac > FRAC_GUARD && frac < 1.0 - FRAC_GUARD {
-            return k.max(1);
-        }
-    }
-    // Inverse-CDF geometric sampling on the remaining mass. Truncation
-    // is `floor` here: only a finite `y ≥ 1` reaches the cast.
-    let y = (1.0 - u).ln() / g.ln_keep;
+    let y = (1.0 - u).ln() / ln_keep;
     if y.is_finite() && y >= 1.0 {
         y as u64
     } else {
@@ -336,53 +386,98 @@ fn sample_gap(u: f64, g: &GapSampler, ln_table: &LnTable) -> u64 {
     }
 }
 
-/// Mantissa bits that index an [`LnTable`].
-const LN_TABLE_BITS: u32 = 7;
-
-/// `(1/c, −ln(1/c))` for the centre `c` of each of the 128 equal slices
-/// of `[1, 2)`.
-type LnTable = [(f64, f64); 1 << LN_TABLE_BITS];
-
-/// The table [`fast_ln`] reads, built once per process with libm `ln`.
-fn ln_table() -> &'static LnTable {
-    static TABLE: OnceLock<LnTable> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let slices = f64::from(1u32 << LN_TABLE_BITS);
-        std::array::from_fn(|i| {
-            let inv_c = 1.0 / (1.0 + (i as f64 + 0.5) / slices);
-            (inv_c, -inv_c.ln())
-        })
-    })
+/// The geometric compute-gap sampler of one phase, as integer
+/// thresholds on the draw index `j`. [`exact_gap`] is a step function
+/// of `j` that never falls (rounding could only break that within a few
+/// grid points of a step, which the draw oracle checks), so the gap of
+/// `j` is the number of step points at or below it; the table holds the first [`TABLE_GAPS`] step points,
+/// found once per phase by searching the grid with [`exact_gap`] itself,
+/// and a guide that starts the count near the answer.
+#[derive(Debug, Clone)]
+struct GapTable {
+    m: f64,
+    /// `ln(1 − m)`, the tail's divisor.
+    ln_keep: f64,
+    /// `at_least[k]`: the least `j` whose gap is at least `k`, or
+    /// `GRID` if none is; non-decreasing, `at_least[0] = 0`.
+    at_least: [u64; TABLE_GAPS + 1],
+    /// `guide[b]`: the gap at `j = b · 2^43`, the first index of bucket
+    /// `b`, capped at [`TABLE_GAPS`] — a lower bound for the bucket.
+    guide: [u8; 1 << GUIDE_BITS],
 }
 
-/// `ln(x)` for a positive normal `x` without a libm call. With
-/// `x = 2^e · m`, `m ∈ [1, 2)`, it is `e · ln 2 − ln(1/c) + ln(1 + r)`
-/// for the table slice `c` holding `m` and `r = m · (1/c) − 1`,
-/// `|r| < 2^-8`; a degree-5 Taylor polynomial gives `ln(1 + r)` to
-/// about 1e-15.
-#[inline(always)]
-fn fast_ln(x: f64, table: &LnTable) -> f64 {
-    const MANTISSA_BITS: u32 = 52;
-    const MANTISSA: u64 = (1 << MANTISSA_BITS) - 1;
-    const BIAS: u64 = 1023;
-    let bits = x.to_bits();
-    let e = (bits >> MANTISSA_BITS) as f64 - BIAS as f64;
-    let m = f64::from_bits((bits & MANTISSA) | (BIAS << MANTISSA_BITS));
-    let slice = (bits & MANTISSA) >> (MANTISSA_BITS - LN_TABLE_BITS);
-    let (inv_c, neg_ln_inv_c) = table[slice as usize];
-    let r = m * inv_c - 1.0;
-    let poly = r + r * r * (-0.5 + r * (1.0 / 3.0 + r * (-0.25 + r * 0.2)));
-    e * std::f64::consts::LN_2 + neg_ln_inv_c + poly
+impl GapTable {
+    fn new(m: f64) -> Self {
+        let ln_keep = (1.0 - m).ln();
+        let mut at_least = [0; TABLE_GAPS + 1];
+        for k in 1..=TABLE_GAPS {
+            let below = at_least[k - 1];
+            at_least[k] = if below == GRID {
+                GRID
+            } else {
+                // The continuous step point `1 − (1 − m)^k` seeds the
+                // search; the grid decides.
+                let guess = (1.0 - (k as f64 * ln_keep).exp()) * GRID as f64;
+                let gap = k as u64;
+                least_reaching((guess as u64).max(below), |j| exact_gap(unit(j), m, ln_keep) >= gap)
+            };
+        }
+        let mut guide = [0; 1 << GUIDE_BITS];
+        let mut gap = 0;
+        for (bucket, entry) in guide.iter_mut().enumerate() {
+            let start = (bucket as u64) << (GRID_BITS - GUIDE_BITS);
+            while gap < TABLE_GAPS && at_least[gap + 1] <= start {
+                gap += 1;
+            }
+            *entry = u8::try_from(gap).expect("at most TABLE_GAPS step points");
+        }
+        Self { m, ln_keep, at_least, guide }
+    }
+
+    /// The gap [`exact_gap`] gives the draw `unit(j)`: the guide's
+    /// bucket start, then one compare per step point past it.
+    #[inline(always)]
+    fn gap_of(&self, j: u64) -> u64 {
+        let bucket = (j >> (GRID_BITS - GUIDE_BITS)) as usize & ((1 << GUIDE_BITS) - 1);
+        let mut k = usize::from(self.guide[bucket]);
+        while k < TABLE_GAPS && self.at_least[k + 1] <= j {
+            k += 1;
+        }
+        if k < TABLE_GAPS {
+            k as u64
+        } else {
+            exact_gap(unit(j), self.m, self.ln_keep)
+        }
+    }
+}
+
+/// The index `cum.partition_point(|&w| w <= u · total)` picks for the
+/// draw `u`, as the least `j` picking each region past the first: the
+/// region of `j` is the number of entries at or below it.
+fn region_thresholds(cum: &[f64]) -> Vec<u64> {
+    let total = *cum.last().expect("phases have at least one region");
+    let last = cum.len() - 1;
+    let region_of = |j: u64| cum.partition_point(|&w| w <= unit(j) * total).min(last);
+    (1..cum.len())
+        .map(|region| {
+            let guess = cum[region - 1] / total * GRID as f64;
+            least_reaching(guess as u64, |j| region_of(j) >= region)
+        })
+        .collect()
+}
+
+/// The least `j` that is *not* a store at `store_ratio`: `unit(j) <
+/// store_ratio` exactly when `j` is below it, since `store_ratio · 2^53`
+/// is exact.
+fn store_threshold(store_ratio: f64) -> u64 {
+    (store_ratio * GRID as f64).ceil() as u64
 }
 
 /// One access of phase `draw`: a weighted region pick, a block within
 /// it, and a store draw, packed as an [`OpWords`] word.
 #[inline(always)]
 fn sample_access(rng: &mut SmallRng, stream_pos: &mut [(u32, u64)], draw: &PhaseDraw) -> u64 {
-    let total = *draw.cum.last().expect("phases have at least one region");
-    let pick: f64 = rng.gen::<f64>() * total;
-    let region_idx = draw.cum.partition_point(|&w| w <= pick).min(draw.regions.len() - 1);
-    let region = draw.regions[region_idx];
+    let region = draw.regions[draw.region_of(draw_index(rng))];
     let offset = match region.stream_slot {
         None => rng.gen_range(0..region.blocks),
         Some(slot) => {
@@ -399,7 +494,7 @@ fn sample_access(rng: &mut SmallRng, stream_pos: &mut [(u32, u64)], draw: &Phase
             cur
         }
     };
-    let store = rng.gen::<f64>() < draw.store_ratio;
+    let store = draw.is_store(draw_index(rng));
     OpWords::access_word(region.base + offset, store)
 }
 
@@ -408,15 +503,16 @@ mod tests {
     use super::*;
     use crate::{suite, Phase, Region};
 
-    /// Gap-sampler oracle cases: `MPPM_ORACLE_CASES`, default 16, times
-    /// 4,096 random draws per access ratio.
+    /// Draw-table oracle cases: `MPPM_ORACLE_CASES`, default 16, times
+    /// 4,096 random draws per phase.
     fn oracle_cases() -> u64 {
         std::env::var("MPPM_ORACLE_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(16)
     }
 
-    /// The gap as the generator computed it before the fast path: the
-    /// libm expression with `floor`.
-    fn exact_gap(u: f64, m: f64) -> u64 {
+    /// The gap as the generator computed it before the tables: the libm
+    /// expression with `floor`, on `u = j · 2^-53`.
+    fn libm_gap(j: u64, m: f64) -> u64 {
+        let u = j as f64 / (1u64 << 53) as f64;
         if u < m {
             return 0;
         }
@@ -428,61 +524,66 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gap_sampler_matches_the_exact_expression() {
-        let table = ln_table();
-        let mut ratios: Vec<f64> = suite::spec_suite()
-            .iter()
-            .flat_map(|s| s.phases().iter().map(|p| p.mem_ratio))
-            .collect();
-        ratios.extend([0.0005, 0.001, 0.01, 0.5, 0.99]);
-        // `rng.gen::<f64>()` draws `j · 2^-53` for a 53-bit `j`.
-        const GRID: u64 = 1 << 53;
-        let u_at = |j: u64| j as f64 / GRID as f64;
-        let mut rng = SmallRng::seed_from_u64(0x6A95);
-        for &m in &ratios {
-            let g = GapSampler::new(m);
-            let check = |u: f64| {
-                assert_eq!(sample_gap(u, &g, table), exact_gap(u, m), "m = {m}, u = {u:e}");
-            };
-            for _ in 0..oracle_cases() * 4096 {
-                check(rng.gen());
-            }
-            // Every grid point within 64 steps of each point where the
-            // exact gap steps up to k, found by bisection on the grid.
-            for k in 1..=64 {
-                let reaches = |j: u64| exact_gap(u_at(j), m) >= k;
-                let (mut lo, mut hi) = (0, GRID - 1);
-                if reaches(lo) || !reaches(hi) {
-                    continue;
-                }
-                while hi - lo > 1 {
-                    let mid = lo + (hi - lo) / 2;
-                    if reaches(mid) {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
-                }
-                for j in hi.saturating_sub(64)..=(hi + 64).min(GRID - 1) {
-                    check(u_at(j));
-                }
-            }
+    /// Every grid point within 64 steps of `at`.
+    fn around(at: u64) -> std::ops::RangeInclusive<u64> {
+        at.saturating_sub(64)..=(at + 64).min(GRID - 1)
+    }
+
+    /// Checks `table` against [`libm_gap`] at every grid point within 64
+    /// steps of each step point, at each guide bucket's first index ±1,
+    /// and at `random` random draws.
+    fn check_gap_table(table: &GapTable, m: f64, random: u64, rng: &mut SmallRng) {
+        let check = |j: u64| {
+            assert_eq!(table.gap_of(j), libm_gap(j, m), "m = {m}, j = {j:#x}");
+        };
+        for &at in table.at_least[1..].iter().filter(|&&at| at < GRID) {
+            around(at).for_each(check);
+        }
+        for bucket in 0..1u64 << GUIDE_BITS {
+            let start = bucket << (GRID_BITS - GUIDE_BITS);
+            (start.saturating_sub(1)..=start + 1).for_each(check);
+        }
+        for _ in 0..random {
+            check(draw_index(rng));
         }
     }
 
     #[test]
-    fn gap_sampler_fast_ln_stays_within_its_error_bound() {
-        // `FRAC_GUARD` relies on this bound, over every binade the
-        // sampler's `1 − u` can fall in.
-        let table = ln_table();
-        let mut rng = SmallRng::seed_from_u64(0x1B);
-        for binade in 0..53 {
-            for _ in 0..oracle_cases() * 64 {
-                let x = (1.0 + rng.gen::<f64>()) * 0.5f64.powi(binade + 1);
-                let err = (fast_ln(x, table) - x.ln()).abs();
-                assert!(err < 2e-14, "x = {x:e}: error {err:e}");
+    fn gap_region_and_store_tables_match_the_f64_expressions() {
+        let random = oracle_cases() * 4096;
+        let mut rng = SmallRng::seed_from_u64(0x6A95);
+        for spec in suite::spec_suite() {
+            let draws = draws_for(spec, &stream_slots_for(spec));
+            for (p, draw) in spec.phases().iter().zip(&draws) {
+                check_gap_table(&draw.gap, p.mem_ratio, random, &mut rng);
+                // The region pick and store flag as the generator drew
+                // them before the tables.
+                let cum: Vec<f64> = p
+                    .regions
+                    .iter()
+                    .scan(0.0, |acc, r| {
+                        *acc += r.weight;
+                        Some(*acc)
+                    })
+                    .collect();
+                let total = *cum.last().expect("phases have at least one region");
+                let check = |j: u64| {
+                    let u = j as f64 / (1u64 << 53) as f64;
+                    let region = cum.partition_point(|&w| w <= u * total).min(cum.len() - 1);
+                    let what = format!("{} phase m = {}, j = {j:#x}", spec.name(), p.mem_ratio);
+                    assert_eq!(draw.region_of(j), region, "region: {what}");
+                    assert_eq!(draw.is_store(j), u < p.store_ratio, "store: {what}");
+                };
+                for &at in draw.region_at.iter().chain([&draw.store_below]) {
+                    around(at).for_each(check);
+                }
+                for _ in 0..random {
+                    check(draw_index(&mut rng));
+                }
             }
+        }
+        for m in [0.0, 0.001, 0.01, 0.5, 0.99, 1.0] {
+            check_gap_table(&GapTable::new(m), m, random, &mut rng);
         }
     }
 
