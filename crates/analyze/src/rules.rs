@@ -163,7 +163,9 @@ impl Rule for NondetMapIteration {
 
 /// `non-atomic-write` — a `std::fs::write`/`File::create` that a kill can
 /// tear mid-buffer, leaving a corrupt store entry, journal shard or
-/// results table behind (the gap PR 2 closed for JSON caches).
+/// results table behind (the gap PR 2 closed for JSON caches). The
+/// campaign journal appends records without a rename: each is
+/// checksummed, and its readers end a segment at the first torn one.
 pub struct NonAtomicWrite;
 
 impl Rule for NonAtomicWrite {
@@ -171,7 +173,8 @@ impl Rule for NonAtomicWrite {
         "non-atomic-write"
     }
     fn description(&self) -> &'static str {
-        "`fs::write`/`File::create` outside the atomic temp-file+rename writers"
+        "`fs::write`/`File::create` outside the atomic temp-file+rename writers; the one \
+         sanctioned non-rename writer is the campaign journal's checksummed record append"
     }
     fn scope(&self) -> Scope {
         Scope::Everywhere

@@ -346,8 +346,10 @@ pub fn aggregate(
     acc.finish(plan, options)
 }
 
-/// Streams the journal's shards through the accumulator in plan order,
-/// without ever materializing the full record set.
+/// Streams the journal's shards through the accumulator in one scan of
+/// its segments, without ever materializing the full record set. Each
+/// shard is absorbed once, from its first valid copy; the accumulator is
+/// order-invariant, so segment order cannot reach the output.
 ///
 /// # Errors
 ///
@@ -359,11 +361,22 @@ pub fn aggregate_journal(
     options: &AggregateOptions,
 ) -> Result<(Vec<DesignAggregate>, Vec<StabilityPoint>), CampaignError> {
     let mut acc = CampaignAccumulator::new(plan);
-    for shard in &plan.shards {
-        let record = journal
-            .load(shard.id, shard.mixes())?
-            .ok_or(CampaignError::MissingShard(shard.id))?;
-        acc.absorb(plan, &record);
+    // One bit per shard position (`design × per_design + index`).
+    let mut absorbed = vec![0u64; plan.shards.len().div_ceil(64)];
+    let bit = |position: usize| (position / 64, 1u64 << (position % 64));
+    journal.scan(|position, record| {
+        let (word, mask) = bit(position);
+        if absorbed[word] & mask == 0 {
+            absorbed[word] |= mask;
+            acc.absorb(plan, &record);
+        }
+    })?;
+    let unabsorbed = (0..plan.shards.len()).find(|&position| {
+        let (word, mask) = bit(position);
+        absorbed[word] & mask == 0
+    });
+    if let Some(missing) = unabsorbed {
+        return Err(CampaignError::MissingShard(plan.shards[missing].id));
     }
     Ok(acc.finish(plan, options))
 }

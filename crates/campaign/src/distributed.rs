@@ -196,12 +196,11 @@ pub fn execute_distributed(
     span: &Span,
 ) -> Result<ExecutionStats, CampaignError> {
     assert!(workers >= 1, "a distributed campaign needs at least one worker");
-    let mut pending = VecDeque::new();
-    for shard in &plan.shards {
-        if journal.load(shard.id, shard.mixes())?.is_none() {
-            pending.push_back(Job { id: shard.id, mixes: shard.mixes() });
-        }
-    }
+    let pending: VecDeque<Job> = journal
+        .pending(plan)?
+        .into_iter()
+        .map(|shard| Job { id: shard.id, mixes: shard.mixes() })
+        .collect();
     let resumed = plan.shards.len() - pending.len();
     if resumed > 0 {
         eprintln!(

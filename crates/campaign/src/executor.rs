@@ -4,12 +4,13 @@
 //! workers, each owning a warm [`SolverScratch`] for the duration of the
 //! run. Each worker solves the MPPM fixed point for every mix in its
 //! shard (walked lazily from the plan's population — exhaustive spaces
-//! are never materialized) and persists the shard atomically before
-//! moving on. Completed shards found in the journal are skipped, which
-//! is the whole resume story — no in-band state beyond the files.
+//! are never materialized) and appends the shard's checksummed record to
+//! the journal before moving on. Completed shards found in the journal
+//! are skipped, which is the whole resume story — no in-band state
+//! beyond the segment files.
 //!
-//! Aggregation input is *always re-read from the journal*, in plan order,
-//! even for shards computed this run. Both a one-shot and a resumed
+//! Aggregation input is *always re-read from the journal*, even for
+//! shards computed this run. Both a one-shot and a resumed
 //! campaign therefore aggregate exactly the same parsed bytes, which is
 //! what makes their outputs bit-identical rather than merely close.
 
@@ -51,6 +52,7 @@ impl ExecutionStats {
 /// `span` is the *shard's* scope. Each mix gets a child scope named by
 /// its global plan index (`mix-0007`), so the trace's event order is a
 /// function of the plan alone — never of which worker ran the shard.
+/// Scope names are built only when the span is enabled.
 pub(crate) fn compute_shard(
     ctx: &Context,
     plan: &CampaignPlan,
@@ -64,7 +66,11 @@ pub(crate) fn compute_shard(
         .iter_range(shard.start, shard.end)
         .enumerate()
         .map(|(offset, mix)| {
-            let mix_span = span.child(&format!("mix-{:04}", shard.start + offset as u64));
+            let mix_span = if span.is_enabled() {
+                span.child(&format!("mix-{:04}", shard.start + offset as u64))
+            } else {
+                Span::disabled()
+            };
             let pred = ctx.solve(&mix, profiles, &mix_span, scratch);
             span.counter("campaign.mixes").incr();
             MixOutcome {
@@ -109,12 +115,7 @@ pub fn execute_pending(
         .map(|&cfg| ctx.solver_profiles(&ctx.machine_with_config(cfg)))
         .collect();
 
-    let mut pending: Vec<&Shard> = Vec::new();
-    for shard in &plan.shards {
-        if journal.load(shard.id, shard.mixes())?.is_none() {
-            pending.push(shard);
-        }
-    }
+    let pending = journal.pending(plan)?;
     let resumed = plan.shards.len() - pending.len();
     if resumed > 0 {
         eprintln!(
@@ -131,8 +132,11 @@ pub fn execute_pending(
     // at any worker count because scratch never crosses threads.
     let results: Vec<Result<(), String>> =
         parallel_map_with("campaign", &pending, SolverScratch::new, |scratch, shard| {
-            let shard_span =
-                span.child(&format!("shard-d{}-i{:04}", shard.id.design, shard.id.index));
+            let shard_span = if span.is_enabled() {
+                span.child(&format!("shard-d{}-i{:04}", shard.id.design, shard.id.index))
+            } else {
+                Span::disabled()
+            };
             let record =
                 compute_shard(ctx, plan, &profiles[shard.id.design], shard, &shard_span, scratch);
             let stored = journal.store(&record).map_err(|e| {
@@ -231,6 +235,38 @@ mod tests {
         assert_eq!(stats2.computed_shards, 0);
         assert_eq!(stats2.resumed_shards, 3);
         assert_eq!(stats2.compute_seconds, 0.0);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_full_disk_fails_the_run_and_the_next_run_resumes_to_the_same_bytes() {
+        let (root, ctx) = tmp_store("enospc");
+        let spec = CampaignSpec {
+            cores: 2,
+            designs: vec![0],
+            source: MixSource::Stratified { count: 24, seed: 3 },
+            shard_size: 4,
+        };
+        let plan = CampaignPlan::build(
+            &spec,
+            mppm_trace::suite::spec_suite().len(),
+            ctx.geometry(),
+        )
+        .unwrap();
+        let reference_journal = Journal::open(&root.join("reference"), &plan).unwrap();
+        let (reference, _) = execute_and_load(&ctx, &plan, &reference_journal);
+
+        // The first append hits ENOSPC; every later one lands in the
+        // fresh segment the handle opens after dropping the failed one.
+        let journal = Journal::open(ctx.store().root(), &plan).unwrap();
+        journal.redirect_appends(std::path::Path::new("/dev/full"));
+        match execute_pending(&ctx, &plan, &journal, &Span::disabled()) {
+            Err(CampaignError::Io(msg)) => assert!(msg.contains("No space left"), "{msg}"),
+            other => panic!("expected the append's I/O error, got {other:?}"),
+        }
+        let (records, stats) = execute_and_load(&ctx, &plan, &journal);
+        assert_eq!((stats.computed_shards, stats.resumed_shards), (1, 5), "one shard was lost");
+        assert_eq!(records, reference, "resume lands on the same bytes");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -12,9 +12,9 @@
 //! 2. **Execute** ([`executor`] in-process, [`distributed`] across
 //!    worker processes) — fan shards over workers, each solving the
 //!    MPPM fixed point from cached single-core profiles.
-//! 3. **Journal** ([`journal`]) — persist each shard atomically in a
-//!    versioned, checksummed binary format; a killed campaign (or
-//!    worker) resumes from the completed-shard set.
+//! 3. **Journal** ([`journal`]) — append each shard as a versioned,
+//!    checksummed binary record to the writer's own segment file; a
+//!    killed campaign (or worker) resumes from the completed-shard set.
 //! 4. **Aggregate** ([`aggregate`]) — an exactly-mergeable accumulator
 //!    over per-design STP/ANTT distributions, slowdown histograms, and
 //!    the pairwise design-ranking stability sweep. Merge shape and
@@ -72,7 +72,8 @@ pub enum CampaignError {
     MissingShard(ShardId),
     /// The journal directory holds shards in the retired JSON format.
     LegacyJournal(PathBuf),
-    /// A shard file was written by a different journal format revision.
+    /// A shard record was written by a different journal format revision
+    /// (or the directory holds version 1's file-per-shard layout).
     FormatVersion {
         /// Version stamped in the shard header.
         found: u32,

@@ -100,10 +100,10 @@ pub struct CampaignSpec {
     pub shard_size: usize,
 }
 
-/// Upper bound on journal files per design point. A plan that would
+/// Upper bound on journal shards per design point. A plan that would
 /// exceed it is refused with advice to raise the shard size — millions
-/// of shard files cost more in directory operations than they save in
-/// checkpoint granularity.
+/// of shard records cost more in headers, checksums and index entries
+/// than they save in checkpoint granularity.
 pub const MAX_SHARDS_PER_DESIGN: u64 = 1 << 20;
 
 impl CampaignSpec {
@@ -325,8 +325,8 @@ impl CampaignPlan {
         let per_design = mixes.div_ceil(spec.shard_size as u64);
         if per_design > MAX_SHARDS_PER_DESIGN {
             return Err(CampaignError::InvalidSpec(format!(
-                "{mixes} mixes at shard size {} means {per_design} journal files per design; \
-                 raise --shard-size to at most {} files (>= {} mixes/shard)",
+                "{mixes} mixes at shard size {} means {per_design} journal shards per design; \
+                 raise --shard-size to at most {} shards (>= {} mixes/shard)",
                 spec.shard_size,
                 MAX_SHARDS_PER_DESIGN,
                 mixes.div_ceil(MAX_SHARDS_PER_DESIGN),
@@ -532,7 +532,7 @@ mod tests {
         spec.shard_size = 0;
         assert!(matches!(build(&spec), Err(CampaignError::InvalidSpec(_))));
         // Degenerate shard sizes on huge spaces would create millions of
-        // journal files; the planner demands a saner shard size instead.
+        // journal shards; the planner demands a saner shard size instead.
         let mut spec = CampaignSpec::quick_default();
         spec.cores = 8;
         spec.shard_size = 1;
