@@ -43,7 +43,6 @@ const LIB_CRATES: &[(&str, &str)] = &[
     ("mppm_server", "server"),
     ("mppm_experiments", "experiments"),
     ("mppm_analyze", "analyze"),
-    ("mppm_bench", "bench"),
 ];
 
 /// File stem (`journal` for `crates/campaign/src/journal.rs`).

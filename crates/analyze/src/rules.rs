@@ -197,15 +197,15 @@ impl Rule for NonAtomicWrite {
     }
 }
 
-/// Files whose wall-clock reads are the *measurement*: benchmark code and
-/// the `speed` harness. `wallclock-in-sim` skips them and the taint pass
-/// takes no nondeterminism sources from them.
+/// Files whose wall-clock reads are the *measurement*: the `speed`
+/// harness. `wallclock-in-sim` skips them and the taint pass takes no
+/// nondeterminism sources from them.
 pub(crate) fn timing_exempt(path: &str) -> bool {
-    path.starts_with("crates/bench/") || path == "crates/experiments/src/speed.rs"
+    path == "crates/experiments/src/speed.rs"
 }
 
 /// `wallclock-in-sim` — host-clock reads (`Instant::now`, `SystemTime`)
-/// anywhere but benchmarking/speed-measurement code. Simulated time must
+/// anywhere but the `speed` measurement harness. Simulated time must
 /// come from the simulator; wall-clock telemetry is legitimate only where
 /// it is the *measurement*, and such sites carry a justified allow.
 pub struct WallclockInSim;
@@ -215,7 +215,7 @@ impl Rule for WallclockInSim {
         "wallclock-in-sim"
     }
     fn description(&self) -> &'static str {
-        "`Instant::now`/`SystemTime` outside bench/speed timing code"
+        "`Instant::now`/`SystemTime` outside the speed timing harness"
     }
     fn scope(&self) -> Scope {
         Scope::Everywhere
@@ -233,7 +233,7 @@ impl Rule for WallclockInSim {
                 out.push(Finding {
                     tok: i,
                     message: "wall-clock read in simulation code: simulated time must be \
-                              deterministic; only bench/speed timing may read the host clock"
+                              deterministic; only the speed harness may read the host clock"
                         .into(),
                 });
             }

@@ -9,8 +9,7 @@
 //! executable specification the flat kernel is property-tested against
 //! (`tests/differential.rs` asserts bit-identical [`AccessResult`]s,
 //! counters and occupancy over random configurations and access streams,
-//! including mid-stream [`NaiveCache::reset`]). The benches keep it
-//! around too, so the kernel speedup stays measurable on one build.
+//! including mid-stream [`NaiveCache::reset`]).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

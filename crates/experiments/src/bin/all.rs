@@ -1,10 +1,10 @@
-//! Runs the complete reproduction: every figure in order, reusing the
-//! shared caches.
+//! Runs every figure in order, reusing the shared caches. The §4.3
+//! speed comparison and the other benches are `bin speed`'s.
 //!
 //! Usage: `cargo run --release -p mppm-experiments --bin all [--quick]`
 
-use mppm_experiments::table::{publish, results_dir_for};
-use mppm_experiments::{fig3, fig4, fig5, fig6, fig7, fig8, fig9, speed, Context, Scale};
+use mppm_experiments::table::results_dir_for;
+use mppm_experiments::{fig3, fig4, fig5, fig6, fig7, fig8, fig9, Context, Scale};
 
 fn main() {
     let ctx = Context::new(Scale::from_args());
@@ -40,12 +40,6 @@ fn main() {
     println!("== Figure 9: stress workloads ==");
     let four_core = &f4[1];
     println!("{}", fig9::report(ctx.scale(), &fig9::run(four_core)).render());
-
-    println!("== Speed ==");
-    let records = speed::run(&ctx, &[2, 4, 8, 16], 5);
-    if let Err(e) = publish(ctx.scale(), "speed", "§4.3 — model vs simulation", &records) {
-        eprintln!("warning: could not write the speed records: {e}");
-    }
 
     println!("All CSVs are under {}.", results_dir_for(ctx.scale()).display());
 }

@@ -1,4 +1,4 @@
-//! Regenerates §4.3: MPPM speed versus detailed simulation.
+//! Regenerates §4.3 (MPPM speed versus detailed simulation) and every other timing suite.
 //!
 //! Usage: `cargo run --release -p mppm-experiments --bin speed [--quick]
 //! [--analyze-only] [--distcampaign-only]`
@@ -91,6 +91,8 @@ fn main() {
          the measured gap compresses accordingly — see EXPERIMENTS.md)",
         &speed::run(&ctx, &[2, 4, 8, 16], mixes),
     );
+    let substrates = speed::substrates(&ctx);
+    publish_or_warn(ctx.scale(), "substrates", "Substrate layers timed alone", &substrates);
 
     // Observability overhead: the zero-cost claim, measured. The same
     // mixes run bare, with a disabled observer span, and with an enabled

@@ -9,9 +9,11 @@
 //! thousands of times faster than simulation, with per-mix model cost
 //! linear in the number of programs — is what this experiment checks.
 
+use mppm_cache::{CacheConfig, Replacement, Sdc, SetAssocCache};
 use mppm_obs::{NoopSink, Observer};
-use mppm_sim::MixSim;
-use mppm_trace::suite;
+use mppm_sim::{run_single_core, LlcMode, MixSim};
+use mppm_trace::{suite, TraceStream};
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -46,6 +48,64 @@ pub fn run(ctx: &Context, core_counts: &[usize], mixes_per_point: usize) -> Vec<
         records.push(BenchRecord::of_samples("speed", "sim", &param, "s/mix", &sim));
         records.push(BenchRecord::of_samples("speed", "model", &param, "s/mix", &model));
         records.push(BenchRecord::of_samples("speed", "speedup", &param, "x", &speedup));
+    }
+    records
+}
+
+/// A `substrates` record of `round`'s ns per operation, for `ops`
+/// operations a round: one untimed warm-up, then seven timed rounds.
+fn timed(variant: &str, param: &str, unit: &str, ops: u64, mut round: impl FnMut()) -> BenchRecord {
+    round();
+    let samples: Vec<f64> = (0..7)
+        .map(|_| {
+            let started = Instant::now();
+            round();
+            started.elapsed().as_nanos() as f64 / ops as f64
+        })
+        .collect();
+    BenchRecord::of_samples("substrates", variant, param, unit, &samples)
+}
+
+/// Times the substrate layers no other suite isolates: the `substrates`
+/// suite. Variants `trace-gen` (one pass of gcc's per-item generator) and
+/// `single-core` (one pass of hmmer and of lbm alone) in ns/insn; a 512 KB
+/// 8-way `cache-access` in ns/access; `sdc` window math in ns/call.
+/// Multi-core runs are not here: `speed`'s `sim` and perfbench `simulate` time them.
+pub fn substrates(ctx: &Context) -> Vec<BenchRecord> {
+    const CALLS: u64 = 100_000;
+    let (geometry, machine) = (ctx.geometry(), ctx.baseline());
+    let insns = geometry.trace_insns();
+    let pass = |name: &str| format!("{name}/{}Kinsn", insns / 1000);
+    let mut stream = TraceStream::new(suite::benchmark("gcc").expect("in suite").clone(), geometry);
+    let mut records = vec![timed("trace-gen", &pass("gcc"), "ns/insn", insns, || {
+        let start = stream.position();
+        while stream.position() - start < insns {
+            // mppm-lint: allow(uncompiled-hot-loop): this bench measures raw per-item generator throughput itself
+            black_box(stream.next_item());
+        }
+    })];
+    // 2^12 blocks fill 4 of each set's 8 ways; 2^20 overflow each set 128-fold.
+    for (name, span) in [("hits", 1u64 << 12), ("misses", 1 << 20)] {
+        let mut cache = SetAssocCache::new(CacheConfig::new(1 << 19, 8, 64, 16), Replacement::Lru);
+        records.push(timed("cache-access", &format!("{name}/512KB"), "ns/access", CALLS, || {
+            for i in 0..CALLS {
+                black_box(cache.access((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) & (span - 1)));
+            }
+        }));
+    }
+    let (mut sdc, mut acc) = (Sdc::new(8), Sdc::new(8));
+    (0..800).for_each(|i| sdc.record(Some(i % 8)));
+    records.push(timed("sdc", "misses_at/8way", "ns/call", CALLS, || {
+        (0..CALLS).for_each(|_| _ = black_box(sdc.misses_at(black_box(3.7))));
+    }));
+    records.push(timed("sdc", "add_scaled/8way", "ns/call", CALLS, || {
+        (0..CALLS).for_each(|_| acc.add_scaled(black_box(&sdc), 0.5));
+    }));
+    for name in ["hmmer", "lbm"] {
+        let spec = suite::benchmark(name).expect("in suite");
+        records.push(timed("single-core", &pass(name), "ns/insn", insns, || {
+            black_box(run_single_core(spec, &machine, geometry, 1, LlcMode::Real));
+        }));
     }
     records
 }
@@ -256,6 +316,17 @@ mod tests {
             speedup > 10.0,
             "even at smoke-test scale the model should be >10x faster, got {speedup:.1}x"
         );
+    }
+
+    #[test]
+    fn substrates_times_every_layer() {
+        let records = substrates(&Context::new(Scale::Quick));
+        let got: Vec<_> = records.iter().map(|r| format!("{} {}", r.variant, r.param)).collect();
+        assert_eq!(got.join(", "), "trace-gen gcc/200Kinsn, cache-access hits/512KB, \
+            cache-access misses/512KB, sdc misses_at/8way, sdc add_scaled/8way, \
+            single-core hmmer/200Kinsn, single-core lbm/200Kinsn");
+        let ok = |r: &BenchRecord| r.n == 7 && r.median > 0.0 && r.ci_lo <= r.ci_hi;
+        assert!(records.iter().all(ok), "{records:?}");
     }
 
     #[test]

@@ -152,8 +152,8 @@ fn write_bench_json<T: Serialize>(
 /// and `results/speed*.csv` is a list of these.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRecord {
-    /// The suite: `speed` (§4.3), `analyze`, `obs`, `distcampaign` or
-    /// `server`.
+    /// The suite: `speed` (§4.3), `substrates`, `analyze`, `obs`,
+    /// `distcampaign` or `server`.
     pub suite: String,
     /// What was measured, e.g. `sim`, `scan`, `cold-closed`.
     pub variant: String,

@@ -2,8 +2,8 @@
 //! workspace uses. Every stand-in is reached from a
 //! `[workspace.dependencies]` entry, directly or as a path dependency of
 //! a stand-in that is; and every `[workspace.dependencies]` entry is named
-//! by some member's manifest. A stand-in nothing needs fails the test
-//! instead of lingering.
+//! by some member's manifest. A stand-in nothing needs, or a member's
+//! `[[bench]]` target (benches are `speed` suites), fails the test.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -76,6 +76,7 @@ fn compat_stand_ins_are_all_used() {
     let mut named = BTreeSet::new();
     for member in &members {
         let text = read(&member.join("Cargo.toml"));
+        assert!(!text.lines().any(|l| l.trim() == "[[bench]]"), "{}: [[bench]]", member.display());
         for (key, _) in entries(&text, |s| s.ends_with("dependencies")) {
             named.insert(key.split('.').next().expect("a key").to_string());
         }
